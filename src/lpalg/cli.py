@@ -184,7 +184,9 @@ def _cmd_crossed(args) -> int:
         rep = CovariantRep(ConcreteAlgebra(f.base_dim), action, p)
     est = reduced_norm(f, rep, restarts=args.restarts, rng=np.random.default_rng(args.seed))
     check = compress_identity_check(rep, f)
-    e_dev = float(np.abs(conditional_expectation(f) - f.coeff(rep.carrier.identity)).max())
+    e = rep.position_index(rep.identity_position) * f.base_dim
+    e_block = rep.integrated(f)[e : e + f.base_dim, e : e + f.base_dim]
+    e_dev = float(np.abs(conditional_expectation(f) - e_block).max())
     payload = {
         "command": "crossed",
         "group": group_to_descriptor(f.carrier),

@@ -41,7 +41,7 @@ import numpy as np
 
 from .groups import FiniteGroup, ZWindow, cyclic_group
 from .lpnorm import PNormEstimate, as_exponent, pnorm_estimate, validate_matrix
-from .opspace import CbEstimate, LinearMap, cb_norm_lower
+from .opspace import CbEstimate, LinearMap, block_matrix, cb_norm_lower
 
 __all__ = [
     "CcElement",
@@ -92,19 +92,33 @@ def is_phased_permutation(u, tol: float = _ACTION_TOL) -> bool:
     return bool(np.abs(mags[big] - 1.0).max() <= tol)
 
 
+def _phased_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) of a phased permutation: row i of u holds phase[i] at perm[i]."""
+    perm = np.abs(u).argmax(axis=1)
+    return perm, u[np.arange(u.shape[0]), perm]
+
+
+def _compose_pairs(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of U_a U_b: row i reaches perm_b[perm_a[i]] with phase_a[i] phase_b[perm_a[i]]."""
+    (pa, ca), (pb, cb) = a, b
+    return np.take_along_axis(pb, pa, -1), ca * np.take_along_axis(cb, pa, -1)
+
+
 class IsometricAction:
     """An action of a group carrier on M_d by phased permutation conjugation.
 
-    For a finite carrier all implementers are given up front and the exact
+    Each implementer U_s is stored as its (perm, phase) pair of arrays, with
+    U_s[i, perm[i]] = phase[i], so alpha_s(a) = U_s a U_s^{-1} is the gather
+    a[perm_i, perm_j] times the phase product phase_i conj(phase_j).  For a
+    finite carrier all implementers are given up front and the exact
     relations U_e = I and U_s U_t = U_{st} are verified.  For Z a single
-    generator U is given and U_s = U^s (inverses via the conjugate
-    transpose, which is the exact inverse of a phased permutation).
+    generator U is given and U_s = U^s, with U^{-1} the conjugate transpose,
+    which is the exact inverse of a phased permutation.
     """
 
     def __init__(self, carrier, *, unitaries=None, generator=None, name: str = ""):
         self.carrier = carrier
         self.name = name
-        self._cache: dict[int, np.ndarray] = {}
         if isinstance(carrier, FiniteGroup):
             if unitaries is None:
                 raise ValueError("a finite-group action needs one implementer per element")
@@ -127,7 +141,7 @@ class IsometricAction:
                             "projective phases are not allowed"
                         )
             self.base_dim = d
-            self._cache = {s: mats[s] for s in carrier.elements()}
+            self._perm, self._phase = map(np.stack, zip(*(_phased_pair(u) for u in mats)))
         elif isinstance(carrier, ZWindow):
             if generator is None:
                 raise ValueError("a Z action needs a generator matrix")
@@ -135,26 +149,49 @@ class IsometricAction:
             if not is_phased_permutation(u):
                 raise ValueError("the generator must be a phased permutation")
             self.base_dim = u.shape[0]
-            self._generator = u
-            self._cache = {0: np.eye(self.base_dim, dtype=complex), 1: u.copy()}
+            self._generator, self._inverse = _phased_pair(u), _phased_pair(u.conj().T)
         else:
             raise TypeError(f"not a group carrier: {carrier!r}")
 
-    def unitary(self, s: int) -> np.ndarray:
-        """The implementer U_s."""
-        s = int(s)
-        if s in self._cache:
-            return self._cache[s]
+    def _pair(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, phase) of U_s for an element or an array of elements s."""
+        s = np.asarray(s, dtype=np.int64)
         if isinstance(self.carrier, FiniteGroup):
-            raise KeyError(f"element {s} outside the finite carrier")
-        base = self._generator if s > 0 else self._generator.conj().T
-        self._cache[s] = np.linalg.matrix_power(base, abs(s))
-        return self._cache[s]
+            if ((s < 0) | (s >= self.carrier.order)).any():
+                raise KeyError(f"element {s} outside the finite carrier")
+            return self._perm[s], self._phase[s]
+        pos = (s >= 0)[..., None]
+        base = tuple(np.where(pos, g, i) for g, i in zip(self._generator, self._inverse))
+        out = (np.broadcast_to(np.arange(self.base_dim), base[0].shape), np.ones(base[1].shape, complex))
+        k = np.abs(s)
+        while k.any():  # binary powers of U or U^{-1}
+            odd = (k & 1).astype(bool)[..., None]
+            out = tuple(np.where(odd, new, old) for new, old in zip(_compose_pairs(out, base), out))
+            base = _compose_pairs(base, base)
+            k = k >> 1
+        return out
 
-    def apply(self, s: int, a) -> np.ndarray:
-        """alpha_s(a) = U_s a U_s^{-1}."""
-        u = self.unitary(s)
-        return u @ np.asarray(a, dtype=complex) @ u.conj().T
+    def unitary(self, s: int) -> np.ndarray:
+        """The implementer U_s, built from its (perm, phase) pair."""
+        perm, phase = self._pair(int(s))
+        u = np.zeros((self.base_dim, self.base_dim), dtype=complex)
+        u[np.arange(self.base_dim), perm] = phase
+        return u
+
+    def apply(self, s, a) -> np.ndarray:
+        """alpha_s(a) = U_s a U_s^{-1}.
+
+        s may be an array of elements and a a stack (..., d, d) of matrices;
+        their leading shapes broadcast, and the whole stack moves with one
+        gather and one phase product.
+        """
+        perm, phase = self._pair(s)
+        d = self.base_dim
+        lead = np.broadcast_shapes(perm.shape[:-1], np.shape(a)[:-2])
+        flat = np.broadcast_to(np.asarray(a, dtype=complex), lead + (d, d)).reshape(lead + (d * d,))
+        idx = np.broadcast_to(perm[..., :, None] * d + perm[..., None, :], lead + (d, d)).reshape(flat.shape)
+        moved = np.take_along_axis(flat, idx, axis=-1).reshape(lead + (d, d))
+        return moved * (phase[..., :, None] * phase[..., None, :].conj())
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -316,6 +353,8 @@ class CovariantRep:
             self.positions = list(range(-radius, radius + 1))
             self.identity_position = 0
         self._pos_index = {t: i for i, t in enumerate(self.positions)}
+        pos = np.asarray(self.positions, dtype=np.int64)
+        self._inv_positions = -pos if isinstance(carrier, ZWindow) else carrier.inverse[pos]
 
     @property
     def carrier(self):
@@ -332,29 +371,33 @@ class CovariantRep:
     def position_index(self, t: int) -> int:
         return self._pos_index[t]
 
-    def _block(self, i: int, j: int) -> tuple[slice, slice]:
-        d = self.base_dim
-        return slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
+    def _translate(self, shifts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index triples (k, i, j) with positions[i] = shifts[k] positions[j]."""
+        shifts = np.asarray(shifts, dtype=np.int64)
+        nt = len(self.positions)
+        which, cols = np.indices((shifts.size, nt))
+        finite = isinstance(self.carrier, FiniteGroup)  # if so, positions are the elements in order
+        rows = self.carrier.mult[shifts[which], cols] if finite else cols + shifts[which]
+        keep = (rows >= 0) & (rows < nt)
+        return which[keep], rows[keep], cols[keep]
+
+    def _assemble(self, rows, cols, blocks) -> np.ndarray:
+        """The matrix with block (rows[k], cols[k]) equal to blocks[k], zero elsewhere."""
+        nt, d = len(self.positions), self.base_dim
+        out = np.zeros((nt, d, nt, d), dtype=complex)
+        out[rows, :, cols, :] = blocks
+        return out.reshape(nt * d, nt * d)
 
     def pi(self, a) -> np.ndarray:
         """Block-diagonal matrix with blocks alpha_{t^{-1}}(a)."""
-        a = validate_matrix(a)
-        out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        inv = self.carrier.inv
-        for i, t in enumerate(self.positions):
-            rows, cols = self._block(i, i)
-            out[rows, cols] = self.action.apply(inv(t), a)
-        return out
+        diag = np.arange(len(self.positions))
+        return self._assemble(diag, diag, self.action.apply(self._inv_positions, validate_matrix(a)))
 
     def translation(self, s: int) -> np.ndarray:
         """Translation by s on the position space alone (0/1 matrix)."""
-        nt = len(self.positions)
-        out = np.zeros((nt, nt), dtype=complex)
-        for j, t in enumerate(self.positions):
-            target = self.carrier.op(s, t)
-            i = self._pos_index.get(target)
-            if i is not None:
-                out[i, j] = 1.0
+        _, rows, cols = self._translate([s])
+        out = np.zeros((len(self.positions),) * 2, dtype=complex)
+        out[rows, cols] = 1.0
         return out
 
     def v(self, s: int) -> np.ndarray:
@@ -362,25 +405,16 @@ class CovariantRep:
         return np.kron(self.translation(s), np.eye(self.base_dim, dtype=complex))
 
     def integrated(self, f: CcElement) -> np.ndarray:
-        """sum_t pi(f(t)) v(t), assembled block by block.
+        """sum_t pi(f(t)) v(t), assembled with one gather over all blocks.
 
         Block (t, t') equals alpha_{t^{-1}}(f(t t'^{-1})); each pair of
         positions receives exactly one coefficient.
         """
         if f.base_dim != self.base_dim:
             raise ValueError("element dimension does not match the representation")
-        out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        inv = self.carrier.inv
-        op = self.carrier.op
-        for s, mat in f.items():
-            for j, tp in enumerate(self.positions):
-                t = op(s, tp)
-                i = self._pos_index.get(t)
-                if i is None:
-                    continue
-                rows, cols = self._block(i, j)
-                out[rows, cols] = self.action.apply(inv(t), mat)
-        return out
+        which, rows, cols = self._translate(f.support)
+        coeffs = np.array([f.coeff(s) for s in f.support]).reshape(-1, self.base_dim, self.base_dim)[which]
+        return self._assemble(rows, cols, self.action.apply(self._inv_positions[rows], coeffs))
 
     def identity_projection(self) -> np.ndarray:
         """P_e (x) I: the coordinate projection onto the identity position."""
@@ -431,11 +465,9 @@ def compress_identity_check(rep: CovariantRep, f: CcElement) -> dict:
     """
     proj = rep.identity_projection()
     lhs = proj @ rep.integrated(f) @ proj
-    e_idx = rep.position_index(rep.identity_position)
-    nt = len(rep.positions)
-    pe = np.zeros((nt, nt), dtype=complex)
-    pe[e_idx, e_idx] = 1.0
-    rhs = np.kron(pe, conditional_expectation(f))
+    e, d = rep.position_index(rep.identity_position) * rep.base_dim, rep.base_dim
+    rhs = np.zeros_like(lhs)
+    rhs[e : e + d, e : e + d] = conditional_expectation(f)
     return {"lhs": lhs, "rhs": rhs, "max_abs_diff": float(np.abs(lhs - rhs).max())}
 
 
@@ -443,13 +475,11 @@ def _crossed_sampler(rep: CovariantRep, max_shift: int):
     """Level sampler drawing amplified crossed-product elements."""
 
     def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        dim = rep.dimension
-        out = np.zeros((n * dim, n * dim), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                f = random_cc_element(rng, rep.carrier, rep.base_dim, n_terms=2, max_shift=max_shift)
-                out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = rep.integrated(f)
-        return out
+        forms = [
+            rep.integrated(random_cc_element(rng, rep.carrier, rep.base_dim, n_terms=2, max_shift=max_shift))
+            for _ in range(n * n)
+        ]
+        return block_matrix(np.array(forms).reshape(n, n, rep.dimension, rep.dimension))
 
     return draw
 

@@ -306,6 +306,10 @@ def pnorm_estimate(
         raise ValueError("restarts must be a positive integer")
     gen = _as_rng(rng)
     m, n = arr.shape
+    # iterate on 2^-e A, largest modulus in [1, 2): exact, and clear of underflow
+    e = math.frexp(float(np.abs(arr).max()))[1] - 1
+    if e:
+        arr = arr * math.ldexp(1.0, -e // 2) * math.ldexp(1.0, -e - (-e // 2))
 
     x = gen.standard_normal((n, restarts)) + 1j * gen.standard_normal((n, restarts))
     x[:, 0] = 1.0  # one deterministic start alongside the random ones
@@ -326,7 +330,7 @@ def pnorm_estimate(
             best_val = float(vals[top])
             best_witness = x[:, top].copy()
             best_col = top
-        stagnant |= np.abs(vals - prev_vals) <= tol * np.maximum(1.0, vals)
+        stagnant |= np.abs(vals - prev_vals) <= tol * vals
         prev_vals = vals
         if stagnant.all():
             break
@@ -345,7 +349,7 @@ def pnorm_estimate(
         return PNormEstimate(0.0, witness, "power-iteration", True, restarts)
 
     witness = best_witness / vector_pnorm(best_witness, pe)
-    value = vector_pnorm(arr @ witness, pe)
+    value = math.ldexp(vector_pnorm(arr @ witness, pe), e)
     return PNormEstimate(value, witness, "power-iteration", bool(stagnant[best_col]), restarts)
 
 

@@ -232,7 +232,7 @@ def cb_norm_lower(
         den = pnorm_estimate(
             m, pe, restarts=restarts + 2, max_iters=max_iters, tol=tol, rng=np.random.default_rng(seed)
         ).value
-        if den <= 1e-12 * max(1.0, float(np.abs(m).max(initial=0.0))):
+        if den <= 1e-12 * float(np.abs(m).max(initial=0.0)):
             return 0.0
         num = pnorm_estimate(
             apply_amplified(phi, m, n),

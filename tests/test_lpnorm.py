@@ -1,5 +1,7 @@
 """Tests for matrix p-norm evaluation and estimation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -107,6 +109,27 @@ def test_estimate_is_homogeneous():
     base = pnorm_estimate(m, 1.5, rng=np.random.default_rng(3)).value
     scaled = pnorm_estimate(2.5 * m, 1.5, rng=np.random.default_rng(3)).value
     assert scaled == pytest.approx(2.5 * base, rel=REL_TOL)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e12, 1e300])
+def test_estimate_is_scale_covariant(scale):
+    # the stagnation test is relative, so small operators iterate as far as large ones
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    ref = pnorm_estimate(a, 1.5).value
+    assert pnorm_estimate(scale * a, 1.5).value / scale == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_estimate_of_subnormal_matrix(seed):
+    # 1e-320 A keeps about 11 bits of A, hence the loose tolerance
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    tiny = 1e-320 * a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = pnorm_estimate(tiny, 1.5).value
+    assert value / 1e-320 == pytest.approx(pnorm_estimate(a, 1.5).value, rel=1e-4)
 
 
 def test_estimate_matches_oracle_on_small_matrices():

@@ -36,6 +36,7 @@ from lpalg import (
     truncate_map,
     truncate_stable,
 )
+from lpalg import nuclearity
 from lpalg.errors import CertificateError
 
 CB_SLACK = 1e-6
@@ -264,6 +265,41 @@ def test_witness_on_finite_group_is_exact():
     assert report["folner"]["members"] == list(range(6))
     assert all(entry["roundtrip_error"] == 0.0 for entry in report["elements"])
     assert fact.target_dim == 6 * 6
+
+
+def test_witness_certifies_the_folner_pair_once():
+    zw = ZWindow(0)
+    f = CcElement.delta(zw, 1, base_dim=1)
+    fact, report = crossed_nuclearity_witness(
+        [f], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5,
+        rng=np.random.default_rng(19))
+    assert [c["map"] for c in report["certificates"]] == ["folner_phi", "folner_psi"]
+    assert (fact.phi.name, fact.psi.name) == ("folner_phi", "folner_psi")
+    assert fact.roundtrip_errors["f0"] == report["elements"][0]["roundtrip_error"]
+
+
+def test_witness_refuses_roundtrip_over_budget(monkeypatch):
+    zw = ZWindow(0)
+    f = CcElement.delta(zw, 1, base_dim=1)
+    monkeypatch.setattr(nuclearity, "measure_roundtrip", lambda *args, **kw: {"f0": 0.31})
+    with pytest.raises(CertificateError):
+        crossed_nuclearity_witness([f], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5,
+                                   rng=np.random.default_rng(20))
+
+
+def test_witness_sizes_folner_set_on_reported_norms():
+    # the radius-5 window underestimates M; sized from it, |F| = 20 gives
+    # 2/|F| = 0.1 > eps/(3M) = 0.0995 on the final window's M = 0.99938
+    zw = ZWindow(0)
+    f = CcElement(zw, {0: np.array([[0.6]]), 1: np.array([[0.4]])})
+    eps = 0.2984
+    _, report = crossed_nuclearity_witness(
+        [f], eps, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5,
+        rng=np.random.default_rng(21))
+    m_bound = max(e["reduced_norm"] for e in report["elements"])
+    size = len(report["folner"]["members"])
+    assert report["passed"]
+    assert all(2 * abs(int(s)) / size < eps / (3.0 * m_bound) for s in report["folner"]["ratios"])
 
 
 def test_witness_input_validation():
