@@ -15,7 +15,11 @@ approached from below along two independent routes:
       x  <-  dualmap_q( A* . dualmap_p( A x ) ),   normalized in l^p,
 
   from many random starts and returns the best certified lower bound
-  together with the witness vector that attains it.
+  together with the witness vector that attains it.  It is the one-matrix
+  call of :func:`pnorm_estimate_stack`, which iterates a (B, m, n) stack of
+  matrices together, each from its own rng, with one batched matmul per
+  half-step; a matrix leaves the stack once all its restarts have
+  stagnated, and every result equals the one-matrix estimate bit for bit.
 * :func:`pnorm_oracle` maximizes ||A x||_p directly, by projected gradient
   ascent with a vectorized line search from random unit vectors plus the
   extreme points of the unit ball that are optimal when p is 1 or inf.
@@ -42,8 +46,10 @@ __all__ = [
     "PNormEstimate",
     "adjoint",
     "as_exponent",
+    "as_generator",
     "dual_vector",
     "pnorm_estimate",
+    "pnorm_estimate_stack",
     "pnorm_exact",
     "pnorm_oracle",
     "validate_matrix",
@@ -124,9 +130,13 @@ class PNormEstimate:
 
 def validate_matrix(a) -> np.ndarray:
     """Return ``a`` as a 2-D complex ndarray, rejecting non-finite entries."""
+    return _validated(a, 2, "2-D matrix")
+
+
+def _validated(a, ndim: int, what: str) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValueError(f"expected a nonempty {what}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("matrix entries must be finite")
     return arr
@@ -155,12 +165,9 @@ def vector_pnorm(x, p) -> float:
     return float(top * (((mags / top) ** pe.p).sum()) ** (1.0 / pe.p))
 
 
-def _sign(z: np.ndarray) -> np.ndarray:
-    mags = np.abs(z)
-    out = np.zeros_like(z)
-    nz = mags > 0.0
-    out[nz] = z[nz] / mags[nz]
-    return out
+def _signs(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """sign(y) = y / |y| entrywise, with sign(0) = 0; ``mags`` is |y|."""
+    return np.divide(y, mags, out=np.zeros_like(y), where=mags > 0.0)
 
 
 def dual_vector(y, p) -> np.ndarray:
@@ -177,17 +184,18 @@ def dual_vector(y, p) -> np.ndarray:
     if not mags.any():
         return np.zeros_like(arr)
     if pe.is_one:
-        return _sign(arr)
+        return _signs(arr, mags)
     if pe.is_inf:
         out = np.zeros_like(arr)
         k = int(np.argmax(mags))
         out[k] = arr[k] / mags[k]
         return out
-    u = _sign(arr) * (mags / mags.max()) ** (pe.p - 1.0)
+    u = _signs(arr, mags) * (mags / mags.max()) ** (pe.p - 1.0)
     return u / vector_pnorm(u, pe.q)
 
 
-def _pnorms_along(y: np.ndarray, p: float, axis: int) -> np.ndarray:
+def _pnorms_along(y: np.ndarray, p: float, axis: int = 0) -> np.ndarray:
+    """l^p norms of the vectors of ``y`` along ``axis``."""
     mags = np.abs(y)
     if math.isinf(p):
         return mags.max(axis=axis)
@@ -199,40 +207,34 @@ def _pnorms_along(y: np.ndarray, p: float, axis: int) -> np.ndarray:
     return np.squeeze(safe, axis=axis) * vals
 
 
-def _column_pnorms(y: np.ndarray, p: float) -> np.ndarray:
-    return _pnorms_along(y, p, axis=0)
-
-
-def _dual_columns(y: np.ndarray, p: float) -> np.ndarray:
-    """Columnwise unnormalized dual directions sign(y) |y|^{p-1} (finite p > 1)."""
+def _dual_columns(y: np.ndarray, p: float, axis: int = 0) -> np.ndarray:
+    """Unnormalized dual directions sign(y) |y|^{p-1} along ``axis`` (finite p > 1)."""
     mags = np.abs(y)
-    tops = mags.max(axis=0)
+    tops = mags.max(axis=axis, keepdims=True)
     safe = np.where(tops > 0.0, tops, 1.0)
-    signs = np.zeros_like(y)
-    nz = mags > 0.0
-    signs[nz] = y[nz] / mags[nz]
-    return signs * (mags / safe) ** (p - 1.0)
+    return _signs(y, mags) * (mags / safe) ** (p - 1.0)
 
 
 def _norming_columns(y: np.ndarray, p: float, q: float) -> np.ndarray:
     """Columnwise norming functionals: unit-l^q duals with <y, u> = ||y||_p."""
-    u = _dual_columns(y, p)
-    qnorms = _column_pnorms(u, q)
-    return u / np.where(qnorms > 0.0, qnorms, 1.0)
+    return _normalized(_dual_columns(y, p), q)[0]
 
 
-def _normalize_columns(x: np.ndarray, p: float) -> np.ndarray:
-    norms = _column_pnorms(x, p)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return x / safe
+def _normalized(x: np.ndarray, p: float, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors of ``x`` along ``axis`` scaled to unit l^p norm (zero
+    vectors stay zero), and their norms before scaling."""
+    norms = _pnorms_along(x, p, axis)
+    return x / np.expand_dims(np.where(norms > 0.0, norms, 1.0), axis), norms
+
+
+def as_generator(rng) -> np.random.Generator:
+    """A Generator as is; a seed or None (fresh entropy) through ``default_rng``."""
+    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
 def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if rng is None:
-        return np.random.default_rng(0)
-    return np.random.default_rng(rng)
+    """Like :func:`as_generator`, but None means seed 0: estimates repeat by default."""
+    return as_generator(0 if rng is None else rng)
 
 
 def _exact_value_and_witness(a: np.ndarray, pe: PExponent) -> tuple[float, np.ndarray]:
@@ -288,7 +290,7 @@ def pnorm_estimate(
     complex starting vectors are iterated simultaneously; the reported value
     is the best value of ||A x||_p seen at any iterate, and ``converged``
     states whether the winning restart stagnated below ``tol`` before the
-    iteration cap.
+    iteration cap.  This is the one-matrix call of :func:`pnorm_estimate_stack`.
 
     :param a: complex matrix, square or rectangular.
     :param p: exponent in [1, inf].
@@ -297,60 +299,140 @@ def pnorm_estimate(
     :param tol: relative stagnation threshold.
     :param rng: ``numpy.random.Generator``, seed int, or None (seed 0).
     """
-    pe = as_exponent(p)
-    arr = validate_matrix(a)
+    return _estimates(validate_matrix(a)[None].copy(), as_exponent(p), restarts, max_iters, tol, [rng])[0]
+
+
+def pnorm_estimate_stack(
+    stack,
+    p,
+    *,
+    restarts: int = 32,
+    max_iters: int = 100,
+    tol: float = 1e-10,
+    rngs=None,
+) -> list[PNormEstimate]:
+    """:func:`pnorm_estimate` of every matrix in a (B, m, n) stack at once.
+
+    ``stack`` is a 3-D array or a sequence of same-shape matrices; it is
+    never modified, since the iteration runs on a new array made from it.
+    Matrix b draws its starting vectors from ``rngs[b]`` (a Generator, a
+    seed, or None for seed 0; ``rngs=None`` gives every matrix seed 0), so
+    each result equals ``pnorm_estimate(stack[b], p, rng=rngs[b])`` bit for
+    bit.  The matrices are iterated together, one batched matmul per
+    half-step, and a matrix leaves the stack once all its restarts have
+    stagnated.
+    """
+    arr = _validated(np.array(stack, dtype=complex), 3, "(B, m, n) stack")
+    rngs = [None] * arr.shape[0] if rngs is None else list(rngs)
+    if len(rngs) != arr.shape[0]:
+        raise ValueError(f"need one rng per matrix, got {len(rngs)} for {arr.shape[0]}")
+    return _estimates(arr, as_exponent(p), restarts, max_iters, tol, rngs)
+
+
+def _estimates(arr, pe, restarts, max_iters, tol, rngs) -> list[PNormEstimate]:
+    """Estimates for a validated stack that the caller owns: closed formulas or the iteration."""
     if pe.has_exact_formula:
-        value, witness = _exact_value_and_witness(arr, pe)
-        return PNormEstimate(value, witness, "exact", True, 0)
+        out = []
+        for mat in arr:
+            value, witness = _exact_value_and_witness(mat, pe)
+            out.append(PNormEstimate(value, witness, "exact", True, 0))
+        return out
     if restarts < 1:
         raise ValueError("restarts must be a positive integer")
-    gen = _as_rng(rng)
-    m, n = arr.shape
+    return _power_iteration(arr, pe, restarts, max_iters, tol, [_as_rng(r) for r in rngs])
+
+
+def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstimate]:
+    """The dual power iteration on a stack, one generator per matrix.
+
+    Slot k of every state array holds matrix ``member[k]``; finished
+    matrices are compacted out of the leading slots, so the live part of
+    each array stays contiguous and the batched matmuls make the same BLAS
+    calls as one matrix at a time.  ``arr`` must be an array the caller
+    owns: it is scaled and compacted in place.
+    """
+    p, q = pe.p, pe.q
+    count, _, n = arr.shape
     # iterate on 2^-e A, largest modulus in [1, 2): exact, and clear of underflow
-    e = math.frexp(float(np.abs(arr).max()))[1] - 1
-    if e:
-        arr = arr * math.ldexp(1.0, -e // 2) * math.ldexp(1.0, -e - (-e // 2))
+    e = [math.frexp(float(t))[1] - 1 for t in np.abs(arr).max(axis=(1, 2))]
+    half = np.array([math.ldexp(1.0, -ek // 2) for ek in e])[:, None, None]
+    rest = np.array([math.ldexp(1.0, -ek - (-ek // 2)) for ek in e])[:, None, None]
+    arr *= half
+    arr *= rest
 
-    x = gen.standard_normal((n, restarts)) + 1j * gen.standard_normal((n, restarts))
-    x[:, 0] = 1.0  # one deterministic start alongside the random ones
-    x = _normalize_columns(x, pe.p)
-    a_h = arr.conj().T
+    x = np.empty((count, n, restarts), dtype=complex)
+    for k, gen in enumerate(gens):
+        x[k] = gen.standard_normal((n, restarts)) + 1j * gen.standard_normal((n, restarts))
+    x[:, :, 0] = 1.0  # one deterministic start alongside the random ones
+    x = _normalized(x, p, axis=1)[0]
+    a_h = arr.conj().transpose(0, 2, 1)
 
-    best_val = -np.inf
-    best_witness = x[:, 0].copy()
-    best_col = 0
-    prev_vals = np.full(restarts, -np.inf)
-    stagnant = np.zeros(restarts, dtype=bool)
+    member = np.arange(count)
+    best_val = np.full(count, -np.inf)
+    best_witness = x[:, :, 0].copy()
+    best_col = np.zeros(count, dtype=int)
+    prev_vals = np.full((count, restarts), -np.inf)
+    stagnant = np.zeros((count, restarts), dtype=bool)
+    results: list = [None] * count
+
+    def finish(slots):
+        for k in slots:
+            b = int(member[k])
+            results[b] = _finished(arr[k], best_val[k], best_witness[k], bool(stagnant[k, best_col[k]]),
+                                   e[b], pe, restarts)
 
     for _ in range(max_iters):
-        y = arr @ x
-        vals = _column_pnorms(y, pe.p)
-        top = int(np.argmax(vals))
-        if vals[top] > best_val:
-            best_val = float(vals[top])
-            best_witness = x[:, top].copy()
-            best_col = top
-        stagnant |= np.abs(vals - prev_vals) <= tol * vals
-        prev_vals = vals
-        if stagnant.all():
-            break
-        u = _dual_columns(y, pe.p)
-        z = a_h @ u
-        x_next = _normalize_columns(_dual_columns(z, pe.q), pe.p)
-        dead = _column_pnorms(x_next, pe.p) == 0.0
+        live = len(member)
+        y = arr[:live] @ x
+        # |y|, its column maxima and the scaled moduli serve the norm and the dual map
+        mags = np.abs(y)
+        tops = mags.max(axis=1, keepdims=True)
+        safe = np.where(tops > 0.0, tops, 1.0)
+        scaled = mags / safe
+        vals = safe[:, 0, :] * (scaled**p).sum(axis=1) ** (1.0 / p)
+        top_vals = vals.max(axis=1)
+        gain = top_vals > best_val[:live]
+        if gain.any():
+            rows = np.flatnonzero(gain)
+            cols = vals[rows].argmax(axis=1)
+            best_val[rows] = top_vals[rows]
+            best_witness[rows] = x[rows, :, cols]
+            best_col[rows] = cols
+        stagnant[:live] |= np.abs(vals - prev_vals[:live]) <= tol * vals
+        prev_vals[:live] = vals
+        done = stagnant[:live].all(axis=1)
+        if done.any():
+            finish(np.flatnonzero(done))
+            keep = np.flatnonzero(~done)
+            if keep.size == 0:
+                break
+            for state in (arr, a_h, best_val, best_witness, best_col, prev_vals, stagnant):
+                state[: keep.size] = state[keep]
+            member = member[keep]
+            x, y, mags, scaled = x[keep], y[keep], mags[keep], scaled[keep]
+            live = keep.size
+        u = _signs(y, mags) * scaled ** (p - 1.0)
+        x_next, norms = _normalized(_dual_columns(a_h[:live] @ u, q, axis=1), p, axis=1)
+        dead = norms == 0.0  # x_next is zero exactly where its norm was
         if dead.any():
-            x_next[:, dead] = x[:, dead]
-            stagnant |= dead
+            slot, col = np.nonzero(dead)
+            x_next[slot, :, col] = x[slot, :, col]
+            stagnant[:live] |= dead
         x = x_next
+    else:
+        finish(range(len(member)))
+    return results
 
+
+def _finished(mat, best_val, best_witness, converged, e, pe, restarts) -> PNormEstimate:
+    """The estimate of one matrix (already scaled by 2^-e) from its best iterate."""
     if best_val <= 0.0:
-        witness = np.zeros(n, dtype=complex)
+        witness = np.zeros(mat.shape[1], dtype=complex)
         witness[0] = 1.0
         return PNormEstimate(0.0, witness, "power-iteration", True, restarts)
-
     witness = best_witness / vector_pnorm(best_witness, pe)
-    value = math.ldexp(vector_pnorm(arr @ witness, pe), e)
-    return PNormEstimate(value, witness, "power-iteration", bool(stagnant[best_col]), restarts)
+    value = math.ldexp(vector_pnorm(mat @ witness, pe), e)
+    return PNormEstimate(value, witness, "power-iteration", converged, restarts)
 
 
 def pnorm_oracle(
@@ -386,11 +468,9 @@ def pnorm_oracle(
     nz = np.abs(arr) > 0.0
     aligned = np.where(nz, arr.conj() / np.where(nz, np.abs(arr), 1.0), 1.0).T
     random_starts = gen.standard_normal((n, samples)) + 1j * gen.standard_normal((n, samples))
-    x = _normalize_columns(
-        np.concatenate([np.eye(n, dtype=complex), aligned, random_starts], axis=1), pe.p
-    )
+    x = _normalized(np.concatenate([np.eye(n, dtype=complex), aligned, random_starts], axis=1), pe.p)[0]
 
-    vals = _column_pnorms(arr @ x, pe.p)
+    vals = _pnorms_along(arr @ x, pe.p)
     if pe.is_one or pe.is_inf:
         # the basis / phase-aligned candidates attain the extreme-point optimum
         return float(vals.max())
@@ -401,11 +481,11 @@ def pnorm_oracle(
     flat_rounds = 0
     for _ in range(max_iters):
         y = arr @ x
-        ratio = _column_pnorms(y, pe.p)  # x kept at unit l^p norm
+        ratio = _pnorms_along(y, pe.p)  # x kept at unit l^p norm
         # gradient of the quotient ||Ax||_p / ||x||_p: the radial component
         # is removed so the line search moves along the sphere
         grad = a_h @ _norming_columns(y, pe.p, pe.q) - ratio * _norming_columns(x, pe.p, pe.q)
-        gnorm = _column_pnorms(grad, pe.p)
+        gnorm = _pnorms_along(grad, pe.p)
         live = gnorm > 0.0
         if not live.any():
             break
@@ -420,7 +500,7 @@ def pnorm_oracle(
         pick = ratios.argmax(axis=0)
         idx = np.arange(x.shape[1])
         new_vals = ratios[pick, idx]
-        x = _normalize_columns(xc[pick, :, idx].T, pe.p)
+        x = _normalized(xc[pick, :, idx].T, pe.p)[0]
         new_best = float(new_vals.max())
         if new_best <= best * (1.0 + 1e-15):
             flat_rounds += 1

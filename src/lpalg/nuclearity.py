@@ -53,7 +53,7 @@ from .groups import (
     folner_search,
     group_to_descriptor,
 )
-from .lpnorm import as_exponent, pnorm_estimate
+from .lpnorm import as_exponent, as_generator, pnorm_estimate
 from .opspace import CbEstimate, LinearMap, amplify, block_matrix, cb_norm_lower, split_blocks
 from .partition import (
     circle_function,
@@ -251,7 +251,7 @@ def folner_phi_cb_certificate(
 
 
 def psi_contractivity_certificate(
-    folner: FolnerSet, rep: CovariantRep, k_max: int = 2, trials: int = 6, *, rng=None, **opts
+    folner: FolnerSet, rep: CovariantRep, n_max: int = 2, trials: int = 6, *, rng=None, **opts
 ) -> CbEstimate:
     """Sampled contractivity certificate for the averaging map.
 
@@ -260,8 +260,7 @@ def psi_contractivity_certificate(
     full-line contraction (the coordinate projection commutes with the
     diagonal part), so its levels must also stay at or below 1.
     """
-    k_max = int(opts.pop("n_max", k_max))
-    return cb_norm_lower(folner_psi_map(folner, rep), rep.p, n_max=k_max, trials=trials, rng=rng, **opts)
+    return cb_norm_lower(folner_psi_map(folner, rep), rep.p, n_max=n_max, trials=trials, rng=rng, **opts)
 
 
 def _roundtrip_bound(f: CcElement, folner: FolnerSet, rep: CovariantRep, **est_opts) -> float:
@@ -307,7 +306,7 @@ def lift_factorization(fact: Factorization, n: int, entries: dict | None = None,
         raise ValueError("amplification level must be a positive integer")
     d = fact.phi.domain_dim
     if entries is None:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        gen = as_generator(rng)
         entries = {}
         for t in range(2):
             grid = gen.standard_normal((n, n, d, d)) + 1j * gen.standard_normal((n, n, d, d))
@@ -375,7 +374,7 @@ def corner_restrict(
     rho = corner_project(outer, dim)
     phi2 = fact.phi.compose(iota)
     psi2 = rho.compose(fact.psi)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = as_generator(rng)
     if test_elements is None:
         test_elements = {
             f"a{t}": gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
@@ -453,7 +452,7 @@ def compose_factorizations(
     """
     eps1, eps2 = float(eps_split[0]), float(eps_split[1])
     pe = as_exponent(p)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = as_generator(rng)
     copts = dict(_LIGHT_CERT)
     copts.update(cert_opts or {})
     if bridge_phi_cb is None:
@@ -522,7 +521,7 @@ def crossed_nuclearity_witness(
     if eps <= 0.0:
         raise ValueError("epsilon must be positive")
     pe = as_exponent(p)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = as_generator(rng)
     eopts = est_opts or {}
     supports = sorted({s for f in fs for s in f.support})
 
@@ -604,7 +603,7 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None, cert_opts: dict | 
     if gcd(k % n, n) != 1:
         raise ValueError(f"rotation step {k} must be coprime to the grid size {n}")
     pe = as_exponent(p)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = as_generator(rng)
     group = cyclic_group(n)
     action = cyclic_coordinate_rotation(n, k)
     algebra = ConcreteAlgebra(n)

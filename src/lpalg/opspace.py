@@ -14,11 +14,12 @@ certified p-completely contractive when no sampled level exceeds 1 + 1e-6.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lpnorm import as_exponent, pnorm_estimate, validate_matrix
+from .lpnorm import as_exponent, as_generator, pnorm_estimate_stack
 
 __all__ = [
     "CbEstimate",
@@ -26,24 +27,12 @@ __all__ = [
     "amplify",
     "block_matrix",
     "cb_norm_lower",
-    "kron",
-    "matrix_unit",
     "split_blocks",
 ]
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product under the lexicographic basis ordering of l^p(X x Y)."""
-    return np.kron(validate_matrix(a), validate_matrix(b))
-
-
-def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
-    """The n x n matrix unit e_{i,j}; indices are 1-based as in e_{1,1}."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"matrix unit indices must lie in 1..{n}, got ({i}, {j})")
-    out = np.zeros((n, n), dtype=complex)
-    out[i - 1, j - 1] = 1.0
-    return out
+# bytes of stacked matrices in one estimator call of cb_norm_lower
+_GROUP_BYTES = 1 << 20
 
 
 def split_blocks(m: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -215,34 +204,35 @@ def cb_norm_lower(
     refined by a short stochastic ascent.  ``sampler(rng, n)`` may supply
     domain-specific random inputs, e.g. elements of a particular subalgebra.
 
-    Inner operator norms use :func:`lpalg.lpnorm.pnorm_estimate`; since both
-    numerator and denominator are certified lower bounds, sampled ratios can
-    exceed a true cb norm only by the estimator's convergence slack on the
-    denominator.  Both estimates of one ratio run from the same spawned
+    Inner operator norms use :func:`lpalg.lpnorm.pnorm_estimate_stack`;
+    since both numerator and denominator are certified lower bounds, sampled
+    ratios can exceed a true cb norm only by the estimator's convergence
+    slack on the denominator.  Both estimates of one ratio run from the same
     seed, so a map acting as the identity on an input yields the ratio 1.0
     bit for bit, and the denominator gets two extra restarts to keep its
     slack below the 1e-6 certificate tolerance on the sizes used here.
+
+    Evaluation.  A level's inputs are taken in groups of consecutive inputs,
+    each group holding at most ``_GROUP_BYTES`` of stacked matrices counted
+    at the larger of the level's domain and codomain dimensions, so the
+    largest shapes run one input at a time.  A group runs in rounds: round 0
+    computes every input's starting ratio, and round k its k-th ascent
+    candidate.  Each round makes one stacked estimator call for the
+    denominators and one for the numerators; ``apply_amplified`` runs once
+    per candidate.
+
+    Random stream.  The group's share of ``rng`` is drawn before its first
+    round, in the order of the one-input-at-a-time ascent: per input a seed,
+    then (noise, seed) for each of the ``ascent_steps`` steps.  An input is
+    skipped, with no ascent and no draws after its seed, when it is zero or
+    amplified ``phi`` maps it to zero; a candidate with that property gets
+    the ratio 0 without estimates.  Neither rule depends on an estimate, so
+    the results do not depend on the grouping.
     """
     pe = as_exponent(p)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = as_generator(rng)
     d = phi.domain_dim
-
-    def ratio_at(m: np.ndarray, n: int) -> float:
-        seed = int(gen.integers(2**63))
-        den = pnorm_estimate(
-            m, pe, restarts=restarts + 2, max_iters=max_iters, tol=tol, rng=np.random.default_rng(seed)
-        ).value
-        if den <= 1e-12 * float(np.abs(m).max(initial=0.0)):
-            return 0.0
-        num = pnorm_estimate(
-            apply_amplified(phi, m, n),
-            pe,
-            restarts=restarts + 2,
-            max_iters=max_iters,
-            tol=tol,
-            rng=np.random.default_rng(seed),
-        ).value
-        return num / den
+    est_opts = {"restarts": restarts + 2, "max_iters": max_iters, "tol": tol}
 
     levels: list[tuple[int, float]] = []
     running = 0.0
@@ -251,23 +241,80 @@ def cb_norm_lower(
         inputs = _default_level_inputs(n, d, gen)
         draw = sampler if sampler is not None else (lambda g, _n: _gaussian_sampler(g, dim))
         inputs.extend(np.asarray(draw(gen, n), dtype=complex) for _ in range(trials))
+        size = max(1, _GROUP_BYTES // (16 * max(dim, n * phi.codomain_dim) ** 2))
         level_best = 0.0
-        for m in inputs:
-            cur_ratio = ratio_at(m, n)
-            if cur_ratio == 0.0:
-                continue
-            scale = float(np.linalg.norm(m)) / dim
-            sigma = 0.25
-            for _ in range(ascent_steps):
-                noise = gen.standard_normal(m.shape) + 1j * gen.standard_normal(m.shape)
-                cand = m + sigma * scale * noise
-                cand_ratio = ratio_at(cand, n)
-                if cand_ratio > cur_ratio:
-                    m, cur_ratio = cand, cand_ratio
-                    sigma *= 1.5
-                else:
-                    sigma *= 0.5
-            level_best = max(level_best, cur_ratio)
+        for start in range(0, len(inputs), size):
+            group = inputs[start : start + size]
+            level_best = max(level_best, _ascend_group(phi, pe, n, group, gen, ascent_steps, est_opts))
         running = max(running, level_best)
         levels.append((n, running))
     return CbEstimate(levels=levels)
+
+
+@dataclass
+class _Walk:
+    """One input's stochastic ascent: the current point, its ratio, the step
+    size, and a copy of the rng positioned at the draws of its next step."""
+
+    m: np.ndarray
+    ratio: float
+    scale: float
+    gen: np.random.Generator
+    sigma: float = 0.25
+
+
+def _draw_step(gen: np.random.Generator, shape: tuple) -> tuple[np.ndarray, int]:
+    """One ascent step's draws: the noise, then the seed of its estimates."""
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape), int(gen.integers(2**63))
+
+
+def _nonzero_image(phi: LinearMap, m: np.ndarray, n: int):
+    """(id_n (x) phi)(m), or None when m or its image is zero."""
+    if not m.any():
+        return None
+    image = apply_amplified(phi, m, n)
+    return image if image.any() else None
+
+
+def _stacked_ratios(pe, candidates: list, est_opts: dict) -> list[float]:
+    """||image|| / ||m|| for each (m, image, seed), one stacked call per side."""
+    if not candidates:
+        return []
+    ms, images, seeds = zip(*candidates)
+    dens = pnorm_estimate_stack(ms, pe, rngs=seeds, **est_opts)
+    nums = pnorm_estimate_stack(images, pe, rngs=seeds, **est_opts)
+    return [num.value / den.value if den.value > 0.0 else 0.0 for num, den in zip(nums, dens)]
+
+
+def _ascend_group(phi, pe, n: int, group: list, gen, ascent_steps: int, est_opts: dict) -> float:
+    """Best ratio over one group of level-n inputs after their ascents."""
+    walks, starts = [], []
+    for m in group:
+        seed = int(gen.integers(2**63))
+        image = _nonzero_image(phi, m, n)
+        if image is None:
+            continue
+        # the walk replays its steps' draws from a copy; gen only moves past them
+        walks.append(_Walk(m, 0.0, float(np.linalg.norm(m)) / (n * phi.domain_dim), copy.deepcopy(gen)))
+        for _ in range(ascent_steps):
+            _draw_step(gen, m.shape)
+        starts.append((m, image, seed))
+    for walk, ratio in zip(walks, _stacked_ratios(pe, starts, est_opts)):
+        walk.ratio = ratio
+    del starts  # the starting images are not needed in the ascent rounds
+    for _ in range(ascent_steps):
+        trial = []
+        for walk in walks:
+            noise, seed = _draw_step(walk.gen, walk.m.shape)
+            cand = walk.m + walk.sigma * walk.scale * noise
+            image = _nonzero_image(phi, cand, n)
+            trial.append(None if image is None else (cand, image, seed))
+        ratios = iter(_stacked_ratios(pe, [t for t in trial if t is not None], est_opts))
+        for walk, t in zip(walks, trial):
+            cand_ratio = 0.0 if t is None else next(ratios)
+            if cand_ratio > walk.ratio:
+                walk.m, walk.ratio = t[0], cand_ratio
+                walk.sigma *= 1.5
+            else:
+                walk.sigma *= 0.5
+    return max((walk.ratio for walk in walks), default=0.0)

@@ -237,7 +237,7 @@ def criterion_6(seed: int):
         fol, rep_f, n_max=3, rng=_rng(seed, 62), **opts
     ).levels
     results["folner_psi"] = psi_contractivity_certificate(
-        fol, rep_f, k_max=3, rng=_rng(seed, 63), **opts
+        fol, rep_f, n_max=3, rng=_rng(seed, 63), **opts
     ).levels
 
     results["truncate"] = truncate_cb_certificate(

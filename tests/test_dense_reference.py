@@ -1,10 +1,16 @@
-"""The array paths of crossed and nuclearity against dense references.
+"""The array and stacked paths of the library against loop references.
 
-Every reference here builds the implementers U_s as dense matrices, applies
-alpha_s(a) = U_s a U_s^H by matrix products, and assembles blocks one at a
-time from the definitions.  Actions whose phases are real or in
-{1, -1, i, -i} must agree bit for bit; other phases within 1e-13.
+The crossed and nuclearity references build the implementers U_s as dense
+matrices, apply alpha_s(a) = U_s a U_s^H by matrix products, and assemble
+blocks one at a time from the definitions.  Actions whose phases are real
+or in {1, -1, i, -i} must agree bit for bit; other phases within 1e-13.
+
+The stacked p-norm kernel is checked against the one-matrix dual power
+iteration, and the grouped ``cb_norm_lower`` against the one-input-at-a-time
+ascent; both must agree bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,13 +21,27 @@ from lpalg import (
     CovariantRep,
     FolnerSet,
     IsometricAction,
+    LinearMap,
     ZWindow,
+    corner_project,
     cyclic_group,
     folner_phi,
+    folner_phi_map,
     folner_psi,
+    folner_psi_map,
     random_cc_element,
+    truncate_map,
+    vector_pnorm,
 )
-from lpalg.opspace import split_blocks
+from lpalg import opspace
+from lpalg.lpnorm import pnorm_estimate, pnorm_estimate_stack
+from lpalg.opspace import (
+    _default_level_inputs,
+    _gaussian_sampler,
+    apply_amplified,
+    cb_norm_lower,
+    split_blocks,
+)
 
 NONREAL_TOL = 1e-13
 
@@ -209,3 +229,287 @@ def test_folner_psi_matches_block_loop(label, action, units, exact):
     inputs.append(np.zeros((dim, dim), dtype=complex))
     for m in inputs:
         _assert_agrees(folner_psi(m, folner, rep), _loop_folner_psi(m, folner, rep, units), exact)
+
+
+# ---------------------------------------------------------------------------
+# the stacked p-norm kernel against the one-matrix dual power iteration
+# ---------------------------------------------------------------------------
+
+
+def _ref_column_pnorms(y, p):
+    mags = np.abs(y)
+    tops = mags.max(axis=0, keepdims=True)
+    safe = np.where(tops > 0.0, tops, 1.0)
+    return np.squeeze(safe, axis=0) * ((mags / safe) ** p).sum(axis=0) ** (1.0 / p)
+
+
+def _ref_dual_columns(y, p):
+    mags = np.abs(y)
+    tops = mags.max(axis=0)
+    safe = np.where(tops > 0.0, tops, 1.0)
+    signs = np.zeros_like(y)
+    nz = mags > 0.0
+    signs[nz] = y[nz] / mags[nz]
+    return signs * (mags / safe) ** (p - 1.0)
+
+
+def _ref_normalize_columns(x, p):
+    norms = _ref_column_pnorms(x, p)
+    return x / np.where(norms > 0.0, norms, 1.0)
+
+
+def _ref_pnorm_estimate(a, p, *, restarts=32, max_iters=100, tol=1e-10, rng=None):
+    """The dual power iteration on one matrix, one restart per column:
+    (value, witness, converged, iterations) for 1 < p < inf, p != 2."""
+    q = p / (p - 1.0)
+    arr = np.asarray(a, dtype=complex)
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0 if rng is None else rng)
+    n = arr.shape[1]
+    e = math.frexp(float(np.abs(arr).max()))[1] - 1
+    if e:
+        arr = arr * math.ldexp(1.0, -e // 2) * math.ldexp(1.0, -e - (-e // 2))
+    x = gen.standard_normal((n, restarts)) + 1j * gen.standard_normal((n, restarts))
+    x[:, 0] = 1.0
+    x = _ref_normalize_columns(x, p)
+    a_h = arr.conj().T
+    best_val, best_witness, best_col = -np.inf, x[:, 0].copy(), 0
+    prev_vals = np.full(restarts, -np.inf)
+    stagnant = np.zeros(restarts, dtype=bool)
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        y = arr @ x
+        vals = _ref_column_pnorms(y, p)
+        top = int(np.argmax(vals))
+        if vals[top] > best_val:
+            best_val, best_witness, best_col = float(vals[top]), x[:, top].copy(), top
+        stagnant |= np.abs(vals - prev_vals) <= tol * vals
+        prev_vals = vals
+        if stagnant.all():
+            break
+        z = a_h @ _ref_dual_columns(y, p)
+        x_next = _ref_normalize_columns(_ref_dual_columns(z, q), p)
+        dead = _ref_column_pnorms(x_next, p) == 0.0
+        if dead.any():
+            x_next[:, dead] = x[:, dead]
+            stagnant |= dead
+        x = x_next
+    if best_val <= 0.0:
+        witness = np.zeros(n, dtype=complex)
+        witness[0] = 1.0
+        return 0.0, witness, True, iterations
+    witness = best_witness / vector_pnorm(best_witness, p)
+    value = math.ldexp(vector_pnorm(arr @ witness, p), e)
+    return value, witness, bool(stagnant[best_col]), iterations
+
+
+def _bits(x):
+    return np.ascontiguousarray(np.asarray(x, dtype=complex)).view(np.uint64)
+
+
+def _assert_kernel_matches(stack, p, seeds, **opts):
+    got = pnorm_estimate_stack(stack, p, rngs=seeds, **opts)
+    assert len(got) == len(stack)
+    for est, a, seed in zip(got, stack, seeds):
+        value, witness, converged, _ = _ref_pnorm_estimate(a, p, rng=np.random.default_rng(seed), **opts)
+        assert np.float64(est.value).view(np.uint64) == np.float64(value).view(np.uint64)
+        assert np.array_equal(_bits(est.witness), _bits(witness))
+        assert est.converged == converged
+        one = pnorm_estimate(a, p, rng=np.random.default_rng(seed), **opts)
+        assert (one.value, one.converged) == (est.value, est.converged)
+        assert np.array_equal(_bits(one.witness), _bits(est.witness))
+
+
+def _gaussian_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+@pytest.mark.parametrize("count", [1, 7])
+def test_stacked_kernel_matches_one_matrix_loop(count, p):
+    rng = np.random.default_rng(40)
+    stack = _gaussian_stack(rng, (count, 9, 9))
+    _assert_kernel_matches(stack, p, list(range(count)), restarts=6, max_iters=60, tol=1e-11)
+
+
+@pytest.mark.parametrize("shape", [(7, 5, 11), (4, 13, 3), (3, 1, 6), (3, 6, 1)])
+def test_stacked_kernel_matches_on_rectangular_stacks(shape):
+    stack = _gaussian_stack(np.random.default_rng(41), shape)
+    _assert_kernel_matches(stack, 3.0, [5 * b for b in range(shape[0])], restarts=4, max_iters=50)
+
+
+def test_stacked_kernel_handles_zero_matrices_and_zero_columns():
+    rng = np.random.default_rng(42)
+    stack = _gaussian_stack(rng, (5, 8, 8))
+    # a zero matrix: every dual step is zero, so each column is kept and
+    # marked stagnant, and the result is 0 with the first basis vector
+    stack[1] = 0.0
+    stack[2][:, ::2] = 0.0  # zero columns
+    stack[3][:, 1:] = 0.0  # a single live column
+    _assert_kernel_matches(stack, 1.5, [1, 2, 3, 4, 5], restarts=5, max_iters=40)
+    assert pnorm_estimate_stack(stack, 1.5, rngs=[0] * 5)[1].value == 0.0
+
+
+def test_stacked_kernel_members_stop_at_different_iterations():
+    rng = np.random.default_rng(43)
+    stack = _gaussian_stack(rng, (6, 10, 10))
+    stack[0] = np.diag(np.arange(1.0, 11.0))  # stagnates within a few steps
+    stack[3] = np.eye(10)
+    stack[4] = np.outer(np.ones(10), np.arange(10.0))  # rank one
+    counts = {_ref_pnorm_estimate(a, 4.0, restarts=5, max_iters=200, rng=seed)[3] for seed, a in enumerate(stack)}
+    assert len(counts) > 2
+    _assert_kernel_matches(stack, 4.0, list(range(6)), restarts=5, max_iters=200)
+    _assert_kernel_matches(stack, 4.0, list(range(6)), restarts=5, max_iters=7)
+
+
+def test_stacked_kernel_scales_each_member_by_its_own_exponent():
+    rng = np.random.default_rng(44)
+    scales = np.array([1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300])
+    stack = _gaussian_stack(rng, (7, 6, 6)) * scales[:, None, None]
+    kept = stack.copy()
+    _assert_kernel_matches(stack, 1.5, list(range(7)), restarts=5, max_iters=60)
+    _assert_kernel_matches(list(stack), 3.0, list(range(7)), restarts=5, max_iters=60)
+    assert np.array_equal(_bits(stack), _bits(kept))  # an array stack is never scaled in place
+
+
+def test_stacked_kernel_leaves_an_unscaled_array_stack_intact():
+    # every largest modulus in [1, 2), so no member needs scaling, and the
+    # members finish at different iterations, so the live stack is compacted
+    rng = np.random.default_rng(45)
+    stack = _gaussian_stack(rng, (6, 10, 10))
+    stack[0] = np.diag(np.arange(1.0, 11.0))
+    stack[3] = np.eye(10)
+    stack[4] = np.outer(np.ones(10), np.arange(10.0))
+    stack *= 1.5 / np.abs(stack).max(axis=(1, 2), keepdims=True)
+    assert np.all((np.abs(stack).max(axis=(1, 2)) >= 1.0) & (np.abs(stack).max(axis=(1, 2)) < 2.0))
+    kept = stack.copy()
+    counts = {_ref_pnorm_estimate(a, 4.0, restarts=5, max_iters=200, rng=seed)[3] for seed, a in enumerate(kept)}
+    assert len(counts) > 2
+    got = pnorm_estimate_stack(stack, 4.0, rngs=list(range(6)), restarts=5, max_iters=200)
+    assert np.array_equal(_bits(stack), _bits(kept))
+    for seed, (est, a) in enumerate(zip(got, kept)):
+        value, witness, converged, _ = _ref_pnorm_estimate(a, 4.0, restarts=5, max_iters=200, rng=seed)
+        assert np.float64(est.value).view(np.uint64) == np.float64(value).view(np.uint64)
+        assert np.array_equal(_bits(est.witness), _bits(witness))
+        assert est.converged == converged
+
+
+# ---------------------------------------------------------------------------
+# grouped cb_norm_lower against the one-input-at-a-time ascent
+# ---------------------------------------------------------------------------
+
+
+def _ref_cb_levels(phi, p, n_max, trials, *, rng, sampler=None, ascent_steps=4, restarts=8,
+                   max_iters=80, tol=1e-11):
+    """cb_norm_lower's levels with every ratio evaluated on its own."""
+    gen = np.random.default_rng(rng)
+    d = phi.domain_dim
+    opts = {"restarts": restarts + 2, "max_iters": max_iters, "tol": tol}
+
+    def ratio_at(m, n):
+        seed = int(gen.integers(2**63))
+        den = _ref_pnorm_estimate(m, p, rng=np.random.default_rng(seed), **opts)[0]
+        if den <= 1e-12 * float(np.abs(m).max(initial=0.0)):
+            return 0.0
+        num = _ref_pnorm_estimate(apply_amplified(phi, m, n), p, rng=np.random.default_rng(seed), **opts)[0]
+        return num / den
+
+    levels, running = [], 0.0
+    for n in range(1, n_max + 1):
+        dim = n * d
+        inputs = _default_level_inputs(n, d, gen)
+        draw = sampler if sampler is not None else (lambda g, _n: _gaussian_sampler(g, dim))
+        inputs.extend(np.asarray(draw(gen, n), dtype=complex) for _ in range(trials))
+        level_best = 0.0
+        for m in inputs:
+            cur = ratio_at(m, n)
+            if cur == 0.0:
+                continue
+            scale, sigma = float(np.linalg.norm(m)) / dim, 0.25
+            for _ in range(ascent_steps):
+                noise = gen.standard_normal(m.shape) + 1j * gen.standard_normal(m.shape)
+                cand = m + sigma * scale * noise
+                cand_ratio = ratio_at(cand, n)
+                if cand_ratio > cur:
+                    m, cur = cand, cand_ratio
+                    sigma *= 1.5
+                else:
+                    sigma *= 0.5
+            level_best = max(level_best, cur)
+        running = max(running, level_best)
+        levels.append((n, running))
+    return levels
+
+
+def _z_phased_folner_pair():
+    phases = np.exp(2j * np.pi * np.array([0.21, 0.64]))
+    action = IsometricAction(ZWindow(3), generator=np.diag(phases) @ _shift(2))
+    rep = CovariantRep(ConcreteAlgebra(2), action, 3.0, window_radius=3)
+    folner = FolnerSet(action.carrier, (0, 1, 2))
+    return folner_phi_map(folner, rep), folner_psi_map(folner, rep)
+
+
+def _keep_entry(a):
+    out = np.zeros_like(a)
+    out[0, 1] = a[0, 1]
+    return out
+
+
+def _sometimes_zero(g, n):
+    m = g.standard_normal((2 * n, 2 * n)) + 1j * g.standard_normal((2 * n, 2 * n))
+    return m if m[0, 0].real > 0.0 else np.zeros_like(m)
+
+
+CB_CASES = {
+    "identity": (LinearMap.identity(3), 1.5, {}),
+    "truncate": (truncate_map(4, 2, 2), 3.0, {}),
+    "folner_phi": (_z_phased_folner_pair()[0], 3.0, {}),
+    "folner_psi": (_z_phased_folner_pair()[1], 3.0, {}),
+    "corner_rho": (corner_project(2, 2), 1.5, {}),
+    "zero_inputs": (LinearMap.identity(2), 1.5, {"sampler": _sometimes_zero, "trials": 8}),
+    "annihilated_inputs": (LinearMap(2, 2, apply_fn=_keep_entry), 3.0, {"sampler": _sometimes_zero}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CB_CASES))
+def test_grouped_cb_matches_sequential_ascent(name):
+    phi, p, extra = CB_CASES[name]
+    opts = {"n_max": 2, "trials": 4, "ascent_steps": 2, "restarts": 4, "max_iters": 40, **extra}
+    want = _ref_cb_levels(phi, p, rng=7, **opts)
+    assert cb_norm_lower(phi, p, rng=7, **opts).levels == want
+    assert cb_norm_lower(phi, p, rng=np.random.default_rng(7), **opts).levels == want
+
+
+def test_grouped_cb_skips_keep_the_random_stream(monkeypatch):
+    # the identity input is annihilated at every level and about half the
+    # sampled inputs are zero, so skipped inputs sit between live ones
+    phi = LinearMap(2, 2, apply_fn=_keep_entry)
+    opts = {"n_max": 2, "trials": 8, "ascent_steps": 3, "restarts": 3, "max_iters": 30,
+            "sampler": _sometimes_zero}
+    seen = []
+
+    def recording(phi, m, n):
+        image = nonzero_image(phi, m, n)
+        seen.append(image is None)
+        return image
+
+    nonzero_image = opspace._nonzero_image
+    monkeypatch.setattr(opspace, "_nonzero_image", recording)
+    got = cb_norm_lower(phi, 1.5, rng=8, **opts).levels
+    assert any(seen) and not all(seen)
+    assert got == _ref_cb_levels(phi, 1.5, rng=8, **opts)
+
+
+def test_grouped_cb_matches_across_group_boundaries(monkeypatch):
+    # at dimension 96 one group holds 7 inputs, so 8 inputs make two groups
+    phi = truncate_map(48, 20, 2)
+    opts = {"n_max": 1, "trials": 5, "ascent_steps": 2, "restarts": 4, "max_iters": 30}
+    assert opspace._GROUP_BYTES // (16 * 96**2) == 7
+    want = _ref_cb_levels(phi, 1.5, rng=9, **opts)
+    assert cb_norm_lower(phi, 1.5, rng=9, **opts).levels == want
+    small = truncate_map(3, 2, 2)
+    want_small = _ref_cb_levels(small, 3.0, rng=10, n_max=3, trials=4, ascent_steps=2, restarts=4,
+                                max_iters=40)
+    for cap in (0, 16 * 36 * 2, 16 * 36 * 3):  # one, two and three inputs per group at level 1
+        monkeypatch.setattr(opspace, "_GROUP_BYTES", cap)
+        got = cb_norm_lower(small, 3.0, rng=10, n_max=3, trials=4, ascent_steps=2, restarts=4, max_iters=40)
+        assert got.levels == want_small

@@ -100,7 +100,7 @@ def test_folner_certificates_are_contractive():
     folner = FolnerSet(cyclic_group(6), (0, 1, 2))
     phi = folner_phi_cb_certificate(folner, rep, n_max=2, rng=np.random.default_rng(2),
                                     **LIGHT)
-    psi = psi_contractivity_certificate(folner, rep, k_max=2, rng=np.random.default_rng(3),
+    psi = psi_contractivity_certificate(folner, rep, n_max=2, rng=np.random.default_rng(3),
                                         **LIGHT)
     assert phi.best <= 1.0 + CB_SLACK
     assert psi.best <= 1.0 + CB_SLACK
