@@ -46,8 +46,9 @@ print(f"Folner set: all {len(report['folner']['members'])} group elements")
 print(f"factorization through dimension {fact.target_dim}")
 for entry in report["elements"]:
     print(f"  element {entry['id']}: round-trip error {entry['roundtrip_error']}")
-print("contractivity certificates (level, bound):")
+print("contractivity certificates (level, bound); a structural bound is a proved")
+print("upper bound, a sampled_lower one a lower bound that could only refute:")
 for cert in report["certificates"]:
     levels = ", ".join(f"({n}, {v:.12f})" for n, v in cert["levels"])
-    print(f"  {cert['map']}: {levels}")
+    print(f"  {cert['map']} [{cert['kind']}]: {levels}")
 print(f"budget met: {report['passed']}")

@@ -48,31 +48,27 @@ __all__ = [
     "ConcreteAlgebra",
     "CovariantRep",
     "IsometricAction",
-    "build_regular_rep",
     "compress_identity_check",
     "conditional_expectation",
     "cyclic_coordinate_rotation",
     "expectation_cb_certificate",
-    "integrated_form",
     "is_phased_permutation",
     "random_cc_element",
     "reduced_norm",
     "trivial_action",
     "twisted_convolve",
-    "z_action_from_generator",
 ]
 
 _PRUNE_TOL = 1e-14
 _ACTION_TOL = 1e-12
+_TABLE_ENTRIES = 1 << 16  # cap on (2R + 1) * base_dim of a Z action's power table
 
 
 @dataclass(frozen=True, eq=False)
 class ConcreteAlgebra:
-    """The algebra of base_dim x base_dim matrices on l^p, with optional
-    distinguished generators kept purely for documentation and demos."""
+    """The algebra of base_dim x base_dim matrices on l^p."""
 
     base_dim: int
-    generators: tuple = ()
 
     def __post_init__(self):
         if self.base_dim < 1:
@@ -113,7 +109,11 @@ class IsometricAction:
     finite carrier all implementers are given up front and the exact
     relations U_e = I and U_s U_t = U_{st} are verified.  For Z a single
     generator U is given and U_s = U^s, with U^{-1} the conjugate transpose,
-    which is the exact inverse of a phased permutation.
+    which is the exact inverse of a phased permutation.  The pairs of U_t
+    for |t| <= R are kept in a table, built by binary powers when first
+    needed and rebuilt with R at least doubled when a larger |s| arrives;
+    each row is computed on its own, so a table row equals the pair the
+    binary powers give for that s alone, bit for bit.
     """
 
     def __init__(self, carrier, *, unitaries=None, generator=None, name: str = ""):
@@ -150,6 +150,7 @@ class IsometricAction:
                 raise ValueError("the generator must be a phased permutation")
             self.base_dim = u.shape[0]
             self._generator, self._inverse = _phased_pair(u), _phased_pair(u.conj().T)
+            self._radius, self._table = -1, None
         else:
             raise TypeError(f"not a group carrier: {carrier!r}")
 
@@ -160,6 +161,21 @@ class IsometricAction:
             if ((s < 0) | (s >= self.carrier.order)).any():
                 raise KeyError(f"element {s} outside the finite carrier")
             return self._perm[s], self._phase[s]
+        reach = int(np.abs(s).max(initial=0))
+        if reach > self._radius:
+            limit = (_TABLE_ENTRIES // self.base_dim - 1) // 2
+            if reach > limit:  # too far out to tabulate
+                return self._powers(s)
+            radius = min(max(reach, 2 * self._radius), limit)
+            self._table = self._powers(np.arange(-radius, radius + 1))
+            for arr in self._table:
+                arr.flags.writeable = False  # rows are handed out as views
+            self._radius = radius
+        perm, phase = self._table
+        return perm[s + self._radius], phase[s + self._radius]
+
+    def _powers(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, phase) of U^s by binary powers, for each entry of s on its own."""
         pos = (s >= 0)[..., None]
         base = tuple(np.where(pos, g, i) for g, i in zip(self._generator, self._inverse))
         out = (np.broadcast_to(np.arange(self.base_dim), base[0].shape), np.ones(base[1].shape, complex))
@@ -217,10 +233,6 @@ def cyclic_coordinate_rotation(n: int, k: int) -> IsometricAction:
     shift[(np.arange(n) - k) % n, np.arange(n)] = 1.0
     mats = [np.linalg.matrix_power(shift, s) for s in range(n)]
     return IsometricAction(group, unitaries=mats, name=f"rotate{k}")
-
-
-def z_action_from_generator(window: ZWindow, generator) -> IsometricAction:
-    return IsometricAction(window, generator=generator)
 
 
 class CcElement:
@@ -428,17 +440,6 @@ class CovariantRep:
             f"CovariantRep(p={self.p.p}, positions={len(self.positions)}, "
             f"fiber={self.base_dim}, dim={self.dimension})"
         )
-
-
-def build_regular_rep(algebra: ConcreteAlgebra, carrier, action: IsometricAction, p, window_radius=None) -> CovariantRep:
-    """Factory for :class:`CovariantRep`, checking the carrier is consistent."""
-    if action.carrier is not carrier and type(action.carrier) is not type(carrier):
-        raise ValueError("action carrier does not match the requested group")
-    return CovariantRep(algebra, action, p, window_radius=window_radius)
-
-
-def integrated_form(rep: CovariantRep, f: CcElement) -> np.ndarray:
-    return rep.integrated(f)
 
 
 def reduced_norm(f: CcElement, rep: CovariantRep, **estimate_opts) -> PNormEstimate:

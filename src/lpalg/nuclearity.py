@@ -12,12 +12,14 @@ For an integrated crossed-product element the composition scales each group
 coefficient by |F (cap) sF| / |F|, so the round-trip defect per single term
 is exactly |1 - |F (cap) sF|/|F|| times that term's norm, and shrinking the
 translate ratios of F shrinks the defect.  ``crossed_nuclearity_witness``
-sizes F from the elements' reduced norms, certifies phi and psi
-contractive once, measures one round trip per element, and emits a
-machine-checkable report.  The remaining operations supply the bookkeeping
-lemmas: an exact identity factorization for matrix algebras, amplification
-and corner stability, window truncation, and the triangle-inequality
-composition of two approximations.
+sizes F from the elements' reduced norms, certifies phi by construction
+(it is a coordinate compression, so every level is the proved upper bound
+1) and samples psi's levels once, measures one round trip per element, and
+emits a machine-checkable report that gives each certificate's kind.
+The remaining operations supply the bookkeeping lemmas: an exact identity
+factorization for matrix algebras, amplification and corner stability,
+window truncation, and the triangle-inequality composition of two
+approximations.
 
 Both maps work on whole arrays: phi is an index compression, and psi moves
 all blocks with one gather.  When all contributions to one group
@@ -54,7 +56,7 @@ from .groups import (
     group_to_descriptor,
 )
 from .lpnorm import as_exponent, as_generator, pnorm_estimate
-from .opspace import CbEstimate, LinearMap, amplify, block_matrix, cb_norm_lower, split_blocks
+from .opspace import CbEstimate, LinearMap, amplify, block_matrix, cb_norm_lower, compression_cb, split_blocks
 from .partition import (
     circle_function,
     circle_partition,
@@ -108,10 +110,11 @@ class Factorization:
     """A pair of maps through a matrix algebra with its quality records.
 
     ``roundtrip_errors`` maps a test-element id to the measured operator
-    norm of psi(phi(x)) - x.  Both cb estimates are sampled lower bounds
-    and must sit at or below 1 (up to tolerance) for the pair to count as
-    an approximation by contractions; violating certificates are rejected
-    at construction.
+    norm of psi(phi(x)) - x.  Each cb estimate states its kind: a
+    structural one holds proved upper bounds, a sampled one lower bounds
+    that can only refute.  Either must sit at or below 1 (up to tolerance)
+    for the pair to count as an approximation by contractions; violating
+    certificates are rejected at construction.
     """
 
     phi: LinearMap
@@ -186,7 +189,11 @@ def folner_phi(f: CcElement, folner: FolnerSet, rep: CovariantRep) -> np.ndarray
 
 
 def folner_phi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
-    """The compression T -> (P_F (x) I) T (P_F (x) I) as a map on matrices."""
+    """The compression T -> (P_F (x) I) T (P_F (x) I) as a map on matrices.
+
+    Its selector holds distinct indices, so ``compression_cb`` certifies
+    it; :func:`folner_phi_cb_certificate` is the sampled cross-check.
+    """
     sel = _folner_selector(folner, rep)
     grid = np.ix_(sel, sel)
     return LinearMap(
@@ -246,6 +253,7 @@ def folner_phi_cb_certificate(
 
     A coordinate compression is completely contractive for every p; the
     identity input realizes ratio 1 exactly, so the levels should pin 1.
+    It cross-checks the structural certificate that the witness uses.
     """
     return cb_norm_lower(folner_phi_map(folner, rep), rep.p, n_max=n_max, trials=trials, rng=rng, **opts)
 
@@ -510,11 +518,15 @@ def crossed_nuclearity_witness(
     Pipeline: bound the elements' reduced norms by M, pick F with translate
     ratios below eps/(3M) for every support shift (on Z, searching again on
     the norms of the window sized from F until F stops changing), and
-    factor through the F-block matrices by the Folner pair phi, psi.  Both
-    are certified contractive once; one round trip per element is measured
-    and an error above eps is refused.  The report records per element the
-    reduced norm, the round-trip error and its intersection-ratio budget,
-    both certificates, and the chosen window.  Returns (Factorization, report).
+    factor through the F-block matrices by the Folner pair phi, psi.  phi
+    is a coordinate compression, certified by construction with the upper
+    bound 1 per level (``compression_cb``, no sampling); psi's levels are
+    sampled once from ``rng``, its only consumer.  One round trip per
+    element is measured and an error above eps is refused.  The report
+    records per element the reduced norm, the round-trip error and its
+    intersection-ratio budget, both certificates with their kind
+    ("structural" or "sampled_lower"), and the chosen window.  Returns
+    (Factorization, report).
     """
     if not fs:
         raise ValueError("need at least one finitely supported element to witness")
@@ -545,7 +557,7 @@ def crossed_nuclearity_witness(
         folner = resized
 
     copts = {**_LIGHT_CERT, **(cert_opts or {})}
-    phi_cb = folner_phi_cb_certificate(folner, rep, rng=gen, **copts)
+    phi_cb = compression_cb(_folner_selector(folner, rep), rep.dimension, copts["n_max"])
     psi_cb = psi_contractivity_certificate(folner, rep, rng=gen, **copts)
 
     phi, psi = folner_phi_map(folner, rep), folner_psi_map(folner, rep)
@@ -565,8 +577,8 @@ def crossed_nuclearity_witness(
         for i, f in enumerate(fs)
     ]
     certificates = [
-        {"map": "folner_phi", "levels": _levels_list(phi_cb)},
-        {"map": "folner_psi", "levels": _levels_list(psi_cb)},
+        {"map": "folner_phi", "kind": phi_cb.kind, "levels": _levels_list(phi_cb)},
+        {"map": "folner_psi", "kind": psi_cb.kind, "levels": _levels_list(psi_cb)},
     ]
     certs_ok = all(v <= 1.0 + _CB_TOL for c in certificates for _, v in c["levels"])
     passed = certs_ok and all(e["roundtrip_error"] < eps for e in elements)

@@ -8,8 +8,11 @@ matrix over the row-major matrix-unit basis available on demand.
 
 The p-completely-bounded norm of a map phi is sup_n of the norm of
 id_{M_n} (x) phi.  ``cb_norm_lower`` samples the first few amplification
-levels and reports the (nondecreasing) lower bounds it finds; a map is
-certified p-completely contractive when no sampled level exceeds 1 + 1e-6.
+levels and reports the (nondecreasing) lower bounds it finds; such levels
+can only refute contractivity (a level above 1 + 1e-6 does).  A coordinate
+compression T -> T[sel, sel] is p-completely contractive for every p, and
+``compression_cb`` records that as the structural upper bound 1 per level,
+with no sampling.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "amplify",
     "block_matrix",
     "cb_norm_lower",
+    "compression_cb",
     "split_blocks",
 ]
 
@@ -146,18 +150,48 @@ def amplify(phi: LinearMap, n: int) -> LinearMap:
 
 @dataclass
 class CbEstimate:
-    """Sampled lower bounds for a cb norm, one per amplification level.
+    """Bounds for a cb norm, one per amplification level, and their kind.
 
-    ``levels`` maps level n to the best ratio found at that level after
-    enforcing monotonicity (level n inputs embed in level n+1, so the true
-    suprema are nondecreasing and the recorded bounds are kept that way).
+    ``kind`` says which direction the levels are sound in:
+
+    * ``"sampled_lower"``: ``levels`` maps level n to the best ratio found
+      at that level after enforcing monotonicity (level n inputs embed in
+      level n+1, so the true suprema are nondecreasing and the recorded
+      bounds are kept that way).  These are lower bounds: a level above 1
+      refutes contractivity, a level at or below 1 proves nothing.
+    * ``"structural"``: each level is a proved upper bound for the norm of
+      id_{M_n} (x) phi, derived from the form of the map (see
+      :func:`compression_cb`).
     """
 
     levels: list[tuple[int, float]] = field(default_factory=list)
+    kind: str = "sampled_lower"
 
     @property
     def best(self) -> float:
         return max((v for _, v in self.levels), default=0.0)
+
+
+def compression_cb(sel, domain_dim: int, n_max: int) -> CbEstimate:
+    """Structural cb certificate of the compression T -> T[sel, sel] on M_{domain_dim}.
+
+    With sel distinct indices in [0, domain_dim), the map is J* T J for the
+    coordinate inclusion J of l^p(sel) into l^p(domain_dim), an isometry,
+    and the coordinate restriction J*, a contraction.  Its amplification
+    id_{M_n} (x) phi is again such a compression, by the inclusion
+    I_n (x) J, so ||(id_n (x) phi)(T)||_p <= ||T||_p at every level: the
+    levels are the upper bound 1.0 for n <= n_max.  A repeated index breaks
+    this (the selector [0, 0] sends e_00 to the all-ones 2 x 2 matrix, of
+    norm 2), so it is refused, as is an index outside the domain.
+    """
+    sel = np.asarray(sel)
+    if sel.ndim != 1 or not np.issubdtype(sel.dtype, np.integer):
+        raise ValueError("a compression selector must be a one-dimensional array of indices")
+    if ((sel < 0) | (sel >= domain_dim)).any():
+        raise ValueError(f"compression selector leaves the index range [0, {domain_dim})")
+    if np.unique(sel).size != sel.size:
+        raise ValueError("compression selector repeats an index")
+    return CbEstimate(levels=[(n, 1.0) for n in range(1, n_max + 1)], kind="structural")
 
 
 def _swap_like(n: int, d: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from lpalg import (
     truncate_map,
     vector_pnorm,
 )
-from lpalg import opspace
+from lpalg import crossed, opspace
 from lpalg.lpnorm import pnorm_estimate, pnorm_estimate_stack
 from lpalg.opspace import (
     _default_level_inputs,
@@ -229,6 +229,42 @@ def test_folner_psi_matches_block_loop(label, action, units, exact):
     inputs.append(np.zeros((dim, dim), dtype=complex))
     for m in inputs:
         _assert_agrees(folner_psi(m, folner, rep), _loop_folner_psi(m, folner, rep, units), exact)
+
+
+Z_CASES = [c for c in CASES if isinstance(c[1].carrier, ZWindow)]
+
+
+def _pair_bits(pair):
+    perm, phase = pair
+    return perm.tolist(), np.ascontiguousarray(phase).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("label, action, units, exact", Z_CASES, ids=[c[0] for c in Z_CASES])
+def test_power_table_growth_keeps_every_bit(monkeypatch, label, action, units, exact):
+    gen_mat = units[1]
+    grown, _ = _z_case(gen_mat, 1)
+    fresh, dense = _z_case(gen_mat, 19)  # dense powers for |s| <= 40
+    for reach in (1, 7, 40):
+        grown.apply(np.arange(-reach, reach + 1), np.eye(3))
+    fresh.apply(40, np.eye(3))
+    monkeypatch.setattr(crossed, "_TABLE_ENTRIES", 3 * 21)  # |s| > 10 is not tabulated
+    untabled, _ = _z_case(gen_mat, 1)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    grid = np.array([[-40, 3], [0, 39]])
+    stack = rng.standard_normal((2, 2, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3))
+    for s in (-40, -7, -1, 0, 1, 6, 40, np.int64(-13), np.arange(-40, 41), grid):
+        want = _pair_bits(fresh._pair(s))
+        assert _pair_bits(grown._pair(s)) == want
+        assert _pair_bits(untabled._pair(s)) == want
+        assert np.array_equal(_bits(grown.apply(s, a)), _bits(fresh.apply(s, a)))
+        assert np.array_equal(_bits(untabled.apply(s, a)), _bits(fresh.apply(s, a)))
+    for s in range(-40, 41):
+        assert np.array_equal(_bits(grown.unitary(s)), _bits(fresh.unitary(s)))
+        _assert_agrees(grown.unitary(s), dense[s], exact)
+        _assert_agrees(grown.apply(s, a), _dense_apply(dense, s, a), exact)
+    want = np.stack([[_dense_apply(dense, s, m) for s, m in zip(row, ms)] for row, ms in zip(grid, stack)])
+    _assert_agrees(grown.apply(grid, stack), want, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from lpalg import (
     CovariantRep,
     Factorization,
     FolnerSet,
+    IsometricAction,
     LinearMap,
     ZWindow,
     compose_factorizations,
@@ -95,6 +96,13 @@ def test_integer_window_roundtrip_values():
     assert rt41["error"] == pytest.approx(2 / 41, abs=1e-12)
 
 
+def _z_phased_rep(p):
+    phases = np.exp(2j * np.pi * np.array([0.17, 0.58]))
+    generator = np.diag(phases) @ np.array([[0.0, 1.0], [1.0, 0.0]])
+    return CovariantRep(ConcreteAlgebra(2), IsometricAction(ZWindow(4), generator=generator), p,
+                        window_radius=4)
+
+
 def test_folner_certificates_are_contractive():
     rep = _rotation_rep(6, 3.0)
     folner = FolnerSet(cyclic_group(6), (0, 1, 2))
@@ -104,6 +112,15 @@ def test_folner_certificates_are_contractive():
                                         **LIGHT)
     assert phi.best <= 1.0 + CB_SLACK
     assert psi.best <= 1.0 + CB_SLACK
+
+
+def test_sampled_folner_phi_cross_check_on_a_phased_z_window():
+    # the witness certifies phi by construction; the sampled check agrees
+    rep = _z_phased_rep(3.0)
+    folner = FolnerSet(rep.carrier, (-1, 0, 1, 2))
+    phi = folner_phi_cb_certificate(folner, rep, n_max=2, rng=np.random.default_rng(2), **LIGHT)
+    assert phi.kind == "sampled_lower"
+    assert phi.best <= 1.0 + nuclearity._CB_TOL
 
 
 def test_folner_psi_requires_matching_shape():
@@ -267,15 +284,30 @@ def test_witness_on_finite_group_is_exact():
     assert fact.target_dim == 6 * 6
 
 
-def test_witness_certifies_the_folner_pair_once():
+def test_witness_certifies_the_folner_pair_once(monkeypatch):
+    # phi is certified by construction; only psi's levels are sampled
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return sampled(*args, **kwargs)
+
+    sampled = nuclearity.cb_norm_lower
+    monkeypatch.setattr(nuclearity, "cb_norm_lower", counting)
     zw = ZWindow(0)
     f = CcElement.delta(zw, 1, base_dim=1)
     fact, report = crossed_nuclearity_witness(
         [f], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5,
         rng=np.random.default_rng(19))
-    assert [c["map"] for c in report["certificates"]] == ["folner_phi", "folner_psi"]
+    assert calls == ["folner_psi"]
+    phi_entry, psi_entry = report["certificates"]
+    assert (phi_entry["map"], phi_entry["kind"]) == ("folner_phi", "structural")
+    assert phi_entry["levels"] == [[1, 1.0], [2, 1.0]]
+    assert (psi_entry["map"], psi_entry["kind"]) == ("folner_psi", "sampled_lower")
+    assert (fact.phi_cb.kind, fact.psi_cb.kind) == ("structural", "sampled_lower")
     assert (fact.phi.name, fact.psi.name) == ("folner_phi", "folner_psi")
     assert fact.roundtrip_errors["f0"] == report["elements"][0]["roundtrip_error"]
+    assert report["passed"]
 
 
 def test_witness_refuses_roundtrip_over_budget(monkeypatch):

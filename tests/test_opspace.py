@@ -11,6 +11,7 @@ from lpalg import (
     cb_norm_lower,
     split_blocks,
 )
+from lpalg.opspace import compression_cb
 
 CB_SLACK = 1e-6
 
@@ -130,3 +131,30 @@ def test_compression_map_is_completely_contractive():
 def test_cb_estimate_best():
     est = CbEstimate(levels=[(1, 0.7), (2, 0.9), (3, 1.3)])
     assert est.best == 1.3
+
+
+# ---------------------------------------------------------------------------
+# the structural certificate of a coordinate compression
+# ---------------------------------------------------------------------------
+
+def test_compression_cb_is_the_structural_bound_one():
+    cb = compression_cb(np.array([4, 0, 2]), 5, 3)
+    assert cb.kind == "structural"
+    assert cb.levels == [(1, 1.0), (2, 1.0), (3, 1.0)]
+    assert CbEstimate().kind == "sampled_lower"
+
+
+def test_compression_cb_refuses_a_repeated_index():
+    with pytest.raises(ValueError):
+        compression_cb(np.array([0, 0]), 2, 2)
+    # the map it would certify sends e_00 to the all-ones 2 x 2 matrix, of norm 2
+    doubled = LinearMap(2, 2, apply_fn=lambda t: np.asarray(t, dtype=complex)[np.ix_([0, 0], [0, 0])])
+    sampled = cb_norm_lower(doubled, 1.5, n_max=2, trials=4, rng=np.random.default_rng(7))
+    assert sampled.levels[0][1] == pytest.approx(2.0, rel=1e-9)
+    assert sampled.best > 1.0 + CB_SLACK
+
+
+@pytest.mark.parametrize("sel", [[0, 3], [-1, 1], [[0, 1]], [0.0, 1.0]])
+def test_compression_cb_refuses_indices_outside_the_domain(sel):
+    with pytest.raises(ValueError):
+        compression_cb(np.array(sel), 3, 2)
