@@ -8,11 +8,9 @@ handled separately by blending point evaluations with a partition of
 unity, with the error controlled by arc oscillation.
 """
 
-import numpy as np
-
 from lpalg import circle_function, circle_partition, grid_angles, partition_roundtrip, rotation_demo
 
-report = rotation_demo(12, 5, 1.5, 0.3, rng=np.random.default_rng(0))
+report = rotation_demo(12, 5, 1.5, 0.3)
 model = report["model"]
 print(f"model: n={model['n']} points, k={model['k']} steps,"
       f" angle theta = {model['theta_model']:.6f}")

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Each subcommand reads JSON inputs, runs the corresponding operation with
-all randomness derived from ``--seed``, and emits a JSON report (canonical
-byte-for-byte form) or a fixed-column CSV projection.  Exit codes: 0 on
-success, 1 when a certificate or acceptance check fails, 2 on input errors.
+all randomness derived from ``--seed`` (``witness`` and ``rotation`` draw
+none), and emits a JSON report (canonical byte-for-byte form) or a
+fixed-column CSV projection.  Exit codes: 0 on success, 1 when a
+certificate or acceptance check fails, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -214,7 +215,6 @@ def _cmd_crossed(args) -> int:
 def _cmd_witness(args) -> int:
     f = _load_element(args)
     action = _parse_action(args.action, f.carrier, f.base_dim)
-    cert_opts = {"n_max": args.k_max, "trials": args.trials}
     fact, report = crossed_nuclearity_witness(
         [f],
         args.epsilon,
@@ -222,8 +222,7 @@ def _cmd_witness(args) -> int:
         f.carrier,
         action,
         _parse_p(args.p),
-        rng=np.random.default_rng(args.seed),
-        cert_opts=cert_opts,
+        cert_opts={"n_max": args.k_max},
     )
     payload = {"command": "witness", **report}
     rows = [
@@ -235,13 +234,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_rotation(args) -> int:
-    report = rotation_demo(
-        args.n,
-        args.k,
-        _parse_p(args.p),
-        args.epsilon,
-        rng=np.random.default_rng(args.seed),
-    )
+    report = rotation_demo(args.n, args.k, _parse_p(args.p), args.epsilon)
     payload = {"command": "rotation", **report}
     _emit(
         args,
@@ -280,6 +273,9 @@ def _cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_UNSEEDED = "accepted and unused: the certificates are structural, so nothing is drawn at random"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpalg",
@@ -291,9 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(cmd, *, p_default="2"):
+    def common(cmd, *, p_default="2", seed_help="seed for all randomness"):
         cmd.add_argument("--p", default=p_default, help="exponent in [1, inf]; 'inf' allowed")
-        cmd.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+        cmd.add_argument("--seed", type=int, default=0, help=seed_help)
         cmd.add_argument("--out", default=None, help="directory for JSON and CSV artifacts")
         cmd.add_argument("--format", choices=("json", "csv"), default="json",
                          help="stdout format when --out is not given")
@@ -338,8 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--epsilon", type=float, required=True, help="round-trip error budget")
     c.add_argument("--k-max", type=int, default=2, dest="k_max",
                    help="largest certificate amplification level")
-    c.add_argument("--trials", type=int, default=4, help="random inputs per certificate level")
-    common(c, p_default="1.5")
+    common(c, p_default="1.5", seed_help=_UNSEEDED)
     c.set_defaults(handler=_cmd_witness)
 
     c = sub.add_parser("rotation", help="rotation-algebra model report (CSV: p,theta_model,"
@@ -347,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True, help="grid points on the circle")
     c.add_argument("--k", type=int, required=True, help="rotation steps per generator")
     c.add_argument("--epsilon", type=float, default=0.3)
-    common(c, p_default="1.5")
+    common(c, p_default="1.5", seed_help=_UNSEEDED)
     c.set_defaults(handler=_cmd_rotation)
 
     c = sub.add_parser("suite", help="run the acceptance battery (CSV: criterion,label,passed)")

@@ -9,6 +9,10 @@ class DimensionGuardError(ValueError):
     """Raised when a brute-force routine is asked to handle a matrix above its size cap."""
 
 
+class NormOverflowError(ValueError):
+    """Raised when an operator norm exceeds the largest finite float, so no value can be returned."""
+
+
 class CapacityError(RuntimeError):
     """Raised when a search cannot meet its target within the permitted window size."""
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionGuardError, UnsupportedExponentError
+from .errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
 
 __all__ = [
     "PExponent",
@@ -237,7 +237,19 @@ def _as_rng(rng) -> np.random.Generator:
     return as_generator(0 if rng is None else rng)
 
 
+def _overflow(a: np.ndarray, pe: PExponent) -> NormOverflowError:
+    return NormOverflowError(f"the p = {pe.p} norm of this {a.shape[0]}x{a.shape[1]} matrix exceeds the float range")
+
+
 def _exact_value_and_witness(a: np.ndarray, pe: PExponent) -> tuple[float, np.ndarray]:
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        value, witness = _exact_formula(a, pe)
+    if not math.isfinite(value):
+        raise _overflow(a, pe)
+    return value, witness
+
+
+def _exact_formula(a: np.ndarray, pe: PExponent) -> tuple[float, np.ndarray]:
     m, n = a.shape
     if pe.is_one:
         col_sums = np.abs(a).sum(axis=0)
@@ -262,7 +274,8 @@ def _exact_value_and_witness(a: np.ndarray, pe: PExponent) -> tuple[float, np.nd
 def pnorm_exact(a, p) -> float:
     """||A||_{p->p} by closed formula, for p in {1, 2, inf} only.
 
-    Raises :class:`UnsupportedExponentError` for any other exponent.
+    Raises :class:`UnsupportedExponentError` for any other exponent, and
+    :class:`NormOverflowError` when the norm exceeds the float range.
     """
     pe = as_exponent(p)
     arr = validate_matrix(a)
@@ -298,6 +311,7 @@ def pnorm_estimate(
     :param max_iters: iteration cap per restart.
     :param tol: relative stagnation threshold.
     :param rng: ``numpy.random.Generator``, seed int, or None (seed 0).
+    :raises NormOverflowError: when the norm exceeds the float range.
     """
     return _estimates(validate_matrix(a)[None].copy(), as_exponent(p), restarts, max_iters, tol, [rng])[0]
 
@@ -431,7 +445,10 @@ def _finished(mat, best_val, best_witness, converged, e, pe, restarts) -> PNormE
         witness[0] = 1.0
         return PNormEstimate(0.0, witness, "power-iteration", True, restarts)
     witness = best_witness / vector_pnorm(best_witness, pe)
-    value = math.ldexp(vector_pnorm(mat @ witness, pe), e)
+    try:
+        value = math.ldexp(vector_pnorm(mat @ witness, pe), e)
+    except OverflowError:
+        raise _overflow(mat, pe) from None
     return PNormEstimate(value, witness, "power-iteration", converged, restarts)
 
 

@@ -12,10 +12,16 @@ For an integrated crossed-product element the composition scales each group
 coefficient by |F (cap) sF| / |F|, so the round-trip defect per single term
 is exactly |1 - |F (cap) sF|/|F|| times that term's norm, and shrinking the
 translate ratios of F shrinks the defect.  ``crossed_nuclearity_witness``
-sizes F from the elements' reduced norms, certifies phi by construction
-(it is a coordinate compression, so every level is the proved upper bound
-1) and samples psi's levels once, measures one round trip per element, and
-emits a machine-checkable report that gives each certificate's kind.
+sizes F from the elements' reduced norms, certifies both maps by their
+form, measures one round trip per element, and emits a machine-checkable
+report that gives each certificate's kind.  phi is a coordinate
+compression.  By covariance psi(M) = R (id_F (x) pi)(M) S, where the
+middle map is a direct sum of conjugations by phased permutations (this is
+where the action must be p-completely isometric) and R, S are monomial
+with norm 1 (``folner_psi_factors``), so every level of either certificate
+is a proved upper bound, 1 up to rounding, with no sampling.  The sampled
+``folner_phi_cb_certificate`` and ``psi_contractivity_certificate`` remain
+as cross-checks.
 The remaining operations supply the bookkeeping lemmas: an exact identity
 factorization for matrix algebras, amplification and corner stability,
 window truncation, and the triangle-inequality composition of two
@@ -56,14 +62,22 @@ from .groups import (
     group_to_descriptor,
 )
 from .lpnorm import as_exponent, as_generator, pnorm_estimate
-from .opspace import CbEstimate, LinearMap, amplify, block_matrix, cb_norm_lower, compression_cb, split_blocks
+from .opspace import (
+    CbEstimate,
+    LinearMap,
+    amplify,
+    block_matrix,
+    cb_norm_lower,
+    compression_cb,
+    monomial_cb,
+    split_blocks,
+)
 from .partition import (
     circle_function,
     circle_partition,
+    cx_blend_factors,
     cx_partition_psi,
-    cx_phi_cb_certificate,
     cx_point_eval_phi,
-    cx_psi_cb_certificate,
     partition_roundtrip,
 )
 
@@ -80,6 +94,7 @@ __all__ = [
     "folner_phi_cb_certificate",
     "folner_phi_map",
     "folner_psi",
+    "folner_psi_factors",
     "folner_psi_map",
     "folner_roundtrip",
     "identity_factorization",
@@ -238,12 +253,48 @@ def folner_psi(m, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
 
 
 def folner_psi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
+    """The averaging map as a map on matrices; :func:`folner_psi_factors`
+    certifies it and :func:`psi_contractivity_certificate` samples it."""
     return LinearMap(
         folner.size * rep.base_dim,
         rep.dimension,
         apply_fn=lambda m: folner_psi(m, folner, rep),
         name="folner_psi",
     )
+
+
+def folner_psi_factors(folner: FolnerSet, rep: CovariantRep) -> tuple[tuple, tuple]:
+    """Monomial factors R, S of the averaging map, for :func:`monomial_cb`.
+
+    Covariance, v(s) pi(a) v(s)^{-1} = pi(alpha_s(a)), turns the averaging
+    form into psi(M) = R (id_F (x) pi)(M) S with the row of blocks
+    R = |F|^{-1/q} [v(s)]_{s in F} and the column S = |F|^{-1/p} [v(t)^{-1}]_{t in F};
+    id_F (x) pi is a direct sum over positions of conjugations by phased
+    permutations, hence p-completely isometric.  The middle space is
+    l^p(F) (x) l^p(B) (x) C^d, index (a * |B| + b) * d + i for the a-th
+    member of F and the b-th position of B.  On a finite group B is the
+    group.  On a Z window {-W..W} the translations are truncated, so the
+    factors are those of the untruncated psi compressed to the window,
+    R_W = P_W R and S_W = S P_W; only positions within W + max|F| reach the
+    window, so B is that wider window.  Both factors have norm 1, up to
+    rounding: every row of R and column of S holds |F| entries.
+    """
+    d, k = rep.base_dim, folner.size
+    members = np.asarray(folner.members, dtype=np.int64)
+    if isinstance(rep.carrier, FiniteGroup):  # positions are the elements in order
+        wide = np.arange(rep.carrier.order)
+        lands = rep.carrier.mult[members[:, None], wide]
+    else:
+        radius = rep.window_radius + int(np.abs(members).max())
+        wide = np.arange(-radius, radius + 1)
+        lands = members[:, None] + wide + rep.window_radius
+    a, b = np.nonzero((lands >= 0) & (lands < len(rep.positions)))  # s r inside the window
+    fiber = np.arange(d)
+    mid = ((a * wide.size + b)[:, None] * d + fiber).ravel()
+    out = (lands[a, b][:, None] * d + fiber).ravel()
+    r = (out, mid, np.full(mid.size, k ** (-1.0 / rep.p.q)))
+    s = (mid, out, np.full(mid.size, k ** (-1.0 / rep.p.p)))
+    return r, s
 
 
 def folner_phi_cb_certificate(
@@ -263,10 +314,9 @@ def psi_contractivity_certificate(
 ) -> CbEstimate:
     """Sampled contractivity certificate for the averaging map.
 
-    On the full group this is the duality bound for the averaged
-    translations; on a truncated window the map is the compression of the
-    full-line contraction (the coordinate projection commutes with the
-    diagonal part), so its levels must also stay at or below 1.
+    Its levels are lower bounds and must stay at or below the structural
+    bound of :func:`folner_psi_factors`, which the witness uses; this is
+    the sampled cross-check.
     """
     return cb_norm_lower(folner_psi_map(folner, rep), rep.p, n_max=n_max, trials=trials, rng=rng, **opts)
 
@@ -501,6 +551,12 @@ def _levels_list(cb: CbEstimate) -> list:
     return [[int(n), float(v)] for n, v in cb.levels]
 
 
+def _proved_contractive(*certs: CbEstimate) -> bool:
+    """Every certificate is a structural upper bound at or below 1 (up to
+    tolerance); a sampled lower bound at or below 1 proves nothing."""
+    return all(cb.kind == "structural" and cb.best <= 1.0 + _CB_TOL for cb in certs)
+
+
 def crossed_nuclearity_witness(
     fs: list,
     eps: float,
@@ -518,22 +574,25 @@ def crossed_nuclearity_witness(
     Pipeline: bound the elements' reduced norms by M, pick F with translate
     ratios below eps/(3M) for every support shift (on Z, searching again on
     the norms of the window sized from F until F stops changing), and
-    factor through the F-block matrices by the Folner pair phi, psi.  phi
-    is a coordinate compression, certified by construction with the upper
-    bound 1 per level (``compression_cb``, no sampling); psi's levels are
-    sampled once from ``rng``, its only consumer.  One round trip per
-    element is measured and an error above eps is refused.  The report
-    records per element the reduced norm, the round-trip error and its
-    intersection-ratio budget, both certificates with their kind
-    ("structural" or "sampled_lower"), and the chosen window.  Returns
-    (Factorization, report).
+    factor through the F-block matrices by the Folner pair phi, psi.  Both
+    maps are certified by their form, with no sampling: phi is a coordinate
+    compression (``compression_cb``) and psi = R (id_F (x) pi)(.) S with
+    monomial R, S (``folner_psi_factors`` and ``monomial_cb``), so each
+    level is a proved upper bound, 1 up to rounding; ``cert_opts`` is read
+    only for its ``n_max``, the number of levels.  Nothing is drawn at
+    random: ``rng`` is accepted for compatibility and not used.  One round
+    trip per element is measured and an error above eps is refused.  The
+    report records per element the reduced norm, the round-trip error and
+    its intersection-ratio budget, both certificates with their kind, and
+    the chosen window.  ``passed`` requires every certificate to be
+    structural and at most 1 + 1e-6, and every error to be below eps.
+    Returns (Factorization, report).
     """
     if not fs:
         raise ValueError("need at least one finitely supported element to witness")
     if eps <= 0.0:
         raise ValueError("epsilon must be positive")
     pe = as_exponent(p)
-    gen = as_generator(rng)
     eopts = est_opts or {}
     supports = sorted({s for f in fs for s in f.support})
 
@@ -556,9 +615,9 @@ def crossed_nuclearity_witness(
             break
         folner = resized
 
-    copts = {**_LIGHT_CERT, **(cert_opts or {})}
-    phi_cb = compression_cb(_folner_selector(folner, rep), rep.dimension, copts["n_max"])
-    psi_cb = psi_contractivity_certificate(folner, rep, rng=gen, **copts)
+    n_max = (cert_opts or {}).get("n_max", _LIGHT_CERT["n_max"])
+    phi_cb = compression_cb(_folner_selector(folner, rep), rep.dimension, n_max)
+    psi_cb = monomial_cb(*folner_psi_factors(folner, rep), pe, n_max)
 
     phi, psi = folner_phi_map(folner, rep), folner_psi_map(folner, rep)
     errors = measure_roundtrip(phi, psi, {f"f{i}": rep.integrated(f) for i, f in enumerate(fs)}, pe)
@@ -580,8 +639,7 @@ def crossed_nuclearity_witness(
         {"map": "folner_phi", "kind": phi_cb.kind, "levels": _levels_list(phi_cb)},
         {"map": "folner_psi", "kind": psi_cb.kind, "levels": _levels_list(psi_cb)},
     ]
-    certs_ok = all(v <= 1.0 + _CB_TOL for c in certificates for _, v in c["levels"])
-    passed = certs_ok and all(e["roundtrip_error"] < eps for e in elements)
+    passed = _proved_contractive(phi_cb, psi_cb) and all(e["roundtrip_error"] < eps for e in elements)
     report = {
         "group": group_to_descriptor(carrier),
         "p": float(pe.p),
@@ -608,14 +666,18 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None, cert_opts: dict | 
     unity) delta_0.  The report checks the commutation phase
     u z = e^{2 pi i k/n} z u on the integrated forms, runs the full
     nuclearity witness on {u, z}, and runs the circle partition
-    factorization of the base algebra alongside.
+    factorization of the base algebra alongside.  The partition legs are
+    certified by their form: point evaluation is a coordinate compression
+    of the diagonal (``compression_cb``) and blending factors through
+    monomial maps (``cx_blend_factors``), so ``partition_ok`` rests on
+    structural upper bounds.  Nothing is drawn at random: ``rng`` is
+    accepted for compatibility and not used.
     """
     if n < 2:
         raise ValueError("need a grid of at least two points")
     if gcd(k % n, n) != 1:
         raise ValueError(f"rotation step {k} must be coprime to the grid size {n}")
     pe = as_exponent(p)
-    gen = as_generator(rng)
     group = cyclic_group(n)
     action = cyclic_coordinate_rotation(n, k)
     algebra = ConcreteAlgebra(n)
@@ -629,19 +691,15 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None, cert_opts: dict | 
     commutation_dev = float(np.abs(u_mat @ z_mat - phase * (z_mat @ u_mat)).max())
 
     _, witness_report = crossed_nuclearity_witness(
-        [u, z], eps, algebra, group, action, pe, rng=gen, cert_opts=cert_opts
+        [u, z], eps, algebra, group, action, pe, cert_opts=cert_opts
     )
 
     n_arcs = n // 2 if (n % 2 == 0 and n >= 6) else n
     part = circle_partition(n, n_arcs)
     rt = partition_roundtrip(part, circle_function("z", n))
-    part_phi = cx_phi_cb_certificate(part, pe, n_max=2, trials=4, rng=gen)
-    part_psi = cx_psi_cb_certificate(part, pe, n_max=2, trials=4, rng=gen)
-    partition_ok = (
-        rt["error"] <= rt["bound"] + 1e-12
-        and part_phi.best <= 1.0 + _CB_TOL
-        and all(1.0 - _CB_TOL <= v <= 1.0 + _CB_TOL for _, v in part_psi.levels)
-    )
+    part_phi = compression_cb(np.asarray(part.points), part.n_points, 2)
+    part_psi = monomial_cb(*cx_blend_factors(part, pe), pe, 2)
+    partition_ok = rt["error"] <= rt["bound"] + 1e-12 and _proved_contractive(part_phi, part_psi)
 
     passed = bool(witness_report["passed"] and commutation_dev <= 1e-12 and partition_ok)
     return {
@@ -654,7 +712,9 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None, cert_opts: dict | 
             "n_arcs": int(n_arcs),
             "roundtrip_error": float(rt["error"]),
             "oscillation_bound": float(rt["bound"]),
+            "point_eval_kind": part_phi.kind,
             "point_eval_levels": _levels_list(part_phi),
+            "blend_kind": part_psi.kind,
             "blend_levels": _levels_list(part_psi),
         },
         "passed": passed,

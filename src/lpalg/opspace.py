@@ -9,15 +9,18 @@ matrix over the row-major matrix-unit basis available on demand.
 The p-completely-bounded norm of a map phi is sup_n of the norm of
 id_{M_n} (x) phi.  ``cb_norm_lower`` samples the first few amplification
 levels and reports the (nondecreasing) lower bounds it finds; such levels
-can only refute contractivity (a level above 1 + 1e-6 does).  A coordinate
-compression T -> T[sel, sel] is p-completely contractive for every p, and
-``compression_cb`` records that as the structural upper bound 1 per level,
-with no sampling.
+can only refute contractivity (a level above 1 + 1e-6 does).  A map that
+factors as x -> R (I (x) rho(x)) S, with R and S monomial (one entry per
+column of R, per row of S) and rho p-completely contractive, has the
+closed-form bound ||R|| ||S|| at every level; ``monomial_cb`` records it as
+a structural upper bound with no sampling, and ``compression_cb`` is its
+case T -> T[sel, sel], whose levels are 1.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +34,7 @@ __all__ = [
     "block_matrix",
     "cb_norm_lower",
     "compression_cb",
+    "monomial_cb",
     "split_blocks",
 ]
 
@@ -161,7 +165,7 @@ class CbEstimate:
       refutes contractivity, a level at or below 1 proves nothing.
     * ``"structural"``: each level is a proved upper bound for the norm of
       id_{M_n} (x) phi, derived from the form of the map (see
-      :func:`compression_cb`).
+      :func:`monomial_cb`).
     """
 
     levels: list[tuple[int, float]] = field(default_factory=list)
@@ -172,26 +176,74 @@ class CbEstimate:
         return max((v for _, v in self.levels), default=0.0)
 
 
+def _monomial_norm(groups: np.ndarray, values: np.ndarray, r: float) -> float:
+    """Largest l^r norm among the groups of entries that share a label, r in [1, inf]."""
+    mags = np.abs(values)
+    top = float(mags.max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    if math.isinf(r):
+        return top
+    # scaled by the largest modulus so that the r-th powers cannot overflow
+    return top * float(np.bincount(groups, weights=(mags / top) ** r).max()) ** (1.0 / r)
+
+
+def _monomial_entries(factor, one_per: str, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (rows, cols, values) of a factor with at most one entry per row or column."""
+    rows, cols, values = (np.asarray(part) for part in factor)
+    if not (rows.ndim == 1 and rows.shape == cols.shape == values.shape):
+        raise ValueError(f"{what} must be three one-dimensional arrays of equal length")
+    if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
+        raise ValueError(f"{what} needs integer row and column indices")
+    if rows.size and min(rows.min(), cols.min()) < 0:
+        raise ValueError(f"{what} has a negative index")
+    unique = cols if one_per == "column" else rows
+    if unique.size and np.bincount(unique).max() > 1:
+        raise ValueError(f"{what} is not monomial: a {one_per} holds two entries")
+    return rows, cols, values
+
+
+def monomial_cb(r, s, p, n_max: int) -> CbEstimate:
+    """Structural cb certificate of a map x -> R (I (x) rho(x)) S with monomial R and S.
+
+    R has at most one entry per column and S at most one per row; each is
+    given by the arrays of its entries, a (rows, cols, values) triple, never
+    as a dense matrix.  rho must be p-completely contractive, which the
+    caller vouches for (a direct sum of conjugations by phased
+    permutations, or of copies of the input, is p-completely isometric).
+
+    The columns of R are disjoint, so by Hoelder ||R||_p is the largest
+    l^q norm of a row of R; dually ||S||_p = ||S*||_q is the largest l^p
+    norm of a column of S.  Both hold for every p in [1, inf].  The
+    amplification id_{M_n} (x) phi factors through I_n (x) R and I_n (x) S,
+    which have the same norms, so every level n <= n_max gets the proved
+    upper bound ||R|| ||S||, up to the rounding of these few operations.
+    Input with two entries in one column of R or one row of S is refused.
+    """
+    pe = as_exponent(p)
+    r_rows, _, r_values = _monomial_entries(r, "column", "R")
+    _, s_cols, s_values = _monomial_entries(s, "row", "S")
+    bound = _monomial_norm(r_rows, r_values, pe.q) * _monomial_norm(s_cols, s_values, pe.p)
+    return CbEstimate(levels=[(n, bound) for n in range(1, n_max + 1)], kind="structural")
+
+
 def compression_cb(sel, domain_dim: int, n_max: int) -> CbEstimate:
     """Structural cb certificate of the compression T -> T[sel, sel] on M_{domain_dim}.
 
-    With sel distinct indices in [0, domain_dim), the map is J* T J for the
-    coordinate inclusion J of l^p(sel) into l^p(domain_dim), an isometry,
-    and the coordinate restriction J*, a contraction.  Its amplification
-    id_{M_n} (x) phi is again such a compression, by the inclusion
-    I_n (x) J, so ||(id_n (x) phi)(T)||_p <= ||T||_p at every level: the
-    levels are the upper bound 1.0 for n <= n_max.  A repeated index breaks
-    this (the selector [0, 0] sends e_00 to the all-ones 2 x 2 matrix, of
-    norm 2), so it is refused, as is an index outside the domain.
+    The map is J* T J for the coordinate inclusion J of l^p(sel) into
+    l^p(domain_dim), so it is the :func:`monomial_cb` case R = J*, S = J,
+    rho = id, with levels 1.0 for every p.  A repeated index puts two
+    entries in one column of J* (the selector [0, 0] sends e_00 to the
+    all-ones 2 x 2 matrix, of norm 2), so it is refused, as is an index
+    outside the domain.
     """
     sel = np.asarray(sel)
     if sel.ndim != 1 or not np.issubdtype(sel.dtype, np.integer):
         raise ValueError("a compression selector must be a one-dimensional array of indices")
     if ((sel < 0) | (sel >= domain_dim)).any():
         raise ValueError(f"compression selector leaves the index range [0, {domain_dim})")
-    if np.unique(sel).size != sel.size:
-        raise ValueError("compression selector repeats an index")
-    return CbEstimate(levels=[(n, 1.0) for n in range(1, n_max + 1)], kind="structural")
+    inner, ones = np.arange(sel.size), np.ones(sel.size)
+    return monomial_cb((inner, sel, ones), (sel, inner, ones), 1.0, n_max)
 
 
 def _swap_like(n: int, d: int) -> np.ndarray:

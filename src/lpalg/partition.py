@@ -17,11 +17,16 @@ and the reconstruction error is controlled by how much f moves across each
 bump's patch: |f(x) - sum_i sigma_i(x) f(y_i)| <= max_i sup_{x in U_i}
 |f(x) - f(y_i)| because the weights are a convex combination.
 
-Completely bounded norms of both maps are certified through the
-block-diagonal structure: a matrix-valued field over the grid acts on
-l^p(grid) (x) l^p_k as a direct sum, so its operator norm is the maximum of
-the small fiber norms — no large-matrix estimation is involved, which keeps
-the certificates free of denominator noise.
+Both maps are p-completely contractive by their form.  Point evaluation is
+the compression of the diagonal to the sample points, and blending factors
+as d |-> R ((+)_i d_i I) S with the monomial R = [diag(sigma_i^{1/q})]_i and
+S = [diag(sigma_i^{1/p})]_i (``cx_blend_factors``), whose norms are
+(sum_i sigma_i)^{1/q} = 1 and (sum_i sigma_i)^{1/p} = 1 by Hoelder; both
+give structural bounds through :mod:`lpalg.opspace`.  The sampled
+certificates here cross-check them through the block-diagonal structure: a
+matrix-valued field over the grid acts on l^p(grid) (x) l^p_k as a direct
+sum, so its operator norm is the maximum of the small fiber norms, and no
+large-matrix estimation is involved.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "PartitionOfUnity",
     "circle_function",
     "circle_partition",
+    "cx_blend_factors",
     "cx_partition_psi",
     "cx_phi_cb_certificate",
     "cx_point_eval_phi",
@@ -155,6 +161,23 @@ def cx_partition_psi(d, partition: PartitionOfUnity) -> np.ndarray:
     if d.size != partition.n_bumps:
         raise ValueError(f"expected {partition.n_bumps} sampled values, got {d.size}")
     return d @ partition.bumps
+
+
+def cx_blend_factors(partition: PartitionOfUnity, p) -> tuple[tuple, tuple]:
+    """Monomial factors R, S of blending, for :func:`lpalg.opspace.monomial_cb`.
+
+    sum_i d_i sigma_i = R ((+)_i d_i I_grid) S with R = [diag(sigma_i^{1/q})]_i,
+    a row of blocks, and S = [diag(sigma_i^{1/p})]_i, a column; the middle
+    index of bump i at grid point x is i * n_points + x, and only entries
+    with sigma_i(x) > 0 are listed.  Row x of R and column x of S have the
+    norms (sum_i sigma_i(x))^{1/q} and (sum_i sigma_i(x))^{1/p}, both 1 up
+    to the partition's summation tolerance.
+    """
+    pe = as_exponent(p)
+    bump, x = np.nonzero(partition.bumps)
+    weight = partition.bumps[bump, x]
+    mid = bump * partition.n_points + x
+    return (x, mid, weight ** (1.0 / pe.q)), (mid, x, weight ** (1.0 / pe.p))
 
 
 def partition_roundtrip(partition: PartitionOfUnity, f_values) -> dict:

@@ -341,7 +341,6 @@ def criterion_9(seed: int):
         zw,
         trivial_action(zw, 1),
         1.5,
-        rng=_rng(seed, 91),
     )
     zerr = zrep["elements"][0]["roundtrip_error"]
     z_ok = (
@@ -354,7 +353,7 @@ def criterion_9(seed: int):
     act = cyclic_coordinate_rotation(6, 1)
     f6 = random_cc_element(_rng(seed, 92), act.carrier, 6, n_terms=2, max_shift=5)
     _, frep = crossed_nuclearity_witness(
-        [f6], 0.25, ConcreteAlgebra(6), act.carrier, act, 2.0, rng=_rng(seed, 93)
+        [f6], 0.25, ConcreteAlgebra(6), act.carrier, act, 2.0
     )
     f_ok = (
         all(e["roundtrip_error"] == 0.0 for e in frep["elements"])
@@ -443,7 +442,7 @@ def criterion_12(seed: int):
     runs = {}
     ok = True
     for p in (1.5, 3.0):
-        demo = rotation_demo(12, 5, p, 0.3, rng=_rng(seed, 121 + int(2 * p)))
+        demo = rotation_demo(12, 5, p, 0.3)
         errors = [e["roundtrip_error"] for e in demo["witness"]["elements"]]
         ok = ok and demo["commutation_dev"] <= 1e-12
         ok = ok and all(err == 0.0 for err in errors)
@@ -468,7 +467,6 @@ def criterion_13(seed: int):
             zw,
             trivial_action(zw, 1),
             1.5,
-            rng=_rng(seed, 131),
         )
         a = _random_matrix(_rng(seed, 132), 4)
         est = pnorm_estimate(a, 1.5, rng=_rng(seed, 133))

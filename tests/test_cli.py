@@ -115,6 +115,18 @@ def test_witness_passes_on_window_element(element_file, capsys):
     assert float(fields[2]) == pytest.approx(1 / 21, abs=1e-12)
 
 
+def test_witness_has_no_trials_option(element_file, capsys):
+    with pytest.raises(SystemExit):
+        main(["witness", "--elements", element_file, "--epsilon", "0.3", "--trials", "4"])
+
+
+def test_pnorm_overflow_is_input_error(tmp_path, capsys):
+    path = _write(tmp_path / "huge.json", matrix_to_obj(np.full((2, 2), 1e308)))
+    for p in ("1", "1.5"):
+        assert main(["pnorm", "--matrix", path, "--p", p]) == 2
+        assert "exceeds the float range" in capsys.readouterr().err
+
+
 def test_rotation_report(capsys):
     assert main(["rotation", "--n", "8", "--k", "3", "--p", "1.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 """Tests for matrix p-norm evaluation and estimation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from lpalg import (
     validate_matrix,
     vector_pnorm,
 )
-from lpalg.errors import DimensionGuardError, UnsupportedExponentError
+from lpalg.errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
 
 REL_TOL = 1e-8
 ORACLE_REL_TOL = 1e-5
@@ -130,6 +131,27 @@ def test_estimate_of_subnormal_matrix(seed):
         warnings.simplefilter("error")
         value = pnorm_estimate(tiny, 1.5).value
     assert value / 1e-320 == pytest.approx(pnorm_estimate(a, 1.5).value, rel=1e-4)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_norm_beyond_the_float_range_is_a_typed_error(p):
+    huge = np.full((2, 2), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormOverflowError):
+            pnorm_estimate(huge, p)
+        if p in (1.0, 2.0, math.inf):
+            with pytest.raises(NormOverflowError):
+                pnorm_exact(huge, p)
+    assert issubclass(NormOverflowError, ValueError)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_norm_near_the_float_range_is_returned(p):
+    # 2 x 2 of 4e307: the norm is 8e307 for every p, still finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pnorm_estimate(np.full((2, 2), 4e307), p).value == pytest.approx(8e307, rel=1e-12)
 
 
 def test_estimate_matches_oracle_on_small_matrices():

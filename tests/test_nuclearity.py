@@ -285,7 +285,7 @@ def test_witness_on_finite_group_is_exact():
 
 
 def test_witness_certifies_the_folner_pair_once(monkeypatch):
-    # phi is certified by construction; only psi's levels are sampled
+    # both maps are certified by their form; nothing is sampled
     calls = []
 
     def counting(*args, **kwargs):
@@ -299,12 +299,13 @@ def test_witness_certifies_the_folner_pair_once(monkeypatch):
     fact, report = crossed_nuclearity_witness(
         [f], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5,
         rng=np.random.default_rng(19))
-    assert calls == ["folner_psi"]
+    assert calls == []
     phi_entry, psi_entry = report["certificates"]
     assert (phi_entry["map"], phi_entry["kind"]) == ("folner_phi", "structural")
     assert phi_entry["levels"] == [[1, 1.0], [2, 1.0]]
-    assert (psi_entry["map"], psi_entry["kind"]) == ("folner_psi", "sampled_lower")
-    assert (fact.phi_cb.kind, fact.psi_cb.kind) == ("structural", "sampled_lower")
+    assert (psi_entry["map"], psi_entry["kind"]) == ("folner_psi", "structural")
+    assert psi_entry["levels"] == [[1, 1.0], [2, 1.0]]
+    assert (fact.phi_cb.kind, fact.psi_cb.kind) == ("structural", "structural")
     assert (fact.phi.name, fact.psi.name) == ("folner_phi", "folner_psi")
     assert fact.roundtrip_errors["f0"] == report["elements"][0]["roundtrip_error"]
     assert report["passed"]
