@@ -8,7 +8,7 @@ handled separately by blending point evaluations with a partition of
 unity, with the error controlled by arc oscillation.
 """
 
-from lpalg import circle_function, circle_partition, grid_angles, partition_roundtrip, rotation_demo
+from lpalg import circle_function, circle_partition, partition_roundtrip, rotation_demo
 
 report = rotation_demo(12, 5, 1.5, 0.3)
 model = report["model"]

@@ -5,193 +5,58 @@ bounded refinements, builds crossed products of matrix algebras by finite
 and integer group actions in their regular covariant representations, and
 certifies finite-dimensional approximation factorizations end to end, with
 every claim backed by a measured witness or an explicit error budget.
+
+The names below are the ones the demos use; everything else is imported
+from its submodule (``lpalg.lpnorm``, ``lpalg.opspace``, ``lpalg.groups``,
+``lpalg.crossed``, ``lpalg.nuclearity``, ``lpalg.partition``,
+``lpalg.serialize``, ``lpalg.suite``, ``lpalg.errors``).
 """
 
 from .crossed import (
     CcElement,
     ConcreteAlgebra,
     CovariantRep,
-    IsometricAction,
     compress_identity_check,
     conditional_expectation,
     cyclic_coordinate_rotation,
-    expectation_cb_certificate,
-    is_phased_permutation,
     random_cc_element,
     reduced_norm,
     trivial_action,
     twisted_convolve,
 )
-from .errors import CapacityError, CertificateError, DimensionGuardError, UnsupportedExponentError
-from .groups import (
-    FiniteGroup,
-    FolnerSet,
-    ZWindow,
-    cyclic_group,
-    folner_intersection,
-    folner_ratio,
-    folner_search,
-    group_from_descriptor,
-    group_from_table,
-    group_to_descriptor,
-    lambda_adjoint_check,
-    regular_rep,
-    translate_set,
-)
-from .lpnorm import (
-    PExponent,
-    PNormEstimate,
-    adjoint,
-    as_exponent,
-    dual_vector,
-    pnorm_estimate,
-    pnorm_exact,
-    pnorm_oracle,
-    validate_matrix,
-    vector_pnorm,
-)
-from .nuclearity import (
-    Factorization,
-    compose_factorizations,
-    corner_embed,
-    corner_project,
-    corner_restrict,
-    crossed_nuclearity_witness,
-    folner_phi,
-    folner_phi_cb_certificate,
-    folner_phi_map,
-    folner_psi,
-    folner_psi_map,
-    folner_roundtrip,
-    identity_factorization,
-    lift_factorization,
-    measure_roundtrip,
-    psi_contractivity_certificate,
-    rotation_demo,
-    truncate_cb_certificate,
-    truncate_map,
-    truncate_stable,
-)
-from .opspace import (
-    CbEstimate,
-    LinearMap,
-    amplify,
-    apply_amplified,
-    block_matrix,
-    cb_norm_lower,
-    split_blocks,
-)
-from .partition import (
-    PartitionOfUnity,
-    circle_function,
-    circle_partition,
-    cx_partition_psi,
-    cx_phi_cb_certificate,
-    cx_point_eval_phi,
-    cx_psi_cb_certificate,
-    grid_angles,
-    partition_roundtrip,
-)
-from .serialize import (
-    action_from_obj,
-    action_to_obj,
-    canonical_json,
-    cc_element_from_obj,
-    cc_element_to_obj,
-    linear_map_from_obj,
-    linear_map_to_obj,
-    matrix_from_obj,
-    matrix_to_obj,
-)
-from .suite import run_criterion, run_suite
+from .groups import ZWindow, cyclic_group, folner_ratio, folner_search
+from .lpnorm import adjoint, as_exponent, pnorm_estimate, pnorm_exact, vector_pnorm
+from .nuclearity import crossed_nuclearity_witness, rotation_demo
+from .opspace import LinearMap, cb_norm_lower
+from .partition import circle_function, circle_partition, partition_roundtrip
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityError",
-    "CbEstimate",
     "CcElement",
-    "CertificateError",
     "ConcreteAlgebra",
     "CovariantRep",
-    "DimensionGuardError",
-    "Factorization",
-    "FiniteGroup",
-    "FolnerSet",
-    "IsometricAction",
     "LinearMap",
-    "PExponent",
-    "PNormEstimate",
-    "PartitionOfUnity",
-    "UnsupportedExponentError",
     "ZWindow",
-    "action_from_obj",
-    "action_to_obj",
     "adjoint",
-    "amplify",
-    "apply_amplified",
     "as_exponent",
-    "block_matrix",
-    "canonical_json",
     "cb_norm_lower",
-    "cc_element_from_obj",
-    "cc_element_to_obj",
     "circle_function",
     "circle_partition",
-    "compose_factorizations",
     "compress_identity_check",
     "conditional_expectation",
-    "corner_embed",
-    "corner_project",
-    "corner_restrict",
     "crossed_nuclearity_witness",
-    "cx_partition_psi",
-    "cx_phi_cb_certificate",
-    "cx_point_eval_phi",
-    "cx_psi_cb_certificate",
     "cyclic_coordinate_rotation",
     "cyclic_group",
-    "dual_vector",
-    "expectation_cb_certificate",
-    "folner_intersection",
-    "folner_phi",
-    "folner_phi_cb_certificate",
-    "folner_phi_map",
-    "folner_psi",
-    "folner_psi_map",
     "folner_ratio",
-    "folner_roundtrip",
     "folner_search",
-    "grid_angles",
-    "group_from_descriptor",
-    "group_from_table",
-    "group_to_descriptor",
-    "identity_factorization",
-    "is_phased_permutation",
-    "lambda_adjoint_check",
-    "lift_factorization",
-    "linear_map_from_obj",
-    "linear_map_to_obj",
-    "matrix_from_obj",
-    "matrix_to_obj",
-    "measure_roundtrip",
     "partition_roundtrip",
     "pnorm_estimate",
     "pnorm_exact",
-    "pnorm_oracle",
-    "psi_contractivity_certificate",
     "random_cc_element",
     "reduced_norm",
-    "regular_rep",
     "rotation_demo",
-    "run_criterion",
-    "run_suite",
-    "translate_set",
     "trivial_action",
-    "truncate_cb_certificate",
-    "truncate_map",
-    "truncate_stable",
     "twisted_convolve",
-    "validate_matrix",
     "vector_pnorm",
 ]

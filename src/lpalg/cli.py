@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .crossed import (
-    CcElement,
     ConcreteAlgebra,
     CovariantRep,
     compress_identity_check,
@@ -26,8 +25,8 @@ from .crossed import (
     reduced_norm,
 )
 from .errors import CapacityError, CertificateError, DimensionGuardError, UnsupportedExponentError
-from .groups import FiniteGroup, ZWindow, cyclic_group, folner_ratio, folner_search, group_from_descriptor, group_to_descriptor
-from .lpnorm import as_exponent, pnorm_estimate
+from .groups import ZWindow, cyclic_group, folner_ratio, folner_search, group_from_descriptor, group_to_descriptor
+from .lpnorm import pnorm_estimate
 from .nuclearity import crossed_nuclearity_witness, rotation_demo
 from .opspace import cb_norm_lower
 from .serialize import (
@@ -38,7 +37,7 @@ from .serialize import (
     load_json,
     matrix_from_obj,
 )
-from .suite import CRITERIA, run_suite
+from .suite import run_suite
 
 __all__ = ["main"]
 
@@ -222,7 +221,7 @@ def _cmd_witness(args) -> int:
         f.carrier,
         action,
         _parse_p(args.p),
-        cert_opts={"n_max": args.k_max},
+        n_max=args.k_max,
     )
     payload = {"command": "witness", **report}
     rows = [

@@ -166,8 +166,19 @@ def vector_pnorm(x, p) -> float:
 
 
 def _signs(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """sign(y) = y / |y| entrywise, with sign(0) = 0; ``mags`` is |y|."""
-    return np.divide(y, mags, out=np.zeros_like(y), where=mags > 0.0)
+    """sign(y) = y / |y| entrywise, with sign(0) = 0; ``mags`` is |y|.
+
+    numpy divides a complex array by a real one as y * (1/|y|), and 1/|y|
+    overflows for moduli at or below 2^-1024; those entries are scaled by
+    2^1022 (exactly) and divided by their own recomputed modulus.
+    """
+    normal = mags > 2.0**-1024
+    out = np.divide(y, mags, out=np.zeros_like(y), where=normal)
+    if not normal.all():
+        tiny = ~normal & (mags > 0.0)
+        scaled = y[tiny] * 2.0**1022
+        out[tiny] = scaled / np.abs(scaled)
+    return out
 
 
 def dual_vector(y, p) -> np.ndarray:
@@ -188,7 +199,7 @@ def dual_vector(y, p) -> np.ndarray:
     if pe.is_inf:
         out = np.zeros_like(arr)
         k = int(np.argmax(mags))
-        out[k] = arr[k] / mags[k]
+        out[k] = _signs(arr[[k]], mags[[k]])[0]
         return out
     u = _signs(arr, mags) * (mags / mags.max()) ** (pe.p - 1.0)
     return u / vector_pnorm(u, pe.q)

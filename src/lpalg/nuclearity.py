@@ -19,13 +19,15 @@ compression.  By covariance psi(M) = R (id_F (x) pi)(M) S, where the
 middle map is a direct sum of conjugations by phased permutations (this is
 where the action must be p-completely isometric) and R, S are monomial
 with norm 1 (``folner_psi_factors``), so every level of either certificate
-is a proved upper bound, 1 up to rounding, with no sampling.  The sampled
-``folner_phi_cb_certificate`` and ``psi_contractivity_certificate`` remain
-as cross-checks.
+is a proved upper bound, 1 up to rounding, with no sampling.
 The remaining operations supply the bookkeeping lemmas: an exact identity
 factorization for matrix algebras, amplification and corner stability,
 window truncation, and the triangle-inequality composition of two
-approximations.
+approximations.  A ``Factorization`` holds only proofs: every certificate
+must be structural and at most 1, and each lemma derives its legs' bounds
+from the parent's by cb(A o B) <= cb(A) cb(B), so nothing in this module
+samples a cb norm (``opspace.cb_norm_lower`` stays the refuting
+cross-check of the suite and the tests).
 
 Both maps work on whole arrays: phi is an index compression, and psi moves
 all blocks with one gather.  When all contributions to one group
@@ -67,7 +69,6 @@ from .opspace import (
     LinearMap,
     amplify,
     block_matrix,
-    cb_norm_lower,
     compression_cb,
     monomial_cb,
     split_blocks,
@@ -76,8 +77,6 @@ from .partition import (
     circle_function,
     circle_partition,
     cx_blend_factors,
-    cx_partition_psi,
-    cx_point_eval_phi,
     partition_roundtrip,
 )
 
@@ -88,10 +87,7 @@ __all__ = [
     "corner_project",
     "corner_restrict",
     "crossed_nuclearity_witness",
-    "cx_partition_psi",
-    "cx_point_eval_phi",
     "folner_phi",
-    "folner_phi_cb_certificate",
     "folner_phi_map",
     "folner_psi",
     "folner_psi_factors",
@@ -100,24 +96,26 @@ __all__ = [
     "identity_factorization",
     "lift_factorization",
     "measure_roundtrip",
-    "psi_contractivity_certificate",
     "rotation_demo",
-    "truncate_cb_certificate",
     "truncate_map",
     "truncate_stable",
 ]
 
 _CB_TOL = 1e-6
 
-_LIGHT_CERT = {"n_max": 2, "trials": 4, "ascent_steps": 2, "restarts": 6, "max_iters": 60}
+
+def _proved_contractive(*certs: CbEstimate) -> bool:
+    """Every certificate is a structural upper bound at or below 1 (up to
+    tolerance) on at least one level; a sampled lower bound at or below 1,
+    or a certificate with no levels, proves nothing."""
+    return all(
+        cb.kind == "structural" and cb.levels and cb.best <= 1.0 + _CB_TOL for cb in certs
+    )
 
 
-def _check_contractive(cb: CbEstimate, name: str):
-    for n, v in cb.levels:
-        if v > 1.0 + _CB_TOL:
-            raise CertificateError(
-                f"{name} contractivity certificate fails at level {n}: bound {v:.9f}"
-            )
+def _require_proved(name: str, cb: CbEstimate):
+    if not _proved_contractive(cb):
+        raise CertificateError(f"{name} certificate proves no contraction: {cb.kind} bound {cb.best:.9f}")
 
 
 @dataclass
@@ -125,11 +123,11 @@ class Factorization:
     """A pair of maps through a matrix algebra with its quality records.
 
     ``roundtrip_errors`` maps a test-element id to the measured operator
-    norm of psi(phi(x)) - x.  Each cb estimate states its kind: a
-    structural one holds proved upper bounds, a sampled one lower bounds
-    that can only refute.  Either must sit at or below 1 (up to tolerance)
-    for the pair to count as an approximation by contractions; violating
-    certificates are rejected at construction.
+    norm of psi(phi(x)) - x.  Both cb certificates must be proofs: kind
+    ``structural`` (upper bounds derived from the form of the map) with at
+    least one level and every level at most 1 + 1e-6.  A sampled lower
+    bound, or a certificate with no levels, proves nothing, so it is
+    refused at construction like an expansive bound.
     """
 
     phi: LinearMap
@@ -141,8 +139,8 @@ class Factorization:
     p: float = 2.0
 
     def __post_init__(self):
-        _check_contractive(self.phi_cb, "phi")
-        _check_contractive(self.psi_cb, "psi")
+        _require_proved("phi", self.phi_cb)
+        _require_proved("psi", self.psi_cb)
         for key, err in self.roundtrip_errors.items():
             if not err >= 0.0:
                 raise ValueError(f"negative round-trip error recorded for {key!r}")
@@ -162,11 +160,15 @@ def measure_roundtrip(phi: LinearMap, psi: LinearMap, elements: dict, p, **est_o
     return out
 
 
-def identity_factorization(dim: int, p, *, rng=None, n_max: int = 1, trials: int = 2) -> Factorization:
-    """The exact factorization of a matrix algebra through itself."""
+def identity_factorization(dim: int, p, n_max: int = 1) -> Factorization:
+    """The exact factorization of a matrix algebra through itself.
+
+    The identity is the compression to every coordinate, so
+    ``compression_cb`` certifies both legs with levels 1.
+    """
     ident = LinearMap.identity(dim)
     pe = as_exponent(p)
-    cb = cb_norm_lower(ident, pe, n_max=n_max, trials=trials, ascent_steps=0, rng=rng)
+    cb = compression_cb(np.arange(dim), dim, n_max)
     return Factorization(
         phi=ident,
         psi=ident,
@@ -207,7 +209,7 @@ def folner_phi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
     """The compression T -> (P_F (x) I) T (P_F (x) I) as a map on matrices.
 
     Its selector holds distinct indices, so ``compression_cb`` certifies
-    it; :func:`folner_phi_cb_certificate` is the sampled cross-check.
+    it with levels 1.
     """
     sel = _folner_selector(folner, rep)
     grid = np.ix_(sel, sel)
@@ -254,7 +256,7 @@ def folner_psi(m, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
 
 def folner_psi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
     """The averaging map as a map on matrices; :func:`folner_psi_factors`
-    certifies it and :func:`psi_contractivity_certificate` samples it."""
+    certifies it."""
     return LinearMap(
         folner.size * rep.base_dim,
         rep.dimension,
@@ -297,30 +299,6 @@ def folner_psi_factors(folner: FolnerSet, rep: CovariantRep) -> tuple[tuple, tup
     return r, s
 
 
-def folner_phi_cb_certificate(
-    folner: FolnerSet, rep: CovariantRep, n_max: int = 2, trials: int = 6, *, rng=None, **opts
-) -> CbEstimate:
-    """Sampled contractivity certificate for the F-compression.
-
-    A coordinate compression is completely contractive for every p; the
-    identity input realizes ratio 1 exactly, so the levels should pin 1.
-    It cross-checks the structural certificate that the witness uses.
-    """
-    return cb_norm_lower(folner_phi_map(folner, rep), rep.p, n_max=n_max, trials=trials, rng=rng, **opts)
-
-
-def psi_contractivity_certificate(
-    folner: FolnerSet, rep: CovariantRep, n_max: int = 2, trials: int = 6, *, rng=None, **opts
-) -> CbEstimate:
-    """Sampled contractivity certificate for the averaging map.
-
-    Its levels are lower bounds and must stay at or below the structural
-    bound of :func:`folner_psi_factors`, which the witness uses; this is
-    the sampled cross-check.
-    """
-    return cb_norm_lower(folner_psi_map(folner, rep), rep.p, n_max=n_max, trials=trials, rng=rng, **opts)
-
-
 def _roundtrip_bound(f: CcElement, folner: FolnerSet, rep: CovariantRep, **est_opts) -> float:
     """Per-term defect budget: sum_s |1 - |F cap sF|/|F|| ||pi(a_s) v(s)||."""
     total = 0.0
@@ -354,7 +332,7 @@ def lift_factorization(fact: Factorization, n: int, entries: dict | None = None,
     """Amplify a factorization to n x n block matrices over its algebra.
 
     The maps become id_{M_n} (x) phi and id_{M_n} (x) psi; amplification
-    does not change a cb norm, so the parent's sampled lower bounds remain
+    does not change a cb norm, so the parent's structural bounds remain
     valid and are carried over.  Round-trip errors are measured on block
     matrices assembled from ``entries`` (id -> (n, n, d, d) array of
     blocks); the per-entry errors of the parent control them up to a factor
@@ -416,13 +394,15 @@ def corner_restrict(
     *,
     test_elements: dict | None = None,
     rng=None,
-    cert_opts: dict | None = None,
 ) -> Factorization:
     """Restrict a factorization of M_outer (x) A to one of A via the corner.
 
     Returns (phi o iota, rho o psi).  rho(iota(a)) = a exactly, so the
     restricted round trip agrees with the parent's on embedded elements up
-    to the contraction rho, and the measured error can only shrink.
+    to the contraction rho, and the measured error can only shrink.  iota
+    is an isometric monomial embedding and rho a compression, so
+    cb(phi o iota) <= cb(phi) and cb(rho o psi) <= cb(psi): the parent's
+    certificates carry over.  ``rng`` only draws the default test elements.
     """
     big = fact.phi.domain_dim
     if big % outer != 0:
@@ -432,20 +412,18 @@ def corner_restrict(
     rho = corner_project(outer, dim)
     phi2 = fact.phi.compose(iota)
     psi2 = rho.compose(fact.psi)
-    gen = as_generator(rng)
     if test_elements is None:
+        gen = as_generator(rng)
         test_elements = {
             f"a{t}": gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
             for t in range(2)
         }
-    copts = dict(_LIGHT_CERT)
-    copts.update(cert_opts or {})
     return Factorization(
         phi=phi2,
         psi=psi2,
         target_dim=fact.target_dim,
-        phi_cb=cb_norm_lower(phi2, fact.p, rng=gen, **copts),
-        psi_cb=cb_norm_lower(psi2, fact.p, rng=gen, **copts),
+        phi_cb=fact.phi_cb,
+        psi_cb=fact.psi_cb,
         roundtrip_errors=measure_roundtrip(phi2, psi2, test_elements, fact.p),
         p=fact.p,
     )
@@ -474,13 +452,6 @@ def truncate_map(window: int, n_keep: int, block_dim: int = 1) -> LinearMap:
     )
 
 
-def truncate_cb_certificate(
-    window: int, n_keep: int, block_dim: int, p, n_max: int = 2, trials: int = 6, *, rng=None, **opts
-) -> CbEstimate:
-    """Sampled contractivity certificate for the window truncation."""
-    return cb_norm_lower(truncate_map(window, n_keep, block_dim), p, n_max=n_max, trials=trials, rng=rng, **opts)
-
-
 # ---------------------------------------------------------------------------
 # Composition and end-to-end witnesses
 # ---------------------------------------------------------------------------
@@ -494,10 +465,8 @@ def compose_factorizations(
     eps_split: tuple,
     *,
     p,
-    bridge_phi_cb: CbEstimate | None = None,
-    bridge_psi_cb: CbEstimate | None = None,
-    rng=None,
-    cert_opts: dict | None = None,
+    bridge_phi_cb: CbEstimate,
+    bridge_psi_cb: CbEstimate,
 ) -> Factorization:
     """Chain an approximation of A through B with a factorization of B.
 
@@ -506,19 +475,14 @@ def compose_factorizations(
     bridged test set.  The triangle inequality then caps the total at
     eps1 + eps2 (the bridge's return leg is contractive); both the bridge
     certificates and the measured totals are enforced, and a violation is a
-    refusal, not a warning.
+    refusal, not a warning.  The bridge certificates must be structural
+    and at most 1; the composite's levels are the level-wise products with
+    fact_b's, since cb(A o B) <= cb(A) cb(B).
     """
     eps1, eps2 = float(eps_split[0]), float(eps_split[1])
     pe = as_exponent(p)
-    gen = as_generator(rng)
-    copts = dict(_LIGHT_CERT)
-    copts.update(cert_opts or {})
-    if bridge_phi_cb is None:
-        bridge_phi_cb = cb_norm_lower(bridge_phi, pe, rng=gen, **copts)
-    if bridge_psi_cb is None:
-        bridge_psi_cb = cb_norm_lower(bridge_psi, pe, rng=gen, **copts)
-    _check_contractive(bridge_phi_cb, "bridge phi")
-    _check_contractive(bridge_psi_cb, "bridge psi")
+    _require_proved("bridge phi", bridge_phi_cb)
+    _require_proved("bridge psi", bridge_psi_cb)
 
     bridged = {key: bridge_phi.apply(x) for key, x in test_set.items()}
     for key, err in measure_roundtrip(fact_b.phi, fact_b.psi, bridged, pe).items():
@@ -540,21 +504,21 @@ def compose_factorizations(
         phi=phi_total,
         psi=psi_total,
         target_dim=fact_b.target_dim,
-        phi_cb=cb_norm_lower(phi_total, pe, rng=gen, **copts),
-        psi_cb=cb_norm_lower(psi_total, pe, rng=gen, **copts),
+        phi_cb=_product_cb(fact_b.phi_cb, bridge_phi_cb),
+        psi_cb=_product_cb(bridge_psi_cb, fact_b.psi_cb),
         roundtrip_errors=errors,
         p=pe.p,
     )
 
 
+def _product_cb(a: CbEstimate, b: CbEstimate) -> CbEstimate:
+    """Structural bounds of a composition of two proved legs, level by level
+    over the levels both certify."""
+    return CbEstimate([(n, u * v) for (n, u), (_, v) in zip(a.levels, b.levels)], kind="structural")
+
+
 def _levels_list(cb: CbEstimate) -> list:
     return [[int(n), float(v)] for n, v in cb.levels]
-
-
-def _proved_contractive(*certs: CbEstimate) -> bool:
-    """Every certificate is a structural upper bound at or below 1 (up to
-    tolerance); a sampled lower bound at or below 1 proves nothing."""
-    return all(cb.kind == "structural" and cb.best <= 1.0 + _CB_TOL for cb in certs)
 
 
 def crossed_nuclearity_witness(
@@ -566,7 +530,7 @@ def crossed_nuclearity_witness(
     p,
     *,
     rng=None,
-    cert_opts: dict | None = None,
+    n_max: int = 2,
     est_opts: dict | None = None,
 ) -> tuple:
     """Build and check a full approximation witness for crossed elements.
@@ -577,15 +541,15 @@ def crossed_nuclearity_witness(
     factor through the F-block matrices by the Folner pair phi, psi.  Both
     maps are certified by their form, with no sampling: phi is a coordinate
     compression (``compression_cb``) and psi = R (id_F (x) pi)(.) S with
-    monomial R, S (``folner_psi_factors`` and ``monomial_cb``), so each
-    level is a proved upper bound, 1 up to rounding; ``cert_opts`` is read
-    only for its ``n_max``, the number of levels.  Nothing is drawn at
-    random: ``rng`` is accepted for compatibility and not used.  One round
-    trip per element is measured and an error above eps is refused.  The
+    monomial R, S (``folner_psi_factors`` and ``monomial_cb``), so each of
+    the ``n_max`` levels is a proved upper bound, 1 up to rounding.
+    Nothing is drawn at random: ``rng`` is accepted for compatibility and
+    not used.  One round trip per element is measured, and an error above
+    eps, like a certificate that is not structural or exceeds 1 + 1e-6
+    (refused by ``Factorization``), raises ``CertificateError``.  The
     report records per element the reduced norm, the round-trip error and
     its intersection-ratio budget, both certificates with their kind, and
-    the chosen window.  ``passed`` requires every certificate to be
-    structural and at most 1 + 1e-6, and every error to be below eps.
+    the chosen window.  ``passed`` requires every error to be below eps.
     Returns (Factorization, report).
     """
     if not fs:
@@ -615,7 +579,6 @@ def crossed_nuclearity_witness(
             break
         folner = resized
 
-    n_max = (cert_opts or {}).get("n_max", _LIGHT_CERT["n_max"])
     phi_cb = compression_cb(_folner_selector(folner, rep), rep.dimension, n_max)
     psi_cb = monomial_cb(*folner_psi_factors(folner, rep), pe, n_max)
 
@@ -639,7 +602,7 @@ def crossed_nuclearity_witness(
         {"map": "folner_phi", "kind": phi_cb.kind, "levels": _levels_list(phi_cb)},
         {"map": "folner_psi", "kind": psi_cb.kind, "levels": _levels_list(psi_cb)},
     ]
-    passed = _proved_contractive(phi_cb, psi_cb) and all(e["roundtrip_error"] < eps for e in elements)
+    passed = all(e["roundtrip_error"] < eps for e in elements)
     report = {
         "group": group_to_descriptor(carrier),
         "p": float(pe.p),
@@ -657,7 +620,7 @@ def crossed_nuclearity_witness(
     return fact, report
 
 
-def rotation_demo(n: int, k: int, p, eps: float, *, rng=None, cert_opts: dict | None = None) -> dict:
+def rotation_demo(n: int, k: int, p, eps: float, *, rng=None) -> dict:
     """Finite model of the rotation algebra at angle k/n.
 
     The base algebra is the diagonal functions on an n-point circle, the
@@ -690,9 +653,7 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None, cert_opts: dict | 
     phase = np.exp(2j * np.pi * k / n)
     commutation_dev = float(np.abs(u_mat @ z_mat - phase * (z_mat @ u_mat)).max())
 
-    _, witness_report = crossed_nuclearity_witness(
-        [u, z], eps, algebra, group, action, pe, cert_opts=cert_opts
-    )
+    _, witness_report = crossed_nuclearity_witness([u, z], eps, algebra, group, action, pe)
 
     n_arcs = n // 2 if (n % 2 == 0 and n >= 6) else n
     part = circle_partition(n, n_arcs)

@@ -218,8 +218,11 @@ def monomial_cb(r, s, p, n_max: int) -> CbEstimate:
     amplification id_{M_n} (x) phi factors through I_n (x) R and I_n (x) S,
     which have the same norms, so every level n <= n_max gets the proved
     upper bound ||R|| ||S||, up to the rounding of these few operations.
-    Input with two entries in one column of R or one row of S is refused.
+    Input with two entries in one column of R or one row of S is refused,
+    as is ``n_max < 1``: a certificate with no levels proves nothing.
     """
+    if n_max < 1:
+        raise ValueError(f"a structural certificate needs at least one level, got n_max={n_max}")
     pe = as_exponent(p)
     r_rows, _, r_values = _monomial_entries(r, "column", "R")
     _, s_cols, s_values = _monomial_entries(s, "row", "S")

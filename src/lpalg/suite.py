@@ -44,16 +44,15 @@ from .nuclearity import (
     corner_project,
     corner_restrict,
     crossed_nuclearity_witness,
-    folner_phi_cb_certificate,
+    folner_phi_map,
+    folner_psi_map,
     folner_roundtrip,
-    identity_factorization,
     lift_factorization,
     measure_roundtrip,
-    psi_contractivity_certificate,
     rotation_demo,
-    truncate_cb_certificate,
+    truncate_map,
 )
-from .opspace import LinearMap, cb_norm_lower
+from .opspace import LinearMap, cb_norm_lower, compression_cb, monomial_cb
 from .partition import (
     circle_function,
     circle_partition,
@@ -233,15 +232,15 @@ def criterion_6(seed: int):
 
     rep_f = CovariantRep(ConcreteAlgebra(2), trivial_action(cyclic_group(6), 2), 1.5)
     fol = FolnerSet(rep_f.carrier, (0, 1, 2))
-    results["folner_phi"] = folner_phi_cb_certificate(
-        fol, rep_f, n_max=3, rng=_rng(seed, 62), **opts
+    results["folner_phi"] = cb_norm_lower(
+        folner_phi_map(fol, rep_f), rep_f.p, n_max=3, rng=_rng(seed, 62), **opts
     ).levels
-    results["folner_psi"] = psi_contractivity_certificate(
-        fol, rep_f, n_max=3, rng=_rng(seed, 63), **opts
+    results["folner_psi"] = cb_norm_lower(
+        folner_psi_map(fol, rep_f), rep_f.p, n_max=3, rng=_rng(seed, 63), **opts
     ).levels
 
-    results["truncate"] = truncate_cb_certificate(
-        4, 2, 2, 3.0, n_max=3, rng=_rng(seed, 64), **opts
+    results["truncate"] = cb_norm_lower(
+        truncate_map(4, 2, 2), 3.0, n_max=3, rng=_rng(seed, 64), **opts
     ).levels
     results["corner_rho"] = cb_norm_lower(
         corner_project(2, 2), 1.5, n_max=3, rng=_rng(seed, 65), **opts
@@ -387,6 +386,12 @@ def criterion_10(seed: int):
     return ok, {"partition_sum_dev": sums_dev, "roundtrips": results}
 
 
+def _shrink_cb(dim: int, c: float):
+    """Structural certificate of x -> c x on M_dim: R = c I, S = I, rho = id."""
+    idx = np.arange(dim)
+    return monomial_cb((idx, idx, np.full(dim, c)), (idx, idx, np.ones(dim)), 2.0, 1)
+
+
 def criterion_11(seed: int):
     """Amplification keeps errors within n^2 bookkeeping; corners only shrink."""
     gen = _rng(seed, 11)
@@ -394,8 +399,7 @@ def criterion_11(seed: int):
     shrink = 1.0 - 1e-3
     phi = LinearMap.identity(d)
     psi = LinearMap(d, d, apply_fn=lambda x: shrink * np.asarray(x, dtype=complex), name="shrink")
-    cb = cb_norm_lower(phi, 2.0, n_max=1, trials=2, ascent_steps=0, rng=_rng(seed, 111))
-    cb2 = cb_norm_lower(psi, 2.0, n_max=1, trials=2, ascent_steps=0, rng=_rng(seed, 112))
+    cb, cb2 = compression_cb(np.arange(d), d, 1), _shrink_cb(d, shrink)
     lift_ok = True
     lift_rows = []
     for n in (1, 2, 3):
@@ -418,8 +422,8 @@ def criterion_11(seed: int):
         LinearMap.identity(big),
         psi_big,
         big,
-        cb_norm_lower(LinearMap.identity(big), 2.0, n_max=1, trials=2, ascent_steps=0, rng=_rng(seed, 113)),
-        cb_norm_lower(psi_big, 2.0, n_max=1, trials=2, ascent_steps=0, rng=_rng(seed, 114)),
+        compression_cb(np.arange(big), big, 1),
+        _shrink_cb(big, shrink),
         p=2.0,
     )
     corner_ok = True
@@ -428,9 +432,7 @@ def criterion_11(seed: int):
     for t in range(3):
         a = _random_matrix(gen, dim)
         block_err = measure_roundtrip(parent_big.phi, parent_big.psi, {"b": iota.apply(a)}, 2.0)["b"]
-        restricted = corner_restrict(
-            parent_big, outer, test_elements={"a": a}, rng=_rng(seed, 115 + t)
-        )
+        restricted = corner_restrict(parent_big, outer, test_elements={"a": a})
         err = restricted.roundtrip_errors["a"]
         corner_rows.append({"corner_error": err, "block_error": block_err})
         corner_ok = corner_ok and err <= block_err + 1e-9

@@ -11,8 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from lpalg import CcElement, ZWindow, canonical_json, cc_element_to_obj, cyclic_group, matrix_to_obj
+from lpalg import nuclearity
 from lpalg.cli import main
+from lpalg.crossed import CcElement
+from lpalg.groups import ZWindow
+from lpalg.opspace import CbEstimate
+from lpalg.serialize import canonical_json, cc_element_to_obj, matrix_to_obj
 
 
 def _write(path, obj):
@@ -113,6 +117,26 @@ def test_witness_passes_on_window_element(element_file, capsys):
     fields = lines[1].split(",")
     assert fields[0] == "f0"
     assert float(fields[2]) == pytest.approx(1 / 21, abs=1e-12)
+
+
+def test_witness_k_max_sets_the_levels_and_a_sampled_certificate_exits_1(
+    element_file, capsys, monkeypatch
+):
+    argv = ["witness", "--elements", element_file, "--epsilon", "0.3", "--k-max", "3"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["levels"] for c in report["certificates"]] == [[[1, 1.0], [2, 1.0], [3, 1.0]]] * 2
+    sampled = CbEstimate(levels=[(1, 1.0)])  # a lower bound proves nothing
+    monkeypatch.setattr(nuclearity, "monomial_cb", lambda *args, **kwargs: sampled)
+    assert main(argv) == 1
+    assert "certificate failure" in capsys.readouterr().err
+
+
+def test_witness_refuses_k_max_below_one(element_file, capsys):
+    for k_max in ("0", "-2"):
+        argv = ["witness", "--elements", element_file, "--epsilon", "0.3", "--k-max", k_max]
+        assert main(argv) == 2
+        assert "at least one level" in capsys.readouterr().err
 
 
 def test_witness_has_no_trials_option(element_file, capsys):

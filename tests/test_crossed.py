@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from lpalg import (
+from lpalg.crossed import (
     CcElement,
     ConcreteAlgebra,
     CovariantRep,
     IsometricAction,
-    ZWindow,
     compress_identity_check,
     conditional_expectation,
     cyclic_coordinate_rotation,
-    cyclic_group,
     expectation_cb_certificate,
     is_phased_permutation,
     random_cc_element,
@@ -20,6 +18,7 @@ from lpalg import (
     trivial_action,
     twisted_convolve,
 )
+from lpalg.groups import ZWindow, cyclic_group
 
 COVARIANCE_TOL = 1e-13
 MULT_TOL = 1e-11

@@ -15,27 +15,26 @@ import math
 import numpy as np
 import pytest
 
-from lpalg import (
+from lpalg import crossed, opspace
+from lpalg.crossed import (
     CcElement,
     ConcreteAlgebra,
     CovariantRep,
-    FolnerSet,
     IsometricAction,
-    LinearMap,
-    ZWindow,
+    random_cc_element,
+)
+from lpalg.groups import FolnerSet, ZWindow, cyclic_group
+from lpalg.lpnorm import pnorm_estimate, pnorm_estimate_stack, vector_pnorm
+from lpalg.nuclearity import (
     corner_project,
-    cyclic_group,
     folner_phi,
     folner_phi_map,
     folner_psi,
     folner_psi_map,
-    random_cc_element,
     truncate_map,
-    vector_pnorm,
 )
-from lpalg import crossed, opspace
-from lpalg.lpnorm import pnorm_estimate, pnorm_estimate_stack
 from lpalg.opspace import (
+    LinearMap,
     _default_level_inputs,
     _gaussian_sampler,
     apply_amplified,

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lpalg import (
+from lpalg.errors import CapacityError
+from lpalg.groups import (
     FolnerSet,
     ZWindow,
     cyclic_group,
@@ -19,7 +20,6 @@ from lpalg import (
     regular_rep,
     translate_set,
 )
-from lpalg.errors import CapacityError
 
 KLEIN_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 

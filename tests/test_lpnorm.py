@@ -9,7 +9,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lpalg import (
+from lpalg.errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
+from lpalg.lpnorm import (
     PExponent,
     adjoint,
     as_exponent,
@@ -20,7 +21,6 @@ from lpalg import (
     validate_matrix,
     vector_pnorm,
 )
-from lpalg.errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
 
 REL_TOL = 1e-8
 ORACLE_REL_TOL = 1e-5
@@ -80,6 +80,23 @@ def test_dual_vector_attains_pairing():
 def test_dual_vector_of_zero_is_zero():
     u = dual_vector(np.zeros(3), 1.5)
     assert np.all(u == 0.0)
+
+
+def test_dual_vector_of_subnormal_vector():
+    # numpy divides by |y| through 1/|y|, which overflows below 2^-1024
+    rng = np.random.default_rng(8)
+    y = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) * 2.0**-1060
+    assert np.abs(y).max() < 2.0**-1024
+    normal = np.ldexp(y.real, 1060) + 1j * np.ldexp(y.imag, 1060)  # exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1.0, 1.5, np.inf):
+            u = dual_vector(y, p)
+            assert vector_pnorm(u, as_exponent(p).q) == pytest.approx(1.0, abs=1e-12)
+            # subnormal moduli carry few digits, so the pairing is loose
+            assert np.vdot(u, normal).real == pytest.approx(vector_pnorm(normal, p), rel=1e-3)
+        for p in (1.0, np.inf):  # pure signs: exact, as on the rescaled vector
+            assert np.array_equal(dual_vector(y, p), dual_vector(normal, p))
 
 
 # ---------------------------------------------------------------------------

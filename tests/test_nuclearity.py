@@ -1,27 +1,30 @@
 """Tests for finite-stage factorizations through matrix algebras."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from lpalg import (
-    CbEstimate,
+from lpalg import nuclearity, opspace
+from lpalg.crossed import (
     CcElement,
     ConcreteAlgebra,
     CovariantRep,
-    Factorization,
-    FolnerSet,
     IsometricAction,
-    LinearMap,
-    ZWindow,
+    cyclic_coordinate_rotation,
+    random_cc_element,
+    trivial_action,
+)
+from lpalg.errors import CertificateError
+from lpalg.groups import FolnerSet, ZWindow, cyclic_group
+from lpalg.nuclearity import (
+    Factorization,
     compose_factorizations,
     corner_embed,
     corner_project,
     corner_restrict,
     crossed_nuclearity_witness,
-    cyclic_coordinate_rotation,
-    cyclic_group,
     folner_phi,
-    folner_phi_cb_certificate,
     folner_phi_map,
     folner_psi,
     folner_psi_map,
@@ -29,16 +32,11 @@ from lpalg import (
     identity_factorization,
     lift_factorization,
     measure_roundtrip,
-    psi_contractivity_certificate,
-    random_cc_element,
     rotation_demo,
-    trivial_action,
-    truncate_cb_certificate,
     truncate_map,
     truncate_stable,
 )
-from lpalg import nuclearity
-from lpalg.errors import CertificateError
+from lpalg.opspace import CbEstimate, LinearMap, cb_norm_lower, compression_cb, monomial_cb
 
 CB_SLACK = 1e-6
 LIGHT = {"trials": 4, "ascent_steps": 2, "restarts": 6, "max_iters": 60}
@@ -106,10 +104,10 @@ def _z_phased_rep(p):
 def test_folner_certificates_are_contractive():
     rep = _rotation_rep(6, 3.0)
     folner = FolnerSet(cyclic_group(6), (0, 1, 2))
-    phi = folner_phi_cb_certificate(folner, rep, n_max=2, rng=np.random.default_rng(2),
-                                    **LIGHT)
-    psi = psi_contractivity_certificate(folner, rep, n_max=2, rng=np.random.default_rng(3),
-                                        **LIGHT)
+    phi = cb_norm_lower(folner_phi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(2),
+                        **LIGHT)
+    psi = cb_norm_lower(folner_psi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(3),
+                        **LIGHT)
     assert phi.best <= 1.0 + CB_SLACK
     assert psi.best <= 1.0 + CB_SLACK
 
@@ -118,7 +116,7 @@ def test_sampled_folner_phi_cross_check_on_a_phased_z_window():
     # the witness certifies phi by construction; the sampled check agrees
     rep = _z_phased_rep(3.0)
     folner = FolnerSet(rep.carrier, (-1, 0, 1, 2))
-    phi = folner_phi_cb_certificate(folner, rep, n_max=2, rng=np.random.default_rng(2), **LIGHT)
+    phi = cb_norm_lower(folner_phi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(2), **LIGHT)
     assert phi.kind == "sampled_lower"
     assert phi.best <= 1.0 + nuclearity._CB_TOL
 
@@ -144,18 +142,54 @@ def test_folner_maps_package_dimensions():
 # ---------------------------------------------------------------------------
 
 def test_identity_factorization_is_exact():
-    fact = identity_factorization(3, 2.0, rng=np.random.default_rng(4))
+    fact = identity_factorization(3, 2.0, n_max=2)
     assert fact.target_dim == 3
     assert fact.worst_error == 0.0
-    assert fact.phi_cb.best <= 1.0 + CB_SLACK
+    assert fact.phi_cb.kind == fact.psi_cb.kind == "structural"
+    assert fact.phi_cb.levels == fact.psi_cb.levels == [(1, 1.0), (2, 1.0)]
+
+
+def _structural(level):
+    return CbEstimate(levels=[(1, level)], kind="structural")
+
+
+def _scaling(dim, c):
+    """x -> c x on M_dim with its structural certificate (R = c I, S = I)."""
+    idx = np.arange(dim)
+    cb = monomial_cb((idx, idx, np.full(dim, c)), (idx, idx, np.ones(dim)), 2.0, 2)
+    return LinearMap(dim, dim, apply_fn=lambda a: c * np.asarray(a, dtype=complex)), cb
 
 
 def test_factorization_rejects_expansive_certificates():
     ident = LinearMap.identity(2)
-    bad = CbEstimate(levels=[(1, 1.01)])
-    good = CbEstimate(levels=[(1, 1.0)])
+    bad = _structural(1.01)
+    good = _structural(1.0)
     with pytest.raises(CertificateError):
         Factorization(phi=ident, psi=ident, target_dim=2, phi_cb=bad, psi_cb=good)
+
+
+def test_factorization_refuses_a_sampled_certificate_at_one():
+    # a sampled level is a lower bound: at exactly 1.0 it still proves nothing
+    ident = LinearMap.identity(2)
+    sampled = CbEstimate(levels=[(1, 1.0)], kind="sampled_lower")
+    for phi_cb, psi_cb in ((sampled, _structural(1.0)), (_structural(1.0), sampled)):
+        with pytest.raises(CertificateError, match="sampled_lower"):
+            Factorization(phi=ident, psi=ident, target_dim=2, phi_cb=phi_cb, psi_cb=psi_cb)
+
+
+def test_factorization_refuses_a_certificate_with_no_levels():
+    # a structural certificate with no levels bounds nothing
+    ident = LinearMap.identity(2)
+    empty = CbEstimate(levels=[], kind="structural")
+    for phi_cb, psi_cb in ((empty, _structural(1.0)), (_structural(1.0), empty)):
+        with pytest.raises(CertificateError):
+            Factorization(phi=ident, psi=ident, target_dim=2, phi_cb=phi_cb, psi_cb=psi_cb)
+    doubling = ((np.arange(2), np.arange(2), np.full(2, 2.0)), (np.arange(2), np.arange(2), np.ones(2)))
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="at least one level"):
+            monomial_cb(*doubling, 2.0, n_max)
+        with pytest.raises(ValueError, match="at least one level"):
+            identity_factorization(2, 2.0, n_max=n_max)
 
 
 def test_measure_roundtrip_reports_per_element_errors():
@@ -167,7 +201,7 @@ def test_measure_roundtrip_reports_per_element_errors():
 
 
 def test_lift_scales_errors_by_block_count():
-    base = identity_factorization(2, 2.0, rng=np.random.default_rng(5))
+    base = identity_factorization(2, 2.0)
     shrink = LinearMap(2, 2, apply_fn=lambda a: (1 - 1e-3) * np.asarray(a, dtype=complex))
     lossy = Factorization(phi=base.phi, psi=shrink, target_dim=2,
                           phi_cb=base.phi_cb, psi_cb=base.psi_cb,
@@ -198,15 +232,45 @@ def test_corner_embed_project_are_mutually_inverse():
 
 
 def test_corner_restrict_of_exact_parent_is_exact():
-    parent = identity_factorization(4, 1.5, rng=np.random.default_rng(8))
+    parent = identity_factorization(4, 1.5, n_max=2)
     rng = np.random.default_rng(9)
     tests = {f"a{i}": rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
              for i in range(3)}
-    fact = corner_restrict(parent, 2, test_elements=tests,
-                           rng=np.random.default_rng(10), cert_opts=dict(LIGHT, n_max=2))
+    fact = corner_restrict(parent, 2, test_elements=tests)
     assert fact.worst_error == 0.0
-    assert fact.phi_cb.best <= 1.0 + CB_SLACK
-    assert fact.psi_cb.best <= 1.0 + CB_SLACK
+    assert (fact.phi_cb, fact.psi_cb) == (parent.phi_cb, parent.psi_cb)
+
+
+def _count_sampled_cb(monkeypatch) -> list:
+    """Replace cb_norm_lower by a counter in every loaded lpalg module that
+    binds it (``from .opspace import cb_norm_lower`` makes copies) and
+    return the list the counter appends the sampled map names to."""
+    calls = []
+    sampled = opspace.cb_norm_lower
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return sampled(*args, **kwargs)
+
+    bound = [mod for name, mod in sorted(sys.modules.items())
+             if name.startswith("lpalg") and getattr(mod, "cb_norm_lower", None) is sampled]
+    assert opspace in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, "cb_norm_lower", counting)
+    return calls
+
+
+def test_corner_restrict_and_identity_sample_no_cb_norm(monkeypatch):
+    calls = _count_sampled_cb(monkeypatch)
+    assert not hasattr(nuclearity, "cb_norm_lower")
+    parent = identity_factorization(6, 3.0, n_max=3)
+    shrink, shrink_cb = _scaling(6, 0.5)
+    lossy = Factorization(parent.phi, shrink, 6, parent.phi_cb, shrink_cb, p=3.0)
+    fact = corner_restrict(lossy, 3, rng=np.random.default_rng(10))
+    assert calls == []
+    assert fact.psi_cb is shrink_cb and fact.phi_cb is parent.phi_cb
+    assert sorted(fact.roundtrip_errors) == ["a0", "a1"]
+    assert all(err > 0.0 for err in fact.roundtrip_errors.values())
 
 
 def test_truncate_keeps_leading_blocks():
@@ -222,8 +286,8 @@ def test_truncate_keeps_leading_blocks():
 
 
 def test_truncate_certificate_contractive():
-    cert = truncate_cb_certificate(4, 2, 2, 3.0, n_max=2,
-                                   rng=np.random.default_rng(11), **LIGHT)
+    cert = cb_norm_lower(truncate_map(4, 2, 2), 3.0, n_max=2,
+                         rng=np.random.default_rng(11), **LIGHT)
     assert cert.best <= 1.0 + CB_SLACK
     tm = truncate_map(4, 2, 2)
     assert tm.domain_dim == 8 and tm.codomain_dim == 8
@@ -234,37 +298,64 @@ def test_truncate_certificate_contractive():
 # ---------------------------------------------------------------------------
 
 def test_compose_identity_bridges_is_lossless():
-    inner = identity_factorization(2, 2.0, rng=np.random.default_rng(12))
+    inner = identity_factorization(2, 2.0, n_max=2)
     ident = LinearMap.identity(2)
     tests = {"x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)}
     fact = compose_factorizations(ident, ident, inner, tests, (0.1, 0.0), p=2.0,
-                                  rng=np.random.default_rng(13),
-                                  cert_opts=dict(LIGHT, n_max=2))
+                                  bridge_phi_cb=inner.phi_cb, bridge_psi_cb=inner.psi_cb)
     assert fact.worst_error == 0.0
+    assert fact.phi_cb.kind == fact.psi_cb.kind == "structural"
 
 
 def test_compose_rejects_expansive_bridge():
-    inner = identity_factorization(2, 2.0, rng=np.random.default_rng(14))
-    double = LinearMap(2, 2, apply_fn=lambda a: 2.0 * np.asarray(a, dtype=complex))
+    inner = identity_factorization(2, 2.0, n_max=2)
+    double, double_cb = _scaling(2, 2.0)
+    assert double_cb.levels == [(1, 2.0), (2, 2.0)] and double_cb.kind == "structural"
     ident = LinearMap.identity(2)
     with pytest.raises(CertificateError):
         compose_factorizations(double, ident, inner, {}, (0.1, 0.0), p=2.0,
-                               rng=np.random.default_rng(15),
-                               cert_opts=dict(LIGHT, n_max=2))
+                               bridge_phi_cb=double_cb, bridge_psi_cb=inner.psi_cb)
+    with pytest.raises(CertificateError):
+        compose_factorizations(ident, double, inner, {}, (0.1, 0.0), p=2.0,
+                               bridge_phi_cb=inner.phi_cb, bridge_psi_cb=double_cb)
+
+
+def test_compose_refuses_a_sampled_bridge():
+    inner = identity_factorization(2, 2.0)
+    ident = LinearMap.identity(2)
+    sampled = CbEstimate(levels=[(1, 1.0)])
+    with pytest.raises(CertificateError):
+        compose_factorizations(ident, ident, inner, {}, (0.1, 0.0), p=2.0,
+                               bridge_phi_cb=sampled, bridge_psi_cb=inner.psi_cb)
+
+
+def test_compose_levels_are_level_wise_products():
+    # phi_total = phi_b o bridge_phi and psi_total = bridge_psi o psi_b, over
+    # the levels both legs certify
+    ident = LinearMap.identity(2)
+    half, half_cb = _scaling(2, 0.5)
+    shrink, shrink_cb = _scaling(2, 0.75)
+    inner = Factorization(ident, shrink, 2, compression_cb(np.arange(2), 2, 3), shrink_cb, p=2.0)
+    tests = {"x": np.eye(2, dtype=complex)}
+    fact = compose_factorizations(half, ident, inner, tests, (0.5, 0.25), p=2.0,
+                                  bridge_phi_cb=half_cb, bridge_psi_cb=compression_cb(np.arange(2), 2, 2))
+    assert fact.phi_cb.kind == fact.psi_cb.kind == "structural"
+    assert fact.phi_cb.levels == [(1, 0.5), (2, 0.5)]
+    assert fact.psi_cb.levels == [(1, 0.75), (2, 0.75)]
+    assert fact.roundtrip_errors["x"] == pytest.approx(0.625, abs=1e-12)
 
 
 def test_compose_rejects_budget_overrun():
     shrink = LinearMap(2, 2, apply_fn=lambda a: 0.5 * np.asarray(a, dtype=complex))
     ident = LinearMap.identity(2)
     inner = Factorization(phi=ident, psi=shrink, target_dim=2,
-                          phi_cb=CbEstimate(levels=[(1, 1.0)]),
-                          psi_cb=CbEstimate(levels=[(1, 1.0)]),
+                          phi_cb=_structural(1.0),
+                          psi_cb=_structural(1.0),
                           roundtrip_errors={}, p=2.0)
     tests = {"x": np.eye(2, dtype=complex)}
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="loses"):
         compose_factorizations(ident, ident, inner, tests, (0.01, 0.01), p=2.0,
-                               rng=np.random.default_rng(16),
-                               cert_opts=dict(LIGHT, n_max=2))
+                               bridge_phi_cb=_structural(1.0), bridge_psi_cb=_structural(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +368,7 @@ def test_witness_on_finite_group_is_exact():
     f = random_cc_element(rng, carrier, 6)
     fact, report = crossed_nuclearity_witness(
         [f], 0.3, ConcreteAlgebra(6), carrier, cyclic_coordinate_rotation(6, 1), 3.0,
-        rng=np.random.default_rng(18), cert_opts=dict(LIGHT, n_max=2))
+        rng=np.random.default_rng(18), n_max=2)
     assert report["passed"]
     assert report["folner"]["members"] == list(range(6))
     assert all(entry["roundtrip_error"] == 0.0 for entry in report["elements"])
@@ -286,14 +377,7 @@ def test_witness_on_finite_group_is_exact():
 
 def test_witness_certifies_the_folner_pair_once(monkeypatch):
     # both maps are certified by their form; nothing is sampled
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].name)
-        return sampled(*args, **kwargs)
-
-    sampled = nuclearity.cb_norm_lower
-    monkeypatch.setattr(nuclearity, "cb_norm_lower", counting)
+    calls = _count_sampled_cb(monkeypatch)
     zw = ZWindow(0)
     f = CcElement.delta(zw, 1, base_dim=1)
     fact, report = crossed_nuclearity_witness(

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from lpalg import (
+from lpalg.opspace import (
     CbEstimate,
     LinearMap,
     apply_amplified,
     block_matrix,
     cb_norm_lower,
+    compression_cb,
     split_blocks,
 )
-from lpalg.opspace import compression_cb
 
 CB_SLACK = 1e-6
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lpalg import (
+from lpalg.partition import (
     PartitionOfUnity,
     circle_function,
     circle_partition,

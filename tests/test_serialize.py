@@ -5,22 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from lpalg import (
-    CcElement,
-    LinearMap,
-    ZWindow,
+from lpalg.crossed import CcElement, cyclic_coordinate_rotation, trivial_action
+from lpalg.groups import ZWindow, cyclic_group
+from lpalg.opspace import LinearMap
+from lpalg.serialize import (
     action_from_obj,
     action_to_obj,
     canonical_json,
     cc_element_from_obj,
     cc_element_to_obj,
-    cyclic_coordinate_rotation,
-    cyclic_group,
     linear_map_from_obj,
     linear_map_to_obj,
     matrix_from_obj,
     matrix_to_obj,
-    trivial_action,
 )
 
 

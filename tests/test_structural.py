@@ -13,33 +13,42 @@ import math
 import numpy as np
 import pytest
 
-from lpalg import (
-    CbEstimate,
+from lpalg import nuclearity
+from lpalg.crossed import (
     CcElement,
     ConcreteAlgebra,
     CovariantRep,
-    FolnerSet,
     IsometricAction,
-    ZWindow,
-    circle_partition,
+    cyclic_coordinate_rotation,
+    trivial_action,
+)
+from lpalg.errors import CertificateError
+from lpalg.groups import FolnerSet, ZWindow, cyclic_group
+from lpalg.lpnorm import pnorm_estimate, pnorm_exact
+from lpalg.nuclearity import (
+    _folner_selector,
     crossed_nuclearity_witness,
+    folner_phi_map,
+    folner_psi,
+    folner_psi_factors,
+    folner_psi_map,
+    rotation_demo,
+)
+from lpalg.opspace import (
+    CbEstimate,
+    block_matrix,
+    cb_norm_lower,
+    compression_cb,
+    monomial_cb,
+    split_blocks,
+)
+from lpalg.partition import (
+    circle_partition,
+    cx_blend_factors,
     cx_partition_psi,
     cx_phi_cb_certificate,
     cx_psi_cb_certificate,
-    cyclic_coordinate_rotation,
-    cyclic_group,
-    folner_phi_cb_certificate,
-    folner_psi,
-    pnorm_estimate,
-    pnorm_exact,
-    psi_contractivity_certificate,
-    rotation_demo,
-    trivial_action,
 )
-from lpalg import nuclearity
-from lpalg.nuclearity import _folner_selector, folner_psi_factors
-from lpalg.opspace import block_matrix, compression_cb, monomial_cb, split_blocks
-from lpalg.partition import cx_blend_factors
 
 CB_TOL = 1e-6
 LIGHT = {"trials": 4, "ascent_steps": 2, "restarts": 6, "max_iters": 60}
@@ -221,8 +230,8 @@ def test_sampled_folner_certificates_stay_below_the_structural_bounds(case):
     rep, folner = _folner_cases()[case]
     structural_phi = compression_cb(_folner_selector(folner, rep), rep.dimension, 2)
     structural_psi = monomial_cb(*folner_psi_factors(folner, rep), rep.p, 2)
-    sampled_phi = folner_phi_cb_certificate(folner, rep, n_max=2, rng=np.random.default_rng(7), **LIGHT)
-    sampled_psi = psi_contractivity_certificate(folner, rep, n_max=2, rng=np.random.default_rng(8), **LIGHT)
+    sampled_phi = cb_norm_lower(folner_phi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(7), **LIGHT)
+    sampled_psi = cb_norm_lower(folner_psi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(8), **LIGHT)
     for sampled, structural in ((sampled_phi, structural_phi), (sampled_psi, structural_psi)):
         assert (sampled.kind, structural.kind) == ("sampled_lower", "structural")
         for (n, low), (_, high) in zip(sampled.levels, structural.levels):
@@ -256,9 +265,8 @@ def _line_witness(**kwargs):
 def test_witness_refuses_to_pass_on_a_sampled_certificate(monkeypatch):
     sampled = CbEstimate(levels=[(1, 1.0), (2, 1.0)])  # a lower bound: proves nothing
     monkeypatch.setattr(nuclearity, "monomial_cb", lambda *args, **kwargs: sampled)
-    _, report = _line_witness()
-    assert report["certificates"][1]["kind"] == "sampled_lower"
-    assert report["passed"] is False
+    with pytest.raises(CertificateError, match="psi certificate"):
+        _line_witness()
 
 
 def test_rotation_model_refuses_to_pass_on_a_sampled_partition_certificate(monkeypatch):
