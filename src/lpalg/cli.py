@@ -2,9 +2,9 @@
 
 Each subcommand reads JSON inputs, runs the corresponding operation with
 all randomness derived from ``--seed`` (``witness`` and ``rotation`` draw
-none), and emits a JSON report (canonical byte-for-byte form) or a
-fixed-column CSV projection.  Exit codes: 0 on success, 1 when a
-certificate or acceptance check fails, 2 on input errors.
+none and take no ``--seed``), and emits a JSON report (canonical
+byte-for-byte form) or a fixed-column CSV projection.  Exit codes: 0 on
+success, 1 when a certificate or acceptance check fails, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -177,11 +177,8 @@ def _cmd_crossed(args) -> int:
     f = _load_element(args)
     action = _parse_action(args.action, f.carrier, f.base_dim)
     p = _parse_p(args.p)
-    if isinstance(f.carrier, ZWindow):
-        radius = max(abs(s) for s in f.support) + 2
-        rep = CovariantRep(ConcreteAlgebra(f.base_dim), action, p, window_radius=radius)
-    else:
-        rep = CovariantRep(ConcreteAlgebra(f.base_dim), action, p)
+    radius = max((abs(s) for s in f.support), default=0) + 2  # a finite carrier ignores it
+    rep = CovariantRep(ConcreteAlgebra(f.base_dim), action, p, window_radius=radius)
     est = reduced_norm(f, rep, restarts=args.restarts, rng=np.random.default_rng(args.seed))
     check = compress_identity_check(rep, f)
     e = rep.position_index(rep.identity_position) * f.base_dim
@@ -255,24 +252,13 @@ def _cmd_suite(args) -> int:
     print(f"suite: {'PASS' if report['passed'] else 'FAIL'}")
     payload = {"command": "suite", **report}
     rows = [[item["criterion"], item["label"], item["passed"]] for item in report["criteria"]]
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "suite.json").write_text(canonical_json(payload), encoding="utf-8")
-        (out_dir / "suite.csv").write_text(
-            _csv_text(["criterion", "label", "passed"], rows), encoding="utf-8"
-        )
-    elif args.format == "json":
-        sys.stdout.write(canonical_json(payload))
+    _emit(args, payload, ["criterion", "label", "passed"], rows)
     return 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-
-_UNSEEDED = "accepted and unused: the certificates are structural, so nothing is drawn at random"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -286,9 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(cmd, *, p_default="2", seed_help="seed for all randomness"):
+    def common(cmd, *, p_default="2", seeded=True):
         cmd.add_argument("--p", default=p_default, help="exponent in [1, inf]; 'inf' allowed")
-        cmd.add_argument("--seed", type=int, default=0, help=seed_help)
+        if seeded:
+            cmd.add_argument("--seed", type=int, default=0, help="seed for all randomness")
         cmd.add_argument("--out", default=None, help="directory for JSON and CSV artifacts")
         cmd.add_argument("--format", choices=("json", "csv"), default="json",
                          help="stdout format when --out is not given")
@@ -333,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--epsilon", type=float, required=True, help="round-trip error budget")
     c.add_argument("--k-max", type=int, default=2, dest="k_max",
                    help="largest certificate amplification level")
-    common(c, p_default="1.5", seed_help=_UNSEEDED)
+    common(c, p_default="1.5", seeded=False)
     c.set_defaults(handler=_cmd_witness)
 
     c = sub.add_parser("rotation", help="rotation-algebra model report (CSV: p,theta_model,"
@@ -341,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True, help="grid points on the circle")
     c.add_argument("--k", type=int, required=True, help="rotation steps per generator")
     c.add_argument("--epsilon", type=float, default=0.3)
-    common(c, p_default="1.5", seed_help=_UNSEEDED)
+    common(c, p_default="1.5", seeded=False)
     c.set_defaults(handler=_cmd_rotation)
 
     c = sub.add_parser("suite", help="run the acceptance battery (CSV: criterion,label,passed)")

@@ -343,8 +343,11 @@ def twisted_convolve(f: CcElement, g: CcElement, action: IsometricAction) -> CcE
 class CovariantRep:
     """The regular covariant pair (pi, v) on l^p(positions) (x) C^d.
 
-    For a finite carrier the positions are all group elements; for Z they
-    are the window {-W..W} and translation is truncated at the edges.
+    The positions are the carrier's window: for a finite carrier all group
+    elements, for Z the interval {-W..W}, where translation is truncated at
+    the edges.  Either window is a run of consecutive integers starting at
+    -window_radius (0 on a finite carrier), so element t sits at index
+    t + window_radius.
     """
 
     def __init__(self, algebra: ConcreteAlgebra, action: IsometricAction, p, window_radius: int | None = None):
@@ -353,20 +356,11 @@ class CovariantRep:
         self.algebra = algebra
         self.action = action
         self.p = as_exponent(p)
-        carrier = action.carrier
-        if isinstance(carrier, FiniteGroup):
-            self.positions = list(carrier.elements())
-            self.identity_position = carrier.identity
-        else:
-            radius = carrier.radius if window_radius is None else int(window_radius)
-            if radius < 1:
-                raise ValueError("a Z representation needs a positive window radius")
-            self.window_radius = radius
-            self.positions = list(range(-radius, radius + 1))
-            self.identity_position = 0
-        self._pos_index = {t: i for i, t in enumerate(self.positions)}
-        pos = np.asarray(self.positions, dtype=np.int64)
-        self._inv_positions = -pos if isinstance(carrier, ZWindow) else carrier.inverse[pos]
+        window = action.carrier.window(window_radius)
+        self.positions = window.tolist()
+        self.window_radius = -self.positions[0]
+        self.identity_position = action.carrier.identity
+        self._inv_positions = action.carrier.inv(window)
 
     @property
     def carrier(self):
@@ -380,16 +374,20 @@ class CovariantRep:
     def dimension(self) -> int:
         return len(self.positions) * self.base_dim
 
-    def position_index(self, t: int) -> int:
-        return self._pos_index[t]
+    def position_index(self, t):
+        """Index of t among the positions, elementwise over integer arrays."""
+        index = np.asarray(t, dtype=np.int64) + self.window_radius
+        outside = (index < 0) | (index >= len(self.positions))
+        if outside.any():
+            raise KeyError(np.asarray(t)[outside].tolist())
+        return index
 
     def _translate(self, shifts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index triples (k, i, j) with positions[i] = shifts[k] positions[j]."""
         shifts = np.asarray(shifts, dtype=np.int64)
         nt = len(self.positions)
         which, cols = np.indices((shifts.size, nt))
-        finite = isinstance(self.carrier, FiniteGroup)  # if so, positions are the elements in order
-        rows = self.carrier.mult[shifts[which], cols] if finite else cols + shifts[which]
+        rows = self.carrier.op(shifts[which], cols - self.window_radius) + self.window_radius
         keep = (rows >= 0) & (rows < nt)
         return which[keep], rows[keep], cols[keep]
 
@@ -432,7 +430,8 @@ class CovariantRep:
         """P_e (x) I: the coordinate projection onto the identity position."""
         nt = len(self.positions)
         pe = np.zeros((nt, nt), dtype=complex)
-        pe[self._pos_index[self.identity_position], self._pos_index[self.identity_position]] = 1.0
+        e = self.position_index(self.identity_position)
+        pe[e, e] = 1.0
         return np.kron(pe, np.eye(self.base_dim, dtype=complex))
 
     def __repr__(self) -> str:
@@ -472,12 +471,13 @@ def compress_identity_check(rep: CovariantRep, f: CcElement) -> dict:
     return {"lhs": lhs, "rhs": rhs, "max_abs_diff": float(np.abs(lhs - rhs).max())}
 
 
-def _crossed_sampler(rep: CovariantRep, max_shift: int):
-    """Level sampler drawing amplified crossed-product elements."""
+def _crossed_sampler(rep: CovariantRep):
+    """Level sampler drawing amplified crossed-product elements, supported
+    on two shifts of modulus at most 2 (anywhere on a finite carrier)."""
 
     def draw(rng: np.random.Generator, n: int) -> np.ndarray:
         forms = [
-            rep.integrated(random_cc_element(rng, rep.carrier, rep.base_dim, n_terms=2, max_shift=max_shift))
+            rep.integrated(random_cc_element(rng, rep.carrier, rep.base_dim, n_terms=2, max_shift=2))
             for _ in range(n * n)
         ]
         return block_matrix(np.array(forms).reshape(n, n, rep.dimension, rep.dimension))
@@ -501,6 +501,5 @@ def expectation_cb_certificate(
     """
     proj = rep.identity_projection()
     phi = LinearMap(rep.dimension, rep.dimension, apply_fn=lambda x: proj @ x @ proj, name="E_e")
-    max_shift = 2 if not isinstance(rep.carrier, FiniteGroup) else 0
-    sampler = _crossed_sampler(rep, max_shift)
+    sampler = _crossed_sampler(rep)
     return cb_norm_lower(phi, rep.p, n_max=n_max, trials=trials, rng=rng, sampler=sampler, **engine_opts)

@@ -3,7 +3,11 @@
 A finite group is stored as a multiplication table over element indices
 0..n-1.  The group Z is represented by :class:`ZWindow`, a symmetric integer
 interval {-radius..radius} used as the carrier for truncated translation
-representations; group elements of Z are plain Python ints.
+representations; group elements of Z are the integers themselves.  Both
+carriers give the same element arithmetic: ``op`` (s t), ``inv`` (s^{-1})
+and ``window`` (the positions of a representation space), each taking
+integers or integer arrays elementwise, so code above this module never
+needs to know which carrier it holds.
 
 The left regular representation acts by (lambda(s) xi)(t) = xi(s^{-1} t), so
 lambda(s) is the permutation matrix sending the basis vector at t to the one
@@ -57,14 +61,18 @@ class FiniteGroup:
     def order(self) -> int:
         return self.mult.shape[0]
 
-    def op(self, s: int, t: int) -> int:
-        return int(self.mult[s, t])
+    def op(self, s, t):
+        return self.mult[s, t]
 
-    def inv(self, s: int) -> int:
-        return int(self.inverse[s])
+    def inv(self, s):
+        return self.inverse[s]
 
     def elements(self) -> range:
         return range(self.order)
+
+    def window(self, radius: int | None = None) -> np.ndarray:
+        """Every element, in index order; the radius does not apply."""
+        return np.arange(self.order)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -85,14 +93,18 @@ class ZWindow:
         if self.radius < 0:
             raise ValueError("window radius must be nonnegative")
 
-    def op(self, s: int, t: int) -> int:
+    def op(self, s, t):
         return s + t
 
-    def inv(self, s: int) -> int:
+    def inv(self, s):
         return -s
 
-    def positions(self) -> range:
-        return range(-self.radius, self.radius + 1)
+    def window(self, radius: int | None = None) -> np.ndarray:
+        """The interval {-r..r}, r the given radius or else the carrier's own."""
+        r = self.radius if radius is None else int(radius)
+        if r < 1:
+            raise ValueError("a Z representation needs a positive window radius")
+        return np.arange(-r, r + 1)
 
     def __repr__(self) -> str:
         return f"ZWindow(radius={self.radius})"

@@ -54,7 +54,6 @@ from .crossed import (
 )
 from .errors import CertificateError
 from .groups import (
-    FiniteGroup,
     FolnerSet,
     ZWindow,
     cyclic_group,
@@ -189,9 +188,9 @@ def _folner_selector(folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
     """Row/column indices of the F-block square inside the representation."""
     d = rep.base_dim
     try:
-        starts = np.array([rep.position_index(t) for t in folner.members]) * d
+        starts = rep.position_index(folner.members) * d
     except KeyError as exc:
-        raise ValueError(f"Folner member {exc} lies outside the representation window") from exc
+        raise ValueError(f"Folner members {exc} lie outside the representation window") from exc
     return (starts[:, None] + np.arange(d)).ravel()
 
 
@@ -240,7 +239,7 @@ def folner_psi(m, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
     rows, cols = np.nonzero(blocks.any(axis=(2, 3)))  # row-major: by row of F
     members = np.asarray(folner.members)
     s, t = members[rows], members[cols]
-    u = rep.carrier.mult[s, rep.carrier.inverse[t]] if isinstance(rep.carrier, FiniteGroup) else s - t
+    u = rep.carrier.op(s, rep.carrier.inv(t))
     u, first, group, counts = np.unique(u, return_index=True, return_inverse=True, return_counts=True)
     terms = rep.action.apply(s, blocks[rows, cols])
     same = (terms == terms[first][group]).all(axis=(1, 2))
@@ -274,22 +273,18 @@ def folner_psi_factors(folner: FolnerSet, rep: CovariantRep) -> tuple[tuple, tup
     id_F (x) pi is a direct sum over positions of conjugations by phased
     permutations, hence p-completely isometric.  The middle space is
     l^p(F) (x) l^p(B) (x) C^d, index (a * |B| + b) * d + i for the a-th
-    member of F and the b-th position of B.  On a finite group B is the
-    group.  On a Z window {-W..W} the translations are truncated, so the
-    factors are those of the untruncated psi compressed to the window,
-    R_W = P_W R and S_W = S P_W; only positions within W + max|F| reach the
-    window, so B is that wider window.  Both factors have norm 1, up to
-    rounding: every row of R and column of S holds |F| entries.
+    member of F and the b-th position of B.  On a Z window {-W..W} the
+    translations are truncated, so the factors are those of the untruncated
+    psi compressed to the window, R_W = P_W R and S_W = S P_W; only
+    positions within W + max|F| reach the window, so B is the carrier's
+    window of that radius.  On a finite group both windows are the group.
+    Both factors have norm 1, up to rounding: every row of R and column of
+    S holds |F| entries.
     """
     d, k = rep.base_dim, folner.size
     members = np.asarray(folner.members, dtype=np.int64)
-    if isinstance(rep.carrier, FiniteGroup):  # positions are the elements in order
-        wide = np.arange(rep.carrier.order)
-        lands = rep.carrier.mult[members[:, None], wide]
-    else:
-        radius = rep.window_radius + int(np.abs(members).max())
-        wide = np.arange(-radius, radius + 1)
-        lands = members[:, None] + wide + rep.window_radius
+    wide = rep.carrier.window(rep.window_radius + int(np.abs(members).max()))
+    lands = rep.carrier.op(members[:, None], wide) + rep.window_radius
     a, b = np.nonzero((lands >= 0) & (lands < len(rep.positions)))  # s r inside the window
     fiber = np.arange(d)
     mid = ((a * wide.size + b)[:, None] * d + fiber).ravel()
@@ -300,11 +295,12 @@ def folner_psi_factors(folner: FolnerSet, rep: CovariantRep) -> tuple[tuple, tup
 
 
 def _roundtrip_bound(f: CcElement, folner: FolnerSet, rep: CovariantRep, **est_opts) -> float:
-    """Per-term defect budget: sum_s |1 - |F cap sF|/|F|| ||pi(a_s) v(s)||."""
+    """Per-term defect budget: sum_s |1 - |F cap sF|/|F|| ||pi(a_s) v(s)||,
+    each pi(a_s) v(s) the integrated form of the single term a_s delta_s."""
     total = 0.0
     for s, a in f.items():
         ratio = folner_intersection(folner, s) / folner.size
-        term = rep.pi(a) @ rep.v(s)
+        term = rep.integrated(CcElement.delta(rep.carrier, s, a))
         total += abs(1.0 - ratio) * pnorm_estimate(term, rep.p, **est_opts).value
     return total
 
@@ -315,10 +311,12 @@ def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, **est_o
     For a single-term f = a delta_s the defect operator is exactly
     (|F cap sF|/|F| - 1) pi(a) v(s), so the measured error equals the
     budget to floating precision; multi-term budgets add per-term and are
-    conservative.
+    conservative.  The integrated form of f is built once, and phi is
+    applied to it by index, as :func:`folner_phi_map` does.
     """
     big = rep.integrated(f)
-    approx = folner_psi(folner_phi(f, folner, rep), folner, rep)
+    sel = _folner_selector(folner, rep)
+    approx = folner_psi(big[np.ix_(sel, sel)], folner, rep)
     error = pnorm_estimate(approx - big, rep.p, **est_opts).value
     return {"error": float(error), "bound": float(_roundtrip_bound(f, folner, rep, **est_opts))}
 
@@ -531,7 +529,6 @@ def crossed_nuclearity_witness(
     *,
     rng=None,
     n_max: int = 2,
-    est_opts: dict | None = None,
 ) -> tuple:
     """Build and check a full approximation witness for crossed elements.
 
@@ -544,12 +541,13 @@ def crossed_nuclearity_witness(
     monomial R, S (``folner_psi_factors`` and ``monomial_cb``), so each of
     the ``n_max`` levels is a proved upper bound, 1 up to rounding.
     Nothing is drawn at random: ``rng`` is accepted for compatibility and
-    not used.  One round trip per element is measured, and an error above
-    eps, like a certificate that is not structural or exceeds 1 + 1e-6
-    (refused by ``Factorization``), raises ``CertificateError``.  The
-    report records per element the reduced norm, the round-trip error and
-    its intersection-ratio budget, both certificates with their kind, and
-    the chosen window.  ``passed`` requires every error to be below eps.
+    not used.  A certificate that is not structural or exceeds 1 + 1e-6 is
+    refused by ``Factorization`` with ``CertificateError``.  One round trip
+    per element is measured by :func:`folner_roundtrip`, and the report
+    records per element the reduced norm, the round-trip error and its
+    intersection-ratio budget, both certificates with their kind, and the
+    chosen window.  ``passed`` requires every error to be below eps, so a
+    report that fails shows which element lost how much.
     Returns (Factorization, report).
     """
     if not fs:
@@ -557,22 +555,19 @@ def crossed_nuclearity_witness(
     if eps <= 0.0:
         raise ValueError("epsilon must be positive")
     pe = as_exponent(p)
-    eopts = est_opts or {}
     supports = sorted({s for f in fs for s in f.support})
 
     support_radius = max((abs(s) for s in supports), default=0)
-    if isinstance(carrier, FiniteGroup):
-        rep = CovariantRep(algebra, action, pe)
-    else:
-        rep = CovariantRep(algebra, action, pe, window_radius=max(support_radius, 1) + 4)
+    # a finite carrier's window is the whole group, whatever the radius
+    rep = CovariantRep(algebra, action, pe, window_radius=max(support_radius, 1) + 4)
 
-    norms = [reduced_norm(f, rep, **eopts).value for f in fs]
+    norms = [reduced_norm(f, rep).value for f in fs]
     m_bound = max(max(norms, default=0.0), 1e-9)
     folner = folner_search(carrier, supports, eps / (3.0 * m_bound))
 
     while isinstance(carrier, ZWindow):  # until F fits the norms of its own window
         rep = CovariantRep(algebra, action, pe, window_radius=support_radius + folner.size)
-        norms = [reduced_norm(f, rep, **eopts).value for f in fs]
+        norms = [reduced_norm(f, rep).value for f in fs]
         m_bound = max(max(norms), m_bound)
         resized = folner_search(carrier, supports, eps / (3.0 * m_bound))
         if resized.size == folner.size:
@@ -582,22 +577,17 @@ def crossed_nuclearity_witness(
     phi_cb = compression_cb(_folner_selector(folner, rep), rep.dimension, n_max)
     psi_cb = monomial_cb(*folner_psi_factors(folner, rep), pe, n_max)
 
-    phi, psi = folner_phi_map(folner, rep), folner_psi_map(folner, rep)
-    errors = measure_roundtrip(phi, psi, {f"f{i}": rep.integrated(f) for i, f in enumerate(fs)}, pe)
-    for key, err in errors.items():
-        if err > eps + 1e-9:
-            raise CertificateError(f"round trip loses {err:.3e} on {key!r}, over the {eps:.3e} budget")
-    fact = Factorization(phi, psi, folner.size * algebra.base_dim, phi_cb, psi_cb, errors, pe.p)
-
+    trips = [folner_roundtrip(f, folner, rep) for f in fs]
     elements = [
-        {
-            "id": f"f{i}",
-            "reduced_norm": float(norms[i]),
-            "roundtrip_error": float(errors[f"f{i}"]),
-            "bound": float(_roundtrip_bound(f, folner, rep, **eopts)),
-        }
-        for i, f in enumerate(fs)
+        {"id": f"f{i}", "reduced_norm": float(norms[i]), "roundtrip_error": rt["error"], "bound": rt["bound"]}
+        for i, rt in enumerate(trips)
     ]
+    errors = {e["id"]: e["roundtrip_error"] for e in elements}
+    fact = Factorization(
+        folner_phi_map(folner, rep), folner_psi_map(folner, rep), folner.size * algebra.base_dim,
+        phi_cb, psi_cb, errors, pe.p,
+    )
+
     certificates = [
         {"map": "folner_phi", "kind": phi_cb.kind, "levels": _levels_list(phi_cb)},
         {"map": "folner_psi", "kind": psi_cb.kind, "levels": _levels_list(psi_cb)},

@@ -216,6 +216,34 @@ def _field_norm(field: np.ndarray, pe) -> float:
     return max(est.value for est in pnorm_estimate_stack(field, pe, restarts=8, max_iters=60))
 
 
+def _sampled_field_cb(first, apply, size: int, p, n_max: int, trials: int, rng) -> CbEstimate:
+    """Sampled lower bounds for the cb norm of a fiberwise map of fields.
+
+    Level k compares ||apply(field)|| with ||field|| on the structured field
+    first(k) and on ``trials`` random (size, k, k) fields; each level keeps
+    the running maximum of the ratios.
+    """
+    pe = as_exponent(p)
+    gen = as_generator(rng)
+    levels = []
+    running = 0.0
+    for k in range(1, n_max + 1):
+        inputs = [first(k)]
+        inputs.extend(
+            gen.standard_normal((size, k, k)) + 1j * gen.standard_normal((size, k, k))
+            for _ in range(trials)
+        )
+        best = 0.0
+        for field in inputs:
+            den = _field_norm(field, pe)
+            if den <= 1e-12:
+                continue
+            best = max(best, _field_norm(apply(field), pe) / den)
+        running = max(running, best)
+        levels.append((k, running))
+    return CbEstimate(levels=levels)
+
+
 def cx_phi_cb_certificate(
     partition: PartitionOfUnity, p, n_max: int = 3, trials: int = 8, *, rng=None
 ) -> CbEstimate:
@@ -227,30 +255,14 @@ def cx_phi_cb_certificate(
     estimation.  A field concentrated at a sample point witnesses ratio 1
     exactly (the map is a fiber selection, never expansive).
     """
-    pe = as_exponent(p)
-    gen = as_generator(rng)
     pts = np.asarray(partition.points, dtype=int)
-    npts = partition.n_points
-    levels = []
-    running = 0.0
-    for k in range(1, n_max + 1):
-        peak = np.zeros((npts, k, k), dtype=complex)
-        peak[pts[0]] = np.eye(k)
-        inputs = [peak]
-        inputs.extend(
-            gen.standard_normal((npts, k, k)) + 1j * gen.standard_normal((npts, k, k))
-            for _ in range(trials)
-        )
-        best = 0.0
-        for field in inputs:
-            den = _field_norm(field, pe)
-            if den <= 1e-12:
-                continue
-            num = _field_norm(field[pts], pe)
-            best = max(best, num / den)
-        running = max(running, best)
-        levels.append((k, running))
-    return CbEstimate(levels=levels)
+
+    def peak(k: int) -> np.ndarray:
+        field = np.zeros((partition.n_points, k, k), dtype=complex)
+        field[pts[0]] = np.eye(k)
+        return field
+
+    return _sampled_field_cb(peak, lambda field: field[pts], partition.n_points, p, n_max, trials, rng)
 
 
 def cx_psi_cb_certificate(
@@ -264,28 +276,8 @@ def cx_psi_cb_certificate(
     map is completely isometric; the certificate should pin each level to 1
     up to fiber estimator noise.
     """
-    pe = as_exponent(p)
-    gen = as_generator(rng)
-    bumps = partition.bumps
-    m = partition.n_bumps
-    levels = []
-    running = 0.0
-    for k in range(1, n_max + 1):
-        flat = np.zeros((m, k, k), dtype=complex)
-        flat[:] = np.eye(k)
-        inputs = [flat]
-        inputs.extend(
-            gen.standard_normal((m, k, k)) + 1j * gen.standard_normal((m, k, k))
-            for _ in range(trials)
-        )
-        best = 0.0
-        for d in inputs:
-            den = _field_norm(d, pe)
-            if den <= 1e-12:
-                continue
-            field = np.einsum("ix,ikl->xkl", bumps, d)
-            num = _field_norm(field, pe)
-            best = max(best, num / den)
-        running = max(running, best)
-        levels.append((k, running))
-    return CbEstimate(levels=levels)
+    return _sampled_field_cb(
+        lambda k: np.tile(np.eye(k, dtype=complex), (partition.n_bumps, 1, 1)),
+        lambda d: np.einsum("ix,ikl->xkl", partition.bumps, d),
+        partition.n_bumps, p, n_max, trials, rng,
+    )

@@ -144,6 +144,23 @@ def test_witness_has_no_trials_option(element_file, capsys):
         main(["witness", "--elements", element_file, "--epsilon", "0.3", "--trials", "4"])
 
 
+def test_witness_over_budget_reports_the_loss_and_exits_1(element_file, capsys, monkeypatch):
+    monkeypatch.setattr(nuclearity, "folner_roundtrip", lambda *args, **kw: {"error": 0.31, "bound": 0.31})
+    assert main(["witness", "--elements", element_file, "--epsilon", "0.3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["elements"][0]["roundtrip_error"] == 0.31
+
+
+def test_witness_and_rotation_take_no_seed(element_file, capsys):
+    for argv in (["witness", "--elements", element_file, "--epsilon", "0.3"],
+                 ["rotation", "--n", "8", "--k", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "0"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 def test_pnorm_overflow_is_input_error(tmp_path, capsys):
     path = _write(tmp_path / "huge.json", matrix_to_obj(np.full((2, 2), 1e308)))
     for p in ("1", "1.5"):
@@ -169,6 +186,14 @@ def test_suite_subset(capsys):
     assert "criterion  5 [PASS]" in out
     assert "criterion  7 [PASS]" in out
     assert "suite: PASS" in out
+
+
+def test_suite_csv_on_stdout(capsys):
+    assert main(["suite", "--criteria", "5,7", "--seed", "0", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("criterion,label,passed")
+    rows = [line.split(",") for line in lines[start + 1:]]
+    assert [(row[0], row[-1]) for row in rows] == [("5", "True"), ("7", "True")]
 
 
 def test_suite_artifacts_are_deterministic(tmp_path):

@@ -88,6 +88,13 @@ def test_translation_on_window_is_truncated_shift():
     assert np.array_equal(rep.translation(1).real, expected)
 
 
+def test_z_representation_of_radius_zero_is_refused():
+    action = trivial_action(ZWindow(0), 1)
+    for radius in (None, 0):
+        with pytest.raises(ValueError, match="positive window radius"):
+            CovariantRep(ConcreteAlgebra(1), action, 2.0, window_radius=radius)
+
+
 def test_covariance_relation():
     rng = np.random.default_rng(0)
     rep = CovariantRep(ConcreteAlgebra(4), cyclic_coordinate_rotation(4, 1), 1.5)

@@ -21,9 +21,10 @@ from lpalg.crossed import (
     ConcreteAlgebra,
     CovariantRep,
     IsometricAction,
+    compress_identity_check,
     random_cc_element,
 )
-from lpalg.groups import FolnerSet, ZWindow, cyclic_group
+from lpalg.groups import FolnerSet, ZWindow, cyclic_group, group_from_table
 from lpalg.lpnorm import pnorm_estimate, pnorm_estimate_stack, vector_pnorm
 from lpalg.nuclearity import (
     corner_project,
@@ -228,6 +229,36 @@ def test_folner_psi_matches_block_loop(label, action, units, exact):
     inputs.append(np.zeros((dim, dim), dtype=complex))
     for m in inputs:
         _assert_agrees(folner_psi(m, folner, rep), _loop_folner_psi(m, folner, rep, units), exact)
+
+
+def test_identity_off_index_zero_matches_the_dense_references():
+    # Z/3 relabelled x -> (x + 2) % 3, so the identity is element 2
+    label = [2, 0, 1]
+    mult = np.empty((3, 3), dtype=int)
+    for a in range(3):
+        for b in range(3):
+            mult[label[a], label[b]] = label[(a + b) % 3]
+    group = group_from_table(mult)
+    assert group.identity == 2
+    gen = np.diag([1.0, 1j, -1j]) @ _shift(3)  # phases multiply to 1, so gen^3 = I
+    units = {label[x]: np.linalg.matrix_power(gen, x) for x in range(3)}
+    action = IsometricAction(group, unitaries=[units[s] for s in range(3)])
+    rep = _rep(action)
+    assert rep.position_index(rep.identity_position) == 2
+    rng = np.random.default_rng(4)
+    folner = FolnerSet(group, (0, 2))
+    for _ in range(3):
+        f = _element(rng, action)
+        dense = _dense_integrated(rep, units, f)
+        assert np.array_equal(rep.integrated(f), dense)
+        check = compress_identity_check(rep, f)
+        proj = np.kron(np.diag([0.0, 0.0, 1.0]), np.eye(3)).astype(complex)
+        assert np.array_equal(check["lhs"], proj @ dense @ proj)
+        assert np.array_equal(check["lhs"][6:, 6:], f.coeff(2))
+        assert check["max_abs_diff"] == 0.0
+        assert np.array_equal(folner_phi(f, folner, rep), _loop_folner_phi(f, folner, rep, units))
+        m = folner_phi(f, folner, rep)
+        assert np.array_equal(folner_psi(m, folner, rep), _loop_folner_psi(m, folner, rep, units))
 
 
 Z_CASES = [c for c in CASES if isinstance(c[1].carrier, ZWindow)]

@@ -20,6 +20,7 @@ from lpalg.groups import (
     regular_rep,
     translate_set,
 )
+from lpalg.suite import _table_test_groups
 
 KLEIN_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
@@ -43,6 +44,31 @@ def test_klein_table_is_a_group():
     assert g.order == 4
     for s in range(4):
         assert g.op(s, g.inv(s)) == 0
+
+
+def test_finite_arithmetic_on_arrays_matches_scalar_calls():
+    for g in (cyclic_group(5), *_table_test_groups()):  # Klein and sym3
+        elems = range(g.order)
+        s, t = np.indices((g.order, g.order))
+        assert g.op(s, t).tolist() == [[g.op(a, b) for b in elems] for a in elems]
+        assert g.inv(np.arange(g.order)).tolist() == [g.inv(a) for a in elems]
+        for radius in (None, 0, 3):
+            assert g.window(radius).tolist() == list(g.elements())
+
+
+def test_z_arithmetic_on_arrays_matches_scalar_calls():
+    z = ZWindow(3)
+    s, t = np.indices((13, 13)) - 6
+    assert z.op(s, t).tolist() == [[z.op(a, b) for b in range(-6, 7)] for a in range(-6, 7)]
+    assert z.inv(np.arange(-6, 7)).tolist() == [z.inv(a) for a in range(-6, 7)]
+    assert z.window().tolist() == list(range(-3, 4))
+    assert z.window(5).tolist() == list(range(-5, 6))
+
+
+def test_z_window_needs_a_positive_radius():
+    for call in (ZWindow(0).window, lambda: ZWindow(3).window(0), lambda: ZWindow(3).window(-2)):
+        with pytest.raises(ValueError, match="positive window radius"):
+            call()
 
 
 def test_regular_rep_is_the_shift():

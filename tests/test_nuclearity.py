@@ -396,12 +396,17 @@ def test_witness_certifies_the_folner_pair_once(monkeypatch):
 
 
 def test_witness_refuses_roundtrip_over_budget(monkeypatch):
+    # an error at or above eps fails the report, which shows what was lost
     zw = ZWindow(0)
     f = CcElement.delta(zw, 1, base_dim=1)
-    monkeypatch.setattr(nuclearity, "measure_roundtrip", lambda *args, **kw: {"f0": 0.31})
-    with pytest.raises(CertificateError):
-        crossed_nuclearity_witness([f], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5,
-                                   rng=np.random.default_rng(20))
+    for err in (0.3, 0.3 + 5e-10, 0.31):
+        monkeypatch.setattr(nuclearity, "folner_roundtrip",
+                            lambda *args, err=err, **kw: {"error": err, "bound": err})
+        fact, report = crossed_nuclearity_witness(
+            [f], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5, rng=np.random.default_rng(20))
+        assert report["passed"] is False
+        assert report["elements"][0]["roundtrip_error"] == err
+        assert fact.roundtrip_errors == {"f0": err}
 
 
 def test_witness_sizes_folner_set_on_reported_norms():
