@@ -107,7 +107,10 @@ class IsometricAction:
     U_s[i, perm[i]] = phase[i], so alpha_s(a) = U_s a U_s^{-1} is the gather
     a[perm_i, perm_j] times the phase product phase_i conj(phase_j).  For a
     finite carrier all implementers are given up front and the exact
-    relations U_e = I and U_s U_t = U_{st} are verified.  For Z a single
+    relations U_e = I and U_s U_t = U_{st} are verified, the latter on the
+    stored pairs, which are what :meth:`apply` uses: for every (s, t) at
+    once the composed pair of U_s U_t must have the permutation of U_{st}
+    and phases within 1e-12 of its phases.  For Z a single
     generator U is given and U_s = U^s, with U^{-1} the conjugate transpose,
     which is the exact inverse of a phased permutation.  The pairs of U_t
     for |t| <= R are kept in a table, built by binary powers when first
@@ -132,16 +135,19 @@ class IsometricAction:
             e = carrier.identity
             if np.abs(mats[e] - np.eye(d)).max() > _ACTION_TOL:
                 raise ValueError("the implementer at the identity must be the identity matrix")
-            for s in carrier.elements():
-                for t in carrier.elements():
-                    st = carrier.op(s, t)
-                    if np.abs(mats[s] @ mats[t] - mats[st]).max() > _ACTION_TOL:
-                        raise ValueError(
-                            f"implementers are not multiplicative at ({s}, {t}); "
-                            "projective phases are not allowed"
-                        )
             self.base_dim = d
             self._perm, self._phase = map(np.stack, zip(*(_phased_pair(u) for u in mats)))
+            s, t = np.indices((carrier.order, carrier.order))
+            st = carrier.op(s, t)
+            perm, phase = _compose_pairs(self._pair(s), self._pair(t))
+            bad = (perm != self._perm[st]).any(axis=-1)
+            bad |= (np.abs(phase - self._phase[st]) > _ACTION_TOL).any(axis=-1)
+            if bad.any():
+                s, t = np.argwhere(bad)[0]  # the first failing pair in row-major order
+                raise ValueError(
+                    f"implementers are not multiplicative at ({s}, {t}); "
+                    "projective phases are not allowed"
+                )
         elif isinstance(carrier, ZWindow):
             if generator is None:
                 raise ValueError("a Z action needs a generator matrix")

@@ -50,7 +50,6 @@ from .crossed import (
     ConcreteAlgebra,
     CovariantRep,
     cyclic_coordinate_rotation,
-    reduced_norm,
 )
 from .errors import CertificateError
 from .groups import (
@@ -294,31 +293,48 @@ def folner_psi_factors(folner: FolnerSet, rep: CovariantRep) -> tuple[tuple, tup
     return r, s
 
 
-def _roundtrip_bound(f: CcElement, folner: FolnerSet, rep: CovariantRep, **est_opts) -> float:
+def _roundtrip_bound(f: CcElement, folner: FolnerSet, rep: CovariantRep, norm=None, **est_opts) -> float:
     """Per-term defect budget: sum_s |1 - |F cap sF|/|F|| ||pi(a_s) v(s)||,
-    each pi(a_s) v(s) the integrated form of the single term a_s delta_s."""
+    each pi(a_s) v(s) the integrated form of the single term a_s delta_s.
+
+    A term with ratio exactly 1 adds 0.0 and is not estimated.  The only
+    term of a single-term f is f's own integrated form, so ``norm``, when
+    given, is used as its estimate; it must have been made with the same
+    ``est_opts``, which makes it the value the term's estimate would give.
+    """
     total = 0.0
     for s, a in f.items():
         ratio = folner_intersection(folner, s) / folner.size
-        term = rep.integrated(CcElement.delta(rep.carrier, s, a))
-        total += abs(1.0 - ratio) * pnorm_estimate(term, rep.p, **est_opts).value
+        if ratio == 1.0:
+            continue
+        if norm is None or len(f.support) > 1:
+            term = rep.integrated(CcElement.delta(rep.carrier, s, a))
+            total += abs(1.0 - ratio) * pnorm_estimate(term, rep.p, **est_opts).value
+        else:
+            total += abs(1.0 - ratio) * norm
     return total
 
 
-def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, **est_opts) -> dict:
+def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form=None, norm=None,
+                     **est_opts) -> dict:
     """Measure ||psi(phi(f)) - f|| against its intersection-ratio budget.
 
     For a single-term f = a delta_s the defect operator is exactly
     (|F cap sF|/|F| - 1) pi(a) v(s), so the measured error equals the
     budget to floating precision; multi-term budgets add per-term and are
-    conservative.  The integrated form of f is built once, and phi is
-    applied to it by index, as :func:`folner_phi_map` does.
+    conservative.  phi is applied to the integrated form of f by index, as
+    :func:`folner_phi_map` does.  ``form`` is that integrated form on
+    ``rep`` when the caller has already built it, and ``norm`` its estimate
+    made with the same ``est_opts`` (see :func:`_roundtrip_bound`); without
+    them the form is built here and every term estimated.  A defect that is
+    the zero operator (every coefficient of f on F = G, say) has error 0.0,
+    which is what its estimate returns, and is not estimated.
     """
-    big = rep.integrated(f)
+    big = rep.integrated(f) if form is None else form
     sel = _folner_selector(folner, rep)
-    approx = folner_psi(big[np.ix_(sel, sel)], folner, rep)
-    error = pnorm_estimate(approx - big, rep.p, **est_opts).value
-    return {"error": float(error), "bound": float(_roundtrip_bound(f, folner, rep, **est_opts))}
+    diff = folner_psi(big[np.ix_(sel, sel)], folner, rep) - big
+    error = pnorm_estimate(diff, rep.p, **est_opts).value if diff.any() else 0.0
+    return {"error": float(error), "bound": float(_roundtrip_bound(f, folner, rep, norm, **est_opts))}
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +535,13 @@ def _levels_list(cb: CbEstimate) -> list:
     return [[int(n), float(v)] for n, v in cb.levels]
 
 
+def _forms_and_norms(fs: list, rep: CovariantRep) -> tuple[list, list]:
+    """Each element's integrated form on rep and its reduced norm, the
+    default estimate of that form."""
+    forms = [rep.integrated(f) for f in fs]
+    return forms, [pnorm_estimate(form, rep.p).value for form in forms]
+
+
 def crossed_nuclearity_witness(
     fs: list,
     eps: float,
@@ -542,12 +565,15 @@ def crossed_nuclearity_witness(
     the ``n_max`` levels is a proved upper bound, 1 up to rounding.
     Nothing is drawn at random: ``rng`` is accepted for compatibility and
     not used.  A certificate that is not structural or exceeds 1 + 1e-6 is
-    refused by ``Factorization`` with ``CertificateError``.  One round trip
-    per element is measured by :func:`folner_roundtrip`, and the report
-    records per element the reduced norm, the round-trip error and its
-    intersection-ratio budget, both certificates with their kind, and the
-    chosen window.  ``passed`` requires every error to be below eps, so a
-    report that fails shows which element lost how much.
+    refused by ``Factorization`` with ``CertificateError``.  Each element's
+    integrated form is built and estimated once per window, and
+    :func:`folner_roundtrip` measures one round trip per element on the
+    final window's form and estimate, so no operator is estimated twice and
+    a zero defect (F = G) or a term with ratio 1 is not estimated at all.
+    The report records per element the reduced norm, the round-trip error
+    and its intersection-ratio budget, both certificates with their kind,
+    and the chosen window.  ``passed`` requires every error to be below
+    eps, so a report that fails shows which element lost how much.
     Returns (Factorization, report).
     """
     if not fs:
@@ -561,13 +587,13 @@ def crossed_nuclearity_witness(
     # a finite carrier's window is the whole group, whatever the radius
     rep = CovariantRep(algebra, action, pe, window_radius=max(support_radius, 1) + 4)
 
-    norms = [reduced_norm(f, rep).value for f in fs]
+    forms, norms = _forms_and_norms(fs, rep)
     m_bound = max(max(norms, default=0.0), 1e-9)
     folner = folner_search(carrier, supports, eps / (3.0 * m_bound))
 
     while isinstance(carrier, ZWindow):  # until F fits the norms of its own window
         rep = CovariantRep(algebra, action, pe, window_radius=support_radius + folner.size)
-        norms = [reduced_norm(f, rep).value for f in fs]
+        forms, norms = _forms_and_norms(fs, rep)
         m_bound = max(max(norms), m_bound)
         resized = folner_search(carrier, supports, eps / (3.0 * m_bound))
         if resized.size == folner.size:
@@ -577,7 +603,8 @@ def crossed_nuclearity_witness(
     phi_cb = compression_cb(_folner_selector(folner, rep), rep.dimension, n_max)
     psi_cb = monomial_cb(*folner_psi_factors(folner, rep), pe, n_max)
 
-    trips = [folner_roundtrip(f, folner, rep) for f in fs]
+    trips = [folner_roundtrip(f, folner, rep, form=form, norm=norm)
+             for f, form, norm in zip(fs, forms, norms)]
     elements = [
         {"id": f"f{i}", "reduced_norm": float(norms[i]), "roundtrip_error": rt["error"], "bound": rt["bound"]}
         for i, rt in enumerate(trips)

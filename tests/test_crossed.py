@@ -1,5 +1,8 @@
 """Tests for covariant representations and finitely supported elements."""
 
+import re
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from lpalg.crossed import (
     twisted_convolve,
 )
 from lpalg.groups import ZWindow, cyclic_group
+from lpalg.suite import _table_test_groups
 
 COVARIANCE_TOL = 1e-13
 MULT_TOL = 1e-11
@@ -50,6 +54,54 @@ def test_action_requires_exact_multiplicativity():
     bad = [np.eye(2, dtype=complex), 1j * _shift(2)]
     with pytest.raises(ValueError):
         IsometricAction(cyclic_group(2), unitaries=bad)
+
+
+def _sym3_signed_permutations():
+    """sym3 as in the suite's table, and U_s = sgn(s) P_s with P_s e_x = e_{s(x)}."""
+    group = _table_test_groups()[1]
+    mats = []
+    for perm in sorted(permutations(range(3))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(3), 2))
+        u = np.zeros((3, 3), dtype=complex)
+        u[list(perm), range(3)] = (-1.0) ** inversions
+        mats.append(u)
+    return group, mats
+
+
+def _first_dense_failure(group, mats):
+    """The first (s, t) in row-major order with U_s U_t != U_st, by dense products."""
+    for s in group.elements():
+        for t in group.elements():
+            if np.abs(mats[s] @ mats[t] - mats[group.op(s, t)]).max() > 1e-12:
+                return s, t
+    return None
+
+
+def test_action_refuses_a_permutation_mismatch():
+    # U_2 repeats the shift, so U_1 U_1 = shift^2 has the wrong permutation
+    bad = [np.eye(3, dtype=complex), _shift(3), _shift(3)]
+    with pytest.raises(ValueError, match=re.escape("not multiplicative at (1, 1)")):
+        IsometricAction(cyclic_group(3), unitaries=bad)
+
+
+def test_non_abelian_action_is_accepted():
+    group, mats = _sym3_signed_permutations()
+    assert _first_dense_failure(group, mats) is None
+    act = IsometricAction(group, unitaries=mats)
+    a = np.arange(9.0).reshape(3, 3) + 1j
+    for s in group.elements():
+        assert np.array_equal(act.unitary(s), mats[s])
+        assert np.allclose(act.apply(s, a), mats[s] @ a @ mats[s].conj().T, atol=1e-15)
+
+
+def test_swapped_implementers_are_refused_at_the_first_failing_pair():
+    group, mats = _sym3_signed_permutations()
+    for a, b in combinations(range(1, group.order), 2):
+        swapped = list(mats)
+        swapped[a], swapped[b] = mats[b], mats[a]
+        s, t = _first_dense_failure(group, swapped)
+        with pytest.raises(ValueError, match=re.escape(f"not multiplicative at ({s}, {t})")):
+            IsometricAction(group, unitaries=swapped)
 
 
 def test_phased_shift_action_on_z4():

@@ -16,6 +16,7 @@ from lpalg.lpnorm import (
     as_exponent,
     dual_vector,
     pnorm_estimate,
+    pnorm_estimate_stack,
     pnorm_exact,
     pnorm_oracle,
     validate_matrix,
@@ -110,6 +111,18 @@ def test_estimate_short_circuits_to_exact():
         est = pnorm_estimate(a, p)
         assert est.method == "exact"
         assert est.value == pnorm_exact(a, p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+def test_estimate_of_zero_is_exactly_zero(p):
+    # callers skip the estimate of an all-zero operator and record 0.0
+    assert pnorm_estimate(np.zeros((5, 5)), p).value == 0.0
+    assert pnorm_estimate(np.zeros((3, 7), dtype=complex), p).value == 0.0
+    stack = np.zeros((3, 4, 4), dtype=complex)
+    stack[1] = np.eye(4)
+    first, eye, last = (est.value for est in pnorm_estimate_stack(stack, p))
+    assert first == last == 0.0
+    assert eye == pytest.approx(1.0, rel=1e-12)
 
 
 def test_estimate_witness_is_certifying():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lpalg import nuclearity, opspace
+from lpalg import lpnorm, nuclearity, opspace
 from lpalg.crossed import (
     CcElement,
     ConcreteAlgebra,
@@ -16,7 +16,7 @@ from lpalg.crossed import (
     trivial_action,
 )
 from lpalg.errors import CertificateError
-from lpalg.groups import FolnerSet, ZWindow, cyclic_group
+from lpalg.groups import FolnerSet, ZWindow, cyclic_group, folner_intersection
 from lpalg.nuclearity import (
     Factorization,
     compose_factorizations,
@@ -94,11 +94,56 @@ def test_integer_window_roundtrip_values():
     assert rt41["error"] == pytest.approx(2 / 41, abs=1e-12)
 
 
-def _z_phased_rep(p):
+def _reference_roundtrip(f, folner, rep):
+    """folner_roundtrip with every operator estimated: the defect, and each
+    term pi(a_s) v(s) of the budget, whatever its ratio."""
+    big = rep.integrated(f)
+    sel = nuclearity._folner_selector(folner, rep)
+    error = lpnorm.pnorm_estimate(folner_psi(big[np.ix_(sel, sel)], folner, rep) - big, rep.p).value
+    total = 0.0
+    for s, a in f.items():
+        ratio = folner_intersection(folner, s) / folner.size
+        term = rep.integrated(CcElement.delta(rep.carrier, s, a))
+        total += abs(1.0 - ratio) * lpnorm.pnorm_estimate(term, rep.p).value
+    return {"error": float(error), "bound": float(total)}
+
+
+def _roundtrip_cases():
+    rng = np.random.default_rng(23)
+
+    def gauss(d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    z_rep = _z_phased_rep(1.5, radius=24)
+    z_folner = FolnerSet(z_rep.carrier, tuple(range(-10, 11)))
+    z12 = cyclic_group(12)
+    rot = CovariantRep(ConcreteAlgebra(12), cyclic_coordinate_rotation(12, 5), 3.0)
+    return [
+        ("Z single term", CcElement(z_rep.carrier, {1: gauss(2)}), z_folner, z_rep),
+        ("Z three terms", CcElement(z_rep.carrier, {-1: gauss(2), 0: gauss(2), 2: gauss(2)}), z_folner, z_rep),
+        ("Z/12, F = G", random_cc_element(rng, z12, 12, n_terms=3), FolnerSet(z12, tuple(range(12))), rot),
+        ("Z/12, F = {0..5}", CcElement(z12, {0: gauss(12), 1: gauss(12), 7: gauss(12)}),
+         FolnerSet(z12, tuple(range(6))), rot),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_roundtrip_with_the_witness_form_matches_estimating_every_term(case):
+    # the witness hands folner_roundtrip each form and its default estimate;
+    # skipped and reused estimates must leave both numbers bit for bit
+    _, f, folner, rep = _roundtrip_cases()[case]
+    form = rep.integrated(f)
+    norm = lpnorm.pnorm_estimate(form, rep.p).value
+    expected = _reference_roundtrip(f, folner, rep)
+    assert folner_roundtrip(f, folner, rep, form=form, norm=norm) == expected
+    assert folner_roundtrip(f, folner, rep) == expected
+
+
+def _z_phased_rep(p, radius=4):
     phases = np.exp(2j * np.pi * np.array([0.17, 0.58]))
     generator = np.diag(phases) @ np.array([[0.0, 1.0], [1.0, 0.0]])
-    return CovariantRep(ConcreteAlgebra(2), IsometricAction(ZWindow(4), generator=generator), p,
-                        window_radius=4)
+    return CovariantRep(ConcreteAlgebra(2), IsometricAction(ZWindow(radius), generator=generator), p,
+                        window_radius=radius)
 
 
 def test_folner_certificates_are_contractive():
@@ -393,6 +438,62 @@ def test_witness_certifies_the_folner_pair_once(monkeypatch):
     assert (fact.phi.name, fact.psi.name) == ("folner_phi", "folner_psi")
     assert fact.roundtrip_errors["f0"] == report["elements"][0]["roundtrip_error"]
     assert report["passed"]
+
+
+def _count_estimates(monkeypatch) -> list:
+    """Replace pnorm_estimate and pnorm_estimate_stack by counters in every
+    loaded lpalg module that binds them; the list gets one entry per
+    estimated matrix."""
+    calls = []
+    for name in ("pnorm_estimate", "pnorm_estimate_stack"):
+        real = getattr(lpnorm, name)
+
+        def counting(a, *args, real=real, name=name, **kwargs):
+            out = real(a, *args, **kwargs)
+            calls.extend([name] * (len(out) if isinstance(out, list) else 1))
+            return out
+
+        for mod_name, mod in sorted(sys.modules.items()):
+            if mod_name.startswith("lpalg") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def _count_folner_searches(monkeypatch) -> list:
+    """Count the witness's Folner searches: one per window whose norms it takes."""
+    calls = []
+    search = nuclearity.folner_search
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(nuclearity, "folner_search", counting)
+    return calls
+
+
+def test_rotation_demo_estimates_only_the_reduced_norms(monkeypatch):
+    # on F = G every defect is zero and every ratio is 1: nothing else to estimate
+    calls = _count_estimates(monkeypatch)
+    report = rotation_demo(12, 5, 1.5, 0.3)
+    assert report["passed"]
+    assert calls == ["pnorm_estimate"] * 2
+
+
+def test_z_witness_estimates_each_form_once(monkeypatch):
+    # one reduced norm per element and window; the single-term budget reuses
+    # the final window's norm, and the defect of a delta_0 is zero
+    zw = ZWindow(0)
+    one = CcElement.delta(zw, 1, np.array([[0.8j]]))
+    for fs, per_stage, defects in (([one], 1, 1), ([one, CcElement.delta(zw, 0, np.array([[0.5]]))], 2, 1)):
+        calls = _count_estimates(monkeypatch)
+        stages = _count_folner_searches(monkeypatch)
+        _, report = crossed_nuclearity_witness(fs, 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5)
+        assert report["passed"]
+        assert len(stages) == 2
+        assert len(calls) == per_stage * len(stages) + defects
+        monkeypatch.undo()
+    assert report["elements"][1]["roundtrip_error"] == report["elements"][1]["bound"] == 0.0
 
 
 def test_witness_refuses_roundtrip_over_budget(monkeypatch):
