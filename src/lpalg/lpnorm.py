@@ -20,6 +20,11 @@ approached from below along two independent routes:
   matrices together, each from its own rng, with one batched matmul per
   half-step; a matrix leaves the stack once all its restarts have
   stagnated, and every result equals the one-matrix estimate bit for bit.
+  On small matrices an iteration costs its numpy calls, not its
+  arithmetic, so the loop inlines the column helpers, works in place, and
+  divides by the moduli unmasked unless one of them is at or below
+  2^-1024 (then :func:`_signs` scales first); its values are those of the
+  helpers bit for bit.
 * :func:`pnorm_oracle` maximizes ||A x||_p directly, by projected gradient
   ascent with a vectorized line search from random unit vectors plus the
   extreme points of the unit ball that are optimal when p is 1 or inf.
@@ -238,6 +243,21 @@ def _normalized(x: np.ndarray, p: float, axis: int = 0) -> tuple[np.ndarray, np.
     return x / np.expand_dims(np.where(norms > 0.0, norms, 1.0), axis), norms
 
 
+def _signs_and_scaled(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sign(y), |y| divided by its maxima along axis 1, and those maxima
+    (at least 5e-324), for a (B, m, r) array ``y`` that the caller gives
+    up: its signs are written into it unless some modulus lies at or below
+    2^-1024, where :func:`_signs` takes over."""
+    mags = np.abs(y)
+    tops = mags.max(axis=1, keepdims=True, initial=5e-324)
+    if mags.min() > 2.0**-1024:  # the one division _signs would make, unmasked
+        np.divide(y, mags, out=y)
+    else:
+        y = _signs(y, mags)
+    mags /= tops
+    return y, mags, tops
+
+
 def as_generator(rng) -> np.random.Generator:
     """A Generator as is; a seed or None (fresh entropy) through ``default_rng``."""
     return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
@@ -272,9 +292,9 @@ def _exact_formula(a: np.ndarray, pe: PExponent) -> tuple[float, np.ndarray]:
         row_sums = np.abs(a).sum(axis=1)
         k = int(np.argmax(row_sums))
         row = a[k]
-        witness = np.ones(n, dtype=complex)
-        nz = np.abs(row) > 0.0
-        witness[nz] = row[nz].conj() / np.abs(row[nz])
+        mags = np.abs(row)
+        witness = _signs(row.conj(), mags)
+        witness[mags == 0.0] = 1.0
         return float(row_sums[k]), witness
     # p = 2: top right singular vector
     _, s, vh = np.linalg.svd(a)
@@ -375,6 +395,27 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
     each array stays contiguous and the batched matmuls make the same BLAS
     calls as one matrix at a time.  ``arr`` must be an array the caller
     owns: it is scaled and compacted in place.
+
+    The loop is :func:`_dual_columns`, :func:`_normalized` and
+    :func:`_pnorms_along` inlined: each iteration makes the same
+    floating-point operations on the same operands as those helpers, so
+    every estimate keeps its bits, but with far fewer numpy calls and
+    temporaries, which are what an iteration on a small matrix costs.
+
+    * Per half-step, :func:`_signs_and_scaled` overwrites the product by its
+      signs with a plain ``y / |y|``, the division :func:`_signs` makes
+      under its mask, and falls back to :func:`_signs` when some modulus is
+      at or below 2^-1024 (zeros included).
+    * Column maxima are taken with ``initial=5e-324``, that is
+      max(top, 5e-324), where the helpers used 1.0 for a zero top.  A zero
+      column gives 0 either way: 0 / 5e-324 = 0 and 5e-324 * 0 = 0; a
+      nonzero top is at least 5e-324, the least positive double, and stays.
+    * Powers use ``**`` and ``**=``, which take numpy's fast paths for the
+      exponents 0.5 and 2 exactly as the helpers' ``**`` did.
+    * A column of the dual direction w is zero exactly when its l^p norm
+      is (a nonzero column's norm is at least its top), so the dead-column
+      repair (keep the old iterate, mark it stagnant) runs only when the
+      smallest norm is 0.
     """
     p, q = pe.p, pe.q
     count, _, n = arr.shape
@@ -408,13 +449,11 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
 
     for _ in range(max_iters):
         live = len(member)
-        y = arr[:live] @ x
-        # |y|, its column maxima and the scaled moduli serve the norm and the dual map
-        mags = np.abs(y)
-        tops = mags.max(axis=1, keepdims=True)
-        safe = np.where(tops > 0.0, tops, 1.0)
-        scaled = mags / safe
-        vals = safe[:, 0, :] * (scaled**p).sum(axis=1) ** (1.0 / p)
+        # forward half-step: y = A x becomes sign(y) in place, |y| its column-scaled moduli
+        u, scaled, tops = _signs_and_scaled(arr[:live] @ x)
+        vals = (scaled**p).sum(axis=1)
+        vals **= 1.0 / p
+        vals *= tops[:, 0, :]
         top_vals = vals.max(axis=1)
         gain = top_vals > best_val[:live]
         if gain.any():
@@ -434,16 +473,30 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
             for state in (arr, a_h, best_val, best_witness, best_col, prev_vals, stagnant):
                 state[: keep.size] = state[keep]
             member = member[keep]
-            x, y, mags, scaled = x[keep], y[keep], mags[keep], scaled[keep]
+            x, u, scaled = x[keep], u[keep], scaled[keep]
             live = keep.size
-        u = _signs(y, mags) * scaled ** (p - 1.0)
-        x_next, norms = _normalized(_dual_columns(a_h[:live] @ u, q, axis=1), p, axis=1)
-        dead = norms == 0.0  # x_next is zero exactly where its norm was
-        if dead.any():
+        # dual half-step: w = dualmap_q(A* dualmap_p(y)), then w / ||w||_p
+        scaled **= p - 1.0
+        u *= scaled
+        w, scaled, _ = _signs_and_scaled(a_h[:live] @ u)
+        scaled **= q - 1.0
+        w *= scaled
+        mags = np.abs(w)
+        tops = mags.max(axis=1, keepdims=True, initial=5e-324)
+        mags /= tops
+        mags **= p
+        norms = mags.sum(axis=1)
+        norms **= 1.0 / p
+        norms *= tops[:, 0, :]
+        if norms.min() > 0.0:
+            w /= norms[:, None, :]
+        else:  # w is zero exactly where its norm is: keep that iterate, mark it stagnant
+            dead = norms == 0.0
+            w /= np.where(dead, 1.0, norms)[:, None, :]
             slot, col = np.nonzero(dead)
-            x_next[slot, :, col] = x[slot, :, col]
+            w[slot, :, col] = x[slot, :, col]
             stagnant[:live] |= dead
-        x = x_next
+        x = w
     else:
         finish(range(len(member)))
     return results

@@ -229,6 +229,11 @@ def folner_psi(m, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
     are skipped; identical contributions to one u are averaged as
     value * (count/|F|), others summed by row of F and divided by |F|.
     """
+    return rep.integrated(_psi_coefficients(m, folner, rep))
+
+
+def _psi_coefficients(m, folner: FolnerSet, rep: CovariantRep) -> CcElement:
+    """The function :func:`folner_psi` integrates: its coefficients collected from m."""
     d = rep.base_dim
     k = folner.size
     m = np.asarray(m, dtype=complex)
@@ -249,7 +254,7 @@ def folner_psi(m, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
         terms[first] * (counts / k)[:, None, None],
         totals / k,
     )
-    return rep.integrated(CcElement(rep.carrier, dict(zip(u.tolist(), coeffs)), base_dim=d))
+    return CcElement(rep.carrier, dict(zip(u.tolist(), coeffs)), base_dim=d)
 
 
 def folner_psi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
@@ -327,13 +332,19 @@ def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form
     ``rep`` when the caller has already built it, and ``norm`` its estimate
     made with the same ``est_opts`` (see :func:`_roundtrip_bound`); without
     them the form is built here and every term estimated.  A defect that is
-    the zero operator (every coefficient of f on F = G, say) has error 0.0,
-    which is what its estimate returns, and is not estimated.
+    the zero operator has error 0.0, which is what its estimate returns, and
+    is not estimated.  When psi collects exactly the coefficients of f (on
+    F = G, say), the two integrated forms are the same matrix, so the
+    defect is that zero operator and psi's form is never assembled.
     """
     big = rep.integrated(f) if form is None else form
     sel = _folner_selector(folner, rep)
-    diff = folner_psi(big[np.ix_(sel, sel)], folner, rep) - big
-    error = pnorm_estimate(diff, rep.p, **est_opts).value if diff.any() else 0.0
+    back = _psi_coefficients(big[np.ix_(sel, sel)], folner, rep)
+    if back.support == f.support and all(np.array_equal(back.coeff(s), a) for s, a in f.items()):
+        error = 0.0
+    else:
+        diff = rep.integrated(back) - big
+        error = pnorm_estimate(diff, rep.p, **est_opts).value if diff.any() else 0.0
     return {"error": float(error), "bound": float(_roundtrip_bound(f, folner, rep, norm, **est_opts))}
 
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from lpalg import crossed, opspace
+from lpalg import crossed, lpnorm, opspace
 from lpalg.crossed import (
     CcElement,
     ConcreteAlgebra,
@@ -309,14 +309,23 @@ def _ref_column_pnorms(y, p):
     return np.squeeze(safe, axis=0) * ((mags / safe) ** p).sum(axis=0) ** (1.0 / p)
 
 
+def _ref_signs(y, mags):
+    # y / |y| overflows in 1 / |y| for moduli at or below 2^-1024, so those
+    # entries are scaled by 2^1022 (exactly) before dividing
+    signs = np.zeros_like(y)
+    normal = mags > 2.0**-1024
+    signs[normal] = y[normal] / mags[normal]
+    tiny = ~normal & (mags > 0.0)
+    scaled = y[tiny] * 2.0**1022
+    signs[tiny] = scaled / np.abs(scaled)
+    return signs
+
+
 def _ref_dual_columns(y, p):
     mags = np.abs(y)
     tops = mags.max(axis=0)
     safe = np.where(tops > 0.0, tops, 1.0)
-    signs = np.zeros_like(y)
-    nz = mags > 0.0
-    signs[nz] = y[nz] / mags[nz]
-    return signs * (mags / safe) ** (p - 1.0)
+    return _ref_signs(y, mags) * (mags / safe) ** (p - 1.0)
 
 
 def _ref_normalize_columns(x, p):
@@ -435,6 +444,53 @@ def test_stacked_kernel_scales_each_member_by_its_own_exponent():
     _assert_kernel_matches(stack, 1.5, list(range(7)), restarts=5, max_iters=60)
     _assert_kernel_matches(list(stack), 3.0, list(range(7)), restarts=5, max_iters=60)
     assert np.array_equal(_bits(stack), _bits(kept))  # an array stack is never scaled in place
+
+
+def test_stacked_kernel_matches_with_moduli_below_2_to_the_minus_1024(monkeypatch):
+    # rows or columns of size 1e-310 next to entries of size 1 put moduli
+    # below 2^-1024 into y = A x or into A* u, where the sign divide overflows
+    rng = np.random.default_rng(46)
+    stack = _gaussian_stack(rng, (4, 5, 5))
+    stack[0] = np.diag([1.0, 1e-310, 1.0, 2.0, 1e-310j])
+    stack[1][2] *= 1e-310
+    stack[2][:, 3] *= 1e-310
+    stack[3] = np.where(np.abs(stack[3]) > 1.0, stack[3], 1e-310 * stack[3])
+    tiny = []
+    signs = lpnorm._signs
+
+    def recording(y, mags):
+        tiny.append(bool(((mags > 0.0) & (mags <= 2.0**-1024)).any()))
+        return signs(y, mags)
+
+    monkeypatch.setattr(lpnorm, "_signs", recording)
+    for p in (1.5, 3.0):
+        _assert_kernel_matches(stack, p, [3, 4, 5, 6], restarts=6, max_iters=60)
+    assert any(tiny)
+
+
+def test_stacked_kernel_repairs_dead_columns_while_members_leave():
+    # the rows of stack[2] sum to zero exactly, so the deterministic start
+    # (all ones) is in its kernel: column 0 is dead from the first step on,
+    # while the other members stop at different iterations
+    rng = np.random.default_rng(47)
+    stack = _gaussian_stack(rng, (5, 8, 8))
+    stack[0] = np.diag(np.arange(1.0, 9.0))
+    stack[1] = np.outer(np.ones(8), np.arange(8.0))
+    ints = rng.integers(-3, 4, size=(8, 7)).astype(float)
+    stack[2] = np.concatenate([ints, -ints.sum(axis=1, keepdims=True)], axis=1)
+    stack[3] = np.eye(8)
+    assert not (stack[2] @ np.ones(8)).any()
+    counts = [_ref_pnorm_estimate(a, 4.0, restarts=5, max_iters=200, rng=seed)[3] for seed, a in enumerate(stack)]
+    assert len(set(counts)) > 2 and counts[2] > min(counts)
+    _assert_kernel_matches(stack, 4.0, list(range(5)), restarts=5, max_iters=200)
+    _assert_kernel_matches(stack, 1.5, list(range(5)), restarts=5, max_iters=200)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+@pytest.mark.parametrize("n", [4, 32, 144])
+def test_stacked_kernel_matches_with_default_options(n, p):
+    stack = _gaussian_stack(np.random.default_rng([48, n]), (2, n, n))
+    _assert_kernel_matches(stack, p, [n, n + 1])
 
 
 def test_stacked_kernel_leaves_an_unscaled_array_stack_intact():

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -203,10 +203,27 @@ def test_oracle_guards_large_matrices():
 @seed(2)
 @settings(max_examples=25, deadline=None)
 @given(arrays(np.float64, (3, 3), elements=st.floats(min_value=-5, max_value=5)))
+@example(np.full((3, 3), 2.22507386e-309))  # subnormal: the p = inf witness divides by |a_kj|
 def test_duality_exact_exponents(a):
     # max column sum of a equals max row sum of the adjoint
     assert pnorm_exact(a, 1) == pytest.approx(pnorm_exact(adjoint(a), np.inf), abs=1e-12)
     assert pnorm_exact(a, 2) == pytest.approx(pnorm_exact(adjoint(a), 2), abs=1e-10)
+
+
+SUBNORMAL_MATRICES = [
+    np.full((3, 3), 2.22507386e-309),
+    np.array([[1e-310, -3e-320j, 0.0], [0.0, 0.0, 0.0], [2e-315, 0.0, 1e-309 - 4e-312j]]),
+]
+
+
+@pytest.mark.parametrize("a", SUBNORMAL_MATRICES)
+def test_exact_pinf_witness_of_subnormal_entries_is_a_unit_vector(a):
+    for mat in (a, adjoint(a)):
+        est = pnorm_estimate(mat, np.inf)
+        assert np.all(np.isfinite(est.witness.real)) and np.all(np.isfinite(est.witness.imag))
+        assert vector_pnorm(est.witness, np.inf) == pytest.approx(1.0, abs=1e-15)
+        assert vector_pnorm(mat @ est.witness, np.inf) == pytest.approx(est.value, rel=1e-12)
+        assert pnorm_exact(mat, np.inf) == est.value
 
 
 def test_duality_intermediate_exponent():

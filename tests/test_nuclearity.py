@@ -139,6 +139,23 @@ def test_roundtrip_with_the_witness_form_matches_estimating_every_term(case):
     assert folner_roundtrip(f, folner, rep) == expected
 
 
+@pytest.mark.parametrize("case, forms_built", [(2, 0), (3, 3)])
+def test_roundtrip_assembles_psi_only_when_its_coefficients_differ_from_f(monkeypatch, case, forms_built):
+    # on F = G psi collects f's own coefficients, so the defect is zero
+    # without assembling psi's integrated form; on F = {0..5} that form is
+    # built, and so are the bound's two terms with ratio below 1
+    _, f, folner, rep = _roundtrip_cases()[case]
+    form = rep.integrated(f)
+    norm = lpnorm.pnorm_estimate(form, rep.p).value
+    expected = _reference_roundtrip(f, folner, rep)
+    forms = []
+    integrated = CovariantRep.integrated
+    monkeypatch.setattr(CovariantRep, "integrated", lambda self, g: forms.append(g) or integrated(self, g))
+    assert folner_roundtrip(f, folner, rep, form=form, norm=norm) == expected
+    assert len(forms) == forms_built
+    assert (expected["error"] == 0.0) == (forms_built == 0)
+
+
 def _z_phased_rep(p, radius=4):
     phases = np.exp(2j * np.pi * np.array([0.17, 0.58]))
     generator = np.diag(phases) @ np.array([[0.0, 1.0], [1.0, 0.0]])
