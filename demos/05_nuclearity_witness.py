@@ -8,7 +8,9 @@ by the translation ratios of that set, so on a finite group (whole group
 invariant) the round trip is exact, while on the integers the reported
 error matches the boundary ratio of the chosen interval.  Both maps are
 certified contractive by their form, so the witness draws nothing at
-random.
+random.  Each element's norm is bracketed by a window estimate (a lower
+bound) and a proved upper bound from its coefficients; the upper bound
+sizes the Folner set and the round-trip budget, which decides the witness.
 """
 
 import numpy as np
@@ -31,9 +33,11 @@ fact, report = crossed_nuclearity_witness(
 members = report["folner"]["members"]
 print(f"Folner interval: [{members[0]}, {members[-1]}]  ({len(members)} points)")
 print(f"factorization through dimension {fact.target_dim}")
+print("norm bracket [reduced_norm, norm_upper]: a window estimate and the proved")
+print("bound that sizes F; the budget below is proved the same way:")
 for entry in report["elements"]:
-    print(f"  element {entry['id']}: round-trip error {entry['roundtrip_error']:.12f}"
-          f"  (bound {entry['bound']:.12f})")
+    print(f"  element {entry['id']}: [{entry['reduced_norm']:.15f}, {entry['norm_upper']:.15f}]")
+    print(f"  round-trip error {entry['roundtrip_error']!r} <= budget {entry['bound']!r}")
 print(f"budget met: {report['passed']}")
 print()
 
@@ -45,7 +49,8 @@ fact, report = crossed_nuclearity_witness(
 print(f"Folner set: all {len(report['folner']['members'])} group elements")
 print(f"factorization through dimension {fact.target_dim}")
 for entry in report["elements"]:
-    print(f"  element {entry['id']}: round-trip error {entry['roundtrip_error']}")
+    print(f"  element {entry['id']}: [reduced_norm, norm_upper] = "
+          f"[{entry['reduced_norm']:.12f}, {entry['norm_upper']:.12f}], round-trip error {entry['roundtrip_error']}")
 print("contractivity certificates (level, bound); both maps are certified by")
 print("their form (phi a compression, psi = R (id_F (x) pi)(.) S with monomial")
 print("R, S), so each bound is a proved upper bound and nothing is sampled:")

@@ -9,17 +9,16 @@ square over an approximately invariant set F and averages it back:
     psi(M)   = (1/|F|) sum_{s,t in F} pi(alpha_s(M_{s,t})) v(s t^{-1}).
 
 For an integrated crossed-product element the composition scales each group
-coefficient by |F (cap) sF| / |F|, so the round-trip defect per single term
-is exactly |1 - |F (cap) sF|/|F|| times that term's norm, and shrinking the
-translate ratios of F shrinks the defect.  ``crossed_nuclearity_witness``
-sizes F from the elements' reduced norms, certifies both maps by their
-form, measures one round trip per element, and emits a machine-checkable
-report that gives each certificate's kind.  phi is a coordinate
-compression.  By covariance psi(M) = R (id_F (x) pi)(M) S, where the
-middle map is a direct sum of conjugations by phased permutations (this is
-where the action must be p-completely isometric) and R, S are monomial
-with norm 1 (``folner_psi_factors``), so every level of either certificate
-is a proved upper bound, 1 up to rounding, with no sampling.
+coefficient a_s by |F (cap) sF| / |F|, so shrinking the translate ratios of
+F shrinks the defect.  ``crossed_nuclearity_witness`` sizes F and bounds
+each defect by proved upper bounds of the coefficients' norms, certifies
+both maps by their form, and emits a machine-checkable report that gives
+each certificate's kind.  phi is a coordinate compression.  By covariance
+psi(M) = R (id_F (x) pi)(M) S, where the middle map is a direct sum of
+conjugations by phased permutations (this is where the action must be
+p-completely isometric) and R, S are monomial with norm 1
+(``folner_psi_factors``), so every level of either certificate is a proved
+upper bound, 1 up to rounding, with no sampling.
 The remaining operations supply the bookkeeping lemmas: an exact identity
 factorization for matrix algebras, amplification and corner stability,
 window truncation, and the triangle-inequality composition of two
@@ -40,8 +39,8 @@ carry the intersection ratio exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from .crossed import (
     ConcreteAlgebra,
     CovariantRep,
     cyclic_coordinate_rotation,
+    twisted_convolve,
 )
 from .errors import CertificateError
 from .groups import (
@@ -61,7 +61,7 @@ from .groups import (
     folner_search,
     group_to_descriptor,
 )
-from .lpnorm import as_exponent, as_generator, pnorm_estimate
+from .lpnorm import as_exponent, as_generator, pnorm_estimate, pnorm_upper
 from .opspace import (
     CbEstimate,
     LinearMap,
@@ -298,44 +298,33 @@ def folner_psi_factors(folner: FolnerSet, rep: CovariantRep) -> tuple[tuple, tup
     return r, s
 
 
-def _roundtrip_bound(f: CcElement, folner: FolnerSet, rep: CovariantRep, norm=None, **est_opts) -> float:
-    """Per-term defect budget: sum_s |1 - |F cap sF|/|F|| ||pi(a_s) v(s)||,
-    each pi(a_s) v(s) the integrated form of the single term a_s delta_s.
-
-    A term with ratio exactly 1 adds 0.0 and is not estimated.  The only
-    term of a single-term f is f's own integrated form, so ``norm``, when
-    given, is used as its estimate; it must have been made with the same
-    ``est_opts``, which makes it the value the term's estimate would give.
-    """
-    total = 0.0
-    for s, a in f.items():
-        ratio = folner_intersection(folner, s) / folner.size
-        if ratio == 1.0:
-            continue
-        if norm is None or len(f.support) > 1:
-            term = rep.integrated(CcElement.delta(rep.carrier, s, a))
-            total += abs(1.0 - ratio) * pnorm_estimate(term, rep.p, **est_opts).value
-        else:
-            total += abs(1.0 - ratio) * norm
-    return total
+def _sum_up(terms) -> float:
+    """Bound the exact sum of nonnegative terms, each within two roundings:
+    with fsum's and the product's, 4 units of roundoff; 1 + 2^-50 is 8."""
+    return math.fsum(terms) * (1.0 + 2.0**-50)
 
 
-def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form=None, norm=None,
-                     **est_opts) -> dict:
-    """Measure ||psi(phi(f)) - f|| against its intersection-ratio budget.
+def _roundtrip_bound(f: CcElement, folner: FolnerSet, p) -> float:
+    """Proved defect budget sum_s |1 - r_s| ||a_s||_p, r_s = |F cap sF|/|F|,
+    rounded outward; ||pi(a) v(s)|| <= ||a|| on every window.  The computed
+    r_s <= 1, the factor psi applies, is within 2^-54 of the exact ratio, so
+    |1 - r_s| + 2^-54 bounds the exact and the computed defect.  A ratio of
+    exactly 1 adds 0.0 and takes no bound."""
+    ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
+    return _sum_up([(abs(1.0 - ratios[s]) + 2.0**-54) * pnorm_upper(a, p)
+                    for s, a in f.items() if ratios[s] != 1.0])
 
-    For a single-term f = a delta_s the defect operator is exactly
-    (|F cap sF|/|F| - 1) pi(a) v(s), so the measured error equals the
-    budget to floating precision; multi-term budgets add per-term and are
-    conservative.  phi is applied to the integrated form of f by index, as
-    :func:`folner_phi_map` does.  ``form`` is that integrated form on
-    ``rep`` when the caller has already built it, and ``norm`` its estimate
-    made with the same ``est_opts`` (see :func:`_roundtrip_bound`); without
-    them the form is built here and every term estimated.  A defect that is
-    the zero operator has error 0.0, which is what its estimate returns, and
-    is not estimated.  When psi collects exactly the coefficients of f (on
-    F = G, say), the two integrated forms are the same matrix, so the
-    defect is that zero operator and psi's form is never assembled.
+
+def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form=None, **est_opts) -> dict:
+    """Measure ||psi(phi(f)) - f|| (a lower bound) and its proved budget.
+
+    For a single-term f = a delta_s the defect is exactly
+    (|F cap sF|/|F| - 1) pi(a) v(s), so the error meets the budget of
+    :func:`_roundtrip_bound` up to its outward rounding.  phi is applied by
+    index to ``form``, f's integrated form on ``rep`` (built here if not
+    given).  A zero defect has error 0.0 and is not estimated; when psi
+    collects exactly f's coefficients (on F = G, say), psi's form is never
+    assembled.
     """
     big = rep.integrated(f) if form is None else form
     sel = _folner_selector(folner, rep)
@@ -345,7 +334,7 @@ def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form
     else:
         diff = rep.integrated(back) - big
         error = pnorm_estimate(diff, rep.p, **est_opts).value if diff.any() else 0.0
-    return {"error": float(error), "bound": float(_roundtrip_bound(f, folner, rep, norm, **est_opts))}
+    return {"error": float(error), "bound": _roundtrip_bound(f, folner, rep.p)}
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +535,6 @@ def _levels_list(cb: CbEstimate) -> list:
     return [[int(n), float(v)] for n, v in cb.levels]
 
 
-def _forms_and_norms(fs: list, rep: CovariantRep) -> tuple[list, list]:
-    """Each element's integrated form on rep and its reduced norm, the
-    default estimate of that form."""
-    forms = [rep.integrated(f) for f in fs]
-    return forms, [pnorm_estimate(form, rep.p).value for form in forms]
-
-
 def crossed_nuclearity_witness(
     fs: list,
     eps: float,
@@ -566,26 +548,21 @@ def crossed_nuclearity_witness(
 ) -> tuple:
     """Build and check a full approximation witness for crossed elements.
 
-    Pipeline: bound the elements' reduced norms by M, pick F with translate
-    ratios below eps/(3M) for every support shift (on Z, searching again on
-    the norms of the window sized from F until F stops changing), and
-    factor through the F-block matrices by the Folner pair phi, psi.  Both
-    maps are certified by their form, with no sampling: phi is a coordinate
-    compression (``compression_cb``) and psi = R (id_F (x) pi)(.) S with
-    monomial R, S (``folner_psi_factors`` and ``monomial_cb``), so each of
-    the ``n_max`` levels is a proved upper bound, 1 up to rounding.
-    Nothing is drawn at random: ``rng`` is accepted for compatibility and
-    not used.  A certificate that is not structural or exceeds 1 + 1e-6 is
-    refused by ``Factorization`` with ``CertificateError``.  Each element's
-    integrated form is built and estimated once per window, and
-    :func:`folner_roundtrip` measures one round trip per element on the
-    final window's form and estimate, so no operator is estimated twice and
-    a zero defect (F = G) or a term with ratio 1 is not estimated at all.
-    The report records per element the reduced norm, the round-trip error
-    and its intersection-ratio budget, both certificates with their kind,
-    and the chosen window.  ``passed`` requires every error to be below
-    eps, so a report that fails shows which element lost how much.
-    Returns (Factorization, report).
+    One pass, alike on finite groups and Z: M := max over f of the sum of
+    ``pnorm_upper``(a_s) bounds every reduced norm on every window, one
+    ``folner_search`` picks F with translate ratios below eps/(3M) for every
+    support shift, and one representation, of radius max|s| + |F| on Z,
+    holds every translate the round trip reaches.  Both Folner maps are
+    certified by their form, with no sampling (``compression_cb`` for phi;
+    ``folner_psi_factors`` and ``monomial_cb`` for psi), and
+    ``Factorization`` refuses any certificate that is not such a proof.
+    Each element's form is built and estimated once (its ``reduced_norm``),
+    and :func:`folner_roundtrip` measures its round trip on that form and
+    gives its budget.  ``passed`` holds when every budget is below eps, so
+    it rests on upper bounds only.  The report records per element the two
+    lower-bound diagnostics, ``norm_upper`` and the budget, both
+    certificates with their kind, and on Z the window radius.  ``rng`` is
+    accepted for compatibility and not used.  Returns (Factorization, report).
     """
     if not fs:
         raise ValueError("need at least one finitely supported element to witness")
@@ -593,44 +570,26 @@ def crossed_nuclearity_witness(
         raise ValueError("epsilon must be positive")
     pe = as_exponent(p)
     supports = sorted({s for f in fs for s in f.support})
-
-    support_radius = max((abs(s) for s in supports), default=0)
-    # a finite carrier's window is the whole group, whatever the radius
-    rep = CovariantRep(algebra, action, pe, window_radius=max(support_radius, 1) + 4)
-
-    forms, norms = _forms_and_norms(fs, rep)
-    m_bound = max(max(norms, default=0.0), 1e-9)
-    folner = folner_search(carrier, supports, eps / (3.0 * m_bound))
-
-    while isinstance(carrier, ZWindow):  # until F fits the norms of its own window
-        rep = CovariantRep(algebra, action, pe, window_radius=support_radius + folner.size)
-        forms, norms = _forms_and_norms(fs, rep)
-        m_bound = max(max(norms), m_bound)
-        resized = folner_search(carrier, supports, eps / (3.0 * m_bound))
-        if resized.size == folner.size:
-            break
-        folner = resized
+    norm_uppers = [_sum_up([pnorm_upper(a, pe) for _, a in f.items()]) for f in fs]
+    folner = folner_search(carrier, supports, eps / (3.0 * max(*norm_uppers, 1e-9)))
+    rep = CovariantRep(algebra, action, pe, window_radius=max(map(abs, supports), default=0) + folner.size)
 
     phi_cb = compression_cb(_folner_selector(folner, rep), rep.dimension, n_max)
     psi_cb = monomial_cb(*folner_psi_factors(folner, rep), pe, n_max)
 
-    trips = [folner_roundtrip(f, folner, rep, form=form, norm=norm)
-             for f, form, norm in zip(fs, forms, norms)]
-    elements = [
-        {"id": f"f{i}", "reduced_norm": float(norms[i]), "roundtrip_error": rt["error"], "bound": rt["bound"]}
-        for i, rt in enumerate(trips)
-    ]
-    errors = {e["id"]: e["roundtrip_error"] for e in elements}
-    fact = Factorization(
-        folner_phi_map(folner, rep), folner_psi_map(folner, rep), folner.size * algebra.base_dim,
-        phi_cb, psi_cb, errors, pe.p,
-    )
+    elements = []
+    for i, (f, upper) in enumerate(zip(fs, norm_uppers)):
+        form = rep.integrated(f)
+        rt = folner_roundtrip(f, folner, rep, form=form)
+        elements.append({"id": f"f{i}", "reduced_norm": pnorm_estimate(form, pe).value, "norm_upper": upper,
+                         "roundtrip_error": rt["error"], "bound": rt["bound"]})
+    fact = Factorization(folner_phi_map(folner, rep), folner_psi_map(folner, rep), folner.size * algebra.base_dim,
+                         phi_cb, psi_cb, {e["id"]: e["roundtrip_error"] for e in elements}, pe.p)
 
     certificates = [
         {"map": "folner_phi", "kind": phi_cb.kind, "levels": _levels_list(phi_cb)},
         {"map": "folner_psi", "kind": psi_cb.kind, "levels": _levels_list(psi_cb)},
     ]
-    passed = all(e["roundtrip_error"] < eps for e in elements)
     report = {
         "group": group_to_descriptor(carrier),
         "p": float(pe.p),
@@ -641,7 +600,7 @@ def crossed_nuclearity_witness(
         "elements": elements,
         "certificates": certificates,
         "epsilon": float(eps),
-        "passed": bool(passed),
+        "passed": all(e["bound"] < eps for e in elements),
     }
     if isinstance(carrier, ZWindow):
         report["window_radius"] = int(rep.window_radius)
@@ -655,31 +614,30 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None) -> dict:
     group Z/n rotates coordinates by k steps per generator, and the two
     canonical crossed elements are u = I delta_1 and z = diag(n-th roots of
     unity) delta_0.  The report checks the commutation phase
-    u z = e^{2 pi i k/n} z u on the integrated forms, runs the full
-    nuclearity witness on {u, z}, and runs the circle partition
-    factorization of the base algebra alongside.  The partition legs are
-    certified by their form: point evaluation is a coordinate compression
-    of the diagonal (``compression_cb``) and blending factors through
-    monomial maps (``cx_blend_factors``), so ``partition_ok`` rests on
-    structural upper bounds.  Nothing is drawn at random: ``rng`` is
+    u z = e^{2 pi i k/n} z u on the coefficients of the twisted convolutions,
+    runs the full nuclearity witness on {u, z}, and runs the circle
+    partition factorization of the base algebra alongside.  The partition
+    legs are certified by their form: point evaluation is a coordinate
+    compression of the diagonal (``compression_cb``) and blending factors
+    through monomial maps (``cx_blend_factors``), so ``partition_ok`` rests
+    on structural upper bounds.  Nothing is drawn at random: ``rng`` is
     accepted for compatibility and not used.
     """
     if n < 2:
         raise ValueError("need a grid of at least two points")
-    if gcd(k % n, n) != 1:
+    if math.gcd(k % n, n) != 1:
         raise ValueError(f"rotation step {k} must be coprime to the grid size {n}")
     pe = as_exponent(p)
     group = cyclic_group(n)
     action = cyclic_coordinate_rotation(n, k)
     algebra = ConcreteAlgebra(n)
-    rep = CovariantRep(algebra, action, pe)
 
     u = CcElement.delta(group, 1, base_dim=n)
     z = CcElement.delta(group, 0, np.diag(np.exp(2j * np.pi * np.arange(n) / n)))
-    u_mat = rep.integrated(u)
-    z_mat = rep.integrated(z)
+    uz, zu = twisted_convolve(u, z, action), twisted_convolve(z, u, action)
     phase = np.exp(2j * np.pi * k / n)
-    commutation_dev = float(np.abs(u_mat @ z_mat - phase * (z_mat @ u_mat)).max())
+    commutation_dev = float(max(np.abs(uz.coeff(s) - phase * zu.coeff(s)).max()
+                                for s in set(uz.support) | set(zu.support)))
 
     _, witness_report = crossed_nuclearity_witness([u, z], eps, algebra, group, action, pe)
 

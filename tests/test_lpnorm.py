@@ -12,13 +12,14 @@ from hypothesis.extra.numpy import arrays
 from lpalg.errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
 from lpalg.lpnorm import (
     PExponent,
+    _signs,
     adjoint,
     as_exponent,
-    dual_vector,
     pnorm_estimate,
     pnorm_estimate_stack,
     pnorm_exact,
     pnorm_oracle,
+    pnorm_upper,
     validate_matrix,
     vector_pnorm,
 )
@@ -68,36 +69,17 @@ def test_vector_pnorm_known_values():
     assert vector_pnorm(x, np.inf) == 4.0
 
 
-def test_dual_vector_attains_pairing():
-    rng = np.random.default_rng(7)
-    for p in (1.0, 1.5, 2.0, 3.0, np.inf):
-        y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        u = dual_vector(y, p)
-        pe = as_exponent(p)
-        assert vector_pnorm(u, pe.q) == pytest.approx(1.0, abs=1e-12)
-        assert np.vdot(u, y) == pytest.approx(vector_pnorm(y, p), abs=1e-12)
-
-
-def test_dual_vector_of_zero_is_zero():
-    u = dual_vector(np.zeros(3), 1.5)
-    assert np.all(u == 0.0)
-
-
-def test_dual_vector_of_subnormal_vector():
-    # numpy divides by |y| through 1/|y|, which overflows below 2^-1024
+def test_signs_of_subnormal_moduli_are_exact():
+    # numpy divides by |y| through 1/|y|, which overflows at or below
+    # 2^-1024; those entries are scaled first, so the signs are exactly
+    # those of the rescaled vector
     rng = np.random.default_rng(8)
     y = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) * 2.0**-1060
     assert np.abs(y).max() < 2.0**-1024
     normal = np.ldexp(y.real, 1060) + 1j * np.ldexp(y.imag, 1060)  # exact
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for p in (1.0, 1.5, np.inf):
-            u = dual_vector(y, p)
-            assert vector_pnorm(u, as_exponent(p).q) == pytest.approx(1.0, abs=1e-12)
-            # subnormal moduli carry few digits, so the pairing is loose
-            assert np.vdot(u, normal).real == pytest.approx(vector_pnorm(normal, p), rel=1e-3)
-        for p in (1.0, np.inf):  # pure signs: exact, as on the rescaled vector
-            assert np.array_equal(dual_vector(y, p), dual_vector(normal, p))
+        assert np.array_equal(_signs(y, np.abs(y)), _signs(normal, np.abs(normal)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +100,7 @@ def test_estimate_of_zero_is_exactly_zero(p):
     # callers skip the estimate of an all-zero operator and record 0.0
     assert pnorm_estimate(np.zeros((5, 5)), p).value == 0.0
     assert pnorm_estimate(np.zeros((3, 7), dtype=complex), p).value == 0.0
+    assert pnorm_upper(np.zeros((3, 7), dtype=complex), p) == 0.0
     stack = np.zeros((3, 4, 4), dtype=complex)
     stack[1] = np.eye(4)
     first, eye, last = (est.value for est in pnorm_estimate_stack(stack, p))
@@ -170,6 +153,8 @@ def test_norm_beyond_the_float_range_is_a_typed_error(p):
         warnings.simplefilter("error")
         with pytest.raises(NormOverflowError):
             pnorm_estimate(huge, p)
+        with pytest.raises(NormOverflowError):
+            pnorm_upper(huge, p)
         if p in (1.0, 2.0, math.inf):
             with pytest.raises(NormOverflowError):
                 pnorm_exact(huge, p)
@@ -182,6 +167,7 @@ def test_norm_near_the_float_range_is_returned(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert pnorm_estimate(np.full((2, 2), 4e307), p).value == pytest.approx(8e307, rel=1e-12)
+        assert 8e307 <= pnorm_upper(np.full((2, 2), 4e307), p) <= 8e307 * (1.0 + 1e-14)
 
 
 def test_estimate_matches_oracle_on_small_matrices():
@@ -226,6 +212,17 @@ def test_exact_pinf_witness_of_subnormal_entries_is_a_unit_vector(a):
         assert pnorm_exact(mat, np.inf) == est.value
 
 
+@pytest.mark.parametrize("a", SUBNORMAL_MATRICES)
+@pytest.mark.parametrize("p", [1.5, np.inf])
+def test_oracle_and_upper_bound_of_subnormal_entries_are_finite(a, p):
+    # the oracle's phase-aligned candidates divide by |a_ij|
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lower, upper = pnorm_oracle(a, p), pnorm_upper(a, p)
+    assert 0.0 < lower <= upper < 1e-300
+    assert lower == pytest.approx(pnorm_estimate(a, p).value, rel=1e-6)
+
+
 def test_duality_intermediate_exponent():
     rng = np.random.default_rng(23)
     for trial in range(6):
@@ -233,6 +230,67 @@ def test_duality_intermediate_exponent():
         lhs = pnorm_estimate(a, 1.5, rng=np.random.default_rng([29, trial])).value
         rhs = pnorm_estimate(adjoint(a), 3.0, rng=np.random.default_rng([31, trial])).value
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, lhs)
+
+
+# ---------------------------------------------------------------------------
+# the proved upper bound
+# ---------------------------------------------------------------------------
+
+UPPER_EXPONENTS = [1.0, 1.1, 1.5, 2.0, 3.0, 7.0, math.inf]
+
+
+def _upper_case(rng, trial):
+    """A (matrix, p) pair: dense complex, sparse nonnegative, or sparse real."""
+    m, n = (int(k) for k in rng.integers(1, 6, size=2))
+    p = UPPER_EXPONENTS[trial % len(UPPER_EXPONENTS)] if trial % 2 else float(rng.uniform(1.0, 6.0))
+    kind = trial % 3
+    if kind == 0:
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)), p
+    mask = rng.random((m, n)) < 0.45
+    if kind == 1:
+        return np.abs(rng.standard_normal((m, n))) * mask, p
+    return rng.standard_normal((m, n)) * mask, p
+
+
+def test_upper_bound_is_never_below_the_oracle_or_the_estimate():
+    rng = np.random.default_rng(41)
+    violations = []
+    for trial in range(600):
+        a, p = _upper_case(rng, trial)
+        upper = pnorm_upper(a, p)
+        lower = max(pnorm_oracle(a, p, samples=8, rng=trial), pnorm_estimate(a, p, restarts=8).value)
+        if lower > upper:
+            violations.append((trial, p, lower, upper))
+    assert violations == []
+
+
+def _phased_permutation(rng, d):
+    return np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))[:, None]
+
+
+@pytest.mark.parametrize("p", UPPER_EXPONENTS)
+def test_upper_bound_is_exact_on_scalars_rank_one_and_phased_permutations(p):
+    rng = np.random.default_rng(43)
+    q = as_exponent(p).q
+    for d in (1, 2, 3, 6):
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        u, v = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+        cases = (
+            (np.array([[c]]), abs(c)),
+            (np.outer(u, v.conj()), vector_pnorm(u, p) * vector_pnorm(v, q)),
+            (0.7 * _phased_permutation(rng, d), 0.7),
+        )
+        for a, exact in cases:
+            assert exact <= pnorm_upper(a, p) <= exact * (1.0 + 1e-14)
+
+
+def test_upper_bound_drops_zero_rows_and_columns():
+    rng = np.random.default_rng(47)
+    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    padded = np.zeros((5, 6), dtype=complex)
+    padded[1:4, 2:6] = a
+    for p in UPPER_EXPONENTS:
+        assert pnorm_upper(padded, p) == pnorm_upper(a, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for finite-stage factorizations through matrix algebras."""
 
+import math
 import sys
 
 import numpy as np
@@ -95,8 +96,8 @@ def test_integer_window_roundtrip_values():
 
 
 def _reference_roundtrip(f, folner, rep):
-    """folner_roundtrip with every operator estimated: the defect, and each
-    term pi(a_s) v(s) of the budget, whatever its ratio."""
+    """The round trip with every operator estimated on the window: the
+    defect, and each term pi(a_s) v(s) of the budget, whatever its ratio."""
     big = rep.integrated(f)
     sel = nuclearity._folner_selector(folner, rep)
     error = lpnorm.pnorm_estimate(folner_psi(big[np.ix_(sel, sel)], folner, rep) - big, rep.p).value
@@ -127,31 +128,45 @@ def _roundtrip_cases():
     ]
 
 
+def _upper_budget(f, folner, p):
+    """The budget written out: sum over the terms with ratio r_s < 1 of
+    (|1 - r_s| + 2^-54) pnorm_upper(a_s), summed and rounded outward."""
+    terms = []
+    for s, a in f.items():
+        ratio = folner_intersection(folner, s) / folner.size
+        if ratio != 1.0:
+            terms.append((abs(1.0 - ratio) + 2.0**-54) * lpnorm.pnorm_upper(a, p))
+    return math.fsum(terms) * (1.0 + 2.0**-50)
+
+
 @pytest.mark.parametrize("case", range(4))
 def test_roundtrip_with_the_witness_form_matches_estimating_every_term(case):
-    # the witness hands folner_roundtrip each form and its default estimate;
-    # skipped and reused estimates must leave both numbers bit for bit
+    # the witness hands folner_roundtrip each form: the error is the defect's
+    # estimate bit for bit, and the budget is the d x d upper-bound formula,
+    # at least the sum of every term's window estimate and the error
     _, f, folner, rep = _roundtrip_cases()[case]
-    form = rep.integrated(f)
-    norm = lpnorm.pnorm_estimate(form, rep.p).value
     expected = _reference_roundtrip(f, folner, rep)
-    assert folner_roundtrip(f, folner, rep, form=form, norm=norm) == expected
-    assert folner_roundtrip(f, folner, rep) == expected
+    rt = folner_roundtrip(f, folner, rep, form=rep.integrated(f))
+    assert folner_roundtrip(f, folner, rep) == rt
+    assert rt["error"] == expected["error"]
+    assert rt["bound"] == _upper_budget(f, folner, rep.p)
+    assert rt["bound"] >= expected["bound"]
+    assert rt["bound"] >= rt["error"]
 
 
-@pytest.mark.parametrize("case, forms_built", [(2, 0), (3, 3)])
+@pytest.mark.parametrize("case, forms_built", [(2, 0), (3, 1)])
 def test_roundtrip_assembles_psi_only_when_its_coefficients_differ_from_f(monkeypatch, case, forms_built):
     # on F = G psi collects f's own coefficients, so the defect is zero
     # without assembling psi's integrated form; on F = {0..5} that form is
-    # built, and so are the bound's two terms with ratio below 1
+    # the only one built, since the budget needs no window
     _, f, folner, rep = _roundtrip_cases()[case]
     form = rep.integrated(f)
-    norm = lpnorm.pnorm_estimate(form, rep.p).value
     expected = _reference_roundtrip(f, folner, rep)
     forms = []
     integrated = CovariantRep.integrated
     monkeypatch.setattr(CovariantRep, "integrated", lambda self, g: forms.append(g) or integrated(self, g))
-    assert folner_roundtrip(f, folner, rep, form=form, norm=norm) == expected
+    rt = folner_roundtrip(f, folner, rep, form=form)
+    assert rt["error"] == expected["error"]
     assert len(forms) == forms_built
     assert (expected["error"] == 0.0) == (forms_built == 0)
 
@@ -476,70 +491,92 @@ def _count_estimates(monkeypatch) -> list:
     return calls
 
 
-def _count_folner_searches(monkeypatch) -> list:
-    """Count the witness's Folner searches: one per window whose norms it takes."""
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a counter and return the list it appends to."""
     calls = []
-    search = nuclearity.folner_search
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(nuclearity, "folner_search", counting)
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     return calls
 
 
 def test_rotation_demo_estimates_only_the_reduced_norms(monkeypatch):
-    # on F = G every defect is zero and every ratio is 1: nothing else to estimate
+    # on F = G every defect is zero and every ratio is 1: nothing else to
+    # estimate, and the commutation check builds no form of its own
     calls = _count_estimates(monkeypatch)
+    searches = _count_calls(monkeypatch, nuclearity, "folner_search")
+    reps = _count_calls(monkeypatch, nuclearity, "CovariantRep")
+    forms = _count_calls(monkeypatch, CovariantRep, "integrated")
     report = rotation_demo(12, 5, 1.5, 0.3)
     assert report["passed"]
     assert calls == ["pnorm_estimate"] * 2
+    assert (len(searches), len(reps), len(forms)) == (1, 1, 2)
 
 
 def test_z_witness_estimates_each_form_once(monkeypatch):
-    # one reduced norm per element and window; the single-term budget reuses
-    # the final window's norm, and the defect of a delta_0 is zero
+    # one Folner search and one window: one reduced norm per element and the
+    # defect of the delta_1 term; the defect of a delta_0 is zero
     zw = ZWindow(0)
     one = CcElement.delta(zw, 1, np.array([[0.8j]]))
-    for fs, per_stage, defects in (([one], 1, 1), ([one, CcElement.delta(zw, 0, np.array([[0.5]]))], 2, 1)):
+    for fs in ([one], [one, CcElement.delta(zw, 0, np.array([[0.5]]))]):
         calls = _count_estimates(monkeypatch)
-        stages = _count_folner_searches(monkeypatch)
+        searches = _count_calls(monkeypatch, nuclearity, "folner_search")
+        reps = _count_calls(monkeypatch, nuclearity, "CovariantRep")
         _, report = crossed_nuclearity_witness(fs, 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5)
         assert report["passed"]
-        assert len(stages) == 2
-        assert len(calls) == per_stage * len(stages) + defects
+        assert (len(searches), len(reps)) == (1, 1)
+        assert len(calls) == len(fs) + 1
         monkeypatch.undo()
     assert report["elements"][1]["roundtrip_error"] == report["elements"][1]["bound"] == 0.0
 
 
+@pytest.mark.parametrize("eps, size", [(0.3, 21), (0.1, 61), (0.03, 201), (0.01, 601)])
+def test_z_witness_budget_covers_the_measured_error(eps, size):
+    # the budget is a proved upper bound rounded outward, and the measured
+    # error a lower bound, so the error never exceeds the budget; M is 1 up
+    # to that rounding, so at eps = 0.1 and 0.01, where 2/|F| = eps/3 exactly
+    # for |F| = 60 and 600, F takes one more point
+    zw = ZWindow(0)
+    _, report = crossed_nuclearity_witness(
+        [CcElement.delta(zw, 1, base_dim=1)], eps, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5)
+    (elem,) = report["elements"]
+    assert len(report["folner"]["members"]) == size
+    assert elem["reduced_norm"] <= elem["norm_upper"]
+    assert elem["roundtrip_error"] <= elem["bound"] < eps
+    assert report["passed"]
+
+
 def test_witness_refuses_roundtrip_over_budget(monkeypatch):
-    # an error at or above eps fails the report, which shows what was lost
+    # a budget at or above eps fails the report, even when the measured
+    # error, a lower bound, is below eps; the report shows both
     zw = ZWindow(0)
     f = CcElement.delta(zw, 1, base_dim=1)
-    for err in (0.3, 0.3 + 5e-10, 0.31):
+    for budget in (0.3, 0.3 + 5e-10, 0.31):
         monkeypatch.setattr(nuclearity, "folner_roundtrip",
-                            lambda *args, err=err, **kw: {"error": err, "bound": err})
+                            lambda *args, budget=budget, **kw: {"error": 0.29, "bound": budget})
         fact, report = crossed_nuclearity_witness(
             [f], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5, rng=np.random.default_rng(20))
         assert report["passed"] is False
-        assert report["elements"][0]["roundtrip_error"] == err
-        assert fact.roundtrip_errors == {"f0": err}
+        assert (report["elements"][0]["roundtrip_error"], report["elements"][0]["bound"]) == (0.29, budget)
+        assert fact.roundtrip_errors == {"f0": 0.29}
 
 
 def test_witness_sizes_folner_set_on_reported_norms():
-    # the radius-5 window underestimates M; sized from it, |F| = 20 gives
-    # 2/|F| = 0.1 > eps/(3M) = 0.0995 on the final window's M = 0.99938
+    # M is the reported norm_upper, 0.6 + 0.4 rounded outward, which bounds
+    # the reduced norm on every window (0.99938 on the final one); |F| = 20
+    # would give 2/|F| = 0.1 > eps/(3M) = 0.0995
     zw = ZWindow(0)
     f = CcElement(zw, {0: np.array([[0.6]]), 1: np.array([[0.4]])})
     eps = 0.2984
     _, report = crossed_nuclearity_witness(
         [f], eps, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5,
         rng=np.random.default_rng(21))
-    m_bound = max(e["reduced_norm"] for e in report["elements"])
+    (elem,) = report["elements"]
     size = len(report["folner"]["members"])
     assert report["passed"]
-    assert all(2 * abs(int(s)) / size < eps / (3.0 * m_bound) for s in report["folner"]["ratios"])
+    assert elem["reduced_norm"] <= elem["norm_upper"] == pytest.approx(1.0, rel=1e-14)
+    assert size == 21
+    for m_bound in (elem["reduced_norm"], elem["norm_upper"]):
+        assert all(2 * abs(int(s)) / size < eps / (3.0 * m_bound) for s in report["folner"]["ratios"])
 
 
 def test_witness_input_validation():
