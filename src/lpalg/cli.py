@@ -222,10 +222,10 @@ def _cmd_witness(args) -> int:
     )
     payload = {"command": "witness", **report}
     rows = [
-        [e["id"], e["reduced_norm"], e["roundtrip_error"], e["bound"]]
+        [e["id"], e["reduced_norm"], e["norm_upper"], e["roundtrip_error"], e["bound"]]
         for e in report["elements"]
     ]
-    _emit(args, payload, ["id", "reduced_norm", "roundtrip_error", "bound"], rows)
+    _emit(args, payload, ["id", "reduced_norm", "norm_upper", "roundtrip_error", "bound"], rows)
     return 0 if report["passed"] else 1
 
 

@@ -5,34 +5,41 @@ matrix A in C^{m x n} is an operator l^p(n) -> l^p(m) and
 
     ||A||_{p->p} = sup { ||A x||_p : ||x||_p = 1 }.
 
-Exact formulas exist for p in {1, 2, inf}: maximum column sum of moduli,
-largest singular value, and maximum row sum of moduli.  For every other
-exponent the supremum is the value of a nonconvex maximization, so it is
-approached from below along two independent routes:
+:func:`pnorm_estimate` answers along one of three routes:
 
-* :func:`pnorm_estimate` runs the dual power iteration
+* p in {1, 2, inf}: the exact formulas, maximum column sum of moduli,
+  largest singular value, and maximum row sum of moduli.
+* A monomial matrix, with at most one nonzero entry per row and per
+  column: ||A||_{p->p} = max |a_ij| for every p, attained at the basis
+  vector e_j of a largest entry.  Proof: with sigma(i) the column of row
+  i's entry, ||A x||_p^p = sum_i |a_{i sigma(i)}|^p |x_{sigma(i)}|^p
+  <= max |a|^p ||x||_p^p.  For p != 2 the isometries of l^p are exactly
+  the phased permutations (Lamperti), so translations, spatial actions and
+  their integrated forms are of this kind.
+* Any other matrix: the dual power iteration
 
       x  <-  dualmap_q( A* . dualmap_p( A x ) ),   normalized in l^p,
 
-  from many random starts and returns the best certified lower bound
-  together with the witness vector that attains it.  It is the one-matrix
-  call of :func:`pnorm_estimate_stack`, which iterates a (B, m, n) stack of
-  matrices together, each from its own rng, with one batched matmul per
-  half-step; a matrix leaves the stack once all its restarts have
-  stagnated, and every result equals the one-matrix estimate bit for bit.
-  On small matrices an iteration costs its numpy calls, not its
-  arithmetic, so the loop inlines the column helpers, works in place, and
-  divides by the moduli unmasked unless one of them is at or below
+  from many random starts, which returns the best certified lower bound
+  together with the witness vector that attains it.  The iteration runs
+  on a (B, m, n) stack of matrices at once, each from its own rng, with
+  one batched matmul per half-step; a matrix leaves the stack once all its
+  restarts have stagnated, and every result equals the one-matrix estimate
+  bit for bit.  On small matrices an iteration costs its numpy calls, not
+  its arithmetic, so the loop inlines the column helpers, works in place,
+  and divides by the moduli unmasked unless one of them is at or below
   2^-1024 (then :func:`_signs` scales first); its values are those of the
   helpers bit for bit.
-* :func:`pnorm_oracle` maximizes ||A x||_p directly, by projected gradient
-  ascent with a vectorized line search from random unit vectors plus the
-  extreme points of the unit ball that are optimal when p is 1 or inf.
-  It never shares iterates with the power iteration and is restricted to
-  small matrices; tests treat it as ground truth.
 
-Both give lower bounds, which can only refute ||A|| <= c; :func:`pnorm_upper`
-gives the proved upper bound that such a claim needs, from |A| alone.
+:func:`pnorm_oracle` maximizes ||A x||_p directly, by projected gradient
+ascent with a vectorized line search from random unit vectors plus the
+extreme points of the unit ball that are optimal when p is 1 or inf.  It
+never shares iterates with the power iteration and is restricted to small
+matrices; tests treat it as ground truth.
+
+The iteration and the oracle give lower bounds, which can only refute
+||A|| <= c; :func:`pnorm_upper` gives the proved upper bound that such a
+claim needs, from |A| alone.
 
 Complex scalars are used throughout, with sign(z) = z / |z| and
 sign(0) = 0.  The adjoint is the conjugate transpose, so that
@@ -105,9 +112,6 @@ class PExponent:
     @property
     def has_exact_formula(self) -> bool:
         return self.is_one or self.is_two or self.is_inf
-
-    def conjugate(self) -> "PExponent":
-        return PExponent(self.q)
 
     def __repr__(self) -> str:
         return f"PExponent(p={self.p}, q={self.q})"
@@ -368,14 +372,20 @@ def pnorm_estimate(
     tol: float = 1e-10,
     rng=None,
 ) -> PNormEstimate:
-    """Certified lower bound for ||A||_{p->p} via the dual power iteration.
+    """Certified lower bound for ||A||_{p->p}, exact where a closed form exists.
 
-    For p in {1, 2, inf} the exact formula is used and the result is tagged
-    ``method="exact"`` with zero restarts.  Otherwise ``restarts`` random
-    complex starting vectors are iterated simultaneously; the reported value
-    is the best value of ||A x||_p seen at any iterate, and ``converged``
-    states whether the winning restart stagnated below ``tol`` before the
-    iteration cap.  This is the one-matrix call of :func:`pnorm_estimate_stack`.
+    Three routes, as in the module docstring.  For p in {1, 2, inf} the
+    exact formula is used.  A monomial matrix (at most one nonzero per row
+    and per column) has norm max |a_ij| for every p, since
+    ||A x||_p^p = sum_i |a_{i sigma(i)}|^p |x_{sigma(i)}|^p
+    <= max |a|^p ||x||_p^p with equality at e_j; the witness is e_j for
+    the column j of the first largest modulus (e_0 for the zero matrix).
+    Both are tagged ``method="exact"``, converged, with zero restarts.
+    Otherwise ``restarts`` random complex starting vectors are iterated
+    simultaneously; the reported value is the best value of ||A x||_p seen
+    at any iterate, and ``converged`` states whether the winning restart
+    stagnated below ``tol`` before the iteration cap.  This is the
+    one-matrix call of :func:`pnorm_estimate_stack`.
 
     :param a: complex matrix, square or rectangular.
     :param p: exponent in [1, inf].
@@ -416,7 +426,10 @@ def pnorm_estimate_stack(
 
 
 def _estimates(arr, pe, restarts, max_iters, tol, rngs) -> list[PNormEstimate]:
-    """Estimates for a validated stack that the caller owns: closed formulas or the iteration."""
+    """Estimates for a validated stack that the caller owns: closed formulas,
+    the closed form of monomial members, or the iteration on the others.
+    A member with more nonzeros than min(m, n) cannot be monomial, so a
+    dense member costs one ``count_nonzero`` before it is iterated."""
     if pe.has_exact_formula:
         out = []
         for mat in arr:
@@ -425,7 +438,35 @@ def _estimates(arr, pe, restarts, max_iters, tol, rngs) -> list[PNormEstimate]:
         return out
     if restarts < 1:
         raise ValueError("restarts must be a positive integer")
-    return _power_iteration(arr, pe, restarts, max_iters, tol, [_as_rng(r) for r in rngs])
+    cap = min(arr.shape[1:])
+    out = [_monomial(mat, pe) if np.count_nonzero(mat) <= cap else None for mat in arr]
+    rest = [b for b, est in enumerate(out) if est is None]
+    if rest:
+        live = arr if len(rest) == len(arr) else arr[rest]
+        iterated = _power_iteration(live, pe, restarts, max_iters, tol, [_as_rng(rngs[b]) for b in rest])
+        for b, est in zip(rest, iterated):
+            out[b] = est
+    return out
+
+
+def _monomial(mat: np.ndarray, pe: PExponent) -> PNormEstimate | None:
+    """The exact estimate of a matrix with at most one nonzero per row and
+    per column, or None for any other matrix: value max |a_ij|, witness e_j
+    for the column j of the first largest modulus (e_0 if all are zero)."""
+    with np.errstate(over="ignore"):  # an overflowing modulus is refused below
+        mags = np.abs(mat)
+    nonzero = mags > 0.0
+    count = np.count_nonzero(nonzero)
+    # two nonzeros in one row or column leave fewer nonzero rows or columns than nonzeros
+    if np.count_nonzero(nonzero.any(axis=0)) < count or np.count_nonzero(nonzero.any(axis=1)) < count:
+        return None
+    k = int(np.argmax(mags))
+    value = float(mags.flat[k])
+    if math.isinf(value):
+        raise _overflow(mat, pe)
+    witness = np.zeros(mat.shape[1], dtype=complex)
+    witness[k % mat.shape[1]] = 1.0
+    return PNormEstimate(value, witness, "exact", True, 0)
 
 
 def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstimate]:

@@ -304,27 +304,30 @@ def _sum_up(terms) -> float:
     return math.fsum(terms) * (1.0 + 2.0**-50)
 
 
-def _roundtrip_bound(f: CcElement, folner: FolnerSet, p) -> float:
+def _roundtrip_bound(f: CcElement, folner: FolnerSet, p, uppers=None) -> float:
     """Proved defect budget sum_s |1 - r_s| ||a_s||_p, r_s = |F cap sF|/|F|,
     rounded outward; ||pi(a) v(s)|| <= ||a|| on every window.  The computed
     r_s <= 1, the factor psi applies, is within 2^-54 of the exact ratio, so
     |1 - r_s| + 2^-54 bounds the exact and the computed defect.  A ratio of
-    exactly 1 adds 0.0 and takes no bound."""
+    exactly 1 adds 0.0 and takes no bound.  ``uppers`` maps s to
+    ``pnorm_upper``(a_s) where the caller has it."""
     ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
-    return _sum_up([(abs(1.0 - ratios[s]) + 2.0**-54) * pnorm_upper(a, p)
+    return _sum_up([(abs(1.0 - ratios[s]) + 2.0**-54) * (pnorm_upper(a, p) if uppers is None else uppers[s])
                     for s, a in f.items() if ratios[s] != 1.0])
 
 
-def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form=None, **est_opts) -> dict:
+def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form=None, uppers=None,
+                     **est_opts) -> dict:
     """Measure ||psi(phi(f)) - f|| (a lower bound) and its proved budget.
 
     For a single-term f = a delta_s the defect is exactly
     (|F cap sF|/|F| - 1) pi(a) v(s), so the error meets the budget of
     :func:`_roundtrip_bound` up to its outward rounding.  phi is applied by
     index to ``form``, f's integrated form on ``rep`` (built here if not
-    given).  A zero defect has error 0.0 and is not estimated; when psi
-    collects exactly f's coefficients (on F = G, say), psi's form is never
-    assembled.
+    given), and the budget takes ``uppers``, each coefficient's
+    ``pnorm_upper`` by group element (computed here if not given).  A zero
+    defect has error 0.0 and is not estimated; when psi collects exactly
+    f's coefficients (on F = G, say), psi's form is never assembled.
     """
     big = rep.integrated(f) if form is None else form
     sel = _folner_selector(folner, rep)
@@ -334,7 +337,7 @@ def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form
     else:
         diff = rep.integrated(back) - big
         error = pnorm_estimate(diff, rep.p, **est_opts).value if diff.any() else 0.0
-    return {"error": float(error), "bound": _roundtrip_bound(f, folner, rep.p)}
+    return {"error": float(error), "bound": _roundtrip_bound(f, folner, rep.p, uppers)}
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +561,10 @@ def crossed_nuclearity_witness(
     ``Factorization`` refuses any certificate that is not such a proof.
     Each element's form is built and estimated once (its ``reduced_norm``),
     and :func:`folner_roundtrip` measures its round trip on that form and
-    gives its budget.  ``passed`` holds when every budget is below eps, so
-    it rests on upper bounds only.  The report records per element the two
-    lower-bound diagnostics, ``norm_upper`` and the budget, both
+    gives its budget from the ``pnorm_upper`` of each coefficient that M
+    sums, computed once.  ``passed`` holds when every budget is below eps,
+    so it rests on upper bounds only.  The report records per element the
+    two lower-bound diagnostics, ``norm_upper`` and the budget, both
     certificates with their kind, and on Z the window radius.  ``rng`` is
     accepted for compatibility and not used.  Returns (Factorization, report).
     """
@@ -570,7 +574,8 @@ def crossed_nuclearity_witness(
         raise ValueError("epsilon must be positive")
     pe = as_exponent(p)
     supports = sorted({s for f in fs for s in f.support})
-    norm_uppers = [_sum_up([pnorm_upper(a, pe) for _, a in f.items()]) for f in fs]
+    uppers = [{s: pnorm_upper(a, pe) for s, a in f.items()} for f in fs]
+    norm_uppers = [_sum_up(u.values()) for u in uppers]
     folner = folner_search(carrier, supports, eps / (3.0 * max(*norm_uppers, 1e-9)))
     rep = CovariantRep(algebra, action, pe, window_radius=max(map(abs, supports), default=0) + folner.size)
 
@@ -578,9 +583,9 @@ def crossed_nuclearity_witness(
     psi_cb = monomial_cb(*folner_psi_factors(folner, rep), pe, n_max)
 
     elements = []
-    for i, (f, upper) in enumerate(zip(fs, norm_uppers)):
+    for i, (f, coeff_uppers, upper) in enumerate(zip(fs, uppers, norm_uppers)):
         form = rep.integrated(f)
-        rt = folner_roundtrip(f, folner, rep, form=form)
+        rt = folner_roundtrip(f, folner, rep, form=form, uppers=coeff_uppers)
         elements.append({"id": f"f{i}", "reduced_norm": pnorm_estimate(form, pe).value, "norm_upper": upper,
                          "roundtrip_error": rt["error"], "bound": rt["bound"]})
     fact = Factorization(folner_phi_map(folner, rep), folner_psi_map(folner, rep), folner.size * algebra.base_dim,

@@ -109,14 +109,19 @@ def test_crossed_group_mismatch_is_input_error(element_file, capsys):
 
 
 def test_witness_passes_on_window_element(element_file, capsys):
-    code = main(["witness", "--elements", element_file, "--epsilon", "0.3",
-                 "--p", "1.5", "--format", "csv"])
-    assert code == 0
+    # the CSV row carries the JSON element's fields, the upper bound that
+    # sizes F among them, with the bits of the JSON report
+    argv = ["witness", "--elements", element_file, "--epsilon", "0.3", "--p", "1.5"]
+    assert main(argv + ["--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "id,reduced_norm,roundtrip_error,bound"
+    assert lines[0] == "id,reduced_norm,norm_upper,roundtrip_error,bound"
     fields = lines[1].split(",")
     assert fields[0] == "f0"
-    assert float(fields[2]) == pytest.approx(1 / 21, abs=1e-12)
+    assert float(fields[1]) <= float(fields[2])
+    assert float(fields[3]) == pytest.approx(1 / 21, abs=1e-12)
+    assert main(argv) == 0
+    (elem,) = json.loads(capsys.readouterr().out)["elements"]
+    assert [float(v) for v in fields[1:]] == [elem[k] for k in lines[0].split(",")[1:]]
 
 
 def test_witness_k_max_sets_the_levels_and_a_sampled_certificate_exits_1(

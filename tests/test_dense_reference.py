@@ -7,7 +7,8 @@ or in {1, -1, i, -i} must agree bit for bit; other phases within 1e-13.
 
 The stacked p-norm kernel is checked against the one-matrix dual power
 iteration, and the grouped ``cb_norm_lower`` against the one-input-at-a-time
-ascent; both must agree bit for bit.
+ascent; both must agree bit for bit.  The estimators answer monomial
+matrices in closed form, max |a_ij|, and so do the references.
 """
 
 import math
@@ -381,16 +382,49 @@ def _bits(x):
     return np.ascontiguousarray(np.asarray(x, dtype=complex)).view(np.uint64)
 
 
+def _is_monomial(a):
+    nz = np.asarray(a) != 0
+    return bool(nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1)
+
+
+def _ref_monomial(a):
+    """The closed form of a monomial matrix: max |a_ij| and e_j for the
+    column of its first largest modulus (e_0 for the zero matrix)."""
+    mags = np.abs(np.asarray(a, dtype=complex))
+    witness = np.zeros(mags.shape[1], dtype=complex)
+    witness[int(np.argmax(mags)) % mags.shape[1]] = 1.0
+    return float(mags.max()), witness, True
+
+
+def _ref_value(a, p, **opts):
+    """The reference estimate's value, in closed form on monomial matrices."""
+    return _ref_monomial(a)[0] if _is_monomial(a) else _ref_pnorm_estimate(a, p, **opts)[0]
+
+
+def _assert_estimate_bits(est, value, witness, converged):
+    assert np.float64(est.value).view(np.uint64) == np.float64(value).view(np.uint64)
+    assert np.array_equal(_bits(est.witness), _bits(witness))
+    assert est.converged == converged
+
+
 def _assert_kernel_matches(stack, p, seeds, **opts):
+    # the kernel iterates every member, monomial ones included; the stacked
+    # and one-matrix calls answer those in closed form and iterate the rest
+    opts = {"restarts": 32, "max_iters": 100, "tol": 1e-10, **opts}
+    kernel = lpnorm._power_iteration(np.array(stack, dtype=complex), lpnorm.as_exponent(p), opts["restarts"],
+                                     opts["max_iters"], opts["tol"], [np.random.default_rng(s) for s in seeds])
     got = pnorm_estimate_stack(stack, p, rngs=seeds, **opts)
-    assert len(got) == len(stack)
-    for est, a, seed in zip(got, stack, seeds):
+    assert len(kernel) == len(got) == len(stack)
+    for ker, est, a, seed in zip(kernel, got, stack, seeds):
         value, witness, converged, _ = _ref_pnorm_estimate(a, p, rng=np.random.default_rng(seed), **opts)
-        assert np.float64(est.value).view(np.uint64) == np.float64(value).view(np.uint64)
-        assert np.array_equal(_bits(est.witness), _bits(witness))
-        assert est.converged == converged
+        _assert_estimate_bits(ker, value, witness, converged)
+        if _is_monomial(a):
+            assert (est.method, est.restarts_used) == ("exact", 0)
+            _assert_estimate_bits(est, *_ref_monomial(a))
+        else:
+            _assert_estimate_bits(est, ker.value, ker.witness, ker.converged)
         one = pnorm_estimate(a, p, rng=np.random.default_rng(seed), **opts)
-        assert (one.value, one.converged) == (est.value, est.converged)
+        assert (one.value, one.converged, one.method) == (est.value, est.converged, est.method)
         assert np.array_equal(_bits(one.witness), _bits(est.witness))
 
 
@@ -500,6 +534,7 @@ def test_stacked_kernel_leaves_an_unscaled_array_stack_intact():
     stack = _gaussian_stack(rng, (6, 10, 10))
     stack[0] = np.diag(np.arange(1.0, 11.0))
     stack[3] = np.eye(10)
+    stack[[0, 3], 0, 1] = 0.5  # one off-diagonal entry, so no member has a closed form
     stack[4] = np.outer(np.ones(10), np.arange(10.0))
     stack *= 1.5 / np.abs(stack).max(axis=(1, 2), keepdims=True)
     assert np.all((np.abs(stack).max(axis=(1, 2)) >= 1.0) & (np.abs(stack).max(axis=(1, 2)) < 2.0))
@@ -509,10 +544,7 @@ def test_stacked_kernel_leaves_an_unscaled_array_stack_intact():
     got = pnorm_estimate_stack(stack, 4.0, rngs=list(range(6)), restarts=5, max_iters=200)
     assert np.array_equal(_bits(stack), _bits(kept))
     for seed, (est, a) in enumerate(zip(got, kept)):
-        value, witness, converged, _ = _ref_pnorm_estimate(a, 4.0, restarts=5, max_iters=200, rng=seed)
-        assert np.float64(est.value).view(np.uint64) == np.float64(value).view(np.uint64)
-        assert np.array_equal(_bits(est.witness), _bits(witness))
-        assert est.converged == converged
+        _assert_estimate_bits(est, *_ref_pnorm_estimate(a, 4.0, restarts=5, max_iters=200, rng=seed)[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +561,10 @@ def _ref_cb_levels(phi, p, n_max, trials, *, rng, sampler=None, ascent_steps=4, 
 
     def ratio_at(m, n):
         seed = int(gen.integers(2**63))
-        den = _ref_pnorm_estimate(m, p, rng=np.random.default_rng(seed), **opts)[0]
+        den = _ref_value(m, p, rng=np.random.default_rng(seed), **opts)
         if den <= 1e-12 * float(np.abs(m).max(initial=0.0)):
             return 0.0
-        num = _ref_pnorm_estimate(apply_amplified(phi, m, n), p, rng=np.random.default_rng(seed), **opts)[0]
+        num = _ref_value(apply_amplified(phi, m, n), p, rng=np.random.default_rng(seed), **opts)
         return num / den
 
     levels, running = [], 0.0

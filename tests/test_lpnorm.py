@@ -9,6 +9,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lpalg import lpnorm
 from lpalg.errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
 from lpalg.lpnorm import (
     PExponent,
@@ -230,6 +231,116 @@ def test_duality_intermediate_exponent():
         lhs = pnorm_estimate(a, 1.5, rng=np.random.default_rng([29, trial])).value
         rhs = pnorm_estimate(adjoint(a), 3.0, rng=np.random.default_rng([31, trial])).value
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, lhs)
+
+
+# ---------------------------------------------------------------------------
+# the closed form of monomial matrices
+# ---------------------------------------------------------------------------
+
+MONOMIAL_EXPONENTS = [1.1, 1.5, 3.0, 7.0]
+
+
+def _scatter(shape, rows, cols, values):
+    a = np.zeros(shape, dtype=complex)
+    a[rows, cols] = values
+    return a
+
+
+MONOMIAL_CASES = {
+    "permutation": _scatter((5, 5), range(5), [3, 0, 4, 1, 2], [0.5j, -2.0, 1.75 - 1.0j, 0.25, 1e-3]),
+    # two entries of the largest modulus: the witness is the first in row-major order
+    "diagonal": np.diag([0.3, -2.5j, 1.7, 2.5, 1e-3]),
+    "partial permutation": _scatter((6, 6), [0, 2, 5], [3, 0, 5], [2.0 - 1.0j, 0.5, -1.5j]),
+    "wide": _scatter((3, 5), [0, 2], [4, 1], [-0.75, 3.0j]),
+    "tall": _scatter((5, 2), [1, 4], [1, 0], [1.25, -0.5 + 0.5j]),
+    "zero": np.zeros((3, 4), dtype=complex),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_CASES))
+@pytest.mark.parametrize("p", MONOMIAL_EXPONENTS)
+def test_monomial_norm_is_the_largest_modulus_at_its_basis_vector(name, p):
+    a = MONOMIAL_CASES[name]
+    est = pnorm_estimate(a, p)
+    assert (est.method, est.converged, est.restarts_used) == ("exact", True, 0)
+    assert est.value == float(np.abs(a).max())
+    j = int(np.argmax(np.abs(a))) % a.shape[1]
+    assert np.array_equal(est.witness, np.eye(a.shape[1])[j])
+    assert vector_pnorm(a @ est.witness, p) == est.value
+    (stacked,) = pnorm_estimate_stack([a], p)
+    assert stacked.value == est.value and np.array_equal(stacked.witness, est.witness)
+
+
+@st.composite
+def _monomial_matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(m, n)))
+    rows, cols = draw(st.permutations(range(m)))[:k], draw(st.permutations(range(n)))[:k]
+    mods = draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k))
+    turns = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    return _scatter((m, n), rows, cols, np.array(mods) * np.exp(2j * np.pi * np.array(turns)))
+
+
+@seed(3)
+@settings(max_examples=60, deadline=None)
+@given(_monomial_matrices(), st.floats(1.01, 8.0).filter(lambda p: p != 2.0))
+def test_monomial_closed_form_matches_the_oracle_and_the_iteration(a, p):
+    value = pnorm_estimate(a, p).value
+    assert value == float(np.abs(a).max())
+    assert abs(value - pnorm_oracle(a, p)) <= 1e-12 * value
+    iterated = lpnorm._power_iteration(a[None].copy(), as_exponent(p), 32, 100, 1e-10, [np.random.default_rng(0)])
+    assert value >= iterated[0].value - 4 * math.ulp(iterated[0].value)
+
+
+@pytest.mark.parametrize("name", ["permutation", "partial permutation", "wide"])
+def test_monomial_estimate_scales_exactly_by_powers_of_two(name):
+    a = MONOMIAL_CASES[name]
+    for p in MONOMIAL_EXPONENTS:
+        base = pnorm_estimate(a, p)
+        for k in range(-40, 41):
+            scaled = pnorm_estimate(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k), p)
+            assert scaled.value == math.ldexp(base.value, k)
+            assert np.array_equal(scaled.witness, base.witness)
+
+
+def test_monomial_norm_beyond_the_float_range_is_a_typed_error():
+    # |1e308 + 1e308j| = 1.414e308 is a float; |1.5e308 + 1.5e308j| is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pnorm_estimate(np.diag([1e308 + 1e308j, 1.0]), 1.5).value == abs(1e308 + 1e308j)
+        for p in MONOMIAL_EXPONENTS:
+            with pytest.raises(NormOverflowError):
+                pnorm_estimate(np.diag([1.5e308 + 1.5e308j, 1.0]), p)
+            with pytest.raises(NormOverflowError):
+                pnorm_estimate_stack([np.eye(2), np.diag([1.0, 1.5e308 + 1.5e308j])], p)
+
+
+def test_monomial_norm_of_the_least_subnormal_is_exact():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in MONOMIAL_EXPONENTS:
+            est = pnorm_estimate(np.diag([5e-324, 0.0]), p)
+            assert (est.value, est.method) == (5e-324, "exact")
+            assert np.array_equal(est.witness, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_mixed_stack_matches_one_matrix_estimates(p):
+    rng = np.random.default_rng(53)
+    stack = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+    stack[1] = MONOMIAL_CASES["permutation"]
+    stack[2] = MONOMIAL_CASES["diagonal"]
+    stack[3] = _scatter((5, 5), [0, 0], [1, 3], [1.0, 0.5j])  # two nonzeros in one row: not monomial
+    stack[4] = 0.0
+    stack[5][:, 1:] = 0.0  # five nonzeros in one column: not monomial
+    got = pnorm_estimate_stack(stack, p, rngs=range(6), restarts=6, max_iters=60)
+    assert [est.method for est in got] == ["power-iteration", "exact", "exact", "power-iteration", "exact",
+                                           "power-iteration"]
+    for b, est in enumerate(got):
+        one = pnorm_estimate(stack[b], p, rng=b, restarts=6, max_iters=60)
+        assert (one.value, one.converged, one.method, one.restarts_used) == \
+            (est.value, est.converged, est.method, est.restarts_used)
+        assert np.array_equal(one.witness, est.witness)
 
 
 # ---------------------------------------------------------------------------

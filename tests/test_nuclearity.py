@@ -514,17 +514,20 @@ def test_rotation_demo_estimates_only_the_reduced_norms(monkeypatch):
 
 def test_z_witness_estimates_each_form_once(monkeypatch):
     # one Folner search and one window: one reduced norm per element and the
-    # defect of the delta_1 term; the defect of a delta_0 is zero
+    # defect of the delta_1 term; the defect of a delta_0 is zero.  Each
+    # coefficient's upper bound serves both M and the budget
     zw = ZWindow(0)
     one = CcElement.delta(zw, 1, np.array([[0.8j]]))
     for fs in ([one], [one, CcElement.delta(zw, 0, np.array([[0.5]]))]):
         calls = _count_estimates(monkeypatch)
         searches = _count_calls(monkeypatch, nuclearity, "folner_search")
         reps = _count_calls(monkeypatch, nuclearity, "CovariantRep")
+        uppers = _count_calls(monkeypatch, nuclearity, "pnorm_upper")
         _, report = crossed_nuclearity_witness(fs, 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5)
         assert report["passed"]
         assert (len(searches), len(reps)) == (1, 1)
         assert len(calls) == len(fs) + 1
+        assert len(uppers) == sum(len(f.support) for f in fs)
         monkeypatch.undo()
     assert report["elements"][1]["roundtrip_error"] == report["elements"][1]["bound"] == 0.0
 
