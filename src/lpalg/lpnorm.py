@@ -242,13 +242,9 @@ def _signs_and_scaled(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def as_generator(rng) -> np.random.Generator:
-    """A Generator as is; a seed or None (fresh entropy) through ``default_rng``."""
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
-def _as_rng(rng) -> np.random.Generator:
-    """Like :func:`as_generator`, but None means seed 0: estimates repeat by default."""
-    return as_generator(0 if rng is None else rng)
+    """A Generator as is; a seed through ``default_rng``; None means seed 0,
+    so estimates and sampled certificates repeat by default."""
+    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0 if rng is None else rng)
 
 
 def _overflow(a: np.ndarray, pe: PExponent) -> NormOverflowError:
@@ -443,7 +439,7 @@ def _estimates(arr, pe, restarts, max_iters, tol, rngs) -> list[PNormEstimate]:
     rest = [b for b, est in enumerate(out) if est is None]
     if rest:
         live = arr if len(rest) == len(arr) else arr[rest]
-        iterated = _power_iteration(live, pe, restarts, max_iters, tol, [_as_rng(rngs[b]) for b in rest])
+        iterated = _power_iteration(live, pe, restarts, max_iters, tol, [as_generator(rngs[b]) for b in rest])
         for b, est in zip(rest, iterated):
             out[b] = est
     return out
@@ -502,7 +498,11 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
     p, q = pe.p, pe.q
     count, _, n = arr.shape
     # iterate on 2^-e A, largest modulus in [1, 2): exact, and clear of underflow
-    e = [math.frexp(float(t))[1] - 1 for t in np.abs(arr).max(axis=(1, 2))]
+    with np.errstate(over="ignore"):  # an overflowing modulus is refused below
+        tops = np.abs(arr).max(axis=(1, 2))
+    if np.isinf(tops).any():
+        raise _overflow(arr[0], pe)
+    e = [math.frexp(float(t))[1] - 1 for t in tops]
     half = np.array([math.ldexp(1.0, -ek // 2) for ek in e])[:, None, None]
     rest = np.array([math.ldexp(1.0, -ek - (-ek // 2)) for ek in e])[:, None, None]
     arr *= half
@@ -626,7 +626,7 @@ def pnorm_oracle(
         )
     if samples < 1:
         raise ValueError("samples must be a positive integer")
-    gen = _as_rng(rng)
+    gen = as_generator(rng)
 
     mags = np.abs(arr)
     aligned = np.where(mags > 0.0, _signs(arr.conj(), mags), 1.0).T

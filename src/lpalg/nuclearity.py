@@ -55,13 +55,12 @@ from .errors import CertificateError
 from .groups import (
     FolnerSet,
     ZWindow,
-    cyclic_group,
     folner_intersection,
     folner_ratio,
     folner_search,
     group_to_descriptor,
 )
-from .lpnorm import as_exponent, as_generator, pnorm_estimate, pnorm_upper
+from .lpnorm import as_exponent, pnorm_estimate, pnorm_upper
 from .opspace import (
     CbEstimate,
     LinearMap,
@@ -345,7 +344,7 @@ def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form
 # ---------------------------------------------------------------------------
 
 
-def lift_factorization(fact: Factorization, n: int, entries: dict | None = None, *, rng=None) -> Factorization:
+def lift_factorization(fact: Factorization, n: int, entries: dict) -> Factorization:
     """Amplify a factorization to n x n block matrices over its algebra.
 
     The maps become id_{M_n} (x) phi and id_{M_n} (x) psi; amplification
@@ -358,12 +357,6 @@ def lift_factorization(fact: Factorization, n: int, entries: dict | None = None,
     if n < 1:
         raise ValueError("amplification level must be a positive integer")
     d = fact.phi.domain_dim
-    if entries is None:
-        gen = as_generator(rng)
-        entries = {}
-        for t in range(2):
-            grid = gen.standard_normal((n, n, d, d)) + 1j * gen.standard_normal((n, n, d, d))
-            entries[f"x{t}"] = grid / max(1.0, float(np.abs(grid).max()))
     tests = {}
     for key, grid in entries.items():
         grid = np.asarray(grid, dtype=complex)
@@ -405,13 +398,7 @@ def corner_project(outer: int, dim: int) -> LinearMap:
     )
 
 
-def corner_restrict(
-    fact: Factorization,
-    outer: int,
-    *,
-    test_elements: dict | None = None,
-    rng=None,
-) -> Factorization:
+def corner_restrict(fact: Factorization, outer: int, *, test_elements: dict) -> Factorization:
     """Restrict a factorization of M_outer (x) A to one of A via the corner.
 
     Returns (phi o iota, rho o psi).  rho(iota(a)) = a exactly, so the
@@ -419,7 +406,7 @@ def corner_restrict(
     to the contraction rho, and the measured error can only shrink.  iota
     is an isometric monomial embedding and rho a compression, so
     cb(phi o iota) <= cb(phi) and cb(rho o psi) <= cb(psi): the parent's
-    certificates carry over.  ``rng`` only draws the default test elements.
+    certificates carry over.  Errors are measured on ``test_elements``.
     """
     big = fact.phi.domain_dim
     if big % outer != 0:
@@ -429,12 +416,6 @@ def corner_restrict(
     rho = corner_project(outer, dim)
     phi2 = fact.phi.compose(iota)
     psi2 = rho.compose(fact.psi)
-    if test_elements is None:
-        gen = as_generator(rng)
-        test_elements = {
-            f"a{t}": gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-            for t in range(2)
-        }
     return Factorization(
         phi=phi2,
         psi=psi2,
@@ -633,8 +614,8 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None) -> dict:
     if math.gcd(k % n, n) != 1:
         raise ValueError(f"rotation step {k} must be coprime to the grid size {n}")
     pe = as_exponent(p)
-    group = cyclic_group(n)
     action = cyclic_coordinate_rotation(n, k)
+    group = action.carrier
     algebra = ConcreteAlgebra(n)
 
     u = CcElement.delta(group, 1, base_dim=n)

@@ -19,7 +19,6 @@ case T -> T[sel, sel], whose levels are 1.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -37,10 +36,6 @@ __all__ = [
     "monomial_cb",
     "split_blocks",
 ]
-
-
-# bytes of stacked matrices in one estimator call of cb_norm_lower
-_GROUP_BYTES = 1 << 20
 
 
 def split_blocks(m: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -283,45 +278,34 @@ def cb_norm_lower(
     ascent_steps: int = 4,
     restarts: int = 8,
     max_iters: int = 80,
-    tol: float = 1e-11,
 ) -> CbEstimate:
     """Lower-bound the p-cb norm of ``phi`` by sampling amplification levels.
 
     At each level n <= n_max the ratio ||(id_n (x) phi)(M)||_{p->p} / ||M||_{p->p}
-    is maximized over ``trials`` random inputs (plus a few structured ones:
-    the identity, a transpose witness, and a corner-supported block), each
-    refined by a short stochastic ascent.  ``sampler(rng, n)`` may supply
-    domain-specific random inputs, e.g. elements of a particular subalgebra.
+    is maximized over ``trials`` random inputs (plus the identity, a
+    transpose witness and a corner-supported block), each refined by a
+    short stochastic ascent.  ``sampler(rng, n)`` may supply domain-specific
+    random inputs; ``rng`` is a Generator, a seed, or None for seed 0.
 
-    Inner operator norms use :func:`lpalg.lpnorm.pnorm_estimate_stack`;
-    since both numerator and denominator are certified lower bounds, sampled
-    ratios can exceed a true cb norm only by the estimator's convergence
-    slack on the denominator.  Both estimates of one ratio run from the same
-    seed, so a map acting as the identity on an input yields the ratio 1.0
-    bit for bit, and the denominator gets two extra restarts to keep its
-    slack below the 1e-6 certificate tolerance on the sizes used here.
+    Both norms of a ratio are lower bounds from
+    :func:`lpalg.lpnorm.pnorm_estimate_stack` run from the same seed, so a
+    ratio exceeds the true cb norm only by the denominator's convergence
+    slack (kept below the 1e-6 certificate tolerance by two extra
+    restarts), and a map acting as the identity on an input gives the ratio
+    1.0 bit for bit.
 
-    Evaluation.  A level's inputs are taken in groups of consecutive inputs,
-    each group holding at most ``_GROUP_BYTES`` of stacked matrices counted
-    at the larger of the level's domain and codomain dimensions, so the
-    largest shapes run one input at a time.  A group runs in rounds: round 0
-    computes every input's starting ratio, and round k its k-th ascent
-    candidate.  Each round makes one stacked estimator call for the
-    denominators and one for the numerators; ``apply_amplified`` runs once
-    per candidate.
-
-    Random stream.  The group's share of ``rng`` is drawn before its first
-    round, in the order of the one-input-at-a-time ascent: per input a seed,
-    then (noise, seed) for each of the ``ascent_steps`` steps.  An input is
-    skipped, with no ascent and no draws after its seed, when it is zero or
-    amplified ``phi`` maps it to zero; a candidate with that property gets
-    the ratio 0 without estimates.  Neither rule depends on an estimate, so
-    the results do not depend on the grouping.
+    A level runs in rounds over all its inputs: round 0 takes every input's
+    starting ratio and round k its k-th ascent candidate, each round with
+    one stacked estimator call per side.  The draws are taken up front, in
+    the order of a one-input-at-a-time ascent: per input a seed, then
+    (noise, seed) per ascent step.  An input that is zero, or that amplified
+    ``phi`` maps to zero, is skipped with no draws after its seed; such a
+    candidate gets the ratio 0 without estimates.
     """
     pe = as_exponent(p)
     gen = as_generator(rng)
     d = phi.domain_dim
-    est_opts = {"restarts": restarts + 2, "max_iters": max_iters, "tol": tol}
+    est_opts = {"restarts": restarts + 2, "max_iters": max_iters, "tol": 1e-11}
 
     levels: list[tuple[int, float]] = []
     running = 0.0
@@ -330,12 +314,7 @@ def cb_norm_lower(
         inputs = _default_level_inputs(n, d, gen)
         draw = sampler if sampler is not None else (lambda g, _n: _gaussian_sampler(g, dim))
         inputs.extend(np.asarray(draw(gen, n), dtype=complex) for _ in range(trials))
-        size = max(1, _GROUP_BYTES // (16 * max(dim, n * phi.codomain_dim) ** 2))
-        level_best = 0.0
-        for start in range(0, len(inputs), size):
-            group = inputs[start : start + size]
-            level_best = max(level_best, _ascend_group(phi, pe, n, group, gen, ascent_steps, est_opts))
-        running = max(running, level_best)
+        running = max(running, _ascend_level(phi, pe, n, inputs, gen, ascent_steps, est_opts))
         levels.append((n, running))
     return CbEstimate(levels=levels)
 
@@ -343,12 +322,12 @@ def cb_norm_lower(
 @dataclass
 class _Walk:
     """One input's stochastic ascent: the current point, its ratio, the step
-    size, and a copy of the rng positioned at the draws of its next step."""
+    size, and the draws of its remaining steps."""
 
     m: np.ndarray
     ratio: float
     scale: float
-    gen: np.random.Generator
+    steps: list
     sigma: float = 0.25
 
 
@@ -375,18 +354,16 @@ def _stacked_ratios(pe, candidates: list, est_opts: dict) -> list[float]:
     return [num.value / den.value if den.value > 0.0 else 0.0 for num, den in zip(nums, dens)]
 
 
-def _ascend_group(phi, pe, n: int, group: list, gen, ascent_steps: int, est_opts: dict) -> float:
-    """Best ratio over one group of level-n inputs after their ascents."""
+def _ascend_level(phi, pe, n: int, inputs: list, gen, ascent_steps: int, est_opts: dict) -> float:
+    """Best ratio over the level-n inputs after their ascents."""
     walks, starts = [], []
-    for m in group:
+    for m in inputs:
         seed = int(gen.integers(2**63))
         image = _nonzero_image(phi, m, n)
         if image is None:
             continue
-        # the walk replays its steps' draws from a copy; gen only moves past them
-        walks.append(_Walk(m, 0.0, float(np.linalg.norm(m)) / (n * phi.domain_dim), copy.deepcopy(gen)))
-        for _ in range(ascent_steps):
-            _draw_step(gen, m.shape)
+        steps = [_draw_step(gen, m.shape) for _ in range(ascent_steps)]
+        walks.append(_Walk(m, 0.0, float(np.linalg.norm(m)) / (n * phi.domain_dim), steps))
         starts.append((m, image, seed))
     for walk, ratio in zip(walks, _stacked_ratios(pe, starts, est_opts)):
         walk.ratio = ratio
@@ -394,7 +371,7 @@ def _ascend_group(phi, pe, n: int, group: list, gen, ascent_steps: int, est_opts
     for _ in range(ascent_steps):
         trial = []
         for walk in walks:
-            noise, seed = _draw_step(walk.gen, walk.m.shape)
+            noise, seed = walk.steps.pop(0)
             cand = walk.m + walk.sigma * walk.scale * noise
             image = _nonzero_image(phi, cand, n)
             trial.append(None if image is None else (cand, image, seed))

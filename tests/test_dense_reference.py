@@ -6,8 +6,8 @@ blocks one at a time from the definitions.  Actions whose phases are real
 or in {1, -1, i, -i} must agree bit for bit; other phases within 1e-13.
 
 The stacked p-norm kernel is checked against the one-matrix dual power
-iteration, and the grouped ``cb_norm_lower`` against the one-input-at-a-time
-ascent; both must agree bit for bit.  The estimators answer monomial
+iteration, and the stacked rounds of ``cb_norm_lower`` against the
+one-input-at-a-time ascent; both must agree bit for bit.  The estimators answer monomial
 matrices in closed form, max |a_ij|, and so do the references.
 """
 
@@ -548,16 +548,15 @@ def test_stacked_kernel_leaves_an_unscaled_array_stack_intact():
 
 
 # ---------------------------------------------------------------------------
-# grouped cb_norm_lower against the one-input-at-a-time ascent
+# the stacked rounds of cb_norm_lower against the one-input-at-a-time ascent
 # ---------------------------------------------------------------------------
 
 
-def _ref_cb_levels(phi, p, n_max, trials, *, rng, sampler=None, ascent_steps=4, restarts=8,
-                   max_iters=80, tol=1e-11):
+def _ref_cb_levels(phi, p, n_max, trials, *, rng, sampler=None, ascent_steps=4, restarts=8, max_iters=80):
     """cb_norm_lower's levels with every ratio evaluated on its own."""
     gen = np.random.default_rng(rng)
     d = phi.domain_dim
-    opts = {"restarts": restarts + 2, "max_iters": max_iters, "tol": tol}
+    opts = {"restarts": restarts + 2, "max_iters": max_iters, "tol": 1e-11}
 
     def ratio_at(m, n):
         seed = int(gen.integers(2**63))
@@ -616,6 +615,7 @@ def _sometimes_zero(g, n):
 CB_CASES = {
     "identity": (LinearMap.identity(3), 1.5, {}),
     "truncate": (truncate_map(4, 2, 2), 3.0, {}),
+    "truncate_96": (truncate_map(48, 20, 2), 1.5, {"n_max": 1, "trials": 5}),
     "folner_phi": (_z_phased_folner_pair()[0], 3.0, {}),
     "folner_psi": (_z_phased_folner_pair()[1], 3.0, {}),
     "corner_rho": (corner_project(2, 2), 1.5, {}),
@@ -651,19 +651,3 @@ def test_grouped_cb_skips_keep_the_random_stream(monkeypatch):
     got = cb_norm_lower(phi, 1.5, rng=8, **opts).levels
     assert any(seen) and not all(seen)
     assert got == _ref_cb_levels(phi, 1.5, rng=8, **opts)
-
-
-def test_grouped_cb_matches_across_group_boundaries(monkeypatch):
-    # at dimension 96 one group holds 7 inputs, so 8 inputs make two groups
-    phi = truncate_map(48, 20, 2)
-    opts = {"n_max": 1, "trials": 5, "ascent_steps": 2, "restarts": 4, "max_iters": 30}
-    assert opspace._GROUP_BYTES // (16 * 96**2) == 7
-    want = _ref_cb_levels(phi, 1.5, rng=9, **opts)
-    assert cb_norm_lower(phi, 1.5, rng=9, **opts).levels == want
-    small = truncate_map(3, 2, 2)
-    want_small = _ref_cb_levels(small, 3.0, rng=10, n_max=3, trials=4, ascent_steps=2, restarts=4,
-                                max_iters=40)
-    for cap in (0, 16 * 36 * 2, 16 * 36 * 3):  # one, two and three inputs per group at level 1
-        monkeypatch.setattr(opspace, "_GROUP_BYTES", cap)
-        got = cb_norm_lower(small, 3.0, rng=10, n_max=3, trials=4, ascent_steps=2, restarts=4, max_iters=40)
-        assert got.levels == want_small

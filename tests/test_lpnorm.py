@@ -315,6 +315,18 @@ def test_monomial_norm_beyond_the_float_range_is_a_typed_error():
                 pnorm_estimate_stack([np.eye(2), np.diag([1.0, 1.5e308 + 1.5e308j])], p)
 
 
+def test_iterated_norm_with_an_overflowing_modulus_is_a_typed_error():
+    # not monomial, so the power iteration scales by the largest modulus, which is not a float
+    dense = np.array([[1.5e308 + 1.5e308j, 1.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in MONOMIAL_EXPONENTS:
+            with pytest.raises(NormOverflowError):
+                pnorm_estimate(dense, p)
+            with pytest.raises(NormOverflowError):
+                pnorm_estimate_stack([np.ones((2, 2)), dense], p)
+
+
 def test_monomial_norm_of_the_least_subnormal_is_exact():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -290,8 +290,7 @@ def test_lift_scales_errors_by_block_count():
             measure_roundtrip(lossy.phi, lossy.psi, {"e": grid[i, j]}, 2.0)["e"]
             for i in range(n) for j in range(n)
         ]
-        lifted = lift_factorization(lossy, n, entries={"e": grid},
-                                    rng=np.random.default_rng(6))
+        lifted = lift_factorization(lossy, n, entries={"e": grid})
         assert lifted.target_dim == 2 * n
         assert lifted.roundtrip_errors["e"] <= n * n * max(entry_errs) + 1e-12
 
@@ -343,7 +342,9 @@ def test_corner_restrict_and_identity_sample_no_cb_norm(monkeypatch):
     parent = identity_factorization(6, 3.0, n_max=3)
     shrink, shrink_cb = _scaling(6, 0.5)
     lossy = Factorization(parent.phi, shrink, 6, parent.phi_cb, shrink_cb, p=3.0)
-    fact = corner_restrict(lossy, 3, rng=np.random.default_rng(10))
+    gen = np.random.default_rng(10)
+    tests = {f"a{t}": gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)) for t in range(2)}
+    fact = corner_restrict(lossy, 3, test_elements=tests)
     assert calls == []
     assert fact.psi_cb is shrink_cb and fact.phi_cb is parent.phi_cb
     assert sorted(fact.roundtrip_errors) == ["a0", "a1"]

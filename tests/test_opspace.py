@@ -12,6 +12,7 @@ from lpalg.opspace import (
     compression_cb,
     split_blocks,
 )
+from lpalg.partition import circle_partition, cx_phi_cb_certificate
 
 CB_SLACK = 1e-6
 
@@ -126,6 +127,24 @@ def test_compression_map_is_completely_contractive():
         cb = cb_norm_lower(LinearMap(3, 3, apply_fn=compress), p, n_max=2, trials=6,
                            rng=np.random.default_rng(6))
         assert cb.best <= 1.0 + CB_SLACK
+
+
+def test_default_seed_repeats_sampled_levels():
+    # level 1 sees the corner block and the random inputs only: the identity
+    # and the swap witness are annihilated there
+    def keep_entry(a):
+        out = np.zeros((2, 2), dtype=complex)
+        out[0, 1] = np.asarray(a)[0, 1]
+        return out
+
+    phi = LinearMap(2, 2, apply_fn=keep_entry)
+    first = cb_norm_lower(phi, 3.0, n_max=2, trials=3, ascent_steps=2)
+    assert 0.0 < first.levels[0][1] < 1.0
+    assert cb_norm_lower(phi, 3.0, n_max=2, trials=3, ascent_steps=2).levels == first.levels
+    assert cb_norm_lower(phi, 3.0, n_max=2, trials=3, ascent_steps=2, rng=0).levels == first.levels
+    part = circle_partition(8, 4)
+    point_eval = cx_phi_cb_certificate(part, 3.0, n_max=2, trials=3)
+    assert cx_phi_cb_certificate(part, 3.0, n_max=2, trials=3).levels == point_eval.levels
 
 
 def test_cb_estimate_best():
