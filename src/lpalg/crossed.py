@@ -79,19 +79,21 @@ def is_phased_permutation(u, tol: float = _ACTION_TOL) -> bool:
     """True when u has exactly one entry of modulus 1 per row and per column
     and every other entry is below tol."""
     arr = np.asarray(u, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        return False
-    mags = np.abs(arr)
+    return arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0 and _all_phased(arr[None], tol)
+
+
+def _all_phased(stack: np.ndarray, tol: float = _ACTION_TOL) -> bool:
+    """:func:`is_phased_permutation` for every matrix of a (n, d, d) stack at once."""
+    mags = np.abs(stack)
     big = mags > tol
-    if not (big.sum(axis=0) == 1).all() or not (big.sum(axis=1) == 1).all():
-        return False
-    return bool(np.abs(mags[big] - 1.0).max() <= tol)
+    return bool((big.sum(axis=1) == 1).all() and (big.sum(axis=2) == 1).all()
+                and np.abs(mags[big] - 1.0).max() <= tol)
 
 
 def _phased_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phase) of a phased permutation: row i of u holds phase[i] at perm[i]."""
-    perm = np.abs(u).argmax(axis=1)
-    return perm, u[np.arange(u.shape[0]), perm]
+    """(perm, phase) of a phased permutation or a stack: row i of u holds phase[i] at perm[i]."""
+    perm = np.abs(u).argmax(axis=-1)
+    return perm, np.take_along_axis(u, perm[..., None], axis=-1)[..., 0]
 
 
 def _compose_pairs(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -100,13 +102,30 @@ def _compose_pairs(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(pb, pa, -1), ca * np.take_along_axis(cb, pa, -1)
 
 
+def _implementer_stack(unitaries, order: int) -> np.ndarray:
+    """The implementers as one (order, d, d) stack of finite phased permutations."""
+    mats = [np.asarray(u, dtype=complex) for u in unitaries]
+    if len(mats) != order:
+        raise ValueError(f"expected {order} implementers, got {len(mats)}")
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or 0 in shape or any(u.shape != shape for u in mats):
+        raise ValueError("every implementer must be a square phased permutation")
+    stack = np.stack(mats)
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    if not _all_phased(stack):
+        raise ValueError("every implementer must be a square phased permutation")
+    return stack
+
+
 class IsometricAction:
     """An action of a group carrier on M_d by phased permutation conjugation.
 
     Each implementer U_s is stored as its (perm, phase) pair of arrays, with
     U_s[i, perm[i]] = phase[i], so alpha_s(a) = U_s a U_s^{-1} is the gather
     a[perm_i, perm_j] times the phase product phase_i conj(phase_j).  For a
-    finite carrier all implementers are given up front and the exact
+    finite carrier all implementers are given up front and validated as one
+    (n, d, d) stack, one pass each for finiteness, moduli and pairs; the exact
     relations U_e = I and U_s U_t = U_{st} are verified, the latter on the
     stored pairs, which are what :meth:`apply` uses: for every (s, t) at
     once the composed pair of U_s U_t must have the permutation of U_{st}
@@ -125,18 +144,11 @@ class IsometricAction:
         if isinstance(carrier, FiniteGroup):
             if unitaries is None:
                 raise ValueError("a finite-group action needs one implementer per element")
-            mats = [validate_matrix(u) for u in unitaries]
-            if len(mats) != carrier.order:
-                raise ValueError(f"expected {carrier.order} implementers, got {len(mats)}")
-            d = mats[0].shape[0]
-            for u in mats:
-                if u.shape != (d, d) or not is_phased_permutation(u):
-                    raise ValueError("every implementer must be a square phased permutation")
-            e = carrier.identity
-            if np.abs(mats[e] - np.eye(d)).max() > _ACTION_TOL:
+            stack = _implementer_stack(unitaries, carrier.order)
+            self.base_dim = stack.shape[1]
+            if np.abs(stack[carrier.identity] - np.eye(self.base_dim)).max() > _ACTION_TOL:
                 raise ValueError("the implementer at the identity must be the identity matrix")
-            self.base_dim = d
-            self._perm, self._phase = map(np.stack, zip(*(_phased_pair(u) for u in mats)))
+            self._perm, self._phase = _phased_pair(stack)
             s, t = np.indices((carrier.order, carrier.order))
             st = carrier.op(s, t)
             perm, phase = _compose_pairs(self._pair(s), self._pair(t))
@@ -234,11 +246,10 @@ def cyclic_coordinate_rotation(n: int, k: int) -> IsometricAction:
     On diagonal matrices this is alpha_1(diag d)_j = d_{j+k mod n}, i.e. the
     pullback of the grid rotation j |-> j - k.
     """
-    group = cyclic_group(n)
-    shift = np.zeros((n, n), dtype=complex)
-    shift[(np.arange(n) - k) % n, np.arange(n)] = 1.0
-    mats = [np.linalg.matrix_power(shift, s) for s in range(n)]
-    return IsometricAction(group, unitaries=mats, name=f"rotate{k}")
+    s, i = np.indices((n, n))
+    mats = np.zeros((n, n, n), dtype=complex)
+    mats[s, (i - s * k) % n, i] = 1.0  # U_s is the s-th power of the shift, column i to row i - s k
+    return IsometricAction(cyclic_group(n), unitaries=mats, name=f"rotate{k}")
 
 
 class CcElement:

@@ -125,17 +125,16 @@ def group_from_table(mult, name: str = "group") -> FiniteGroup:
         raise ValueError("table entries must be element indices 0..n-1")
 
     idx = np.arange(n)
-    identities = [e for e in range(n) if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx)]
-    if len(identities) != 1:
+    identities = np.flatnonzero((table == idx).all(axis=1) & (table == idx[:, None]).all(axis=0))
+    if identities.size != 1:
         raise ValueError("table does not define a unique two-sided identity")
-    e = identities[0]
+    e = int(identities[0])
 
-    inverse = np.full(n, -1, dtype=np.int64)
-    for s in range(n):
-        hits = np.nonzero(table[s] == e)[0]
-        if hits.size != 1 or table[hits[0], s] != e:
-            raise ValueError(f"element {s} has no two-sided inverse")
-        inverse[s] = hits[0]
+    hits = table == e
+    inverse = hits.argmax(axis=1)  # the solution of s x = e, if it is the only one
+    lacking = (hits.sum(axis=1) != 1) | (table[inverse, idx] != e)
+    if lacking.any():
+        raise ValueError(f"element {lacking.argmax()} has no two-sided inverse")
 
     if n <= 24:
         # (a b) c == a (b c) for all triples at once

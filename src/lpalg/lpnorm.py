@@ -149,7 +149,7 @@ def _validated(a, ndim: int, what: str) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != ndim or 0 in arr.shape:
         raise ValueError(f"expected a nonempty {what}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 

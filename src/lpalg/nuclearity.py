@@ -32,9 +32,10 @@ Both maps work on whole arrays: phi is an index compression, and psi moves
 all blocks with one gather.  When all contributions to one group
 coefficient are bitwise identical (which is exactly what happens for
 integrated crossed elements under permutation actions), their average is
-value * (count / |F|) rather than a floating accumulation, so whole-group
-round trips reproduce coefficients bit for bit and single-term defects
-carry the intersection ratio exactly.
+value * (count / |F|) rather than a floating accumulation, so single-term
+defects carry the intersection ratio exactly.  A round trip whose ratios
+|F (cap) sF| / |F| are all 1 (F = G, say) is exact under any phases of the
+action: its defect is 0.0 by that rule, and psi is never built.
 """
 
 from __future__ import annotations
@@ -303,14 +304,13 @@ def _sum_up(terms) -> float:
     return math.fsum(terms) * (1.0 + 2.0**-50)
 
 
-def _roundtrip_bound(f: CcElement, folner: FolnerSet, p, uppers=None) -> float:
-    """Proved defect budget sum_s |1 - r_s| ||a_s||_p, r_s = |F cap sF|/|F|,
-    rounded outward; ||pi(a) v(s)|| <= ||a|| on every window.  The computed
-    r_s <= 1, the factor psi applies, is within 2^-54 of the exact ratio, so
-    |1 - r_s| + 2^-54 bounds the exact and the computed defect.  A ratio of
-    exactly 1 adds 0.0 and takes no bound.  ``uppers`` maps s to
-    ``pnorm_upper``(a_s) where the caller has it."""
-    ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
+def _roundtrip_bound(f: CcElement, ratios: dict, p, uppers=None) -> float:
+    """Proved defect budget sum_s |1 - r_s| ||a_s||_p, r_s = |F cap sF|/|F| by
+    s in ``ratios``, rounded outward; ||pi(a) v(s)|| <= ||a|| on every window.
+    The computed r_s <= 1, the factor psi applies, is within 2^-54 of the
+    exact ratio, so |1 - r_s| + 2^-54 bounds the exact and the computed
+    defect.  A ratio of exactly 1 adds 0.0 and takes no bound.  ``uppers``
+    maps s to ``pnorm_upper``(a_s) where the caller has it."""
     return _sum_up([(abs(1.0 - ratios[s]) + 2.0**-54) * (pnorm_upper(a, p) if uppers is None else uppers[s])
                     for s, a in f.items() if ratios[s] != 1.0])
 
@@ -319,24 +319,22 @@ def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form
                      **est_opts) -> dict:
     """Measure ||psi(phi(f)) - f|| (a lower bound) and its proved budget.
 
-    For a single-term f = a delta_s the defect is exactly
-    (|F cap sF|/|F| - 1) pi(a) v(s), so the error meets the budget of
-    :func:`_roundtrip_bound` up to its outward rounding.  phi is applied by
-    index to ``form``, f's integrated form on ``rep`` (built here if not
-    given), and the budget takes ``uppers``, each coefficient's
-    ``pnorm_upper`` by group element (computed here if not given).  A zero
-    defect has error 0.0 and is not estimated; when psi collects exactly
-    f's coefficients (on F = G, say), psi's form is never assembled.
+    psi(phi(f)) scales each a_s by r_s = |F cap sF|/|F|, so the defect of a
+    single-term f = a delta_s meets the budget of :func:`_roundtrip_bound`
+    up to its outward rounding, and when every r_s is 1 error and budget are
+    exactly 0.0, with neither psi nor a form built.  Otherwise phi is applied
+    by index to ``form``, f's integrated form on ``rep`` (built here if not
+    given), a nonzero defect is estimated, and the budget takes ``uppers``,
+    each coefficient's ``pnorm_upper`` by group element (computed if not given).
     """
+    ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
+    if all(r == 1.0 for r in ratios.values()):
+        return {"error": 0.0, "bound": 0.0}
     big = rep.integrated(f) if form is None else form
     sel = _folner_selector(folner, rep)
-    back = _psi_coefficients(big[np.ix_(sel, sel)], folner, rep)
-    if back.support == f.support and all(np.array_equal(back.coeff(s), a) for s, a in f.items()):
-        error = 0.0
-    else:
-        diff = rep.integrated(back) - big
-        error = pnorm_estimate(diff, rep.p, **est_opts).value if diff.any() else 0.0
-    return {"error": float(error), "bound": _roundtrip_bound(f, folner, rep.p, uppers)}
+    diff = rep.integrated(_psi_coefficients(big[np.ix_(sel, sel)], folner, rep)) - big
+    error = pnorm_estimate(diff, rep.p, **est_opts).value if diff.any() else 0.0
+    return {"error": float(error), "bound": _roundtrip_bound(f, ratios, rep.p, uppers)}
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +541,13 @@ def crossed_nuclearity_witness(
     Each element's form is built and estimated once (its ``reduced_norm``),
     and :func:`folner_roundtrip` measures its round trip on that form and
     gives its budget from the ``pnorm_upper`` of each coefficient that M
-    sums, computed once.  ``passed`` holds when every budget is below eps,
-    so it rests on upper bounds only.  The report records per element the
-    two lower-bound diagnostics, ``norm_upper`` and the budget, both
-    certificates with their kind, and on Z the window radius.  ``rng`` is
-    accepted for compatibility and not used.  Returns (Factorization, report).
+    sums, computed once; on a finite group F = G, every ratio is 1, so error
+    and budget are exactly 0.0 with nothing measured.  ``passed`` holds when
+    every budget is below eps, so it rests on upper bounds only.  The report
+    records per element the two lower-bound diagnostics, ``norm_upper`` and
+    the budget, both certificates with their kind, and on Z the window
+    radius.  ``rng`` is accepted for compatibility and not used.  Returns
+    (Factorization, report).
     """
     if not fs:
         raise ValueError("need at least one finitely supported element to witness")

@@ -82,12 +82,17 @@ class PartitionOfUnity:
         worst = float(np.abs(colsums - 1.0).max())
         if worst > _SUM_TOL:
             raise ValueError(f"bumps must sum to 1 at every grid point (off by {worst:.3e})")
-        for i, patch in enumerate(cover):
-            outside = np.setdiff1d(np.nonzero(bumps[i])[0], np.asarray(patch, dtype=int))
-            if outside.size:
-                raise ValueError(f"bump {i} is nonzero outside its patch at {outside.tolist()}")
-            if points[i] not in patch:
-                raise ValueError(f"sample point {points[i]} of bump {i} is outside its patch")
+        rows = np.repeat(np.arange(len(cover)), [len(patch) for patch in cover])
+        cols = np.array([j for patch in cover for j in patch], dtype=np.int64)
+        on_grid = (cols >= 0) & (cols < bumps.shape[1])  # listed indices off the grid hold no value
+        stray = bumps != 0.0  # one mask: the nonzeros of each bump off its patch
+        stray[rows[on_grid], cols[on_grid]] = False
+        lost = np.bincount(rows[cols == np.asarray(points)[rows]], minlength=len(points)) == 0
+        i = int((stray.any(axis=1) | lost).argmax())  # the first failing bump, if any
+        if stray[i].any():
+            raise ValueError(f"bump {i} is nonzero outside its patch at {np.flatnonzero(stray[i]).tolist()}")
+        if lost[i]:
+            raise ValueError(f"sample point {points[i]} of bump {i} is outside its patch")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "bumps", bumps)
         object.__setattr__(self, "cover", cover)

@@ -11,6 +11,7 @@ from lpalg.crossed import (
     ConcreteAlgebra,
     CovariantRep,
     IsometricAction,
+    _phased_pair,
     compress_identity_check,
     conditional_expectation,
     cyclic_coordinate_rotation,
@@ -47,6 +48,7 @@ def test_is_phased_permutation_rejects_non_examples():
     assert not is_phased_permutation(half)
     assert not is_phased_permutation(2.0 * _shift(3))
     assert not is_phased_permutation(np.zeros((2, 2)))
+    assert not is_phased_permutation(np.zeros((0, 0)))
 
 
 def test_action_requires_exact_multiplicativity():
@@ -102,6 +104,57 @@ def test_swapped_implementers_are_refused_at_the_first_failing_pair():
         s, t = _first_dense_failure(group, swapped)
         with pytest.raises(ValueError, match=re.escape(f"not multiplicative at ({s}, {t})")):
             IsometricAction(group, unitaries=swapped)
+
+
+def _diagonal_phases(n, d):
+    """Z/n acting on M_d by U_s = diag(w^{s j}), w = e^{2 pi i/n}: non-real phases."""
+    return [np.diag(np.exp(2j * np.pi * s * np.arange(d) / n)) for s in range(n)]
+
+
+@pytest.mark.parametrize("mats, message", [
+    ([np.eye(3, dtype=complex)] * 2, "expected 3 implementers, got 2"),
+    ([np.eye(3), np.eye(3), np.eye(3)[:, :2]], "every implementer must be a square phased permutation"),
+    ([np.eye(3), np.eye(3), np.eye(2)], "every implementer must be a square phased permutation"),
+    ([np.eye(3), np.eye(3), np.full((3, 3), 0.5)], "every implementer must be a square phased permutation"),
+    ([np.eye(3), np.eye(3), np.diag([1.0, 1.0 + 2e-12, 1.0])],
+     "every implementer must be a square phased permutation"),
+    ([np.eye(3), np.eye(3), np.diag([1.0, np.inf, 1.0])], "matrix entries must be finite"),
+    ([np.eye(3), np.eye(3), np.diag([1.0, np.nan, 1.0])], "matrix entries must be finite"),
+    ([np.diag([1.0, -1.0, 1.0]), np.eye(3), np.eye(3)],
+     "the implementer at the identity must be the identity matrix"),
+    ([np.eye(3), 1j * np.roll(np.eye(3), 1, axis=0), -np.roll(np.eye(3), 2, axis=0)],
+     "not multiplicative at (1, 2); projective phases are not allowed"),  # U_1 U_2 = -i I
+])
+def test_finite_action_refusals(mats, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IsometricAction(cyclic_group(3), unitaries=mats)
+
+
+def test_modulus_within_the_tolerance_is_accepted():
+    near = np.diag([1.0, 1.0 + 4e-13, 1.0])  # every product stays within 1e-12 of the table
+    mats = [np.eye(3), near, near]
+    assert IsometricAction(cyclic_group(3), unitaries=mats).base_dim == 3
+
+
+def test_finite_action_table_matches_each_implementers_pair():
+    group, signed = _sym3_signed_permutations()
+    for g, mats in [(cyclic_group(6), _diagonal_phases(6, 3)), (group, signed),
+                    (cyclic_group(4), [np.linalg.matrix_power(1j * _shift(4), s) for s in range(4)])]:
+        act = IsometricAction(g, unitaries=mats)
+        for s, u in enumerate(mats):
+            perm, phase = _phased_pair(np.asarray(u, dtype=complex))
+            assert np.array_equal(act._perm[s], perm)
+            assert np.array_equal(act._phase[s], phase)
+            assert np.array_equal(act.unitary(s), u)
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (7, 3), (12, 5), (12, -1)])
+def test_rotation_implementers_are_the_shift_powers(n, k):
+    shift = np.zeros((n, n), dtype=complex)
+    shift[(np.arange(n) - k) % n, np.arange(n)] = 1.0
+    act = cyclic_coordinate_rotation(n, k)
+    for s in range(n):
+        assert np.array_equal(act.unitary(s), np.linalg.matrix_power(shift, s))
 
 
 def test_phased_shift_action_on_z4():

@@ -1,5 +1,7 @@
 """Tests for group carriers, translation operators and Folner sets."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -37,6 +39,30 @@ def test_group_from_table_rejects_non_group():
     bad = [[0, 1], [1, 1]]  # second row repeats 1, no inverses
     with pytest.raises(ValueError):
         group_from_table(bad)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1, 2], [1, 2, 0]], "multiplication table must be square and nonempty, got (2, 3)"),
+    (np.zeros((0, 0)), "multiplication table must be square and nonempty, got (0, 0)"),
+    ([[0, 1], [1, 2]], "table entries must be element indices 0..n-1"),
+    ([[0, -1], [-1, 0]], "table entries must be element indices 0..n-1"),
+    ([[0, 0], [0, 0]], "table does not define a unique two-sided identity"),
+    ([[0, 1, 2], [1, 1, 1], [2, 1, 0]], "element 1 has no two-sided inverse"),  # no solution of 1 x = 0
+    ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], "element 1 has no two-sided inverse"),  # 1 2 = 0 but 2 1 = 2
+    ([[0, 1, 2, 3], [1, 0, 0, 2], [2, 3, 0, 1], [3, 0, 1, 0]], "element 1 has no two-sided inverse"),  # 1 x = 0 twice
+    ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 1], [3, 2, 1, 1]], "element 2 has no two-sided inverse"),  # 3 neither
+    ([[0, 1, 2], [1, 0, 1], [2, 2, 0]], "multiplication table is not associative"),  # (1 1) 2 = 2, 1 (1 2) = 0
+])
+def test_group_from_table_refusals(table, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        group_from_table(table)
+
+
+def test_group_from_table_finds_a_nonzero_identity_and_inverses():
+    # Z/3 relabelled so that 2 is the identity: x * y = x + y - 2 mod 3
+    g = group_from_table([[(x + y - 2) % 3 for y in range(3)] for x in range(3)])
+    assert g.identity == 2
+    assert g.inverse.tolist() == [1, 0, 2]
 
 
 def test_klein_table_is_a_group():

@@ -156,9 +156,9 @@ def test_roundtrip_with_the_witness_form_matches_estimating_every_term(case):
 
 @pytest.mark.parametrize("case, forms_built", [(2, 0), (3, 1)])
 def test_roundtrip_assembles_psi_only_when_its_coefficients_differ_from_f(monkeypatch, case, forms_built):
-    # on F = G psi collects f's own coefficients, so the defect is zero
-    # without assembling psi's integrated form; on F = {0..5} that form is
-    # the only one built, since the budget needs no window
+    # on F = G every ratio |F cap sF|/|F| is 1, so the defect is zero without
+    # assembling psi's integrated form; on F = {0..5} that form is the only
+    # one built, since the budget needs no window
     _, f, folner, rep = _roundtrip_cases()[case]
     form = rep.integrated(f)
     expected = _reference_roundtrip(f, folner, rep)
@@ -169,6 +169,42 @@ def test_roundtrip_assembles_psi_only_when_its_coefficients_differ_from_f(monkey
     assert rt["error"] == expected["error"]
     assert len(forms) == forms_built
     assert (expected["error"] == 0.0) == (forms_built == 0)
+
+
+def _zero_defect_cases():
+    """Round trips whose every support ratio |F cap sF|/|F| is 1: Z/6 acting on
+    M_3 by diag(w^{s j}), w = e^{2 pi i/6}, with F = G, and the subgroup
+    F = {0, 4, 8} of Z/12 under a rotation, with supp f inside F."""
+    rng = np.random.default_rng(31)
+    z6, z12 = cyclic_group(6), cyclic_group(12)
+    phases = [np.diag(np.exp(2j * np.pi * s * np.arange(3) / 6)) for s in range(6)]
+    phased = CovariantRep(ConcreteAlgebra(3), IsometricAction(z6, unitaries=phases), 1.5)
+    rot = CovariantRep(ConcreteAlgebra(12), cyclic_coordinate_rotation(12, 5), 3.0)
+    cases = [(random_cc_element(rng, z6, 3, n_terms=4), FolnerSet(z6, tuple(range(6))), phased) for _ in range(6)]
+    sub = {s: rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)) for s in (0, 4, 8)}
+    cases.append((CcElement(z12, sub), FolnerSet(z12, (0, 4, 8)), rot))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_roundtrip_with_every_ratio_one_is_exact_without_psi(monkeypatch, case):
+    # sF = F for every s in supp f, so psi(phi(f)) = f exactly: neither psi's
+    # coefficients nor any integrated form is built, and error and budget are 0.0
+    f, folner, rep = _zero_defect_cases()[case]
+    assert all(folner_intersection(folner, s) == folner.size for s in f.support)
+
+    def refuse(*args):
+        raise AssertionError("a zero-defect round trip built psi or a form")
+
+    with monkeypatch.context() as m:
+        m.setattr(nuclearity, "_psi_coefficients", refuse)
+        m.setattr(CovariantRep, "integrated", refuse)
+        assert folner_roundtrip(f, folner, rep) == {"error": 0.0, "bound": 0.0}
+        assert folner_roundtrip(f, folner, rep, form=np.zeros((2, 2))) == {"error": 0.0, "bound": 0.0}
+    if folner.size == rep.carrier.order:
+        _, report = crossed_nuclearity_witness([f], 0.1, rep.algebra, rep.carrier, rep.action, rep.p)
+        assert report["elements"][0]["roundtrip_error"] == 0.0
+        assert report["elements"][0]["bound"] == 0.0
 
 
 def _z_phased_rep(p, radius=4):

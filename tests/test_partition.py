@@ -1,5 +1,7 @@
 """Tests for circle partitions of unity and the point-evaluation leg."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,37 @@ def test_partition_validation():
         PartitionOfUnity(points=good.points, bumps=0.5 * good.bumps, cover=good.cover)
     with pytest.raises(ValueError):
         circle_partition(8, 3)  # arcs must divide the grid
+
+
+def _with_cover(part, **changes):
+    """The partition's points and cover with some patches or points replaced."""
+    cover = list(part.cover)
+    points = list(part.points)
+    for i, patch in changes.get("cover", {}).items():
+        cover[i] = patch
+    for i, y in changes.get("points", {}).items():
+        points[i] = y
+    return PartitionOfUnity(points=points, bumps=part.bumps, cover=cover)
+
+
+def test_partition_refusals_name_the_first_failing_bump():
+    good = circle_partition(12, 4)  # spacing 3: patch i is the 7 points within 3 of 3i
+    assert good.cover[1] == (0, 1, 2, 3, 4, 5, 6)
+    with pytest.raises(ValueError, match="bumps must be nonnegative"):
+        bumps = good.bumps.copy()
+        bumps[0, 0] = -1e-300
+        PartitionOfUnity(points=good.points, bumps=bumps, cover=good.cover)
+    with pytest.raises(ValueError, match=r"bumps must sum to 1 at every grid point \(off by 1\.000e-09\)"):
+        bumps = good.bumps.copy()
+        bumps[2, 6] += 1e-9
+        PartitionOfUnity(points=good.points, bumps=bumps, cover=good.cover)
+    with pytest.raises(ValueError, match=re.escape("bump 1 is nonzero outside its patch at [1, 5]")):
+        _with_cover(good, cover={1: (0, 2, 3, 4, 6), 2: (6,)})
+    with pytest.raises(ValueError, match=re.escape("sample point 7 of bump 1 is outside its patch")):
+        _with_cover(good, points={1: 7, 2: 0})
+    # within one bump a stray nonzero is named before its sample point
+    with pytest.raises(ValueError, match=re.escape("bump 2 is nonzero outside its patch at [4]")):
+        _with_cover(good, cover={2: (5, 6, 7, 8, 9, 10, -1)}, points={2: 11, 3: 0})
+    # patch entries outside the grid hold no bump value, so only listing counts
+    kept = _with_cover(good, cover={0: good.cover[0] + (12, -4)}, points={0: 12})
+    assert kept.points[0] == 12 and kept.cover[0][-2:] == (12, -4)
