@@ -28,7 +28,7 @@ from .errors import CapacityError, CertificateError, DimensionGuardError, Unsupp
 from .groups import ZWindow, cyclic_group, folner_ratio, folner_search, group_from_descriptor, group_to_descriptor
 from .lpnorm import pnorm_estimate
 from .nuclearity import crossed_nuclearity_witness, rotation_demo
-from .opspace import cb_norm_lower
+from .opspace import cb_norm_lower, compression
 from .serialize import (
     action_from_obj,
     canonical_json,
@@ -181,8 +181,7 @@ def _cmd_crossed(args) -> int:
     rep = CovariantRep(ConcreteAlgebra(f.base_dim), action, p, window_radius=radius)
     est = reduced_norm(f, rep, restarts=args.restarts, rng=np.random.default_rng(args.seed))
     check = compress_identity_check(rep, f)
-    e = rep.position_index(rep.identity_position) * f.base_dim
-    e_block = rep.integrated(f)[e : e + f.base_dim, e : e + f.base_dim]
+    e_block = compression(rep.block_selector([rep.identity_position]), rep.dimension).apply(rep.integrated(f))
     e_dev = float(np.abs(conditional_expectation(f) - e_block).max())
     payload = {
         "command": "crossed",

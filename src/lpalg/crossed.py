@@ -27,8 +27,9 @@ norms are certified lower bounds of the full translation-invariant norms
 and every window is recorded alongside the numbers computed on it.
 
 The conditional expectation onto the base algebra reads off the coefficient
-at the identity, and is realized spatially by compression with the
-coordinate projection at the identity position:
+at the identity, and is realized spatially by the coordinate compression to
+the identity block (``CovariantRep.block_selector`` and
+``opspace.compression``), embedded back by its adjoint:
 
     (P_e (x) I) (integrated f) (P_e (x) I) = P_e (x) f(e).
 """
@@ -41,7 +42,7 @@ import numpy as np
 
 from .groups import FiniteGroup, ZWindow, cyclic_group
 from .lpnorm import PNormEstimate, as_exponent, pnorm_estimate, validate_matrix
-from .opspace import CbEstimate, LinearMap, block_matrix, cb_norm_lower
+from .opspace import CbEstimate, block_matrix, cb_norm_lower, compression, embedding
 
 __all__ = [
     "CcElement",
@@ -399,6 +400,15 @@ class CovariantRep:
             raise KeyError(np.asarray(t)[outside].tolist())
         return index
 
+    def block_selector(self, positions) -> np.ndarray:
+        """Indices of the d x d blocks at the given positions, in their order:
+        the selector of the coordinate compression to those positions."""
+        try:
+            starts = self.position_index(positions) * self.base_dim
+        except KeyError as exc:
+            raise ValueError(f"positions {exc} lie outside the representation window") from exc
+        return (starts[:, None] + np.arange(self.base_dim)).ravel()
+
     def _translate(self, shifts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index triples (k, i, j) with positions[i] = shifts[k] positions[j]."""
         shifts = np.asarray(shifts, dtype=np.int64)
@@ -443,14 +453,6 @@ class CovariantRep:
         coeffs = np.array([f.coeff(s) for s in f.support]).reshape(-1, self.base_dim, self.base_dim)[which]
         return self._assemble(rows, cols, self.action.apply(self._inv_positions[rows], coeffs))
 
-    def identity_projection(self) -> np.ndarray:
-        """P_e (x) I: the coordinate projection onto the identity position."""
-        nt = len(self.positions)
-        pe = np.zeros((nt, nt), dtype=complex)
-        e = self.position_index(self.identity_position)
-        pe[e, e] = 1.0
-        return np.kron(pe, np.eye(self.base_dim, dtype=complex))
-
     def __repr__(self) -> str:
         return (
             f"CovariantRep(p={self.p.p}, positions={len(self.positions)}, "
@@ -476,15 +478,15 @@ def conditional_expectation(f: CcElement) -> np.ndarray:
 def compress_identity_check(rep: CovariantRep, f: CcElement) -> dict:
     """Compare (P_e (x) I) (integrated f) (P_e (x) I) with P_e (x) f(e).
 
+    Both sides come from the identity block's compression and embedding.
     Returns the two matrices and their max entrywise deviation; the
     conditional expectation is exactly this compression, so the deviation
     is pure floating-point noise.
     """
-    proj = rep.identity_projection()
-    lhs = proj @ rep.integrated(f) @ proj
-    e, d = rep.position_index(rep.identity_position) * rep.base_dim, rep.base_dim
-    rhs = np.zeros_like(lhs)
-    rhs[e : e + d, e : e + d] = conditional_expectation(f)
+    sel = rep.block_selector([rep.identity_position])
+    pad = embedding(sel, rep.dimension)
+    lhs = pad.apply(compression(sel, rep.dimension).apply(rep.integrated(f)))
+    rhs = pad.apply(conditional_expectation(f))
     return {"lhs": lhs, "rhs": rhs, "max_abs_diff": float(np.abs(lhs - rhs).max())}
 
 
@@ -513,10 +515,12 @@ def expectation_cb_certificate(
     """Certify that the spatial conditional expectation is p-completely
     contractive on sampled crossed-product elements.
 
-    The map is X |-> (P_e (x) I) X (P_e (x) I); inputs are amplified
-    integrated forms of random finitely supported elements.
+    The map is X |-> (P_e (x) I) X (P_e (x) I), the embedding after the
+    compression to the identity block; inputs are amplified integrated
+    forms of random finitely supported elements.
     """
-    proj = rep.identity_projection()
-    phi = LinearMap(rep.dimension, rep.dimension, apply_fn=lambda x: proj @ x @ proj, name="E_e")
+    sel = rep.block_selector([rep.identity_position])
+    phi = embedding(sel, rep.dimension).compose(compression(sel, rep.dimension))
+    phi.name = "E_e"
     sampler = _crossed_sampler(rep)
     return cb_norm_lower(phi, rep.p, n_max=n_max, trials=trials, rng=rng, sampler=sampler, **engine_opts)

@@ -19,13 +19,14 @@ conjugations by phased permutations (this is where the action must be
 p-completely isometric) and R, S are monomial with norm 1
 (``folner_psi_factors``), so every level of either certificate is a proved
 upper bound, 1 up to rounding, with no sampling.
-The remaining operations supply the bookkeeping lemmas: an exact identity
-factorization for matrix algebras, amplification and corner stability,
-window truncation, and the triangle-inequality composition of two
-approximations.  A ``Factorization`` holds only proofs: every certificate
-must be structural and at most 1, and each lemma derives its legs' bounds
-from the parent's by cb(A o B) <= cb(A) cb(B), so nothing in this module
-samples a cb norm (``opspace.cb_norm_lower`` stays the refuting
+The remaining operations supply the bookkeeping lemmas: amplification and
+corner stability, window truncation, and the triangle-inequality
+composition of two approximations.  Like phi, the corner maps and the
+truncation are built from ``opspace.compression`` and its adjoint
+``opspace.embedding``.  A ``Factorization`` holds only proofs: every
+certificate must be structural and at most 1, and each lemma derives its
+legs' bounds from the parent's by cb(A o B) <= cb(A) cb(B), so nothing in
+this module samples a cb norm (``opspace.cb_norm_lower`` stays the refuting
 cross-check of the suite and the tests).
 
 Both maps work on whole arrays: phi is an index compression, and psi moves
@@ -67,7 +68,9 @@ from .opspace import (
     LinearMap,
     amplify,
     block_matrix,
+    compression,
     compression_cb,
+    embedding,
     monomial_cb,
     split_blocks,
 )
@@ -91,12 +94,10 @@ __all__ = [
     "folner_psi_factors",
     "folner_psi_map",
     "folner_roundtrip",
-    "identity_factorization",
     "lift_factorization",
     "measure_roundtrip",
     "rotation_demo",
     "truncate_map",
-    "truncate_stable",
 ]
 
 _CB_TOL = 1e-6
@@ -148,49 +149,19 @@ class Factorization:
         return max(self.roundtrip_errors.values(), default=0.0)
 
 
-def measure_roundtrip(phi: LinearMap, psi: LinearMap, elements: dict, p, **est_opts) -> dict:
+def measure_roundtrip(phi: LinearMap, psi: LinearMap, elements: dict, p) -> dict:
     """Measured ||psi(phi(x)) - x||_{p->p} per test element."""
     pe = as_exponent(p)
     out = {}
     for key, x in elements.items():
         x = np.asarray(x, dtype=complex)
-        out[key] = pnorm_estimate(psi.apply(phi.apply(x)) - x, pe, **est_opts).value
+        out[key] = pnorm_estimate(psi.apply(phi.apply(x)) - x, pe).value
     return out
-
-
-def identity_factorization(dim: int, p, n_max: int = 1) -> Factorization:
-    """The exact factorization of a matrix algebra through itself.
-
-    The identity is the compression to every coordinate, so
-    ``compression_cb`` certifies both legs with levels 1.
-    """
-    ident = LinearMap.identity(dim)
-    pe = as_exponent(p)
-    cb = compression_cb(np.arange(dim), dim, n_max)
-    return Factorization(
-        phi=ident,
-        psi=ident,
-        target_dim=dim,
-        phi_cb=cb,
-        psi_cb=cb,
-        roundtrip_errors={},
-        p=pe.p,
-    )
 
 
 # ---------------------------------------------------------------------------
 # The Folner compression / averaging pair
 # ---------------------------------------------------------------------------
-
-
-def _folner_selector(folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
-    """Row/column indices of the F-block square inside the representation."""
-    d = rep.base_dim
-    try:
-        starts = rep.position_index(folner.members) * d
-    except KeyError as exc:
-        raise ValueError(f"Folner members {exc} lie outside the representation window") from exc
-    return (starts[:, None] + np.arange(d)).ravel()
 
 
 def folner_phi(f: CcElement, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
@@ -199,24 +170,13 @@ def folner_phi(f: CcElement, folner: FolnerSet, rep: CovariantRep) -> np.ndarray
     The (r, s^{-1}r) block of the result is alpha_{r^{-1}}(f(s)) for each
     r in F (cap) sF, the entries of the integrated form at those positions.
     """
-    sel = _folner_selector(folner, rep)
-    return rep.integrated(f)[np.ix_(sel, sel)]
+    return folner_phi_map(folner, rep).apply(rep.integrated(f))
 
 
 def folner_phi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
-    """The compression T -> (P_F (x) I) T (P_F (x) I) as a map on matrices.
-
-    Its selector holds distinct indices, so ``compression_cb`` certifies
-    it with levels 1.
-    """
-    sel = _folner_selector(folner, rep)
-    grid = np.ix_(sel, sel)
-    return LinearMap(
-        rep.dimension,
-        folner.size * rep.base_dim,
-        apply_fn=lambda t: np.asarray(t, dtype=complex)[grid],
-        name="folner_phi",
-    )
+    """The compression T -> (P_F (x) I) T (P_F (x) I) to the F blocks;
+    ``compression_cb`` certifies it with levels 1."""
+    return compression(rep.block_selector(folner.members), rep.dimension, "folner_phi")
 
 
 def folner_psi(m, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
@@ -323,16 +283,15 @@ def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form
     single-term f = a delta_s meets the budget of :func:`_roundtrip_bound`
     up to its outward rounding, and when every r_s is 1 error and budget are
     exactly 0.0, with neither psi nor a form built.  Otherwise phi is applied
-    by index to ``form``, f's integrated form on ``rep`` (built here if not
-    given), a nonzero defect is estimated, and the budget takes ``uppers``,
-    each coefficient's ``pnorm_upper`` by group element (computed if not given).
+    to ``form``, f's integrated form on ``rep`` (built here if not given), a
+    nonzero defect is estimated, and the budget takes ``uppers``, each
+    coefficient's ``pnorm_upper`` by group element (computed if not given).
     """
     ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
     if all(r == 1.0 for r in ratios.values()):
         return {"error": 0.0, "bound": 0.0}
     big = rep.integrated(f) if form is None else form
-    sel = _folner_selector(folner, rep)
-    diff = rep.integrated(_psi_coefficients(big[np.ix_(sel, sel)], folner, rep)) - big
+    diff = rep.integrated(_psi_coefficients(folner_phi_map(folner, rep).apply(big), folner, rep)) - big
     error = pnorm_estimate(diff, rep.p, **est_opts).value if diff.any() else 0.0
     return {"error": float(error), "bound": _roundtrip_bound(f, ratios, rep.p, uppers)}
 
@@ -376,24 +335,12 @@ def lift_factorization(fact: Factorization, n: int, entries: dict) -> Factorizat
 
 def corner_embed(outer: int, dim: int) -> LinearMap:
     """a -> e_{1,1} (x) a, the completely isometric corner embedding."""
-
-    def embed(a):
-        a = np.asarray(a, dtype=complex)
-        out = np.zeros((outer * dim, outer * dim), dtype=complex)
-        out[:dim, :dim] = a
-        return out
-
-    return LinearMap(dim, outer * dim, apply_fn=embed, name="corner_iota")
+    return embedding(np.arange(dim), outer * dim, "corner_iota")
 
 
 def corner_project(outer: int, dim: int) -> LinearMap:
     """X -> (1,1) block, the completely contractive corner projection."""
-    return LinearMap(
-        outer * dim,
-        dim,
-        apply_fn=lambda x: np.asarray(x, dtype=complex)[:dim, :dim].copy(),
-        name="corner_rho",
-    )
+    return compression(np.arange(dim), outer * dim, "corner_rho")
 
 
 def corner_restrict(fact: Factorization, outer: int, *, test_elements: dict) -> Factorization:
@@ -425,27 +372,15 @@ def corner_restrict(fact: Factorization, outer: int, *, test_elements: dict) -> 
     )
 
 
-def truncate_stable(t, n_keep: int, block_dim: int = 1) -> np.ndarray:
-    """Compress to the first n_keep positions of a window: (P_N (x) I) T (P_N (x) I)."""
-    t = np.asarray(t, dtype=complex)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError("expected a square matrix over the window")
-    if t.shape[0] % block_dim != 0:
-        raise ValueError("fiber dimension must divide the matrix size")
-    window = t.shape[0] // block_dim
+def truncate_map(window: int, n_keep: int, block_dim: int = 1) -> LinearMap:
+    """(P_N (x) I) T (P_N (x) I) on a window of fiber ``block_dim``: the
+    compression to the first n_keep positions, padded back with zeros."""
     if not 1 <= n_keep <= window:
         raise ValueError(f"can keep between 1 and {window} positions, asked for {n_keep}")
-    keep = n_keep * block_dim
-    out = np.zeros_like(t)
-    out[:keep, :keep] = t[:keep, :keep]
-    return out
-
-
-def truncate_map(window: int, n_keep: int, block_dim: int = 1) -> LinearMap:
-    dim = window * block_dim
-    return LinearMap(
-        dim, dim, apply_fn=lambda t: truncate_stable(t, n_keep, block_dim), name=f"truncate_{n_keep}"
-    )
+    dim, keep = window * block_dim, np.arange(n_keep * block_dim)
+    trunc = embedding(keep, dim).compose(compression(keep, dim))
+    trunc.name = f"truncate_{n_keep}"
+    return trunc
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +495,7 @@ def crossed_nuclearity_witness(
     folner = folner_search(carrier, supports, eps / (3.0 * max(*norm_uppers, 1e-9)))
     rep = CovariantRep(algebra, action, pe, window_radius=max(map(abs, supports), default=0) + folner.size)
 
-    phi_cb = compression_cb(_folner_selector(folner, rep), rep.dimension, n_max)
+    phi_cb = compression_cb(rep.block_selector(folner.members), rep.dimension, n_max)
     psi_cb = monomial_cb(*folner_psi_factors(folner, rep), pe, n_max)
 
     elements = []

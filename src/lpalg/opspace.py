@@ -13,8 +13,12 @@ can only refute contractivity (a level above 1 + 1e-6 does).  A map that
 factors as x -> R (I (x) rho(x)) S, with R and S monomial (one entry per
 column of R, per row of S) and rho p-completely contractive, has the
 closed-form bound ||R|| ||S|| at every level; ``monomial_cb`` records it as
-a structural upper bound with no sampling, and ``compression_cb`` is its
-case T -> T[sel, sel], whose levels are 1.
+a structural upper bound with no sampling.
+
+Every coordinate cut is one map: ``compression`` is T -> J* T J = T[sel, sel]
+for the coordinate inclusion J of l^p(sel), ``embedding`` its adjoint
+M -> J M J*, the zero-padding back, and ``compression_cb`` the monomial case
+that certifies both with levels 1.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ __all__ = [
     "amplify",
     "block_matrix",
     "cb_norm_lower",
+    "compression",
     "compression_cb",
+    "embedding",
     "monomial_cb",
     "split_blocks",
 ]
@@ -225,21 +231,51 @@ def monomial_cb(r, s, p, n_max: int) -> CbEstimate:
     return CbEstimate(levels=[(n, bound) for n in range(1, n_max + 1)], kind="structural")
 
 
-def compression_cb(sel, domain_dim: int, n_max: int) -> CbEstimate:
-    """Structural cb certificate of the compression T -> T[sel, sel] on M_{domain_dim}.
+def _selector(sel, dim: int) -> np.ndarray:
+    """A coordinate selector of l^p(dim): one-dimensional integer indices in
+    [0, dim), none repeated."""
+    sel = np.asarray(sel)
+    if sel.ndim != 1 or not np.issubdtype(sel.dtype, np.integer):
+        raise ValueError("a compression selector must be a one-dimensional array of indices")
+    if ((sel < 0) | (sel >= dim)).any():
+        raise ValueError(f"compression selector leaves the index range [0, {dim})")
+    if sel.size and np.bincount(sel).max() > 1:
+        raise ValueError("compression selector repeats an index")
+    return sel
 
-    The map is J* T J for the coordinate inclusion J of l^p(sel) into
-    l^p(domain_dim), so it is the :func:`monomial_cb` case R = J*, S = J,
+
+def compression(sel, domain_dim: int, name: str = "") -> LinearMap:
+    """The compression T -> J* T J = T[sel, sel] on M_{domain_dim}, J the
+    coordinate inclusion of l^p(sel); :func:`compression_cb` certifies it."""
+    sel = _selector(sel, domain_dim)
+    grid = np.ix_(sel, sel)
+    return LinearMap(domain_dim, sel.size, apply_fn=lambda t: t[grid], name=name)
+
+
+def embedding(sel, codomain_dim: int, name: str = "") -> LinearMap:
+    """The adjoint of :func:`compression`: M -> J M J*, M placed at the rows
+    and columns ``sel`` of a zero matrix; a complete isometry for every p."""
+    sel = _selector(sel, codomain_dim)
+    grid = np.ix_(sel, sel)
+
+    def pad(m):
+        out = np.zeros((codomain_dim, codomain_dim), dtype=complex)
+        out[grid] = m
+        return out
+
+    return LinearMap(sel.size, codomain_dim, apply_fn=pad, name=name)
+
+
+def compression_cb(sel, domain_dim: int, n_max: int) -> CbEstimate:
+    """Structural cb certificate of :func:`compression` on M_{domain_dim}.
+
+    The map is J* T J, so it is the :func:`monomial_cb` case R = J*, S = J,
     rho = id, with levels 1.0 for every p.  A repeated index puts two
     entries in one column of J* (the selector [0, 0] sends e_00 to the
     all-ones 2 x 2 matrix, of norm 2), so it is refused, as is an index
     outside the domain.
     """
-    sel = np.asarray(sel)
-    if sel.ndim != 1 or not np.issubdtype(sel.dtype, np.integer):
-        raise ValueError("a compression selector must be a one-dimensional array of indices")
-    if ((sel < 0) | (sel >= domain_dim)).any():
-        raise ValueError(f"compression selector leaves the index range [0, {domain_dim})")
+    sel = _selector(sel, domain_dim)
     inner, ones = np.arange(sel.size), np.ones(sel.size)
     return monomial_cb((inner, sel, ones), (sel, inner, ones), 1.0, n_max)
 

@@ -192,9 +192,7 @@ def partition_roundtrip(partition: PartitionOfUnity, f_values) -> dict:
     ``bound`` is max_i sup_{x in patch_i} |f(x) - f(y_i)| — the oscillation
     of f around each sample point over that bump's patch, which dominates
     the error because the bump weights are a convex combination supported
-    in the patches.  ``pair_oscillation`` is the symmetric variant
-    max_i sup_{x,y in patch_i} |f(x) - f(y)| >= bound, reported for
-    reference.
+    in the patches.
     """
     f = np.asarray(f_values, dtype=complex).ravel()
     if f.size != partition.n_points:
@@ -202,12 +200,10 @@ def partition_roundtrip(partition: PartitionOfUnity, f_values) -> dict:
     recon = cx_partition_psi(cx_point_eval_phi(f, partition.points), partition)
     error = float(np.abs(recon - f).max())
     bound = 0.0
-    pair = 0.0
     for i, patch in enumerate(partition.cover):
         patch_vals = f[np.asarray(patch, dtype=int)]
         bound = max(bound, float(np.abs(patch_vals - f[partition.points[i]]).max()))
-        pair = max(pair, float(np.abs(patch_vals[:, None] - patch_vals[None, :]).max()))
-    return {"error": error, "bound": bound, "pair_oscillation": pair}
+    return {"error": error, "bound": bound}
 
 
 # ---------------------------------------------------------------------------

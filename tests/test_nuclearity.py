@@ -30,14 +30,12 @@ from lpalg.nuclearity import (
     folner_psi,
     folner_psi_map,
     folner_roundtrip,
-    identity_factorization,
     lift_factorization,
     measure_roundtrip,
     rotation_demo,
     truncate_map,
-    truncate_stable,
 )
-from lpalg.opspace import CbEstimate, LinearMap, cb_norm_lower, compression_cb, monomial_cb
+from lpalg.opspace import CbEstimate, LinearMap, cb_norm_lower, compression, compression_cb, monomial_cb
 
 CB_SLACK = 1e-6
 LIGHT = {"trials": 4, "ascent_steps": 2, "restarts": 6, "max_iters": 60}
@@ -99,7 +97,7 @@ def _reference_roundtrip(f, folner, rep):
     """The round trip with every operator estimated on the window: the
     defect, and each term pi(a_s) v(s) of the budget, whatever its ratio."""
     big = rep.integrated(f)
-    sel = nuclearity._folner_selector(folner, rep)
+    sel = rep.block_selector(folner.members)
     error = lpnorm.pnorm_estimate(folner_psi(big[np.ix_(sel, sel)], folner, rep) - big, rep.p).value
     total = 0.0
     for s, a in f.items():
@@ -254,12 +252,12 @@ def test_folner_maps_package_dimensions():
 # factorization bookkeeping
 # ---------------------------------------------------------------------------
 
-def test_identity_factorization_is_exact():
-    fact = identity_factorization(3, 2.0, n_max=2)
-    assert fact.target_dim == 3
-    assert fact.worst_error == 0.0
-    assert fact.phi_cb.kind == fact.psi_cb.kind == "structural"
-    assert fact.phi_cb.levels == fact.psi_cb.levels == [(1, 1.0), (2, 1.0)]
+def _identity_factorization(dim, p, n_max=1):
+    """The exact factorization of M_dim through itself: both legs are the
+    compression to every coordinate, certified with levels 1."""
+    ident = compression(np.arange(dim), dim)
+    cb = compression_cb(np.arange(dim), dim, n_max)
+    return Factorization(ident, ident, dim, cb, cb, p=p)
 
 
 def _structural(level):
@@ -302,7 +300,7 @@ def test_factorization_refuses_a_certificate_with_no_levels():
         with pytest.raises(ValueError, match="at least one level"):
             monomial_cb(*doubling, 2.0, n_max)
         with pytest.raises(ValueError, match="at least one level"):
-            identity_factorization(2, 2.0, n_max=n_max)
+            compression_cb(np.arange(2), 2, n_max)
 
 
 def test_measure_roundtrip_reports_per_element_errors():
@@ -314,7 +312,7 @@ def test_measure_roundtrip_reports_per_element_errors():
 
 
 def test_lift_scales_errors_by_block_count():
-    base = identity_factorization(2, 2.0)
+    base = _identity_factorization(2, 2.0)
     shrink = LinearMap(2, 2, apply_fn=lambda a: (1 - 1e-3) * np.asarray(a, dtype=complex))
     lossy = Factorization(phi=base.phi, psi=shrink, target_dim=2,
                           phi_cb=base.phi_cb, psi_cb=base.psi_cb,
@@ -344,7 +342,7 @@ def test_corner_embed_project_are_mutually_inverse():
 
 
 def test_corner_restrict_of_exact_parent_is_exact():
-    parent = identity_factorization(4, 1.5, n_max=2)
+    parent = _identity_factorization(4, 1.5, n_max=2)
     rng = np.random.default_rng(9)
     tests = {f"a{i}": rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
              for i in range(3)}
@@ -375,7 +373,7 @@ def _count_sampled_cb(monkeypatch) -> list:
 def test_corner_restrict_and_identity_sample_no_cb_norm(monkeypatch):
     calls = _count_sampled_cb(monkeypatch)
     assert not hasattr(nuclearity, "cb_norm_lower")
-    parent = identity_factorization(6, 3.0, n_max=3)
+    parent = _identity_factorization(6, 3.0, n_max=3)
     shrink, shrink_cb = _scaling(6, 0.5)
     lossy = Factorization(parent.phi, shrink, 6, parent.phi_cb, shrink_cb, p=3.0)
     gen = np.random.default_rng(10)
@@ -389,14 +387,13 @@ def test_corner_restrict_and_identity_sample_no_cb_norm(monkeypatch):
 
 def test_truncate_keeps_leading_blocks():
     t = np.arange(36, dtype=float).reshape(6, 6)
-    out = truncate_stable(t, 2, block_dim=2)
+    out = truncate_map(3, 2, block_dim=2).apply(t)
     assert out.shape == (6, 6)
     assert np.array_equal(out[:4, :4], t[:4, :4])
     assert np.all(out[4:, :] == 0.0) and np.all(out[:, 4:] == 0.0)
-    with pytest.raises(ValueError):
-        truncate_stable(t, 0, block_dim=2)
-    with pytest.raises(ValueError):
-        truncate_stable(t, 4, block_dim=2)
+    for n_keep in (0, 5):  # refused when the map is built, before any apply
+        with pytest.raises(ValueError, match="can keep between 1 and 4"):
+            truncate_map(4, n_keep, 2)
 
 
 def test_truncate_certificate_contractive():
@@ -412,7 +409,7 @@ def test_truncate_certificate_contractive():
 # ---------------------------------------------------------------------------
 
 def test_compose_identity_bridges_is_lossless():
-    inner = identity_factorization(2, 2.0, n_max=2)
+    inner = _identity_factorization(2, 2.0, n_max=2)
     ident = LinearMap.identity(2)
     tests = {"x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)}
     fact = compose_factorizations(ident, ident, inner, tests, (0.1, 0.0), p=2.0,
@@ -422,7 +419,7 @@ def test_compose_identity_bridges_is_lossless():
 
 
 def test_compose_rejects_expansive_bridge():
-    inner = identity_factorization(2, 2.0, n_max=2)
+    inner = _identity_factorization(2, 2.0, n_max=2)
     double, double_cb = _scaling(2, 2.0)
     assert double_cb.levels == [(1, 2.0), (2, 2.0)] and double_cb.kind == "structural"
     ident = LinearMap.identity(2)
@@ -435,7 +432,7 @@ def test_compose_rejects_expansive_bridge():
 
 
 def test_compose_refuses_a_sampled_bridge():
-    inner = identity_factorization(2, 2.0)
+    inner = _identity_factorization(2, 2.0)
     ident = LinearMap.identity(2)
     sampled = CbEstimate(levels=[(1, 1.0)])
     with pytest.raises(CertificateError):

@@ -9,9 +9,13 @@ from lpalg.opspace import (
     apply_amplified,
     block_matrix,
     cb_norm_lower,
+    compression,
     compression_cb,
+    embedding,
     split_blocks,
 )
+from lpalg.crossed import ConcreteAlgebra, CovariantRep, IsometricAction, cyclic_coordinate_rotation
+from lpalg.groups import ZWindow
 from lpalg.partition import circle_partition, cx_phi_cb_certificate
 
 CB_SLACK = 1e-6
@@ -163,9 +167,18 @@ def test_compression_cb_is_the_structural_bound_one():
     assert CbEstimate().kind == "sampled_lower"
 
 
+# each refusal holds for the certificate and for both maps it certifies
+_SELECTOR_TAKERS = (
+    lambda sel, dim: compression_cb(sel, dim, 2),
+    compression,
+    embedding,
+)
+
+
 def test_compression_cb_refuses_a_repeated_index():
-    with pytest.raises(ValueError):
-        compression_cb(np.array([0, 0]), 2, 2)
+    for take in _SELECTOR_TAKERS:
+        with pytest.raises(ValueError):
+            take(np.array([0, 0]), 2)
     # the map it would certify sends e_00 to the all-ones 2 x 2 matrix, of norm 2
     doubled = LinearMap(2, 2, apply_fn=lambda t: np.asarray(t, dtype=complex)[np.ix_([0, 0], [0, 0])])
     sampled = cb_norm_lower(doubled, 1.5, n_max=2, trials=4, rng=np.random.default_rng(7))
@@ -175,5 +188,51 @@ def test_compression_cb_refuses_a_repeated_index():
 
 @pytest.mark.parametrize("sel", [[0, 3], [-1, 1], [[0, 1]], [0.0, 1.0]])
 def test_compression_cb_refuses_indices_outside_the_domain(sel):
-    with pytest.raises(ValueError):
-        compression_cb(np.array(sel), 3, 2)
+    for take in _SELECTOR_TAKERS:
+        with pytest.raises(ValueError):
+            take(np.array(sel), 3)
+
+
+def _gauss(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def test_compression_recovers_what_embedding_pads_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for sel, dim in (([4, 0, 2], 5), ([1], 3), ([0, 1, 2, 3], 4), ([], 2)):
+        m = _gauss(rng, len(sel), len(sel))
+        padded = embedding(np.array(sel, dtype=int), dim).apply(m)
+        assert padded.shape == (dim, dim)
+        assert np.array_equal(compression(np.array(sel, dtype=int), dim).apply(padded), m)
+
+
+def _block_selectors():
+    """Selectors of the F blocks and of the identity block of two
+    representations, and a scattered one, with their dimension."""
+    finite = CovariantRep(ConcreteAlgebra(5), cyclic_coordinate_rotation(5, 2), 1.5)
+    line = CovariantRep(ConcreteAlgebra(2), IsometricAction(ZWindow(4), generator=np.eye(2)), 3.0,
+                        window_radius=4)
+    cases = [(np.array([6, 1, 3]), 7)]
+    for rep, folner in ((finite, (4, 0, 1)), (line, (-1, 0, 1, 2))):
+        cases.append((rep.block_selector(folner), rep.dimension))
+        cases.append((rep.block_selector([rep.identity_position]), rep.dimension))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_embedding_after_compression_is_the_dense_coordinate_projection(case):
+    sel, dim = _block_selectors()[case]
+    proj = np.zeros((dim, dim), dtype=complex)
+    proj[sel, sel] = 1.0
+    t = _gauss(np.random.default_rng(case), dim, dim)
+    cut = embedding(sel, dim).compose(compression(sel, dim))
+    assert np.array_equal(cut.apply(t), proj @ t @ proj)
+    assert np.array_equal(compression(sel, dim).apply(t), t[np.ix_(sel, sel)])
+
+
+def test_block_selector_refuses_positions_outside_the_window():
+    rep = CovariantRep(ConcreteAlgebra(2), IsometricAction(ZWindow(3), generator=np.eye(2)), 2.0,
+                       window_radius=3)
+    assert rep.block_selector([-3, 3]).tolist() == [0, 1, 12, 13]
+    with pytest.raises(ValueError, match="outside the representation window"):
+        rep.block_selector([0, 4])

@@ -26,7 +26,6 @@ from lpalg.errors import CertificateError
 from lpalg.groups import FolnerSet, ZWindow, cyclic_group
 from lpalg.lpnorm import pnorm_estimate, pnorm_exact
 from lpalg.nuclearity import (
-    _folner_selector,
     crossed_nuclearity_witness,
     folner_phi_map,
     folner_psi,
@@ -228,7 +227,7 @@ def _folner_cases():
 @pytest.mark.parametrize("case", range(2))
 def test_sampled_folner_certificates_stay_below_the_structural_bounds(case):
     rep, folner = _folner_cases()[case]
-    structural_phi = compression_cb(_folner_selector(folner, rep), rep.dimension, 2)
+    structural_phi = compression_cb(rep.block_selector(folner.members), rep.dimension, 2)
     structural_psi = monomial_cb(*folner_psi_factors(folner, rep), rep.p, 2)
     sampled_phi = cb_norm_lower(folner_phi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(7), **LIGHT)
     sampled_psi = cb_norm_lower(folner_psi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(8), **LIGHT)
