@@ -22,10 +22,9 @@ from .crossed import (
     CovariantRep,
     compress_identity_check,
     conditional_expectation,
-    reduced_norm,
 )
 from .errors import CapacityError, CertificateError, DimensionGuardError, UnsupportedExponentError
-from .groups import ZWindow, cyclic_group, folner_ratio, folner_search, group_from_descriptor, group_to_descriptor
+from .groups import ZWindow, cyclic_group, folner_ratio, folner_search, group_from_descriptor
 from .lpnorm import pnorm_estimate
 from .nuclearity import crossed_nuclearity_witness, rotation_demo
 from .opspace import cb_norm_lower, compression
@@ -51,13 +50,11 @@ def _parse_p(text: str) -> float:
 
 def _parse_group(text: str):
     """cyclic:N, z:RADIUS (or plain z), or a path to a group JSON file."""
-    lowered = text.strip().lower()
-    if lowered.startswith("cyclic:"):
-        return cyclic_group(int(lowered.split(":", 1)[1]))
-    if lowered == "z":
-        return ZWindow(0)
-    if lowered.startswith("z:"):
-        return ZWindow(int(lowered.split(":", 1)[1]))
+    kind, colon, arg = text.strip().lower().partition(":")
+    if kind == "cyclic" and colon:
+        return cyclic_group(int(arg))
+    if kind == "z":
+        return ZWindow(int(arg) if colon else 0)
     return group_from_descriptor(load_json(text))
 
 
@@ -151,7 +148,7 @@ def _cmd_folner(args) -> int:
     ratios = {str(s): folner_ratio(fset, s) for s in shifts}
     payload = {
         "command": "folner",
-        "group": group_to_descriptor(carrier),
+        "group": carrier.descriptor(),
         "delta": args.delta,
         "members": [int(t) for t in fset.members],
         "size": fset.size,
@@ -165,8 +162,8 @@ def _load_element(args):
     f = cc_element_from_obj(load_json(args.elements))
     if args.group is not None:
         requested = _parse_group(args.group)
-        embedded = group_to_descriptor(f.carrier)
-        if group_to_descriptor(requested) != embedded:
+        embedded = f.carrier.descriptor()
+        if requested.descriptor() != embedded:
             raise ValueError(
                 f"--group {args.group!r} disagrees with the element file's group {embedded}"
             )
@@ -179,13 +176,14 @@ def _cmd_crossed(args) -> int:
     p = _parse_p(args.p)
     radius = max((abs(s) for s in f.support), default=0) + 2  # a finite carrier ignores it
     rep = CovariantRep(ConcreteAlgebra(f.base_dim), action, p, window_radius=radius)
-    est = reduced_norm(f, rep, restarts=args.restarts, rng=np.random.default_rng(args.seed))
-    check = compress_identity_check(rep, f)
-    e_block = compression(rep.block_selector([rep.identity_position]), rep.dimension).apply(rep.integrated(f))
+    form = rep.integrated(f)  # assembled once; the norm and both checks read it
+    est = pnorm_estimate(form, rep.p, restarts=args.restarts, rng=np.random.default_rng(args.seed))
+    check = compress_identity_check(rep, f, form=form)
+    e_block = compression(rep.block_selector([rep.identity_position]), rep.dimension).apply(form)
     e_dev = float(np.abs(conditional_expectation(f) - e_block).max())
     payload = {
         "command": "crossed",
-        "group": group_to_descriptor(f.carrier),
+        "group": f.carrier.descriptor(),
         "p": p,
         "support": [int(s) for s in f.support],
         "reduced_norm": est.value,
@@ -193,7 +191,7 @@ def _cmd_crossed(args) -> int:
         "expectation_compress_dev": check["max_abs_diff"],
         "expectation_coeff_dev": e_dev,
     }
-    if isinstance(f.carrier, ZWindow):
+    if f.carrier.order is None:  # the window truncates an infinite group
         payload["window_radius"] = int(rep.window_radius)
     _emit(
         args,
@@ -279,6 +277,11 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("json", "csv"), default="json",
                          help="stdout format when --out is not given")
 
+    def element_inputs(cmd):
+        cmd.add_argument("--elements", required=True, help="element JSON file {group, coeffs}")
+        cmd.add_argument("--group", default=None, help="optional; must match the element file")
+        cmd.add_argument("--action", default=None, help="trivial (default), rotation:N:K, or action descriptor file")
+
     c = sub.add_parser("pnorm", help="operator p-norm of a matrix (CSV: value,converged,restarts)")
     c.add_argument("--matrix", required=True, help="matrix JSON file {rows,cols,entries}")
     c.add_argument("--restarts", type=int, default=32)
@@ -302,20 +305,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("crossed", help="reduced norm and expectation checks "
                                        "(CSV: reduced_norm,converged,expectation_compress_dev)")
-    c.add_argument("--elements", required=True, help="element JSON file {group, coeffs}")
-    c.add_argument("--group", default=None, help="optional; must match the element file")
-    c.add_argument("--action", default=None,
-                   help="trivial (default), rotation:N:K, or action descriptor file")
+    element_inputs(c)
     c.add_argument("--restarts", type=int, default=32)
     common(c)
     c.set_defaults(handler=_cmd_crossed)
 
     c = sub.add_parser("witness", help="end-to-end nuclearity witness "
                                        "(CSV: id,reduced_norm,roundtrip_error,bound)")
-    c.add_argument("--elements", required=True, help="element JSON file {group, coeffs}")
-    c.add_argument("--group", default=None, help="optional; must match the element file")
-    c.add_argument("--action", default=None,
-                   help="trivial (default), rotation:N:K, or action descriptor file")
+    element_inputs(c)
     c.add_argument("--epsilon", type=float, required=True, help="round-trip error budget")
     c.add_argument("--k-max", type=int, default=2, dest="k_max",
                    help="largest certificate amplification level")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, ZWindow, cyclic_group
+from .groups import cyclic_group
 from .lpnorm import PNormEstimate, as_exponent, pnorm_estimate, validate_matrix
 from .opspace import CbEstimate, block_matrix, cb_norm_lower, compression, embedding
 
@@ -124,27 +124,27 @@ class IsometricAction:
 
     Each implementer U_s is stored as its (perm, phase) pair of arrays, with
     U_s[i, perm[i]] = phase[i], so alpha_s(a) = U_s a U_s^{-1} is the gather
-    a[perm_i, perm_j] times the phase product phase_i conj(phase_j).  For a
-    finite carrier all implementers are given up front and validated as one
-    (n, d, d) stack, one pass each for finiteness, moduli and pairs; the exact
-    relations U_e = I and U_s U_t = U_{st} are verified, the latter on the
-    stored pairs, which are what :meth:`apply` uses: for every (s, t) at
-    once the composed pair of U_s U_t must have the permutation of U_{st}
-    and phases within 1e-12 of its phases.  For Z a single
-    generator U is given and U_s = U^s, with U^{-1} the conjugate transpose,
-    which is the exact inverse of a phased permutation.  The pairs of U_t
-    for |t| <= R are kept in a table, built by binary powers when first
-    needed and rebuilt with R at least doubled when a larger |s| arrives;
-    each row is computed on its own, so a table row equals the pair the
-    binary powers give for that s alone, bit for bit.
+    a[perm_i, perm_j] times the phase product phase_i conj(phase_j).  The
+    action is given in one of two ways, whatever the carrier's type:
+
+    * ``unitaries``, one implementer per element of a finite carrier, are
+      validated as one (n, d, d) stack; U_e = I is checked, and for every
+      (s, t) at once the stored pairs, which :meth:`apply` uses, must give
+      U_s U_t the permutation of U_{st} and its phases within 1e-12.
+    * ``generator``, one U on a cyclic carrier (Z or Z/n), gives U_s = U^s,
+      U^{-1} being the conjugate transpose.  Each pair is the binary power
+      for its s alone, bit for bit.  On Z/n the n pairs are stored, and the
+      one check that U^n is I (phases within 1e-12) proves every relation
+      U_s U_t = U_{s+t mod n}.  On Z the pairs for |t| <= R are tabulated
+      when first needed, R at least doubling when a larger |s| arrives.
     """
 
     def __init__(self, carrier, *, unitaries=None, generator=None, name: str = ""):
         self.carrier = carrier
         self.name = name
-        if isinstance(carrier, FiniteGroup):
-            if unitaries is None:
-                raise ValueError("a finite-group action needs one implementer per element")
+        if unitaries is not None:
+            if carrier.order is None:
+                raise ValueError("implementers can be listed only for a finite carrier; give a generator")
             stack = _implementer_stack(unitaries, carrier.order)
             self.base_dim = stack.shape[1]
             if np.abs(stack[carrier.identity] - np.eye(self.base_dim)).max() > _ACTION_TOL:
@@ -161,24 +161,30 @@ class IsometricAction:
                     f"implementers are not multiplicative at ({s}, {t}); "
                     "projective phases are not allowed"
                 )
-        elif isinstance(carrier, ZWindow):
-            if generator is None:
-                raise ValueError("a Z action needs a generator matrix")
+        elif generator is not None:
+            if not carrier.cyclic:
+                raise ValueError(f"a generator determines an action only on a cyclic carrier, not {carrier!r}")
             u = validate_matrix(generator)
             if not is_phased_permutation(u):
                 raise ValueError("the generator must be a phased permutation")
             self.base_dim = u.shape[0]
             self._generator, self._inverse = _phased_pair(u), _phased_pair(u.conj().T)
-            self._radius, self._table = -1, None
+            if carrier.order is None:
+                self._radius = -1  # no power tabulated yet
+            else:
+                self._perm, self._phase = self._powers(np.arange(carrier.order))
+                perm, phase = _compose_pairs((self._perm[-1], self._phase[-1]), self._generator)
+                if (perm != np.arange(self.base_dim)).any() or np.abs(phase - 1.0).max() > _ACTION_TOL:
+                    raise ValueError(f"the generator's power {carrier.order} is not the identity matrix")
         else:
-            raise TypeError(f"not a group carrier: {carrier!r}")
+            raise ValueError("an action needs its implementers or a generator")
 
     def _pair(self, s) -> tuple[np.ndarray, np.ndarray]:
         """(perm, phase) of U_s for an element or an array of elements s."""
         s = np.asarray(s, dtype=np.int64)
-        if isinstance(self.carrier, FiniteGroup):
-            if ((s < 0) | (s >= self.carrier.order)).any():
-                raise KeyError(f"element {s} outside the finite carrier")
+        if not self.carrier.contains(s).all():
+            raise KeyError(f"element {s} outside the carrier")
+        if self.carrier.order is not None:
             return self._perm[s], self._phase[s]
         reach = int(np.abs(s).max(initial=0))
         if reach > self._radius:
@@ -186,12 +192,11 @@ class IsometricAction:
             if reach > limit:  # too far out to tabulate
                 return self._powers(s)
             radius = min(max(reach, 2 * self._radius), limit)
-            self._table = self._powers(np.arange(-radius, radius + 1))
-            for arr in self._table:
+            self._perm, self._phase = self._powers(np.arange(-radius, radius + 1))
+            for arr in (self._perm, self._phase):
                 arr.flags.writeable = False  # rows are handed out as views
             self._radius = radius
-        perm, phase = self._table
-        return perm[s + self._radius], phase[s + self._radius]
+        return self._perm[s + self._radius], self._phase[s + self._radius]
 
     def _powers(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(perm, phase) of U^s by binary powers, for each entry of s on its own."""
@@ -236,9 +241,9 @@ class IsometricAction:
 def trivial_action(carrier, dim: int) -> IsometricAction:
     """Every group element acts as the identity on M_dim."""
     eye = np.eye(dim, dtype=complex)
-    if isinstance(carrier, FiniteGroup):
-        return IsometricAction(carrier, unitaries=[eye] * carrier.order, name="trivial")
-    return IsometricAction(carrier, generator=eye, name="trivial")
+    if carrier.cyclic:
+        return IsometricAction(carrier, generator=eye, name="trivial")
+    return IsometricAction(carrier, unitaries=[eye] * carrier.order, name="trivial")
 
 
 def cyclic_coordinate_rotation(n: int, k: int) -> IsometricAction:
@@ -247,10 +252,9 @@ def cyclic_coordinate_rotation(n: int, k: int) -> IsometricAction:
     On diagonal matrices this is alpha_1(diag d)_j = d_{j+k mod n}, i.e. the
     pullback of the grid rotation j |-> j - k.
     """
-    s, i = np.indices((n, n))
-    mats = np.zeros((n, n, n), dtype=complex)
-    mats[s, (i - s * k) % n, i] = 1.0  # U_s is the s-th power of the shift, column i to row i - s k
-    return IsometricAction(cyclic_group(n), unitaries=mats, name=f"rotate{k}")
+    shift = np.zeros((n, n), dtype=complex)
+    shift[(np.arange(n) - k) % n, np.arange(n)] = 1.0  # column i to row i - k
+    return IsometricAction(cyclic_group(n), generator=shift, name=f"rotate{k}")
 
 
 class CcElement:
@@ -262,19 +266,19 @@ class CcElement:
 
     def __init__(self, carrier, coeffs: dict, base_dim: int | None = None):
         self.carrier = carrier
+        keys = np.array([int(s) for s in coeffs], dtype=np.int64)
+        if not carrier.contains(keys).all():
+            raise ValueError(f"elements {keys[~carrier.contains(keys)].tolist()} lie outside the carrier")
         kept: dict[int, np.ndarray] = {}
         dim = base_dim
-        for s, mat in coeffs.items():
+        for key, mat in zip(keys.tolist(), coeffs.values()):
             arr = np.asarray(mat, dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"coefficient at {s} must be square, got {arr.shape}")
+                raise ValueError(f"coefficient at {key} must be square, got {arr.shape}")
             if dim is None:
                 dim = arr.shape[0]
             if arr.shape != (dim, dim):
                 raise ValueError("all coefficients must share one base dimension")
-            key = int(s)
-            if isinstance(carrier, FiniteGroup) and not (0 <= key < carrier.order):
-                raise ValueError(f"element {key} outside the finite carrier")
             if np.abs(arr).max(initial=0.0) > _PRUNE_TOL:
                 kept[key] = arr.copy()
         if dim is None:
@@ -329,10 +333,7 @@ def random_cc_element(
     max_shift: int = 2,
 ) -> CcElement:
     """A random finitely supported element, for tests and certificates."""
-    if isinstance(carrier, FiniteGroup):
-        pool = np.arange(carrier.order)
-    else:
-        pool = np.arange(-max_shift, max_shift + 1)
+    pool = carrier.window(max_shift)
     chosen = rng.choice(pool, size=min(n_terms, pool.size), replace=False)
     coeffs = {
         int(s): rng.standard_normal((base_dim, base_dim)) + 1j * rng.standard_normal((base_dim, base_dim))
@@ -475,17 +476,20 @@ def conditional_expectation(f: CcElement) -> np.ndarray:
     return f.coeff(f.carrier.identity)
 
 
-def compress_identity_check(rep: CovariantRep, f: CcElement) -> dict:
+def compress_identity_check(rep: CovariantRep, f: CcElement, *, form=None) -> dict:
     """Compare (P_e (x) I) (integrated f) (P_e (x) I) with P_e (x) f(e).
 
-    Both sides come from the identity block's compression and embedding.
-    Returns the two matrices and their max entrywise deviation; the
-    conditional expectation is exactly this compression, so the deviation
-    is pure floating-point noise.
+    Both sides come from the identity block's compression and embedding;
+    ``form``, when given, is rep.integrated(f), so a caller that already
+    built it is spared a second assembly.  Returns the two matrices and
+    their max entrywise deviation; the conditional expectation is exactly
+    this compression, so the deviation is pure floating-point noise.
     """
+    if form is None:
+        form = rep.integrated(f)
     sel = rep.block_selector([rep.identity_position])
     pad = embedding(sel, rep.dimension)
-    lhs = pad.apply(compression(sel, rep.dimension).apply(rep.integrated(f)))
+    lhs = pad.apply(compression(sel, rep.dimension).apply(form))
     rhs = pad.apply(conditional_expectation(f))
     return {"lhs": lhs, "rhs": rhs, "max_abs_diff": float(np.abs(lhs - rhs).max())}
 

@@ -1,13 +1,18 @@
-"""Finite groups, the integer line, translation operators, and Folner sets.
+"""Group carriers, translation operators, and Folner sets.
 
-A finite group is stored as a multiplication table over element indices
-0..n-1.  The group Z is represented by :class:`ZWindow`, a symmetric integer
-interval {-radius..radius} used as the carrier for truncated translation
-representations; group elements of Z are the integers themselves.  Both
-carriers give the same element arithmetic: ``op`` (s t), ``inv`` (s^{-1})
-and ``window`` (the positions of a representation space), each taking
-integers or integer arrays elementwise, so code above this module never
-needs to know which carrier it holds.
+Every carrier answers the same questions, so no code above this module asks
+which kind it holds: ``op(s, t)`` (s t), ``inv(s)`` (s^{-1}) and
+``contains(s)``, elementwise over integers or integer arrays; ``identity``;
+``order`` (``None`` for Z); ``cyclic`` (element s is the s-th power of the
+element 1, so an action is fixed by a generator); ``window(radius)``, the
+positions of a representation space; ``folner_members``, the set behind
+:func:`folner_search`; and ``descriptor()``, inverted by
+:func:`group_from_descriptor`.  The carriers are :class:`CyclicGroup`, Z/n
+by arithmetic mod n (:func:`cyclic_group`); :class:`FiniteGroup`, any
+finite group from a validated multiplication table
+(:func:`group_from_table`); and :class:`ZWindow`, Z itself, whose default
+window is the symmetric interval {-radius..radius}.  A finite carrier's
+elements, window and Folner set are the indices 0..order-1.
 
 The left regular representation acts by (lambda(s) xi)(t) = xi(s^{-1} t), so
 lambda(s) is the permutation matrix sending the basis vector at t to the one
@@ -24,7 +29,7 @@ interval {0..L-1} of minimal length for Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from .errors import CapacityError
 from .lpnorm import adjoint
 
 __all__ = [
+    "CyclicGroup",
     "FiniteGroup",
     "FolnerSet",
     "ZWindow",
@@ -41,21 +47,64 @@ __all__ = [
     "folner_search",
     "group_from_descriptor",
     "group_from_table",
-    "group_to_descriptor",
     "lambda_adjoint_check",
     "regular_rep",
     "translate_set",
 ]
 
 
+class _Finite:
+    """The answers every finite carrier shares."""
+
+    def contains(self, s):
+        s = np.asarray(s)
+        return (s >= 0) & (s < self.order)
+
+    def elements(self) -> range:
+        return range(self.order)
+
+    def window(self, radius: int | None = None) -> np.ndarray:
+        """Every element, in index order; the radius does not apply."""
+        return np.arange(self.order)
+
+    def folner_members(self, shifts, delta: float, max_size: int) -> tuple:
+        """The whole group: every translate ratio is exactly 0."""
+        return tuple(self.elements())
+
+
+class CyclicGroup(_Finite):
+    """Z/n with elements 0..n-1 under addition mod n, computed, not tabulated."""
+
+    identity = 0
+    cyclic = True
+
+    def __init__(self, order: int):
+        if order < 1:
+            raise ValueError("cyclic group order must be positive")
+        self.order = order
+
+    def op(self, s, t):
+        return (s + t) % self.order
+
+    def inv(self, s):
+        return -s % self.order
+
+    def descriptor(self) -> dict:
+        return {"type": "cyclic", "n": self.order}
+
+    def __repr__(self) -> str:
+        return f"CyclicGroup(order={self.order})"
+
+
 @dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(_Finite):
     """A finite group given by its multiplication table over indices 0..n-1."""
 
     mult: np.ndarray
     identity: int
     inverse: np.ndarray
     name: str = "group"
+    cyclic = False  # the indices need not be the powers of element 1
 
     @property
     def order(self) -> int:
@@ -67,12 +116,12 @@ class FiniteGroup:
     def inv(self, s):
         return self.inverse[s]
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def window(self, radius: int | None = None) -> np.ndarray:
-        """Every element, in index order; the radius does not apply."""
-        return np.arange(self.order)
+    def descriptor(self) -> dict:
+        """A table that is addition mod n is described as the cyclic group."""
+        idx = np.arange(self.order)
+        if np.array_equal(self.mult, (idx[:, None] + idx[None, :]) % self.order):
+            return {"type": "cyclic", "n": self.order}
+        return {"type": "table", "mult": self.mult.tolist()}
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -87,7 +136,9 @@ class ZWindow:
     """
 
     radius: int = 0
-    identity: int = field(default=0, init=False)
+    identity = 0
+    order = None
+    cyclic = True
 
     def __post_init__(self):
         if self.radius < 0:
@@ -99,6 +150,10 @@ class ZWindow:
     def inv(self, s):
         return -s
 
+    def contains(self, s):
+        """Every integer is an element."""
+        return np.ones(np.shape(s), dtype=bool)
+
     def window(self, radius: int | None = None) -> np.ndarray:
         """The interval {-r..r}, r the given radius or else the carrier's own."""
         r = self.radius if radius is None else int(radius)
@@ -106,8 +161,23 @@ class ZWindow:
             raise ValueError("a Z representation needs a positive window radius")
         return np.arange(-r, r + 1)
 
-    def __repr__(self) -> str:
-        return f"ZWindow(radius={self.radius})"
+    def folner_members(self, shifts, delta: float, max_size: int) -> tuple:
+        """The initial interval {0..L-1} of minimal length L; CapacityError
+        if no L <= max_size works."""
+        k = max((abs(int(s)) for s in shifts), default=0)
+        if k == 0:
+            return (0,)
+        length = max(1, int(np.ceil(2.0 * k / delta)) - 2)
+        while length <= max_size:
+            if 2.0 * min(k, length) / length < delta:
+                return tuple(range(length))
+            length += 1
+        raise CapacityError(
+            f"no interval of length <= {max_size} brings every shift ratio below {delta}"
+        )
+
+    def descriptor(self) -> dict:
+        return {"type": "z_window", "radius": self.radius}
 
 
 def group_from_table(mult, name: str = "group") -> FiniteGroup:
@@ -136,37 +206,29 @@ def group_from_table(mult, name: str = "group") -> FiniteGroup:
     if lacking.any():
         raise ValueError(f"element {lacking.argmax()} has no two-sided inverse")
 
-    if n <= 24:
-        # (a b) c == a (b c) for all triples at once
-        if not np.array_equal(table[table, :], table[:, table]):
-            raise ValueError("multiplication table is not associative")
-    else:
-        rng = np.random.default_rng(0)
-        for _ in range(2000):
-            a, b, c = rng.integers(0, n, size=3)
-            if table[table[a, b], c] != table[a, table[b, c]]:
-                raise ValueError("multiplication table is not associative")
+    # (a b) c == a (b c) on every triple up to order 24, on 2000 random ones beyond
+    a, b, c = np.indices((n, n, n)).reshape(3, -1) if n <= 24 else np.random.default_rng(0).integers(0, n, (3, 2000))
+    if (table[table[a, b], c] != table[a, table[b, c]]).any():
+        raise ValueError("multiplication table is not associative")
 
     return FiniteGroup(mult=table, identity=e, inverse=inverse, name=name)
 
 
-def cyclic_group(n: int) -> FiniteGroup:
+def cyclic_group(n: int) -> CyclicGroup:
     """Z/n with elements 0..n-1 under addition mod n."""
-    if n < 1:
-        raise ValueError("cyclic group order must be positive")
-    idx = np.arange(n)
-    return group_from_table((idx[:, None] + idx[None, :]) % n, name=f"Z/{n}")
+    return CyclicGroup(int(n))
 
 
-def regular_rep(group: FiniteGroup, s: int) -> np.ndarray:
-    """Permutation matrix of left translation: column t has its 1 in row s t."""
-    n = group.order
-    out = np.zeros((n, n), dtype=complex)
-    out[group.mult[s], np.arange(n)] = 1.0
+def regular_rep(group, s: int) -> np.ndarray:
+    """Permutation matrix of left translation on a finite carrier: column t
+    has its 1 in row s t."""
+    idx = np.arange(group.order)
+    out = np.zeros((group.order, group.order), dtype=complex)
+    out[group.op(s, idx), idx] = 1.0
     return out
 
 
-def lambda_adjoint_check(group: FiniteGroup, s: int) -> bool:
+def lambda_adjoint_check(group, s: int) -> bool:
     """Whether regular_rep(s)* equals regular_rep(s^{-1}) entrywise exactly."""
     return np.array_equal(adjoint(regular_rep(group, s)), regular_rep(group, group.inv(s)))
 
@@ -175,7 +237,7 @@ def lambda_adjoint_check(group: FiniteGroup, s: int) -> bool:
 class FolnerSet:
     """A finite nonempty subset of a group carrier, kept sorted for determinism."""
 
-    carrier: object  # FiniteGroup or ZWindow
+    carrier: object  # any group carrier
     members: tuple
 
     def __post_init__(self):
@@ -184,9 +246,8 @@ class FolnerSet:
             raise ValueError("a Folner set must be nonempty")
         if len(set(members)) != len(members):
             raise ValueError("Folner set members must be distinct")
-        if isinstance(self.carrier, FiniteGroup):
-            if members[0] < 0 or members[-1] >= self.carrier.order:
-                raise ValueError("members must be element indices of the finite carrier")
+        if not self.carrier.contains(np.array(members)).all():
+            raise ValueError("Folner set members must be elements of the carrier")
         object.__setattr__(self, "members", members)
 
     @property
@@ -232,37 +293,11 @@ def folner_search(carrier, shifts, delta: float, max_size: int = 100_000) -> Fol
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    shifts = tuple(shifts)
-    if isinstance(carrier, FiniteGroup):
-        return FolnerSet(carrier, tuple(carrier.elements()))
-
-    k = max((abs(int(s)) for s in shifts), default=0)
-    if k == 0:
-        return FolnerSet(carrier, (0,))
-    length = max(1, int(np.ceil(2.0 * k / delta)) - 2)
-    while length <= max_size:
-        if 2.0 * min(k, length) / length < delta:
-            return FolnerSet(carrier, tuple(range(length)))
-        length += 1
-    raise CapacityError(
-        f"no interval of length <= {max_size} brings every shift ratio below {delta}"
-    )
-
-
-def group_to_descriptor(carrier) -> dict:
-    """JSON-ready descriptor for a group carrier."""
-    if isinstance(carrier, ZWindow):
-        return {"type": "z_window", "radius": carrier.radius}
-    if isinstance(carrier, FiniteGroup):
-        n = carrier.order
-        if np.array_equal(carrier.mult, (np.arange(n)[:, None] + np.arange(n)[None, :]) % n):
-            return {"type": "cyclic", "n": n}
-        return {"type": "table", "mult": carrier.mult.tolist()}
-    raise TypeError(f"not a group carrier: {carrier!r}")
+    return FolnerSet(carrier, carrier.folner_members(tuple(shifts), delta, max_size))
 
 
 def group_from_descriptor(desc: dict):
-    """Inverse of :func:`group_to_descriptor`, with full validation."""
+    """Inverse of a carrier's ``descriptor()``, with full validation."""
     if not isinstance(desc, dict) or "type" not in desc:
         raise ValueError(f"group descriptor must be an object with a 'type' key, got {desc!r}")
     kind = desc["type"]

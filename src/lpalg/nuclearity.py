@@ -56,11 +56,9 @@ from .crossed import (
 from .errors import CertificateError
 from .groups import (
     FolnerSet,
-    ZWindow,
     folner_intersection,
     folner_ratio,
     folner_search,
-    group_to_descriptor,
 )
 from .lpnorm import as_exponent, pnorm_estimate, pnorm_upper
 from .opspace import (
@@ -512,7 +510,7 @@ def crossed_nuclearity_witness(
         {"map": "folner_psi", "kind": psi_cb.kind, "levels": _levels_list(psi_cb)},
     ]
     report = {
-        "group": group_to_descriptor(carrier),
+        "group": carrier.descriptor(),
         "p": float(pe.p),
         "folner": {
             "members": [int(t) for t in folner.members],
@@ -523,7 +521,7 @@ def crossed_nuclearity_witness(
         "epsilon": float(eps),
         "passed": all(e["bound"] < eps for e in elements),
     }
-    if isinstance(carrier, ZWindow):
+    if carrier.order is None:
         report["window_radius"] = int(rep.window_radius)
     return fact, report
 

@@ -21,17 +21,15 @@ import math
 import numpy as np
 
 from .crossed import CcElement, IsometricAction, cyclic_coordinate_rotation, trivial_action
-from .groups import ZWindow, group_from_descriptor, group_to_descriptor
+from .groups import group_from_descriptor
 from .opspace import LinearMap
 
 __all__ = [
     "action_from_obj",
-    "action_to_obj",
     "canonical_json",
     "cc_element_from_obj",
     "cc_element_to_obj",
     "linear_map_from_obj",
-    "linear_map_to_obj",
     "load_json",
     "matrix_from_obj",
     "matrix_to_obj",
@@ -115,12 +113,9 @@ def matrix_from_obj(obj) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-def linear_map_to_obj(phi: LinearMap) -> dict:
-    """Serialize via the coefficient matrix over row-major matrix units."""
-    return matrix_to_obj(phi.matrix)
-
-
 def linear_map_from_obj(obj) -> LinearMap:
+    """A map from its coefficient matrix over row-major matrix units, as
+    ``matrix_to_obj(phi.matrix)`` writes it."""
     m = matrix_from_obj(obj)
     c = math.isqrt(m.shape[0])
     d = math.isqrt(m.shape[1])
@@ -139,7 +134,7 @@ def linear_map_from_obj(obj) -> LinearMap:
 
 def cc_element_to_obj(f: CcElement) -> dict:
     return {
-        "group": group_to_descriptor(f.carrier),
+        "group": f.carrier.descriptor(),
         "coeffs": [{"s": int(s), "matrix": matrix_to_obj(mat)} for s, mat in f.items()],
     }
 
@@ -151,58 +146,28 @@ def cc_element_from_obj(obj) -> CcElement:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed element object: missing {exc}") from exc
     coeffs = {}
-    dim = None
     for item in raw:
         s = int(item["s"])
-        mat = matrix_from_obj(item["matrix"])
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"coefficient at {s} is not square")
-        if dim is None:
-            dim = mat.shape[0]
-        elif mat.shape[0] != dim:
-            raise ValueError("all coefficients must share one dimension")
         if s in coeffs:
             raise ValueError(f"duplicate coefficient for group element {s}")
-        coeffs[s] = mat
-    if dim is None:
+        coeffs[s] = matrix_from_obj(item["matrix"])
+    if not coeffs:
         raise ValueError("an element file needs at least one coefficient")
-    return CcElement(carrier, coeffs, base_dim=dim)
-
-
-def action_to_obj(action: IsometricAction) -> dict:
-    """Descriptor for an action; trivial and rotation keep compact forms."""
-    name = getattr(action, "name", "")
-    if name == "trivial":
-        return {"type": "trivial", "dim": int(action.base_dim)}
-    if isinstance(action.carrier, ZWindow):
-        return {"type": "z_generator", "matrix": matrix_to_obj(action.unitary(1))}
-    if name.startswith("rotate"):
-        return {
-            "type": "rotation",
-            "n": int(action.carrier.order),
-            "k": int(name[len("rotate"):]),
-        }
-    mats = [matrix_to_obj(action.unitary(s)) for s in action.carrier.elements()]
-    return {"type": "implementers", "matrices": mats}
+    return CcElement(carrier, coeffs)  # checks that the coefficients are square and of one size
 
 
 def action_from_obj(obj, carrier=None) -> IsometricAction:
     """Rebuild an action; ``carrier`` is required unless the descriptor
     carries its own group (rotations do)."""
     kind = obj.get("type") if isinstance(obj, dict) else None
-    if kind == "trivial":
-        if carrier is None:
-            raise ValueError("a trivial-action descriptor needs the group it acts for")
-        return trivial_action(carrier, int(obj["dim"]))
     if kind == "rotation":
         return cyclic_coordinate_rotation(int(obj["n"]), int(obj["k"]))
+    if kind not in ("trivial", "implementers", "z_generator"):
+        raise ValueError(f"unknown action descriptor type {kind!r}")
+    if carrier is None:
+        raise ValueError(f"a {kind} action descriptor needs the group it acts for")
+    if kind == "trivial":
+        return trivial_action(carrier, int(obj["dim"]))
     if kind == "implementers":
-        if carrier is None:
-            raise ValueError("an implementers descriptor needs its finite group")
-        mats = [matrix_from_obj(m) for m in obj["matrices"]]
-        return IsometricAction(carrier, unitaries=mats)
-    if kind == "z_generator":
-        if carrier is None:
-            raise ValueError("a z_generator descriptor needs its window")
-        return IsometricAction(carrier, generator=matrix_from_obj(obj["matrix"]))
-    raise ValueError(f"unknown action descriptor type {kind!r}")
+        return IsometricAction(carrier, unitaries=[matrix_from_obj(m) for m in obj["matrices"]])
+    return IsometricAction(carrier, generator=matrix_from_obj(obj["matrix"]))

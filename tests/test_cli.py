@@ -13,7 +13,7 @@ import pytest
 
 from lpalg import nuclearity
 from lpalg.cli import main
-from lpalg.crossed import CcElement
+from lpalg.crossed import CcElement, CovariantRep
 from lpalg.groups import ZWindow
 from lpalg.opspace import CbEstimate
 from lpalg.serialize import canonical_json, cc_element_to_obj, matrix_to_obj
@@ -102,6 +102,14 @@ def test_crossed_reports_norm_and_checks(element_file, capsys):
     assert payload["reduced_norm"] == pytest.approx(1.0, abs=1e-9)
     assert payload["expectation_compress_dev"] <= 1e-12
     assert payload["expectation_coeff_dev"] <= 1e-12
+
+
+def test_crossed_assembles_the_form_once(element_file, capsys, monkeypatch):
+    calls = []
+    integrated = CovariantRep.integrated
+    monkeypatch.setattr(CovariantRep, "integrated", lambda rep, f: calls.append(f) or integrated(rep, f))
+    assert main(["crossed", "--elements", element_file, "--p", "1.5"]) == 0
+    assert len(calls) == 1
 
 
 def test_crossed_group_mismatch_is_input_error(element_file, capsys):

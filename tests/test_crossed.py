@@ -157,6 +157,22 @@ def test_rotation_implementers_are_the_shift_powers(n, k):
         assert np.array_equal(act.unitary(s), np.linalg.matrix_power(shift, s))
 
 
+def test_cyclic_generator_whose_power_is_not_the_identity_is_refused():
+    # (e^{2 pi i 0.3} S)^5 = e^{3 pi i} I = -I, so it implements no action of Z/5
+    with pytest.raises(ValueError, match=re.escape("power 5 is not the identity")):
+        IsometricAction(cyclic_group(5), generator=np.exp(2j * np.pi * 0.3) * _shift(5))
+
+
+def test_each_way_of_giving_an_action_needs_its_carrier():
+    group, mats = _sym3_signed_permutations()
+    with pytest.raises(ValueError, match="only on a cyclic carrier"):
+        IsometricAction(group, generator=mats[1])
+    with pytest.raises(ValueError, match="only for a finite carrier"):
+        IsometricAction(ZWindow(0), unitaries=[np.eye(2)])
+    with pytest.raises(ValueError, match="implementers or a generator"):
+        IsometricAction(cyclic_group(2))
+
+
 def test_phased_shift_action_on_z4():
     u = 1j * _shift(4)
     powers = [np.linalg.matrix_power(u, t) for t in range(4)]

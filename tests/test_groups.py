@@ -17,7 +17,6 @@ from lpalg.groups import (
     folner_search,
     group_from_descriptor,
     group_from_table,
-    group_to_descriptor,
     lambda_adjoint_check,
     regular_rep,
     translate_set,
@@ -121,6 +120,45 @@ def test_lambda_adjoint_identity_small_groups():
 
 
 # ---------------------------------------------------------------------------
+# the carrier protocol
+# ---------------------------------------------------------------------------
+
+CARRIERS = [*(cyclic_group(n) for n in (1, 2, 5, 12)), *_table_test_groups(), ZWindow(3)]
+
+
+@pytest.mark.parametrize("carrier", CARRIERS, ids=repr)
+def test_every_carrier_answers_the_protocol(carrier):
+    if carrier.order is None:
+        window, sample = np.arange(-3, 4), np.arange(-9, 10)
+        assert carrier.contains(sample).all()
+    else:
+        window = sample = np.arange(carrier.order)
+        assert carrier.contains(np.arange(-2, carrier.order + 2)).tolist() == [0 <= s < carrier.order
+                                                                                for s in range(-2, carrier.order + 2)]
+    assert carrier.window().tolist() == window.tolist()
+    s, t = np.meshgrid(sample, sample, indexing="ij")
+    st = carrier.op(s, t)
+    assert carrier.contains(st).all()
+    assert (carrier.op(s, carrier.inv(s)) == carrier.identity).all()
+    assert (carrier.op(carrier.identity, sample) == sample).all()
+    assert st.tolist() == [[carrier.op(int(a), int(b)) for b in sample] for a in sample]
+    back = group_from_descriptor(carrier.descriptor())
+    assert back.descriptor() == carrier.descriptor()
+    assert (back.op(s, t) == st).all() and (back.inv(sample) == carrier.inv(sample)).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_cyclic_arithmetic_agrees_with_the_addition_table(n):
+    idx = np.arange(n)
+    table = group_from_table((idx[:, None] + idx[None, :]) % n)
+    arith = cyclic_group(n)
+    s, t = np.indices((n, n))
+    assert np.array_equal(arith.op(s, t), table.op(s, t))
+    assert np.array_equal(arith.inv(idx), table.inv(idx))
+    assert table.descriptor() == arith.descriptor() == {"type": "cyclic", "n": n}
+
+
+# ---------------------------------------------------------------------------
 # Folner machinery
 # ---------------------------------------------------------------------------
 
@@ -183,7 +221,7 @@ def test_folner_search_capacity_guard():
 
 def test_descriptor_round_trip_finite():
     g = group_from_table(KLEIN_TABLE)
-    desc = group_to_descriptor(g)
+    desc = g.descriptor()
     h = group_from_descriptor(desc)
     assert h.order == 4
     for s in range(4):
@@ -193,7 +231,7 @@ def test_descriptor_round_trip_finite():
 
 def test_descriptor_round_trip_integers():
     w = ZWindow(7)
-    back = group_from_descriptor(group_to_descriptor(w))
+    back = group_from_descriptor(w.descriptor())
     assert isinstance(back, ZWindow)
     assert back.radius == 7
 

@@ -20,6 +20,7 @@ from lpalg.crossed import ConcreteAlgebra, CovariantRep, cyclic_coordinate_rotat
 from lpalg.groups import FolnerSet, cyclic_group
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+CARRIER_TYPES = {"CyclicGroup", "FiniteGroup", "ZWindow"}
 
 
 def _tracer_tables() -> dict:
@@ -70,3 +71,16 @@ def test_every_exported_name_resolves(modname):
     module = importlib.import_module(modname)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("modname", [m for m in _modules() if m != "lpalg.groups"])
+def test_no_module_outside_groups_asks_for_a_carrier_type(modname):
+    # every group question goes to the carrier's protocol, whatever its type
+    tree = ast.parse(Path(importlib.import_module(modname).__file__).read_text())
+    asked = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2
+        and {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])} & CARRIER_TYPES
+    ]
+    assert asked == []

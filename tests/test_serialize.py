@@ -5,17 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from lpalg.crossed import CcElement, cyclic_coordinate_rotation, trivial_action
+from lpalg.crossed import CcElement, cyclic_coordinate_rotation
 from lpalg.groups import ZWindow, cyclic_group
 from lpalg.opspace import LinearMap
 from lpalg.serialize import (
     action_from_obj,
-    action_to_obj,
     canonical_json,
     cc_element_from_obj,
     cc_element_to_obj,
     linear_map_from_obj,
-    linear_map_to_obj,
     matrix_from_obj,
     matrix_to_obj,
 )
@@ -94,20 +92,42 @@ def test_cc_element_obj_rejects_duplicate_support():
 
 
 def test_action_round_trip_rotation():
-    act = cyclic_coordinate_rotation(5, 2)
-    obj = action_to_obj(act)
-    assert obj["type"] == "rotation"
-    back = action_from_obj(obj)
+    back = action_from_obj({"type": "rotation", "n": 5, "k": 2})
+    assert back.carrier.descriptor() == {"type": "cyclic", "n": 5}
     a = np.diag(np.arange(5, dtype=float)).astype(complex)
-    assert np.array_equal(back.apply(1, a), act.apply(1, a))
+    assert np.array_equal(back.apply(1, a), cyclic_coordinate_rotation(5, 2).apply(1, a))
 
 
 def test_action_round_trip_trivial():
-    act = trivial_action(cyclic_group(4), 3)
-    obj = action_to_obj(act)
-    assert obj == {"type": "trivial", "dim": 3}
-    back = action_from_obj(obj, carrier=cyclic_group(4))
+    back = action_from_obj({"type": "trivial", "dim": 3}, carrier=cyclic_group(4))
+    assert back.base_dim == 3
     assert np.array_equal(back.apply(2, np.eye(3, dtype=complex)), np.eye(3, dtype=complex))
+
+
+def _swap(d):
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+
+
+def test_action_from_obj_implementers():
+    mats = [np.eye(2, dtype=complex), -1j * _swap(2), -np.eye(2, dtype=complex), 1j * _swap(2)]
+    obj = {"type": "implementers", "matrices": [matrix_to_obj(m) for m in mats]}
+    back = action_from_obj(obj, carrier=cyclic_group(4))
+    for s, m in enumerate(mats):
+        assert np.array_equal(back.unitary(s), m)
+    with pytest.raises(ValueError):
+        action_from_obj(obj)
+
+
+def test_action_from_obj_z_generator():
+    # one generator descriptor serves every cyclic carrier, Z and Z/n alike
+    gen = np.diag([1.0, -1.0]) @ _swap(2)  # gen^2 = -I, so gen^4 = I
+    obj = {"type": "z_generator", "matrix": matrix_to_obj(gen)}
+    for carrier, elements in ((ZWindow(2), (-3, 0, 1, 4)), (cyclic_group(4), range(4))):
+        back = action_from_obj(obj, carrier=carrier)
+        for s in elements:
+            assert np.array_equal(back.unitary(s), np.linalg.matrix_power(gen if s >= 0 else gen.T, abs(s)))
+    with pytest.raises(ValueError):
+        action_from_obj(obj)
 
 
 def test_action_from_obj_unknown_type():
@@ -117,13 +137,13 @@ def test_action_from_obj_unknown_type():
 
 def test_linear_map_round_trip():
     lm = LinearMap(2, 2, apply_fn=lambda a: np.asarray(a, dtype=complex).T)
-    back = linear_map_from_obj(linear_map_to_obj(lm))
+    back = linear_map_from_obj(matrix_to_obj(lm.matrix))
     x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     assert np.allclose(back(x), x.T, atol=1e-15)
 
 
 def test_linear_map_obj_requires_square_block_structure():
-    obj = linear_map_to_obj(LinearMap.identity(2))
+    obj = matrix_to_obj(LinearMap.identity(2).matrix)
     obj["rows"], obj["cols"] = 8, 2  # 8 is not a perfect square
     with pytest.raises(ValueError):
         linear_map_from_obj(obj)

@@ -74,9 +74,8 @@ def _amplified_pi(m, k, rep):
 def _loop_factors(folner, rep):
     """R = |F|^{-1/q} [v(s)]_{s in F} and S = |F|^{-1/p} [v(t)^{-1}]_{t in F} from dense v."""
     k, pe = folner.size, rep.p
-    inverse = (lambda t: rep.carrier.inverse[t]) if hasattr(rep.carrier, "inverse") else (lambda t: -t)
     r = np.hstack([k ** (-1.0 / pe.q) * rep.v(s) for s in folner.members])
-    s = np.vstack([k ** (-1.0 / pe.p) * rep.v(inverse(t)) for t in folner.members])
+    s = np.vstack([k ** (-1.0 / pe.p) * rep.v(rep.carrier.inv(t)) for t in folner.members])
     return r, s
 
 
