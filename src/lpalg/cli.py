@@ -205,6 +205,10 @@ def _cmd_crossed(args) -> int:
     return 0
 
 
+# the witness CSV's columns, one row per element; its help names them too
+WITNESS_CSV_HEADER = ("id", "reduced_norm", "norm_upper", "roundtrip_error", "bound")
+
+
 def _cmd_witness(args) -> int:
     f = _load_element(args)
     action = _parse_action(args.action, f.carrier, f.base_dim)
@@ -218,11 +222,8 @@ def _cmd_witness(args) -> int:
         n_max=args.k_max,
     )
     payload = {"command": "witness", **report}
-    rows = [
-        [e["id"], e["reduced_norm"], e["norm_upper"], e["roundtrip_error"], e["bound"]]
-        for e in report["elements"]
-    ]
-    _emit(args, payload, ["id", "reduced_norm", "norm_upper", "roundtrip_error", "bound"], rows)
+    rows = [[e[key] for key in WITNESS_CSV_HEADER] for e in report["elements"]]
+    _emit(args, payload, list(WITNESS_CSV_HEADER), rows)
     return 0 if report["passed"] else 1
 
 
@@ -310,8 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(c)
     c.set_defaults(handler=_cmd_crossed)
 
-    c = sub.add_parser("witness", help="end-to-end nuclearity witness "
-                                       "(CSV: id,reduced_norm,roundtrip_error,bound)")
+    c = sub.add_parser("witness", help=f"end-to-end nuclearity witness (CSV: {','.join(WITNESS_CSV_HEADER)})")
     element_inputs(c)
     c.add_argument("--epsilon", type=float, required=True, help="round-trip error budget")
     c.add_argument("--k-max", type=int, default=2, dest="k_max",

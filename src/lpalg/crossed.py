@@ -306,7 +306,8 @@ class CcElement:
         return CcElement(carrier, {int(s): mat}, base_dim=base_dim)
 
     def __add__(self, other: "CcElement") -> "CcElement":
-        if not (other.carrier is self.carrier or other.carrier == self.carrier):
+        """The sum over the left operand's carrier; the carriers must be one group."""
+        if not self.carrier.same_group(other.carrier):
             raise ValueError("cannot add elements over different carriers")
         merged = {s: self.coeff(s) + other.coeff(s) for s in set(self.support) | set(other.support)}
         return CcElement(self.carrier, merged, base_dim=self.base_dim)

@@ -6,12 +6,14 @@ which kind it holds: ``op(s, t)`` (s t), ``inv(s)`` (s^{-1}) and
 ``order`` (``None`` for Z); ``cyclic`` (element s is the s-th power of the
 element 1, so an action is fixed by a generator); ``window(radius)``, the
 positions of a representation space; ``folner_members``, the set behind
-:func:`folner_search`; and ``descriptor()``, inverted by
-:func:`group_from_descriptor`.  The carriers are :class:`CyclicGroup`, Z/n
-by arithmetic mod n (:func:`cyclic_group`); :class:`FiniteGroup`, any
-finite group from a validated multiplication table
-(:func:`group_from_table`); and :class:`ZWindow`, Z itself, whose default
-window is the symmetric interval {-radius..radius}.  A finite carrier's
+:func:`folner_search`; ``descriptor()``, inverted by
+:func:`group_from_descriptor`; and ``same_group(other)``, whether two
+carriers are one group with the same element labels (a Z window's radius
+is only its default window, so every ``ZWindow`` is Z).  The carriers are
+:class:`CyclicGroup`, Z/n by arithmetic mod n (:func:`cyclic_group`);
+:class:`FiniteGroup`, any finite group from a validated multiplication
+table (:func:`group_from_table`); and :class:`ZWindow`, Z itself, whose
+default window is the symmetric interval {-radius..radius}.  A finite carrier's
 elements, window and Folner set are the indices 0..order-1.
 
 The left regular representation acts by (lambda(s) xi)(t) = xi(s^{-1} t), so
@@ -70,6 +72,10 @@ class _Finite:
     def folner_members(self, shifts, delta: float, max_size: int) -> tuple:
         """The whole group: every translate ratio is exactly 0."""
         return tuple(self.elements())
+
+    def same_group(self, other) -> bool:
+        """Equal descriptors: Z/n by arithmetic and by its addition table agree."""
+        return other is self or (isinstance(other, _Finite) and other.descriptor() == self.descriptor())
 
 
 class CyclicGroup(_Finite):
@@ -178,6 +184,10 @@ class ZWindow:
 
     def descriptor(self) -> dict:
         return {"type": "z_window", "radius": self.radius}
+
+    def same_group(self, other) -> bool:
+        """Every Z window carries Z, whatever its radius."""
+        return isinstance(other, ZWindow)
 
 
 def group_from_table(mult, name: str = "group") -> FiniteGroup:

@@ -5,7 +5,7 @@ matrix A in C^{m x n} is an operator l^p(n) -> l^p(m) and
 
     ||A||_{p->p} = sup { ||A x||_p : ||x||_p = 1 }.
 
-:func:`pnorm_estimate` answers along one of three routes:
+:func:`pnorm_estimate` answers along one of four routes:
 
 * p in {1, 2, inf}: the exact formulas, maximum column sum of moduli,
   largest singular value, and maximum row sum of moduli.
@@ -16,6 +16,19 @@ matrix A in C^{m x n} is an operator l^p(n) -> l^p(m) and
   <= max |a|^p ||x||_p^p.  For p != 2 the isometries of l^p are exactly
   the phased permutations (Lamperti), so translations, spatial actions and
   their integrated forms are of this kind.
+* A matrix that is nonnegative up to phases, A = D1 |A| D2 with unimodular
+  diagonal D1 and D2, such as rank-one matrices and the window forms of
+  scalar and phased coefficients: ||A||_p = ||B||_p for B = |A|, and on a
+  nonnegative matrix the iteration x <- (B^T (B x)^{p-1})^{q-1} from the
+  positive start x = 1 rises to the global maximiser (Boyd, LAA 1974), so
+  one start is enough.  A walk of the bipartite graph of nonzeros decides
+  the phases and splits B into its connected components, which are
+  iterated side by side, each normalized on its own.  Every step gives the
+  Collatz-Wielandt upper bound of :func:`pnorm_upper` beside the lower
+  bound ||B x||_p / ||x||_p, and the iteration stops once the two meet
+  within ``tol`` (Gautier, Tudisco & Hein, SIMAX 2019), so ``converged``
+  is a certificate.  The value is ||A w||_p for the best iterate mapped
+  back through D2*.
 * Any other matrix: the dual power iteration
 
       x  <-  dualmap_q( A* . dualmap_p( A x ) ),   normalized in l^p,
@@ -135,7 +148,7 @@ class PNormEstimate:
 
     value: float
     witness: np.ndarray
-    method: str  # "exact" | "power-iteration" | "oracle"
+    method: str  # "exact" | "positive-iteration" | "power-iteration"
     converged: bool
     restarts_used: int
 
@@ -342,21 +355,44 @@ def pnorm_upper(a, p) -> float:
 
 
 def _collatz_wielandt(b: np.ndarray, p: float, q: float) -> float:
-    """The least bound along the iteration (inf if no step is usable); (B x)^{p-1}
-    is taken of B x scaled to maximum 1, whose scale returns as y_max^{1/q}."""
+    """The least bound along the iteration (inf if no step is usable)."""
     best, x = math.inf, np.ones(b.shape[1])
+    one_block = np.zeros(1, dtype=int)  # every row and column in block 0
+    blocks = (one_block, np.zeros(b.shape[0], dtype=int), one_block, np.zeros(b.shape[1], dtype=int))
     with np.errstate(all="ignore"):  # a step that leaves the normal range is discarded
         for _ in range(100):
-            y = b @ x
-            z = (y / y.max()) ** (p - 1.0)
-            w, xp = b.T @ z, x ** (p - 1.0)
-            if not min(y.min(), z.min(), w.min(), xp.min()) >= 2.0**-900:
+            _, _, (bound,), (usable,), x_next = _boyd_step(b, x, p, q, blocks)
+            if not (usable and bound < best):
                 break
-            bound = float(y.max() ** (1.0 / q) * (w / xp).max() ** (1.0 / p))
-            if not bound < best:
-                break
-            best, x = bound, (w / w.max()) ** (q - 1.0)
+            best, x = bound, x_next
     return best
+
+
+def _boyd_step(b: np.ndarray, x: np.ndarray, p: float, q: float, blocks: tuple) -> tuple:
+    """One step of x <- (B^T (B x)^{p-1})^{q-1} on a nonnegative B that is
+    block diagonal: ``blocks = (row_starts, row_block, col_starts, col_block)``
+    gives where each block's rows and columns start and the block of every
+    row and column, and each block is normalized on its own.
+
+    Returns the maxima of y = B x per block and y divided by them, the
+    Collatz-Wielandt bound y_max^{1/q} max_i (w_i / x_i^{p-1})^{1/p} per
+    block for w = B^T (y / y_max)^{p-1} (the scale of y returns as
+    y_max^{1/q}), whether each block's step stayed at or above 2^-900
+    (below it underflow errs absolutely and the bound is not used), and the
+    next iterate, (w / w_max)^{q-1} per block.  The bounds are scalar
+    powers, so one block gives the bits of the loop it replaced."""
+    row_starts, row_block, col_starts, col_block = blocks
+    y = b @ x
+    y_top = np.maximum.reduceat(y, row_starts)
+    u = y / y_top[row_block]
+    z = u ** (p - 1.0)
+    w, xp = b.T @ z, x ** (p - 1.0)
+    low = np.minimum(np.minimum.reduceat(np.minimum(y, z), row_starts),
+                     np.minimum.reduceat(np.minimum(w, xp), col_starts))
+    ratio_top = np.maximum.reduceat(w / xp, col_starts)
+    bounds = [float(yt ** (1.0 / q) * rt ** (1.0 / p)) for yt, rt in zip(y_top, ratio_top)]
+    x_next = (w / np.maximum.reduceat(w, col_starts)[col_block]) ** (q - 1.0)
+    return y_top, u, bounds, low >= 2.0**-900, x_next
 
 
 def pnorm_estimate(
@@ -370,14 +406,18 @@ def pnorm_estimate(
 ) -> PNormEstimate:
     """Certified lower bound for ||A||_{p->p}, exact where a closed form exists.
 
-    Three routes, as in the module docstring.  For p in {1, 2, inf} the
+    Four routes, as in the module docstring.  For p in {1, 2, inf} the
     exact formula is used.  A monomial matrix (at most one nonzero per row
     and per column) has norm max |a_ij| for every p, since
     ||A x||_p^p = sum_i |a_{i sigma(i)}|^p |x_{sigma(i)}|^p
     <= max |a|^p ||x||_p^p with equality at e_j; the witness is e_j for
     the column j of the first largest modulus (e_0 for the zero matrix).
-    Both are tagged ``method="exact"``, converged, with zero restarts.
-    Otherwise ``restarts`` random complex starting vectors are iterated
+    Both are tagged ``method="exact"``, converged, with zero restarts.  A
+    matrix that is nonnegative up to phases, D1 |A| D2, is iterated from
+    the one positive start (``method="positive-iteration"``, one restart)
+    until its Collatz-Wielandt upper bound is within ``tol`` of the value,
+    so ``converged`` certifies the value to ``tol``.  Otherwise
+    ``restarts`` random complex starting vectors are iterated
     simultaneously; the reported value is the best value of ||A x||_p seen
     at any iterate, and ``converged`` states whether the winning restart
     stagnated below ``tol`` before the iteration cap.  This is the
@@ -387,7 +427,8 @@ def pnorm_estimate(
     :param p: exponent in [1, inf].
     :param restarts: number of random starting vectors (at least 1).
     :param max_iters: iteration cap per restart.
-    :param tol: relative stagnation threshold.
+    :param tol: relative stagnation threshold; on the positive route, the
+        relative width of the bracket that stops it.
     :param rng: ``numpy.random.Generator``, seed int, or None (seed 0).
     :raises NormOverflowError: when the norm exceeds the float range.
     """
@@ -423,9 +464,13 @@ def pnorm_estimate_stack(
 
 def _estimates(arr, pe, restarts, max_iters, tol, rngs) -> list[PNormEstimate]:
     """Estimates for a validated stack that the caller owns: closed formulas,
-    the closed form of monomial members, or the iteration on the others.
-    A member with more nonzeros than min(m, n) cannot be monomial, so a
-    dense member costs one ``count_nonzero`` before it is iterated."""
+    the closed form of monomial members, the positive iteration on members
+    that are nonnegative up to phases, or the dual power iteration on the
+    others.  A member with more nonzeros than min(m, n) cannot be monomial,
+    and one whose leading 2 x 2 block has four nonzeros around an
+    inconsistent phase cycle cannot be nonnegative up to phases, so a dense
+    complex member costs one ``count_nonzero`` and four signs before it is
+    iterated."""
     if pe.has_exact_formula:
         out = []
         for mat in arr:
@@ -436,6 +481,7 @@ def _estimates(arr, pe, restarts, max_iters, tol, rngs) -> list[PNormEstimate]:
         raise ValueError("restarts must be a positive integer")
     cap = min(arr.shape[1:])
     out = [_monomial(mat, pe) if np.count_nonzero(mat) <= cap else None for mat in arr]
+    out = [_positive_iteration(mat, pe, max_iters, tol) if est is None else est for est, mat in zip(out, arr)]
     rest = [b for b, est in enumerate(out) if est is None]
     if rest:
         live = arr if len(rest) == len(arr) else arr[rest]
@@ -463,6 +509,199 @@ def _monomial(mat: np.ndarray, pe: PExponent) -> PNormEstimate | None:
     witness = np.zeros(mat.shape[1], dtype=complex)
     witness[k % mat.shape[1]] = 1.0
     return PNormEstimate(value, witness, "exact", True, 0)
+
+
+def _scale_down(arr: np.ndarray, pe: PExponent) -> list[int]:
+    """Scale every matrix of the (B, m, n) stack ``arr`` in place by 2^-e,
+    its largest modulus into [1, 2): exact, and clear of underflow.  Returns
+    the exponents e; raises :class:`NormOverflowError` when a modulus is not
+    a float."""
+    with np.errstate(over="ignore"):  # an overflowing modulus is refused below
+        tops = np.abs(arr).max(axis=(1, 2))
+    if np.isinf(tops).any():
+        raise _overflow(arr[0], pe)
+    e = [math.frexp(float(t))[1] - 1 for t in tops]
+    half = np.array([math.ldexp(1.0, -ek // 2) for ek in e])[:, None, None]
+    rest = np.array([math.ldexp(1.0, -ek - (-ek // 2)) for ek in e])[:, None, None]
+    arr *= half
+    arr *= rest
+    return e
+
+
+# A phase mismatch of delta multiplies a term of (A w)_i by e^{i theta} with
+# |theta| <~ delta, so ||A w||_p falls short of ||B x||_p by a factor of at
+# most cos(delta) >= 1 - delta^2 / 2; at 2^-26 that is below one rounding.
+_PHASE_TOL = 2.0**-26
+
+
+def _positive_iteration(mat: np.ndarray, pe: PExponent, max_iters: int, tol: float) -> PNormEstimate | None:
+    """The estimate of a matrix A = D1 B D2 with B = |A| >= 0 and unimodular
+    diagonal D1, D2, or None for any other matrix.
+
+    The iteration runs on B / max B, as in :func:`pnorm_upper`, from x = 1,
+    one connected component per block of :func:`_boyd_step`.  Each step gives a
+    lower bound ||B_c x_c||_p / ||x_c||_p and a Collatz-Wielandt upper bound
+    per component; ||B|| is their largest norm, so the largest lower bound
+    and the largest upper bound bracket it, and the iteration stops,
+    converged, when they meet within ``tol`` relative, or after
+    ``max_iters`` steps.  The witness is the best iterate of the component
+    with the best lower bound, mapped back through D2*, and the value is
+    ||A w||_p on A itself, a certified lower bound whatever the phases.  A
+    component whose steps never stay in the normal range (entries more than
+    about 900 binades apart) gives no upper bound; then the matrix is left
+    to the dual power iteration (None).  ``mat`` is a member of a stack the
+    caller owns; an estimate scales it in place by 2^-e, the kernel's exact
+    scaling, and computes the value on it."""
+    if _corner_cycle_breaks(mat):
+        return None
+    found = _phased_components(mat)
+    if found is None:
+        return None
+    rows, cols, blocks, phases = found
+    row_starts, _, col_starts, col_block = blocks
+    with np.errstate(over="ignore"):  # an overflowing modulus is refused below
+        b = np.abs(mat)[np.ix_(rows, cols)]
+    top = b.max()
+    if math.isinf(top):
+        raise _overflow(mat, pe)
+    b /= top
+    p, q = pe.p, pe.q
+    x = np.ones(len(cols))
+    best, best_x = np.full(len(col_starts), -np.inf), x.copy()
+    upper = np.full(len(col_starts), np.inf)
+    converged = False
+    with np.errstate(all="ignore"):  # a step that leaves the normal range gives no upper bound
+        for _ in range(max_iters):
+            y_top, u, bounds, usable, x_next = _boyd_step(b, x, p, q, blocks)
+            ratio = np.add.reduceat(u**p, row_starts) / np.add.reduceat(x**p, col_starts)
+            lower = y_top * ratio ** (1.0 / p)  # x has largest entry 1 in every block
+            gain = lower > best
+            best[gain] = lower[gain]
+            best_x[gain[col_block]] = x[gain[col_block]]
+            upper = np.where(usable & (bounds < upper), bounds, upper)
+            if upper.max() - best.max() <= tol * best.max():
+                converged = True
+                break
+            x = x_next
+    if math.isinf(upper.max()):  # no bracket: one start proves no more than the restarted kernel
+        return None
+    k = int(np.argmax(best))
+    witness = np.zeros(mat.shape[1], dtype=complex)
+    witness[cols] = np.where(col_block == k, best_x * phases.conj(), 0.0)
+    e = _scale_down(mat[None], pe)[0]
+    return _finished(mat, best[k], witness, converged, e, pe, "positive-iteration", 1)
+
+
+def _corner_cycle_breaks(mat: np.ndarray) -> bool:
+    """Whether the leading 2 x 2 block has four nonzeros whose phase cycle
+    s_00 s_11 conj(s_01 s_10) is not 1: then no D1, D2 make A nonnegative."""
+    if min(mat.shape) < 2:
+        return False
+    corner = mat[:2, :2].tolist()
+    if not all(corner[0] + corner[1]):
+        return False
+    # each entry over its larger component has modulus in [1, sqrt 2], so the
+    # cycle neither overflows nor underflows
+    (a, b), (c, d) = ([z / max(abs(z.real), abs(z.imag)) for z in row] for row in corner)
+    cycle = a * d * (b * c).conjugate()
+    return abs(cycle / abs(cycle) - 1.0) > _PHASE_TOL
+
+
+def _phased_components(a: np.ndarray):
+    """For a = D1 |a| D2 (up to phase mismatches of :data:`_PHASE_TOL`):
+    the nonzero rows and columns in the order of the connected components
+    of the bipartite graph of nonzeros, the block structure of
+    :func:`_boyd_step` for those components, and the phases of D2 on the
+    ordered columns.  None for any other matrix.
+
+    The phases follow from s_ij = d1_i d2_j along the spanning forest of
+    :func:`_spanning_forest`, with phase 1 at every root, and every entry
+    is then checked against them in place, with no array of signs per
+    nonzero."""
+    m, n = a.shape
+    order, row_from, col_from, row_block, col_block = _spanning_forest(a != 0.0)
+    with np.errstate(over="ignore"):  # an overflowing modulus passes here and is refused by the scaling
+        mags = np.abs(a)
+    # the signs of the forest's edges; a root's and an empty column's are unused
+    row_edge = (np.arange(m), np.array(row_from))
+    col_edge = (np.array(col_from), np.arange(n))
+    row_sign = _signs(a[row_edge], mags[row_edge]).tolist()
+    col_sign = _signs(a[col_edge], mags[col_edge]).tolist()
+    d1, d2 = [1.0 + 0j] * m, [0j] * n
+    for node in order:
+        if node < 0:
+            d2[~node] = col_sign[~node] * d1[col_from[~node]].conjugate()
+        elif row_from[node] >= 0:
+            d1[node] = row_sign[node] * d2[row_from[node]].conjugate()
+    d1, d2 = np.array(d1), np.array(d2)
+    step = max(1, 4096 // n)  # rows per check, so a dense check needs no full-size complex temporary
+    with np.errstate(invalid="ignore", over="ignore"):
+        for top in range(0, m, step):
+            part = slice(top, top + step)
+            dev = a[part] * d1[part, None].conj()
+            dev *= d2.conj()
+            dev -= mags[part]  # |a_ij| (conj(d1_i d2_j) s_ij - 1)
+            if not (np.abs(dev) <= _PHASE_TOL * mags[part]).all():
+                return None
+    rows, cols = [i for i in order if i >= 0], [~j for j in order if j < 0]
+    row_block, col_block = [row_block[i] for i in rows], [col_block[j] for j in cols]
+    blocks = (_starts(row_block), np.array(row_block), _starts(col_block), np.array(col_block))
+    rows, cols = np.array(rows), np.array(cols)
+    return rows, cols, blocks, d2[cols]
+
+
+def _starts(block: list) -> np.ndarray:
+    """Where each run of a nondecreasing list of block numbers begins."""
+    return np.array([k for k in range(len(block)) if k == 0 or block[k] != block[k - 1]])
+
+
+def _spanning_forest(nz: np.ndarray) -> tuple[list, list, list, list, list]:
+    """One walk of the bipartite graph of a boolean matrix's nonzeros, which
+    visits every nonzero once from its row and once from its column and
+    each connected component in one piece.
+
+    Returns the nonempty rows i >= 0 and columns ~j in the order reached,
+    each after the node that reached it; the column that reached each row
+    (-1 for a component's root, its first row) and the row that reached
+    each column; and the component of every row and column (-1 for an empty
+    one), numbered in the order reached."""
+    m, n = nz.shape
+    row_ptr, row_cols = _adjacency(nz)
+    col_ptr, col_rows = _adjacency(nz.T)
+    row_block, col_block = [-1] * m, [-1] * n
+    row_from, col_from = [-1] * m, [0] * n
+    order, count = [], 0
+    for root in range(m):
+        if row_block[root] >= 0 or row_ptr[root] == row_ptr[root + 1]:
+            continue
+        row_block[root] = count
+        order.append(root)
+        todo = [root]
+        while todo:
+            node = todo.pop()
+            if node >= 0:
+                for j in row_cols[row_ptr[node] : row_ptr[node + 1]]:
+                    if col_block[j] < 0:
+                        col_block[j], col_from[j] = count, node
+                        order.append(~j)
+                        todo.append(~j)
+            else:
+                for i in col_rows[col_ptr[~node] : col_ptr[~node + 1]]:
+                    if row_block[i] < 0:
+                        row_block[i], row_from[i] = count, ~node
+                        order.append(i)
+                        todo.append(i)
+        count += 1
+    return order, row_from, col_from, row_block, col_block
+
+
+def _adjacency(nz: np.ndarray) -> tuple[list, list]:
+    """Row pointers and column indices of the nonzeros of a boolean matrix, as lists."""
+    m, n = nz.shape
+    flat = np.flatnonzero(nz)
+    ptr = np.searchsorted(flat, np.arange(0, m * n + 1, n)).tolist()
+    flat %= n
+    return ptr, flat.tolist()
 
 
 def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstimate]:
@@ -497,16 +736,7 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
     """
     p, q = pe.p, pe.q
     count, _, n = arr.shape
-    # iterate on 2^-e A, largest modulus in [1, 2): exact, and clear of underflow
-    with np.errstate(over="ignore"):  # an overflowing modulus is refused below
-        tops = np.abs(arr).max(axis=(1, 2))
-    if np.isinf(tops).any():
-        raise _overflow(arr[0], pe)
-    e = [math.frexp(float(t))[1] - 1 for t in tops]
-    half = np.array([math.ldexp(1.0, -ek // 2) for ek in e])[:, None, None]
-    rest = np.array([math.ldexp(1.0, -ek - (-ek // 2)) for ek in e])[:, None, None]
-    arr *= half
-    arr *= rest
+    e = _scale_down(arr, pe)
 
     x = np.empty((count, n, restarts), dtype=complex)
     for k, gen in enumerate(gens):
@@ -527,7 +757,7 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
         for k in slots:
             b = int(member[k])
             results[b] = _finished(arr[k], best_val[k], best_witness[k], bool(stagnant[k, best_col[k]]),
-                                   e[b], pe, restarts)
+                                   e[b], pe, "power-iteration", restarts)
 
     for _ in range(max_iters):
         live = len(member)
@@ -584,18 +814,18 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
     return results
 
 
-def _finished(mat, best_val, best_witness, converged, e, pe, restarts) -> PNormEstimate:
+def _finished(mat, best_val, best_witness, converged, e, pe, method, restarts) -> PNormEstimate:
     """The estimate of one matrix (already scaled by 2^-e) from its best iterate."""
     if best_val <= 0.0:
         witness = np.zeros(mat.shape[1], dtype=complex)
         witness[0] = 1.0
-        return PNormEstimate(0.0, witness, "power-iteration", True, restarts)
+        return PNormEstimate(0.0, witness, method, True, restarts)
     witness = best_witness / vector_pnorm(best_witness, pe)
     try:
         value = math.ldexp(vector_pnorm(mat @ witness, pe), e)
     except OverflowError:
         raise _overflow(mat, pe) from None
-    return PNormEstimate(value, witness, "power-iteration", converged, restarts)
+    return PNormEstimate(value, witness, method, converged, restarts)
 
 
 def pnorm_oracle(

@@ -5,6 +5,7 @@ check shells out so that artifact bytes come from a fresh interpreter.
 """
 
 import json
+import re
 import subprocess
 import sys
 
@@ -130,6 +131,16 @@ def test_witness_passes_on_window_element(element_file, capsys):
     assert main(argv) == 0
     (elem,) = json.loads(capsys.readouterr().out)["elements"]
     assert [float(v) for v in fields[1:]] == [elem[k] for k in lines[0].split(",")[1:]]
+
+
+def test_witness_help_names_the_csv_header(element_file, capsys, monkeypatch):
+    assert main(["witness", "--elements", element_file, "--epsilon", "0.3", "--format", "csv"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help text to the terminal width
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listed = re.search(r"end-to-end nuclearity witness\s+\(CSV:\s+([\w,]+)\)", capsys.readouterr().out)
+    assert listed.group(1) == header
 
 
 def test_witness_k_max_sets_the_levels_and_a_sampled_certificate_exits_1(

@@ -274,6 +274,23 @@ def test_cc_element_carrier_mismatch():
     g = CcElement.delta(cyclic_group(4), 0, np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         _ = f + g
+    for z, finite in ((ZWindow(1), cyclic_group(6)), (ZWindow(6), cyclic_group(6))):
+        with pytest.raises(ValueError, match="different carriers"):
+            _ = CcElement.delta(z, 1, base_dim=1) + CcElement.delta(finite, 1, base_dim=1)
+        with pytest.raises(ValueError, match="different carriers"):
+            _ = CcElement.delta(finite, 1, base_dim=1) + CcElement.delta(z, 1, base_dim=1)
+
+
+@pytest.mark.parametrize("left, right", [(ZWindow(1), ZWindow(2)), (cyclic_group(6), cyclic_group(6))],
+                         ids=["Z radii 1 and 2", "two Z/6"])
+def test_cc_elements_over_one_group_add_on_the_left_carrier(left, right):
+    # a Z window's radius is only its default representation window, and two
+    # separately built Z/6 are the same group
+    assert left is not right
+    total = CcElement.delta(left, 1, base_dim=1) + CcElement.delta(right, 1, 2.0 * np.eye(1))
+    assert total.carrier is left
+    assert total.support == (1,) and total.coeff(1)[0, 0] == 3.0
+    assert (CcElement.delta(right, 0, base_dim=1) - CcElement.delta(left, 0, base_dim=1)).carrier is right
 
 
 def test_delta_outside_window_truncates_to_zero():

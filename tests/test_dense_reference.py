@@ -8,7 +8,10 @@ or in {1, -1, i, -i} must agree bit for bit; other phases within 1e-13.
 The stacked p-norm kernel is checked against the one-matrix dual power
 iteration, and the stacked rounds of ``cb_norm_lower`` against the
 one-input-at-a-time ascent; both must agree bit for bit.  The estimators answer monomial
-matrices in closed form, max |a_ij|, and so do the references.
+matrices in closed form, max |a_ij|, and so do the references.  Matrices
+that are nonnegative up to phases (a reference below decides which) take
+the positive iteration instead; the kernel still iterates them, so every
+member of every stack keeps its bit-for-bit comparison.
 """
 
 import math
@@ -401,15 +404,50 @@ def _ref_value(a, p, **opts):
     return _ref_monomial(a)[0] if _is_monomial(a) else _ref_pnorm_estimate(a, p, **opts)[0]
 
 
+def _ref_phases(a, tol=2.0**-26):
+    """(d1, d2) with a_ij = d1_i |a_ij| d2_j on every nonzero, or None: each
+    nonzero row without a phase starts at phase 1, and phases spread along
+    nonzeros until none changes."""
+    a = np.asarray(a, dtype=complex)
+    nz = np.abs(a) > 0.0
+    signs = _ref_signs(a, np.abs(a))
+    d1, d2 = [None] * a.shape[0], [None] * a.shape[1]
+    edges = list(zip(*np.nonzero(nz)))
+    for root in range(a.shape[0]):
+        if d1[root] is not None or not nz[root].any():
+            continue
+        d1[root], changed = 1.0, True
+        while changed:
+            changed = False
+            for i, j in edges:
+                if d1[i] is not None and d2[j] is None:
+                    d2[j], changed = signs[i, j] * np.conj(d1[i]), True
+                elif d1[i] is None and d2[j] is not None:
+                    d1[i], changed = signs[i, j] * np.conj(d2[j]), True
+    if any(abs(signs[i, j] - d1[i] * d2[j]) > tol for i, j in edges):
+        return None
+    return d1, d2
+
+
 def _assert_estimate_bits(est, value, witness, converged):
     assert np.float64(est.value).view(np.uint64) == np.float64(value).view(np.uint64)
     assert np.array_equal(_bits(est.witness), _bits(witness))
     assert est.converged == converged
 
 
+def _assert_positive_estimate(est, a, p, kernel_value):
+    """A positive-iteration estimate: a certified unit witness, and a value
+    at least the kernel's, within 1e-9 when converged and 1e-5 otherwise."""
+    assert (est.method, est.restarts_used) == ("positive-iteration", 1)
+    assert vector_pnorm(est.witness, p) == pytest.approx(1.0, abs=1e-14)
+    assert vector_pnorm(np.asarray(a) @ est.witness, p) == pytest.approx(est.value, rel=1e-13)
+    assert est.value >= kernel_value * (1.0 - (1e-9 if est.converged else 1e-5))
+
+
 def _assert_kernel_matches(stack, p, seeds, **opts):
-    # the kernel iterates every member, monomial ones included; the stacked
-    # and one-matrix calls answer those in closed form and iterate the rest
+    # the kernel iterates every member, monomial and nonnegative ones
+    # included; the stacked and one-matrix calls answer those in closed
+    # form or by the positive iteration and iterate the rest
     opts = {"restarts": 32, "max_iters": 100, "tol": 1e-10, **opts}
     kernel = lpnorm._power_iteration(np.array(stack, dtype=complex), lpnorm.as_exponent(p), opts["restarts"],
                                      opts["max_iters"], opts["tol"], [np.random.default_rng(s) for s in seeds])
@@ -421,6 +459,8 @@ def _assert_kernel_matches(stack, p, seeds, **opts):
         if _is_monomial(a):
             assert (est.method, est.restarts_used) == ("exact", 0)
             _assert_estimate_bits(est, *_ref_monomial(a))
+        elif _ref_phases(a) is not None:
+            _assert_positive_estimate(est, a, p, ker.value)
         else:
             _assert_estimate_bits(est, ker.value, ker.witness, ker.converged)
         one = pnorm_estimate(a, p, rng=np.random.default_rng(seed), **opts)
@@ -543,8 +583,17 @@ def test_stacked_kernel_leaves_an_unscaled_array_stack_intact():
     assert len(counts) > 2
     got = pnorm_estimate_stack(stack, 4.0, rngs=list(range(6)), restarts=5, max_iters=200)
     assert np.array_equal(_bits(stack), _bits(kept))
-    for seed, (est, a) in enumerate(zip(got, kept)):
-        _assert_estimate_bits(est, *_ref_pnorm_estimate(a, 4.0, restarts=5, max_iters=200, rng=seed)[:3])
+    # members 0, 3 and 4 are nonnegative and take the positive iteration;
+    # the kernel, on a copy of the same stack, is held to the reference on all
+    kernel = lpnorm._power_iteration(stack.copy(), lpnorm.as_exponent(4.0), 5, 200, 1e-10,
+                                     [np.random.default_rng(seed) for seed in range(6)])
+    assert [_ref_phases(a) is not None for a in kept] == [True, False, False, True, True, False]
+    for seed, (est, ker, a) in enumerate(zip(got, kernel, kept)):
+        _assert_estimate_bits(ker, *_ref_pnorm_estimate(a, 4.0, restarts=5, max_iters=200, rng=seed)[:3])
+        if seed in (0, 3, 4):
+            _assert_positive_estimate(est, a, 4.0, ker.value)
+        else:
+            _assert_estimate_bits(est, ker.value, ker.witness, ker.converged)
 
 
 # ---------------------------------------------------------------------------

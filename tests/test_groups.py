@@ -145,6 +145,8 @@ def test_every_carrier_answers_the_protocol(carrier):
     back = group_from_descriptor(carrier.descriptor())
     assert back.descriptor() == carrier.descriptor()
     assert (back.op(s, t) == st).all() and (back.inv(sample) == carrier.inv(sample)).all()
+    assert carrier.same_group(carrier) and carrier.same_group(back) and back.same_group(carrier)
+    assert [other.same_group(carrier) for other in CARRIERS] == [other is carrier for other in CARRIERS]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
@@ -156,6 +158,7 @@ def test_cyclic_arithmetic_agrees_with_the_addition_table(n):
     assert np.array_equal(arith.op(s, t), table.op(s, t))
     assert np.array_equal(arith.inv(idx), table.inv(idx))
     assert table.descriptor() == arith.descriptor() == {"type": "cyclic", "n": n}
+    assert table.same_group(arith) and arith.same_group(table)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lpalg import lpnorm
+from lpalg.crossed import CcElement, ConcreteAlgebra, CovariantRep, IsometricAction, trivial_action
 from lpalg.errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
+from lpalg.groups import ZWindow
 from lpalg.lpnorm import (
     PExponent,
     _signs,
@@ -346,13 +348,164 @@ def test_mixed_stack_matches_one_matrix_estimates(p):
     stack[4] = 0.0
     stack[5][:, 1:] = 0.0  # five nonzeros in one column: not monomial
     got = pnorm_estimate_stack(stack, p, rngs=range(6), restarts=6, max_iters=60)
-    assert [est.method for est in got] == ["power-iteration", "exact", "exact", "power-iteration", "exact",
-                                           "power-iteration"]
+    # members 3 and 5 are rank one, hence nonnegative up to phases
+    assert [est.method for est in got] == ["power-iteration", "exact", "exact", "positive-iteration", "exact",
+                                           "positive-iteration"]
     for b, est in enumerate(got):
         one = pnorm_estimate(stack[b], p, rng=b, restarts=6, max_iters=60)
         assert (one.value, one.converged, one.method, one.restarts_used) == \
             (est.value, est.converged, est.method, est.restarts_used)
         assert np.array_equal(one.witness, est.witness)
+
+
+# ---------------------------------------------------------------------------
+# the positive iteration: matrices that are nonnegative up to phases
+# ---------------------------------------------------------------------------
+
+POSITIVE_EXPONENTS = [1.2, 1.5, 3.0, 4.0]
+
+
+def _unit_phases(rng, n):
+    return np.exp(2j * np.pi * rng.random(n))
+
+
+def _phased(rng, b):
+    """D1 b D2 for random unimodular diagonals D1 and D2."""
+    return _unit_phases(rng, b.shape[0])[:, None] * b * _unit_phases(rng, b.shape[1])
+
+
+def _block_diagonal(*blocks):
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def _two_term_window_forms():
+    """The Z window forms of 0.6 delta_0 + 0.4 delta_{-1} with phased scalar
+    coefficients, under the trivial action and under a phase."""
+    rng = np.random.default_rng(61)
+    zw = ZWindow(0)
+    f = CcElement(zw, {0: 0.6 * _unit_phases(rng, 1)[None], -1: 0.4 * _unit_phases(rng, 1)[None]})
+    actions = (trivial_action(zw, 1), IsometricAction(zw, generator=_unit_phases(rng, 1)[None]))
+    return [CovariantRep(ConcreteAlgebra(1), action, 1.5, window_radius=22).integrated(f) for action in actions]
+
+
+def _nonnegative_cases(rng):
+    """Seeded matrices D1 B D2 with B >= 0: dense, 20% sparse, block diagonal, rank one."""
+    return {
+        "dense": _phased(rng, rng.random((7, 6))),
+        "sparse": _phased(rng, rng.random((12, 12)) * (rng.random((12, 12)) < 0.2)),
+        "block diagonal": _phased(rng, _block_diagonal(rng.random((3, 4)), 3.0 * rng.random((4, 2)),
+                                                       rng.random((2, 3)))),
+        "rank one": _phased(rng, np.outer(rng.random(6), rng.random(8))),
+    }
+
+
+def test_positive_route_takes_exactly_the_matrices_nonnegative_up_to_phases():
+    rng = np.random.default_rng(59)
+    u, v = (rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2))
+    blocks = _block_diagonal(_phased(rng, rng.random((3, 3))), _phased(rng, rng.random((2, 4))))
+    for a in (np.outer(u, v.conj()), *_two_term_window_forms(), blocks):
+        assert lpnorm._phased_components(a) is not None
+        assert pnorm_estimate(a, 1.5).method == "positive-iteration"
+    assert len(lpnorm._phased_components(blocks)[2][0]) == 2  # one block per component
+    # a 4-cycle with phase product -1, away from the leading 2 x 2 block: the
+    # walk refuses it; in the leading block the four-sign test does
+    cycle = _block_diagonal(np.zeros((1, 1)), np.array([[1.0, 1.0], [1.0, -1.0]]))
+    assert not lpnorm._corner_cycle_breaks(cycle) and lpnorm._phased_components(cycle) is None
+    assert lpnorm._corner_cycle_breaks(cycle[1:, 1:])
+    gaussian = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    assert lpnorm._corner_cycle_breaks(gaussian) and lpnorm._phased_components(gaussian) is None
+    for a in (cycle, cycle[1:, 1:], gaussian):
+        assert pnorm_estimate(a, 1.5).method == "power-iteration"
+
+
+@pytest.mark.parametrize("p", POSITIVE_EXPONENTS)
+def test_positive_route_without_a_bracket_leaves_the_matrix_to_the_kernel(p):
+    # row 1 holds only 3e-305 beside entries of size 3e5, so every step
+    # leaves the normal range and gives no upper bound; the kernel then sees
+    # the matrix unscaled and answers with its own bits
+    a = np.array([[3e5, 1.5e5j], [3e-305, 0.0]])
+    assert lpnorm._phased_components(a) is not None
+    est = pnorm_estimate(a, p)
+    kernel = lpnorm._power_iteration(a[None].astype(complex), as_exponent(p), 32, 100, 1e-10,
+                                     [np.random.default_rng(0)])[0]
+    assert est.method == "power-iteration"
+    assert (est.value, est.converged) == (kernel.value, kernel.converged)
+    assert np.array_equal(est.witness, kernel.witness)
+
+
+@pytest.mark.parametrize("p", POSITIVE_EXPONENTS)
+def test_converged_positive_estimate_meets_its_collatz_wielandt_bound(p):
+    # on one component the bound of pnorm_upper's loop is the least along
+    # the same iteration, so a converged estimate is within tol of it
+    rng = np.random.default_rng([67, int(10 * p)])
+    pe = as_exponent(p)
+    for trial in range(6):
+        a = _phased(rng, rng.random((5 + trial, 4 + trial)) + 0.1)
+        est = pnorm_estimate(a, p)
+        assert (est.method, est.converged) == ("positive-iteration", True)
+        top = np.abs(a).max()
+        bound = top * lpnorm._collatz_wielandt(np.abs(a) / top, pe.p, pe.q)
+        assert bound * (1.0 - 1e-10 - 1e-13) <= est.value <= bound * (1.0 + 1e-13)
+
+
+@pytest.mark.parametrize("p", POSITIVE_EXPONENTS)
+def test_positive_estimate_is_at_least_the_restarted_kernel(p):
+    rng = np.random.default_rng([71, int(10 * p)])
+    for name, a in _nonnegative_cases(rng).items():
+        est = pnorm_estimate(a, p)
+        assert est.method == "positive-iteration", name
+        kernel = lpnorm._power_iteration(a[None].copy(), as_exponent(p), 32, 100, 1e-10, [np.random.default_rng(0)])
+        assert est.value >= kernel[0].value * (1.0 - (1e-9 if est.converged else 1e-5)), name
+        assert vector_pnorm(a @ est.witness, p) == pytest.approx(est.value, rel=1e-13)
+
+
+@st.composite
+def _nonnegative_up_to_phases(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mods = draw(arrays(float, (m, n), elements=st.floats(1e-3, 10.0)))
+    keep = draw(arrays(bool, (m, n)))
+    turns = draw(arrays(float, m + n, elements=st.floats(0.0, 1.0)))
+    return np.exp(2j * np.pi * turns[:m])[:, None] * (mods * keep) * np.exp(2j * np.pi * turns[m:])
+
+
+@seed(5)
+@settings(max_examples=40, deadline=None)
+@given(_nonnegative_up_to_phases(), st.sampled_from(POSITIVE_EXPONENTS))
+def test_converged_positive_estimate_agrees_with_the_oracle(a, p):
+    est = pnorm_estimate(a, p)
+    assert est.method in ("exact", "positive-iteration")
+    if est.method == "positive-iteration" and est.converged:
+        assert abs(est.value - pnorm_oracle(a, p)) <= 1e-9 * est.value
+
+
+@pytest.mark.parametrize("p", POSITIVE_EXPONENTS)
+def test_rank_one_positive_estimate_is_the_product_of_the_norms(p):
+    rng = np.random.default_rng([73, int(10 * p)])
+    q = as_exponent(p).q
+    for m, n in ((1, 5), (6, 1), (4, 7), (12, 9)):
+        u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        est = pnorm_estimate(np.outer(u, v.conj()), p)
+        exact = vector_pnorm(u, p) * vector_pnorm(v, q)
+        assert (est.method, est.converged) == ("positive-iteration", True)
+        assert abs(est.value - exact) <= 1e-12 * exact
+
+
+def test_positive_estimate_scales_exactly_by_powers_of_two():
+    rng = np.random.default_rng(79)
+    for a in _nonnegative_cases(rng).values():
+        for p in (1.5, 3.0):
+            base = pnorm_estimate(a, p)
+            assert base.method == "positive-iteration"
+            for k in (*range(-40, 41), -900, 900):
+                scaled = pnorm_estimate(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k), p)
+                assert scaled.value == math.ldexp(base.value, k)
+                assert np.array_equal(scaled.witness, base.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +538,43 @@ def test_upper_bound_is_never_below_the_oracle_or_the_estimate():
         if lower > upper:
             violations.append((trial, p, lower, upper))
     assert violations == []
+
+
+def _ref_collatz_wielandt(b, p, q):
+    """pnorm_upper's Collatz-Wielandt loop as it was written before the
+    positive iteration shared its step."""
+    best, x = math.inf, np.ones(b.shape[1])
+    with np.errstate(all="ignore"):
+        for _ in range(100):
+            y = b @ x
+            z = (y / y.max()) ** (p - 1.0)
+            w, xp = b.T @ z, x ** (p - 1.0)
+            if not min(y.min(), z.min(), w.min(), xp.min()) >= 2.0**-900:
+                break
+            bound = float(y.max() ** (1.0 / q) * (w / xp).max() ** (1.0 / p))
+            if not bound < best:
+                break
+            best, x = bound, (w / w.max()) ** (q - 1.0)
+    return best
+
+
+def test_collatz_wielandt_keeps_the_bits_of_its_own_loop():
+    rng = np.random.default_rng(83)
+    cases = [_upper_case(rng, trial) for trial in range(300)]
+    cases += [(a, p) for a in _nonnegative_cases(rng).values() for p in POSITIVE_EXPONENTS]
+    cases += [(a, p) for a in _two_term_window_forms() for p in POSITIVE_EXPONENTS]
+    checked = 0
+    for a, p in cases:
+        pe = as_exponent(p)
+        mags = np.abs(a)
+        mags = mags[mags.any(axis=1)][:, mags.any(axis=0)]
+        if pe.is_one or pe.is_inf or mags.size == 0:
+            continue
+        b = mags / mags.max()
+        want, got = _ref_collatz_wielandt(b, pe.p, pe.q), lpnorm._collatz_wielandt(b, pe.p, pe.q)
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        checked += 1
+    assert checked > 250
 
 
 def _phased_permutation(rng, d):

@@ -533,6 +533,17 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def test_two_term_scalar_z_witness_runs_no_dual_power_iteration(monkeypatch):
+    # its forms are monomial or nonnegative up to phases, so the closed form
+    # and the positive iteration answer every estimate
+    kernel = _count_calls(monkeypatch, lpnorm, "_power_iteration")
+    zw = ZWindow(0)
+    f = CcElement(zw, {0: np.array([[0.6j]]), -1: np.array([[0.4 * np.exp(0.3j)]])})
+    _, report = crossed_nuclearity_witness([f], 0.29, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5)
+    assert report["passed"]
+    assert kernel == []
+
+
 def test_rotation_demo_estimates_only_the_reduced_norms(monkeypatch):
     # on F = G every defect is zero and every ratio is 1: nothing else to
     # estimate, and the commutation check builds no form of its own
