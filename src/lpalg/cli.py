@@ -25,7 +25,7 @@ from .crossed import (
 )
 from .errors import CapacityError, CertificateError, DimensionGuardError, UnsupportedExponentError
 from .groups import ZWindow, cyclic_group, folner_ratio, folner_search, group_from_descriptor
-from .lpnorm import pnorm_estimate
+from .lpnorm import pnorm_estimate, pnorm_upper
 from .nuclearity import crossed_nuclearity_witness, rotation_demo
 from .opspace import cb_norm_lower, compression
 from .serialize import (
@@ -99,24 +99,25 @@ def _emit(args, payload: dict, header: list, rows: list) -> None:
 # ---------------------------------------------------------------------------
 
 
+# the pnorm CSV's columns: [value, upper] brackets the norm; its help names them too
+PNORM_CSV_HEADER = ("value", "converged", "restarts", "upper")
+
+
 def _cmd_pnorm(args) -> int:
     a = matrix_from_obj(load_json(args.matrix))
-    est = pnorm_estimate(
-        a,
-        _parse_p(args.p),
-        restarts=args.restarts,
-        rng=np.random.default_rng(args.seed),
-    )
+    p = _parse_p(args.p)
+    est = pnorm_estimate(a, p, restarts=args.restarts, rng=np.random.default_rng(args.seed))
     payload = {
         "command": "pnorm",
-        "p": _parse_p(args.p),
+        "p": p,
         "shape": list(a.shape),
         "value": est.value,
+        "upper": pnorm_upper(a, p),
         "converged": est.converged,
         "restarts": est.restarts_used,
         "method": est.method,
     }
-    _emit(args, payload, ["value", "converged", "restarts"], [[est.value, est.converged, est.restarts_used]])
+    _emit(args, payload, list(PNORM_CSV_HEADER), [[payload[key] for key in PNORM_CSV_HEADER]])
     return 0
 
 
@@ -283,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--group", default=None, help="optional; must match the element file")
         cmd.add_argument("--action", default=None, help="trivial (default), rotation:N:K, or action descriptor file")
 
-    c = sub.add_parser("pnorm", help="operator p-norm of a matrix (CSV: value,converged,restarts)")
+    c = sub.add_parser("pnorm", help=f"operator p-norm of a matrix (CSV: {','.join(PNORM_CSV_HEADER)})")
     c.add_argument("--matrix", required=True, help="matrix JSON file {rows,cols,entries}")
     c.add_argument("--restarts", type=int, default=32)
     common(c)

@@ -50,11 +50,21 @@ def test_pnorm_json_output(matrix_file, capsys):
 def test_pnorm_csv_row(matrix_file, capsys):
     assert main(["pnorm", "--matrix", matrix_file, "--p", "inf", "--format", "csv"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "value,converged,restarts"
-    value, converged, restarts = out[1].split(",")
-    assert float(value) > 0
+    assert out[0] == "value,converged,restarts,upper"
+    value, converged, restarts, upper = out[1].split(",")
+    assert 0 < float(value) <= float(upper)
     assert converged == "True"
     assert restarts == "0"  # exact formula, no iteration
+
+
+@pytest.mark.parametrize("p", ["1.5", "3"])
+def test_pnorm_reports_both_ends_of_the_bracket(matrix_file, p, capsys):
+    assert main(["pnorm", "--matrix", matrix_file, "--p", p]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert 0 < payload["value"] <= payload["upper"]
+    assert main(["pnorm", "--matrix", matrix_file, "--p", p, "--format", "csv"]) == 0
+    row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))
+    assert (float(row["value"]), float(row["upper"])) == (payload["value"], payload["upper"])
 
 
 def test_pnorm_missing_file_is_input_error(tmp_path, capsys):
