@@ -26,7 +26,7 @@ from .crossed import (
 from .errors import CapacityError, CertificateError, DimensionGuardError, UnsupportedExponentError
 from .groups import ZWindow, cyclic_group, folner_ratio, folner_search, group_from_descriptor
 from .lpnorm import pnorm_estimate, pnorm_upper
-from .nuclearity import crossed_nuclearity_witness, rotation_demo
+from .nuclearity import crossed_nuclearity_witness, rotation_demo, sum_upper
 from .opspace import cb_norm_lower, compression
 from .serialize import (
     action_from_obj,
@@ -171,6 +171,10 @@ def _load_element(args):
     return f
 
 
+# the crossed CSV's columns: [reduced_norm, norm_upper] brackets the norm; its help names them too
+CROSSED_CSV_HEADER = ("reduced_norm", "converged", "expectation_compress_dev", "norm_upper")
+
+
 def _cmd_crossed(args) -> int:
     f = _load_element(args)
     action = _parse_action(args.action, f.carrier, f.base_dim)
@@ -188,18 +192,14 @@ def _cmd_crossed(args) -> int:
         "p": p,
         "support": [int(s) for s in f.support],
         "reduced_norm": est.value,
+        "norm_upper": sum_upper(pnorm_upper(a, rep.p) for _, a in f.items()),  # as the witness reports it
         "converged": est.converged,
         "expectation_compress_dev": check["max_abs_diff"],
         "expectation_coeff_dev": e_dev,
     }
     if f.carrier.order is None:  # the window truncates an infinite group
         payload["window_radius"] = int(rep.window_radius)
-    _emit(
-        args,
-        payload,
-        ["reduced_norm", "converged", "expectation_compress_dev"],
-        [[est.value, est.converged, check["max_abs_diff"]]],
-    )
+    _emit(args, payload, list(CROSSED_CSV_HEADER), [[payload[key] for key in CROSSED_CSV_HEADER]])
     if check["max_abs_diff"] > 1e-12:
         print("conditional-expectation compression identity failed", file=sys.stderr)
         return 1
@@ -305,8 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(c)
     c.set_defaults(handler=_cmd_folner)
 
-    c = sub.add_parser("crossed", help="reduced norm and expectation checks "
-                                       "(CSV: reduced_norm,converged,expectation_compress_dev)")
+    c = sub.add_parser("crossed", help=f"reduced norm and expectation checks (CSV: {','.join(CROSSED_CSV_HEADER)})")
     element_inputs(c)
     c.add_argument("--restarts", type=int, default=32)
     common(c)

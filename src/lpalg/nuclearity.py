@@ -33,10 +33,12 @@ Both maps work on whole arrays: phi is an index compression, and psi moves
 all blocks with one gather.  When all contributions to one group
 coefficient are bitwise identical (which is exactly what happens for
 integrated crossed elements under permutation actions), their average is
-value * (count / |F|) rather than a floating accumulation, so single-term
-defects carry the intersection ratio exactly.  A round trip whose ratios
-|F (cap) sF| / |F| are all 1 (F = G, say) is exact under any phases of the
-action: its defect is 0.0 by that rule, and psi is never built.
+value * (count / |F|) rather than a floating accumulation.  A round trip
+whose ratios |F (cap) sF| / |F| agree on supp f, all equal to r, needs
+neither map: its defect is (r - 1) f, so its error is |1 - r| ||f||, read
+off the one estimate of f's norm, and exactly 0.0 when r is 1 (F = G, say)
+under any phases of the action.  Only round trips whose ratios differ
+build psi and estimate their defect.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ __all__ = [
     "lift_factorization",
     "measure_roundtrip",
     "rotation_demo",
+    "sum_upper",
     "truncate_map",
 ]
 
@@ -256,9 +259,11 @@ def folner_psi_factors(folner: FolnerSet, rep: CovariantRep) -> tuple[tuple, tup
     return r, s
 
 
-def _sum_up(terms) -> float:
+def sum_upper(terms) -> float:
     """Bound the exact sum of nonnegative terms, each within two roundings:
-    with fsum's and the product's, 4 units of roundoff; 1 + 2^-50 is 8."""
+    with fsum's and the product's, 4 units of roundoff; 1 + 2^-50 is 8.
+    Summing each coefficient's ``pnorm_upper`` gives ``norm_upper``, a proved
+    bound of the reduced norm on every window."""
     return math.fsum(terms) * (1.0 + 2.0**-50)
 
 
@@ -269,29 +274,45 @@ def _roundtrip_bound(f: CcElement, ratios: dict, p, uppers=None) -> float:
     exact ratio, so |1 - r_s| + 2^-54 bounds the exact and the computed
     defect.  A ratio of exactly 1 adds 0.0 and takes no bound.  ``uppers``
     maps s to ``pnorm_upper``(a_s) where the caller has it."""
-    return _sum_up([(abs(1.0 - ratios[s]) + 2.0**-54) * (pnorm_upper(a, p) if uppers is None else uppers[s])
-                    for s, a in f.items() if ratios[s] != 1.0])
+    return sum_upper([(abs(1.0 - ratios[s]) + 2.0**-54) * (pnorm_upper(a, p) if uppers is None else uppers[s])
+                      for s, a in f.items() if ratios[s] != 1.0])
 
 
-def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form=None, uppers=None,
+def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form=None, norm=None, uppers=None,
                      **est_opts) -> dict:
     """Measure ||psi(phi(f)) - f|| (a lower bound) and its proved budget.
 
-    psi(phi(f)) scales each a_s by r_s = |F cap sF|/|F|, so the defect of a
-    single-term f = a delta_s meets the budget of :func:`_roundtrip_bound`
-    up to its outward rounding, and when every r_s is 1 error and budget are
-    exactly 0.0, with neither psi nor a form built.  Otherwise phi is applied
-    to ``form``, f's integrated form on ``rep`` (built here if not given), a
-    nonzero defect is estimated, and the budget takes ``uppers``, each
-    coefficient's ``pnorm_upper`` by group element (computed if not given).
+    psi(phi(f)) scales each a_s by r_s = |F cap sF|/|F|, so the ratios decide
+    every round trip whose r_s agree on supp f: the defect is (r - 1) f, and
+    its error is |1 - r| times ``norm``, the caller's estimate of ||pi(f)||
+    (estimated here from ``form`` if not given), with psi never built; when
+    r is 1, error and budget are exactly 0.0 and nothing is built.  Round
+    trips whose ratios differ are measured: phi is applied to ``form``, f's
+    integrated form on ``rep`` (built here if not given), psi averages it
+    back, and the defect is estimated.  The budget of
+    :func:`_roundtrip_bound` takes ``uppers``, each coefficient's
+    ``pnorm_upper`` by group element (computed if not given).
     """
     ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
-    if all(r == 1.0 for r in ratios.values()):
+    agreed = set(ratios.values())
+    if agreed == {1.0}:
         return {"error": 0.0, "bound": 0.0}
+    if len(agreed) == 1:
+        if norm is None:
+            norm = pnorm_estimate(rep.integrated(f) if form is None else form, rep.p, **est_opts).value
+        error = abs(1.0 - agreed.pop()) * norm
+    else:
+        error = _measured_defect(f, folner, rep, form, **est_opts)
+    return {"error": float(error), "bound": _roundtrip_bound(f, ratios, rep.p, uppers)}
+
+
+def _measured_defect(f: CcElement, folner: FolnerSet, rep: CovariantRep, form=None, **est_opts) -> float:
+    """Estimate ||psi(phi(pi(f))) - pi(f)|| by running the dense pipeline:
+    compress ``form`` (f's integrated form, built if not given), average the
+    blocks back, integrate and subtract; a zero defect is 0.0."""
     big = rep.integrated(f) if form is None else form
     diff = rep.integrated(_psi_coefficients(folner_phi_map(folner, rep).apply(big), folner, rep)) - big
-    error = pnorm_estimate(diff, rep.p, **est_opts).value if diff.any() else 0.0
-    return {"error": float(error), "bound": _roundtrip_bound(f, ratios, rep.p, uppers)}
+    return pnorm_estimate(diff, rep.p, **est_opts).value if diff.any() else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +493,12 @@ def crossed_nuclearity_witness(
     ``folner_psi_factors`` and ``monomial_cb`` for psi), and
     ``Factorization`` refuses any certificate that is not such a proof.
     Each element's form is built and estimated once (its ``reduced_norm``),
-    and :func:`folner_roundtrip` measures its round trip on that form and
-    gives its budget from the ``pnorm_upper`` of each coefficient that M
-    sums, computed once; on a finite group F = G, every ratio is 1, so error
-    and budget are exactly 0.0 with nothing measured.  ``passed`` holds when
+    and :func:`folner_roundtrip` takes both and gives the budget from the
+    ``pnorm_upper`` of each coefficient that M sums, computed once.  The
+    ratios decide every round trip whose ratios agree on the support: its
+    error is |1 - r| ``reduced_norm``, with nothing more built or estimated
+    (on a finite group F = G, every ratio is 1, so error and budget are
+    exactly 0.0); the rest are measured on the form.  ``passed`` holds when
     every budget is below eps, so it rests on upper bounds only.  The report
     records per element the two lower-bound diagnostics, ``norm_upper`` and
     the budget, both certificates with their kind, and on Z the window
@@ -489,7 +512,7 @@ def crossed_nuclearity_witness(
     pe = as_exponent(p)
     supports = sorted({s for f in fs for s in f.support})
     uppers = [{s: pnorm_upper(a, pe) for s, a in f.items()} for f in fs]
-    norm_uppers = [_sum_up(u.values()) for u in uppers]
+    norm_uppers = [sum_upper(u.values()) for u in uppers]
     folner = folner_search(carrier, supports, eps / (3.0 * max(*norm_uppers, 1e-9)))
     rep = CovariantRep(algebra, action, pe, window_radius=max(map(abs, supports), default=0) + folner.size)
 
@@ -499,8 +522,9 @@ def crossed_nuclearity_witness(
     elements = []
     for i, (f, coeff_uppers, upper) in enumerate(zip(fs, uppers, norm_uppers)):
         form = rep.integrated(f)
-        rt = folner_roundtrip(f, folner, rep, form=form, uppers=coeff_uppers)
-        elements.append({"id": f"f{i}", "reduced_norm": pnorm_estimate(form, pe).value, "norm_upper": upper,
+        norm = pnorm_estimate(form, pe).value
+        rt = folner_roundtrip(f, folner, rep, form=form, norm=norm, uppers=coeff_uppers)
+        elements.append({"id": f"f{i}", "reduced_norm": norm, "norm_upper": upper,
                          "roundtrip_error": rt["error"], "bound": rt["bound"]})
     fact = Factorization(folner_phi_map(folner, rep), folner_psi_map(folner, rep), folner.size * algebra.base_dim,
                          phi_cb, psi_cb, {e["id"]: e["roundtrip_error"] for e in elements}, pe.p)

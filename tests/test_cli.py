@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from lpalg import nuclearity
+from lpalg import lpnorm, nuclearity
 from lpalg.cli import main
 from lpalg.crossed import CcElement, CovariantRep
 from lpalg.groups import ZWindow
@@ -121,6 +121,28 @@ def test_crossed_assembles_the_form_once(element_file, capsys, monkeypatch):
     monkeypatch.setattr(CovariantRep, "integrated", lambda rep, f: calls.append(f) or integrated(rep, f))
     assert main(["crossed", "--elements", element_file, "--p", "1.5"]) == 0
     assert len(calls) == 1
+
+
+def test_crossed_brackets_the_norm_and_its_help_names_the_csv_header(tmp_path, capsys, monkeypatch):
+    # norm_upper is the witness's: each coefficient's pnorm_upper, summed
+    # and rounded outward, so it is never below the reduced norm
+    rng = np.random.default_rng(5)
+    coeffs = {s: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for s in (-1, 0, 2)}
+    path = _write(tmp_path / "g.json", cc_element_to_obj(CcElement(ZWindow(2), coeffs)))
+    assert main(["crossed", "--elements", path, "--p", "1.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reduced_norm"] <= payload["norm_upper"]
+    assert payload["norm_upper"] == nuclearity.sum_upper(lpnorm.pnorm_upper(a, 1.5) for a in coeffs.values())
+    assert main(["crossed", "--elements", path, "--p", "1.5", "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert header.split(",")[-1] == "norm_upper"
+    assert float(fields["norm_upper"]) == payload["norm_upper"]
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help text to the terminal width
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listed = re.search(r"reduced norm and expectation checks\s+\(CSV:\s+([\w,]+)\)", capsys.readouterr().out)
+    assert listed.group(1) == header
 
 
 def test_crossed_group_mismatch_is_input_error(element_file, capsys):

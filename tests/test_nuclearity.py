@@ -140,13 +140,21 @@ def _upper_budget(f, folner, p):
 @pytest.mark.parametrize("case", range(4))
 def test_roundtrip_with_the_witness_form_matches_estimating_every_term(case):
     # the witness hands folner_roundtrip each form: the error is the defect's
-    # estimate bit for bit, and the budget is the d x d upper-bound formula,
-    # at least the sum of every term's window estimate and the error
+    # estimate bit for bit, or, where the ratios agree on supp f, |1 - r| times
+    # the form's estimate bit for bit and the defect's within rounding; the
+    # budget is the d x d upper-bound formula, at least the sum of every
+    # term's window estimate and the error
     _, f, folner, rep = _roundtrip_cases()[case]
     expected = _reference_roundtrip(f, folner, rep)
-    rt = folner_roundtrip(f, folner, rep, form=rep.integrated(f))
+    form = rep.integrated(f)
+    rt = folner_roundtrip(f, folner, rep, form=form)
     assert folner_roundtrip(f, folner, rep) == rt
-    assert rt["error"] == expected["error"]
+    ratios = {folner_intersection(folner, s) / folner.size for s in f.support}
+    if len(ratios) == 1 and ratios != {1.0}:
+        assert rt["error"] == abs(1.0 - ratios.pop()) * lpnorm.pnorm_estimate(form, rep.p).value
+        assert rt["error"] == pytest.approx(expected["error"], rel=1e-13, abs=0.0)
+    else:
+        assert rt["error"] == expected["error"]
     assert rt["bound"] == _upper_budget(f, folner, rep.p)
     assert rt["bound"] >= expected["bound"]
     assert rt["bound"] >= rt["error"]
@@ -203,6 +211,74 @@ def test_roundtrip_with_every_ratio_one_is_exact_without_psi(monkeypatch, case):
         _, report = crossed_nuclearity_witness([f], 0.1, rep.algebra, rep.carrier, rep.action, rep.p)
         assert report["elements"][0]["roundtrip_error"] == 0.0
         assert report["elements"][0]["bound"] == 0.0
+
+
+def _scalar_defect_cases():
+    """Round trips whose ratios agree on supp f at one r < 1: single terms on Z
+    under the trivial action and a phased one, at d = 1 and d = 2; terms at
+    -2 and 2 on Z; and supp f = {1, 11} in Z/12 under a rotation with
+    F = {0..5}, where both ratios are 5/6."""
+    rng = np.random.default_rng(41)
+
+    def gauss(d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    zw, z12 = ZWindow(24), cyclic_group(12)
+    folner = FolnerSet(zw, tuple(range(-10, 11)))
+    cases = []
+    for d, s in ((1, 1), (2, -3)):
+        generator = np.diag(np.exp(2j * np.pi * rng.random(d))) @ np.eye(d)[::-1]
+        for action, p in ((trivial_action(zw, d), 1.5), (IsometricAction(zw, generator=generator), 3.0)):
+            rep = CovariantRep(ConcreteAlgebra(d), action, p, window_radius=24)
+            cases.append((CcElement(zw, {s: gauss(d)}), folner, rep))
+    cases.append((CcElement(zw, {-2: gauss(2), 2: gauss(2)}), folner, _z_phased_rep(1.5, radius=24)))
+    rot = CovariantRep(ConcreteAlgebra(12), cyclic_coordinate_rotation(12, 5), 1.5)
+    cases.append((CcElement(z12, {1: gauss(12), 11: gauss(12)}), FolnerSet(z12, tuple(range(6))), rot))
+    return cases
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a round trip with agreeing ratios built psi or made an estimate")
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_roundtrip_with_agreeing_ratios_is_read_off_the_norm(monkeypatch, case):
+    # psi(phi(f)) = r f, so the error is |1 - r| times the estimate of
+    # ||pi(f)||, within rounding of the defect the pipeline measures; psi is
+    # never built, and a norm passed in leaves nothing to estimate
+    f, folner, rep = _scalar_defect_cases()[case]
+    (r,) = {folner_intersection(folner, s) / folner.size for s in f.support}
+    assert r < 1.0
+    form = rep.integrated(f)
+    measured = nuclearity._measured_defect(f, folner, rep, form)
+    norm = lpnorm.pnorm_estimate(form, rep.p).value
+    with monkeypatch.context() as m:
+        m.setattr(nuclearity, "_psi_coefficients", _refuse)
+        rt = folner_roundtrip(f, folner, rep, form=form)
+        assert folner_roundtrip(f, folner, rep) == rt
+        calls = _count_estimates(m)
+        m.setattr(CovariantRep, "integrated", _refuse)
+        assert folner_roundtrip(f, folner, rep, norm=norm) == rt
+        assert calls == []
+    assert rt["error"] == abs(1.0 - r) * norm
+    assert rt["error"] == pytest.approx(measured, rel=1e-13, abs=0.0)
+    assert rt["error"] <= rt["bound"] == _upper_budget(f, folner, rep.p)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_witness_reads_agreeing_roundtrips_off_the_reduced_norm(monkeypatch, case):
+    # on Z every Folner set the witness picks is an interval, so single terms
+    # and terms at -s and s have one ratio: the error is |1 - r| times the
+    # reported reduced norm, bit for bit, and psi is never built
+    f, _, rep = _scalar_defect_cases()[case]
+    monkeypatch.setattr(nuclearity, "_psi_coefficients", _refuse)
+    _, report = crossed_nuclearity_witness([f], 0.3, rep.algebra, rep.carrier, rep.action, rep.p)
+    folner = FolnerSet(rep.carrier, tuple(report["folner"]["members"]))
+    (r,) = {folner_intersection(folner, s) / folner.size for s in f.support}
+    (elem,) = report["elements"]
+    assert report["passed"]
+    assert elem["roundtrip_error"] == abs(1.0 - r) * elem["reduced_norm"]
+    assert elem["roundtrip_error"] <= elem["bound"]
 
 
 def _z_phased_rep(p, radius=4):
@@ -558,9 +634,10 @@ def test_rotation_demo_estimates_only_the_reduced_norms(monkeypatch):
 
 
 def test_z_witness_estimates_each_form_once(monkeypatch):
-    # one Folner search and one window: one reduced norm per element and the
-    # defect of the delta_1 term; the defect of a delta_0 is zero.  Each
-    # coefficient's upper bound serves both M and the budget
+    # one Folner search and one window: one reduced norm per element and
+    # nothing else, since the defect of the delta_1 term is |1 - r| times its
+    # reduced norm and the defect of a delta_0 is zero.  Each coefficient's
+    # upper bound serves both M and the budget
     zw = ZWindow(0)
     one = CcElement.delta(zw, 1, np.array([[0.8j]]))
     for fs in ([one], [one, CcElement.delta(zw, 0, np.array([[0.5]]))]):
@@ -571,7 +648,7 @@ def test_z_witness_estimates_each_form_once(monkeypatch):
         _, report = crossed_nuclearity_witness(fs, 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5)
         assert report["passed"]
         assert (len(searches), len(reps)) == (1, 1)
-        assert len(calls) == len(fs) + 1
+        assert len(calls) == len(fs)
         assert len(uppers) == sum(len(f.support) for f in fs)
         monkeypatch.undo()
     assert report["elements"][1]["roundtrip_error"] == report["elements"][1]["bound"] == 0.0
