@@ -18,24 +18,13 @@ matrix A in C^{m x n} is an operator l^p(n) -> l^p(m) and
   their integrated forms are of this kind.
 * A matrix that is nonnegative up to phases, A = D1 |A| D2 with unimodular
   diagonal D1 and D2, such as rank-one matrices and the window forms of
-  scalar and phased coefficients: ||A||_p = ||B||_p for B = |A|, and on a
-  nonnegative matrix the iteration x <- (B^T (B x)^{p-1})^{q-1} from the
-  positive start x = 1 rises to the global maximiser (Boyd, LAA 1974), so
-  one start is enough.  A walk of the bipartite graph of nonzeros decides
-  the phases and splits B into its connected components, which are
-  iterated side by side, each normalized on its own.  Every step gives the
-  Collatz-Wielandt upper bound of :func:`pnorm_upper` beside the lower
-  bound ||B x||_p / ||x||_p, and the iteration stops once the two meet
-  within ``tol`` (Gautier, Tudisco & Hein, SIMAX 2019), so ``converged``
-  is a certificate.  Boyd's iteration closes that bracket slowly on window
-  forms and nearly reducible matrices, so where the bracket fails to halve
-  over a step, a matrix with at most 128 nonzero columns takes a guarded
-  Newton step on the stationarity equation B^T (B x)^{p-1} = lambda x^{p-1}
-  instead (one such step costs 4 to 12 of Boyd's there).  The bracket is
-  still computed at every iterate, and any positive x gives valid bounds,
-  so ``converged`` certifies the value as before; brackets that halve at
-  every step take no Newton step.  The value is ||A w||_p for the best
-  iterate mapped back through D2*.
+  scalar and phased coefficients: ||A||_p = ||B||_p for B = |A|.  A walk
+  of the bipartite graph of nonzeros decides the phases and splits B into
+  its connected components, and :func:`_bracket` closes the
+  Collatz-Wielandt bracket of each from the one positive start x = 1,
+  with Boyd's iteration and guarded Newton steps, until it is ``tol``
+  wide; so ``converged`` is a certificate.  The value is ||A w||_p for the
+  best iterate mapped back through D2*.
 * Any other matrix: the dual power iteration
 
       x  <-  dualmap_q( A* . dualmap_p( A x ) ),   normalized in l^p,
@@ -59,7 +48,7 @@ matrices; tests treat it as ground truth.
 
 The iteration and the oracle give lower bounds, which can only refute
 ||A|| <= c; :func:`pnorm_upper` gives the proved upper bound that such a
-claim needs, from |A| alone.
+claim needs, from |A| alone, with the same bracket.
 
 Complex scalars are used throughout, with sign(z) = z / |z| and
 sign(0) = 0.  The adjoint is the conjugate transpose, so that
@@ -320,104 +309,113 @@ def pnorm_exact(a, p) -> float:
 def pnorm_upper(a, p) -> float:
     """A proved upper bound on ||A||_{p->p}, from the moduli B = |A| alone.
 
-    ||A||_p <= ||B||_p, and dropping zero rows and columns changes no norm.
-    For p in {1, inf} the bound is the exact column or row sum; otherwise
-    the smaller of Riesz-Thorin, ||B||_1^{1/p} ||B||_inf^{1/q}, and
-    Collatz-Wielandt: ||B||_p^p <= max_i (B^T (B x)^{p-1})_i / x_i^{p-1} for
-    every x > 0.  Proof: for y >= 0, Hoelder on B_ji y_i =
-    (B_ji x_i)^{1/q} (B_ji y_i^p x_i^{1-p})^{1/p} gives
-    (B y)_j^p <= (B x)_j^{p-1} sum_i B_ji y_i^p x_i^{1-p}; sum over j.  The
-    bound cannot rise along x <- (B^T (B x)^{p-1})^{q-1} (Boyd 1974; Gautier,
-    Tudisco & Hein 2019), iterated from x = 1 while it falls, at most 100
-    times, with guarded Newton steps where it stalls (:func:`_collatz_wielandt`);
-    it is exact on rank-one matrices, and Riesz-Thorin on phased
-    permutations.  With B scaled to largest entry 1 and reduced to m x n,
-    either bound is within (m + n + 10) 2^-53 of its exact value (sums of at
-    most max(m, n) nonnegative terms; the 1/p-th root divides what the power
-    p - 1 multiplied), so it is raised by 1 + (m + n + 8) 2^-52 and its
-    product with the scale to the next float.  A step with an entry below
-    2^-900, where underflow errs absolutely, is not used.  Raises
+    ||A||_p <= ||B||_p, and zero rows and columns change no norm.  With B
+    scaled to largest entry 1 and m x n its nonzero rows and columns, the
+    bound for p in {1, inf} is the exact column or row sum.  Otherwise it
+    is Riesz-Thorin, ||B||_1^{1/p} ||B||_inf^{1/q}, where that is at most 1,
+    and then exact, since the largest entry 1 is a lower bound (so on
+    scalars and phased permutations); elsewhere the smaller of Riesz-Thorin
+    and the upper end of :func:`_bracket` over the connected components of
+    B, run until it is as wide as the margin below, at most 100 steps.
+    Either bound is within (m + n + 10) 2^-53 of its exact value (sums of
+    at most max(m, n) nonnegative terms; the 1/p-th root divides what the
+    power p - 1 multiplied), so it is raised by 1 + (m + n + 8) 2^-52 and
+    its product with the scale to the next float.  Raises
     :class:`NormOverflowError` when the bound exceeds the float range.
     """
     pe = as_exponent(p)
     arr = validate_matrix(a)
     with np.errstate(over="ignore"):  # an overflowing modulus is refused below
         mags = np.abs(arr)
-    mags = mags[mags.any(axis=1)][:, mags.any(axis=0)]
-    top = float(mags.max(initial=0.0))
+    top = float(mags.max())
     if top == 0.0:
         return 0.0
     if math.isinf(top):
         raise _overflow(arr, pe)
     b = mags / top
-    m, n = b.shape
-    col, row = float(b.sum(axis=0).max()), float(b.sum(axis=1).max())
+    col_sums, row_sums = b.sum(axis=0), b.sum(axis=1)  # zero exactly on the zero columns and rows
+    margin = int(np.count_nonzero(row_sums) + np.count_nonzero(col_sums) + 8) * 2.0**-52
+    col, row = float(col_sums.max()), float(row_sums.max())
     if pe.is_one or pe.is_inf:
         bound = col if pe.is_one else row
     else:
-        bound = min(col ** (1.0 / pe.p) * row ** (1.0 / pe.q), _collatz_wielandt(b, pe.p, pe.q))
-    value = math.nextafter(top * (bound * (1.0 + (m + n + 8) * 2.0**-52)), math.inf)
+        bound = col ** (1.0 / pe.p) * row ** (1.0 / pe.q)
+        if bound > 1.0:
+            rows, cols, blocks, _ = _components(b > 0.0)
+            upper = _bracket(b.take(rows, axis=0).take(cols, axis=1), blocks, pe, 100, margin)[2]
+            bound = min(bound, float(upper.max()))
+    value = math.nextafter(top * (bound * (1.0 + margin)), math.inf)
     if math.isinf(value):
         raise _overflow(arr, pe)
     return value
 
 
-def _collatz_wielandt(b: np.ndarray, p: float, q: float) -> float:
-    """The least bound along the iteration (inf if no step is usable).
+def _bracket(b: np.ndarray, blocks: tuple, pe: PExponent, max_iters: int, tol: float) -> tuple:
+    """The Collatz-Wielandt bracket of ||B||_p for a nonnegative B with
+    largest entry 1 whose connected components are the blocks of
+    :func:`_boyd_step`: the best lower bound per block, the iterate that
+    gave it, the least upper bound per block (inf where no step was
+    usable), and whether the bracket closed.
 
-    Boyd's step never raises the bound, so the loop stops where one of his
-    steps does not lower it, or after 100 steps.  While the bracket with
-    the lower bound ||B x||_p / ||x||_p is wider than :data:`_NEWTON_GAP`
-    relative and either fails to halve over a step or Boyd's bound has
-    stalled, a connected B with at most :data:`_NEWTON_MAX_COLS` columns
-    takes :func:`_newton_step` instead (a disconnected one has no positive
-    stationary point with one lambda).  Any x > 0 gives a valid bound, so
-    the steps change how close the least one comes, not its soundness; a
-    bracket that closes at once, as on scalars, rank-one matrices and
-    phased permutations, takes no Newton step."""
-    best, x = math.inf, np.ones(b.shape[1])
-    one_block = np.zeros(1, dtype=int)  # every row and column in block 0
-    blocks = (one_block, np.zeros(b.shape[0], dtype=int), one_block, np.zeros(b.shape[1], dtype=int))
-    bound, lower, width, step, connected = math.inf, 0.0, math.inf, None, None
-    with np.errstate(all="ignore"):  # a step that leaves the normal range is discarded
-        for _ in range(100):
-            y_top, u, (next_bound,), (usable,), x_next = _boyd_step(b, x, p, q, blocks)
-            if not usable:
+    Each step, from x = 1, gives per block c the lower bound
+    ||B_c x_c||_p / ||x_c||_p (:func:`_lower_bounds`) and the
+    Collatz-Wielandt upper bound ||B_c||_p^p <= max_i (B_c^T (B_c x)^{p-1})_i
+    / x_i^{p-1}, valid for every x > 0 (for y >= 0, Hoelder on B_ji y_i =
+    (B_ji x_i)^{1/q} (B_ji y_i^p x_i^{1-p})^{1/p} gives (B y)_j^p <=
+    (B x)_j^{p-1} sum_i B_ji y_i^p x_i^{1-p}; sum over j).  ||B|| is the
+    largest ||B_c||, so the largest lower and the largest upper bound
+    bracket it, and the loop stops, converged, once they meet within
+    ``tol`` relative, or after ``max_iters`` steps.  Boyd's step
+    x <- (B^T (B x)^{p-1})^{q-1} never raises the upper bound and rises
+    from the positive start to the global maximiser (Boyd, LAA 1974;
+    Gautier, Tudisco & Hein, SIMAX 2019), but slowly on window forms and
+    nearly reducible matrices; so where the bracket fails to halve over a
+    step, a B with at most :data:`_NEWTON_MAX_COLS` columns takes the
+    guarded :func:`_newton_step` instead, if it has one (the first step is
+    always Boyd's).  Any x > 0 gives valid bounds, so Newton's steps change
+    how fast the bracket closes, not what it certifies, and a bracket that
+    halves at every step takes none."""
+    p, q = pe.p, pe.q
+    col_block = blocks[3]
+    x = np.ones(b.shape[1])
+    best, best_x = np.full(len(blocks[2]), -np.inf), x.copy()
+    upper = -best
+    converged, width = False, math.inf
+    newton = b.shape[1] <= _NEWTON_MAX_COLS
+    with np.errstate(all="ignore"):  # a step that leaves the normal range gives no upper bound
+        for _ in range(max_iters):
+            y_top, u, bounds, usable, w = _boyd_step(b, x, p, q, blocks)
+            ratio, lower = _lower_bounds(x, y_top, u, p, blocks)
+            np.copyto(best_x, x, where=(lower > best)[col_block])
+            np.fmax(best, lower, out=best)  # a NaN bound is no bound
+            np.fmin(upper, bounds, out=upper, where=usable)
+            low = best.max()
+            gap = upper.max() - low
+            if gap <= tol * low:
+                converged = True
                 break
-            # Boyd's step never raises the bound: after one, a bound that does not fall has stalled
-            stalled = step is None and not next_bound < bound
-            bound, best = next_bound, min(best, next_bound)
-            ratio, low = _lower_bounds(x, y_top, u, p, blocks)
-            lower = max(lower, float(low[0]))
-            gap = best - lower
-            newton = gap > _NEWTON_GAP * best and (stalled or gap > width / 2.0) and b.shape[1] <= _NEWTON_MAX_COLS
-            if newton and connected is None:  # one lambda has a positive stationary point only on a connected B
-                connected = max(_spanning_forest(b > 0.0)[3]) == 0
-            newton = newton and connected
-            if stalled and not newton:
-                break
-            step = _newton_step(b, x, u, y_top, ratio, low, p, blocks) if newton else None
-            x, width = x_next if step is None else step, gap
-    return best
+            step = _newton_step(b, x, u, y_top, ratio, lower, p, blocks) if newton and gap > width / 2.0 else None
+            if step is None:  # Boyd's: (w / w_max)^{q-1} per block, at least 2^-1074 so that x stays positive
+                step = np.maximum((w / np.maximum.reduceat(w, blocks[2])[col_block]) ** (q - 1.0), 2.0**-1074)
+            x, width = step, gap
+    return best, best_x, upper, converged
 
 
 def _boyd_step(b: np.ndarray, x: np.ndarray, p: float, q: float, blocks: tuple) -> tuple:
-    """One step of x <- (B^T (B x)^{p-1})^{q-1} on a nonnegative B that is
-    block diagonal: ``blocks = (row_starts, row_block, col_starts, col_block)``
-    gives where each block's rows and columns start and the block of every
-    row and column, and each block is normalized on its own.
+    """The products of Boyd's step x <- (B^T (B x)^{p-1})^{q-1} at x > 0, on
+    a nonnegative B that is block diagonal: ``blocks = (row_starts,
+    row_block, col_starts, col_block)`` gives where each block's rows and
+    columns start and the block of every row and column, and each block is
+    normalized on its own.
 
     Returns the maxima of y = B x per block and y divided by them, the
     Collatz-Wielandt bound y_max^{1/q} max_i (w_i / x_i^{p-1})^{1/p} per
     block for w = B^T (y / y_max)^{p-1} (the scale of y returns as
     y_max^{1/q}), whether each block's step stayed at or above 2^-900
-    (below it underflow errs absolutely and the bound is not used), and the
-    next iterate, (w / w_max)^{q-1} per block, raised to at least 2^-1074
-    so that no entry underflows to 0 and every iterate is positive (its
-    bound stays defined; the checks above are on y, z, w and x^{p-1}).  The
-    bounds are scalar powers, so one block gives the bits of the loop it
-    replaced."""
-    row_starts, row_block, col_starts, col_block = blocks
+    (below it underflow errs absolutely and the bound is not used; the
+    check is on y, z, w and x^{p-1}), and w, whose power w^{q-1} is Boyd's
+    next iterate."""
+    row_starts, row_block, col_starts, _ = blocks
     y = b @ x
     y_top = np.maximum.reduceat(y, row_starts)
     u = y / y_top[row_block]
@@ -426,9 +424,8 @@ def _boyd_step(b: np.ndarray, x: np.ndarray, p: float, q: float, blocks: tuple) 
     low = np.minimum(np.minimum.reduceat(np.minimum(y, z), row_starts),
                      np.minimum.reduceat(np.minimum(w, xp), col_starts))
     ratio_top = np.maximum.reduceat(w / xp, col_starts)
-    bounds = [float(yt ** (1.0 / q) * rt ** (1.0 / p)) for yt, rt in zip(y_top, ratio_top)]
-    x_next = np.maximum((w / np.maximum.reduceat(w, col_starts)[col_block]) ** (q - 1.0), 2.0**-1074)
-    return y_top, u, bounds, low >= 2.0**-900, x_next
+    bounds = [yt ** (1.0 / q) * rt ** (1.0 / p) for yt, rt in zip(y_top.tolist(), ratio_top.tolist())]
+    return y_top, u, bounds, low >= 2.0**-900, w
 
 
 def pnorm_estimate(
@@ -451,13 +448,8 @@ def pnorm_estimate(
     Both are tagged ``method="exact"``, converged, with zero restarts.  A
     matrix that is nonnegative up to phases, D1 |A| D2, is iterated from
     the one positive start (``method="positive-iteration"``, one restart)
-    until its Collatz-Wielandt upper bound is within ``tol`` of the value,
-    so ``converged`` certifies the value to ``tol``.  Boyd's step is taken
-    while the bracket at least halves; where it does not, a matrix with at
-    most 128 nonzero columns takes a Newton step instead, if one keeps the
-    iterate positive and lowers no component's lower bound, and larger
-    ones keep Boyd's step.  The bracket is computed at every iterate either
-    way, so the certificate is the same.  Otherwise
+    until the Collatz-Wielandt bracket of :func:`_bracket` is ``tol`` wide,
+    so ``converged`` certifies the value to ``tol``.  Otherwise
     ``restarts`` random complex starting vectors are iterated
     simultaneously; the reported value is the best value of ||A x||_p seen
     at any iterate, and ``converged`` states whether the winning restart
@@ -577,74 +569,41 @@ _PHASE_TOL = 2.0**-26
 # Newton's step (:func:`_newton_step`) solves a dense (n + K) x (n + K)
 # system; measured with one BLAS thread on a 2-core x86-64 host, one step
 # costs about 4 of Boyd's steps at n = 47, 8 at n = 94, 12 at n = 128 and 42
-# at n = 200, so only matrices with at most 128 nonzero columns take it.
-# _collatz_wielandt, which has no tolerance of its own, takes it only while
-# its bracket is wider than the positive route's default tolerance.
+# at n = 200, hence the cap.
 _NEWTON_MAX_COLS = 128
-_NEWTON_GAP = 1e-10
 
 
 def _positive_iteration(mat: np.ndarray, pe: PExponent, max_iters: int, tol: float) -> PNormEstimate | None:
     """The estimate of a matrix A = D1 B D2 with B = |A| >= 0 and unimodular
     diagonal D1, D2, or None for any other matrix.
 
-    The iteration runs on B / max B, as in :func:`pnorm_upper`, from x = 1,
-    one connected component per block of :func:`_boyd_step`.  Each step gives a
-    lower bound ||B_c x_c||_p / ||x_c||_p and a Collatz-Wielandt upper bound
-    per component; ||B|| is their largest norm, so the largest lower bound
-    and the largest upper bound bracket it, and the iteration stops,
-    converged, when they meet within ``tol`` relative, or after
-    ``max_iters`` steps.  Where the bracket's width fails to halve over a
-    step, a B with at most :data:`_NEWTON_MAX_COLS` nonzero columns moves to
-    the guarded :func:`_newton_step` instead of Boyd's next iterate (the
-    first step is always Boyd's); the bracket is computed at every iterate
-    and any x > 0 gives valid bounds, so ``converged`` still certifies the
-    value.  The witness is the best iterate of the component
-    with the best lower bound, mapped back through D2*, and the value is
-    ||A w||_p on A itself, a certified lower bound whatever the phases.  A
-    component whose steps never stay in the normal range (entries more than
-    about 900 binades apart) gives no upper bound; then the matrix is left
-    to the dual power iteration (None).  ``mat`` is a member of a stack the
-    caller owns; an estimate scales it in place by 2^-e, the kernel's exact
-    scaling, and computes the value on it."""
+    :func:`_bracket` runs on B / max B, as in :func:`pnorm_upper`, one
+    connected component per block, to ``tol`` or ``max_iters`` steps.  The
+    witness is the best iterate of the component with the best lower bound,
+    mapped back through D2*, and the value is ||A w||_p on A itself, a
+    certified lower bound whatever the phases.  A component whose steps
+    never stay in the normal range (entries more than about 900 binades
+    apart) gives no upper bound; then the matrix is left to the dual power
+    iteration (None).  ``mat`` is a member of a stack the caller owns; an
+    estimate scales it in place by 2^-e, the kernel's exact scaling, and
+    computes the value on it."""
     if _corner_cycle_breaks(mat):
         return None
     found = _phased_components(mat)
     if found is None:
         return None
-    rows, cols, blocks, phases = found
-    _, _, col_starts, col_block = blocks
-    with np.errstate(over="ignore"):  # an overflowing modulus is refused below
-        b = np.abs(mat)[np.ix_(rows, cols)]
+    rows, cols, blocks, phases, mags = found
+    b = mags.take(rows, axis=0).take(cols, axis=1)
     top = b.max()
     if math.isinf(top):
         raise _overflow(mat, pe)
     b /= top
-    p, q = pe.p, pe.q
-    x = np.ones(len(cols))
-    best, best_x = np.full(len(col_starts), -np.inf), x.copy()
-    upper = np.full(len(col_starts), np.inf)
-    converged, width = False, math.inf
-    newton = len(cols) <= _NEWTON_MAX_COLS
-    with np.errstate(all="ignore"):  # a step that leaves the normal range gives no upper bound
-        for _ in range(max_iters):
-            y_top, u, bounds, usable, x_next = _boyd_step(b, x, p, q, blocks)
-            ratio, lower = _lower_bounds(x, y_top, u, p, blocks)
-            gain = lower > best
-            best[gain] = lower[gain]
-            best_x[gain[col_block]] = x[gain[col_block]]
-            upper = np.where(usable & (bounds < upper), bounds, upper)
-            gap = upper.max() - best.max()
-            if gap <= tol * best.max():
-                converged = True
-                break
-            step = _newton_step(b, x, u, y_top, ratio, lower, p, blocks) if newton and gap > width / 2.0 else None
-            x, width = x_next if step is None else step, gap
+    best, best_x, upper, converged = _bracket(b, blocks, pe, max_iters, tol)
     if math.isinf(upper.max()):  # no bracket: one start proves no more than the restarted kernel
         return None
     k = int(np.argmax(best))
     witness = np.zeros(mat.shape[1], dtype=complex)
-    witness[cols] = np.where(col_block == k, best_x * phases.conj(), 0.0)
+    witness[cols] = np.where(blocks[3] == k, best_x * phases.conj(), 0.0)
     e = _scale_down(mat[None], pe)[0]
     return _finished(mat, best[k], witness, converged, e, pe, "positive-iteration", 1)
 
@@ -726,17 +685,14 @@ def _corner_cycle_breaks(mat: np.ndarray) -> bool:
 
 def _phased_components(a: np.ndarray):
     """For a = D1 |a| D2 (up to phase mismatches of :data:`_PHASE_TOL`):
-    the nonzero rows and columns in the order of the connected components
-    of the bipartite graph of nonzeros, the block structure of
-    :func:`_boyd_step` for those components, and the phases of D2 on the
-    ordered columns.  None for any other matrix.
+    the nonzero rows, columns and blocks of :func:`_components`, the phases
+    of D2 on those columns, and |a|.  None for any other matrix.
 
-    The phases follow from s_ij = d1_i d2_j along the spanning forest of
-    :func:`_spanning_forest`, with phase 1 at every root, and every entry
-    is then checked against them in place, with no array of signs per
-    nonzero."""
+    The phases follow from s_ij = d1_i d2_j along the walk of
+    :func:`_components`, with phase 1 at every root, and every entry is then
+    checked against them in place, with no array of signs per nonzero."""
     m, n = a.shape
-    order, row_from, col_from, row_block, col_block = _spanning_forest(a != 0.0)
+    rows, cols, blocks, (order, row_from, col_from) = _components(a != 0.0)
     with np.errstate(over="ignore"):  # an overflowing modulus passes here and is refused by the scaling
         mags = np.abs(a)
     # the signs of the forest's edges; a root's and an empty column's are unused
@@ -760,11 +716,7 @@ def _phased_components(a: np.ndarray):
             dev -= mags[part]  # |a_ij| (conj(d1_i d2_j) s_ij - 1)
             if not (np.abs(dev) <= _PHASE_TOL * mags[part]).all():
                 return None
-    rows, cols = [i for i in order if i >= 0], [~j for j in order if j < 0]
-    row_block, col_block = [row_block[i] for i in rows], [col_block[j] for j in cols]
-    blocks = (_starts(row_block), np.array(row_block), _starts(col_block), np.array(col_block))
-    rows, cols = np.array(rows), np.array(cols)
-    return rows, cols, blocks, d2[cols]
+    return rows, cols, blocks, d2[cols], mags
 
 
 def _starts(block: list) -> np.ndarray:
@@ -772,17 +724,24 @@ def _starts(block: list) -> np.ndarray:
     return np.array([k for k in range(len(block)) if k == 0 or block[k] != block[k - 1]])
 
 
-def _spanning_forest(nz: np.ndarray) -> tuple[list, list, list, list, list]:
-    """One walk of the bipartite graph of a boolean matrix's nonzeros, which
-    visits every nonzero once from its row and once from its column and
-    each connected component in one piece.
+def _components(nz: np.ndarray) -> tuple:
+    """The connected components of the bipartite graph of a boolean
+    matrix's nonzeros, from one walk that visits every nonzero once from its
+    row and once from its column and each component in one piece.
 
-    Returns the nonempty rows i >= 0 and columns ~j in the order reached,
-    each after the node that reached it; the column that reached each row
-    (-1 for a component's root, its first row) and the row that reached
-    each column; and the component of every row and column (-1 for an empty
-    one), numbered in the order reached."""
+    Returns the nonempty rows and columns in the order reached, the block
+    structure of :func:`_boyd_step` for the components, numbered in the
+    order reached, and the walk: the nonempty rows i >= 0 and columns ~j in
+    the order reached, each after the node that reached it, the column that
+    reached each row (-1 for a component's root, its first row) and the row
+    that reached each column.  A matrix without zeros is one component; its
+    walk, every column from row 0 and then every other row from the last
+    column, is written down without walking."""
     m, n = nz.shape
+    if nz.all():
+        zero = np.zeros(1, dtype=int)
+        walk = [0, *range(-1, -n - 1, -1), *range(1, m)], [-1] + [n - 1] * (m - 1), [0] * n  # ~j = -1 - j
+        return np.arange(m), np.arange(n), (zero, np.zeros(m, dtype=int), zero, np.zeros(n, dtype=int)), walk
     row_ptr, row_cols = _adjacency(nz)
     col_ptr, col_rows = _adjacency(nz.T)
     row_block, col_block = [-1] * m, [-1] * n
@@ -809,7 +768,10 @@ def _spanning_forest(nz: np.ndarray) -> tuple[list, list, list, list, list]:
                         order.append(i)
                         todo.append(i)
         count += 1
-    return order, row_from, col_from, row_block, col_block
+    rows, cols = [i for i in order if i >= 0], [~j for j in order if j < 0]
+    row_block, col_block = [row_block[i] for i in rows], [col_block[j] for j in cols]
+    blocks = (_starts(row_block), np.array(row_block), _starts(col_block), np.array(col_block))
+    return np.array(rows), np.array(cols), blocks, (order, row_from, col_from)
 
 
 def _adjacency(nz: np.ndarray) -> tuple[list, list]:
