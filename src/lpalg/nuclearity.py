@@ -33,12 +33,12 @@ Both maps work on whole arrays: phi is an index compression, and psi moves
 all blocks with one gather.  When all contributions to one group
 coefficient are bitwise identical (which is exactly what happens for
 integrated crossed elements under permutation actions), their average is
-value * (count / |F|) rather than a floating accumulation.  A round trip
-whose ratios |F (cap) sF| / |F| agree on supp f, all equal to r, needs
-neither map: its defect is (r - 1) f, so its error is |1 - r| ||f||, read
-off the one estimate of f's norm, and exactly 0.0 when r is 1 (F = G, say)
-under any phases of the action.  Only round trips whose ratios differ
-build psi and estimate their defect.
+value * (count / |F|) rather than a floating accumulation.  Round trips
+run neither map: psi(phi(f)) = sum_s r_s a_s delta_s, r_s = |F (cap) sF|/|F|,
+so the defect is an element, its error exactly 0.0 when every r_s is 1
+(F = G, say) and |1 - r| ||f|| when they agree at r.  Each norm is
+estimated on the smallest matrix that holds it: a single term a delta_s on
+a, any other element on its integrated form.
 """
 
 from __future__ import annotations
@@ -278,41 +278,41 @@ def _roundtrip_bound(f: CcElement, ratios: dict, p, uppers=None) -> float:
                       for s, a in f.items() if ratios[s] != 1.0])
 
 
-def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, form=None, norm=None, uppers=None,
+def _element_norm(f: CcElement, rep: CovariantRep, **est_opts) -> float:
+    """Estimate ||pi(f)||: a single term a delta_s on a, whose form permutes
+    blocks alpha_t(a) that phased permutations conjugate from a, so it has
+    norm ||a||_p on every window that holds a block (the witness's does);
+    any other element on its integrated form."""
+    terms = list(f.items())
+    return pnorm_estimate(terms[0][1] if len(terms) == 1 else rep.integrated(f), rep.p, **est_opts).value
+
+
+def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, norm=None, uppers=None,
                      **est_opts) -> dict:
     """Measure ||psi(phi(f)) - f|| (a lower bound) and its proved budget.
 
-    psi(phi(f)) scales each a_s by r_s = |F cap sF|/|F|, so the ratios decide
-    every round trip whose r_s agree on supp f: the defect is (r - 1) f, and
-    its error is |1 - r| times ``norm``, the caller's estimate of ||pi(f)||
-    (estimated here from ``form`` if not given), with psi never built; when
-    r is 1, error and budget are exactly 0.0 and nothing is built.  Round
-    trips whose ratios differ are measured: phi is applied to ``form``, f's
-    integrated form on ``rep`` (built here if not given), psi averages it
-    back, and the defect is estimated.  The budget of
+    psi(phi(f)) scales each a_s by r_s = |F cap sF|/|F|, so neither map is
+    run: the defect is g = sum over r_s != 1 of (r_s - 1) a_s delta_s, with
+    error and budget exactly 0.0 when every r_s is 1.  When the r_s agree at
+    r, the error is |1 - r| times ``norm``, the caller's estimate of ||pi(f)||
+    (:func:`_element_norm` if not given); otherwise :func:`_element_norm` of
+    g, whose support is fixed before its terms are scaled, so no small term
+    is pruned and the error scales with f.  The budget of
     :func:`_roundtrip_bound` takes ``uppers``, each coefficient's
     ``pnorm_upper`` by group element (computed if not given).
     """
     ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
     agreed = set(ratios.values())
-    if agreed == {1.0}:
+    if agreed <= {1.0}:
         return {"error": 0.0, "bound": 0.0}
     if len(agreed) == 1:
-        if norm is None:
-            norm = pnorm_estimate(rep.integrated(f) if form is None else form, rep.p, **est_opts).value
-        error = abs(1.0 - agreed.pop()) * norm
+        error = abs(1.0 - agreed.pop()) * (_element_norm(f, rep, **est_opts) if norm is None else norm)
     else:
-        error = _measured_defect(f, folner, rep, form, **est_opts)
+        g = CcElement(f.carrier, {s: a for s, a in f.items() if ratios[s] != 1.0}, base_dim=f.base_dim)
+        for s, a in g.items():  # g holds copies, scaled after its support is fixed
+            a *= ratios[s] - 1.0
+        error = _element_norm(g, rep, **est_opts)
     return {"error": float(error), "bound": _roundtrip_bound(f, ratios, rep.p, uppers)}
-
-
-def _measured_defect(f: CcElement, folner: FolnerSet, rep: CovariantRep, form=None, **est_opts) -> float:
-    """Estimate ||psi(phi(pi(f))) - pi(f)|| by running the dense pipeline:
-    compress ``form`` (f's integrated form, built if not given), average the
-    blocks back, integrate and subtract; a zero defect is 0.0."""
-    big = rep.integrated(f) if form is None else form
-    diff = rep.integrated(_psi_coefficients(folner_phi_map(folner, rep).apply(big), folner, rep)) - big
-    return pnorm_estimate(diff, rep.p, **est_opts).value if diff.any() else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +492,17 @@ def crossed_nuclearity_witness(
     certified by their form, with no sampling (``compression_cb`` for phi;
     ``folner_psi_factors`` and ``monomial_cb`` for psi), and
     ``Factorization`` refuses any certificate that is not such a proof.
-    Each element's form is built and estimated once (its ``reduced_norm``),
-    and :func:`folner_roundtrip` takes both and gives the budget from the
-    ``pnorm_upper`` of each coefficient that M sums, computed once.  The
-    ratios decide every round trip whose ratios agree on the support: its
-    error is |1 - r| ``reduced_norm``, with nothing more built or estimated
-    (on a finite group F = G, every ratio is 1, so error and budget are
-    exactly 0.0); the rest are measured on the form.  ``passed`` holds when
-    every budget is below eps, so it rests on upper bounds only.  The report
-    records per element the two lower-bound diagnostics, ``norm_upper`` and
-    the budget, both certificates with their kind, and on Z the window
-    radius.  ``rng`` is accepted for compatibility and not used.  Returns
-    (Factorization, report).
+    Each element's norm is estimated once (its ``reduced_norm``, a single
+    term's on its coefficient), and :func:`folner_roundtrip` takes it and
+    gives the budget from the ``pnorm_upper`` of each coefficient that M
+    sums, computed once.  A round trip whose ratios agree has error
+    |1 - r| ``reduced_norm`` (exactly 0.0 on a finite group, where F = G);
+    the rest estimate their defect element, with no Folner map run.
+    ``passed`` holds when every budget is below eps, so it rests on upper
+    bounds only.  The report records per element the two lower-bound
+    diagnostics, ``norm_upper`` and the budget, both certificates with their
+    kind, and on Z the window radius.  ``rng`` is accepted for compatibility
+    and not used.  Returns (Factorization, report).
     """
     if not fs:
         raise ValueError("need at least one finitely supported element to witness")
@@ -521,9 +520,8 @@ def crossed_nuclearity_witness(
 
     elements = []
     for i, (f, coeff_uppers, upper) in enumerate(zip(fs, uppers, norm_uppers)):
-        form = rep.integrated(f)
-        norm = pnorm_estimate(form, pe).value
-        rt = folner_roundtrip(f, folner, rep, form=form, norm=norm, uppers=coeff_uppers)
+        norm = _element_norm(f, rep)
+        rt = folner_roundtrip(f, folner, rep, norm=norm, uppers=coeff_uppers)
         elements.append({"id": f"f{i}", "reduced_norm": norm, "norm_upper": upper,
                          "roundtrip_error": rt["error"], "bound": rt["bound"]})
     fact = Factorization(folner_phi_map(folner, rep), folner_psi_map(folner, rep), folner.size * algebra.base_dim,

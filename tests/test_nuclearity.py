@@ -2,11 +2,12 @@
 
 import math
 import sys
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from lpalg import lpnorm, nuclearity, opspace
+from lpalg import lpnorm, nuclearity, opspace, suite
 from lpalg.crossed import (
     CcElement,
     ConcreteAlgebra,
@@ -17,7 +18,7 @@ from lpalg.crossed import (
     trivial_action,
 )
 from lpalg.errors import CertificateError
-from lpalg.groups import FolnerSet, ZWindow, cyclic_group, folner_intersection
+from lpalg.groups import FolnerSet, ZWindow, cyclic_group, folner_intersection, group_from_table
 from lpalg.nuclearity import (
     Factorization,
     compose_factorizations,
@@ -95,10 +96,9 @@ def test_integer_window_roundtrip_values():
 
 def _reference_roundtrip(f, folner, rep):
     """The round trip with every operator estimated on the window: the
-    defect, and each term pi(a_s) v(s) of the budget, whatever its ratio."""
-    big = rep.integrated(f)
-    sel = rep.block_selector(folner.members)
-    error = lpnorm.pnorm_estimate(folner_psi(big[np.ix_(sel, sel)], folner, rep) - big, rep.p).value
+    defect that the dense phi/psi pipeline measures, and each term
+    pi(a_s) v(s) of the budget, whatever its ratio."""
+    error = suite._measured_defect(folner, rep, rep.integrated(f))
     total = 0.0
     for s, a in f.items():
         ratio = folner_intersection(folner, s) / folner.size
@@ -123,6 +123,7 @@ def _roundtrip_cases():
         ("Z/12, F = G", random_cc_element(rng, z12, 12, n_terms=3), FolnerSet(z12, tuple(range(12))), rot),
         ("Z/12, F = {0..5}", CcElement(z12, {0: gauss(12), 1: gauss(12), 7: gauss(12)}),
          FolnerSet(z12, tuple(range(6))), rot),
+        ("Z, one term off ratio 1", CcElement(z_rep.carrier, {0: gauss(2), 1: gauss(2)}), z_folner, z_rep),
     ]
 
 
@@ -137,44 +138,42 @@ def _upper_budget(f, folner, p):
     return math.fsum(terms) * (1.0 + 2.0**-50)
 
 
-@pytest.mark.parametrize("case", range(4))
-def test_roundtrip_with_the_witness_form_matches_estimating_every_term(case):
-    # the witness hands folner_roundtrip each form: the error is the defect's
-    # estimate bit for bit, or, where the ratios agree on supp f, |1 - r| times
-    # the form's estimate bit for bit and the defect's within rounding; the
-    # budget is the d x d upper-bound formula, at least the sum of every
-    # term's window estimate and the error
+@pytest.mark.parametrize("case", range(5))
+def test_roundtrip_with_the_witness_form_matches_estimating_every_term(monkeypatch, case):
+    # the error is the norm of the defect element, within rounding of the
+    # defect the dense pipeline measures; where the ratios agree on supp f it
+    # is |1 - r| times the element's norm bit for bit; the budget is the
+    # d x d upper-bound formula, at least the sum of every term's window
+    # estimate and the error
     _, f, folner, rep = _roundtrip_cases()[case]
     expected = _reference_roundtrip(f, folner, rep)
-    form = rep.integrated(f)
-    rt = folner_roundtrip(f, folner, rep, form=form)
-    assert folner_roundtrip(f, folner, rep) == rt
+    monkeypatch.setattr(nuclearity, "_psi_coefficients", _refuse)
+    rt = folner_roundtrip(f, folner, rep)
     ratios = {folner_intersection(folner, s) / folner.size for s in f.support}
     if len(ratios) == 1 and ratios != {1.0}:
-        assert rt["error"] == abs(1.0 - ratios.pop()) * lpnorm.pnorm_estimate(form, rep.p).value
-        assert rt["error"] == pytest.approx(expected["error"], rel=1e-13, abs=0.0)
-    else:
-        assert rt["error"] == expected["error"]
+        assert rt["error"] == abs(1.0 - ratios.pop()) * nuclearity._element_norm(f, rep)
+    assert rt["error"] == pytest.approx(expected["error"], rel=1e-13, abs=0.0)
     assert rt["bound"] == _upper_budget(f, folner, rep.p)
     assert rt["bound"] >= expected["bound"]
     assert rt["bound"] >= rt["error"]
 
 
-@pytest.mark.parametrize("case, forms_built", [(2, 0), (3, 1)])
+@pytest.mark.parametrize("case, forms_built", [(2, 0), (3, 1), (4, 0)])
 def test_roundtrip_assembles_psi_only_when_its_coefficients_differ_from_f(monkeypatch, case, forms_built):
-    # on F = G every ratio |F cap sF|/|F| is 1, so the defect is zero without
-    # assembling psi's integrated form; on F = {0..5} that form is the only
-    # one built, since the budget needs no window
+    # psi is never assembled: on F = G every ratio |F cap sF|/|F| is 1, so
+    # the defect is zero and nothing is built; on F = {0..5} the defect has
+    # two terms and its form is the only one built; a single-term defect is
+    # estimated on its coefficient, with no form; the budget needs no window
     _, f, folner, rep = _roundtrip_cases()[case]
-    form = rep.integrated(f)
     expected = _reference_roundtrip(f, folner, rep)
     forms = []
     integrated = CovariantRep.integrated
     monkeypatch.setattr(CovariantRep, "integrated", lambda self, g: forms.append(g) or integrated(self, g))
-    rt = folner_roundtrip(f, folner, rep, form=form)
-    assert rt["error"] == expected["error"]
+    monkeypatch.setattr(nuclearity, "_psi_coefficients", _refuse)
+    rt = folner_roundtrip(f, folner, rep)
+    assert rt["error"] == pytest.approx(expected["error"], rel=1e-13, abs=0.0)
     assert len(forms) == forms_built
-    assert (expected["error"] == 0.0) == (forms_built == 0)
+    assert (expected["error"] == 0.0) == (case == 2)
 
 
 def _zero_defect_cases():
@@ -206,7 +205,7 @@ def test_roundtrip_with_every_ratio_one_is_exact_without_psi(monkeypatch, case):
         m.setattr(nuclearity, "_psi_coefficients", refuse)
         m.setattr(CovariantRep, "integrated", refuse)
         assert folner_roundtrip(f, folner, rep) == {"error": 0.0, "bound": 0.0}
-        assert folner_roundtrip(f, folner, rep, form=np.zeros((2, 2))) == {"error": 0.0, "bound": 0.0}
+        assert folner_roundtrip(f, folner, rep, norm=5.0) == {"error": 0.0, "bound": 0.0}
     if folner.size == rep.carrier.order:
         _, report = crossed_nuclearity_witness([f], 0.1, rep.algebra, rep.carrier, rep.action, rep.p)
         assert report["elements"][0]["roundtrip_error"] == 0.0
@@ -238,7 +237,7 @@ def _scalar_defect_cases():
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("a round trip with agreeing ratios built psi or made an estimate")
+    raise AssertionError("a round trip built psi, or one with agreeing ratios made an estimate")
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -249,13 +248,11 @@ def test_roundtrip_with_agreeing_ratios_is_read_off_the_norm(monkeypatch, case):
     f, folner, rep = _scalar_defect_cases()[case]
     (r,) = {folner_intersection(folner, s) / folner.size for s in f.support}
     assert r < 1.0
-    form = rep.integrated(f)
-    measured = nuclearity._measured_defect(f, folner, rep, form)
-    norm = lpnorm.pnorm_estimate(form, rep.p).value
+    measured = suite._measured_defect(folner, rep, rep.integrated(f))
+    norm = nuclearity._element_norm(f, rep)
     with monkeypatch.context() as m:
         m.setattr(nuclearity, "_psi_coefficients", _refuse)
-        rt = folner_roundtrip(f, folner, rep, form=form)
-        assert folner_roundtrip(f, folner, rep) == rt
+        rt = folner_roundtrip(f, folner, rep)
         calls = _count_estimates(m)
         m.setattr(CovariantRep, "integrated", _refuse)
         assert folner_roundtrip(f, folner, rep, norm=norm) == rt
@@ -279,6 +276,117 @@ def test_witness_reads_agreeing_roundtrips_off_the_reduced_norm(monkeypatch, cas
     assert report["passed"]
     assert elem["roundtrip_error"] == abs(1.0 - r) * elem["reduced_norm"]
     assert elem["roundtrip_error"] <= elem["bound"]
+
+
+def _line_shaped_elements(seed):
+    """Elements on Z like the line benchmark's whose ratios differ, each with
+    its action, exponent and epsilon: scalars at 0 and -1 (d = 1, trivial,
+    p = 1.5); phased permutations at 0 and 2 (d = 2, phased, p = 3); a
+    rank-one term at 0 and a phased permutation at 1 (d = 2, trivial,
+    p = 1.5).  The largest term's norm is 0.6 or 0.7."""
+    rng = np.random.default_rng([101, seed])
+    zw = ZWindow(0)
+
+    def phased(d):
+        out = np.zeros((d, d), dtype=complex)
+        out[rng.permutation(d), np.arange(d)] = np.exp(2j * np.pi * rng.random(d))
+        return out
+
+    def rank_one(d, p, norm):
+        u, v = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+        return norm * np.outer(u / np.linalg.norm(u, p), (v / np.linalg.norm(v, p / (p - 1.0))).conj())
+
+    return [
+        (CcElement(zw, {0: 0.6 * phased(1), -1: 0.4 * phased(1)}), trivial_action(zw, 1), 1.5, 0.29),
+        (CcElement(zw, {0: 0.6 * phased(2), 2: 0.4 * phased(2)}), IsometricAction(zw, generator=phased(2)),
+         3.0, 0.58),
+        (CcElement(zw, {0: rank_one(2, 1.5, 0.7), 1: 0.3 * phased(2)}), trivial_action(zw, 2), 1.5, 0.29),
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 3, 29])
+def test_witness_defects_with_unequal_ratios_match_the_dense_pipeline(monkeypatch, seed):
+    # the witness reads each defect off the element sum (r_s - 1) a_s delta_s,
+    # within 1e-13 relative of the defect the dense phi/psi pipeline
+    # measures on its window, and never collects or assembles psi
+    for f, action, p, eps in _line_shaped_elements(seed):
+        algebra = ConcreteAlgebra(f.base_dim)
+        with monkeypatch.context() as m:
+            m.setattr(nuclearity, "_psi_coefficients", _refuse)
+            m.setattr(nuclearity, "folner_psi", _refuse)
+            _, report = crossed_nuclearity_witness([f], eps, algebra, f.carrier, action, p)
+        folner = FolnerSet(f.carrier, tuple(report["folner"]["members"]))
+        assert len({folner_intersection(folner, s) for s in f.support}) == 2
+        rep = CovariantRep(algebra, action, p, window_radius=report["window_radius"])
+        (elem,) = report["elements"]
+        assert report["passed"]
+        measured = suite._measured_defect(folner, rep, rep.integrated(f))
+        assert elem["roundtrip_error"] == pytest.approx(measured, rel=1e-13, abs=0.0)
+
+
+def test_defect_error_scales_exactly_and_keeps_the_terms_pruning_would_drop():
+    # error(2^k f) = 2^k error(f) bit for bit, for a one-term and a two-term
+    # defect; at k = -45 each (r_s - 1) a_s is below CcElement's pruning
+    # threshold, so a defect built through the pruning would read 0.0
+    rng = np.random.default_rng(47)
+    rep = _z_phased_rep(1.5, radius=24)
+    folner = FolnerSet(rep.carrier, tuple(range(-10, 11)))
+    coeffs = {}
+    for s in (0, 1, -2):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        coeffs[s] = a / np.abs(a).max()
+    for support in ((0, 1), (0, 1, -2)):
+        f = CcElement(rep.carrier, {s: coeffs[s] for s in support})
+        error = folner_roundtrip(f, folner, rep)["error"]
+        assert error > 0.0
+        for k in (-45, -20, 0, 20):
+            assert folner_roundtrip(2.0**k * f, folner, rep)["error"] == 2.0**k * error
+    r = folner_intersection(folner, 1) / folner.size
+    pruned = CcElement(rep.carrier, {1: (r - 1.0) * 2.0**-45 * coeffs[1]}, base_dim=2)
+    assert pruned.support == ()
+    assert nuclearity._element_norm(pruned, rep) == 0.0
+
+
+def _single_term_cases():
+    """(representation, coefficients, shifts) for single terms a delta_s: a
+    Z window of radius 6 under a phased generator, with shifts up to 12,
+    where one block is left; Z/6 rotating coordinates; and S_3, given by its
+    table, acting on C^3 by the signed permutations sgn(g) P_g."""
+    rng = np.random.default_rng(53)
+
+    def gauss(d):
+        return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2)]
+
+    perms = list(permutations(range(3)))
+    table = [[perms.index(tuple(g[h[i]] for i in range(3))) for h in perms] for g in perms]
+    s3 = group_from_table(table)
+    signed = []
+    for g in perms:
+        u = np.zeros((3, 3), dtype=complex)
+        u[list(g), range(3)] = np.linalg.det(np.eye(3)[:, list(g)])
+        signed.append(u)
+    return [
+        (_z_phased_rep(2.0, radius=6), gauss(2), (-3, 0, 1, 5, 12)),
+        (CovariantRep(ConcreteAlgebra(6), cyclic_coordinate_rotation(6, 1), 2.0), gauss(6), range(6)),
+        (CovariantRep(ConcreteAlgebra(3), IsometricAction(s3, unitaries=signed), 2.0), gauss(3), range(6)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_single_term_norm_is_its_coefficients(case):
+    # the form of a delta_s is a partial block permutation of conjugates of a
+    # by phased permutations: its exact norms at p in {1, 2, inf} are a's,
+    # and at p in {1.5, 3} the estimate on a is never below the form's by
+    # more than the iteration's last bits (at most 4.5e-15 relative here, on
+    # the 6 x 6 coefficients at p = 1.5; it is above by up to 2.9e-12)
+    rep, coeffs, shifts = _single_term_cases()[case]
+    for a in coeffs:
+        for s in shifts:
+            form = rep.integrated(CcElement.delta(rep.carrier, s, a))
+            for p in (1.0, 2.0, math.inf):
+                assert lpnorm.pnorm_exact(form, p) == pytest.approx(lpnorm.pnorm_exact(a, p), rel=1e-13, abs=0.0)
+            for p in (1.5, 3.0):
+                assert lpnorm.pnorm_estimate(a, p).value >= lpnorm.pnorm_estimate(form, p).value * (1.0 - 1e-14)
 
 
 def _z_phased_rep(p, radius=4):
@@ -622,7 +730,8 @@ def test_two_term_scalar_z_witness_runs_no_dual_power_iteration(monkeypatch):
 
 def test_rotation_demo_estimates_only_the_reduced_norms(monkeypatch):
     # on F = G every defect is zero and every ratio is 1: nothing else to
-    # estimate, and the commutation check builds no form of its own
+    # estimate; u and z are single terms, estimated on their 12 x 12
+    # coefficients, so no form is built at all
     calls = _count_estimates(monkeypatch)
     searches = _count_calls(monkeypatch, nuclearity, "folner_search")
     reps = _count_calls(monkeypatch, nuclearity, "CovariantRep")
@@ -630,7 +739,7 @@ def test_rotation_demo_estimates_only_the_reduced_norms(monkeypatch):
     report = rotation_demo(12, 5, 1.5, 0.3)
     assert report["passed"]
     assert calls == ["pnorm_estimate"] * 2
-    assert (len(searches), len(reps), len(forms)) == (1, 1, 2)
+    assert (len(searches), len(reps), len(forms)) == (1, 1, 0)
 
 
 def test_z_witness_estimates_each_form_once(monkeypatch):
