@@ -60,7 +60,6 @@ __all__ = [
     "twisted_convolve",
 ]
 
-_PRUNE_TOL = 1e-14
 _ACTION_TOL = 1e-12
 _TABLE_ENTRIES = 1 << 16  # cap on (2R + 1) * base_dim of a Z action's power table
 
@@ -76,19 +75,19 @@ class ConcreteAlgebra:
             raise ValueError("base_dim must be a positive integer")
 
 
-def is_phased_permutation(u, tol: float = _ACTION_TOL) -> bool:
+def is_phased_permutation(u) -> bool:
     """True when u has exactly one entry of modulus 1 per row and per column
-    and every other entry is below tol."""
+    and every other entry is below 1e-12 (the modulus within 1e-12 of 1)."""
     arr = np.asarray(u, dtype=complex)
-    return arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0 and _all_phased(arr[None], tol)
+    return arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0 and _all_phased(arr[None])
 
 
-def _all_phased(stack: np.ndarray, tol: float = _ACTION_TOL) -> bool:
+def _all_phased(stack: np.ndarray) -> bool:
     """:func:`is_phased_permutation` for every matrix of a (n, d, d) stack at once."""
     mags = np.abs(stack)
-    big = mags > tol
+    big = mags > _ACTION_TOL
     return bool((big.sum(axis=1) == 1).all() and (big.sum(axis=2) == 1).all()
-                and np.abs(mags[big] - 1.0).max() <= tol)
+                and np.abs(mags[big] - 1.0).max() <= _ACTION_TOL)
 
 
 def _phased_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,8 +259,9 @@ def cyclic_coordinate_rotation(n: int, k: int) -> IsometricAction:
 class CcElement:
     """A finitely supported function from a group carrier into M_d.
 
-    Coefficients with max modulus below 1e-14 are pruned on construction, so
-    supports stay honest after convolutions.
+    The support is the set of nonzero coefficients: an all-zero coefficient
+    is dropped on construction and any other kept, however small, so
+    c * f has the support of f for every nonzero c that does not underflow.
     """
 
     def __init__(self, carrier, coeffs: dict, base_dim: int | None = None):
@@ -279,7 +279,7 @@ class CcElement:
                 dim = arr.shape[0]
             if arr.shape != (dim, dim):
                 raise ValueError("all coefficients must share one base dimension")
-            if np.abs(arr).max(initial=0.0) > _PRUNE_TOL:
+            if arr.any():
                 kept[key] = arr.copy()
         if dim is None:
             raise ValueError("cannot infer base dimension from an empty element; pass base_dim")
@@ -477,20 +477,17 @@ def conditional_expectation(f: CcElement) -> np.ndarray:
     return f.coeff(f.carrier.identity)
 
 
-def compress_identity_check(rep: CovariantRep, f: CcElement, *, form=None) -> dict:
+def compress_identity_check(rep: CovariantRep, f: CcElement) -> dict:
     """Compare (P_e (x) I) (integrated f) (P_e (x) I) with P_e (x) f(e).
 
-    Both sides come from the identity block's compression and embedding;
-    ``form``, when given, is rep.integrated(f), so a caller that already
-    built it is spared a second assembly.  Returns the two matrices and
-    their max entrywise deviation; the conditional expectation is exactly
-    this compression, so the deviation is pure floating-point noise.
+    Both sides come from the identity block's compression and embedding.
+    Returns the two matrices and their max entrywise deviation; the
+    conditional expectation is exactly this compression, so the deviation
+    is pure floating-point noise.
     """
-    if form is None:
-        form = rep.integrated(f)
     sel = rep.block_selector([rep.identity_position])
     pad = embedding(sel, rep.dimension)
-    lhs = pad.apply(compression(sel, rep.dimension).apply(form))
+    lhs = pad.apply(compression(sel, rep.dimension).apply(rep.integrated(f)))
     rhs = pad.apply(conditional_expectation(f))
     return {"lhs": lhs, "rhs": rhs, "max_abs_diff": float(np.abs(lhs - rhs).max())}
 

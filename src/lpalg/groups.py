@@ -5,8 +5,8 @@ which kind it holds: ``op(s, t)`` (s t), ``inv(s)`` (s^{-1}) and
 ``contains(s)``, elementwise over integers or integer arrays; ``identity``;
 ``order`` (``None`` for Z); ``cyclic`` (element s is the s-th power of the
 element 1, so an action is fixed by a generator); ``window(radius)``, the
-positions of a representation space; ``folner_members``, the set behind
-:func:`folner_search`; ``descriptor()``, inverted by
+positions of a representation space; ``folner_members(shifts, delta)``,
+the set behind :func:`folner_search`; ``descriptor()``, inverted by
 :func:`group_from_descriptor`; and ``same_group(other)``, whether two
 carriers are one group with the same element labels (a Z window's radius
 is only its default window, so every ``ZWindow`` is Z).  The carriers are
@@ -26,7 +26,7 @@ ratio |sF (sym diff) F| / |F|, and the intersection count |F and sF|, which
 always equals (2|F| - |sF (sym diff) F|) / 2 because translation is
 injective.  :func:`folner_search` returns a set with all requested ratios
 below a threshold: the whole group when the carrier is finite, an initial
-interval {0..L-1} of minimal length for Z.
+interval {0..L-1} of minimal length L <= 100,000 for Z.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ __all__ = [
     "translate_set",
 ]
 
+_FOLNER_MAX_SIZE = 100_000  # the longest interval a Z Folner search tries
+
 
 class _Finite:
     """The answers every finite carrier shares."""
@@ -69,7 +71,7 @@ class _Finite:
         """Every element, in index order; the radius does not apply."""
         return np.arange(self.order)
 
-    def folner_members(self, shifts, delta: float, max_size: int) -> tuple:
+    def folner_members(self, shifts, delta: float) -> tuple:
         """The whole group: every translate ratio is exactly 0."""
         return tuple(self.elements())
 
@@ -167,19 +169,19 @@ class ZWindow:
             raise ValueError("a Z representation needs a positive window radius")
         return np.arange(-r, r + 1)
 
-    def folner_members(self, shifts, delta: float, max_size: int) -> tuple:
+    def folner_members(self, shifts, delta: float) -> tuple:
         """The initial interval {0..L-1} of minimal length L; CapacityError
-        if no L <= max_size works."""
+        if no L <= _FOLNER_MAX_SIZE works."""
         k = max((abs(int(s)) for s in shifts), default=0)
         if k == 0:
             return (0,)
         length = max(1, int(np.ceil(2.0 * k / delta)) - 2)
-        while length <= max_size:
+        while length <= _FOLNER_MAX_SIZE:
             if 2.0 * min(k, length) / length < delta:
                 return tuple(range(length))
             length += 1
         raise CapacityError(
-            f"no interval of length <= {max_size} brings every shift ratio below {delta}"
+            f"no interval of length <= {_FOLNER_MAX_SIZE} brings every shift ratio below {delta}"
         )
 
     def descriptor(self) -> dict:
@@ -294,16 +296,16 @@ def folner_intersection(fset: FolnerSet, s: int) -> int:
     return inter
 
 
-def folner_search(carrier, shifts, delta: float, max_size: int = 100_000) -> FolnerSet:
+def folner_search(carrier, shifts, delta: float) -> FolnerSet:
     """A set whose translate ratios under every requested shift are < delta.
 
     Finite carriers return the whole group (all ratios are exactly 0).  For
     Z the result is the initial interval {0..L-1} with L minimal; if no
-    interval of length <= max_size works, a CapacityError is raised.
+    interval of length <= 100,000 works, a CapacityError is raised.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    return FolnerSet(carrier, carrier.folner_members(tuple(shifts), delta, max_size))
+    return FolnerSet(carrier, carrier.folner_members(tuple(shifts), delta))
 
 
 def group_from_descriptor(desc: dict):

@@ -122,17 +122,17 @@ def _require_proved(name: str, cb: CbEstimate):
 class Factorization:
     """A pair of maps through a matrix algebra with its quality records.
 
-    ``roundtrip_errors`` maps a test-element id to the measured operator
-    norm of psi(phi(x)) - x.  Both cb certificates must be proofs: kind
-    ``structural`` (upper bounds derived from the form of the map) with at
-    least one level and every level at most 1 + 1e-6.  A sampled lower
-    bound, or a certificate with no levels, proves nothing, so it is
-    refused at construction like an expansive bound.
+    The pair factors through M_{target_dim}, ``target_dim`` being the
+    codomain dimension of phi.  ``roundtrip_errors`` maps a test-element id
+    to the measured operator norm of psi(phi(x)) - x.  Both cb certificates
+    must be proofs: kind ``structural`` (upper bounds derived from the form
+    of the map) with at least one level and every level at most 1 + 1e-6.
+    A sampled lower bound, or a certificate with no levels, proves nothing,
+    so it is refused at construction like an expansive bound.
     """
 
     phi: LinearMap
     psi: LinearMap
-    target_dim: int
     phi_cb: CbEstimate
     psi_cb: CbEstimate
     roundtrip_errors: dict = field(default_factory=dict)
@@ -146,8 +146,8 @@ class Factorization:
                 raise ValueError(f"negative round-trip error recorded for {key!r}")
 
     @property
-    def worst_error(self) -> float:
-        return max(self.roundtrip_errors.values(), default=0.0)
+    def target_dim(self) -> int:
+        return self.phi.codomain_dim
 
 
 def measure_roundtrip(phi: LinearMap, psi: LinearMap, elements: dict, p) -> dict:
@@ -190,11 +190,6 @@ def folner_psi(m, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
     are skipped; identical contributions to one u are averaged as
     value * (count/|F|), others summed by row of F and divided by |F|.
     """
-    return rep.integrated(_psi_coefficients(m, folner, rep))
-
-
-def _psi_coefficients(m, folner: FolnerSet, rep: CovariantRep) -> CcElement:
-    """The function :func:`folner_psi` integrates: its coefficients collected from m."""
     d = rep.base_dim
     k = folner.size
     m = np.asarray(m, dtype=complex)
@@ -215,7 +210,7 @@ def _psi_coefficients(m, folner: FolnerSet, rep: CovariantRep) -> CcElement:
         terms[first] * (counts / k)[:, None, None],
         totals / k,
     )
-    return CcElement(rep.carrier, dict(zip(u.tolist(), coeffs)), base_dim=d)
+    return rep.integrated(CcElement(rep.carrier, dict(zip(u.tolist(), coeffs)), base_dim=d))
 
 
 def folner_psi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
@@ -296,9 +291,8 @@ def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, norm
     error and budget exactly 0.0 when every r_s is 1.  When the r_s agree at
     r, the error is |1 - r| times ``norm``, the caller's estimate of ||pi(f)||
     (:func:`_element_norm` if not given); otherwise :func:`_element_norm` of
-    g, whose support is fixed before its terms are scaled, so no small term
-    is pruned and the error scales with f.  The budget of
-    :func:`_roundtrip_bound` takes ``uppers``, each coefficient's
+    g, which keeps every nonzero term, so the error scales with f.  The
+    budget of :func:`_roundtrip_bound` takes ``uppers``, each coefficient's
     ``pnorm_upper`` by group element (computed if not given).
     """
     ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
@@ -308,9 +302,8 @@ def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, norm
     if len(agreed) == 1:
         error = abs(1.0 - agreed.pop()) * (_element_norm(f, rep, **est_opts) if norm is None else norm)
     else:
-        g = CcElement(f.carrier, {s: a for s, a in f.items() if ratios[s] != 1.0}, base_dim=f.base_dim)
-        for s, a in g.items():  # g holds copies, scaled after its support is fixed
-            a *= ratios[s] - 1.0
+        g = CcElement(f.carrier, {s: (ratios[s] - 1.0) * a for s, a in f.items() if ratios[s] != 1.0},
+                      base_dim=f.base_dim)
         error = _element_norm(g, rep, **est_opts)
     return {"error": float(error), "bound": _roundtrip_bound(f, ratios, rep.p, uppers)}
 
@@ -344,7 +337,6 @@ def lift_factorization(fact: Factorization, n: int, entries: dict) -> Factorizat
     return Factorization(
         phi=phi_n,
         psi=psi_n,
-        target_dim=n * fact.target_dim,
         phi_cb=fact.phi_cb,
         psi_cb=fact.psi_cb,
         roundtrip_errors=measure_roundtrip(phi_n, psi_n, tests, fact.p),
@@ -383,7 +375,6 @@ def corner_restrict(fact: Factorization, outer: int, *, test_elements: dict) -> 
     return Factorization(
         phi=phi2,
         psi=psi2,
-        target_dim=fact.target_dim,
         phi_cb=fact.phi_cb,
         psi_cb=fact.psi_cb,
         roundtrip_errors=measure_roundtrip(phi2, psi2, test_elements, fact.p),
@@ -453,7 +444,6 @@ def compose_factorizations(
     return Factorization(
         phi=phi_total,
         psi=psi_total,
-        target_dim=fact_b.target_dim,
         phi_cb=_product_cb(fact_b.phi_cb, bridge_phi_cb),
         psi_cb=_product_cb(bridge_psi_cb, fact_b.psi_cb),
         roundtrip_errors=errors,
@@ -524,8 +514,8 @@ def crossed_nuclearity_witness(
         rt = folner_roundtrip(f, folner, rep, norm=norm, uppers=coeff_uppers)
         elements.append({"id": f"f{i}", "reduced_norm": norm, "norm_upper": upper,
                          "roundtrip_error": rt["error"], "bound": rt["bound"]})
-    fact = Factorization(folner_phi_map(folner, rep), folner_psi_map(folner, rep), folner.size * algebra.base_dim,
-                         phi_cb, psi_cb, {e["id"]: e["roundtrip_error"] for e in elements}, pe.p)
+    fact = Factorization(folner_phi_map(folner, rep), folner_psi_map(folner, rep), phi_cb, psi_cb,
+                         {e["id"]: e["roundtrip_error"] for e in elements}, pe.p)
 
     certificates = [
         {"map": "folner_phi", "kind": phi_cb.kind, "levels": _levels_list(phi_cb)},

@@ -3,8 +3,8 @@
 An operator space here is just M_d acting on l^p({1..d}).  Tensor products
 follow the lexicographic identification of l^p(X x Y) with l^p(X) (x) l^p(Y)
 (outer index major), which is exactly ``numpy.kron``.  A linear map between
-matrix spaces is stored by how it acts on entries, with the dense coefficient
-matrix over the row-major matrix-unit basis available on demand.
+matrix spaces is the function that applies it, with the dense coefficient
+matrix over the row-major matrix-unit basis derived on demand.
 
 The p-completely-bounded norm of a map phi is sup_n of the norm of
 id_{M_n} (x) phi.  ``cb_norm_lower`` samples the first few amplification
@@ -56,29 +56,21 @@ def block_matrix(blocks: np.ndarray) -> np.ndarray:
 
 
 class LinearMap:
-    """A linear map M_{domain_dim} -> M_{codomain_dim} over C.
+    """A linear map M_{domain_dim} -> M_{codomain_dim} over C, given by the
+    callable that applies it.
 
-    The map is defined either by a dense coefficient matrix of shape
-    (codomain_dim^2, domain_dim^2) acting on row-major vectorizations, or by
-    a callable; the coefficient matrix is materialized lazily from the
-    callable when first requested, so cheap closures over large spaces never
-    pay for dense storage unless asked to.
+    The dense coefficient matrix, of shape (codomain_dim^2, domain_dim^2)
+    over row-major vectorizations, is derived from the callable when first
+    requested, so cheap closures over large spaces never pay for dense
+    storage unless asked to.
     """
 
-    def __init__(self, domain_dim, codomain_dim, *, matrix=None, apply_fn=None, name=""):
-        if (matrix is None) == (apply_fn is None):
-            raise ValueError("provide exactly one of matrix= or apply_fn=")
+    def __init__(self, domain_dim, codomain_dim, *, apply_fn, name=""):
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
         self.name = name
         self._apply_fn = apply_fn
         self._matrix = None
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=complex)
-            expected = (self.codomain_dim**2, self.domain_dim**2)
-            if matrix.shape != expected:
-                raise ValueError(f"coefficient matrix must have shape {expected}, got {matrix.shape}")
-            self._matrix = matrix
 
     @property
     def matrix(self) -> np.ndarray:
@@ -98,17 +90,12 @@ class LinearMap:
             raise ValueError(
                 f"input must be {self.domain_dim} x {self.domain_dim}, got {a.shape}"
             )
-        if self._apply_fn is not None:
-            out = np.asarray(self._apply_fn(a), dtype=complex)
-        else:
-            out = (self._matrix @ a.reshape(-1)).reshape(self.codomain_dim, self.codomain_dim)
+        out = np.asarray(self._apply_fn(a), dtype=complex)
         if out.shape != (self.codomain_dim, self.codomain_dim):
             raise ValueError(
                 f"map produced shape {out.shape}, expected {(self.codomain_dim,) * 2}"
             )
         return out
-
-    __call__ = apply
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""

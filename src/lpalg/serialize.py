@@ -124,7 +124,7 @@ def linear_map_from_obj(obj) -> LinearMap:
             "a linear-map file needs a (codomain^2) x (domain^2) coefficient matrix; "
             f"got shape {m.shape}"
         )
-    return LinearMap(d, c, matrix=m)
+    return LinearMap(d, c, apply_fn=lambda a: (m @ a.reshape(-1)).reshape(c, c))
 
 
 # ---------------------------------------------------------------------------

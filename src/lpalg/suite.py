@@ -40,12 +40,12 @@ from .groups import (
 from .lpnorm import adjoint, as_exponent, pnorm_estimate, pnorm_exact, pnorm_oracle
 from .nuclearity import (
     Factorization,
-    _psi_coefficients,
     corner_embed,
     corner_project,
     corner_restrict,
     crossed_nuclearity_witness,
     folner_phi_map,
+    folner_psi,
     folner_psi_map,
     lift_factorization,
     measure_roundtrip,
@@ -304,7 +304,7 @@ def _measured_defect(folner: FolnerSet, rep: CovariantRep, form) -> float:
     """Estimate ||psi(phi(T)) - T|| for the integrated form T of an element
     by running the dense pipeline: compress T to the F blocks, average them
     back, integrate and subtract; a zero defect is 0.0."""
-    diff = rep.integrated(_psi_coefficients(folner_phi_map(folner, rep).apply(form), folner, rep)) - form
+    diff = folner_psi(folner_phi_map(folner, rep).apply(form), folner, rep) - form
     return pnorm_estimate(diff, rep.p).value if diff.any() else 0.0
 
 
@@ -419,7 +419,7 @@ def criterion_11(seed: int):
             for j in range(n):
                 e = measure_roundtrip(phi, psi, {"e": grid[i, j]}, 2.0)["e"]
                 entry_err = max(entry_err, e)
-        parent = Factorization(phi, psi, d, cb, cb2, roundtrip_errors={}, p=2.0)
+        parent = Factorization(phi, psi, cb, cb2, roundtrip_errors={}, p=2.0)
         lifted = lift_factorization(parent, n, entries={"g": grid})
         err = lifted.roundtrip_errors["g"]
         lift_rows.append({"n": n, "error": err, "budget": n * n * entry_err})
@@ -431,7 +431,6 @@ def criterion_11(seed: int):
     parent_big = Factorization(
         LinearMap.identity(big),
         psi_big,
-        big,
         compression_cb(np.arange(big), big, 1),
         _shrink_cb(big, shrink),
         p=2.0,

@@ -14,8 +14,15 @@ import pytest
 
 from lpalg import lpnorm, nuclearity
 from lpalg.cli import main
-from lpalg.crossed import CcElement, CovariantRep
-from lpalg.groups import ZWindow
+from lpalg.crossed import (
+    CcElement,
+    ConcreteAlgebra,
+    CovariantRep,
+    compress_identity_check,
+    cyclic_coordinate_rotation,
+    trivial_action,
+)
+from lpalg.groups import ZWindow, cyclic_group
 from lpalg.opspace import CbEstimate
 from lpalg.serialize import canonical_json, cc_element_to_obj, matrix_to_obj
 
@@ -143,6 +150,23 @@ def test_crossed_brackets_the_norm_and_its_help_names_the_csv_header(tmp_path, c
         main(["--help"])
     listed = re.search(r"reduced norm and expectation checks\s+\(CSV:\s+([\w,]+)\)", capsys.readouterr().out)
     assert listed.group(1) == header
+
+
+@pytest.mark.parametrize("action", [None, "rotation:6:1"])
+def test_crossed_reports_the_compress_identity_deviation_in_both_fields(tmp_path, capsys, action):
+    # both expectation fields are the identity block's deviation from f(e),
+    # bit for bit the max_abs_diff of compress_identity_check on the same rep
+    rng = np.random.default_rng(13)
+    carrier, d = (ZWindow(3), 2) if action is None else (cyclic_group(6), 6)
+    f = CcElement(carrier, {s: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for s in (0, 1, 3)})
+    path = _write(tmp_path / "f.json", cc_element_to_obj(f))
+    args = ["crossed", "--elements", path, "--p", "1.5"] + ([] if action is None else ["--action", action])
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    act = trivial_action(carrier, d) if action is None else cyclic_coordinate_rotation(6, 1)
+    rep = CovariantRep(ConcreteAlgebra(d), act, 1.5, window_radius=5)
+    expected = repr(compress_identity_check(rep, f)["max_abs_diff"])
+    assert repr(payload["expectation_compress_dev"]) == repr(payload["expectation_coeff_dev"]) == expected
 
 
 def test_crossed_group_mismatch_is_input_error(element_file, capsys):

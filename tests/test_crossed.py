@@ -260,6 +260,28 @@ def test_cc_element_prunes_zero_coefficients():
     assert f.support == (0,)
 
 
+@pytest.mark.parametrize("k", [-60, -50, 50])
+def test_scaled_elements_keep_their_support_and_scale_their_norm_exactly(k):
+    # a coefficient is kept whenever it is nonzero, so 2^k f has the support
+    # of f however small its terms, and its reduced norm is 2^k times f's
+    rng = np.random.default_rng(61)
+
+    def gauss(d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    zw, z6 = ZWindow(0), cyclic_group(6)
+    cases = [
+        (CcElement(zw, {-1: gauss(2), 0: gauss(2), 2: gauss(2)}),
+         CovariantRep(ConcreteAlgebra(2), trivial_action(zw, 2), 1.5, window_radius=5)),
+        (CcElement(z6, {0: gauss(6), 1: gauss(6), 4: gauss(6)}),
+         CovariantRep(ConcreteAlgebra(6), cyclic_coordinate_rotation(6, 1), 3.0)),
+    ]
+    for f, rep in cases:
+        scaled = 2.0**k * f
+        assert scaled.support == f.support
+        assert reduced_norm(scaled, rep).value == 2.0**k * reduced_norm(f, rep).value
+
+
 def test_cc_element_linear_algebra():
     carrier = cyclic_group(4)
     f = CcElement.delta(carrier, 1, 2.0 * np.eye(2, dtype=complex))

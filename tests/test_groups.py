@@ -214,8 +214,10 @@ def test_folner_search_finite_group_returns_everything():
 
 
 def test_folner_search_capacity_guard():
-    with pytest.raises(CapacityError):
-        folner_search(ZWindow(10**6), [1], 1e-4, max_size=100)
+    # every interval that could meet delta = 1e-5 is longer than the cap of
+    # 100,000, so the search refuses before it tries one
+    with pytest.raises(CapacityError, match="100000"):
+        folner_search(ZWindow(10**6), [1], 1e-5)
 
 
 # ---------------------------------------------------------------------------

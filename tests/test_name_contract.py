@@ -84,3 +84,18 @@ def test_no_module_outside_groups_asks_for_a_carrier_type(modname):
         and {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])} & CARRIER_TYPES
     ]
     assert asked == []
+
+
+@pytest.mark.parametrize("modname", _modules())
+def test_no_module_imports_another_modules_private_name(modname):
+    # a private name is its module's own; another module that needs it
+    # calls the public function built on it
+    tree = ast.parse(Path(importlib.import_module(modname).__file__).read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("lpalg"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -59,13 +59,13 @@ def test_linear_map_compose_order():
     transpose = LinearMap(2, 2, apply_fn=lambda a: np.asarray(a, dtype=complex).T)
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     composed = double.compose(transpose)  # double after transpose
-    assert np.array_equal(composed(x), 2.0 * x.T)
+    assert np.array_equal(composed.apply(x), 2.0 * x.T)
 
 
 def test_linear_map_shape_mismatch_raises():
     lm = LinearMap(2, 2, apply_fn=lambda a: np.asarray(a, dtype=complex))
     with pytest.raises(ValueError):
-        lm(np.zeros((3, 3)))
+        lm.apply(np.zeros((3, 3)))
 
 
 def test_amplified_identity_is_bitwise_identity():

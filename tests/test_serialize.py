@@ -139,7 +139,21 @@ def test_linear_map_round_trip():
     lm = LinearMap(2, 2, apply_fn=lambda a: np.asarray(a, dtype=complex).T)
     back = linear_map_from_obj(matrix_to_obj(lm.matrix))
     x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert np.allclose(back(x), x.T, atol=1e-15)
+    assert np.allclose(back.apply(x), x.T, atol=1e-15)
+
+
+def test_loaded_linear_map_applies_its_coefficient_matrix_bit_for_bit():
+    # a loaded map is the product with its coefficient matrix m, and its
+    # derived .matrix is m again
+    rng = np.random.default_rng(5)
+    d, c = 2, 3
+    m = rng.standard_normal((c * c, d * d)) + 1j * rng.standard_normal((c * c, d * d))
+    loaded = linear_map_from_obj(matrix_to_obj(m))
+    assert (loaded.domain_dim, loaded.codomain_dim) == (d, c)
+    for _ in range(4):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.array_equal(loaded.apply(x), (m @ x.ravel()).reshape(c, c))
+    assert np.array_equal(loaded.matrix, m)
 
 
 def test_linear_map_obj_requires_square_block_structure():

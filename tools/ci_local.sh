@@ -78,6 +78,11 @@ smoke() {
         # and every defect is zero on F = G: no integrated form is built
         gate "$out/trace.out" 'm("crossed.integrated_calls") == 0'
         ;;
+    norm_stream)
+        # each operation is exactly one pnorm_estimate call on a given
+        # matrix: no crossed-product form is built
+        gate "$out/trace.out" 'm("lpnorm.estimate_calls") == 1.0 and m("crossed.integrated_calls") == 0'
+        ;;
     esac
 }
 
