@@ -93,13 +93,14 @@ def _all_phased(stack: np.ndarray) -> bool:
 def _phased_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(perm, phase) of a phased permutation or a stack: row i of u holds phase[i] at perm[i]."""
     perm = np.abs(u).argmax(axis=-1)
-    return perm, np.take_along_axis(u, perm[..., None], axis=-1)[..., 0]
+    return perm, u[(*np.indices(perm.shape, sparse=True), perm)]
 
 
 def _compose_pairs(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The pair of U_a U_b: row i reaches perm_b[perm_a[i]] with phase_a[i] phase_b[perm_a[i]]."""
+    """The pair of U_a U_b, (d,) or (n, d): row i reaches perm_b[perm_a[i]] with phase_a[i] phase_b[perm_a[i]]."""
     (pa, ca), (pb, cb) = a, b
-    return np.take_along_axis(pb, pa, -1), ca * np.take_along_axis(cb, pa, -1)
+    idx = (pa,) if pa.ndim == 1 else (np.arange(len(pa))[:, None], pa)
+    return pb[idx], ca * cb[idx]
 
 
 def _implementer_stack(unitaries, order: int) -> np.ndarray:
@@ -149,13 +150,13 @@ class IsometricAction:
             if np.abs(stack[carrier.identity] - np.eye(self.base_dim)).max() > _ACTION_TOL:
                 raise ValueError("the implementer at the identity must be the identity matrix")
             self._perm, self._phase = _phased_pair(stack)
-            s, t = np.indices((carrier.order, carrier.order))
+            s, t = np.divmod(np.arange(carrier.order**2), carrier.order)  # every pair, row-major
             st = carrier.op(s, t)
             perm, phase = _compose_pairs(self._pair(s), self._pair(t))
             bad = (perm != self._perm[st]).any(axis=-1)
             bad |= (np.abs(phase - self._phase[st]) > _ACTION_TOL).any(axis=-1)
             if bad.any():
-                s, t = np.argwhere(bad)[0]  # the first failing pair in row-major order
+                s, t = divmod(int(np.argmax(bad)), carrier.order)  # the first failing pair
                 raise ValueError(
                     f"implementers are not multiplicative at ({s}, {t}); "
                     "projective phases are not allowed"
@@ -199,6 +200,7 @@ class IsometricAction:
 
     def _powers(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(perm, phase) of U^s by binary powers, for each entry of s on its own."""
+        shape, s = np.shape(s), np.reshape(s, -1)  # pairs are composed as (n, d) stacks
         pos = (s >= 0)[..., None]
         base = tuple(np.where(pos, g, i) for g, i in zip(self._generator, self._inverse))
         out = (np.broadcast_to(np.arange(self.base_dim), base[0].shape), np.ones(base[1].shape, complex))
@@ -208,7 +210,7 @@ class IsometricAction:
             out = tuple(np.where(odd, new, old) for new, old in zip(_compose_pairs(out, base), out))
             base = _compose_pairs(base, base)
             k = k >> 1
-        return out
+        return tuple(x.reshape(shape + (self.base_dim,)) for x in out)
 
     def unitary(self, s: int) -> np.ndarray:
         """The implementer U_s, built from its (perm, phase) pair."""
@@ -225,11 +227,9 @@ class IsometricAction:
         gather and one phase product.
         """
         perm, phase = self._pair(s)
-        d = self.base_dim
-        lead = np.broadcast_shapes(perm.shape[:-1], np.shape(a)[:-2])
-        flat = np.broadcast_to(np.asarray(a, dtype=complex), lead + (d, d)).reshape(lead + (d * d,))
-        idx = np.broadcast_to(perm[..., :, None] * d + perm[..., None, :], lead + (d, d)).reshape(flat.shape)
-        moved = np.take_along_axis(flat, idx, axis=-1).reshape(lead + (d, d))
+        a = np.asarray(a, dtype=complex)
+        stack = (g[..., None, None] for g in np.indices(a.shape[:-2], sparse=True))
+        moved = a[(*stack, perm[..., :, None], perm[..., None, :])]
         return moved * (phase[..., :, None] * phase[..., None, :].conj())
 
     def __repr__(self) -> str:

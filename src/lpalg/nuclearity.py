@@ -16,8 +16,8 @@ both maps by their form, and emits a machine-checkable report that gives
 each certificate's kind.  phi is a coordinate compression.  By covariance
 psi(M) = R (id_F (x) pi)(M) S, where the middle map is a direct sum of
 conjugations by phased permutations (this is where the action must be
-p-completely isometric) and R, S are monomial with norm 1
-(``folner_psi_factors``), so every level of either certificate is a proved
+p-completely isometric) and R, S are monomial with norm 1, read off |F|
+(``folner_psi_cb``), so every level of either certificate is a proved
 upper bound, 1 up to rounding, with no sampling.
 The remaining operations supply the bookkeeping lemmas: amplification and
 corner stability, window truncation, and the triangle-inequality
@@ -67,6 +67,7 @@ from .opspace import (
     CbEstimate,
     LinearMap,
     amplify,
+    averaging_cb,
     block_matrix,
     compression,
     compression_cb,
@@ -91,7 +92,7 @@ __all__ = [
     "folner_phi",
     "folner_phi_map",
     "folner_psi",
-    "folner_psi_factors",
+    "folner_psi_cb",
     "folner_psi_map",
     "folner_roundtrip",
     "lift_factorization",
@@ -214,7 +215,7 @@ def folner_psi(m, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
 
 
 def folner_psi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
-    """The averaging map as a map on matrices; :func:`folner_psi_factors`
+    """The averaging map as a map on matrices; :func:`folner_psi_cb`
     certifies it."""
     return LinearMap(
         folner.size * rep.base_dim,
@@ -224,34 +225,16 @@ def folner_psi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
     )
 
 
-def folner_psi_factors(folner: FolnerSet, rep: CovariantRep) -> tuple[tuple, tuple]:
-    """Monomial factors R, S of the averaging map, for :func:`monomial_cb`.
-
-    Covariance, v(s) pi(a) v(s)^{-1} = pi(alpha_s(a)), turns the averaging
-    form into psi(M) = R (id_F (x) pi)(M) S with the row of blocks
-    R = |F|^{-1/q} [v(s)]_{s in F} and the column S = |F|^{-1/p} [v(t)^{-1}]_{t in F};
-    id_F (x) pi is a direct sum over positions of conjugations by phased
-    permutations, hence p-completely isometric.  The middle space is
-    l^p(F) (x) l^p(B) (x) C^d, index (a * |B| + b) * d + i for the a-th
-    member of F and the b-th position of B.  On a Z window {-W..W} the
-    translations are truncated, so the factors are those of the untruncated
-    psi compressed to the window, R_W = P_W R and S_W = S P_W; only
-    positions within W + max|F| reach the window, so B is the carrier's
-    window of that radius.  On a finite group both windows are the group.
-    Both factors have norm 1, up to rounding: every row of R and column of
-    S holds |F| entries.
-    """
-    d, k = rep.base_dim, folner.size
-    members = np.asarray(folner.members, dtype=np.int64)
-    wide = rep.carrier.window(rep.window_radius + int(np.abs(members).max()))
-    lands = rep.carrier.op(members[:, None], wide) + rep.window_radius
-    a, b = np.nonzero((lands >= 0) & (lands < len(rep.positions)))  # s r inside the window
-    fiber = np.arange(d)
-    mid = ((a * wide.size + b)[:, None] * d + fiber).ravel()
-    out = (lands[a, b][:, None] * d + fiber).ravel()
-    r = (out, mid, np.full(mid.size, k ** (-1.0 / rep.p.q)))
-    s = (mid, out, np.full(mid.size, k ** (-1.0 / rep.p.p)))
-    return r, s
+def folner_psi_cb(folner: FolnerSet, rep: CovariantRep, n_max: int) -> CbEstimate:
+    """Structural cb certificate of the averaging map: :func:`averaging_cb`
+    at count k = |F|.  By covariance psi(M) = R (id_F (x) pi)(M) S, with
+    R = k^{-1/q} [v(s)]_{s in F}, S = k^{-1/p} [v(t)^{-1}]_{t in F}, and
+    id_F (x) pi p-completely isometric.  On a Z window {-W..W} the factors
+    are P_W R and S P_W, with middle positions in the window of radius
+    W + max|F|, where each window position x meets each s in F exactly once
+    (at s^{-1}x): every row of P_W R and column of S P_W holds k entries.  On
+    a finite group both windows are G."""
+    return averaging_cb(folner.size, rep.p, n_max)
 
 
 def sum_upper(terms) -> float:
@@ -479,9 +462,9 @@ def crossed_nuclearity_witness(
     ``folner_search`` picks F with translate ratios below eps/(3M) for every
     support shift, and one representation, of radius max|s| + |F| on Z,
     holds every translate the round trip reaches.  Both Folner maps are
-    certified by their form, with no sampling (``compression_cb`` for phi;
-    ``folner_psi_factors`` and ``monomial_cb`` for psi), and
-    ``Factorization`` refuses any certificate that is not such a proof.
+    certified by their form in closed form (``compression_cb`` for phi,
+    ``folner_psi_cb`` for psi), and ``Factorization`` refuses any
+    certificate that is not such a proof.
     Each element's norm is estimated once (its ``reduced_norm``, a single
     term's on its coefficient), and :func:`folner_roundtrip` takes it and
     gives the budget from the ``pnorm_upper`` of each coefficient that M
@@ -506,7 +489,7 @@ def crossed_nuclearity_witness(
     rep = CovariantRep(algebra, action, pe, window_radius=max(map(abs, supports), default=0) + folner.size)
 
     phi_cb = compression_cb(rep.block_selector(folner.members), rep.dimension, n_max)
-    psi_cb = monomial_cb(*folner_psi_factors(folner, rep), pe, n_max)
+    psi_cb = folner_psi_cb(folner, rep, n_max)
 
     elements = []
     for i, (f, coeff_uppers, upper) in enumerate(zip(fs, uppers, norm_uppers)):

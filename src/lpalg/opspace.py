@@ -34,6 +34,7 @@ __all__ = [
     "CbEstimate",
     "LinearMap",
     "amplify",
+    "averaging_cb",
     "block_matrix",
     "cb_norm_lower",
     "compression",
@@ -164,16 +165,19 @@ class CbEstimate:
         return max((v for _, v in self.levels), default=0.0)
 
 
+def _row_norm(top: float, mass: float, r: float) -> float:
+    """l^r norm of a row of moduli at most ``top`` whose (modulus / top)^r sum to ``mass``."""
+    return top if math.isinf(r) else top * float(mass) ** (1.0 / r)
+
+
 def _monomial_norm(groups: np.ndarray, values: np.ndarray, r: float) -> float:
     """Largest l^r norm among the groups of entries that share a label, r in [1, inf]."""
     mags = np.abs(values)
     top = float(mags.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    if math.isinf(r):
+    if top == 0.0 or math.isinf(r):
         return top
     # scaled by the largest modulus so that the r-th powers cannot overflow
-    return top * float(np.bincount(groups, weights=(mags / top) ** r).max()) ** (1.0 / r)
+    return _row_norm(top, np.bincount(groups, weights=(mags / top) ** r).max(), r)
 
 
 def _monomial_entries(factor, one_per: str, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,12 +213,25 @@ def monomial_cb(r, s, p, n_max: int) -> CbEstimate:
     Input with two entries in one column of R or one row of S is refused,
     as is ``n_max < 1``: a certificate with no levels proves nothing.
     """
-    if n_max < 1:
-        raise ValueError(f"a structural certificate needs at least one level, got n_max={n_max}")
     pe = as_exponent(p)
     r_rows, _, r_values = _monomial_entries(r, "column", "R")
     _, s_cols, s_values = _monomial_entries(s, "row", "S")
-    bound = _monomial_norm(r_rows, r_values, pe.q) * _monomial_norm(s_cols, s_values, pe.p)
+    return _structural(_monomial_norm(r_rows, r_values, pe.q) * _monomial_norm(s_cols, s_values, pe.p), n_max)
+
+
+def averaging_cb(count: int, p, n_max: int) -> CbEstimate:
+    """:func:`monomial_cb`, bit for bit, of factors with ``count`` entries of
+    modulus count^(-1/q) in every row of R and count^(-1/p) in every column
+    of S, read off ``count`` with no entry listed (0.0 for count 0)."""
+    pe = as_exponent(p)
+    norms = [_row_norm(count ** (-1.0 / r), count, r) for r in (pe.q, pe.p)] if count else [0.0, 0.0]
+    return _structural(norms[0] * norms[1], n_max)
+
+
+def _structural(bound: float, n_max: int) -> CbEstimate:
+    """The structural certificate with ``bound`` at every level n <= n_max."""
+    if n_max < 1:
+        raise ValueError(f"a structural certificate needs at least one level, got n_max={n_max}")
     return CbEstimate(levels=[(n, bound) for n in range(1, n_max + 1)], kind="structural")
 
 
@@ -256,15 +273,14 @@ def embedding(sel, codomain_dim: int, name: str = "") -> LinearMap:
 def compression_cb(sel, domain_dim: int, n_max: int) -> CbEstimate:
     """Structural cb certificate of :func:`compression` on M_{domain_dim}.
 
-    The map is J* T J, so it is the :func:`monomial_cb` case R = J*, S = J,
-    rho = id, with levels 1.0 for every p.  A repeated index puts two
-    entries in one column of J* (the selector [0, 0] sends e_00 to the
+    J* T J is the :func:`monomial_cb` case R = J*, S = J, rho = id, one entry
+    1 per row of J* and column of J: :func:`averaging_cb` at count 1, levels
+    1.0 (0.0 for the empty selector), with no J built.  A repeated index puts
+    two entries in a column of J* (the selector [0, 0] sends e_00 to the
     all-ones 2 x 2 matrix, of norm 2), so it is refused, as is an index
-    outside the domain.
-    """
+    outside the domain."""
     sel = _selector(sel, domain_dim)
-    inner, ones = np.arange(sel.size), np.ones(sel.size)
-    return monomial_cb((inner, sel, ones), (sel, inner, ones), 1.0, n_max)
+    return averaging_cb(1 if sel.size else 0, 1.0, n_max)
 
 
 def _swap_like(n: int, d: int) -> np.ndarray:

@@ -207,7 +207,7 @@ def test_witness_k_max_sets_the_levels_and_a_sampled_certificate_exits_1(
     report = json.loads(capsys.readouterr().out)
     assert [c["levels"] for c in report["certificates"]] == [[[1, 1.0], [2, 1.0], [3, 1.0]]] * 2
     sampled = CbEstimate(levels=[(1, 1.0)])  # a lower bound proves nothing
-    monkeypatch.setattr(nuclearity, "monomial_cb", lambda *args, **kwargs: sampled)
+    monkeypatch.setattr(nuclearity, "folner_psi_cb", lambda *args, **kwargs: sampled)
     assert main(argv) == 1
     assert "certificate failure" in capsys.readouterr().err
 

@@ -1,5 +1,7 @@
 """Tests for linear maps on matrix spaces and completely bounded norms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,18 @@ from lpalg.opspace import (
     CbEstimate,
     LinearMap,
     apply_amplified,
+    averaging_cb,
     block_matrix,
     cb_norm_lower,
     compression,
     compression_cb,
     embedding,
+    monomial_cb,
     split_blocks,
 )
 from lpalg.crossed import ConcreteAlgebra, CovariantRep, IsometricAction, cyclic_coordinate_rotation
 from lpalg.groups import ZWindow
+from lpalg.lpnorm import as_exponent
 from lpalg.partition import circle_partition, cx_phi_cb_certificate
 
 CB_SLACK = 1e-6
@@ -165,6 +170,27 @@ def test_compression_cb_is_the_structural_bound_one():
     assert cb.kind == "structural"
     assert cb.levels == [(1, 1.0), (2, 1.0), (3, 1.0)]
     assert CbEstimate().kind == "sampled_lower"
+
+
+@pytest.mark.parametrize("sel", [[], [3], [4, 0, 2], [0, 1, 2, 3, 4]])
+def test_compression_cb_is_monomial_cb_on_the_inclusion_bit_for_bit(sel):
+    # the closed form lists no entry of J or J*; the empty selector gives 0.0
+    sel = np.array(sel, dtype=np.int64)
+    inner, ones = np.arange(sel.size), np.ones(sel.size)
+    listed = monomial_cb((inner, sel, ones), (sel, inner, ones), 1.0, 3)
+    assert compression_cb(sel, 5, 3).levels == listed.levels == [(n, 1.0 if sel.size else 0.0) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 6001])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_averaging_cb_is_monomial_cb_on_a_row_of_count_entries_bit_for_bit(count, p):
+    # R = count^(-1/q) [1 ... 1] and S = count^(-1/p) [1 ... 1]^T
+    pe = as_exponent(p)
+    zeros, idx = np.zeros(count, dtype=np.int64), np.arange(count)
+    r = (zeros, idx, np.full(count, count ** (-1.0 / pe.q) if count else 0.0))
+    s = (idx, zeros, np.full(count, count ** (-1.0 / pe.p) if count else 0.0))
+    assert averaging_cb(count, p, 2).levels == monomial_cb(r, s, p, 2).levels
+    assert averaging_cb(count, p, 2).kind == "structural"
 
 
 # each refusal holds for the certificate and for both maps it certifies

@@ -9,6 +9,8 @@ at or below its structural bound.
 """
 
 import math
+import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -23,13 +25,13 @@ from lpalg.crossed import (
     trivial_action,
 )
 from lpalg.errors import CertificateError
-from lpalg.groups import FolnerSet, ZWindow, cyclic_group
+from lpalg.groups import FolnerSet, ZWindow, cyclic_group, group_from_table
 from lpalg.lpnorm import pnorm_estimate, pnorm_exact
 from lpalg.nuclearity import (
     crossed_nuclearity_witness,
     folner_phi_map,
     folner_psi,
-    folner_psi_factors,
+    folner_psi_cb,
     folner_psi_map,
     rotation_demo,
 )
@@ -91,10 +93,6 @@ def test_psi_factorization_on_a_finite_group():
     rep = CovariantRep(ConcreteAlgebra(6), cyclic_coordinate_rotation(6, 1), 1.5)
     folner = FolnerSet(cyclic_group(6), (0, 1, 2))
     r_loop, s_loop = _loop_factors(folner, rep)
-    r, s = folner_psi_factors(folner, rep)
-    mid = folner.size * rep.dimension
-    assert np.array_equal(_dense(r, (rep.dimension, mid)), r_loop)
-    assert np.array_equal(_dense(s, (mid, rep.dimension)), s_loop)
     rng = np.random.default_rng(0)
     for _ in range(3):
         m = _random_square(rng, folner.size * rep.base_dim)
@@ -119,16 +117,81 @@ def test_psi_factorization_on_a_z_window_is_a_compression(p):
     ])
     outside = np.setdiff1d(np.arange(k * wide.dimension), kept)
     assert not r_wide[np.ix_(rows, outside)].any() and not s_wide[np.ix_(outside, rows)].any()
-    r, s = folner_psi_factors(folner, rep)
-    assert np.array_equal(_dense(r, (rep.dimension, kept.size)), r_wide[np.ix_(rows, kept)])
-    assert np.array_equal(_dense(s, (kept.size, rep.dimension)), s_wide[np.ix_(kept, rows)])
+    # every row of P_W R and every column of S P_W holds |F| entries
+    assert ((r_wide[rows] != 0).sum(axis=1) == k).all() and ((s_wide[:, rows] != 0).sum(axis=0) == k).all()
 
     rng = np.random.default_rng(1)
     for _ in range(3):
         m = _random_square(rng, k * d)
         got = r_wide[rows] @ _amplified_pi(m, k, wide) @ s_wide[:, rows]
         assert np.abs(got - folner_psi(m, folner, rep)).max() <= 1e-14
-    assert all(abs(v - 1.0) <= 1e-15 for _, v in monomial_cb(r, s, p, 3).levels)
+    assert all(abs(v - 1.0) <= 1e-15 for _, v in folner_psi_cb(folner, rep, 3).levels)
+
+
+def _window_loop_factors(folner, rep):
+    """Dense R, S of psi on rep: on a Z window {-W..W}, P_W R and S P_W of
+    the factors on the window of radius W + max|F|, which hold every
+    nonzero entry; on a finite group the factors themselves."""
+    if rep.carrier.order is not None:
+        return _loop_factors(folner, rep)
+    reach = rep.window_radius + max(map(abs, folner.members))
+    wide = CovariantRep(ConcreteAlgebra(rep.base_dim), rep.action, rep.p, window_radius=reach)
+    r_wide, s_wide = _loop_factors(folner, wide)
+    d = rep.base_dim
+    rows = np.arange((reach - rep.window_radius) * d, (reach + rep.window_radius + 1) * d)
+    return r_wide[rows], s_wide[:, rows]
+
+
+def _entries(dense):
+    """(rows, cols, values) of the nonzero entries of a dense matrix."""
+    rows, cols = np.nonzero(dense)
+    return rows, cols, dense[rows, cols]
+
+
+def _s3_signed_action():
+    """S_3 from its multiplication table, acting on C^3 by the signed permutations sgn(g) P_g."""
+    perms = list(permutations(range(3)))
+    table = [[perms.index(tuple(g[h[i]] for i in range(3))) for h in perms] for g in perms]
+    signed = []
+    for g in perms:
+        u = np.zeros((3, 3), dtype=complex)
+        u[list(g), range(3)] = np.linalg.det(np.eye(3)[:, list(g)])
+        signed.append(u)
+    return IsometricAction(group_from_table(table), unitaries=signed)
+
+
+def _psi_cb_case(case, p):
+    """(Folner set, representation at p): Z/6 rotating coordinates and S_3
+    with F of size 1, 4 and the whole group, then Z windows of radius
+    max|F| + |F| under a phased generator (d = 2) with |F| = 1, 4 and 21."""
+    group, size = divmod(case, 3)
+    if group < 2:
+        action = cyclic_coordinate_rotation(6, 1) if group == 0 else _s3_signed_action()
+        folner = FolnerSet(action.carrier, tuple(range((1, 4, 6)[size])))
+        return folner, CovariantRep(ConcreteAlgebra(action.base_dim), action, p)
+    k = (1, 4, 21)[size]
+    members = tuple(range(-(k // 2), k - k // 2))
+    rep = CovariantRep(ConcreteAlgebra(2), _phased_z_action(), p, window_radius=max(map(abs, members)) + k)
+    return FolnerSet(ZWindow(0), members), rep
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("case", range(9))
+def test_folner_psi_cb_is_monomial_cb_on_the_dense_factors_bit_for_bit(case, p):
+    folner, rep = _psi_cb_case(case, p)
+    r, s = _window_loop_factors(folner, rep)
+    listed = monomial_cb(_entries(r), _entries(s), rep.p, 3)
+    closed = folner_psi_cb(folner, rep, 3)
+    assert closed.kind == listed.kind == "structural"
+    assert closed.levels == listed.levels
+    assert all(abs(v - 1.0) <= 1e-15 for _, v in closed.levels)
+
+
+def test_folner_psi_cb_refuses_no_levels():
+    folner, rep = _psi_cb_case(0, 1.5)
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="at least one level"):
+            folner_psi_cb(folner, rep, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +290,7 @@ def _folner_cases():
 def test_sampled_folner_certificates_stay_below_the_structural_bounds(case):
     rep, folner = _folner_cases()[case]
     structural_phi = compression_cb(rep.block_selector(folner.members), rep.dimension, 2)
-    structural_psi = monomial_cb(*folner_psi_factors(folner, rep), rep.p, 2)
+    structural_psi = folner_psi_cb(folner, rep, 2)
     sampled_phi = cb_norm_lower(folner_phi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(7), **LIGHT)
     sampled_psi = cb_norm_lower(folner_psi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(8), **LIGHT)
     for sampled, structural in ((sampled_phi, structural_phi), (sampled_psi, structural_psi)):
@@ -254,15 +317,30 @@ def test_sampled_partition_certificates_stay_below_the_structural_bounds(p):
 # the witness and the rotation model decide on structural bounds, draw nothing
 # ---------------------------------------------------------------------------
 
-def _line_witness(**kwargs):
+def _line_witness(eps=0.3, **kwargs):
     zw = ZWindow(0)
     f = CcElement.delta(zw, 1, base_dim=1)
-    return crossed_nuclearity_witness([f], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5, **kwargs)
+    return crossed_nuclearity_witness([f], eps, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5, **kwargs)
+
+
+def test_line_witness_at_small_epsilon_reads_its_certificates_off_the_folner_size():
+    # |F| = 6,001 in a window of 12,005 positions: listing the entries of
+    # psi's factors would take GBs, the closed forms take none
+    tracemalloc.start()
+    try:
+        _, report = _line_witness(0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"] is True
+    assert len(report["folner"]["members"]) == 6001
+    assert [c["kind"] for c in report["certificates"]] == ["structural"] * 2
+    assert peak < 64 * 2**20
 
 
 def test_witness_refuses_to_pass_on_a_sampled_certificate(monkeypatch):
     sampled = CbEstimate(levels=[(1, 1.0), (2, 1.0)])  # a lower bound: proves nothing
-    monkeypatch.setattr(nuclearity, "monomial_cb", lambda *args, **kwargs: sampled)
+    monkeypatch.setattr(nuclearity, "folner_psi_cb", lambda *args, **kwargs: sampled)
     with pytest.raises(CertificateError, match="psi certificate"):
         _line_witness()
 

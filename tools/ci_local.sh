@@ -7,6 +7,7 @@
 #   bash tools/ci_local.sh tests            tier-1 tests
 #   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs and their gates
+#   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001, timed and measured
 #
 # Needs python3 with numpy (and pytest and hypothesis for the tests).
 set -euo pipefail
@@ -86,18 +87,39 @@ smoke() {
     esac
 }
 
+# the witness for delta_1 on Z at epsilon 0.001 (|F| = 6001, a window of
+# 12005 positions) must finish within 60 s and 200 MB of peak RSS: its
+# certificates are read off |F|, and a single term's norm off its
+# coefficient, so nothing of the window's size is listed or built
+scale() {
+    echo "== witness at scale: delta_1 on Z, epsilon 0.001"
+    echo '{"group": {"type": "z_window", "radius": 1}, "coeffs": [{"s": 1, "matrix": {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}}]}' \
+        > "$out/delta1.json"
+    PYTHONPATH=src python3 - "$out/delta1.json" <<'PY'
+import resource, subprocess, sys
+argv = ["timeout", "60", sys.executable, "-m", "lpalg", "witness", "--elements", sys.argv[1], "--epsilon", "0.001"]
+code = subprocess.run(argv, stdout=subprocess.DEVNULL).returncode
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KB on Linux
+ok = code == 0 and peak_mb <= 200
+print(f"gate exit {code} == 0 and child peak RSS {peak_mb:.1f} MB <= 200", "ok" if ok else "FAILED")
+sys.exit(0 if ok else 1)
+PY
+}
+
 case ${1:-all} in
 tests) tests ;;
 suite) suite ;;
 smoke) smoke "${2:?name a workload}" ;;
+scale) scale ;;
 all)
     tests
     suite
     for workload in witness_line rotation_grid norm_stream; do smoke "$workload"; done
+    scale
     echo "== all checks passed"
     ;;
 *)
-    echo "usage: $0 [tests | suite | smoke WORKLOAD]" >&2
+    echo "usage: $0 [tests | suite | smoke WORKLOAD | scale]" >&2
     exit 2
     ;;
 esac
