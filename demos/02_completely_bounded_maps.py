@@ -14,8 +14,7 @@ import numpy as np
 
 from lpalg import LinearMap, cb_norm_lower
 
-transpose = LinearMap(2, 2, apply_fn=lambda a: np.asarray(a, dtype=complex).T,
-                      name="transpose")
+transpose = LinearMap(2, 2, apply_fn=lambda a: np.asarray(a, dtype=complex).T)
 est = cb_norm_lower(transpose, 2.0, n_max=4, trials=12, rng=np.random.default_rng(0))
 print("transpose on 2x2 matrices, p = 2")
 for n, value in est.levels:
@@ -24,8 +23,7 @@ print(f"  best: {est.best:.12f}  (the transpose is not completely bounded unifor
 print()
 
 proj = np.diag([1.0, 1.0, 0.0])
-compress = LinearMap(3, 3, apply_fn=lambda a: proj @ np.asarray(a, dtype=complex) @ proj,
-                     name="compress")
+compress = LinearMap(3, 3, apply_fn=lambda a: proj @ np.asarray(a, dtype=complex) @ proj)
 print("corner compression on 3x3 matrices")
 for p in (1.0, 1.5, 2.0, 3.0):
     est = cb_norm_lower(compress, p, n_max=3, trials=12, rng=np.random.default_rng(1))

@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (CertificateError, AssertionError) as exc:
+    except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError, TypeError,

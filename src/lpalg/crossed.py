@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import cyclic_group
+from .groups import as_integer, cyclic_group
 from .lpnorm import PNormEstimate, as_exponent, pnorm_estimate, validate_matrix
 from .opspace import CbEstimate, block_matrix, cb_norm_lower, compression, embedding
 
@@ -139,9 +139,8 @@ class IsometricAction:
       when first needed, R at least doubling when a larger |s| arrives.
     """
 
-    def __init__(self, carrier, *, unitaries=None, generator=None, name: str = ""):
+    def __init__(self, carrier, *, unitaries=None, generator=None):
         self.carrier = carrier
-        self.name = name
         if unitaries is not None:
             if carrier.order is None:
                 raise ValueError("implementers can be listed only for a finite carrier; give a generator")
@@ -233,16 +232,15 @@ class IsometricAction:
         return moved * (phase[..., :, None] * phase[..., None, :].conj())
 
     def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"IsometricAction(dim={self.base_dim} on {self.carrier!r}{tag})"
+        return f"IsometricAction(dim={self.base_dim} on {self.carrier!r})"
 
 
 def trivial_action(carrier, dim: int) -> IsometricAction:
     """Every group element acts as the identity on M_dim."""
     eye = np.eye(dim, dtype=complex)
     if carrier.cyclic:
-        return IsometricAction(carrier, generator=eye, name="trivial")
-    return IsometricAction(carrier, unitaries=[eye] * carrier.order, name="trivial")
+        return IsometricAction(carrier, generator=eye)
+    return IsometricAction(carrier, unitaries=[eye] * carrier.order)
 
 
 def cyclic_coordinate_rotation(n: int, k: int) -> IsometricAction:
@@ -253,7 +251,7 @@ def cyclic_coordinate_rotation(n: int, k: int) -> IsometricAction:
     """
     shift = np.zeros((n, n), dtype=complex)
     shift[(np.arange(n) - k) % n, np.arange(n)] = 1.0  # column i to row i - k
-    return IsometricAction(cyclic_group(n), generator=shift, name=f"rotate{k}")
+    return IsometricAction(cyclic_group(n), generator=shift)
 
 
 class CcElement:
@@ -266,7 +264,7 @@ class CcElement:
 
     def __init__(self, carrier, coeffs: dict, base_dim: int | None = None):
         self.carrier = carrier
-        keys = np.array([int(s) for s in coeffs], dtype=np.int64)
+        keys = np.array([as_integer(s, "group element") for s in coeffs], dtype=np.int64)
         if not carrier.contains(keys).all():
             raise ValueError(f"elements {keys[~carrier.contains(keys)].tolist()} lie outside the carrier")
         kept: dict[int, np.ndarray] = {}
@@ -523,6 +521,5 @@ def expectation_cb_certificate(
     """
     sel = rep.block_selector([rep.identity_position])
     phi = embedding(sel, rep.dimension).compose(compression(sel, rep.dimension))
-    phi.name = "E_e"
     sampler = _crossed_sampler(rep)
     return cb_norm_lower(phi, rep.p, n_max=n_max, trials=trials, rng=rng, sampler=sampler, **engine_opts)

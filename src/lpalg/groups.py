@@ -21,10 +21,10 @@ lambda(s) is the permutation matrix sending the basis vector at t to the one
 at s t.  Its conjugate transpose is the regular representation of s^{-1},
 entrywise and exactly, which is what :func:`lambda_adjoint_check` verifies.
 
-Folner data: for a finite subset F and a shift s, the translate sF, the
-ratio |sF (sym diff) F| / |F|, and the intersection count |F and sF|, which
-always equals (2|F| - |sF (sym diff) F|) / 2 because translation is
-injective.  :func:`folner_search` returns a set with all requested ratios
+Folner data: for a finite subset F and a shift s, the translate sF and the
+one count |F and sF|.  Translation is injective, so |sF (sym diff) F| =
+2 (|F| - |F and sF|), and the ratio |sF (sym diff) F| / |F| is read off
+that count.  :func:`folner_search` returns a set with all requested ratios
 below a threshold: the whole group when the carrier is finite, an initial
 interval {0..L-1} of minimal length L <= 100,000 for Z.
 """
@@ -43,6 +43,7 @@ __all__ = [
     "FiniteGroup",
     "FolnerSet",
     "ZWindow",
+    "as_integer",
     "cyclic_group",
     "folner_intersection",
     "folner_ratio",
@@ -55,6 +56,14 @@ __all__ = [
 ]
 
 _FOLNER_MAX_SIZE = 100_000  # the longest interval a Z Folner search tries
+
+
+def as_integer(value, field: str) -> int:
+    """``value`` as an int if it is a Python int (not a bool) or a numpy
+    integer; anything else raises a ValueError that names ``field``."""
+    if type(value) is int or isinstance(value, np.integer):
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 class _Finite:
@@ -111,7 +120,6 @@ class FiniteGroup(_Finite):
     mult: np.ndarray
     identity: int
     inverse: np.ndarray
-    name: str = "group"
     cyclic = False  # the indices need not be the powers of element 1
 
     @property
@@ -132,7 +140,7 @@ class FiniteGroup(_Finite):
         return {"type": "table", "mult": self.mult.tolist()}
 
     def __repr__(self) -> str:
-        return f"FiniteGroup({self.name!r}, order={self.order})"
+        return f"FiniteGroup(order={self.order})"
 
 
 @dataclass(frozen=True)
@@ -192,7 +200,7 @@ class ZWindow:
         return isinstance(other, ZWindow)
 
 
-def group_from_table(mult, name: str = "group") -> FiniteGroup:
+def group_from_table(mult) -> FiniteGroup:
     """Build and validate a FiniteGroup from a multiplication table.
 
     Checks closure, the existence of a two-sided identity and of inverses,
@@ -223,7 +231,7 @@ def group_from_table(mult, name: str = "group") -> FiniteGroup:
     if (table[table[a, b], c] != table[a, table[b, c]]).any():
         raise ValueError("multiplication table is not associative")
 
-    return FiniteGroup(mult=table, identity=e, inverse=inverse, name=name)
+    return FiniteGroup(mult=table, identity=e, inverse=inverse)
 
 
 def cyclic_group(n: int) -> CyclicGroup:
@@ -253,7 +261,7 @@ class FolnerSet:
     members: tuple
 
     def __post_init__(self):
-        members = tuple(sorted(int(m) for m in self.members))
+        members = tuple(sorted(as_integer(m, "Folner set member") for m in self.members))
         if not members:
             raise ValueError("a Folner set must be nonempty")
         if len(set(members)) != len(members):
@@ -269,31 +277,18 @@ class FolnerSet:
 
 def translate_set(fset: FolnerSet, s: int) -> frozenset:
     """The translate sF = {s t : t in F}."""
-    op = fset.carrier.op
-    return frozenset(op(s, t) for t in fset.members)
-
-
-def folner_ratio(fset: FolnerSet, s: int) -> float:
-    """|sF (sym diff) F| / |F|."""
-    shifted = translate_set(fset, s)
-    return len(shifted.symmetric_difference(fset.members)) / fset.size
+    return frozenset(fset.carrier.op(s, np.array(fset.members)).tolist())
 
 
 def folner_intersection(fset: FolnerSet, s: int) -> int:
-    """|F and sF|, cross-checked against (2|F| - |sF (sym diff) F|) / 2.
+    """|F and sF|."""
+    return len(translate_set(fset, s).intersection(fset.members))
 
-    The two expressions agree for every translate because s acts injectively;
-    a mismatch would be an implementation bug, so it raises AssertionError.
-    """
-    shifted = translate_set(fset, s)
-    members = frozenset(fset.members)
-    inter = len(members & shifted)
-    sym = len(members.symmetric_difference(shifted))
-    if 2 * inter != 2 * fset.size - sym:
-        raise AssertionError(
-            f"intersection identity violated: |F^sF|={inter}, |F|={fset.size}, |sF^F|={sym}"
-        )
-    return inter
+
+def folner_ratio(fset: FolnerSet, s: int) -> float:
+    """|sF (sym diff) F| / |F|, which is 2 (|F| - |F and sF|) / |F| since
+    translation is injective."""
+    return 2 * (fset.size - folner_intersection(fset, s)) / fset.size
 
 
 def folner_search(carrier, shifts, delta: float) -> FolnerSet:
@@ -314,9 +309,9 @@ def group_from_descriptor(desc: dict):
         raise ValueError(f"group descriptor must be an object with a 'type' key, got {desc!r}")
     kind = desc["type"]
     if kind == "cyclic":
-        return cyclic_group(int(desc["n"]))
+        return cyclic_group(as_integer(desc["n"], "n"))
     if kind == "table":
         return group_from_table(desc["mult"])
     if kind == "z_window":
-        return ZWindow(radius=int(desc["radius"]))
+        return ZWindow(radius=as_integer(desc["radius"], "radius"))
     raise ValueError(f"unknown group descriptor type {kind!r}")

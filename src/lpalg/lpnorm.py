@@ -174,16 +174,7 @@ def vector_pnorm(x, p) -> float:
     arr = np.asarray(x, dtype=complex).ravel()
     if arr.size == 0:
         raise ValueError("vector_pnorm of an empty vector")
-    mags = np.abs(arr)
-    if pe.is_inf:
-        return float(mags.max())
-    if pe.is_one:
-        return float(mags.sum())
-    top = float(mags.max())
-    if top == 0.0:
-        return 0.0
-    # scale by the largest modulus so that mags**p cannot overflow
-    return float(top * (((mags / top) ** pe.p).sum()) ** (1.0 / pe.p))
+    return float(_pnorms_along(arr, pe.p))
 
 
 def _signs(y: np.ndarray, mags: np.ndarray) -> np.ndarray:

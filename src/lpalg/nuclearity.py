@@ -178,7 +178,7 @@ def folner_phi(f: CcElement, folner: FolnerSet, rep: CovariantRep) -> np.ndarray
 def folner_phi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
     """The compression T -> (P_F (x) I) T (P_F (x) I) to the F blocks;
     ``compression_cb`` certifies it with levels 1."""
-    return compression(rep.block_selector(folner.members), rep.dimension, "folner_phi")
+    return compression(rep.block_selector(folner.members), rep.dimension)
 
 
 def folner_psi(m, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
@@ -221,7 +221,6 @@ def folner_psi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
         folner.size * rep.base_dim,
         rep.dimension,
         apply_fn=lambda m: folner_psi(m, folner, rep),
-        name="folner_psi",
     )
 
 
@@ -329,12 +328,12 @@ def lift_factorization(fact: Factorization, n: int, entries: dict) -> Factorizat
 
 def corner_embed(outer: int, dim: int) -> LinearMap:
     """a -> e_{1,1} (x) a, the completely isometric corner embedding."""
-    return embedding(np.arange(dim), outer * dim, "corner_iota")
+    return embedding(np.arange(dim), outer * dim)
 
 
 def corner_project(outer: int, dim: int) -> LinearMap:
     """X -> (1,1) block, the completely contractive corner projection."""
-    return compression(np.arange(dim), outer * dim, "corner_rho")
+    return compression(np.arange(dim), outer * dim)
 
 
 def corner_restrict(fact: Factorization, outer: int, *, test_elements: dict) -> Factorization:
@@ -371,9 +370,7 @@ def truncate_map(window: int, n_keep: int, block_dim: int = 1) -> LinearMap:
     if not 1 <= n_keep <= window:
         raise ValueError(f"can keep between 1 and {window} positions, asked for {n_keep}")
     dim, keep = window * block_dim, np.arange(n_keep * block_dim)
-    trunc = embedding(keep, dim).compose(compression(keep, dim))
-    trunc.name = f"truncate_{n_keep}"
-    return trunc
+    return embedding(keep, dim).compose(compression(keep, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,9 @@ class LinearMap:
     storage unless asked to.
     """
 
-    def __init__(self, domain_dim, codomain_dim, *, apply_fn, name=""):
+    def __init__(self, domain_dim, codomain_dim, *, apply_fn):
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
-        self.name = name
         self._apply_fn = apply_fn
         self._matrix = None
 
@@ -106,16 +105,14 @@ class LinearMap:
             other.domain_dim,
             self.codomain_dim,
             apply_fn=lambda a: self.apply(other.apply(a)),
-            name=f"{self.name}*{other.name}",
         )
 
     @staticmethod
     def identity(dim: int) -> "LinearMap":
-        return LinearMap(dim, dim, apply_fn=lambda a: a, name=f"id_{dim}")
+        return LinearMap(dim, dim, apply_fn=lambda a: a)
 
     def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"LinearMap({self.domain_dim} -> {self.codomain_dim}{tag})"
+        return f"LinearMap({self.domain_dim} -> {self.codomain_dim})"
 
 
 def apply_amplified(phi: LinearMap, m: np.ndarray, n: int) -> np.ndarray:
@@ -137,7 +134,6 @@ def amplify(phi: LinearMap, n: int) -> LinearMap:
         n * phi.domain_dim,
         n * phi.codomain_dim,
         apply_fn=lambda m: apply_amplified(phi, m, n),
-        name=f"id_{n}(x){phi.name}" if phi.name else "",
     )
 
 
@@ -248,15 +244,15 @@ def _selector(sel, dim: int) -> np.ndarray:
     return sel
 
 
-def compression(sel, domain_dim: int, name: str = "") -> LinearMap:
+def compression(sel, domain_dim: int) -> LinearMap:
     """The compression T -> J* T J = T[sel, sel] on M_{domain_dim}, J the
     coordinate inclusion of l^p(sel); :func:`compression_cb` certifies it."""
     sel = _selector(sel, domain_dim)
     grid = np.ix_(sel, sel)
-    return LinearMap(domain_dim, sel.size, apply_fn=lambda t: t[grid], name=name)
+    return LinearMap(domain_dim, sel.size, apply_fn=lambda t: t[grid])
 
 
-def embedding(sel, codomain_dim: int, name: str = "") -> LinearMap:
+def embedding(sel, codomain_dim: int) -> LinearMap:
     """The adjoint of :func:`compression`: M -> J M J*, M placed at the rows
     and columns ``sel`` of a zero matrix; a complete isometry for every p."""
     sel = _selector(sel, codomain_dim)
@@ -267,7 +263,7 @@ def embedding(sel, codomain_dim: int, name: str = "") -> LinearMap:
         out[grid] = m
         return out
 
-    return LinearMap(sel.size, codomain_dim, apply_fn=pad, name=name)
+    return LinearMap(sel.size, codomain_dim, apply_fn=pad)
 
 
 def compression_cb(sel, domain_dim: int, n_max: int) -> CbEstimate:

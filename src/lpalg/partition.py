@@ -60,34 +60,37 @@ class PartitionOfUnity:
 
     points: one sample point index per bump, lying inside that bump's patch.
     bumps:  array of shape (n_bumps, n_points), bump i as a vector of values.
-    cover:  per bump, the sorted grid indices of its patch; the bump must
-            vanish off its patch.
+    cover:  boolean array of the same shape, row i the patch of bump i; the
+            bump must vanish off its patch.
     """
 
     points: tuple
     bumps: np.ndarray
-    cover: tuple
+    cover: np.ndarray
 
     def __post_init__(self):
         bumps = np.asarray(self.bumps, dtype=float)
         if bumps.ndim != 2 or bumps.shape[0] == 0:
             raise ValueError("bumps must be a nonempty (n_bumps, n_points) array")
+        cover = np.asarray(self.cover)
+        if cover.dtype != bool or cover.shape != bumps.shape:
+            raise ValueError(f"cover must be a boolean array of shape {bumps.shape}, got {cover.dtype} {cover.shape}")
         points = tuple(int(y) for y in self.points)
-        cover = tuple(tuple(int(j) for j in patch) for patch in self.cover)
-        if len(points) != bumps.shape[0] or len(cover) != bumps.shape[0]:
-            raise ValueError("need exactly one sample point and one patch per bump")
+        if len(points) != bumps.shape[0]:
+            raise ValueError("need exactly one sample point per bump")
         if bumps.min() < 0.0:
             raise ValueError("bumps must be nonnegative")
         colsums = bumps.sum(axis=0)
         worst = float(np.abs(colsums - 1.0).max())
         if worst > _SUM_TOL:
             raise ValueError(f"bumps must sum to 1 at every grid point (off by {worst:.3e})")
-        rows = np.repeat(np.arange(len(cover)), [len(patch) for patch in cover])
-        cols = np.array([j for patch in cover for j in patch], dtype=np.int64)
-        on_grid = (cols >= 0) & (cols < bumps.shape[1])  # listed indices off the grid hold no value
-        stray = bumps != 0.0  # one mask: the nonzeros of each bump off its patch
-        stray[rows[on_grid], cols[on_grid]] = False
-        lost = np.bincount(rows[cols == np.asarray(points)[rows]], minlength=len(points)) == 0
+        pts = np.array(points)
+        off = (pts < 0) | (pts >= bumps.shape[1])
+        if off.any():
+            i = int(off.argmax())
+            raise ValueError(f"sample point {points[i]} of bump {i} is off the grid")
+        stray = (bumps != 0.0) & ~cover  # the nonzeros of each bump off its patch
+        lost = ~cover[np.arange(len(points)), pts]
         i = int((stray.any(axis=1) | lost).argmax())  # the first failing bump, if any
         if stray[i].any():
             raise ValueError(f"bump {i} is nonzero outside its patch at {np.flatnonzero(stray[i]).tolist()}")
@@ -145,8 +148,7 @@ def circle_partition(n_points: int = 64, n_arcs: int = 8) -> PartitionOfUnity:
     dist = np.abs(j[None, :] - centers[:, None])
     dist = np.minimum(dist, n_points - dist)
     bumps = np.clip(1.0 - dist / spacing, 0.0, None)
-    cover = tuple(tuple(np.nonzero(dist[i] <= spacing)[0].tolist()) for i in range(n_arcs))
-    return PartitionOfUnity(points=tuple(int(c) for c in centers), bumps=bumps, cover=cover)
+    return PartitionOfUnity(points=tuple(centers.tolist()), bumps=bumps, cover=dist <= spacing)
 
 
 def cx_point_eval_phi(f_values, points) -> np.ndarray:
@@ -199,11 +201,8 @@ def partition_roundtrip(partition: PartitionOfUnity, f_values) -> dict:
         raise ValueError(f"expected {partition.n_points} grid values, got {f.size}")
     recon = cx_partition_psi(cx_point_eval_phi(f, partition.points), partition)
     error = float(np.abs(recon - f).max())
-    bound = 0.0
-    for i, patch in enumerate(partition.cover):
-        patch_vals = f[np.asarray(patch, dtype=int)]
-        bound = max(bound, float(np.abs(patch_vals - f[partition.points[i]]).max()))
-    return {"error": error, "bound": bound}
+    moves = np.abs(f - f[list(partition.points)][:, None])  # row i: |f(x) - f(y_i)| over the grid
+    return {"error": error, "bound": float(moves.max(where=partition.cover, initial=0.0))}
 
 
 # ---------------------------------------------------------------------------

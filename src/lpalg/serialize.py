@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .crossed import CcElement, IsometricAction, cyclic_coordinate_rotation, trivial_action
-from .groups import group_from_descriptor
+from .groups import as_integer, group_from_descriptor
 from .opspace import LinearMap
 
 __all__ = [
@@ -95,7 +95,7 @@ def matrix_to_obj(a) -> dict:
 
 def matrix_from_obj(obj) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = as_integer(obj["rows"], "rows"), as_integer(obj["cols"], "cols")
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: missing {exc}") from exc
@@ -147,7 +147,7 @@ def cc_element_from_obj(obj) -> CcElement:
         raise ValueError(f"malformed element object: missing {exc}") from exc
     coeffs = {}
     for item in raw:
-        s = int(item["s"])
+        s = as_integer(item["s"], "s")
         if s in coeffs:
             raise ValueError(f"duplicate coefficient for group element {s}")
         coeffs[s] = matrix_from_obj(item["matrix"])
@@ -161,13 +161,13 @@ def action_from_obj(obj, carrier=None) -> IsometricAction:
     carries its own group (rotations do)."""
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "rotation":
-        return cyclic_coordinate_rotation(int(obj["n"]), int(obj["k"]))
+        return cyclic_coordinate_rotation(as_integer(obj["n"], "n"), as_integer(obj["k"], "k"))
     if kind not in ("trivial", "implementers", "z_generator"):
         raise ValueError(f"unknown action descriptor type {kind!r}")
     if carrier is None:
         raise ValueError(f"a {kind} action descriptor needs the group it acts for")
     if kind == "trivial":
-        return trivial_action(carrier, int(obj["dim"]))
+        return trivial_action(carrier, as_integer(obj["dim"], "dim"))
     if kind == "implementers":
         return IsometricAction(carrier, unitaries=[matrix_from_obj(m) for m in obj["matrices"]])
     return IsometricAction(carrier, generator=matrix_from_obj(obj["matrix"]))

@@ -126,16 +126,14 @@ def criterion_2(seed: int):
 
 
 def _table_test_groups():
-    klein = group_from_table(
-        [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], name="klein4"
-    )
+    klein = group_from_table([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
     perms = sorted(permutations(range(3)))
     index = {pi: i for i, pi in enumerate(perms)}
     mult = [
         [index[tuple(pi[pj[x]] for x in range(3))] for pj in perms]
         for pi in perms
     ]
-    sym3 = group_from_table(mult, name="sym3")
+    sym3 = group_from_table(mult)
     return [klein, sym3]
 
 
@@ -165,7 +163,7 @@ def _phased_actions(n: int):
     else:
         gen_mat = -shift if n % 2 == 0 else shift
     mats = [np.linalg.matrix_power(gen_mat, s) for s in range(n)]
-    actions.append(IsometricAction(cyclic_group(n), unitaries=mats, name="phased"))
+    actions.append(IsometricAction(cyclic_group(n), unitaries=mats))
     return actions
 
 
@@ -408,7 +406,7 @@ def criterion_11(seed: int):
     d = 2
     shrink = 1.0 - 1e-3
     phi = LinearMap.identity(d)
-    psi = LinearMap(d, d, apply_fn=lambda x: shrink * np.asarray(x, dtype=complex), name="shrink")
+    psi = LinearMap(d, d, apply_fn=lambda x: shrink * np.asarray(x, dtype=complex))
     cb, cb2 = compression_cb(np.arange(d), d, 1), _shrink_cb(d, shrink)
     lift_ok = True
     lift_rows = []

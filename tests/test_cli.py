@@ -173,6 +173,14 @@ def test_crossed_group_mismatch_is_input_error(element_file, capsys):
     assert main(["crossed", "--elements", element_file, "--group", "cyclic:4"]) == 2
 
 
+def test_crossed_refuses_a_non_integer_group_element(tmp_path, capsys):
+    obj = cc_element_to_obj(CcElement.delta(ZWindow(1), 1, np.eye(1, dtype=complex)))
+    obj["coeffs"][0]["s"] = 1.7  # once truncated to s = 1, with exit 0
+    path = _write(tmp_path / "f.json", obj)
+    assert main(["crossed", "--elements", path]) == 2
+    assert "s must be an integer, got 1.7" in capsys.readouterr().err
+
+
 def test_witness_passes_on_window_element(element_file, capsys):
     # the CSV row carries the JSON element's fields, the upper bound that
     # sizes F among them, with the bits of the JSON report

@@ -254,6 +254,14 @@ def test_convolution_identity_element():
 # coefficient algebra
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("key", [1.5, 1.0, "1", True])
+def test_cc_element_group_elements_must_be_integers(key):
+    # {1.5: I} used to become the element with support (1,)
+    with pytest.raises(ValueError, match="^group element must be an integer, got "):
+        CcElement(ZWindow(0), {key: np.eye(1)})
+    assert CcElement(ZWindow(0), {np.int64(1): np.eye(1)}).support == (1,)
+
+
 def test_cc_element_prunes_zero_coefficients():
     carrier = cyclic_group(4)
     f = CcElement(carrier, {0: np.eye(2, dtype=complex), 1: np.zeros((2, 2), dtype=complex)})

@@ -168,6 +168,7 @@ def test_cyclic_arithmetic_agrees_with_the_addition_table(n):
 def test_folner_set_members_sorted_and_validated():
     f = FolnerSet(ZWindow(5), (3, -1, 0))
     assert f.members == (-1, 0, 3)
+    assert FolnerSet(ZWindow(5), (np.int64(2), np.int32(-1))).members == (-1, 2)
     with pytest.raises(ValueError):
         FolnerSet(ZWindow(5), (2, 2))
     with pytest.raises(ValueError):
@@ -181,19 +182,22 @@ def test_translate_set_on_interval():
     assert folner_ratio(f, 2) == pytest.approx(0.4, abs=1e-15)
 
 
+TRANSLATE_CARRIERS = {"Z": ZWindow(50), "Z/12": cyclic_group(12), "sym3": _table_test_groups()[1]}
+
+
+@pytest.mark.parametrize("carrier", TRANSLATE_CARRIERS.values(), ids=TRANSLATE_CARRIERS.keys())
 @seed(3)
 @settings(max_examples=50, deadline=None)
-@given(
-    members=st.frozensets(st.integers(min_value=-40, max_value=40), min_size=1, max_size=25),
-    s=st.integers(min_value=-6, max_value=6),
-)
-def test_intersection_symmetric_difference_identity(members, s):
-    f = FolnerSet(ZWindow(50), tuple(members))
-    shifted = {m + s for m in members}
-    inter = folner_intersection(f, s)
-    assert 2 * inter == 2 * len(members) - len(members ^ shifted)
-    assert folner_ratio(f, s) == pytest.approx(
-        len(members ^ shifted) / len(members), abs=1e-15)
+@given(data=st.data())
+def test_intersection_symmetric_difference_identity(carrier, data):
+    elements = st.integers(-40, 40) if carrier.order is None else st.integers(0, carrier.order - 1)
+    members = data.draw(st.frozensets(elements, min_size=1, max_size=25))
+    s = data.draw(st.integers(-6, 6) if carrier.order is None else elements)
+    f = FolnerSet(carrier, tuple(members))
+    shifted = {int(carrier.op(s, t)) for t in members}  # left translation s t, one element at a time
+    assert translate_set(f, s) == shifted
+    assert 2 * folner_intersection(f, s) == 2 * len(members) - len(members ^ shifted)
+    assert folner_ratio(f, s) == len(members ^ shifted) / len(members)
 
 
 def test_folner_search_on_integers():
@@ -239,6 +243,26 @@ def test_descriptor_round_trip_integers():
     back = group_from_descriptor(w.descriptor())
     assert isinstance(back, ZWindow)
     assert back.radius == 7
+
+
+@pytest.mark.parametrize("members", [(0.5, 1.7), (0, 2.0), (True,), ("1",)])
+def test_folner_set_members_must_be_integers(members):
+    # a member is never truncated or parsed: (0.5, 1.7) used to become (0, 1)
+    with pytest.raises(ValueError, match="Folner set member must be an integer"):
+        FolnerSet(ZWindow(5), members)
+
+
+@pytest.mark.parametrize("desc, field", [
+    ({"type": "cyclic", "n": 4.9}, "n"),
+    ({"type": "cyclic", "n": "2"}, "n"),
+    ({"type": "cyclic", "n": True}, "n"),
+    ({"type": "z_window", "radius": 1.5}, "radius"),
+    ({"type": "z_window", "radius": "3"}, "radius"),
+])
+def test_descriptor_sizes_must_be_integers(desc, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        group_from_descriptor(desc)
+    assert group_from_descriptor({**desc, field: np.int64(4)}).descriptor()[field] == 4
 
 
 def test_descriptor_rejects_garbage():

@@ -30,7 +30,7 @@ def test_partition_shapes():
     part = circle_partition(16, 4)
     assert part.bumps.shape == (4, 16)
     assert part.points == (0, 4, 8, 12)
-    assert len(part.cover) == 4
+    assert part.cover.shape == (4, 16) and part.cover.dtype == bool
 
 
 def test_roundtrip_coordinate_function():
@@ -116,11 +116,13 @@ def test_partition_validation():
 
 
 def _with_cover(part, **changes):
-    """The partition's points and cover with some patches or points replaced."""
-    cover = list(part.cover)
+    """The partition's points and cover with some patches (given by their
+    grid indices) or points replaced."""
+    cover = part.cover.copy()
     points = list(part.points)
     for i, patch in changes.get("cover", {}).items():
-        cover[i] = patch
+        cover[i] = False
+        cover[i, list(patch)] = True
     for i, y in changes.get("points", {}).items():
         points[i] = y
     return PartitionOfUnity(points=points, bumps=part.bumps, cover=cover)
@@ -128,7 +130,7 @@ def _with_cover(part, **changes):
 
 def test_partition_refusals_name_the_first_failing_bump():
     good = circle_partition(12, 4)  # spacing 3: patch i is the 7 points within 3 of 3i
-    assert good.cover[1] == (0, 1, 2, 3, 4, 5, 6)
+    assert np.flatnonzero(good.cover[1]).tolist() == [0, 1, 2, 3, 4, 5, 6]
     with pytest.raises(ValueError, match="bumps must be nonnegative"):
         bumps = good.bumps.copy()
         bumps[0, 0] = -1e-300
@@ -143,7 +145,38 @@ def test_partition_refusals_name_the_first_failing_bump():
         _with_cover(good, points={1: 7, 2: 0})
     # within one bump a stray nonzero is named before its sample point
     with pytest.raises(ValueError, match=re.escape("bump 2 is nonzero outside its patch at [4]")):
-        _with_cover(good, cover={2: (5, 6, 7, 8, 9, 10, -1)}, points={2: 11, 3: 0})
-    # patch entries outside the grid hold no bump value, so only listing counts
-    kept = _with_cover(good, cover={0: good.cover[0] + (12, -4)}, points={0: 12})
-    assert kept.points[0] == 12 and kept.cover[0][-2:] == (12, -4)
+        _with_cover(good, cover={2: (5, 6, 7, 8, 9, 10)}, points={2: 11, 3: 0})
+    # a patch is a row of the grid's mask, so it cannot reach off the grid,
+    # and neither can a sample point
+    with pytest.raises(ValueError, match=re.escape("cover must be a boolean array of shape (4, 12)")):
+        PartitionOfUnity(points=good.points, bumps=good.bumps, cover=np.pad(good.cover, ((0, 0), (0, 2))))
+    for y in (12, -4):
+        with pytest.raises(ValueError, match=re.escape(f"sample point {y} of bump 0 is off the grid")):
+            _with_cover(good, points={0: y})
+
+
+@pytest.mark.parametrize("cover", [
+    lambda c: c.astype(int),
+    lambda c: c.astype(float),
+    lambda c: c[:, :-1],
+    lambda c: c[:-1],
+    lambda c: c.T,
+    lambda c: tuple(tuple(np.flatnonzero(row).tolist()) for row in c),  # patches as index tuples
+], ids=["int", "float", "short rows", "missing patch", "transposed", "index tuples"])
+def test_partition_refuses_a_cover_of_the_wrong_shape_or_dtype(cover):
+    good = circle_partition(8, 2)
+    with pytest.raises(ValueError, match="cover must be a boolean array of shape"):
+        PartitionOfUnity(points=good.points, bumps=good.bumps, cover=cover(good.cover))
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (6, 3), (8, 8), (12, 4), (12, 6), (16, 4), (30, 5), (64, 8)])
+def test_oscillation_bound_is_the_largest_move_over_each_patch(n, k):
+    part = circle_partition(n, k)
+    rng = np.random.default_rng(n * 100 + k)
+    samples = [circle_function(name, n) for name in ("one", "z", "z2", "re_z")]
+    samples.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    for f in samples:
+        # one patch at a time, as index arrays (Python's scalar abs may round
+        # a complex modulus one ulp away from numpy's array abs)
+        brute = max(float(np.abs(f[np.flatnonzero(patch)] - f[y]).max()) for y, patch in zip(part.points, part.cover))
+        assert partition_roundtrip(part, f)["bound"] == brute

@@ -63,6 +63,15 @@ def test_matrix_obj_validation():
         matrix_from_obj({"rows": 1, "cols": 1, "entries": [["inf", 0.0]]})
 
 
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("value", [1.0, 1.5, "1", True])
+def test_matrix_obj_sizes_must_be_integers(field, value):
+    obj = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]], field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        matrix_from_obj(obj)
+    assert matrix_from_obj({**obj, field: np.int64(1)}).shape == (1, 1)
+
+
 def test_cc_element_round_trip_finite():
     carrier = cyclic_group(6)
     rng = np.random.default_rng(1)
@@ -89,6 +98,27 @@ def test_cc_element_obj_rejects_duplicate_support():
     obj["coeffs"] = obj["coeffs"] + obj["coeffs"]
     with pytest.raises(ValueError):
         cc_element_from_obj(obj)
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0, "1", True])
+def test_cc_element_obj_elements_must_be_integers(value):
+    # s = 1.7 used to run as s = 1
+    obj = cc_element_to_obj(CcElement.delta(ZWindow(1), 1, np.eye(1, dtype=complex)))
+    obj["coeffs"][0]["s"] = value
+    with pytest.raises(ValueError, match="^s must be an integer, got "):
+        cc_element_from_obj(obj)
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"type": "rotation", "n": 5.5, "k": 2}, "n"),
+    ({"type": "rotation", "n": 5, "k": "2"}, "k"),
+    ({"type": "trivial", "dim": 2.0}, "dim"),
+    ({"type": "trivial", "dim": True}, "dim"),
+])
+def test_action_obj_sizes_must_be_integers(obj, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        action_from_obj(obj, carrier=cyclic_group(5))
+    assert action_from_obj({**obj, field: np.int64(1)}, carrier=cyclic_group(5)).base_dim >= 1
 
 
 def test_action_round_trip_rotation():
