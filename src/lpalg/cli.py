@@ -214,7 +214,6 @@ def _cmd_witness(args) -> int:
         f.carrier,
         action,
         _parse_p(args.p),
-        n_max=args.k_max,
     )
     payload = {"command": "witness", **report}
     rows = [[e[key] for key in WITNESS_CSV_HEADER] for e in report["elements"]]
@@ -305,11 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(c)
     c.set_defaults(handler=_cmd_crossed)
 
-    c = sub.add_parser("witness", help=f"end-to-end nuclearity witness (CSV: {','.join(WITNESS_CSV_HEADER)})")
+    c = sub.add_parser("witness", help=f"end-to-end nuclearity witness (CSV: {','.join(WITNESS_CSV_HEADER)}); "
+                                       "its certificates hold at every amplification level and list levels 1 and 2")
     element_inputs(c)
     c.add_argument("--epsilon", type=float, required=True, help="round-trip error budget")
-    c.add_argument("--k-max", type=int, default=2, dest="k_max",
-                   help="largest certificate amplification level")
     common(c, p_default="1.5", seeded=False)
     c.set_defaults(handler=_cmd_witness)
 

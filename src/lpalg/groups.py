@@ -203,13 +203,17 @@ class ZWindow:
 def group_from_table(mult) -> FiniteGroup:
     """Build and validate a FiniteGroup from a multiplication table.
 
-    Checks closure, the existence of a two-sided identity and of inverses,
-    and associativity (exhaustively up to order 24, on 2000 random triples
-    beyond that).
+    Checks that every entry is an integer (a bool or a float is refused, not
+    truncated), closure, the existence of a two-sided identity and of
+    inverses, and associativity (exhaustively up to order 24, on 2000
+    random triples beyond that).
     """
-    table = np.asarray(mult, dtype=np.int64)
+    table = np.asarray(mult)
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:
         raise ValueError(f"multiplication table must be square and nonempty, got {table.shape}")
+    for entry in np.asarray(mult, dtype=object).flat:  # numpy reads [0, True] as int64
+        as_integer(entry, "a multiplication table entry")
+    table = table.astype(np.int64)
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:
         raise ValueError("table entries must be element indices 0..n-1")

@@ -17,8 +17,8 @@ each certificate's kind.  phi is a coordinate compression.  By covariance
 psi(M) = R (id_F (x) pi)(M) S, where the middle map is a direct sum of
 conjugations by phased permutations (this is where the action must be
 p-completely isometric) and R, S are monomial with norm 1, read off |F|
-(``folner_psi_cb``), so every level of either certificate is a proved
-upper bound, 1 up to rounding, with no sampling.
+(``opspace.averaging_cb``, at count 1 for phi), so either certificate is a
+proved upper bound at every level, 1 up to rounding, with no sampling.
 The remaining operations supply the bookkeeping lemmas: amplification and
 corner stability, window truncation, and the triangle-inequality
 composition of two approximations.  Like phi, the corner maps and the
@@ -85,14 +85,11 @@ from .partition import (
 __all__ = [
     "Factorization",
     "compose_factorizations",
-    "corner_embed",
-    "corner_project",
     "corner_restrict",
     "crossed_nuclearity_witness",
     "folner_phi",
     "folner_phi_map",
     "folner_psi",
-    "folner_psi_cb",
     "folner_psi_map",
     "folner_roundtrip",
     "lift_factorization",
@@ -177,7 +174,7 @@ def folner_phi(f: CcElement, folner: FolnerSet, rep: CovariantRep) -> np.ndarray
 
 def folner_phi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
     """The compression T -> (P_F (x) I) T (P_F (x) I) to the F blocks;
-    ``compression_cb`` certifies it with levels 1."""
+    ``averaging_cb`` at count 1 certifies it with levels 1."""
     return compression(rep.block_selector(folner.members), rep.dimension)
 
 
@@ -215,25 +212,13 @@ def folner_psi(m, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
 
 
 def folner_psi_map(folner: FolnerSet, rep: CovariantRep) -> LinearMap:
-    """The averaging map as a map on matrices; :func:`folner_psi_cb`
-    certifies it."""
+    """The averaging map as a map on matrices; ``averaging_cb`` at count |F|
+    certifies it (see :func:`crossed_nuclearity_witness`)."""
     return LinearMap(
         folner.size * rep.base_dim,
         rep.dimension,
         apply_fn=lambda m: folner_psi(m, folner, rep),
     )
-
-
-def folner_psi_cb(folner: FolnerSet, rep: CovariantRep, n_max: int) -> CbEstimate:
-    """Structural cb certificate of the averaging map: :func:`averaging_cb`
-    at count k = |F|.  By covariance psi(M) = R (id_F (x) pi)(M) S, with
-    R = k^{-1/q} [v(s)]_{s in F}, S = k^{-1/p} [v(t)^{-1}]_{t in F}, and
-    id_F (x) pi p-completely isometric.  On a Z window {-W..W} the factors
-    are P_W R and S P_W, with middle positions in the window of radius
-    W + max|F|, where each window position x meets each s in F exactly once
-    (at s^{-1}x): every row of P_W R and column of S P_W holds k entries.  On
-    a finite group both windows are G."""
-    return averaging_cb(folner.size, rep.p, n_max)
 
 
 def sum_upper(terms) -> float:
@@ -244,50 +229,58 @@ def sum_upper(terms) -> float:
     return math.fsum(terms) * (1.0 + 2.0**-50)
 
 
-def _roundtrip_bound(f: CcElement, ratios: dict, p, uppers=None) -> float:
+def _roundtrip_bound(f: CcElement, ratios: dict, uppers: dict) -> float:
     """Proved defect budget sum_s |1 - r_s| ||a_s||_p, r_s = |F cap sF|/|F| by
-    s in ``ratios``, rounded outward; ||pi(a) v(s)|| <= ||a|| on every window.
-    The computed r_s <= 1, the factor psi applies, is within 2^-54 of the
-    exact ratio, so |1 - r_s| + 2^-54 bounds the exact and the computed
-    defect.  A ratio of exactly 1 adds 0.0 and takes no bound.  ``uppers``
-    maps s to ``pnorm_upper``(a_s) where the caller has it."""
-    return sum_upper([(abs(1.0 - ratios[s]) + 2.0**-54) * (pnorm_upper(a, p) if uppers is None else uppers[s])
-                      for s, a in f.items() if ratios[s] != 1.0])
+    s in ``ratios``, rounded outward; ``uppers`` maps s to ``pnorm_upper``(a_s),
+    and ||pi(a) v(s)|| <= ||a|| on every window.  The computed r_s <= 1, the
+    factor psi applies, is within 2^-54 of the exact ratio, so
+    |1 - r_s| + 2^-54 bounds the exact and the computed defect.  A ratio of
+    exactly 1 adds 0.0 and reads no bound."""
+    return sum_upper([(abs(1.0 - ratios[s]) + 2.0**-54) * uppers[s] for s in f.support if ratios[s] != 1.0])
 
 
-def _element_norm(f: CcElement, rep: CovariantRep, **est_opts) -> float:
+def _element_norm(f: CcElement, rep: CovariantRep) -> float:
     """Estimate ||pi(f)||: a single term a delta_s on a, whose form permutes
     blocks alpha_t(a) that phased permutations conjugate from a, so it has
     norm ||a||_p on every window that holds a block (the witness's does);
     any other element on its integrated form."""
     terms = list(f.items())
-    return pnorm_estimate(terms[0][1] if len(terms) == 1 else rep.integrated(f), rep.p, **est_opts).value
+    return pnorm_estimate(terms[0][1] if len(terms) == 1 else rep.integrated(f), rep.p).value
 
 
-def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep, *, norm=None, uppers=None,
-                     **est_opts) -> dict:
-    """Measure ||psi(phi(f)) - f|| (a lower bound) and its proved budget.
+def _roundtrip(f: CcElement, ratios: dict, norm: float, uppers: dict, rep: CovariantRep) -> dict:
+    """||psi(phi(f)) - f|| (a lower bound) and its proved budget, from the
+    ratios r_s = |F cap sF|/|F| by s (at least over supp f), an estimate
+    ``norm`` of ||pi(f)||, read only when the r_s agree at r < 1, and the
+    ``pnorm_upper`` of each a_s by s, read only where r_s < 1.
 
-    psi(phi(f)) scales each a_s by r_s = |F cap sF|/|F|, so neither map is
-    run: the defect is g = sum over r_s != 1 of (r_s - 1) a_s delta_s, with
-    error and budget exactly 0.0 when every r_s is 1.  When the r_s agree at
-    r, the error is |1 - r| times ``norm``, the caller's estimate of ||pi(f)||
-    (:func:`_element_norm` if not given); otherwise :func:`_element_norm` of
-    g, which keeps every nonzero term, so the error scales with f.  The
-    budget of :func:`_roundtrip_bound` takes ``uppers``, each coefficient's
-    ``pnorm_upper`` by group element (computed if not given).
+    psi(phi(f)) scales each a_s by r_s, so neither map is run: the defect is
+    g = sum over r_s != 1 of (r_s - 1) a_s delta_s, with error and budget
+    exactly 0.0 when every r_s is 1.  When the r_s agree at r, the error is
+    |1 - r| ``norm``; otherwise :func:`_element_norm` of g, which keeps every
+    nonzero term, so the error scales with f.
     """
-    ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
-    agreed = set(ratios.values())
+    agreed = {ratios[s] for s in f.support}
     if agreed <= {1.0}:
         return {"error": 0.0, "bound": 0.0}
     if len(agreed) == 1:
-        error = abs(1.0 - agreed.pop()) * (_element_norm(f, rep, **est_opts) if norm is None else norm)
+        error = abs(1.0 - agreed.pop()) * norm
     else:
         g = CcElement(f.carrier, {s: (ratios[s] - 1.0) * a for s, a in f.items() if ratios[s] != 1.0},
                       base_dim=f.base_dim)
-        error = _element_norm(g, rep, **est_opts)
-    return {"error": float(error), "bound": _roundtrip_bound(f, ratios, rep.p, uppers)}
+        error = _element_norm(g, rep)
+    return {"error": float(error), "bound": _roundtrip_bound(f, ratios, uppers)}
+
+
+def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep) -> dict:
+    """Measure ||psi(phi(f)) - f|| (a lower bound) and its proved budget by
+    :func:`_roundtrip`, estimating ||pi(f)|| and each ``pnorm_upper``(a_s)
+    only where the rule reads them."""
+    ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
+    agreed = set(ratios.values())
+    norm = _element_norm(f, rep) if len(agreed) == 1 and agreed != {1.0} else math.nan
+    uppers = {s: pnorm_upper(a, rep.p) for s, a in f.items() if ratios[s] != 1.0}
+    return _roundtrip(f, ratios, norm, uppers, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +319,6 @@ def lift_factorization(fact: Factorization, n: int, entries: dict) -> Factorizat
     )
 
 
-def corner_embed(outer: int, dim: int) -> LinearMap:
-    """a -> e_{1,1} (x) a, the completely isometric corner embedding."""
-    return embedding(np.arange(dim), outer * dim)
-
-
-def corner_project(outer: int, dim: int) -> LinearMap:
-    """X -> (1,1) block, the completely contractive corner projection."""
-    return compression(np.arange(dim), outer * dim)
-
-
 def corner_restrict(fact: Factorization, outer: int, *, test_elements: dict) -> Factorization:
     """Restrict a factorization of M_outer (x) A to one of A via the corner.
 
@@ -350,8 +333,8 @@ def corner_restrict(fact: Factorization, outer: int, *, test_elements: dict) -> 
     if big % outer != 0:
         raise ValueError("outer block count must divide the factorization's domain dimension")
     dim = big // outer
-    iota = corner_embed(outer, dim)
-    rho = corner_project(outer, dim)
+    iota = embedding(np.arange(dim), big)
+    rho = compression(np.arange(dim), big)
     phi2 = fact.phi.compose(iota)
     psi2 = rho.compose(fact.psi)
     return Factorization(
@@ -450,7 +433,6 @@ def crossed_nuclearity_witness(
     p,
     *,
     rng=None,
-    n_max: int = 2,
 ) -> tuple:
     """Build and check a full approximation witness for crossed elements.
 
@@ -459,15 +441,23 @@ def crossed_nuclearity_witness(
     ``folner_search`` picks F with translate ratios below eps/(3M) for every
     support shift, and one representation, of radius max|s| + |F| on Z,
     holds every translate the round trip reaches.  Both Folner maps are
-    certified by their form in closed form (``compression_cb`` for phi,
-    ``folner_psi_cb`` for psi), and ``Factorization`` refuses any
-    certificate that is not such a proof.
-    Each element's norm is estimated once (its ``reduced_norm``, a single
-    term's on its coefficient), and :func:`folner_roundtrip` takes it and
-    gives the budget from the ``pnorm_upper`` of each coefficient that M
-    sums, computed once.  A round trip whose ratios agree has error
-    |1 - r| ``reduced_norm`` (exactly 0.0 on a finite group, where F = G);
-    the rest estimate their defect element, with no Folner map run.
+    certified by their form in closed form, and ``Factorization`` refuses
+    any certificate that is not such a proof.  phi, built once, is the
+    compression ``averaging_cb`` certifies at count 1.  By covariance
+    psi(M) = R (id_F (x) pi)(M) S, with R = k^{-1/q} [v(s)]_{s in F},
+    S = k^{-1/p} [v(t)^{-1}]_{t in F}, k = |F|, and id_F (x) pi p-completely
+    isometric.  On a Z window {-W..W} the factors are P_W R and S P_W, with
+    middle positions in the window of radius W + max|F|, where each window
+    position x meets each s in F exactly once (at s^{-1}x): every row of
+    P_W R and column of S P_W holds k entries, so ``averaging_cb`` at count
+    k certifies psi.  On a finite group both windows are G.
+    |F cap sF| is counted once per support shift.  Each element's norm is
+    estimated once (its ``reduced_norm``, a single term's on its
+    coefficient), and the round-trip rule of :func:`folner_roundtrip` takes
+    it and the ``pnorm_upper`` of each coefficient that M sums, computed
+    once.  A round trip whose ratios agree has error |1 - r|
+    ``reduced_norm`` (exactly 0.0 on a finite group, where F = G); the rest
+    estimate their defect element, with no Folner map run.
     ``passed`` holds when every budget is below eps, so it rests on upper
     bounds only.  The report records per element the two lower-bound
     diagnostics, ``norm_upper`` and the budget, both certificates with their
@@ -485,13 +475,13 @@ def crossed_nuclearity_witness(
     folner = folner_search(carrier, supports, eps / (3.0 * max(*norm_uppers, 1e-9)))
     rep = CovariantRep(algebra, action, pe, window_radius=max(map(abs, supports), default=0) + folner.size)
 
-    phi_cb = compression_cb(rep.block_selector(folner.members), rep.dimension, n_max)
-    psi_cb = folner_psi_cb(folner, rep, n_max)
+    phi_cb, psi_cb = averaging_cb(1, pe), averaging_cb(folner.size, pe)
 
+    ratios = {s: folner_intersection(folner, s) / folner.size for s in supports}
     elements = []
     for i, (f, coeff_uppers, upper) in enumerate(zip(fs, uppers, norm_uppers)):
         norm = _element_norm(f, rep)
-        rt = folner_roundtrip(f, folner, rep, norm=norm, uppers=coeff_uppers)
+        rt = _roundtrip(f, ratios, norm, coeff_uppers, rep)
         elements.append({"id": f"f{i}", "reduced_norm": norm, "norm_upper": upper,
                          "roundtrip_error": rt["error"], "bound": rt["bound"]})
     fact = Factorization(folner_phi_map(folner, rep), folner_psi_map(folner, rep), phi_cb, psi_cb,
@@ -555,8 +545,8 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None) -> dict:
     n_arcs = n // 2 if (n % 2 == 0 and n >= 6) else n
     part = circle_partition(n, n_arcs)
     rt = partition_roundtrip(part, circle_function("z", n))
-    part_phi = compression_cb(np.asarray(part.points), part.n_points, 2)
-    part_psi = monomial_cb(*cx_blend_factors(part, pe), pe, 2)
+    part_phi = compression_cb(np.asarray(part.points), part.n_points)
+    part_psi = monomial_cb(*cx_blend_factors(part, pe), pe)
     partition_ok = rt["error"] <= rt["bound"] + 1e-12 and _proved_contractive(part_phi, part_psi)
 
     passed = bool(witness_report["passed"] and commutation_dev <= 1e-12 and partition_ok)

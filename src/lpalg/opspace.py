@@ -191,7 +191,7 @@ def _monomial_entries(factor, one_per: str, what: str) -> tuple[np.ndarray, np.n
     return rows, cols, values
 
 
-def monomial_cb(r, s, p, n_max: int) -> CbEstimate:
+def monomial_cb(r, s, p) -> CbEstimate:
     """Structural cb certificate of a map x -> R (I (x) rho(x)) S with monomial R and S.
 
     R has at most one entry per column and S at most one per row; each is
@@ -204,31 +204,30 @@ def monomial_cb(r, s, p, n_max: int) -> CbEstimate:
     l^q norm of a row of R; dually ||S||_p = ||S*||_q is the largest l^p
     norm of a column of S.  Both hold for every p in [1, inf].  The
     amplification id_{M_n} (x) phi factors through I_n (x) R and I_n (x) S,
-    which have the same norms, so every level n <= n_max gets the proved
-    upper bound ||R|| ||S||, up to the rounding of these few operations.
-    Input with two entries in one column of R or one row of S is refused,
-    as is ``n_max < 1``: a certificate with no levels proves nothing.
+    which have the same norms, so ||R|| ||S||, up to the rounding of these
+    few operations, is a proved upper bound at every level n at once; the
+    certificate lists it at levels 1 and 2.  Input with two entries in one
+    column of R or one row of S is refused.
     """
     pe = as_exponent(p)
     r_rows, _, r_values = _monomial_entries(r, "column", "R")
     _, s_cols, s_values = _monomial_entries(s, "row", "S")
-    return _structural(_monomial_norm(r_rows, r_values, pe.q) * _monomial_norm(s_cols, s_values, pe.p), n_max)
+    return _structural(_monomial_norm(r_rows, r_values, pe.q) * _monomial_norm(s_cols, s_values, pe.p))
 
 
-def averaging_cb(count: int, p, n_max: int) -> CbEstimate:
+def averaging_cb(count: int, p) -> CbEstimate:
     """:func:`monomial_cb`, bit for bit, of factors with ``count`` entries of
     modulus count^(-1/q) in every row of R and count^(-1/p) in every column
     of S, read off ``count`` with no entry listed (0.0 for count 0)."""
     pe = as_exponent(p)
     norms = [_row_norm(count ** (-1.0 / r), count, r) for r in (pe.q, pe.p)] if count else [0.0, 0.0]
-    return _structural(norms[0] * norms[1], n_max)
+    return _structural(norms[0] * norms[1])
 
 
-def _structural(bound: float, n_max: int) -> CbEstimate:
-    """The structural certificate with ``bound`` at every level n <= n_max."""
-    if n_max < 1:
-        raise ValueError(f"a structural certificate needs at least one level, got n_max={n_max}")
-    return CbEstimate(levels=[(n, bound) for n in range(1, n_max + 1)], kind="structural")
+def _structural(bound: float) -> CbEstimate:
+    """The structural certificate of a bound that holds at every level,
+    listed at levels 1 and 2."""
+    return CbEstimate(levels=[(1, bound), (2, bound)], kind="structural")
 
 
 def _selector(sel, dim: int) -> np.ndarray:
@@ -266,7 +265,7 @@ def embedding(sel, codomain_dim: int) -> LinearMap:
     return LinearMap(sel.size, codomain_dim, apply_fn=pad)
 
 
-def compression_cb(sel, domain_dim: int, n_max: int) -> CbEstimate:
+def compression_cb(sel, domain_dim: int) -> CbEstimate:
     """Structural cb certificate of :func:`compression` on M_{domain_dim}.
 
     J* T J is the :func:`monomial_cb` case R = J*, S = J, rho = id, one entry
@@ -276,7 +275,7 @@ def compression_cb(sel, domain_dim: int, n_max: int) -> CbEstimate:
     all-ones 2 x 2 matrix, of norm 2), so it is refused, as is an index
     outside the domain."""
     sel = _selector(sel, domain_dim)
-    return averaging_cb(1 if sel.size else 0, 1.0, n_max)
+    return averaging_cb(1 if sel.size else 0, 1.0)
 
 
 def _swap_like(n: int, d: int) -> np.ndarray:

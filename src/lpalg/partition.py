@@ -138,8 +138,11 @@ def circle_partition(n_points: int = 64, n_arcs: int = 8) -> PartitionOfUnity:
     With spacing 1 the tents degenerate to coordinate indicators and the
     factorization becomes exact.
     """
-    if n_points < 2 or n_arcs < 1:
-        raise ValueError("need at least two grid points and one arc")
+    if n_points < 2:
+        raise ValueError("need at least two grid points")
+    if n_arcs < 2:
+        raise ValueError(f"need at least two arcs, got {n_arcs}: one tent of half-width n_points "
+                         "never falls to zero on the circle, so it cannot sum to 1")
     if n_points % n_arcs != 0:
         raise ValueError("n_arcs must divide n_points so the centers sit on the grid")
     spacing = n_points // n_arcs

@@ -40,19 +40,16 @@ from .groups import (
 from .lpnorm import adjoint, as_exponent, pnorm_estimate, pnorm_exact, pnorm_oracle
 from .nuclearity import (
     Factorization,
-    corner_embed,
-    corner_project,
     corner_restrict,
     crossed_nuclearity_witness,
     folner_phi_map,
-    folner_psi,
     folner_psi_map,
     lift_factorization,
     measure_roundtrip,
     rotation_demo,
     truncate_map,
 )
-from .opspace import LinearMap, cb_norm_lower, compression_cb, monomial_cb
+from .opspace import LinearMap, cb_norm_lower, compression, compression_cb, embedding, monomial_cb
 from .partition import (
     circle_function,
     circle_partition,
@@ -241,7 +238,7 @@ def criterion_6(seed: int):
         truncate_map(4, 2, 2), 3.0, n_max=3, rng=_rng(seed, 64), **opts
     ).levels
     results["corner_rho"] = cb_norm_lower(
-        corner_project(2, 2), 1.5, n_max=3, rng=_rng(seed, 65), **opts
+        compression(np.arange(2), 4), 1.5, n_max=3, rng=_rng(seed, 65), **opts
     ).levels
 
     part = circle_partition(16, 4)
@@ -254,7 +251,7 @@ def criterion_6(seed: int):
             part, 1.5, n_max=3, trials=4, rng=_rng(seed, 67)
         ).levels,
         "corner_iota": cb_norm_lower(
-            corner_embed(2, 2), 3.0, n_max=3, rng=_rng(seed, 68), **opts
+            embedding(np.arange(2), 4), 3.0, n_max=3, rng=_rng(seed, 68), **opts
         ).levels,
     }
 
@@ -298,18 +295,14 @@ def criterion_7(seed: int):
     return ok, {"pairs": 500, "search_sizes": sizes}
 
 
-def _measured_defect(folner: FolnerSet, rep: CovariantRep, form) -> float:
-    """Estimate ||psi(phi(T)) - T|| for the integrated form T of an element
-    by running the dense pipeline: compress T to the F blocks, average them
-    back, integrate and subtract; a zero defect is 0.0."""
-    diff = folner_psi(folner_phi_map(folner, rep).apply(form), folner, rep) - form
-    return pnorm_estimate(diff, rep.p).value if diff.any() else 0.0
-
-
 def criterion_8(seed: int):
     """Single-term round-trip defect equals the intersection-ratio formula,
     measured through the dense phi/psi pipeline, which ``folner_roundtrip``
     never runs (it reads every defect off the ratios as an element)."""
+
+    def measured(fol, rep, form):
+        return measure_roundtrip(folner_phi_map(fol, rep), folner_psi_map(fol, rep), {"f": form}, rep.p)["f"]
+
     gen = _rng(seed, 8)
     worst = 0.0
     cases = 0
@@ -322,7 +315,7 @@ def criterion_8(seed: int):
             form = rep.integrated(f)
             ratio = folner_intersection(fol, s) / fol.size
             rhs = abs(1.0 - ratio) * pnorm_estimate(form, p).value
-            worst = max(worst, abs(_measured_defect(fol, rep, form) - rhs))
+            worst = max(worst, abs(measured(fol, rep, form) - rhs))
             cases += 1
 
         zw = ZWindow(10)
@@ -333,7 +326,7 @@ def criterion_8(seed: int):
         form = repz.integrated(fz)
         ratio = folner_intersection(folz, 2) / folz.size
         rhs = abs(1.0 - ratio) * pnorm_estimate(form, p).value
-        worst = max(worst, abs(_measured_defect(folz, repz, form) - rhs))
+        worst = max(worst, abs(measured(folz, repz, form) - rhs))
         cases += 1
     return worst <= 1e-8, {"cases": cases, "max_equality_dev": worst}
 
@@ -397,7 +390,7 @@ def criterion_10(seed: int):
 def _shrink_cb(dim: int, c: float):
     """Structural certificate of x -> c x on M_dim: R = c I, S = I, rho = id."""
     idx = np.arange(dim)
-    return monomial_cb((idx, idx, np.full(dim, c)), (idx, idx, np.ones(dim)), 2.0, 1)
+    return monomial_cb((idx, idx, np.full(dim, c)), (idx, idx, np.ones(dim)), 2.0)
 
 
 def criterion_11(seed: int):
@@ -407,7 +400,7 @@ def criterion_11(seed: int):
     shrink = 1.0 - 1e-3
     phi = LinearMap.identity(d)
     psi = LinearMap(d, d, apply_fn=lambda x: shrink * np.asarray(x, dtype=complex))
-    cb, cb2 = compression_cb(np.arange(d), d, 1), _shrink_cb(d, shrink)
+    cb, cb2 = compression_cb(np.arange(d), d), _shrink_cb(d, shrink)
     lift_ok = True
     lift_rows = []
     for n in (1, 2, 3):
@@ -429,13 +422,13 @@ def criterion_11(seed: int):
     parent_big = Factorization(
         LinearMap.identity(big),
         psi_big,
-        compression_cb(np.arange(big), big, 1),
+        compression_cb(np.arange(big), big),
         _shrink_cb(big, shrink),
         p=2.0,
     )
     corner_ok = True
     corner_rows = []
-    iota = corner_embed(outer, dim)
+    iota = embedding(np.arange(dim), big)
     for t in range(3):
         a = _random_matrix(gen, dim)
         block_err = measure_roundtrip(parent_big.phi, parent_big.psi, {"b": iota.apply(a)}, 2.0)["b"]

@@ -110,8 +110,11 @@ def test_folner_csv(capsys):
     assert ratios[2] == pytest.approx(4 / 41, abs=1e-15)
 
 
-def test_folner_bad_group_is_input_error(capsys):
+def test_folner_bad_group_is_input_error(tmp_path, capsys):
     assert main(["folner", "--group", "dihedral:5", "--shifts", "1", "--delta", "0.1"]) == 2
+    table = _write(tmp_path / "table.json", {"type": "table", "mult": [[0, 1.7], [1, 0.2]]})
+    assert main(["folner", "--group", table, "--shifts", "1", "--delta", "0.1"]) == 2
+    assert "a multiplication table entry must be an integer, got 1.7" in capsys.readouterr().err
 
 
 def test_crossed_reports_norm_and_checks(element_file, capsys):
@@ -207,24 +210,21 @@ def test_witness_help_names_the_csv_header(element_file, capsys, monkeypatch):
     assert listed.group(1) == header
 
 
-def test_witness_k_max_sets_the_levels_and_a_sampled_certificate_exits_1(
+def test_witness_lists_levels_one_and_two_and_a_sampled_certificate_exits_1(
     element_file, capsys, monkeypatch
 ):
-    argv = ["witness", "--elements", element_file, "--epsilon", "0.3", "--k-max", "3"]
+    # the certificates hold at every level, so no option sets their levels
+    argv = ["witness", "--elements", element_file, "--epsilon", "0.3"]
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
-    assert [c["levels"] for c in report["certificates"]] == [[[1, 1.0], [2, 1.0], [3, 1.0]]] * 2
+    assert [c["levels"] for c in report["certificates"]] == [[[1, 1.0], [2, 1.0]]] * 2
+    with pytest.raises(SystemExit):
+        main(argv + ["--k-max", "3"])
+    capsys.readouterr()
     sampled = CbEstimate(levels=[(1, 1.0)])  # a lower bound proves nothing
-    monkeypatch.setattr(nuclearity, "folner_psi_cb", lambda *args, **kwargs: sampled)
+    monkeypatch.setattr(nuclearity, "averaging_cb", lambda *args: sampled)
     assert main(argv) == 1
     assert "certificate failure" in capsys.readouterr().err
-
-
-def test_witness_refuses_k_max_below_one(element_file, capsys):
-    for k_max in ("0", "-2"):
-        argv = ["witness", "--elements", element_file, "--epsilon", "0.3", "--k-max", k_max]
-        assert main(argv) == 2
-        assert "at least one level" in capsys.readouterr().err
 
 
 def test_witness_has_no_trials_option(element_file, capsys):
@@ -233,7 +233,7 @@ def test_witness_has_no_trials_option(element_file, capsys):
 
 
 def test_witness_over_budget_reports_the_loss_and_exits_1(element_file, capsys, monkeypatch):
-    monkeypatch.setattr(nuclearity, "folner_roundtrip", lambda *args, **kw: {"error": 0.31, "bound": 0.31})
+    monkeypatch.setattr(nuclearity, "_roundtrip", lambda *args: {"error": 0.31, "bound": 0.31})
     assert main(["witness", "--elements", element_file, "--epsilon", "0.3"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is False

@@ -31,7 +31,6 @@ from lpalg.crossed import (
 from lpalg.groups import FolnerSet, ZWindow, cyclic_group, group_from_table
 from lpalg.lpnorm import pnorm_estimate, pnorm_estimate_stack, vector_pnorm
 from lpalg.nuclearity import (
-    corner_project,
     folner_phi,
     folner_phi_map,
     folner_psi,
@@ -44,6 +43,7 @@ from lpalg.opspace import (
     _gaussian_sampler,
     apply_amplified,
     cb_norm_lower,
+    compression,
     split_blocks,
 )
 
@@ -667,7 +667,7 @@ CB_CASES = {
     "truncate_96": (truncate_map(48, 20, 2), 1.5, {"n_max": 1, "trials": 5}),
     "folner_phi": (_z_phased_folner_pair()[0], 3.0, {}),
     "folner_psi": (_z_phased_folner_pair()[1], 3.0, {}),
-    "corner_rho": (corner_project(2, 2), 1.5, {}),
+    "corner_rho": (compression(np.arange(2), 4), 1.5, {}),
     "zero_inputs": (LinearMap.identity(2), 1.5, {"sampler": _sometimes_zero, "trials": 8}),
     "annihilated_inputs": (LinearMap(2, 2, apply_fn=_keep_entry), 3.0, {"sampler": _sometimes_zero}),
 }

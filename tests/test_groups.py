@@ -51,6 +51,11 @@ def test_group_from_table_rejects_non_group():
     ([[0, 1, 2, 3], [1, 0, 0, 2], [2, 3, 0, 1], [3, 0, 1, 0]], "element 1 has no two-sided inverse"),  # 1 x = 0 twice
     ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 1], [3, 2, 1, 1]], "element 2 has no two-sided inverse"),  # 3 neither
     ([[0, 1, 2], [1, 0, 1], [2, 2, 0]], "multiplication table is not associative"),  # (1 1) 2 = 2, 1 (1 2) = 0
+    # entries are refused, not truncated: the first was read as the table of Z/2
+    ([[0, 1.7], [1, 0.2]], "a multiplication table entry must be an integer, got 1.7"),
+    ([[0, True], [True, 0]], "a multiplication table entry must be an integer, got True"),  # numpy: int64
+    ([[0, 1.0], [1.0, 0]], "a multiplication table entry must be an integer, got 1.0"),
+    (np.eye(2, dtype=bool), "a multiplication table entry must be an integer, got True"),
 ])
 def test_group_from_table_refusals(table, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -67,6 +72,7 @@ def test_group_from_table_finds_a_nonzero_identity_and_inverses():
 def test_klein_table_is_a_group():
     g = group_from_table(KLEIN_TABLE)
     assert g.order == 4
+    assert group_from_table(np.array(KLEIN_TABLE, dtype=np.int8)).order == 4  # any integer dtype
     for s in range(4):
         assert g.op(s, g.inv(s)) == 0
 

@@ -7,7 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from lpalg import lpnorm, nuclearity, opspace, suite
+from lpalg import lpnorm, nuclearity, opspace
 from lpalg.crossed import (
     CcElement,
     ConcreteAlgebra,
@@ -22,8 +22,6 @@ from lpalg.groups import FolnerSet, ZWindow, cyclic_group, folner_intersection, 
 from lpalg.nuclearity import (
     Factorization,
     compose_factorizations,
-    corner_embed,
-    corner_project,
     corner_restrict,
     crossed_nuclearity_witness,
     folner_phi,
@@ -36,11 +34,10 @@ from lpalg.nuclearity import (
     rotation_demo,
     truncate_map,
 )
-from lpalg.opspace import CbEstimate, LinearMap, cb_norm_lower, compression, compression_cb, monomial_cb
+from lpalg.opspace import CbEstimate, LinearMap, cb_norm_lower, compression, compression_cb, embedding, monomial_cb
 
 CB_SLACK = 1e-6
 LIGHT = {"trials": 4, "ascent_steps": 2, "restarts": 6, "max_iters": 60}
-EST = {"restarts": 8, "max_iters": 80}
 
 
 def _rotation_rep(n, p):
@@ -68,7 +65,7 @@ def test_whole_group_roundtrip_is_exact():
     rep = _rotation_rep(12, 1.5)
     folner = FolnerSet(cyclic_group(12), tuple(range(12)))
     f = random_cc_element(np.random.default_rng(1), cyclic_group(12), 12)
-    rt = folner_roundtrip(f, folner, rep, **EST)
+    rt = folner_roundtrip(f, folner, rep)
     assert rt["error"] == 0.0
     assert rt["bound"] == 0.0
 
@@ -79,7 +76,7 @@ def test_half_window_roundtrip_matches_ratio_bound():
     rep = _rotation_rep(12, 1.5)
     folner = FolnerSet(cyclic_group(12), tuple(range(6)))
     f = CcElement.delta(cyclic_group(12), 1, np.eye(12, dtype=complex))
-    rt = folner_roundtrip(f, folner, rep, **EST)
+    rt = folner_roundtrip(f, folner, rep)
     assert rt["error"] == pytest.approx(1 / 6, abs=1e-12)
     assert rt["error"] == pytest.approx(rt["bound"], abs=1e-12)
 
@@ -87,18 +84,23 @@ def test_half_window_roundtrip_matches_ratio_bound():
 def test_integer_window_roundtrip_values():
     rep = CovariantRep(ConcreteAlgebra(1), trivial_action(ZWindow(25), 1), 1.5)
     f = CcElement.delta(ZWindow(25), 1, np.eye(1, dtype=complex))
-    rt21 = folner_roundtrip(f, FolnerSet(ZWindow(25), tuple(range(-10, 11))), rep, **EST)
+    rt21 = folner_roundtrip(f, FolnerSet(ZWindow(25), tuple(range(-10, 11))), rep)
     assert rt21["error"] == pytest.approx(1 / 21, abs=1e-12)
     g = CcElement.delta(ZWindow(25), 2, np.eye(1, dtype=complex))
-    rt41 = folner_roundtrip(g, FolnerSet(ZWindow(25), tuple(range(-20, 21))), rep, **EST)
+    rt41 = folner_roundtrip(g, FolnerSet(ZWindow(25), tuple(range(-20, 21))), rep)
     assert rt41["error"] == pytest.approx(2 / 41, abs=1e-12)
+
+
+def _measured_defect(folner, rep, form):
+    """||psi(phi(T)) - T|| for the integrated form T, through the dense pipeline."""
+    return measure_roundtrip(folner_phi_map(folner, rep), folner_psi_map(folner, rep), {"T": form}, rep.p)["T"]
 
 
 def _reference_roundtrip(f, folner, rep):
     """The round trip with every operator estimated on the window: the
     defect that the dense phi/psi pipeline measures, and each term
     pi(a_s) v(s) of the budget, whatever its ratio."""
-    error = suite._measured_defect(folner, rep, rep.integrated(f))
+    error = _measured_defect(folner, rep, rep.integrated(f))
     total = 0.0
     for s, a in f.items():
         ratio = folner_intersection(folner, s) / folner.size
@@ -205,7 +207,8 @@ def test_roundtrip_with_every_ratio_one_is_exact_without_psi(monkeypatch, case):
         m.setattr(nuclearity, "folner_psi", refuse)
         m.setattr(CovariantRep, "integrated", refuse)
         assert folner_roundtrip(f, folner, rep) == {"error": 0.0, "bound": 0.0}
-        assert folner_roundtrip(f, folner, rep, norm=5.0) == {"error": 0.0, "bound": 0.0}
+        ones = {s: 1.0 for s in f.support}
+        assert nuclearity._roundtrip(f, ones, 5.0, {}, rep) == {"error": 0.0, "bound": 0.0}
     if folner.size == rep.carrier.order:
         _, report = crossed_nuclearity_witness([f], 0.1, rep.algebra, rep.carrier, rep.action, rep.p)
         assert report["elements"][0]["roundtrip_error"] == 0.0
@@ -244,18 +247,20 @@ def _refuse(*args, **kwargs):
 def test_roundtrip_with_agreeing_ratios_is_read_off_the_norm(monkeypatch, case):
     # psi(phi(f)) = r f, so the error is |1 - r| times the estimate of
     # ||pi(f)||, within rounding of the defect the pipeline measures; psi is
-    # never built, and a norm passed in leaves nothing to estimate
+    # never built, and the rule given the norm has nothing to estimate
     f, folner, rep = _scalar_defect_cases()[case]
-    (r,) = {folner_intersection(folner, s) / folner.size for s in f.support}
+    ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
+    (r,) = set(ratios.values())
     assert r < 1.0
-    measured = suite._measured_defect(folner, rep, rep.integrated(f))
+    measured = _measured_defect(folner, rep, rep.integrated(f))
     norm = nuclearity._element_norm(f, rep)
+    uppers = {s: lpnorm.pnorm_upper(a, rep.p) for s, a in f.items()}
     with monkeypatch.context() as m:
         m.setattr(nuclearity, "folner_psi", _refuse)
         rt = folner_roundtrip(f, folner, rep)
         calls = _count_estimates(m)
         m.setattr(CovariantRep, "integrated", _refuse)
-        assert folner_roundtrip(f, folner, rep, norm=norm) == rt
+        assert nuclearity._roundtrip(f, ratios, norm, uppers, rep) == rt
         assert calls == []
     assert rt["error"] == abs(1.0 - r) * norm
     assert rt["error"] == pytest.approx(measured, rel=1e-13, abs=0.0)
@@ -319,7 +324,7 @@ def test_witness_defects_with_unequal_ratios_match_the_dense_pipeline(monkeypatc
         rep = CovariantRep(algebra, action, p, window_radius=report["window_radius"])
         (elem,) = report["elements"]
         assert report["passed"]
-        measured = suite._measured_defect(folner, rep, rep.integrated(f))
+        measured = _measured_defect(folner, rep, rep.integrated(f))
         assert elem["roundtrip_error"] == pytest.approx(measured, rel=1e-13, abs=0.0)
 
 
@@ -435,11 +440,11 @@ def test_folner_maps_package_dimensions():
 # factorization bookkeeping
 # ---------------------------------------------------------------------------
 
-def _identity_factorization(dim, p, n_max=1):
+def _identity_factorization(dim, p):
     """The exact factorization of M_dim through itself: both legs are the
     compression to every coordinate, certified with levels 1."""
     ident = compression(np.arange(dim), dim)
-    cb = compression_cb(np.arange(dim), dim, n_max)
+    cb = compression_cb(np.arange(dim), dim)
     return Factorization(ident, ident, cb, cb, p=p)
 
 
@@ -450,7 +455,7 @@ def _structural(level):
 def _scaling(dim, c):
     """x -> c x on M_dim with its structural certificate (R = c I, S = I)."""
     idx = np.arange(dim)
-    cb = monomial_cb((idx, idx, np.full(dim, c)), (idx, idx, np.ones(dim)), 2.0, 2)
+    cb = monomial_cb((idx, idx, np.full(dim, c)), (idx, idx, np.ones(dim)), 2.0)
     return LinearMap(dim, dim, apply_fn=lambda a: c * np.asarray(a, dtype=complex)), cb
 
 
@@ -478,12 +483,6 @@ def test_factorization_refuses_a_certificate_with_no_levels():
     for phi_cb, psi_cb in ((empty, _structural(1.0)), (_structural(1.0), empty)):
         with pytest.raises(CertificateError):
             Factorization(phi=ident, psi=ident, phi_cb=phi_cb, psi_cb=psi_cb)
-    doubling = ((np.arange(2), np.arange(2), np.full(2, 2.0)), (np.arange(2), np.arange(2), np.ones(2)))
-    for n_max in (0, -1):
-        with pytest.raises(ValueError, match="at least one level"):
-            monomial_cb(*doubling, 2.0, n_max)
-        with pytest.raises(ValueError, match="at least one level"):
-            compression_cb(np.arange(2), 2, n_max)
 
 
 def test_measure_roundtrip_reports_per_element_errors():
@@ -513,10 +512,11 @@ def test_lift_scales_errors_by_block_count():
 
 
 def test_corner_embed_project_are_mutually_inverse():
+    # the corner maps of M_5 (x) M_2 are the cut to its first two coordinates
     rng = np.random.default_rng(7)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    iota = corner_embed(5, 2)
-    rho = corner_project(5, 2)
+    iota = embedding(np.arange(2), 10)
+    rho = compression(np.arange(2), 10)
     big = iota.apply(a)
     assert big.shape == (10, 10)
     assert np.array_equal(big[:2, :2], a)
@@ -525,7 +525,7 @@ def test_corner_embed_project_are_mutually_inverse():
 
 
 def test_corner_restrict_of_exact_parent_is_exact():
-    parent = _identity_factorization(4, 1.5, n_max=2)
+    parent = _identity_factorization(4, 1.5)
     rng = np.random.default_rng(9)
     tests = {f"a{i}": rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
              for i in range(3)}
@@ -556,7 +556,7 @@ def _count_sampled_cb(monkeypatch) -> list:
 def test_corner_restrict_and_identity_sample_no_cb_norm(monkeypatch):
     calls = _count_sampled_cb(monkeypatch)
     assert not hasattr(nuclearity, "cb_norm_lower")
-    parent = _identity_factorization(6, 3.0, n_max=3)
+    parent = _identity_factorization(6, 3.0)
     shrink, shrink_cb = _scaling(6, 0.5)
     lossy = Factorization(parent.phi, shrink, parent.phi_cb, shrink_cb, p=3.0)
     gen = np.random.default_rng(10)
@@ -592,7 +592,7 @@ def test_truncate_certificate_contractive():
 # ---------------------------------------------------------------------------
 
 def test_compose_identity_bridges_is_lossless():
-    inner = _identity_factorization(2, 2.0, n_max=2)
+    inner = _identity_factorization(2, 2.0)
     ident = LinearMap.identity(2)
     tests = {"x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)}
     fact = compose_factorizations(ident, ident, inner, tests, (0.1, 0.0), p=2.0,
@@ -602,7 +602,7 @@ def test_compose_identity_bridges_is_lossless():
 
 
 def test_compose_rejects_expansive_bridge():
-    inner = _identity_factorization(2, 2.0, n_max=2)
+    inner = _identity_factorization(2, 2.0)
     double, double_cb = _scaling(2, 2.0)
     assert double_cb.levels == [(1, 2.0), (2, 2.0)] and double_cb.kind == "structural"
     ident = LinearMap.identity(2)
@@ -629,10 +629,10 @@ def test_compose_levels_are_level_wise_products():
     ident = LinearMap.identity(2)
     half, half_cb = _scaling(2, 0.5)
     shrink, shrink_cb = _scaling(2, 0.75)
-    inner = Factorization(ident, shrink, compression_cb(np.arange(2), 2, 3), shrink_cb, p=2.0)
+    inner = Factorization(ident, shrink, compression_cb(np.arange(2), 2), shrink_cb, p=2.0)
     tests = {"x": np.eye(2, dtype=complex)}
     fact = compose_factorizations(half, ident, inner, tests, (0.5, 0.25), p=2.0,
-                                  bridge_phi_cb=half_cb, bridge_psi_cb=compression_cb(np.arange(2), 2, 2))
+                                  bridge_phi_cb=half_cb, bridge_psi_cb=compression_cb(np.arange(2), 2))
     assert fact.phi_cb.kind == fact.psi_cb.kind == "structural"
     assert fact.phi_cb.levels == [(1, 0.5), (2, 0.5)]
     assert fact.psi_cb.levels == [(1, 0.75), (2, 0.75)]
@@ -662,7 +662,7 @@ def test_witness_on_finite_group_is_exact():
     f = random_cc_element(rng, carrier, 6)
     fact, report = crossed_nuclearity_witness(
         [f], 0.3, ConcreteAlgebra(6), carrier, cyclic_coordinate_rotation(6, 1), 3.0,
-        rng=np.random.default_rng(18), n_max=2)
+        rng=np.random.default_rng(18))
     assert report["passed"]
     assert report["folner"]["members"] == list(range(6))
     assert all(entry["roundtrip_error"] == 0.0 for entry in report["elements"])
@@ -686,6 +686,21 @@ def test_witness_certifies_the_folner_pair_once(monkeypatch):
     assert (fact.phi_cb.kind, fact.psi_cb.kind) == ("structural", "structural")
     assert fact.roundtrip_errors["f0"] == report["elements"][0]["roundtrip_error"]
     assert report["passed"]
+
+
+def test_witness_builds_phi_once_and_counts_each_overlap_once(monkeypatch):
+    # phi's selector is built and validated once, by the map itself, and
+    # |F cap sF| is counted once per support shift, however many elements
+    # share it: supports {0, 1} and {1, -2} have three shifts
+    selectors = _count_calls(monkeypatch, CovariantRep, "block_selector")
+    overlaps = _count_calls(monkeypatch, nuclearity, "folner_intersection")
+    zw = ZWindow(0)
+    fs = [CcElement(zw, {0: np.array([[0.5]]), 1: np.array([[0.3j]])}),
+          CcElement(zw, {1: np.array([[0.2]]), -2: np.array([[0.4]])})]
+    fact, report = crossed_nuclearity_witness(fs, 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5)
+    assert report["passed"]
+    assert (len(selectors), len(overlaps)) == (1, 3)
+    assert fact.phi.codomain_dim == len(report["folner"]["members"])
 
 
 def _count_estimates(monkeypatch) -> list:
@@ -783,8 +798,7 @@ def test_witness_refuses_roundtrip_over_budget(monkeypatch):
     zw = ZWindow(0)
     f = CcElement.delta(zw, 1, base_dim=1)
     for budget in (0.3, 0.3 + 5e-10, 0.31):
-        monkeypatch.setattr(nuclearity, "folner_roundtrip",
-                            lambda *args, budget=budget, **kw: {"error": 0.29, "bound": budget})
+        monkeypatch.setattr(nuclearity, "_roundtrip", lambda *args, budget=budget: {"error": 0.29, "bound": budget})
         fact, report = crossed_nuclearity_witness(
             [f], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5, rng=np.random.default_rng(20))
         assert report["passed"] is False

@@ -166,9 +166,9 @@ def test_cb_estimate_best():
 # ---------------------------------------------------------------------------
 
 def test_compression_cb_is_the_structural_bound_one():
-    cb = compression_cb(np.array([4, 0, 2]), 5, 3)
+    cb = compression_cb(np.array([4, 0, 2]), 5)
     assert cb.kind == "structural"
-    assert cb.levels == [(1, 1.0), (2, 1.0), (3, 1.0)]
+    assert cb.levels == [(1, 1.0), (2, 1.0)]
     assert CbEstimate().kind == "sampled_lower"
 
 
@@ -177,8 +177,8 @@ def test_compression_cb_is_monomial_cb_on_the_inclusion_bit_for_bit(sel):
     # the closed form lists no entry of J or J*; the empty selector gives 0.0
     sel = np.array(sel, dtype=np.int64)
     inner, ones = np.arange(sel.size), np.ones(sel.size)
-    listed = monomial_cb((inner, sel, ones), (sel, inner, ones), 1.0, 3)
-    assert compression_cb(sel, 5, 3).levels == listed.levels == [(n, 1.0 if sel.size else 0.0) for n in (1, 2, 3)]
+    listed = monomial_cb((inner, sel, ones), (sel, inner, ones), 1.0)
+    assert compression_cb(sel, 5).levels == listed.levels == [(n, 1.0 if sel.size else 0.0) for n in (1, 2)]
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 6001])
@@ -189,13 +189,13 @@ def test_averaging_cb_is_monomial_cb_on_a_row_of_count_entries_bit_for_bit(count
     zeros, idx = np.zeros(count, dtype=np.int64), np.arange(count)
     r = (zeros, idx, np.full(count, count ** (-1.0 / pe.q) if count else 0.0))
     s = (idx, zeros, np.full(count, count ** (-1.0 / pe.p) if count else 0.0))
-    assert averaging_cb(count, p, 2).levels == monomial_cb(r, s, p, 2).levels
-    assert averaging_cb(count, p, 2).kind == "structural"
+    assert averaging_cb(count, p).levels == monomial_cb(r, s, p).levels
+    assert averaging_cb(count, p).kind == "structural"
 
 
 # each refusal holds for the certificate and for both maps it certifies
 _SELECTOR_TAKERS = (
-    lambda sel, dim: compression_cb(sel, dim, 2),
+    compression_cb,
     compression,
     embedding,
 )

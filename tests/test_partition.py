@@ -113,6 +113,11 @@ def test_partition_validation():
         PartitionOfUnity(points=good.points, bumps=0.5 * good.bumps, cover=good.cover)
     with pytest.raises(ValueError):
         circle_partition(8, 3)  # arcs must divide the grid
+    for n_points in (2, 3, 8):  # one tent never falls to zero on the circle, so it cannot sum to 1
+        with pytest.raises(ValueError, match="need at least two arcs, got 1"):
+            circle_partition(n_points, 1)
+    with pytest.raises(ValueError, match="need at least two grid points"):
+        circle_partition(1, 2)
 
 
 def _with_cover(part, **changes):

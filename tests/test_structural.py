@@ -31,12 +31,12 @@ from lpalg.nuclearity import (
     crossed_nuclearity_witness,
     folner_phi_map,
     folner_psi,
-    folner_psi_cb,
     folner_psi_map,
     rotation_demo,
 )
 from lpalg.opspace import (
     CbEstimate,
+    averaging_cb,
     block_matrix,
     cb_norm_lower,
     compression_cb,
@@ -125,7 +125,7 @@ def test_psi_factorization_on_a_z_window_is_a_compression(p):
         m = _random_square(rng, k * d)
         got = r_wide[rows] @ _amplified_pi(m, k, wide) @ s_wide[:, rows]
         assert np.abs(got - folner_psi(m, folner, rep)).max() <= 1e-14
-    assert all(abs(v - 1.0) <= 1e-15 for _, v in folner_psi_cb(folner, rep, 3).levels)
+    assert all(abs(v - 1.0) <= 1e-15 for _, v in averaging_cb(folner.size, rep.p).levels)
 
 
 def _window_loop_factors(folner, rep):
@@ -178,20 +178,14 @@ def _psi_cb_case(case, p):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
 @pytest.mark.parametrize("case", range(9))
 def test_folner_psi_cb_is_monomial_cb_on_the_dense_factors_bit_for_bit(case, p):
+    # psi's certificate, averaging_cb at count |F|, lists no entry of R or S
     folner, rep = _psi_cb_case(case, p)
     r, s = _window_loop_factors(folner, rep)
-    listed = monomial_cb(_entries(r), _entries(s), rep.p, 3)
-    closed = folner_psi_cb(folner, rep, 3)
+    listed = monomial_cb(_entries(r), _entries(s), rep.p)
+    closed = averaging_cb(folner.size, rep.p)
     assert closed.kind == listed.kind == "structural"
     assert closed.levels == listed.levels
     assert all(abs(v - 1.0) <= 1e-15 for _, v in closed.levels)
-
-
-def test_folner_psi_cb_refuses_no_levels():
-    folner, rep = _psi_cb_case(0, 1.5)
-    for n_max in (0, -1):
-        with pytest.raises(ValueError, match="at least one level"):
-            folner_psi_cb(folner, rep, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +211,15 @@ def test_monomial_norms_match_exact_formulas_and_riesz_thorin(seed):
     s = (cols, rows, values)  # the transpose: one entry per row
     r_dense, s_dense = _dense(r, (5, 9)), _dense(s, (9, 5))
     for p in (1.0, 2.0, math.inf):
-        (_, r_norm), = monomial_cb(r, _identity(9), p, 1).levels
-        (_, s_norm), = monomial_cb(_identity(9), s, p, 1).levels
+        r_norm = monomial_cb(r, _identity(9), p).best
+        s_norm = monomial_cb(_identity(9), s, p).best
         assert r_norm == pytest.approx(pnorm_exact(r_dense, p), rel=1e-13)
         assert s_norm == pytest.approx(pnorm_exact(s_dense, p), rel=1e-13)
     for p in (1.2, 1.5, 3.0, 4.0):
         q = p / (p - 1.0)
         for dense, level in (
-            (r_dense, monomial_cb(r, _identity(9), p, 1).best),
-            (s_dense, monomial_cb(_identity(9), s, p, 1).best),
+            (r_dense, monomial_cb(r, _identity(9), p).best),
+            (s_dense, monomial_cb(_identity(9), s, p).best),
         ):
             riesz = pnorm_exact(dense, 1) ** (1.0 / p) * pnorm_exact(dense, math.inf) ** (1.0 / q)
             assert level <= riesz * (1.0 + 1e-12)
@@ -236,11 +230,11 @@ def test_monomial_cb_levels_are_the_product_of_the_norms():
     rng = np.random.default_rng(5)
     r = _random_monomial(rng, 4, 7)
     s = (np.arange(7), rng.integers(0, 3, 7), rng.random(7))  # 7 x 3, one entry per row
-    cb = monomial_cb(r, s, 3.0, 3)
-    (_, r_norm), = monomial_cb(r, _identity(7), 3.0, 1).levels
-    (_, s_norm), = monomial_cb(_identity(7), s, 3.0, 1).levels
+    cb = monomial_cb(r, s, 3.0)
+    r_norm = monomial_cb(r, _identity(7), 3.0).best
+    s_norm = monomial_cb(_identity(7), s, 3.0).best
     assert cb.kind == "structural"
-    assert cb.levels == [(n, r_norm * s_norm) for n in (1, 2, 3)]
+    assert cb.levels == [(1, r_norm * s_norm), (2, r_norm * s_norm)]
 
 
 @pytest.mark.parametrize("r, s", [
@@ -253,7 +247,7 @@ def test_monomial_cb_levels_are_the_product_of_the_norms():
 ])
 def test_monomial_cb_refuses_input_that_is_not_monomial(r, s):
     with pytest.raises(ValueError):
-        monomial_cb(tuple(np.asarray(x) for x in r), tuple(np.asarray(x) for x in s), 1.5, 2)
+        monomial_cb(tuple(np.asarray(x) for x in r), tuple(np.asarray(x) for x in s), 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +266,7 @@ def test_blend_factorization_reproduces_blending(p):
         middle = np.diag(np.repeat(d, n))  # rho(d) = (+)_i d_i I_grid
         assert np.abs(np.diag(r_dense @ middle @ s_dense) - cx_partition_psi(d, part)).max() <= 1e-15
         assert np.abs(r_dense @ middle @ s_dense - np.diag(cx_partition_psi(d, part))).max() <= 1e-15
-    assert all(abs(v - 1.0) <= 1e-12 for _, v in monomial_cb(r, s, p, 2).levels)
+    assert all(abs(v - 1.0) <= 1e-12 for _, v in monomial_cb(r, s, p).levels)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +283,8 @@ def _folner_cases():
 @pytest.mark.parametrize("case", range(2))
 def test_sampled_folner_certificates_stay_below_the_structural_bounds(case):
     rep, folner = _folner_cases()[case]
-    structural_phi = compression_cb(rep.block_selector(folner.members), rep.dimension, 2)
-    structural_psi = folner_psi_cb(folner, rep, 2)
+    structural_phi = compression_cb(rep.block_selector(folner.members), rep.dimension)
+    structural_psi = averaging_cb(folner.size, rep.p)
     sampled_phi = cb_norm_lower(folner_phi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(7), **LIGHT)
     sampled_psi = cb_norm_lower(folner_psi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(8), **LIGHT)
     for sampled, structural in ((sampled_phi, structural_phi), (sampled_psi, structural_psi)):
@@ -304,9 +298,9 @@ def test_sampled_partition_certificates_stay_below_the_structural_bounds(p):
     part = circle_partition(12, 4)
     pairs = (
         (cx_phi_cb_certificate(part, p, n_max=2, trials=3, rng=np.random.default_rng(9)),
-         compression_cb(np.asarray(part.points), part.n_points, 2)),
+         compression_cb(np.asarray(part.points), part.n_points)),
         (cx_psi_cb_certificate(part, p, n_max=2, trials=3, rng=np.random.default_rng(10)),
-         monomial_cb(*cx_blend_factors(part, p), p, 2)),
+         monomial_cb(*cx_blend_factors(part, p), p)),
     )
     for sampled, structural in pairs:
         for (_, low), (_, high) in zip(sampled.levels, structural.levels):
@@ -338,20 +332,39 @@ def test_line_witness_at_small_epsilon_reads_its_certificates_off_the_folner_siz
     assert peak < 64 * 2**20
 
 
+def test_every_structural_certificate_lists_levels_one_and_two():
+    # ||R|| ||S|| holds at every level at once, so each certificate lists the
+    # one value v at levels 1 and 2, in the functions and in every report
+    part = circle_partition(12, 4)
+    certs = [
+        monomial_cb(*cx_blend_factors(part, 3.0), 3.0),
+        averaging_cb(21, 1.5),
+        averaging_cb(0, 1.5),
+        compression_cb(np.array([4, 0, 2]), 5),
+    ]
+    levels = [cb.levels for cb in certs]
+    _, report = _line_witness()
+    rot = rotation_demo(8, 3, 1.5, 0.3)
+    for entry in report["certificates"] + rot["witness"]["certificates"]:
+        levels.append([tuple(level) for level in entry["levels"]])
+    levels += [[tuple(level) for level in rot["partition"][key]] for key in ("point_eval_levels", "blend_levels")]
+    assert all(cb.kind == "structural" for cb in certs)
+    for listed in levels:
+        (v,) = {value for _, value in listed}
+        assert listed == [(1, v), (2, v)]
+
+
 def test_witness_refuses_to_pass_on_a_sampled_certificate(monkeypatch):
     sampled = CbEstimate(levels=[(1, 1.0), (2, 1.0)])  # a lower bound: proves nothing
-    monkeypatch.setattr(nuclearity, "folner_psi_cb", lambda *args, **kwargs: sampled)
+    structural = nuclearity.averaging_cb  # phi's certificate is the count 1, psi's |F| = 21
+    monkeypatch.setattr(nuclearity, "averaging_cb", lambda count, p: structural(count, p) if count == 1 else sampled)
     with pytest.raises(CertificateError, match="psi certificate"):
         _line_witness()
 
 
 def test_rotation_model_refuses_to_pass_on_a_sampled_partition_certificate(monkeypatch):
-    structural = nuclearity.compression_cb
-
-    def point_eval_sampled(sel, domain_dim, n_max):  # the grid has 5 points, the witness 25
-        return CbEstimate(levels=[(1, 1.0)]) if domain_dim == 5 else structural(sel, domain_dim, n_max)
-
-    monkeypatch.setattr(nuclearity, "compression_cb", point_eval_sampled)
+    # only the partition's point evaluation is certified by compression_cb
+    monkeypatch.setattr(nuclearity, "compression_cb", lambda sel, domain_dim: CbEstimate(levels=[(1, 1.0)]))
     report = rotation_demo(5, 2, 1.5, 0.3)
     assert report["witness"]["passed"] is True
     assert report["partition"]["point_eval_kind"] == "sampled_lower"

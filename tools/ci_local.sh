@@ -8,6 +8,7 @@
 #   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs and their gates
 #   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001, timed and measured
+#   bash tools/ci_local.sh lines            the size of src/lpalg, printed and not gated
 #
 # Needs python3 with numpy (and pytest and hypothesis for the tests).
 set -euo pipefail
@@ -108,20 +109,51 @@ sys.exit(0 if ok else 1)
 PY
 }
 
+# the two sizes of src/lpalg: every line (wc -l), and the code lines, those
+# holding a token that is not a comment, a docstring or layout
+lines() {
+    echo "== size of src/lpalg"
+    wc -l src/lpalg/*.py | tail -n 1
+    python3 - src/lpalg <<'PY'
+import ast, io, sys, tokenize
+from pathlib import Path
+
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENCODING, tokenize.ENDMARKER}
+total = 0
+for path in sorted(Path(sys.argv[1]).glob("*.py")):
+    src = path.read_text()
+    docs = set()
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(src).readline):
+        if tok.type not in LAYOUT:
+            code.update(set(range(tok.start[0], tok.end[0] + 1)) - docs)
+    total += len(code)
+print(f"{total} code lines (tokenizer count, without blank lines, comments and docstrings)")
+PY
+}
+
 case ${1:-all} in
 tests) tests ;;
 suite) suite ;;
 smoke) smoke "${2:?name a workload}" ;;
 scale) scale ;;
+lines) lines ;;
 all)
     tests
     suite
     for workload in witness_line rotation_grid norm_stream; do smoke "$workload"; done
     scale
+    lines
     echo "== all checks passed"
     ;;
 *)
-    echo "usage: $0 [tests | suite | smoke WORKLOAD | scale]" >&2
+    echo "usage: $0 [tests | suite | smoke WORKLOAD | scale | lines]" >&2
     exit 2
     ;;
 esac
