@@ -279,9 +279,18 @@ class FolnerSet:
         return len(self.members)
 
 
+def _shift(carrier, s) -> int:
+    """``s`` as an int if it is an integer element of ``carrier``; anything
+    else raises a ValueError that names it."""
+    s = as_integer(s, "a shift")
+    if not carrier.contains(s):
+        raise ValueError(f"shift {s} is not an element of {carrier!r}")
+    return s
+
+
 def translate_set(fset: FolnerSet, s: int) -> frozenset:
-    """The translate sF = {s t : t in F}."""
-    return frozenset(fset.carrier.op(s, np.array(fset.members)).tolist())
+    """The translate sF = {s t : t in F}, for an integer element s of F's carrier."""
+    return frozenset(fset.carrier.op(_shift(fset.carrier, s), np.array(fset.members)).tolist())
 
 
 def folner_intersection(fset: FolnerSet, s: int) -> int:
@@ -300,11 +309,14 @@ def folner_search(carrier, shifts, delta: float) -> FolnerSet:
 
     Finite carriers return the whole group (all ratios are exactly 0).  For
     Z the result is the initial interval {0..L-1} with L minimal; if no
-    interval of length <= 100,000 works, a CapacityError is raised.
+    interval of length <= 100,000 works, a CapacityError is raised.  Each
+    shift must be an integer element of the carrier, and delta a positive
+    number (NaN is refused too).
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    return FolnerSet(carrier, carrier.folner_members(tuple(shifts), delta))
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
+    shifts = tuple(_shift(carrier, s) for s in shifts)
+    return FolnerSet(carrier, carrier.folner_members(shifts, delta))
 
 
 def group_from_descriptor(desc: dict):

@@ -18,7 +18,7 @@ psi(M) = R (id_F (x) pi)(M) S, where the middle map is a direct sum of
 conjugations by phased permutations (this is where the action must be
 p-completely isometric) and R, S are monomial with norm 1, read off |F|
 (``opspace.averaging_cb``, at count 1 for phi), so either certificate is a
-proved upper bound at every level, 1 up to rounding, with no sampling.
+proved upper bound at every level, exactly 1, with no sampling.
 The remaining operations supply the bookkeeping lemmas: amplification and
 corner stability, window truncation, and the triangle-inequality
 composition of two approximations.  Like phi, the corner maps and the
@@ -91,7 +91,6 @@ __all__ = [
     "folner_phi_map",
     "folner_psi",
     "folner_psi_map",
-    "folner_roundtrip",
     "lift_factorization",
     "measure_roundtrip",
     "rotation_demo",
@@ -272,17 +271,6 @@ def _roundtrip(f: CcElement, ratios: dict, norm: float, uppers: dict, rep: Covar
     return {"error": float(error), "bound": _roundtrip_bound(f, ratios, uppers)}
 
 
-def folner_roundtrip(f: CcElement, folner: FolnerSet, rep: CovariantRep) -> dict:
-    """Measure ||psi(phi(f)) - f|| (a lower bound) and its proved budget by
-    :func:`_roundtrip`, estimating ||pi(f)|| and each ``pnorm_upper``(a_s)
-    only where the rule reads them."""
-    ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
-    agreed = set(ratios.values())
-    norm = _element_norm(f, rep) if len(agreed) == 1 and agreed != {1.0} else math.nan
-    uppers = {s: pnorm_upper(a, rep.p) for s, a in f.items() if ratios[s] != 1.0}
-    return _roundtrip(f, ratios, norm, uppers, rep)
-
-
 # ---------------------------------------------------------------------------
 # Matrix and stable bookkeeping
 # ---------------------------------------------------------------------------
@@ -450,14 +438,14 @@ def crossed_nuclearity_witness(
     middle positions in the window of radius W + max|F|, where each window
     position x meets each s in F exactly once (at s^{-1}x): every row of
     P_W R and column of S P_W holds k entries, so ``averaging_cb`` at count
-    k certifies psi.  On a finite group both windows are G.
-    |F cap sF| is counted once per support shift.  Each element's norm is
-    estimated once (its ``reduced_norm``, a single term's on its
-    coefficient), and the round-trip rule of :func:`folner_roundtrip` takes
-    it and the ``pnorm_upper`` of each coefficient that M sums, computed
-    once.  A round trip whose ratios agree has error |1 - r|
-    ``reduced_norm`` (exactly 0.0 on a finite group, where F = G); the rest
-    estimate their defect element, with no Folner map run.
+    k certifies psi, with levels exactly 1.  On a finite group both windows
+    are G.  |F cap sF| is counted once per support shift.  Each element's
+    norm is estimated once (its ``reduced_norm``, a single term's on its
+    coefficient), and the round-trip rule takes it, the counted ratios and
+    the ``pnorm_upper`` of each coefficient that M sums, computed once.  A
+    round trip whose ratios agree has error |1 - r| ``reduced_norm``
+    (exactly 0.0 on a finite group, where F = G); the rest estimate their
+    defect element, with no Folner map run.
     ``passed`` holds when every budget is below eps, so it rests on upper
     bounds only.  The report records per element the two lower-bound
     diagnostics, ``norm_upper`` and the budget, both certificates with their
@@ -466,8 +454,8 @@ def crossed_nuclearity_witness(
     """
     if not fs:
         raise ValueError("need at least one finitely supported element to witness")
-    if eps <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not eps > 0.0:
+        raise ValueError(f"epsilon must be positive, got {eps!r}")
     pe = as_exponent(p)
     supports = sorted({s for f in fs for s in f.support})
     uppers = [{s: pnorm_upper(a, pe) for s, a in f.items()} for f in fs]
@@ -475,7 +463,7 @@ def crossed_nuclearity_witness(
     folner = folner_search(carrier, supports, eps / (3.0 * max(*norm_uppers, 1e-9)))
     rep = CovariantRep(algebra, action, pe, window_radius=max(map(abs, supports), default=0) + folner.size)
 
-    phi_cb, psi_cb = averaging_cb(1, pe), averaging_cb(folner.size, pe)
+    phi_cb, psi_cb = averaging_cb(1), averaging_cb(folner.size)
 
     ratios = {s: folner_intersection(folner, s) / folner.size for s in supports}
     elements = []

@@ -161,11 +161,6 @@ class CbEstimate:
         return max((v for _, v in self.levels), default=0.0)
 
 
-def _row_norm(top: float, mass: float, r: float) -> float:
-    """l^r norm of a row of moduli at most ``top`` whose (modulus / top)^r sum to ``mass``."""
-    return top if math.isinf(r) else top * float(mass) ** (1.0 / r)
-
-
 def _monomial_norm(groups: np.ndarray, values: np.ndarray, r: float) -> float:
     """Largest l^r norm among the groups of entries that share a label, r in [1, inf]."""
     mags = np.abs(values)
@@ -173,7 +168,7 @@ def _monomial_norm(groups: np.ndarray, values: np.ndarray, r: float) -> float:
     if top == 0.0 or math.isinf(r):
         return top
     # scaled by the largest modulus so that the r-th powers cannot overflow
-    return _row_norm(top, np.bincount(groups, weights=(mags / top) ** r).max(), r)
+    return top * float(np.bincount(groups, weights=(mags / top) ** r).max()) ** (1.0 / r)
 
 
 def _monomial_entries(factor, one_per: str, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,13 +210,13 @@ def monomial_cb(r, s, p) -> CbEstimate:
     return _structural(_monomial_norm(r_rows, r_values, pe.q) * _monomial_norm(s_cols, s_values, pe.p))
 
 
-def averaging_cb(count: int, p) -> CbEstimate:
-    """:func:`monomial_cb`, bit for bit, of factors with ``count`` entries of
-    modulus count^(-1/q) in every row of R and count^(-1/p) in every column
-    of S, read off ``count`` with no entry listed (0.0 for count 0)."""
-    pe = as_exponent(p)
-    norms = [_row_norm(count ** (-1.0 / r), count, r) for r in (pe.q, pe.p)] if count else [0.0, 0.0]
-    return _structural(norms[0] * norms[1])
+def averaging_cb(count: int) -> CbEstimate:
+    """The :func:`monomial_cb` certificate of factors with ``count`` entries
+    of modulus count^(-1/q) in every row of R and count^(-1/p) in every
+    column of S, for any p: each such row has l^q norm exactly 1 and each
+    such column l^p norm exactly 1, so the bound is exactly 1.0 (0.0 for
+    count 0), with no entry listed and no rounding."""
+    return _structural(1.0 if count else 0.0)
 
 
 def _structural(bound: float) -> CbEstimate:
@@ -275,7 +270,7 @@ def compression_cb(sel, domain_dim: int) -> CbEstimate:
     all-ones 2 x 2 matrix, of norm 2), so it is refused, as is an index
     outside the domain."""
     sel = _selector(sel, domain_dim)
-    return averaging_cb(1 if sel.size else 0, 1.0)
+    return averaging_cb(1 if sel.size else 0)
 
 
 def _swap_like(n: int, d: int) -> np.ndarray:

@@ -297,8 +297,8 @@ def criterion_7(seed: int):
 
 def criterion_8(seed: int):
     """Single-term round-trip defect equals the intersection-ratio formula,
-    measured through the dense phi/psi pipeline, which ``folner_roundtrip``
-    never runs (it reads every defect off the ratios as an element)."""
+    measured through the dense phi/psi pipeline, which the witness never
+    runs (it reads every defect off the ratios as an element)."""
 
     def measured(fol, rep, form):
         return measure_roundtrip(folner_phi_map(fol, rep), folner_psi_map(fol, rep), {"f": form}, rep.p)["f"]

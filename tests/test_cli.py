@@ -117,6 +117,16 @@ def test_folner_bad_group_is_input_error(tmp_path, capsys):
     assert "a multiplication table entry must be an integer, got 1.7" in capsys.readouterr().err
 
 
+def test_folner_shift_outside_the_group_is_input_error(capsys):
+    assert main(["folner", "--group", "cyclic:6", "--shifts", "7", "--delta", "0.1"]) == 2
+    assert "shift 7 is not an element" in capsys.readouterr().err
+
+
+def test_witness_nan_epsilon_is_input_error(element_file, capsys):
+    assert main(["witness", "--elements", element_file, "--epsilon", "nan"]) == 2
+    assert "epsilon must be positive" in capsys.readouterr().err
+
+
 def test_crossed_reports_norm_and_checks(element_file, capsys):
     assert main(["crossed", "--elements", element_file, "--p", "1.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

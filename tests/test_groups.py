@@ -230,6 +230,31 @@ def test_folner_search_capacity_guard():
         folner_search(ZWindow(10**6), [1], 1e-5)
 
 
+@pytest.mark.parametrize("carrier, shift, named", [
+    (ZWindow(0), 1.9, "got 1.9"),
+    (ZWindow(0), 0.5, "got 0.5"),
+    (cyclic_group(6), 7, "shift 7"),
+    (group_from_table(KLEIN_TABLE), 9, "shift 9"),
+])
+def test_a_shift_must_be_an_integer_element_of_the_carrier(carrier, shift, named):
+    # read unchecked, 1.9 sizes F for the shift 1 (its ratio at 1.9 is 2.0),
+    # 0.5 gives {0}, Z/6 takes 7 as 1, and the Klein table raises IndexError
+    fset = FolnerSet(carrier, (0, 1))
+    calls = (lambda: folner_search(carrier, [1, shift], 0.1), lambda: translate_set(fset, shift),
+             lambda: folner_intersection(fset, shift), lambda: folner_ratio(fset, shift))
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            call()
+    assert folner_ratio(fset, np.int64(1)) == folner_ratio(fset, 1)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), 0.0, -0.1])
+def test_folner_search_refuses_a_nan_or_nonpositive_delta(delta):
+    for carrier in (ZWindow(0), cyclic_group(4)):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            folner_search(carrier, [1], delta)
+
+
 # ---------------------------------------------------------------------------
 # descriptors
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from lpalg.nuclearity import (
     folner_phi_map,
     folner_psi,
     folner_psi_map,
-    folner_roundtrip,
     lift_factorization,
     measure_roundtrip,
     rotation_demo,
@@ -42,6 +41,17 @@ LIGHT = {"trials": 4, "ascent_steps": 2, "restarts": 6, "max_iters": 60}
 
 def _rotation_rep(n, p):
     return CovariantRep(ConcreteAlgebra(n), cyclic_coordinate_rotation(n, 1), p)
+
+
+def _counted_roundtrip(f, folner, rep, norm=None):
+    """The witness's round-trip rule on the counted ratios r_s = |F cap sF|/|F|
+    and each coefficient's pnorm_upper; ``norm`` defaults to the estimate of
+    ||pi(f)||, and NaN shows that the rule does not read it."""
+    ratios = {s: folner_intersection(folner, s) / folner.size for s in f.support}
+    uppers = {s: lpnorm.pnorm_upper(a, rep.p) for s, a in f.items()}
+    if norm is None:
+        norm = nuclearity._element_norm(f, rep)
+    return nuclearity._roundtrip(f, ratios, norm, uppers, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +75,7 @@ def test_whole_group_roundtrip_is_exact():
     rep = _rotation_rep(12, 1.5)
     folner = FolnerSet(cyclic_group(12), tuple(range(12)))
     f = random_cc_element(np.random.default_rng(1), cyclic_group(12), 12)
-    rt = folner_roundtrip(f, folner, rep)
+    rt = _counted_roundtrip(f, folner, rep, norm=math.nan)
     assert rt["error"] == 0.0
     assert rt["bound"] == 0.0
 
@@ -76,7 +86,7 @@ def test_half_window_roundtrip_matches_ratio_bound():
     rep = _rotation_rep(12, 1.5)
     folner = FolnerSet(cyclic_group(12), tuple(range(6)))
     f = CcElement.delta(cyclic_group(12), 1, np.eye(12, dtype=complex))
-    rt = folner_roundtrip(f, folner, rep)
+    rt = _counted_roundtrip(f, folner, rep)
     assert rt["error"] == pytest.approx(1 / 6, abs=1e-12)
     assert rt["error"] == pytest.approx(rt["bound"], abs=1e-12)
 
@@ -84,10 +94,10 @@ def test_half_window_roundtrip_matches_ratio_bound():
 def test_integer_window_roundtrip_values():
     rep = CovariantRep(ConcreteAlgebra(1), trivial_action(ZWindow(25), 1), 1.5)
     f = CcElement.delta(ZWindow(25), 1, np.eye(1, dtype=complex))
-    rt21 = folner_roundtrip(f, FolnerSet(ZWindow(25), tuple(range(-10, 11))), rep)
+    rt21 = _counted_roundtrip(f, FolnerSet(ZWindow(25), tuple(range(-10, 11))), rep)
     assert rt21["error"] == pytest.approx(1 / 21, abs=1e-12)
     g = CcElement.delta(ZWindow(25), 2, np.eye(1, dtype=complex))
-    rt41 = folner_roundtrip(g, FolnerSet(ZWindow(25), tuple(range(-20, 21))), rep)
+    rt41 = _counted_roundtrip(g, FolnerSet(ZWindow(25), tuple(range(-20, 21))), rep)
     assert rt41["error"] == pytest.approx(2 / 41, abs=1e-12)
 
 
@@ -150,7 +160,7 @@ def test_roundtrip_with_the_witness_form_matches_estimating_every_term(monkeypat
     _, f, folner, rep = _roundtrip_cases()[case]
     expected = _reference_roundtrip(f, folner, rep)
     monkeypatch.setattr(nuclearity, "folner_psi", _refuse)
-    rt = folner_roundtrip(f, folner, rep)
+    rt = _counted_roundtrip(f, folner, rep)
     ratios = {folner_intersection(folner, s) / folner.size for s in f.support}
     if len(ratios) == 1 and ratios != {1.0}:
         assert rt["error"] == abs(1.0 - ratios.pop()) * nuclearity._element_norm(f, rep)
@@ -165,14 +175,15 @@ def test_roundtrip_assembles_psi_only_when_its_coefficients_differ_from_f(monkey
     # psi is never assembled: on F = G every ratio |F cap sF|/|F| is 1, so
     # the defect is zero and nothing is built; on F = {0..5} the defect has
     # two terms and its form is the only one built; a single-term defect is
-    # estimated on its coefficient, with no form; the budget needs no window
+    # estimated on its coefficient, with no form; the budget needs no window,
+    # and ratios that differ read no norm of f (NaN would reach the error)
     _, f, folner, rep = _roundtrip_cases()[case]
     expected = _reference_roundtrip(f, folner, rep)
     forms = []
     integrated = CovariantRep.integrated
     monkeypatch.setattr(CovariantRep, "integrated", lambda self, g: forms.append(g) or integrated(self, g))
     monkeypatch.setattr(nuclearity, "folner_psi", _refuse)
-    rt = folner_roundtrip(f, folner, rep)
+    rt = _counted_roundtrip(f, folner, rep, norm=math.nan)
     assert rt["error"] == pytest.approx(expected["error"], rel=1e-13, abs=0.0)
     assert len(forms) == forms_built
     assert (expected["error"] == 0.0) == (case == 2)
@@ -206,7 +217,7 @@ def test_roundtrip_with_every_ratio_one_is_exact_without_psi(monkeypatch, case):
     with monkeypatch.context() as m:
         m.setattr(nuclearity, "folner_psi", refuse)
         m.setattr(CovariantRep, "integrated", refuse)
-        assert folner_roundtrip(f, folner, rep) == {"error": 0.0, "bound": 0.0}
+        assert _counted_roundtrip(f, folner, rep, norm=math.nan) == {"error": 0.0, "bound": 0.0}
         ones = {s: 1.0 for s in f.support}
         assert nuclearity._roundtrip(f, ones, 5.0, {}, rep) == {"error": 0.0, "bound": 0.0}
     if folner.size == rep.carrier.order:
@@ -257,10 +268,9 @@ def test_roundtrip_with_agreeing_ratios_is_read_off_the_norm(monkeypatch, case):
     uppers = {s: lpnorm.pnorm_upper(a, rep.p) for s, a in f.items()}
     with monkeypatch.context() as m:
         m.setattr(nuclearity, "folner_psi", _refuse)
-        rt = folner_roundtrip(f, folner, rep)
         calls = _count_estimates(m)
         m.setattr(CovariantRep, "integrated", _refuse)
-        assert nuclearity._roundtrip(f, ratios, norm, uppers, rep) == rt
+        rt = nuclearity._roundtrip(f, ratios, norm, uppers, rep)
         assert calls == []
     assert rt["error"] == abs(1.0 - r) * norm
     assert rt["error"] == pytest.approx(measured, rel=1e-13, abs=0.0)
@@ -341,10 +351,10 @@ def test_defect_error_scales_exactly_and_keeps_the_terms_pruning_would_drop():
         coeffs[s] = a / np.abs(a).max()
     for support in ((0, 1), (0, 1, -2)):
         f = CcElement(rep.carrier, {s: coeffs[s] for s in support})
-        error = folner_roundtrip(f, folner, rep)["error"]
+        error = _counted_roundtrip(f, folner, rep, norm=math.nan)["error"]
         assert error > 0.0
         for k in (-45, -20, 0, 20):
-            assert folner_roundtrip(2.0**k * f, folner, rep)["error"] == 2.0**k * error
+            assert _counted_roundtrip(2.0**k * f, folner, rep, norm=math.nan)["error"] == 2.0**k * error
     r = folner_intersection(folner, 1) / folner.size
     tiny = CcElement(rep.carrier, {1: (r - 1.0) * 2.0**-45 * coeffs[1]}, base_dim=2)
     assert tiny.support == (1,)
@@ -834,6 +844,18 @@ def test_witness_input_validation():
     with pytest.raises(ValueError):
         crossed_nuclearity_witness([f], -1.0, ConcreteAlgebra(4), carrier,
                                    cyclic_coordinate_rotation(4, 1), 2.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, 0.0])
+def test_witness_refuses_a_nan_epsilon_like_a_nonpositive_one(eps):
+    # unchecked, a NaN epsilon gives a report with "epsilon": "nan" on Z/4
+    # and fails converting NaN to an integer on Z; both are refused up front
+    z4, zw = cyclic_group(4), ZWindow(0)
+    cases = [(CcElement.delta(z4, 1, np.eye(4, dtype=complex)), cyclic_coordinate_rotation(4, 1)),
+             (CcElement.delta(zw, 1, base_dim=1), trivial_action(zw, 1))]
+    for f, action in cases:
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            crossed_nuclearity_witness([f], eps, ConcreteAlgebra(f.base_dim), f.carrier, action, 1.5)
 
 
 def test_rotation_demo_rejects_non_coprime_angle():

@@ -181,16 +181,26 @@ def test_compression_cb_is_monomial_cb_on_the_inclusion_bit_for_bit(sel):
     assert compression_cb(sel, 5).levels == listed.levels == [(n, 1.0 if sel.size else 0.0) for n in (1, 2)]
 
 
+def test_averaging_cb_is_exactly_one_for_every_count_and_zero_at_count_zero():
+    assert averaging_cb(0).levels == [(1, 0.0), (2, 0.0)]
+    for count in range(1, 10_001):
+        assert averaging_cb(count).levels == [(1, 1.0), (2, 1.0)]
+    assert averaging_cb(7).kind == "structural"
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 6001])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_averaging_cb_is_monomial_cb_on_a_row_of_count_entries_bit_for_bit(count, p):
-    # R = count^(-1/q) [1 ... 1] and S = count^(-1/p) [1 ... 1]^T
+    # R = count^(-1/q) [1 ... 1] and S = count^(-1/p) [1 ... 1]^T; the listed
+    # factors round two powers, a root and a product each, so monomial_cb
+    # lands within 8 units of 2^-52 of the exact 1 (0.0 at count 0)
     pe = as_exponent(p)
     zeros, idx = np.zeros(count, dtype=np.int64), np.arange(count)
     r = (zeros, idx, np.full(count, count ** (-1.0 / pe.q) if count else 0.0))
     s = (idx, zeros, np.full(count, count ** (-1.0 / pe.p) if count else 0.0))
-    assert averaging_cb(count, p).levels == monomial_cb(r, s, p).levels
-    assert averaging_cb(count, p).kind == "structural"
+    exact = 1.0 if count else 0.0
+    assert averaging_cb(count).levels == [(1, exact), (2, exact)]
+    assert all(abs(v - exact) <= 8 * 2.0**-52 for _, v in monomial_cb(r, s, p).levels)
 
 
 # each refusal holds for the certificate and for both maps it certifies

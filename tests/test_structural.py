@@ -125,7 +125,7 @@ def test_psi_factorization_on_a_z_window_is_a_compression(p):
         m = _random_square(rng, k * d)
         got = r_wide[rows] @ _amplified_pi(m, k, wide) @ s_wide[:, rows]
         assert np.abs(got - folner_psi(m, folner, rep)).max() <= 1e-14
-    assert all(abs(v - 1.0) <= 1e-15 for _, v in averaging_cb(folner.size, rep.p).levels)
+    assert averaging_cb(folner.size).levels == [(1, 1.0), (2, 1.0)]
 
 
 def _window_loop_factors(folner, rep):
@@ -179,13 +179,15 @@ def _psi_cb_case(case, p):
 @pytest.mark.parametrize("case", range(9))
 def test_folner_psi_cb_is_monomial_cb_on_the_dense_factors_bit_for_bit(case, p):
     # psi's certificate, averaging_cb at count |F|, lists no entry of R or S
+    # and is exactly 1; monomial_cb on the listed factors rounds two powers,
+    # a root and a product per factor, so it lands within 8 units of 2^-52
     folner, rep = _psi_cb_case(case, p)
     r, s = _window_loop_factors(folner, rep)
     listed = monomial_cb(_entries(r), _entries(s), rep.p)
-    closed = averaging_cb(folner.size, rep.p)
+    closed = averaging_cb(folner.size)
     assert closed.kind == listed.kind == "structural"
-    assert closed.levels == listed.levels
-    assert all(abs(v - 1.0) <= 1e-15 for _, v in closed.levels)
+    assert closed.levels == [(1, 1.0), (2, 1.0)]
+    assert all(abs(v - 1.0) <= 8 * 2.0**-52 for _, v in listed.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +286,7 @@ def _folner_cases():
 def test_sampled_folner_certificates_stay_below_the_structural_bounds(case):
     rep, folner = _folner_cases()[case]
     structural_phi = compression_cb(rep.block_selector(folner.members), rep.dimension)
-    structural_psi = averaging_cb(folner.size, rep.p)
+    structural_psi = averaging_cb(folner.size)
     sampled_phi = cb_norm_lower(folner_phi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(7), **LIGHT)
     sampled_psi = cb_norm_lower(folner_psi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(8), **LIGHT)
     for sampled, structural in ((sampled_phi, structural_phi), (sampled_psi, structural_psi)):
@@ -338,8 +340,8 @@ def test_every_structural_certificate_lists_levels_one_and_two():
     part = circle_partition(12, 4)
     certs = [
         monomial_cb(*cx_blend_factors(part, 3.0), 3.0),
-        averaging_cb(21, 1.5),
-        averaging_cb(0, 1.5),
+        averaging_cb(21),
+        averaging_cb(0),
         compression_cb(np.array([4, 0, 2]), 5),
     ]
     levels = [cb.levels for cb in certs]
@@ -354,10 +356,19 @@ def test_every_structural_certificate_lists_levels_one_and_two():
         assert listed == [(1, v), (2, v)]
 
 
+@pytest.mark.parametrize("n, k, p", [(8, 3, 1.5), (8, 3, 3.0), (4, 1, 4.0)])
+def test_rotation_reports_list_the_folner_certificates_at_exactly_one(n, k, p):
+    # computed with powers and roots, psi's level reads 0.9999999999999999
+    # at (8, 3) and 1.0000000000000004 at (4, 1, 4.0)
+    report = rotation_demo(n, k, p, 0.3)
+    assert report["passed"]
+    assert [c["levels"] for c in report["witness"]["certificates"]] == [[[1, 1.0], [2, 1.0]]] * 2
+
+
 def test_witness_refuses_to_pass_on_a_sampled_certificate(monkeypatch):
     sampled = CbEstimate(levels=[(1, 1.0), (2, 1.0)])  # a lower bound: proves nothing
     structural = nuclearity.averaging_cb  # phi's certificate is the count 1, psi's |F| = 21
-    monkeypatch.setattr(nuclearity, "averaging_cb", lambda count, p: structural(count, p) if count == 1 else sampled)
+    monkeypatch.setattr(nuclearity, "averaging_cb", lambda count: structural(count) if count == 1 else sampled)
     with pytest.raises(CertificateError, match="psi certificate"):
         _line_witness()
 

@@ -7,7 +7,7 @@
 #   bash tools/ci_local.sh tests            tier-1 tests
 #   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs and their gates
-#   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001, timed and measured
+#   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001: its cost and its claims
 #   bash tools/ci_local.sh lines            the size of src/lpalg, printed and not gated
 #
 # Needs python3 with numpy (and pytest and hypothesis for the tests).
@@ -91,21 +91,29 @@ smoke() {
 # the witness for delta_1 on Z at epsilon 0.001 (|F| = 6001, a window of
 # 12005 positions) must finish within 10 s and 100 MB of peak RSS: its
 # certificates are read off |F|, and a single term's norm off its
-# coefficient, so nothing of the window's size is listed or built
+# coefficient, so nothing of the window's size is listed or built.  Its
+# report must pass with every certificate level exactly 1.0: the Folner
+# pair's levels are theorems, so no rounding may move them
 scale() {
     echo "== witness at scale: delta_1 on Z, epsilon 0.001"
     echo '{"group": {"type": "z_window", "radius": 1}, "coeffs": [{"s": 1, "matrix": {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}}]}' \
         > "$out/delta1.json"
     PYTHONPATH=src python3 - "$out/delta1.json" <<'PY'
-import resource, subprocess, sys, time
+import json, resource, subprocess, sys, time
 argv = ["timeout", "10", sys.executable, "-m", "lpalg", "witness", "--elements", sys.argv[1], "--epsilon", "0.001"]
 start = time.perf_counter()
-code = subprocess.run(argv, stdout=subprocess.DEVNULL).returncode
+run = subprocess.run(argv, stdout=subprocess.PIPE, text=True)
 wall = time.perf_counter() - start
 peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KB on Linux
-ok = code == 0 and peak_mb <= 100
-print(f"gate exit {code} == 0 (in {wall:.2f} s) and child peak RSS {peak_mb:.1f} MB <= 100", "ok" if ok else "FAILED")
-sys.exit(0 if ok else 1)
+ok = run.returncode == 0 and peak_mb <= 100
+print(f"gate exit {run.returncode} == 0 (in {wall:.2f} s) and child peak RSS {peak_mb:.1f} MB <= 100",
+      "ok" if ok else "FAILED")
+report = json.loads(run.stdout) if run.returncode == 0 else {}
+levels = [value for c in report.get("certificates", []) for _, value in c["levels"]]
+claims = report.get("passed") is True and bool(levels) and all(v == 1.0 for v in levels)
+print(f"gate passed {report.get('passed')} and certificate levels {levels} all exactly 1.0",
+      "ok" if claims else "FAILED")
+sys.exit(0 if ok and claims else 1)
 PY
 }
 
