@@ -36,8 +36,6 @@ the identity block (``CovariantRep.block_selector`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .groups import as_integer, cyclic_group
@@ -64,15 +62,17 @@ _ACTION_TOL = 1e-12
 _TABLE_ENTRIES = 1 << 16  # cap on (2R + 1) * base_dim of a Z action's power table
 
 
-@dataclass(frozen=True, eq=False)
 class ConcreteAlgebra:
-    """The algebra of base_dim x base_dim matrices on l^p."""
+    """The algebra of base_dim x base_dim matrices on l^p.  Read-only."""
 
-    base_dim: int
-
-    def __post_init__(self):
-        if self.base_dim < 1:
+    def __init__(self, base_dim: int):
+        base_dim = as_integer(base_dim, "base_dim")
+        if base_dim < 1:
             raise ValueError("base_dim must be a positive integer")
+        object.__setattr__(self, "base_dim", base_dim)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def is_phased_permutation(u) -> bool:

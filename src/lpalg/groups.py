@@ -31,8 +31,6 @@ interval {0..L-1} of minimal length L <= 100,000 for Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError
@@ -113,14 +111,21 @@ class CyclicGroup(_Finite):
         return f"CyclicGroup(order={self.order})"
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteGroup(_Finite):
-    """A finite group given by its multiplication table over indices 0..n-1."""
+    """A finite group given by its multiplication table over indices 0..n-1.
 
-    mult: np.ndarray
-    identity: int
-    inverse: np.ndarray
+    Read-only; two groups are equal only when they are the same object.
+    """
+
     cyclic = False  # the indices need not be the powers of element 1
+
+    def __init__(self, mult: np.ndarray, identity: int, inverse: np.ndarray):
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverse", inverse)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def order(self) -> int:
@@ -143,22 +148,37 @@ class FiniteGroup(_Finite):
         return f"FiniteGroup(order={self.order})"
 
 
-@dataclass(frozen=True)
 class ZWindow:
     """The group Z, carried on the symmetric interval {-radius..radius}.
 
     The radius only matters when a representation space is built; group
-    arithmetic is ordinary integer arithmetic either way.
+    arithmetic is ordinary integer arithmetic either way.  Read-only, and
+    equal radii make equal windows.
     """
 
-    radius: int = 0
     identity = 0
     order = None
     cyclic = True
 
-    def __post_init__(self):
-        if self.radius < 0:
+    def __init__(self, radius: int = 0):
+        radius = as_integer(radius, "window radius")
+        if radius < 0:
             raise ValueError("window radius must be nonnegative")
+        object.__setattr__(self, "radius", radius)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.radius == other.radius
+
+    def __hash__(self):
+        return hash(self.radius)
+
+    def __repr__(self) -> str:
+        return f"ZWindow(radius={self.radius!r})"
 
     def op(self, s, t):
         return s + t
@@ -172,7 +192,7 @@ class ZWindow:
 
     def window(self, radius: int | None = None) -> np.ndarray:
         """The interval {-r..r}, r the given radius or else the carrier's own."""
-        r = self.radius if radius is None else int(radius)
+        r = self.radius if radius is None else as_integer(radius, "window radius")
         if r < 1:
             raise ValueError("a Z representation needs a positive window radius")
         return np.arange(-r, r + 1)
@@ -257,22 +277,36 @@ def lambda_adjoint_check(group, s: int) -> bool:
     return np.array_equal(adjoint(regular_rep(group, s)), regular_rep(group, group.inv(s)))
 
 
-@dataclass(frozen=True)
 class FolnerSet:
-    """A finite nonempty subset of a group carrier, kept sorted for determinism."""
+    """A finite nonempty subset of a group carrier, kept sorted for determinism.
 
-    carrier: object  # any group carrier
-    members: tuple
+    Read-only; equal carriers and members make equal sets.
+    """
 
-    def __post_init__(self):
-        members = tuple(sorted(as_integer(m, "Folner set member") for m in self.members))
+    def __init__(self, carrier, members: tuple):
+        members = tuple(sorted(as_integer(m, "Folner set member") for m in members))
         if not members:
             raise ValueError("a Folner set must be nonempty")
         if len(set(members)) != len(members):
             raise ValueError("Folner set members must be distinct")
-        if not self.carrier.contains(np.array(members)).all():
+        if not carrier.contains(np.array(members)).all():
             raise ValueError("Folner set members must be elements of the carrier")
+        object.__setattr__(self, "carrier", carrier)  # any group carrier
         object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier, self.members) == (other.carrier, other.members)
+
+    def __hash__(self):
+        return hash((self.carrier, self.members))
+
+    def __repr__(self) -> str:
+        return f"FolnerSet(carrier={self.carrier!r}, members={self.members!r})"
 
     @property
     def size(self) -> int:

@@ -44,7 +44,6 @@ a, any other element on its integrated form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,7 +114,6 @@ def _require_proved(name: str, cb: CbEstimate):
         raise CertificateError(f"{name} certificate proves no contraction: {cb.kind} bound {cb.best:.9f}")
 
 
-@dataclass
 class Factorization:
     """A pair of maps through a matrix algebra with its quality records.
 
@@ -128,14 +126,14 @@ class Factorization:
     so it is refused at construction like an expansive bound.
     """
 
-    phi: LinearMap
-    psi: LinearMap
-    phi_cb: CbEstimate
-    psi_cb: CbEstimate
-    roundtrip_errors: dict = field(default_factory=dict)
-    p: float = 2.0
-
-    def __post_init__(self):
+    def __init__(self, phi: LinearMap, psi: LinearMap, phi_cb: CbEstimate, psi_cb: CbEstimate,
+                 roundtrip_errors: dict | None = None, p: float = 2.0):
+        self.phi = phi
+        self.psi = psi
+        self.phi_cb = phi_cb
+        self.psi_cb = psi_cb
+        self.roundtrip_errors = {} if roundtrip_errors is None else roundtrip_errors
+        self.p = p
         _require_proved("phi", self.phi_cb)
         _require_proved("psi", self.psi_cb)
         for key, err in self.roundtrip_errors.items():

@@ -24,7 +24,6 @@ that certifies both with levels 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,7 +136,6 @@ def amplify(phi: LinearMap, n: int) -> LinearMap:
     )
 
 
-@dataclass
 class CbEstimate:
     """Bounds for a cb norm, one per amplification level, and their kind.
 
@@ -153,8 +151,9 @@ class CbEstimate:
       :func:`monomial_cb`).
     """
 
-    levels: list[tuple[int, float]] = field(default_factory=list)
-    kind: str = "sampled_lower"
+    def __init__(self, levels: list[tuple[int, float]] | None = None, kind: str = "sampled_lower"):
+        self.levels = [] if levels is None else levels
+        self.kind = kind
 
     @property
     def best(self) -> float:
@@ -348,16 +347,16 @@ def cb_norm_lower(
     return CbEstimate(levels=levels)
 
 
-@dataclass
 class _Walk:
     """One input's stochastic ascent: the current point, its ratio, the step
     size, and the draws of its remaining steps."""
 
-    m: np.ndarray
-    ratio: float
-    scale: float
-    steps: list
-    sigma: float = 0.25
+    def __init__(self, m: np.ndarray, ratio: float, scale: float, steps: list, sigma: float = 0.25):
+        self.m = m
+        self.ratio = ratio
+        self.scale = scale
+        self.steps = steps
+        self.sigma = sigma
 
 
 def _draw_step(gen: np.random.Generator, shape: tuple) -> tuple[np.ndarray, int]:

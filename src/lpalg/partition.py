@@ -31,10 +31,9 @@ large-matrix estimation is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .groups import as_integer
 from .lpnorm import as_exponent, as_generator, pnorm_estimate_stack
 from .opspace import CbEstimate
 
@@ -54,7 +53,6 @@ __all__ = [
 _SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class PartitionOfUnity:
     """Nonnegative bump vectors over a finite grid that sum to one.
 
@@ -62,20 +60,18 @@ class PartitionOfUnity:
     bumps:  array of shape (n_bumps, n_points), bump i as a vector of values.
     cover:  boolean array of the same shape, row i the patch of bump i; the
             bump must vanish off its patch.
+
+    Read-only.
     """
 
-    points: tuple
-    bumps: np.ndarray
-    cover: np.ndarray
-
-    def __post_init__(self):
-        bumps = np.asarray(self.bumps, dtype=float)
+    def __init__(self, points: tuple, bumps: np.ndarray, cover: np.ndarray):
+        bumps = np.asarray(bumps, dtype=float)
         if bumps.ndim != 2 or bumps.shape[0] == 0:
             raise ValueError("bumps must be a nonempty (n_bumps, n_points) array")
-        cover = np.asarray(self.cover)
+        cover = np.asarray(cover)
         if cover.dtype != bool or cover.shape != bumps.shape:
             raise ValueError(f"cover must be a boolean array of shape {bumps.shape}, got {cover.dtype} {cover.shape}")
-        points = tuple(int(y) for y in self.points)
+        points = tuple(as_integer(y, "sample point") for y in points)
         if len(points) != bumps.shape[0]:
             raise ValueError("need exactly one sample point per bump")
         if bumps.min() < 0.0:
@@ -99,6 +95,9 @@ class PartitionOfUnity:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "bumps", bumps)
         object.__setattr__(self, "cover", cover)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def n_points(self) -> int:

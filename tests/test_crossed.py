@@ -216,6 +216,20 @@ def test_z_representation_of_radius_zero_is_refused():
             CovariantRep(ConcreteAlgebra(1), action, 2.0, window_radius=radius)
 
 
+def test_a_window_radius_that_is_not_an_integer_is_refused():
+    # window_radius=1.7 used to run at radius 1
+    action = trivial_action(ZWindow(0), 1)
+    with pytest.raises(ValueError, match="^window radius must be an integer, got 1.7"):
+        CovariantRep(ConcreteAlgebra(1), action, 2.0, window_radius=1.7)
+
+
+@pytest.mark.parametrize("base_dim", [1.5, 2.0, True])
+def test_an_algebra_dimension_must_be_an_integer(base_dim):
+    with pytest.raises(ValueError, match="^base_dim must be an integer, got "):
+        ConcreteAlgebra(base_dim)
+    assert ConcreteAlgebra(np.int64(2)).base_dim == 2
+
+
 def test_covariance_relation():
     rng = np.random.default_rng(0)
     rep = CovariantRep(ConcreteAlgebra(4), cyclic_coordinate_rotation(4, 1), 1.5)

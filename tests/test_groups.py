@@ -102,6 +102,17 @@ def test_z_window_needs_a_positive_radius():
             call()
 
 
+@pytest.mark.parametrize("radius", [1.7, 2.0, True, "3"])
+def test_a_window_radius_must_be_an_integer(radius):
+    # ZWindow(1.7) used to give the positions -1.7, -0.7, 0.3, ..., and
+    # window(1.7) the radius-1 window
+    with pytest.raises(ValueError, match="^window radius must be an integer, got "):
+        ZWindow(radius)
+    with pytest.raises(ValueError, match="^window radius must be an integer, got "):
+        ZWindow(3).window(radius)
+    assert ZWindow(np.int64(2)).window(np.int64(1)).tolist() == [-1, 0, 1]
+
+
 def test_regular_rep_is_the_shift():
     # on Z/3 the translation by 1 sends basis vector t to t+1
     lam = regular_rep(cyclic_group(3), 1)

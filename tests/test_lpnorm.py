@@ -789,6 +789,15 @@ def test_exponent_rejects_out_of_range():
         as_exponent(0.5)
 
 
+@pytest.mark.parametrize("p", [True, np.bool_(True), False])
+def test_exponent_rejects_a_bool(p):
+    # as_exponent(True) used to be p = 1, as an integer field refuses True
+    for make in (PExponent, as_exponent):
+        with pytest.raises(ValueError, match="^exponent must be a number, not a bool"):
+            make(p)
+    assert as_exponent(np.int64(1)).q == np.inf
+
+
 def test_validate_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         validate_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -160,6 +160,16 @@ def test_partition_refusals_name_the_first_failing_bump():
             _with_cover(good, points={0: y})
 
 
+def test_partition_sample_points_must_be_integers():
+    # the points (0.7, 2.7, 4.7) used to become (0, 2, 4)
+    good = circle_partition(6, 3)
+    assert good.points == (0, 2, 4)
+    for points in ((0.7, 2.7, 4.7), (0, 2.0, 4), (0, True, 4)):
+        with pytest.raises(ValueError, match="^sample point must be an integer, got "):
+            PartitionOfUnity(points, good.bumps, good.cover)
+    assert PartitionOfUnity(np.array(good.points), good.bumps, good.cover).points == (0, 2, 4)
+
+
 @pytest.mark.parametrize("cover", [
     lambda c: c.astype(int),
     lambda c: c.astype(float),

@@ -9,6 +9,7 @@
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs and their gates
 #   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001: its cost and its claims
 #   bash tools/ci_local.sh lines            the size of src/lpalg, printed and not gated
+#   bash tools/ci_local.sh imports          the import time of lpalg, printed and not gated
 #
 # Needs python3 with numpy (and pytest and hypothesis for the tests).
 set -euo pipefail
@@ -146,22 +147,41 @@ print(f"{total} code lines (tokenizer count, without blank lines, comments and d
 PY
 }
 
+# lpalg's own import time: the cumulative time of `import lpalg` less that of
+# numpy, which lpalg imports, from python's -X importtime log.  It includes
+# compiling the sources when no bytecode cache is written.  Not gated:
+# tests/test_records.py checks that the import generates no code for records
+imports() {
+    echo "== import time of lpalg"
+    PYTHONPATH=src python3 -X importtime -c "import lpalg" 2>&1 >/dev/null | python3 -c '
+import sys
+cumulative = {}
+for line in sys.stdin:
+    fields = line.removeprefix("import time:").split("|")
+    if len(fields) == 3 and fields[1].strip().isdigit():
+        cumulative[fields[2].strip()] = int(fields[1])
+total, numpy = cumulative["lpalg"] / 1e3, cumulative.get("numpy", 0) / 1e3
+print(f"import lpalg: {total:.1f} ms, of which numpy {numpy:.1f} ms and lpalg its own {total - numpy:.1f} ms")'
+}
+
 case ${1:-all} in
 tests) tests ;;
 suite) suite ;;
 smoke) smoke "${2:?name a workload}" ;;
 scale) scale ;;
 lines) lines ;;
+imports) imports ;;
 all)
     tests
     suite
     for workload in witness_line rotation_grid norm_stream; do smoke "$workload"; done
     scale
     lines
+    imports
     echo "== all checks passed"
     ;;
 *)
-    echo "usage: $0 [tests | suite | smoke WORKLOAD | scale | lines]" >&2
+    echo "usage: $0 [tests | suite | smoke WORKLOAD | scale | lines | imports]" >&2
     exit 2
     ;;
 esac
