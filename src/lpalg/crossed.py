@@ -249,6 +249,7 @@ def cyclic_coordinate_rotation(n: int, k: int) -> IsometricAction:
     On diagonal matrices this is alpha_1(diag d)_j = d_{j+k mod n}, i.e. the
     pullback of the grid rotation j |-> j - k.
     """
+    n, k = as_integer(n, "rotation grid size n"), as_integer(k, "rotation step k")
     shift = np.zeros((n, n), dtype=complex)
     shift[(np.arange(n) - k) % n, np.arange(n)] = 1.0  # column i to row i - k
     return IsometricAction(cyclic_group(n), generator=shift)

@@ -94,6 +94,7 @@ class CyclicGroup(_Finite):
     cyclic = True
 
     def __init__(self, order: int):
+        order = as_integer(order, "cyclic group order")
         if order < 1:
             raise ValueError("cyclic group order must be positive")
         self.order = order
@@ -260,7 +261,7 @@ def group_from_table(mult) -> FiniteGroup:
 
 def cyclic_group(n: int) -> CyclicGroup:
     """Z/n with elements 0..n-1 under addition mod n."""
-    return CyclicGroup(int(n))
+    return CyclicGroup(n)
 
 
 def regular_rep(group, s: int) -> np.ndarray:

@@ -24,10 +24,10 @@ corner stability, window truncation, and the triangle-inequality
 composition of two approximations.  Like phi, the corner maps and the
 truncation are built from ``opspace.compression`` and its adjoint
 ``opspace.embedding``.  A ``Factorization`` holds only proofs: every
-certificate must be structural and at most 1, and each lemma derives its
-legs' bounds from the parent's by cb(A o B) <= cb(A) cb(B), so nothing in
-this module samples a cb norm (``opspace.cb_norm_lower`` stays the refuting
-cross-check of the suite and the tests).
+certificate must be structural and at most 1, with no tolerance, and each
+lemma derives its legs' bounds from the parent's by cb(A o B) <= cb(A) cb(B),
+so nothing in this module samples a cb norm (``opspace.cb_norm_lower`` stays
+the refuting cross-check of the suite and the tests).
 
 Both maps work on whole arrays: phi is an index compression, and psi moves
 all blocks with one gather.  When all contributions to one group
@@ -58,7 +58,6 @@ from .errors import CertificateError
 from .groups import (
     FolnerSet,
     folner_intersection,
-    folner_ratio,
     folner_search,
 )
 from .lpnorm import as_exponent, pnorm_estimate, pnorm_upper
@@ -71,13 +70,12 @@ from .opspace import (
     compression,
     compression_cb,
     embedding,
-    monomial_cb,
     split_blocks,
+    weighted_sum_cb,
 )
 from .partition import (
     circle_function,
     circle_partition,
-    cx_blend_factors,
     partition_roundtrip,
 )
 
@@ -97,16 +95,13 @@ __all__ = [
     "truncate_map",
 ]
 
-_CB_TOL = 1e-6
-
 
 def _proved_contractive(*certs: CbEstimate) -> bool:
-    """Every certificate is a structural upper bound at or below 1 (up to
-    tolerance) on at least one level; a sampled lower bound at or below 1,
-    or a certificate with no levels, proves nothing."""
-    return all(
-        cb.kind == "structural" and cb.levels and cb.best <= 1.0 + _CB_TOL for cb in certs
-    )
+    """Every certificate is a structural upper bound at or below 1 on at
+    least one level, with no tolerance: each structural level is exact or
+    rounded up.  A sampled lower bound at or below 1, or a certificate with
+    no levels, proves nothing."""
+    return all(cb.kind == "structural" and cb.levels and cb.best <= 1.0 for cb in certs)
 
 
 def _require_proved(name: str, cb: CbEstimate):
@@ -121,9 +116,10 @@ class Factorization:
     codomain dimension of phi.  ``roundtrip_errors`` maps a test-element id
     to the measured operator norm of psi(phi(x)) - x.  Both cb certificates
     must be proofs: kind ``structural`` (upper bounds derived from the form
-    of the map) with at least one level and every level at most 1 + 1e-6.
-    A sampled lower bound, or a certificate with no levels, proves nothing,
-    so it is refused at construction like an expansive bound.
+    of the map, exact or rounded up) with at least one level and every
+    level at most 1, compared with no tolerance.  A sampled lower bound, or
+    a certificate with no levels, proves nothing, so it is refused at
+    construction like an expansive bound.
     """
 
     def __init__(self, phi: LinearMap, psi: LinearMap, phi_cb: CbEstimate, psi_cb: CbEstimate,
@@ -463,7 +459,8 @@ def crossed_nuclearity_witness(
 
     phi_cb, psi_cb = averaging_cb(1), averaging_cb(folner.size)
 
-    ratios = {s: folner_intersection(folner, s) / folner.size for s in supports}
+    counts = {s: folner_intersection(folner, s) for s in supports}
+    ratios = {s: counts[s] / folner.size for s in supports}
     elements = []
     for i, (f, coeff_uppers, upper) in enumerate(zip(fs, uppers, norm_uppers)):
         norm = _element_norm(f, rep)
@@ -482,7 +479,7 @@ def crossed_nuclearity_witness(
         "p": float(pe.p),
         "folner": {
             "members": [int(t) for t in folner.members],
-            "ratios": {str(s): float(folner_ratio(folner, s)) for s in supports},
+            "ratios": {str(s): 2 * (folner.size - counts[s]) / folner.size for s in supports},
         },
         "elements": elements,
         "certificates": certificates,
@@ -505,9 +502,9 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None) -> dict:
     runs the full nuclearity witness on {u, z}, and runs the circle
     partition factorization of the base algebra alongside.  The partition
     legs are certified by their form: point evaluation is a coordinate
-    compression of the diagonal (``compression_cb``) and blending factors
-    through monomial maps (``cx_blend_factors``), so ``partition_ok`` rests
-    on structural upper bounds.  Nothing is drawn at random: ``rng`` is
+    compression of the diagonal (``compression_cb``) and blending is bounded
+    by the bumps' largest column sum (``weighted_sum_cb``, rounded up), so
+    ``partition_ok`` rests on structural upper bounds.  Nothing is drawn at random: ``rng`` is
     accepted for compatibility and not used.
     """
     if n < 2:
@@ -532,7 +529,7 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None) -> dict:
     part = circle_partition(n, n_arcs)
     rt = partition_roundtrip(part, circle_function("z", n))
     part_phi = compression_cb(np.asarray(part.points), part.n_points)
-    part_psi = monomial_cb(*cx_blend_factors(part, pe), pe)
+    part_psi = weighted_sum_cb(part.bumps)
     partition_ok = rt["error"] <= rt["bound"] + 1e-12 and _proved_contractive(part_phi, part_psi)
 
     passed = bool(witness_report["passed"] and commutation_dev <= 1e-12 and partition_ok)

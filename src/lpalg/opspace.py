@@ -9,16 +9,17 @@ matrix over the row-major matrix-unit basis derived on demand.
 The p-completely-bounded norm of a map phi is sup_n of the norm of
 id_{M_n} (x) phi.  ``cb_norm_lower`` samples the first few amplification
 levels and reports the (nondecreasing) lower bounds it finds; such levels
-can only refute contractivity (a level above 1 + 1e-6 does).  A map that
-factors as x -> R (I (x) rho(x)) S, with R and S monomial (one entry per
-column of R, per row of S) and rho p-completely contractive, has the
-closed-form bound ||R|| ||S|| at every level; ``monomial_cb`` records it as
-a structural upper bound with no sampling.
+can only refute contractivity.  Structural certificates are proved upper
+bounds read off the form of a map, with no sampling, each exact or rounded
+up: ``averaging_cb`` for x -> R (I (x) rho(x)) S whose monomial factors
+have norm exactly 1, and ``weighted_sum_cb`` for a map of direct sums whose
+output fibres are nonnegative combinations of its input fibres, bounded by
+the largest column sum of the weights.
 
 Every coordinate cut is one map: ``compression`` is T -> J* T J = T[sel, sel]
 for the coordinate inclusion J of l^p(sel), ``embedding`` its adjoint
-M -> J M J*, the zero-padding back, and ``compression_cb`` the monomial case
-that certifies both with levels 1.
+M -> J M J*, the zero-padding back, and ``compression_cb`` the certificate
+of both, with levels 1.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ __all__ = [
     "compression",
     "compression_cb",
     "embedding",
-    "monomial_cb",
     "split_blocks",
+    "weighted_sum_cb",
 ]
 
 
@@ -147,8 +148,8 @@ class CbEstimate:
       bounds are kept that way).  These are lower bounds: a level above 1
       refutes contractivity, a level at or below 1 proves nothing.
     * ``"structural"``: each level is a proved upper bound for the norm of
-      id_{M_n} (x) phi, derived from the form of the map (see
-      :func:`monomial_cb`).
+      id_{M_n} (x) phi, derived from the form of the map and exact or
+      rounded up (see :func:`averaging_cb` and :func:`weighted_sum_cb`).
     """
 
     def __init__(self, levels: list[tuple[int, float]] | None = None, kind: str = "sampled_lower"):
@@ -160,61 +161,45 @@ class CbEstimate:
         return max((v for _, v in self.levels), default=0.0)
 
 
-def _monomial_norm(groups: np.ndarray, values: np.ndarray, r: float) -> float:
-    """Largest l^r norm among the groups of entries that share a label, r in [1, inf]."""
-    mags = np.abs(values)
-    top = float(mags.max(initial=0.0))
-    if top == 0.0 or math.isinf(r):
-        return top
-    # scaled by the largest modulus so that the r-th powers cannot overflow
-    return top * float(np.bincount(groups, weights=(mags / top) ** r).max()) ** (1.0 / r)
+def weighted_sum_cb(weights) -> CbEstimate:
+    """Structural cb certificate of a map between direct sums whose output
+    fibre x is sum_i w[i, x] (input fibre i), for a nonnegative
+    (n_in, n_out) array w.
 
-
-def _monomial_entries(factor, one_per: str, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated (rows, cols, values) of a factor with at most one entry per row or column."""
-    rows, cols, values = (np.asarray(part) for part in factor)
-    if not (rows.ndim == 1 and rows.shape == cols.shape == values.shape):
-        raise ValueError(f"{what} must be three one-dimensional arrays of equal length")
-    if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
-        raise ValueError(f"{what} needs integer row and column indices")
-    if rows.size and min(rows.min(), cols.min()) < 0:
-        raise ValueError(f"{what} has a negative index")
-    unique = cols if one_per == "column" else rows
-    if unique.size and np.bincount(unique).max() > 1:
-        raise ValueError(f"{what} is not monomial: a {one_per} holds two entries")
-    return rows, cols, values
-
-
-def monomial_cb(r, s, p) -> CbEstimate:
-    """Structural cb certificate of a map x -> R (I (x) rho(x)) S with monomial R and S.
-
-    R has at most one entry per column and S at most one per row; each is
-    given by the arrays of its entries, a (rows, cols, values) triple, never
-    as a dense matrix.  rho must be p-completely contractive, which the
-    caller vouches for (a direct sum of conjugations by phased
-    permutations, or of copies of the input, is p-completely isometric).
-
-    The columns of R are disjoint, so by Hoelder ||R||_p is the largest
-    l^q norm of a row of R; dually ||S||_p = ||S*||_q is the largest l^p
-    norm of a column of S.  Both hold for every p in [1, inf].  The
-    amplification id_{M_n} (x) phi factors through I_n (x) R and I_n (x) S,
-    which have the same norms, so ||R|| ||S||, up to the rounding of these
-    few operations, is a proved upper bound at every level n at once; the
-    certificate lists it at levels 1 and 2.  Input with two entries in one
-    column of R or one row of S is refused.
+    A direct sum's norm is its largest fibre's.  Amplified by id_{M_n},
+    output fibre x is the same weighted sum of the M_n-valued input fibres
+    D_i, and ||sum_i w[i, x] D_i|| <= sum_i w[i, x] max_i ||D_i|| by the
+    triangle inequality, so the largest column sum max_x sum_i w[i, x]
+    bounds the map at every level and for every p.  Each column is summed
+    with ``math.fsum``, correctly rounded, and raised to the next float
+    where that rounding fell below the exact sum, so the level is a proved
+    upper bound.  Weights that are not a finite, nonnegative
+    two-dimensional array are refused.
     """
-    pe = as_exponent(p)
-    r_rows, _, r_values = _monomial_entries(r, "column", "R")
-    _, s_cols, s_values = _monomial_entries(s, "row", "S")
-    return _structural(_monomial_norm(r_rows, r_values, pe.q) * _monomial_norm(s_cols, s_values, pe.p))
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or not np.isfinite(w).all() or (w < 0.0).any():
+        raise ValueError("weights must be a finite, nonnegative two-dimensional array")
+    bound = 0.0
+    for column in w.T.tolist():
+        s = math.fsum(column)
+        if math.fsum([*column, -s]) > 0.0:  # the rounded sum lies below the exact one
+            s = math.nextafter(s, math.inf)
+        bound = max(bound, s)
+    return _structural(bound)
 
 
 def averaging_cb(count: int) -> CbEstimate:
-    """The :func:`monomial_cb` certificate of factors with ``count`` entries
-    of modulus count^(-1/q) in every row of R and count^(-1/p) in every
-    column of S, for any p: each such row has l^q norm exactly 1 and each
-    such column l^p norm exactly 1, so the bound is exactly 1.0 (0.0 for
-    count 0), with no entry listed and no rounding."""
+    """Structural cb certificate of x -> R (I (x) rho(x)) S, rho
+    p-completely contractive, R with one entry per column and ``count``
+    entries of modulus count^(-1/q) in every row, S with one entry per row
+    and ``count`` entries of modulus count^(-1/p) in every column.
+
+    The amplification factors through I_n (x) R and I_n (x) S, of the same
+    norms, so ||R|| ||S|| bounds every level.  The columns of R are
+    disjoint, so by Hoelder ||R||_p is the largest l^q norm of a row, and
+    dually ||S||_p the largest l^p norm of a column: for any p both are
+    exactly 1, so the bound is exactly 1.0 (0.0 for count 0), with no
+    entry listed and no rounding."""
     return _structural(1.0 if count else 0.0)
 
 
@@ -262,9 +247,9 @@ def embedding(sel, codomain_dim: int) -> LinearMap:
 def compression_cb(sel, domain_dim: int) -> CbEstimate:
     """Structural cb certificate of :func:`compression` on M_{domain_dim}.
 
-    J* T J is the :func:`monomial_cb` case R = J*, S = J, rho = id, one entry
-    1 per row of J* and column of J: :func:`averaging_cb` at count 1, levels
-    1.0 (0.0 for the empty selector), with no J built.  A repeated index puts
+    J* T J is the case R = J*, S = J, rho = id, one entry 1 per row of J*
+    and column of J: :func:`averaging_cb` at count 1, levels 1.0 (0.0 for
+    the empty selector), with no J built.  A repeated index puts
     two entries in a column of J* (the selector [0, 0] sends e_00 to the
     all-ones 2 x 2 matrix, of norm 2), so it is refused, as is an index
     outside the domain."""
@@ -318,8 +303,8 @@ def cb_norm_lower(
     Both norms of a ratio are lower bounds from
     :func:`lpalg.lpnorm.pnorm_estimate_stack` run from the same seed, so a
     ratio exceeds the true cb norm only by the denominator's convergence
-    slack (kept below the 1e-6 certificate tolerance by two extra
-    restarts), and a map acting as the identity on an input gives the ratio
+    slack (kept below the 1e-6 within which the suite compares sampled
+    levels with 1, by two extra restarts), and a map acting as the identity on an input gives the ratio
     1.0 bit for bit.
 
     A level runs in rounds over all its inputs: round 0 takes every input's

@@ -49,7 +49,7 @@ from .nuclearity import (
     rotation_demo,
     truncate_map,
 )
-from .opspace import LinearMap, cb_norm_lower, compression, compression_cb, embedding, monomial_cb
+from .opspace import LinearMap, cb_norm_lower, compression, compression_cb, embedding, weighted_sum_cb
 from .partition import (
     circle_function,
     circle_partition,
@@ -387,12 +387,6 @@ def criterion_10(seed: int):
     return ok, {"partition_sum_dev": sums_dev, "roundtrips": results}
 
 
-def _shrink_cb(dim: int, c: float):
-    """Structural certificate of x -> c x on M_dim: R = c I, S = I, rho = id."""
-    idx = np.arange(dim)
-    return monomial_cb((idx, idx, np.full(dim, c)), (idx, idx, np.ones(dim)), 2.0)
-
-
 def criterion_11(seed: int):
     """Amplification keeps errors within n^2 bookkeeping; corners only shrink."""
     gen = _rng(seed, 11)
@@ -400,7 +394,8 @@ def criterion_11(seed: int):
     shrink = 1.0 - 1e-3
     phi = LinearMap.identity(d)
     psi = LinearMap(d, d, apply_fn=lambda x: shrink * np.asarray(x, dtype=complex))
-    cb, cb2 = compression_cb(np.arange(d), d), _shrink_cb(d, shrink)
+    cb = compression_cb(np.arange(d), d)
+    cb2 = weighted_sum_cb([[shrink]])  # x -> shrink x is one fibre of weight shrink
     lift_ok = True
     lift_rows = []
     for n in (1, 2, 3):
@@ -423,7 +418,7 @@ def criterion_11(seed: int):
         LinearMap.identity(big),
         psi_big,
         compression_cb(np.arange(big), big),
-        _shrink_cb(big, shrink),
+        cb2,
         p=2.0,
     )
     corner_ok = True

@@ -223,6 +223,16 @@ def test_a_window_radius_that_is_not_an_integer_is_refused():
         CovariantRep(ConcreteAlgebra(1), action, 2.0, window_radius=1.7)
 
 
+@pytest.mark.parametrize("n, k, name", [
+    (5, 1.5, "rotation step k"),  # used to raise a bare IndexError
+    (4.5, 1, "rotation grid size n"),  # used to raise a TypeError that named nothing
+])
+def test_a_rotation_takes_integer_arguments(n, k, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        cyclic_coordinate_rotation(n, k)
+    assert cyclic_coordinate_rotation(np.int64(5), np.int64(2)).carrier.order == 5
+
+
 @pytest.mark.parametrize("base_dim", [1.5, 2.0, True])
 def test_an_algebra_dimension_must_be_an_integer(base_dim):
     with pytest.raises(ValueError, match="^base_dim must be an integer, got "):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lpalg.errors import CapacityError
 from lpalg.groups import (
+    CyclicGroup,
     FolnerSet,
     ZWindow,
     cyclic_group,
@@ -100,6 +101,18 @@ def test_z_window_needs_a_positive_radius():
     for call in (ZWindow(0).window, lambda: ZWindow(3).window(0), lambda: ZWindow(3).window(-2)):
         with pytest.raises(ValueError, match="positive window radius"):
             call()
+
+
+@pytest.mark.parametrize("make, order", [
+    (cyclic_group, 4.9),  # used to be Z/4
+    (cyclic_group, True),  # used to be Z/1
+    (cyclic_group, "3"),  # used to be Z/3
+    (CyclicGroup, 2.5),  # used to build a group of order 2.5
+])
+def test_a_cyclic_group_order_must_be_an_integer(make, order):
+    with pytest.raises(ValueError, match="^cyclic group order must be an integer, got "):
+        make(order)
+    assert cyclic_group(np.int64(3)).order == 3
 
 
 @pytest.mark.parametrize("radius", [1.7, 2.0, True, "3"])

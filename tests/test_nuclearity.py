@@ -33,7 +33,7 @@ from lpalg.nuclearity import (
     rotation_demo,
     truncate_map,
 )
-from lpalg.opspace import CbEstimate, LinearMap, cb_norm_lower, compression, compression_cb, embedding, monomial_cb
+from lpalg.opspace import CbEstimate, LinearMap, cb_norm_lower, compression, compression_cb, embedding, weighted_sum_cb
 
 CB_SLACK = 1e-6
 LIGHT = {"trials": 4, "ascent_steps": 2, "restarts": 6, "max_iters": 60}
@@ -427,7 +427,7 @@ def test_sampled_folner_phi_cross_check_on_a_phased_z_window():
     folner = FolnerSet(rep.carrier, (-1, 0, 1, 2))
     phi = cb_norm_lower(folner_phi_map(folner, rep), rep.p, n_max=2, rng=np.random.default_rng(2), **LIGHT)
     assert phi.kind == "sampled_lower"
-    assert phi.best <= 1.0 + nuclearity._CB_TOL
+    assert phi.best <= 1.0 + CB_SLACK
 
 
 def test_folner_psi_requires_matching_shape():
@@ -463,9 +463,8 @@ def _structural(level):
 
 
 def _scaling(dim, c):
-    """x -> c x on M_dim with its structural certificate (R = c I, S = I)."""
-    idx = np.arange(dim)
-    cb = monomial_cb((idx, idx, np.full(dim, c)), (idx, idx, np.ones(dim)), 2.0)
+    """x -> c x on M_dim with its structural certificate: one fibre with weight |c|."""
+    cb = weighted_sum_cb([[abs(c)]])
     return LinearMap(dim, dim, apply_fn=lambda a: c * np.asarray(a, dtype=complex)), cb
 
 
@@ -475,6 +474,15 @@ def test_factorization_rejects_expansive_certificates():
     good = _structural(1.0)
     with pytest.raises(CertificateError):
         Factorization(phi=ident, psi=ident, phi_cb=bad, psi_cb=good)
+
+
+def test_factorization_refuses_a_structural_level_one_ulp_above_one():
+    # every structural level is exact or rounded up, so "<= 1" takes no tolerance
+    ident = LinearMap.identity(2)
+    above = _structural(math.nextafter(1.0, 2.0))
+    for phi_cb, psi_cb in ((above, _structural(1.0)), (_structural(1.0), above)):
+        with pytest.raises(CertificateError, match="proves no contraction"):
+            Factorization(phi=ident, psi=ident, phi_cb=phi_cb, psi_cb=psi_cb)
 
 
 def test_factorization_refuses_a_sampled_certificate_at_one():

@@ -15,8 +15,8 @@ from lpalg.opspace import (
     compression,
     compression_cb,
     embedding,
-    monomial_cb,
     split_blocks,
+    weighted_sum_cb,
 )
 from lpalg.crossed import ConcreteAlgebra, CovariantRep, IsometricAction, cyclic_coordinate_rotation
 from lpalg.groups import ZWindow
@@ -173,12 +173,13 @@ def test_compression_cb_is_the_structural_bound_one():
 
 
 @pytest.mark.parametrize("sel", [[], [3], [4, 0, 2], [0, 1, 2, 3, 4]])
-def test_compression_cb_is_monomial_cb_on_the_inclusion_bit_for_bit(sel):
+def test_compression_cb_is_monomial_cb_on_the_inclusion_bit_for_bit(sel, monomial_norms):
     # the closed form lists no entry of J or J*; the empty selector gives 0.0
     sel = np.array(sel, dtype=np.int64)
     inner, ones = np.arange(sel.size), np.ones(sel.size)
-    listed = monomial_cb((inner, sel, ones), (sel, inner, ones), 1.0)
-    assert compression_cb(sel, 5).levels == listed.levels == [(n, 1.0 if sel.size else 0.0) for n in (1, 2)]
+    listed = monomial_norms((inner, sel, ones), (sel, inner, ones), 1.0)
+    assert compression_cb(sel, 5).levels == [(n, listed) for n in (1, 2)]
+    assert listed == (1.0 if sel.size else 0.0)
 
 
 def test_averaging_cb_is_exactly_one_for_every_count_and_zero_at_count_zero():
@@ -190,9 +191,9 @@ def test_averaging_cb_is_exactly_one_for_every_count_and_zero_at_count_zero():
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 6001])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
-def test_averaging_cb_is_monomial_cb_on_a_row_of_count_entries_bit_for_bit(count, p):
+def test_averaging_cb_is_monomial_cb_on_a_row_of_count_entries_bit_for_bit(count, p, monomial_norms):
     # R = count^(-1/q) [1 ... 1] and S = count^(-1/p) [1 ... 1]^T; the listed
-    # factors round two powers, a root and a product each, so monomial_cb
+    # factors round two powers, a root and a product each, so ||R|| ||S||
     # lands within 8 units of 2^-52 of the exact 1 (0.0 at count 0)
     pe = as_exponent(p)
     zeros, idx = np.zeros(count, dtype=np.int64), np.arange(count)
@@ -200,7 +201,30 @@ def test_averaging_cb_is_monomial_cb_on_a_row_of_count_entries_bit_for_bit(count
     s = (idx, zeros, np.full(count, count ** (-1.0 / pe.p) if count else 0.0))
     exact = 1.0 if count else 0.0
     assert averaging_cb(count).levels == [(1, exact), (2, exact)]
-    assert all(abs(v - exact) <= 8 * 2.0**-52 for _, v in monomial_cb(r, s, p).levels)
+    assert abs(monomial_norms(r, s, p) - exact) <= 8 * 2.0**-52
+
+
+def test_weighted_sum_cb_is_the_largest_column_sum_rounded_up():
+    # columns 0.75, 0.5 and 0.1 + 0.2, whose float sum 0.30000000000000004
+    # lies above the exact one and is kept; the sum of 1 and 2^-53 rounds
+    # down to 1, so it is raised to the next float
+    cb = weighted_sum_cb([[0.5, 0.5, 0.1], [0.25, 0.0, 0.2]])
+    assert (cb.kind, cb.levels) == ("structural", [(1, 0.75), (2, 0.75)])
+    assert weighted_sum_cb([[0.1], [0.2]]).best == 0.1 + 0.2
+    assert weighted_sum_cb([[1.0], [2.0**-53]]).best == math.nextafter(1.0, 2.0)
+    assert weighted_sum_cb(np.zeros((0, 3))).levels == [(1, 0.0), (2, 0.0)]
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0, 0.5],  # one-dimensional
+    [[[1.0]]],  # three-dimensional
+    [[1.0, -0.5]],  # a negative weight
+    [[1.0, math.nan]],
+    [[math.inf]],
+])
+def test_weighted_sum_cb_refuses_weights_that_bound_nothing(weights):
+    with pytest.raises(ValueError, match="finite, nonnegative two-dimensional"):
+        weighted_sum_cb(weights)
 
 
 # each refusal holds for the certificate and for both maps it certifies

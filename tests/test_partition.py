@@ -120,6 +120,13 @@ def test_partition_validation():
         circle_partition(1, 2)
 
 
+@pytest.mark.parametrize("n_points, n_arcs, name", [(8, 2.0, "n_arcs"), (8.0, 4, "n_points")])
+def test_a_circle_partition_takes_integer_arguments(n_points, n_arcs, name):
+    # both used to fail as "sample point must be an integer, got 0.0"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        circle_partition(n_points, n_arcs)
+
+
 def _with_cover(part, **changes):
     """The partition's points and cover with some patches (given by their
     grid indices) or points replaced."""

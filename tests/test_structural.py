@@ -1,14 +1,17 @@
-"""Structural cb certificates: monomial factorizations against dense references.
+"""Structural cb certificates against dense references.
 
-The averaging map psi and the partition blend are certified by writing them
-as x -> R (I (x) rho(x)) S with monomial R, S and a p-completely isometric
+The averaging map psi and the partition blend factor as
+x -> R (I (x) rho(x)) S with monomial R, S and a p-completely isometric
 rho.  These tests build R, rho and S densely from their definitions, check
-that they reproduce the maps, check the closed-form norms against exact
-formulas and Riesz-Thorin, and check that every sampled cross-check stays
-at or below its structural bound.
+that they reproduce the maps, compare each certificate with ||R|| ||S||
+(the reference ``monomial_norms``, checked against exact formulas and
+Riesz-Thorin), and check that every sampled cross-check stays at or below
+its structural bound.  The blend's certificate is its bumps' largest
+column sum, rounded up, which is also checked against exact rational sums.
 """
 
 import math
+from fractions import Fraction
 import tracemalloc
 from itertools import permutations
 
@@ -26,7 +29,7 @@ from lpalg.crossed import (
 )
 from lpalg.errors import CertificateError
 from lpalg.groups import FolnerSet, ZWindow, cyclic_group, group_from_table
-from lpalg.lpnorm import pnorm_estimate, pnorm_exact
+from lpalg.lpnorm import as_exponent, pnorm_estimate, pnorm_exact
 from lpalg.nuclearity import (
     crossed_nuclearity_witness,
     folner_phi_map,
@@ -40,12 +43,11 @@ from lpalg.opspace import (
     block_matrix,
     cb_norm_lower,
     compression_cb,
-    monomial_cb,
     split_blocks,
+    weighted_sum_cb,
 )
 from lpalg.partition import (
     circle_partition,
-    cx_blend_factors,
     cx_partition_psi,
     cx_phi_cb_certificate,
     cx_psi_cb_certificate,
@@ -177,21 +179,20 @@ def _psi_cb_case(case, p):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
 @pytest.mark.parametrize("case", range(9))
-def test_folner_psi_cb_is_monomial_cb_on_the_dense_factors_bit_for_bit(case, p):
+def test_folner_psi_cb_is_monomial_cb_on_the_dense_factors_bit_for_bit(case, p, monomial_norms):
     # psi's certificate, averaging_cb at count |F|, lists no entry of R or S
-    # and is exactly 1; monomial_cb on the listed factors rounds two powers,
+    # and is exactly 1; ||R|| ||S|| of the listed factors rounds two powers,
     # a root and a product per factor, so it lands within 8 units of 2^-52
     folner, rep = _psi_cb_case(case, p)
     r, s = _window_loop_factors(folner, rep)
-    listed = monomial_cb(_entries(r), _entries(s), rep.p)
     closed = averaging_cb(folner.size)
-    assert closed.kind == listed.kind == "structural"
+    assert closed.kind == "structural"
     assert closed.levels == [(1, 1.0), (2, 1.0)]
-    assert all(abs(v - 1.0) <= 8 * 2.0**-52 for _, v in listed.levels)
+    assert abs(monomial_norms(_entries(r), _entries(s), rep.p) - 1.0) <= 8 * 2.0**-52
 
 
 # ---------------------------------------------------------------------------
-# monomial_cb: closed-form norms and validation
+# the reference ||R|| ||S||: closed-form norms
 # ---------------------------------------------------------------------------
 
 def _random_monomial(rng, n_rows, n_cols):
@@ -206,61 +207,56 @@ def _identity(n):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_monomial_norms_match_exact_formulas_and_riesz_thorin(seed):
+def test_monomial_norms_match_exact_formulas_and_riesz_thorin(seed, monomial_norms):
     rng = np.random.default_rng(seed)
     r = _random_monomial(rng, 5, 9)
     rows, cols, values = r
     s = (cols, rows, values)  # the transpose: one entry per row
     r_dense, s_dense = _dense(r, (5, 9)), _dense(s, (9, 5))
     for p in (1.0, 2.0, math.inf):
-        r_norm = monomial_cb(r, _identity(9), p).best
-        s_norm = monomial_cb(_identity(9), s, p).best
+        r_norm = monomial_norms(r, _identity(9), p)
+        s_norm = monomial_norms(_identity(9), s, p)
         assert r_norm == pytest.approx(pnorm_exact(r_dense, p), rel=1e-13)
         assert s_norm == pytest.approx(pnorm_exact(s_dense, p), rel=1e-13)
     for p in (1.2, 1.5, 3.0, 4.0):
         q = p / (p - 1.0)
         for dense, level in (
-            (r_dense, monomial_cb(r, _identity(9), p).best),
-            (s_dense, monomial_cb(_identity(9), s, p).best),
+            (r_dense, monomial_norms(r, _identity(9), p)),
+            (s_dense, monomial_norms(_identity(9), s, p)),
         ):
             riesz = pnorm_exact(dense, 1) ** (1.0 / p) * pnorm_exact(dense, math.inf) ** (1.0 / q)
             assert level <= riesz * (1.0 + 1e-12)
             assert pnorm_estimate(dense, p).value <= level * (1.0 + 1e-12)
 
 
-def test_monomial_cb_levels_are_the_product_of_the_norms():
-    rng = np.random.default_rng(5)
-    r = _random_monomial(rng, 4, 7)
-    s = (np.arange(7), rng.integers(0, 3, 7), rng.random(7))  # 7 x 3, one entry per row
-    cb = monomial_cb(r, s, 3.0)
-    r_norm = monomial_cb(r, _identity(7), 3.0).best
-    s_norm = monomial_cb(_identity(7), s, 3.0).best
-    assert cb.kind == "structural"
-    assert cb.levels == [(1, r_norm * s_norm), (2, r_norm * s_norm)]
-
-
-@pytest.mark.parametrize("r, s", [
-    (([0, 1], [0, 0], [1.0, 1.0]), _identity(2)),  # two entries in one column of R
-    (_identity(2), ([0, 0], [0, 1], [1.0, 1.0])),  # two entries in one row of S
-    (([0, 1], [0, 1], [1.0]), _identity(2)),  # lengths differ
-    (([0.0, 1.0], [0, 1], [1.0, 1.0]), _identity(2)),  # indices that are not integers
-    (([0, -1], [0, 1], [1.0, 1.0]), _identity(2)),  # a negative index
-    (([[0, 1]], [[0, 1]], [[1.0, 1.0]]), _identity(2)),  # not one-dimensional
-])
-def test_monomial_cb_refuses_input_that_is_not_monomial(r, s):
-    with pytest.raises(ValueError):
-        monomial_cb(tuple(np.asarray(x) for x in r), tuple(np.asarray(x) for x in s), 1.5)
-
-
 # ---------------------------------------------------------------------------
 # the partition blend
 # ---------------------------------------------------------------------------
 
+def _blend_factors(part, p):
+    """Listed R, S of blending: sum_i d_i sigma_i = R ((+)_i d_i I_grid) S
+    with R = [diag(sigma_i^{1/q})]_i, a row of blocks, and
+    S = [diag(sigma_i^{1/p})]_i, a column; the middle index of bump i at
+    grid point x is i * n_points + x, and only entries with sigma_i(x) > 0
+    are listed."""
+    pe = as_exponent(p)
+    bump, x = np.nonzero(part.bumps)
+    weight = part.bumps[bump, x]
+    mid = bump * part.n_points + x
+    return (x, mid, weight ** (1.0 / pe.q)), (mid, x, weight ** (1.0 / pe.p))
+
+
+def _exact_largest_column_sum(part):
+    return max(sum(map(Fraction, column)) for column in part.bumps.T.tolist())
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
-def test_blend_factorization_reproduces_blending(p):
+def test_blend_factorization_reproduces_blending(p, monomial_norms):
+    # row x of R and column x of S have the norms (sum_i sigma_i(x))^{1/q}
+    # and (sum_i sigma_i(x))^{1/p}: ||R|| ||S|| is the largest column sum
     part = circle_partition(12, 4)
     n, m = part.n_points, part.n_bumps
-    r, s = cx_blend_factors(part, p)
+    r, s = _blend_factors(part, p)
     r_dense, s_dense = _dense(r, (n, m * n)), _dense(s, (m * n, n))
     rng = np.random.default_rng(6)
     for _ in range(3):
@@ -268,7 +264,35 @@ def test_blend_factorization_reproduces_blending(p):
         middle = np.diag(np.repeat(d, n))  # rho(d) = (+)_i d_i I_grid
         assert np.abs(np.diag(r_dense @ middle @ s_dense) - cx_partition_psi(d, part)).max() <= 1e-15
         assert np.abs(r_dense @ middle @ s_dense - np.diag(cx_partition_psi(d, part))).max() <= 1e-15
-    assert all(abs(v - 1.0) <= 1e-12 for _, v in monomial_cb(r, s, p).levels)
+    assert abs(monomial_norms(r, s, p) - 1.0) <= 1e-12
+    # the bumps 1 - 1/3 and 1 - 2/3 sum to 1 + 2^-53 exactly
+    level = weighted_sum_cb(part.bumps).best
+    assert Fraction(level) >= _exact_largest_column_sum(part) and level - 1.0 <= 1e-12
+
+
+def test_blend_cb_is_exactly_one_on_every_rotation_partition():
+    # the partitions rotation_demo builds, n = 2..40
+    for n in range(2, 41):
+        part = circle_partition(n, n // 2 if (n % 2 == 0 and n >= 6) else n)
+        assert weighted_sum_cb(part.bumps).levels == [(1, 1.0), (2, 1.0)], n
+
+
+def test_blend_cb_is_rounded_up_where_the_column_sum_exceeds_one():
+    # a column of circle_partition(30, 10) sums to 1 + 2^-53 exactly, which
+    # rounds to 1.0: the certificate is the next float
+    part = circle_partition(30, 10)
+    assert _exact_largest_column_sum(part) == 1 + Fraction(1, 2**53)
+    level = weighted_sum_cb(part.bumps).best
+    assert level == 1.0000000000000002
+    assert Fraction(level) >= _exact_largest_column_sum(part)
+
+
+def test_blend_cb_is_one_where_the_column_sums_are_one():
+    # ||R|| ||S|| computed with powers and roots reads 1.0000000000000002
+    # here at p = 1.5 and 3
+    part = circle_partition(60, 6)
+    assert _exact_largest_column_sum(part) == 1
+    assert weighted_sum_cb(part.bumps).best == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +326,7 @@ def test_sampled_partition_certificates_stay_below_the_structural_bounds(p):
         (cx_phi_cb_certificate(part, p, n_max=2, trials=3, rng=np.random.default_rng(9)),
          compression_cb(np.asarray(part.points), part.n_points)),
         (cx_psi_cb_certificate(part, p, n_max=2, trials=3, rng=np.random.default_rng(10)),
-         monomial_cb(*cx_blend_factors(part, p), p)),
+         weighted_sum_cb(part.bumps)),
     )
     for sampled, structural in pairs:
         for (_, low), (_, high) in zip(sampled.levels, structural.levels):
@@ -339,7 +363,7 @@ def test_every_structural_certificate_lists_levels_one_and_two():
     # one value v at levels 1 and 2, in the functions and in every report
     part = circle_partition(12, 4)
     certs = [
-        monomial_cb(*cx_blend_factors(part, 3.0), 3.0),
+        weighted_sum_cb(part.bumps),
         averaging_cb(21),
         averaging_cb(0),
         compression_cb(np.array([4, 0, 2]), 5),

@@ -7,7 +7,7 @@
 #   bash tools/ci_local.sh tests            tier-1 tests
 #   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs and their gates
-#   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001: its cost and its claims
+#   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001 and a rotation model: cost and claims
 #   bash tools/ci_local.sh lines            the size of src/lpalg, printed and not gated
 #   bash tools/ci_local.sh imports          the import time of lpalg, printed and not gated
 #
@@ -94,7 +94,10 @@ smoke() {
 # certificates are read off |F|, and a single term's norm off its
 # coefficient, so nothing of the window's size is listed or built.  Its
 # report must pass with every certificate level exactly 1.0: the Folner
-# pair's levels are theorems, so no rounding may move them
+# pair's levels are theorems, so no rounding may move them.  The rotation
+# model at n = 12, k = 5, p = 3 must pass with every witness, point
+# evaluation and blend level exactly 1.0 as well: "<= 1" is decided with
+# no tolerance on either path
 scale() {
     echo "== witness at scale: delta_1 on Z, epsilon 0.001"
     echo '{"group": {"type": "z_window", "radius": 1}, "coeffs": [{"s": 1, "matrix": {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}}]}' \
@@ -115,6 +118,19 @@ claims = report.get("passed") is True and bool(levels) and all(v == 1.0 for v in
 print(f"gate passed {report.get('passed')} and certificate levels {levels} all exactly 1.0",
       "ok" if claims else "FAILED")
 sys.exit(0 if ok and claims else 1)
+PY
+    echo "== rotation model: n 12, k 5, p 3"
+    PYTHONPATH=src python3 -m lpalg rotation --n 12 --k 5 --p 3 > "$out/rotation.json"
+    python3 - "$out/rotation.json" <<'PY'
+import json, sys
+report = json.load(open(sys.argv[1]))
+part = report["partition"]
+levels = [value for c in report["witness"]["certificates"] for _, value in c["levels"]]
+levels += [value for key in ("point_eval_levels", "blend_levels") for _, value in part[key]]
+ok = report["passed"] is True and bool(levels) and all(v == 1.0 for v in levels)
+print(f"gate passed {report['passed']} and witness, point evaluation and blend levels {levels} all exactly 1.0",
+      "ok" if ok else "FAILED")
+sys.exit(0 if ok else 1)
 PY
 }
 
