@@ -103,6 +103,28 @@ def _compose_pairs(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     return pb[idx], ca * cb[idx]
 
 
+def _doubled_table(u: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, d) pairs of U^0 .. U^(count - 1), U given by its pair u,
+    each the binary power of its exponent bit for bit.
+
+    Row t is row t - 2^h times U^(2^h), 2^h the top bit of t, and U^(2^h)
+    is squared from U^(2^(h-1)).  That multiplies the same factors in the
+    same order as the binary loop (lowest bit first, from the identity),
+    with one composition per block of rows [2^h, 2^(h+1)).
+    """
+    perm = np.empty((count, len(u[0])), dtype=np.int64)
+    phase = np.empty(perm.shape, dtype=complex)
+    perm[0], phase[0] = np.arange(perm.shape[1]), 1.0
+    (pb, cb), top = u, 1
+    while top < count:
+        low = slice(0, min(top, count - top))
+        high = slice(top, top + low.stop)
+        perm[high], phase[high] = pb[perm[low]], phase[low] * cb[perm[low]]
+        pb, cb = _compose_pairs((pb, cb), (pb, cb))  # U^(2^(h+1)) = U^(2^h) U^(2^h)
+        top *= 2
+    return perm, phase
+
+
 def _implementer_stack(unitaries, order: int) -> np.ndarray:
     """The implementers as one (order, d, d) stack of finite phased permutations."""
     mats = [np.asarray(u, dtype=complex) for u in unitaries]
@@ -137,6 +159,11 @@ class IsometricAction:
       one check that U^n is I (phases within 1e-12) proves every relation
       U_s U_t = U_{s+t mod n}.  On Z the pairs for |t| <= R are tabulated
       when first needed, R at least doubling when a larger |s| arrives.
+      Tables are built by doubling (row t is row t - 2^h times U^(2^h),
+      2^h the top bit of t, and U^{-1} for negative t), which multiplies
+      the binary power's factors in its order, so every row is still that
+      power bit for bit; an element beyond the table's cap is raised on
+      its own.
     """
 
     def __init__(self, carrier, *, unitaries=None, generator=None):
@@ -171,7 +198,7 @@ class IsometricAction:
             if carrier.order is None:
                 self._radius = -1  # no power tabulated yet
             else:
-                self._perm, self._phase = self._powers(np.arange(carrier.order))
+                self._perm, self._phase = _doubled_table(self._generator, carrier.order)
                 perm, phase = _compose_pairs((self._perm[-1], self._phase[-1]), self._generator)
                 if (perm != np.arange(self.base_dim)).any() or np.abs(phase - 1.0).max() > _ACTION_TOL:
                     raise ValueError(f"the generator's power {carrier.order} is not the identity matrix")
@@ -191,7 +218,9 @@ class IsometricAction:
             if reach > limit:  # too far out to tabulate
                 return self._powers(s)
             radius = min(max(reach, 2 * self._radius), limit)
-            self._perm, self._phase = self._powers(np.arange(-radius, radius + 1))
+            ahead, back = (_doubled_table(u, radius + 1) for u in (self._generator, self._inverse))
+            # rows U^{-radius} .. U^{-1}, then U^0 .. U^{radius}
+            self._perm, self._phase = (np.concatenate((b[:0:-1], a)) for a, b in zip(ahead, back))
             for arr in (self._perm, self._phase):
                 arr.flags.writeable = False  # rows are handed out as views
             self._radius = radius

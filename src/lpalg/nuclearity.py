@@ -57,6 +57,7 @@ from .crossed import (
 from .errors import CertificateError
 from .groups import (
     FolnerSet,
+    as_integer,
     folner_intersection,
     folner_search,
 )
@@ -507,6 +508,7 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None) -> dict:
     ``partition_ok`` rests on structural upper bounds.  Nothing is drawn at random: ``rng`` is
     accepted for compatibility and not used.
     """
+    n, k = as_integer(n, "rotation grid size n"), as_integer(k, "rotation step k")
     if n < 2:
         raise ValueError("need a grid of at least two points")
     if math.gcd(k % n, n) != 1:
@@ -534,13 +536,13 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None) -> dict:
 
     passed = bool(witness_report["passed"] and commutation_dev <= 1e-12 and partition_ok)
     return {
-        "model": {"n": int(n), "k": int(k), "theta_model": float(k % n) / float(n)},
+        "model": {"n": n, "k": k, "theta_model": float(k % n) / float(n)},
         "p": float(pe.p),
         "commutation_dev": commutation_dev,
         "witness": witness_report,
         "partition": {
-            "n_points": int(n),
-            "n_arcs": int(n_arcs),
+            "n_points": n,
+            "n_arcs": n_arcs,
             "roundtrip_error": float(rt["error"]),
             "oscillation_bound": float(rt["bound"]),
             "point_eval_kind": part_phi.kind,

@@ -150,6 +150,11 @@ def circle_partition(n_points: int = 64, n_arcs: int = 8) -> PartitionOfUnity:
     dist = np.abs(j[None, :] - centers[:, None])
     dist = np.minimum(dist, n_points - dist)
     bumps = np.clip(1.0 - dist / spacing, 0.0, None)
+    # the larger of a point's two tents is at least 1/2, so 1 minus it is
+    # exact (Sterbenz): the smaller is set to that, and each column sums to 1
+    larger = bumps.max(axis=0)
+    smaller = (bumps > 0.0) & (bumps < larger)
+    bumps[smaller] = np.broadcast_to(1.0 - larger, bumps.shape)[smaller]
     return PartitionOfUnity(points=tuple(centers.tolist()), bumps=bumps, cover=dist <= spacing)
 
 

@@ -11,12 +11,23 @@ bit for bit.
 fixed separators, NumPy scalars unwrapped, and non-finite numbers spelled
 out as the strings "inf"/"-inf"/"nan" so the output stays strict JSON.  Two
 runs producing equal reports therefore produce identical bytes.
+
+It writes the text in one recursive pass, dispatching on each value's exact
+type and appending pieces to one list: floats by ``float.__repr__``, ints by
+``int.__repr__``, strings and keys by json's ``encode_basestring_ascii``,
+dict keys through ``str`` (a later key that reads the same replaces an
+earlier one) and sorted, with a two-space indent and ``{}``/``[]`` for
+empty containers.  These are the bytes ``json.dumps(..., sort_keys=True,
+indent=2)`` writes, without its pure-Python encoder (``indent`` turns its
+C encoder off).  NumPy scalars and arrays, complex numbers and subclasses
+of the JSON types are converted first, on a slower path.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -35,41 +46,83 @@ __all__ = [
     "matrix_to_obj",
 ]
 
+_INF = float("inf")
 
-def _jsonable(obj):
-    """Recursively convert to plain JSON types with deterministic floats."""
+
+def _plain(obj):
+    """A value that is not of an exact JSON type, as one: numpy scalars are
+    unwrapped, an array becomes its nested list, a complex number its
+    [re, im] pair, and a subclass of a JSON type becomes that type."""
     if isinstance(obj, dict):
-        out = {}
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                key = str(key)
-            out[key] = _jsonable(value)
-        return out
+        return dict(obj)
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return list(obj)
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
+        return float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return [_jsonable(float(obj.real)), _jsonable(float(obj.imag))]
+        return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if obj is None or isinstance(obj, str):
-        return obj
+        return obj.tolist()
+    if isinstance(obj, str):
+        return str.__str__(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _write(obj, out: list, newline: str) -> None:
+    """Append the JSON text of obj to out; newline starts its lines."""
+    kind = type(obj)
+    if kind is float:
+        if -_INF < obj < _INF:
+            out.append(float.__repr__(obj))
+        else:  # strict JSON has no literal for these
+            out.append('"nan"' if obj != obj else '"inf"' if obj > 0 else '"-inf"')
+    elif kind is str:
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        plain = {key if isinstance(key, str) else str(key): value for key, value in obj.items()}
+        sep = "{" + inner
+        for key, value in sorted(plain.items()):
+            out.append(sep + _quote(key) + ": ")
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    else:
+        _write(_plain(obj), out, newline)
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text for a report (sorted keys, exact floats)."""
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    out: list[str] = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def load_json(path):

@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from lpalg import crossed
 from lpalg.crossed import (
     CcElement,
     ConcreteAlgebra,
@@ -155,6 +156,69 @@ def test_rotation_implementers_are_the_shift_powers(n, k):
     act = cyclic_coordinate_rotation(n, k)
     for s in range(n):
         assert np.array_equal(act.unitary(s), np.linalg.matrix_power(shift, s))
+
+
+def _binary_power(u, s):
+    """(perm, phase) of U^s by the binary loop the tables must reproduce:
+    square U (or U^{-1}) and multiply in the power of each set bit, lowest
+    bit first, starting from the identity."""
+    perm, phase = np.arange(len(u)), np.ones(len(u), dtype=complex)
+    base = _phased_pair(u if s >= 0 else u.conj().T)
+    k = abs(s)
+    while k:
+        if k & 1:
+            perm, phase = base[0][perm], phase * base[1][perm]
+        base = base[0][base[0]], base[1] * base[1][base[0]]
+        k >>= 1
+    return perm, phase
+
+
+def _random_phased(rng, d, n=None):
+    """A random phased permutation of size d; given n, one whose n-th power
+    is I: every cycle length divides n, and each cycle's phase product is an
+    (n / length)-th root of unity."""
+    u = np.zeros((d, d), dtype=complex)
+    order = rng.permutation(d)
+    start = 0
+    while start < d:
+        lengths = [m for m in range(1, d - start + 1) if n is None or n % m == 0]
+        cycle = order[start:start + int(rng.choice(lengths))]
+        phases = np.exp(2j * np.pi * rng.random(len(cycle)))
+        if n is not None:
+            turns = rng.integers(n // len(cycle)) * len(cycle) / n
+            phases[0] *= np.exp(2j * np.pi * turns) / np.prod(phases)
+        u[cycle, np.roll(cycle, -1)] = phases
+        start += len(cycle)
+    return u
+
+
+def _assert_rows_are_binary_powers(u, elements, perm, phase):
+    for s, row_perm, row_phase in zip(elements, perm, phase):
+        want_perm, want_phase = _binary_power(u, int(s))
+        assert np.array_equal(row_perm, want_perm), s
+        assert np.array_equal(row_phase.view(float), want_phase.view(float)), s
+
+
+def test_cyclic_power_table_is_the_binary_power_of_each_element_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 7, 8, 12, 31, 64):
+        for d in range(1, 6):
+            u = _random_phased(rng, d, n)
+            act = IsometricAction(cyclic_group(n), generator=u)
+            _assert_rows_are_binary_powers(u, range(n), act._perm, act._phase)
+
+
+def test_z_power_table_is_the_binary_power_of_each_element_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for d, reach in ((1, 1000), (3, 1000), (5, 700), (2, 1)):
+        u = _random_phased(rng, d)
+        act = IsometricAction(ZWindow(0), generator=u)
+        act.apply(reach // 3, np.eye(d))  # the table grows from a smaller radius
+        window = np.arange(-reach, reach + 1)
+        _assert_rows_are_binary_powers(u, window, *act._pair(window))
+        # beyond the cap on the table, each element is its own binary power
+        far = np.array([-(crossed._TABLE_ENTRIES // d), crossed._TABLE_ENTRIES // d + 3])
+        _assert_rows_are_binary_powers(u, far, *act._pair(far))
 
 
 def test_cyclic_generator_whose_power_is_not_the_identity_is_refused():

@@ -869,3 +869,13 @@ def test_witness_refuses_a_nan_epsilon_like_a_nonpositive_one(eps):
 def test_rotation_demo_rejects_non_coprime_angle():
     with pytest.raises(ValueError):
         rotation_demo(12, 4, 2.0, 0.3)
+
+
+@pytest.mark.parametrize("n, k, name", [
+    (5.0, 2, "rotation grid size n"),  # used to raise a TypeError that named nothing
+    (5, 2.0, "rotation step k"),  # likewise
+    (True, 1, "rotation grid size n"),  # used to report "need a grid of at least two points"
+])
+def test_rotation_demo_takes_integer_arguments(n, k, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        rotation_demo(n, k, 1.5, 0.3)

@@ -1,9 +1,19 @@
 """Tests for canonical JSON output and object round trips."""
 
+import importlib.util
 import json
+import math
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import lpalg
 
 from lpalg.crossed import CcElement, cyclic_coordinate_rotation
 from lpalg.groups import ZWindow, cyclic_group
@@ -44,6 +54,112 @@ def test_canonical_json_encodes_complex_as_pair():
 def test_canonical_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         canonical_json({"f": object()})
+
+
+def _jsonable(obj):
+    """The conversion canonical_json made before it wrote its own text."""
+    if isinstance(obj, dict):
+        out = {}
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                key = str(key)
+            out[key] = _jsonable(value)
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        if math.isnan(f):
+            return "nan"
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        return f
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [_jsonable(float(obj.real)), _jsonable(float(obj.imag))]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if obj is None or isinstance(obj, str):
+        return obj
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _reference_json(obj) -> str:
+    """The text canonical_json wrote through json's own encoder."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e308, -1e308, math.nan, math.inf, -math.inf,
+                     0.1 + 0.2, 1e16, 1e-7]),
+)
+_LEAVES = st.one_of(
+    _FLOATS,
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.booleans(),
+    st.builds(np.bool_, st.booleans()),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é✓\U0001f600", "\u2028"]),
+    st.complex_numbers(),
+    st.builds(np.float64, _FLOATS),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+    st.builds(np.complex128, st.complex_numbers()),
+    arrays(np.float64, st.integers(0, 3)),
+    arrays(np.complex128, st.tuples(st.integers(0, 2), st.integers(0, 2))),
+    arrays(np.int32, st.integers(0, 3)),
+)
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(), st.floats(width=16),
+                  st.sampled_from([1, "1", "True", "None"]))
+_REPORTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_REPORTS)
+@example({1: "int", "1": "str", True: [], "True": {}})  # keys that collide under str()
+@example({"1": "str", 1: "int"})
+@example([{}, [], (), {"a": {}}, np.zeros((0, 2))])
+def test_canonical_json_writes_the_bytes_of_json_dumps(report):
+    assert canonical_json(report) == _reference_json(report)
+
+
+def _bench_workloads():
+    """The benchmark's workload definitions, loaded from their file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("seed", [1, 3, 29])
+def test_canonical_json_writes_the_bytes_of_json_dumps_on_benchmark_reports(seed):
+    # every witness_line and rotation_grid report; norm_stream's reports all
+    # have one flat shape, so its first ten stand for its ~1,900
+    modules = ("crossed", "groups", "lpnorm", "nuclearity", "opspace", "partition", "serialize")
+    lp = types.SimpleNamespace(**{name: getattr(lpalg, name) for name in modules})
+    for name, count in (("witness_line", None), ("rotation_grid", None), ("norm_stream", 10)):
+        workload = _bench_workloads()[name]
+        for op in workload.build(lp, workload.make_inputs(seed))[:count]:
+            report, _ = op.call()
+            assert canonical_json(report) == _reference_json(report), (name, op.label)
 
 
 def test_matrix_round_trip_is_bitwise():

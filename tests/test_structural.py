@@ -246,8 +246,8 @@ def _blend_factors(part, p):
     return (x, mid, weight ** (1.0 / pe.q)), (mid, x, weight ** (1.0 / pe.p))
 
 
-def _exact_largest_column_sum(part):
-    return max(sum(map(Fraction, column)) for column in part.bumps.T.tolist())
+def _exact_largest_column_sum(weights):
+    return max(sum(map(Fraction, column)) for column in np.asarray(weights).T.tolist())
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
@@ -265,9 +265,8 @@ def test_blend_factorization_reproduces_blending(p, monomial_norms):
         assert np.abs(np.diag(r_dense @ middle @ s_dense) - cx_partition_psi(d, part)).max() <= 1e-15
         assert np.abs(r_dense @ middle @ s_dense - np.diag(cx_partition_psi(d, part))).max() <= 1e-15
     assert abs(monomial_norms(r, s, p) - 1.0) <= 1e-12
-    # the bumps 1 - 1/3 and 1 - 2/3 sum to 1 + 2^-53 exactly
     level = weighted_sum_cb(part.bumps).best
-    assert Fraction(level) >= _exact_largest_column_sum(part) and level - 1.0 <= 1e-12
+    assert Fraction(level) >= _exact_largest_column_sum(part.bumps) and level - 1.0 <= 1e-12
 
 
 def test_blend_cb_is_exactly_one_on_every_rotation_partition():
@@ -278,21 +277,34 @@ def test_blend_cb_is_exactly_one_on_every_rotation_partition():
 
 
 def test_blend_cb_is_rounded_up_where_the_column_sum_exceeds_one():
-    # a column of circle_partition(30, 10) sums to 1 + 2^-53 exactly, which
+    # tents built as 1 - 1/3 and 1 - 2/3 sum to 1 + 2^-53 exactly, which
     # rounds to 1.0: the certificate is the next float
-    part = circle_partition(30, 10)
-    assert _exact_largest_column_sum(part) == 1 + Fraction(1, 2**53)
-    level = weighted_sum_cb(part.bumps).best
+    weights = np.array([[1.0 - 1 / 3, 1.0], [1.0 - 2 / 3, 0.0]])
+    assert _exact_largest_column_sum(weights) == 1 + Fraction(1, 2**53)
+    level = weighted_sum_cb(weights).best
     assert level == 1.0000000000000002
-    assert Fraction(level) >= _exact_largest_column_sum(part)
+    assert Fraction(level) >= _exact_largest_column_sum(weights)
 
 
 def test_blend_cb_is_one_where_the_column_sums_are_one():
     # ||R|| ||S|| computed with powers and roots reads 1.0000000000000002
     # here at p = 1.5 and 3
     part = circle_partition(60, 6)
-    assert _exact_largest_column_sum(part) == 1
+    assert _exact_largest_column_sum(part.bumps) == 1
     assert weighted_sum_cb(part.bumps).best == 1.0
+
+
+def test_every_circle_partition_column_sums_to_exactly_one():
+    # fsum rounds exactly, so it reads 0 only where a column's exact sum is
+    # 1.  The smaller tent at a point is 1 minus the larger, which is exact;
+    # the two tents computed on their own summed to 1 + 2^-53 on (12, 4) and
+    # (30, 10), among others
+    for n in range(2, 121):
+        for n_arcs in (a for a in range(2, n + 1) if n % a == 0):
+            columns = circle_partition(n, n_arcs).bumps.T.tolist()
+            assert all(math.fsum([*column, -1.0]) == 0.0 for column in columns), (n, n_arcs)
+    for n, n_arcs in ((12, 4), (30, 10)):
+        assert weighted_sum_cb(circle_partition(n, n_arcs).bumps).best == 1.0
 
 
 # ---------------------------------------------------------------------------

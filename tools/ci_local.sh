@@ -97,7 +97,9 @@ smoke() {
 # pair's levels are theorems, so no rounding may move them.  The rotation
 # model at n = 12, k = 5, p = 3 must pass with every witness, point
 # evaluation and blend level exactly 1.0 as well: "<= 1" is decided with
-# no tolerance on either path
+# no tolerance on either path.  Both reports must also be, byte for byte,
+# the text json.dumps(sort_keys=True, indent=2) writes for their parsed
+# values, so any drift of lpalg's own JSON writer fails here
 scale() {
     echo "== witness at scale: delta_1 on Z, epsilon 0.001"
     echo '{"group": {"type": "z_window", "radius": 1}, "coeffs": [{"s": 1, "matrix": {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}}]}' \
@@ -117,20 +119,25 @@ levels = [value for c in report.get("certificates", []) for _, value in c["level
 claims = report.get("passed") is True and bool(levels) and all(v == 1.0 for v in levels)
 print(f"gate passed {report.get('passed')} and certificate levels {levels} all exactly 1.0",
       "ok" if claims else "FAILED")
-sys.exit(0 if ok and claims else 1)
+same = bool(report) and run.stdout == json.dumps(report, sort_keys=True, indent=2) + "\n"
+print("gate witness report is the text json.dumps writes", "ok" if same else "FAILED")
+sys.exit(0 if ok and claims and same else 1)
 PY
     echo "== rotation model: n 12, k 5, p 3"
     PYTHONPATH=src python3 -m lpalg rotation --n 12 --k 5 --p 3 > "$out/rotation.json"
     python3 - "$out/rotation.json" <<'PY'
 import json, sys
-report = json.load(open(sys.argv[1]))
+text = open(sys.argv[1]).read()
+report = json.loads(text)
 part = report["partition"]
 levels = [value for c in report["witness"]["certificates"] for _, value in c["levels"]]
 levels += [value for key in ("point_eval_levels", "blend_levels") for _, value in part[key]]
 ok = report["passed"] is True and bool(levels) and all(v == 1.0 for v in levels)
 print(f"gate passed {report['passed']} and witness, point evaluation and blend levels {levels} all exactly 1.0",
       "ok" if ok else "FAILED")
-sys.exit(0 if ok else 1)
+same = text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+print("gate rotation report is the text json.dumps writes", "ok" if same else "FAILED")
+sys.exit(0 if ok and same else 1)
 PY
 }
 
