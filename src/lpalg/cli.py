@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Each subcommand reads JSON inputs, runs the corresponding operation with
-all randomness derived from ``--seed`` (``witness`` and ``rotation`` draw
-none and take no ``--seed``), and emits a JSON report (canonical
-byte-for-byte form) or a fixed-column CSV projection.  Exit codes: 0 on
-success, 1 when a certificate or acceptance check fails, 2 on input errors.
+Each subcommand reads JSON inputs, runs the corresponding operation and
+emits a JSON report (canonical byte-for-byte form) or a fixed-column CSV
+projection.  A subcommand takes exactly the options its operation reads:
+``pnorm``, ``cbnorm``, ``crossed`` and ``suite`` draw random numbers, all
+derived from ``--seed``; ``folner``, ``witness`` and ``rotation`` draw none
+and take no ``--seed``.  Every command but ``folner`` and ``suite`` takes the
+exponent ``--p``.  Exit codes: 0 on success, 1 when a certificate or
+acceptance check fails, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -37,10 +40,14 @@ __all__ = ["main"]
 
 
 def _parse_p(text: str) -> float:
+    """The ``--p`` type: a number, or inf (also infinity or oo)."""
     lowered = text.strip().lower()
     if lowered in ("inf", "infinity", "oo"):
         return float("inf")
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"exponent must be a number or inf, got {text!r}") from None
 
 
 def _parse_group(text: str):
@@ -98,14 +105,13 @@ PNORM_CSV_HEADER = ("value", "converged", "restarts", "upper")
 
 def _cmd_pnorm(args) -> int:
     a = matrix_from_obj(load_json(args.matrix))
-    p = _parse_p(args.p)
-    est = pnorm_estimate(a, p, restarts=args.restarts, rng=np.random.default_rng(args.seed))
+    est = pnorm_estimate(a, args.p, restarts=args.restarts, rng=np.random.default_rng(args.seed))
     payload = {
         "command": "pnorm",
-        "p": p,
+        "p": args.p,
         "shape": list(a.shape),
         "value": est.value,
-        "upper": pnorm_upper(a, p),
+        "upper": pnorm_upper(a, args.p),
         "converged": est.converged,
         "restarts": est.restarts_used,
         "method": est.method,
@@ -118,14 +124,14 @@ def _cmd_cbnorm(args) -> int:
     phi = linear_map_from_obj(load_json(args.map))
     cb = cb_norm_lower(
         phi,
-        _parse_p(args.p),
+        args.p,
         n_max=args.n_max,
         trials=args.trials,
         rng=np.random.default_rng(args.seed),
     )
     payload = {
         "command": "cbnorm",
-        "p": _parse_p(args.p),
+        "p": args.p,
         "domain_dim": phi.domain_dim,
         "codomain_dim": phi.codomain_dim,
         "levels": [[n, v] for n, v in cb.levels],
@@ -152,44 +158,30 @@ def _cmd_folner(args) -> int:
     return 0
 
 
-def _load_element(args):
-    f = cc_element_from_obj(load_json(args.elements))
-    if args.group is not None:
-        requested = _parse_group(args.group)
-        embedded = f.carrier.descriptor()
-        if requested.descriptor() != embedded:
-            raise ValueError(
-                f"--group {args.group!r} disagrees with the element file's group {embedded}"
-            )
-    return f
-
-
 # the crossed CSV's columns: [reduced_norm, norm_upper] brackets the norm; its help names them too
 CROSSED_CSV_HEADER = ("reduced_norm", "converged", "expectation_compress_dev", "norm_upper")
 
 
 def _cmd_crossed(args) -> int:
-    f = _load_element(args)
+    f = cc_element_from_obj(load_json(args.elements))
     action = _parse_action(args.action, f.carrier, f.base_dim)
-    p = _parse_p(args.p)
     radius = max((abs(s) for s in f.support), default=0) + 2  # a finite carrier ignores it
-    rep = CovariantRep(ConcreteAlgebra(f.base_dim), action, p, window_radius=radius)
+    rep = CovariantRep(ConcreteAlgebra(f.base_dim), action, args.p, window_radius=radius)
     form = rep.integrated(f)  # assembled once; the norm and the check read it
     est = pnorm_estimate(form, rep.p, restarts=args.restarts, rng=np.random.default_rng(args.seed))
-    # compress_identity_check's deviation: its padding only adds zeros, so
-    # the identity block against f(e) fills both expectation fields
+    # compress_identity_check's deviation (its padding only adds zeros):
+    # the identity block against f(e)
     e_block = compression(rep.block_selector([rep.identity_position]), rep.dimension).apply(form)
     e_dev = float(np.abs(conditional_expectation(f) - e_block).max())
     payload = {
         "command": "crossed",
         "group": f.carrier.descriptor(),
-        "p": p,
+        "p": args.p,
         "support": [int(s) for s in f.support],
         "reduced_norm": est.value,
         "norm_upper": sum_upper(pnorm_upper(a, rep.p) for _, a in f.items()),  # as the witness reports it
         "converged": est.converged,
         "expectation_compress_dev": e_dev,
-        "expectation_coeff_dev": e_dev,
     }
     if f.carrier.order is None:  # the window truncates an infinite group
         payload["window_radius"] = int(rep.window_radius)
@@ -205,7 +197,7 @@ WITNESS_CSV_HEADER = ("id", "reduced_norm", "norm_upper", "roundtrip_error", "bo
 
 
 def _cmd_witness(args) -> int:
-    f = _load_element(args)
+    f = cc_element_from_obj(load_json(args.elements))
     action = _parse_action(args.action, f.carrier, f.base_dim)
     fact, report = crossed_nuclearity_witness(
         [f],
@@ -213,7 +205,7 @@ def _cmd_witness(args) -> int:
         ConcreteAlgebra(f.base_dim),
         f.carrier,
         action,
-        _parse_p(args.p),
+        args.p,
     )
     payload = {"command": "witness", **report}
     rows = [[e[key] for key in WITNESS_CSV_HEADER] for e in report["elements"]]
@@ -222,7 +214,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_rotation(args) -> int:
-    report = rotation_demo(args.n, args.k, _parse_p(args.p), args.epsilon)
+    report = rotation_demo(args.n, args.k, args.p, args.epsilon)
     payload = {"command": "rotation", **report}
     _emit(
         args,
@@ -264,22 +256,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(cmd, *, p_default="2", seeded=True):
-        cmd.add_argument("--p", default=p_default, help="exponent in [1, inf]; 'inf' allowed")
-        if seeded:
-            cmd.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    def exponent(cmd, default=2.0):
+        cmd.add_argument("--p", type=_parse_p, default=default, help="exponent in [1, inf]; 'inf' allowed")
+
+    def seed(cmd):
+        cmd.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+
+    def common(cmd):
         cmd.add_argument("--out", default=None, help="directory for JSON and CSV artifacts")
         cmd.add_argument("--format", choices=("json", "csv"), default="json",
                          help="stdout format when --out is not given")
 
     def element_inputs(cmd):
         cmd.add_argument("--elements", required=True, help="element JSON file {group, coeffs}")
-        cmd.add_argument("--group", default=None, help="optional; must match the element file")
         cmd.add_argument("--action", default=None, help="trivial (default), rotation:N:K, or action descriptor file")
 
     c = sub.add_parser("pnorm", help=f"operator p-norm of a matrix (CSV: {','.join(PNORM_CSV_HEADER)})")
     c.add_argument("--matrix", required=True, help="matrix JSON file {rows,cols,entries}")
     c.add_argument("--restarts", type=int, default=32)
+    exponent(c)
+    seed(c)
     common(c)
     c.set_defaults(handler=_cmd_pnorm)
 
@@ -288,6 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="coefficient-matrix JSON file, shape (codomain^2) x (domain^2)")
     c.add_argument("--n-max", type=int, default=3, dest="n_max", help="largest amplification level")
     c.add_argument("--trials", type=int, default=8)
+    exponent(c)
+    seed(c)
     common(c)
     c.set_defaults(handler=_cmd_cbnorm)
 
@@ -301,6 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("crossed", help=f"reduced norm and expectation checks (CSV: {','.join(CROSSED_CSV_HEADER)})")
     element_inputs(c)
     c.add_argument("--restarts", type=int, default=32)
+    exponent(c)
+    seed(c)
     common(c)
     c.set_defaults(handler=_cmd_crossed)
 
@@ -308,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "its certificates hold at every amplification level and list levels 1 and 2")
     element_inputs(c)
     c.add_argument("--epsilon", type=float, required=True, help="round-trip error budget")
-    common(c, p_default="1.5", seeded=False)
+    exponent(c, 1.5)
+    common(c)
     c.set_defaults(handler=_cmd_witness)
 
     c = sub.add_parser("rotation", help="rotation-algebra model report (CSV: p,theta_model,"
@@ -316,11 +317,13 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True, help="grid points on the circle")
     c.add_argument("--k", type=int, required=True, help="rotation steps per generator")
     c.add_argument("--epsilon", type=float, default=0.3)
-    common(c, p_default="1.5", seeded=False)
+    exponent(c, 1.5)
+    common(c)
     c.set_defaults(handler=_cmd_rotation)
 
     c = sub.add_parser("suite", help="run the acceptance battery (CSV: criterion,label,passed)")
     c.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,7,9")
+    seed(c)
     common(c)
     c.set_defaults(handler=_cmd_suite)
 

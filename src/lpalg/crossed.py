@@ -375,6 +375,9 @@ def twisted_convolve(f: CcElement, g: CcElement, action: IsometricAction) -> CcE
     """(f * g)(t) = sum_s f(s) alpha_s(g(s^{-1} t))."""
     if f.base_dim != g.base_dim or f.base_dim != action.base_dim:
         raise ValueError("element and action dimensions must agree")
+    for h in (f, g):
+        if not h.carrier.same_group(action.carrier):
+            raise ValueError(f"an element over {h.carrier!r} under an action of {action.carrier!r}")
     carrier = action.carrier
     out: dict[int, np.ndarray] = {}
     for s, fs in f.items():
@@ -479,6 +482,8 @@ class CovariantRep:
         """
         if f.base_dim != self.base_dim:
             raise ValueError("element dimension does not match the representation")
+        if not f.carrier.same_group(self.carrier):
+            raise ValueError(f"an element over {f.carrier!r} on a representation of {self.carrier!r}")
         which, rows, cols = self._translate(f.support)
         coeffs = np.array([f.coeff(s) for s in f.support]).reshape(-1, self.base_dim, self.base_dim)[which]
         return self._assemble(rows, cols, self.action.apply(self._inv_positions[rows], coeffs))

@@ -80,6 +80,7 @@ __all__ = [
 ]
 
 _ORACLE_DIM_CAP = 6
+_ORACLE_ITERS = 200  # the most gradient rounds pnorm_oracle runs
 
 
 class PExponent:
@@ -917,21 +918,15 @@ def _finished(mat, best_val, best_witness, converged, e, pe, method, restarts) -
     return PNormEstimate(value, witness, method, converged, restarts)
 
 
-def pnorm_oracle(
-    a,
-    p,
-    samples: int = 64,
-    *,
-    rng=None,
-    max_iters: int = 200,
-) -> float:
+def pnorm_oracle(a, p, samples: int = 64, *, rng=None) -> float:
     """Brute-force lower bound for ||A||_{p->p} on matrices of dimension <= 6.
 
     Candidate unit vectors are random complex starts, the standard basis
     vectors (these exhaust the extreme points of the unit l^1 ball up to
     phase), and a phase-aligned vector per row (optimal for p = inf).  For
     1 < p < inf every candidate is refined by projected gradient ascent on
-    ||A x||_p / ||x||_p with a vectorized line search along the gradient.
+    ||A x||_p / ||x||_p with a vectorized line search along the gradient,
+    for at most 200 rounds.
 
     The search never shares code with the dual power iteration, so the two
     routes cross-check each other.
@@ -961,7 +956,7 @@ def pnorm_oracle(
     steps = np.concatenate([[0.0], np.geomspace(1e-7, 2.0, 16)])
     best = float(vals.max())
     flat_rounds = 0
-    for _ in range(max_iters):
+    for _ in range(_ORACLE_ITERS):
         y = arr @ x
         ratio = _pnorms_along(y, pe.p)  # x kept at unit l^p norm
         # gradient of the quotient ||Ax||_p / ||x||_p: the radial component

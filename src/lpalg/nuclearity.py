@@ -445,12 +445,22 @@ def crossed_nuclearity_witness(
     bounds only.  The report records per element the two lower-bound
     diagnostics, ``norm_upper`` and the budget, both certificates with their
     kind, and on Z the window radius.  ``rng`` is accepted for compatibility
-    and not used.  Returns (Factorization, report).
+    and not used.  The elements, ``carrier`` and ``action`` must be over one
+    group (``same_group``) and the elements' coefficients of the action's
+    dimension; anything else is a ValueError.  Returns (Factorization, report).
     """
     if not fs:
         raise ValueError("need at least one finitely supported element to witness")
     if not eps > 0.0:
         raise ValueError(f"epsilon must be positive, got {eps!r}")
+    if not carrier.same_group(action.carrier):
+        raise ValueError(f"the carrier {carrier!r} is not the action's group {action.carrier!r}")
+    for i, f in enumerate(fs):
+        if not f.carrier.same_group(carrier):
+            raise ValueError(f"element f{i} lies over {f.carrier!r}, not over the carrier {carrier!r}")
+        if f.base_dim != action.base_dim:
+            raise ValueError(f"element f{i} has {f.base_dim} x {f.base_dim} coefficients, "
+                             f"but the action is on {action.base_dim} x {action.base_dim} matrices")
     pe = as_exponent(p)
     supports = sorted({s for f in fs for s in f.support})
     uppers = [{s: pnorm_upper(a, pe) for s, a in f.items()} for f in fs]

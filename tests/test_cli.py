@@ -4,6 +4,7 @@ Most commands run in-process through ``main`` for speed; the determinism
 check shells out so that artifact bytes come from a fresh interpreter.
 """
 
+import argparse
 import json
 import re
 import subprocess
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from lpalg import lpnorm, nuclearity
+from lpalg import cli, lpnorm, nuclearity
 from lpalg.cli import main
 from lpalg.crossed import (
     CcElement,
@@ -80,6 +81,14 @@ def test_pnorm_missing_file_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_pnorm_refuses_an_exponent_that_is_no_number(matrix_file, capsys):
+    # --p is parsed once, by the parser, for every command that takes it
+    with pytest.raises(SystemExit) as exc:
+        main(["pnorm", "--matrix", matrix_file, "--p", "banana"])
+    assert exc.value.code == 2
+    assert "argument --p: exponent must be a number or inf, got 'banana'" in capsys.readouterr().err
+
+
 def test_pnorm_malformed_matrix_is_input_error(tmp_path, capsys):
     bad = _write(tmp_path / "bad.json",
                  {"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
@@ -132,7 +141,7 @@ def test_crossed_reports_norm_and_checks(element_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["reduced_norm"] == pytest.approx(1.0, abs=1e-9)
     assert payload["expectation_compress_dev"] <= 1e-12
-    assert payload["expectation_coeff_dev"] <= 1e-12
+    assert "expectation_coeff_dev" not in payload  # it held the same float
 
 
 def test_crossed_assembles_the_form_once(element_file, capsys, monkeypatch):
@@ -167,8 +176,9 @@ def test_crossed_brackets_the_norm_and_its_help_names_the_csv_header(tmp_path, c
 
 @pytest.mark.parametrize("action", [None, "rotation:6:1"])
 def test_crossed_reports_the_compress_identity_deviation_in_both_fields(tmp_path, capsys, action):
-    # both expectation fields are the identity block's deviation from f(e),
-    # bit for bit the max_abs_diff of compress_identity_check on the same rep
+    # the JSON field and the CSV column are the identity block's deviation
+    # from f(e), bit for bit the max_abs_diff of compress_identity_check on
+    # the same rep
     rng = np.random.default_rng(13)
     carrier, d = (ZWindow(3), 2) if action is None else (cyclic_group(6), 6)
     f = CcElement(carrier, {s: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for s in (0, 1, 3)})
@@ -179,11 +189,28 @@ def test_crossed_reports_the_compress_identity_deviation_in_both_fields(tmp_path
     act = trivial_action(carrier, d) if action is None else cyclic_coordinate_rotation(6, 1)
     rep = CovariantRep(ConcreteAlgebra(d), act, 1.5, window_radius=5)
     expected = repr(compress_identity_check(rep, f)["max_abs_diff"])
-    assert repr(payload["expectation_compress_dev"]) == repr(payload["expectation_coeff_dev"]) == expected
+    assert repr(payload["expectation_compress_dev"]) == expected
+    assert main(args + ["--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["expectation_compress_dev"] == expected
 
 
-def test_crossed_group_mismatch_is_input_error(element_file, capsys):
-    assert main(["crossed", "--elements", element_file, "--group", "cyclic:4"]) == 2
+@pytest.mark.parametrize("argv", [["crossed"], ["witness", "--epsilon", "0.3"]])
+def test_crossed_and_witness_refuse_group(element_file, capsys, argv):
+    # the element file names its group, so no option repeats it
+    for group in ("z:1", "cyclic:4"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--elements", element_file, "--group", group])
+        assert exc.value.code == 2
+        assert "--group" in capsys.readouterr().err
+
+
+def test_crossed_refuses_an_action_of_another_group(tmp_path, capsys):
+    # a rotation of Z/4 once read delta_7 over Z as delta_3 over Z/4, with exit 0
+    path = _write(tmp_path / "f.json", cc_element_to_obj(CcElement.delta(ZWindow(1), 7, base_dim=4)))
+    assert main(["crossed", "--elements", path, "--action", "rotation:4:1"]) == 2
+    err = capsys.readouterr().err
+    assert "ZWindow(radius=1)" in err and "CyclicGroup(order=4)" in err
 
 
 def test_crossed_refuses_a_non_integer_group_element(tmp_path, capsys):
@@ -251,12 +278,24 @@ def test_witness_over_budget_reports_the_loss_and_exits_1(element_file, capsys, 
 
 
 def test_witness_and_rotation_take_no_seed(element_file, capsys):
+    # nor does folner, which draws nothing either
     for argv in (["witness", "--elements", element_file, "--epsilon", "0.3"],
-                 ["rotation", "--n", "8", "--k", "3"]):
+                 ["rotation", "--n", "8", "--k", "3"],
+                 ["folner", "--group", "z", "--shifts", "1", "--delta", "0.1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--seed", "0"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["folner", "--group", "z", "--shifts", "1", "--delta", "0.1"],
+                                  ["suite", "--criteria", "5"]])
+def test_folner_and_suite_take_no_exponent(capsys, argv):
+    # neither reads one: folner counts members, and each suite criterion fixes its own p
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--p", "3"])
+    assert exc.value.code == 2
+    assert "--p" in capsys.readouterr().err
 
 
 def test_pnorm_overflow_is_input_error(tmp_path, capsys):
@@ -318,3 +357,38 @@ def test_single_command_stdout_is_deterministic(matrix_file):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+def test_every_option_a_subcommand_accepts_is_read(matrix_file, element_file, tmp_path, capsys):
+    """One invocation per subcommand gives every option it accepts; its
+    handler must read each one, so no option can decide nothing."""
+    sym = _write(tmp_path / "map.json", matrix_to_obj(np.eye(4)))
+    out = ["--out", str(tmp_path / "out"), "--format", "csv"]
+    invocations = [
+        ["pnorm", "--matrix", matrix_file, "--restarts", "2", "--p", "3", "--seed", "1"],
+        ["cbnorm", "--map", sym, "--n-max", "1", "--trials", "1", "--p", "3", "--seed", "1"],
+        ["folner", "--group", "z", "--shifts", "1", "--delta", "0.5"],
+        ["crossed", "--elements", element_file, "--action", "trivial", "--restarts", "2", "--p", "3",
+         "--seed", "1"],
+        ["witness", "--elements", element_file, "--action", "trivial", "--epsilon", "0.3", "--p", "3"],
+        ["rotation", "--n", "6", "--k", "1", "--epsilon", "0.3", "--p", "3"],
+        ["suite", "--criteria", "5", "--seed", "1"],
+    ]
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    subcommands = sub.choices
+    assert sorted(argv[0] for argv in invocations) == sorted(subcommands)
+    for argv in invocations:
+        options = [a for a in subcommands[argv[0]]._actions if not isinstance(a, argparse._HelpAction)]
+        assert all(set(a.option_strings) & set(argv + out) for a in options), argv[0]
+        args = cli._build_parser().parse_args(argv + out, namespace=Recording())
+        reads.clear()
+        args.handler(args)
+        assert {a.dest for a in options} - reads == set(), argv[0]
+    capsys.readouterr()

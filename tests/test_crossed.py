@@ -327,6 +327,22 @@ def test_integrated_is_multiplicative():
         assert np.abs(prod - direct).max() <= MULT_TOL
 
 
+def test_integrated_and_convolution_refuse_an_element_of_another_group():
+    # both once checked the dimension only: a rotation of Z/4 read delta_7
+    # over Z as delta_3, and convolved elements over Z/6 with Z/4's table
+    rotation = cyclic_coordinate_rotation(4, 1)
+    over_z = CcElement.delta(ZWindow(1), 7, base_dim=4)
+    with pytest.raises(ValueError, match=re.escape("over ZWindow(radius=1) on a representation of CyclicGroup(order=4)")):
+        CovariantRep(ConcreteAlgebra(4), rotation, 2.0).integrated(over_z)
+    over_z6 = CcElement.delta(cyclic_group(6), 5, base_dim=4)
+    over_z4 = CcElement.delta(rotation.carrier, 1, base_dim=4)
+    for f, g in ((over_z6, over_z4), (over_z4, over_z6), (over_z, over_z4)):
+        with pytest.raises(ValueError, match=re.escape(f"under an action of {rotation.carrier!r}")):
+            twisted_convolve(f, g, rotation)
+    # Z windows of any radius carry one group
+    assert twisted_convolve(over_z, over_z, trivial_action(ZWindow(3), 4)).support == (14,)
+
+
 def test_convolution_identity_element():
     carrier = cyclic_group(5)
     act = trivial_action(carrier, 2)

@@ -866,6 +866,25 @@ def test_witness_refuses_a_nan_epsilon_like_a_nonpositive_one(eps):
             crossed_nuclearity_witness([f], eps, ConcreteAlgebra(f.base_dim), f.carrier, action, 1.5)
 
 
+Z0, Z4, Z6 = ZWindow(0), cyclic_group(4), cyclic_group(6)
+
+
+@pytest.mark.parametrize("fs, dim, carrier, action, named", [
+    # each passed once: delta_1 over Z/6 on Z with error 1/21, the others exactly
+    ([CcElement.delta(Z6, 1, base_dim=1)], 1, Z0, trivial_action(Z0, 1), ("CyclicGroup(order=6)", "ZWindow")),
+    ([CcElement.delta(Z4, 3, base_dim=1)], 1, Z6, trivial_action(Z6, 1), ("order=4", "order=6")),
+    ([CcElement.delta(Z0, 1, base_dim=3)], 2, Z0, trivial_action(Z0, 2), ("3 x 3", "2 x 2")),
+    ([CcElement.delta(Z0, 1, base_dim=1), CcElement.delta(Z6, 1, base_dim=1)], 1, Z0, trivial_action(Z0, 1),
+     ("f1", "CyclicGroup(order=6)", "ZWindow")),
+    ([CcElement.delta(Z6, 1, base_dim=1)], 1, Z6, trivial_action(Z4, 1), ("order=6", "order=4")),
+], ids=["element-off-the-carrier", "z4-element-on-z6", "coefficient-off-the-action", "two-groups-in-one-call",
+        "carrier-off-the-action"])
+def test_witness_refuses_elements_carrier_and_action_off_one_group(fs, dim, carrier, action, named):
+    with pytest.raises(ValueError) as exc:
+        crossed_nuclearity_witness(fs, 0.3, ConcreteAlgebra(dim), carrier, action, 1.5)
+    assert all(name in str(exc.value) for name in named), exc.value
+
+
 def test_rotation_demo_rejects_non_coprime_angle():
     with pytest.raises(ValueError):
         rotation_demo(12, 4, 2.0, 0.3)

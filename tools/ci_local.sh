@@ -8,7 +8,7 @@
 #   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs and their gates
 #   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001 and a rotation model: cost and claims
-#   bash tools/ci_local.sh lines            the size of src/lpalg, printed and not gated
+#   bash tools/ci_local.sh lines            the size of src/lpalg and the CLI's option count, printed and not gated
 #   bash tools/ci_local.sh imports          the import time of lpalg, printed and not gated
 #
 # Needs python3 with numpy (and pytest and hypothesis for the tests).
@@ -142,7 +142,9 @@ PY
 }
 
 # the two sizes of src/lpalg: every line (wc -l), and the code lines, those
-# holding a token that is not a comment, a docstring or layout
+# holding a token that is not a comment, a docstring or layout; then the
+# options each subcommand of the command line accepts (--help aside), and
+# their total
 lines() {
     echo "== size of src/lpalg"
     wc -l src/lpalg/*.py | tail -n 1
@@ -167,6 +169,13 @@ for path in sorted(Path(sys.argv[1]).glob("*.py")):
             code.update(set(range(tok.start[0], tok.end[0] + 1)) - docs)
     total += len(code)
 print(f"{total} code lines (tokenizer count, without blank lines, comments and docstrings)")
+PY
+    PYTHONPATH=src python3 - <<'PY'
+import argparse
+from lpalg.cli import _build_parser
+(sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in cmd._actions) for name, cmd in sub.choices.items()}
+print("options:", ", ".join(f"{name} {n}" for name, n in counts.items()), f"({sum(counts.values())} in all)")
 PY
 }
 
