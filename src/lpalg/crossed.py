@@ -5,7 +5,9 @@ Setup: a base algebra of d x d matrices acting on l^p({1..d}), a group G
 conjugation with phased permutation matrices U_s (exactly one unimodular
 entry per row and column), so that alpha_s(a) = U_s a U_s^{-1} is
 p-isometric on every l^p simultaneously and the implementers satisfy
-U_e = I and U_s U_t = U_{st} on the nose.
+U_e = I and U_s U_t = U_{st} on the nose.  Listed implementers and a
+generator pass one validator; on Z the powers of the generator are
+tabulated per call, for the elements that call asks for.
 
 A finitely supported function f: G -> M_d is a :class:`CcElement`.  Its
 product is the twisted convolution
@@ -16,8 +18,13 @@ and its concrete realization is the integrated form of the regular
 covariant pair on l^p(G) (x) C^d:
 
     pi(a)   = block diagonal with blocks alpha_{t^{-1}}(a) over positions t,
-    v(s)    = (left translation by s) (x) identity,
+    v(s)    = lambda(s) (x) identity,
     f  |->  sum_t pi(f(t)) v(t).
+
+Here lambda(s) = ``CovariantRep.translation(s)`` is the left regular
+representation, (lambda(s) xi)(t) = xi(s^{-1} t): the 0/1 matrix sending
+the basis vector at t to the one at s t, the same for every p.  On a finite
+carrier its conjugate transpose is lambda(s^{-1}) entrywise and exactly.
 
 Blocks follow the Kronecker convention of :mod:`lpalg.opspace`: position t
 indexes the outer factor, so block (t, t') of the integrated form is
@@ -51,7 +58,6 @@ __all__ = [
     "conditional_expectation",
     "cyclic_coordinate_rotation",
     "expectation_cb_certificate",
-    "is_phased_permutation",
     "random_cc_element",
     "reduced_norm",
     "trivial_action",
@@ -75,15 +81,10 @@ class ConcreteAlgebra:
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
-def is_phased_permutation(u) -> bool:
-    """True when u has exactly one entry of modulus 1 per row and per column
-    and every other entry is below 1e-12 (the modulus within 1e-12 of 1)."""
-    arr = np.asarray(u, dtype=complex)
-    return arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0 and _all_phased(arr[None])
-
-
 def _all_phased(stack: np.ndarray) -> bool:
-    """:func:`is_phased_permutation` for every matrix of a (n, d, d) stack at once."""
+    """Whether every matrix of a (n, d, d) stack is a phased permutation:
+    exactly one entry of modulus 1 per row and per column and every other
+    entry below 1e-12 (the modulus within 1e-12 of 1)."""
     mags = np.abs(stack)
     big = mags > _ACTION_TOL
     return bool((big.sum(axis=1) == 1).all() and (big.sum(axis=2) == 1).all()
@@ -126,7 +127,8 @@ def _doubled_table(u: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _implementer_stack(unitaries, order: int) -> np.ndarray:
-    """The implementers as one (order, d, d) stack of finite phased permutations."""
+    """The implementers as one (order, d, d) stack of finite phased permutations;
+    a generator is checked as the stack of its one matrix."""
     mats = [np.asarray(u, dtype=complex) for u in unitaries]
     if len(mats) != order:
         raise ValueError(f"expected {order} implementers, got {len(mats)}")
@@ -154,16 +156,18 @@ class IsometricAction:
       (s, t) at once the stored pairs, which :meth:`apply` uses, must give
       U_s U_t the permutation of U_{st} and its phases within 1e-12.
     * ``generator``, one U on a cyclic carrier (Z or Z/n), gives U_s = U^s,
-      U^{-1} being the conjugate transpose.  Each pair is the binary power
-      for its s alone, bit for bit.  On Z/n the n pairs are stored, and the
-      one check that U^n is I (phases within 1e-12) proves every relation
-      U_s U_t = U_{s+t mod n}.  On Z the pairs for |t| <= R are tabulated
-      when first needed, R at least doubling when a larger |s| arrives.
-      Tables are built by doubling (row t is row t - 2^h times U^(2^h),
-      2^h the top bit of t, and U^{-1} for negative t), which multiplies
-      the binary power's factors in its order, so every row is still that
-      power bit for bit; an element beyond the table's cap is raised on
-      its own.
+      U^{-1} being the conjugate transpose.  It is validated as a stack of
+      one implementer, so a bad generator is refused with the implementers'
+      message.  Each pair is the binary power for its s alone, bit for bit.
+      On Z/n the n pairs are stored, and the one check that U^n is I
+      (phases within 1e-12) proves every relation U_s U_t = U_{s+t mod n}.
+      On Z each call tabulates the pairs for |t| <= R, R the largest |s|
+      it asks for, and keeps nothing, so an action assigns no attribute
+      after construction.  Tables are built by doubling (row t is row
+      t - 2^h times U^(2^h), 2^h the top bit of t, and U^{-1} for negative
+      t), which multiplies the binary power's factors in its order, so
+      every row is that power bit for bit whatever R is; an element beyond
+      the table's cap is raised on its own.
     """
 
     def __init__(self, carrier, *, unitaries=None, generator=None):
@@ -190,14 +194,10 @@ class IsometricAction:
         elif generator is not None:
             if not carrier.cyclic:
                 raise ValueError(f"a generator determines an action only on a cyclic carrier, not {carrier!r}")
-            u = validate_matrix(generator)
-            if not is_phased_permutation(u):
-                raise ValueError("the generator must be a phased permutation")
+            u = _implementer_stack([generator], 1)[0]
             self.base_dim = u.shape[0]
             self._generator, self._inverse = _phased_pair(u), _phased_pair(u.conj().T)
-            if carrier.order is None:
-                self._radius = -1  # no power tabulated yet
-            else:
+            if carrier.order is not None:
                 self._perm, self._phase = _doubled_table(self._generator, carrier.order)
                 perm, phase = _compose_pairs((self._perm[-1], self._phase[-1]), self._generator)
                 if (perm != np.arange(self.base_dim)).any() or np.abs(phase - 1.0).max() > _ACTION_TOL:
@@ -213,18 +213,12 @@ class IsometricAction:
         if self.carrier.order is not None:
             return self._perm[s], self._phase[s]
         reach = int(np.abs(s).max(initial=0))
-        if reach > self._radius:
-            limit = (_TABLE_ENTRIES // self.base_dim - 1) // 2
-            if reach > limit:  # too far out to tabulate
-                return self._powers(s)
-            radius = min(max(reach, 2 * self._radius), limit)
-            ahead, back = (_doubled_table(u, radius + 1) for u in (self._generator, self._inverse))
-            # rows U^{-radius} .. U^{-1}, then U^0 .. U^{radius}
-            self._perm, self._phase = (np.concatenate((b[:0:-1], a)) for a, b in zip(ahead, back))
-            for arr in (self._perm, self._phase):
-                arr.flags.writeable = False  # rows are handed out as views
-            self._radius = radius
-        return self._perm[s + self._radius], self._phase[s + self._radius]
+        if reach > (_TABLE_ENTRIES // self.base_dim - 1) // 2:  # too far out to tabulate
+            return self._powers(s)
+        ahead, back = (_doubled_table(u, reach + 1) for u in (self._generator, self._inverse))
+        # rows U^{-reach} .. U^{-1}, then U^0 .. U^{reach}
+        perm, phase = (np.concatenate((b[:0:-1], a)) for a, b in zip(ahead, back))
+        return perm[s + reach], phase[s + reach]
 
     def _powers(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(perm, phase) of U^s by binary powers, for each entry of s on its own."""

@@ -1,4 +1,4 @@
-"""Group carriers, translation operators, and Folner sets.
+"""Group carriers and Folner sets.
 
 Every carrier answers the same questions, so no code above this module asks
 which kind it holds: ``op(s, t)`` (s t), ``inv(s)`` (s^{-1}) and
@@ -14,12 +14,9 @@ is only its default window, so every ``ZWindow`` is Z).  The carriers are
 :class:`FiniteGroup`, any finite group from a validated multiplication
 table (:func:`group_from_table`); and :class:`ZWindow`, Z itself, whose
 default window is the symmetric interval {-radius..radius}.  A finite carrier's
-elements, window and Folner set are the indices 0..order-1.
-
-The left regular representation acts by (lambda(s) xi)(t) = xi(s^{-1} t), so
-lambda(s) is the permutation matrix sending the basis vector at t to the one
-at s t.  Its conjugate transpose is the regular representation of s^{-1},
-entrywise and exactly, which is what :func:`lambda_adjoint_check` verifies.
+elements, window and Folner set are the indices 0..order-1.  Translation
+operators on a window are built in :mod:`lpalg.crossed`
+(``CovariantRep.translation``).
 
 Folner data: for a finite subset F and a shift s, the translate sF and the
 one count |F and sF|.  Translation is injective, so |sF (sym diff) F| =
@@ -34,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError
-from .lpnorm import adjoint
 
 __all__ = [
     "CyclicGroup",
@@ -48,8 +44,6 @@ __all__ = [
     "folner_search",
     "group_from_descriptor",
     "group_from_table",
-    "lambda_adjoint_check",
-    "regular_rep",
     "translate_set",
 ]
 
@@ -265,20 +259,6 @@ def group_from_table(mult) -> FiniteGroup:
 def cyclic_group(n: int) -> CyclicGroup:
     """Z/n with elements 0..n-1 under addition mod n."""
     return CyclicGroup(n)
-
-
-def regular_rep(group, s: int) -> np.ndarray:
-    """Permutation matrix of left translation on a finite carrier: column t
-    has its 1 in row s t."""
-    idx = np.arange(group.order)
-    out = np.zeros((group.order, group.order), dtype=complex)
-    out[group.op(s, idx), idx] = 1.0
-    return out
-
-
-def lambda_adjoint_check(group, s: int) -> bool:
-    """Whether regular_rep(s)* equals regular_rep(s^{-1}) entrywise exactly."""
-    return np.array_equal(adjoint(regular_rep(group, s)), regular_rep(group, group.inv(s)))
 
 
 class FolnerSet:

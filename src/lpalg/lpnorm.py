@@ -87,13 +87,14 @@ class PExponent:
     """An exponent p in [1, inf] together with its conjugate q, 1/p + 1/q = 1.
 
     ``PExponent(1)`` has q = inf and ``PExponent(math.inf)`` has q = 1.  A
-    bool is refused: True is not the exponent 1.  Read-only, and equal
-    exponents are equal and hash alike.
+    bool is refused: True is not the exponent 1; so is a string, even one
+    that ``float`` parses.  Read-only, and equal exponents are equal and
+    hash alike.
     """
 
     def __init__(self, p: float):
-        if isinstance(p, (bool, np.bool_)):
-            raise ValueError(f"exponent must be a number, not a bool, got {p!r}")
+        if isinstance(p, (bool, np.bool_, str, bytes)):
+            raise ValueError(f"exponent must be a number, not a {type(p).__name__}, got {p!r}")
         value = float(p)
         if math.isnan(value) or value < 1.0:
             raise ValueError(f"exponent must lie in [1, inf], got {p!r}")
@@ -189,12 +190,22 @@ def adjoint(a) -> np.ndarray:
 
 
 def vector_pnorm(x, p) -> float:
-    """l^p norm of a complex vector; p may be any value in [1, inf]."""
+    """l^p norm of a complex vector; p may be any value in [1, inf].
+
+    Non-finite entries are refused, and a norm beyond the float range
+    raises :class:`NormOverflowError`.
+    """
     pe = as_exponent(p)
     arr = np.asarray(x, dtype=complex).ravel()
     if arr.size == 0:
         raise ValueError("vector_pnorm of an empty vector")
-    return float(_pnorms_along(arr, pe.p))
+    if not np.isfinite(arr).all():
+        raise ValueError("vector entries must be finite")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        value = float(_pnorms_along(arr, pe.p))
+    if not math.isfinite(value):
+        raise NormOverflowError(f"the p = {pe.p} norm of this vector of length {arr.size} exceeds the float range")
+    return value
 
 
 def _signs(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
@@ -514,15 +525,16 @@ def _estimates(arr, pe, restarts, max_iters, tol, rngs) -> list[PNormEstimate]:
     and one whose leading 2 x 2 block has four nonzeros around an
     inconsistent phase cycle cannot be nonnegative up to phases, so a dense
     complex member costs one ``count_nonzero`` and four signs before it is
-    iterated."""
+    iterated.  ``restarts`` and ``max_iters`` must be at least 1 for every p."""
+    for name, value in (("restarts", restarts), ("max_iters", max_iters)):
+        if value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if pe.has_exact_formula:
         out = []
         for mat in arr:
             value, witness = _exact_value_and_witness(mat, pe)
             out.append(PNormEstimate(value, witness, "exact", True, 0))
         return out
-    if restarts < 1:
-        raise ValueError("restarts must be a positive integer")
     cap = min(arr.shape[1:])
     out = [_monomial(mat, pe) if np.count_nonzero(mat) <= cap else None for mat in arr]
     out = [_positive_iteration(mat, pe, max_iters, tol) if est is None else est for est, mat in zip(out, arr)]

@@ -211,8 +211,11 @@ def _sampled_field_cb(first, apply, size: int, p, n_max: int, trials: int, rng) 
 
     Level k compares ||apply(field)|| with ||field|| on the structured field
     first(k) and on ``trials`` random (size, k, k) fields; each level keeps
-    the running maximum of the ratios.
+    the running maximum of the ratios.  ``n_max`` must be at least 1 and
+    ``trials`` at least 0.
     """
+    if n_max < 1 or trials < 0:
+        raise ValueError(f"a sampled certificate needs n_max >= 1 and trials >= 0, got {n_max!r} and {trials!r}")
     pe = as_exponent(p)
     gen = as_generator(rng)
     levels = []

@@ -108,6 +108,14 @@ def test_cbnorm_reports_levels(tmp_path, capsys):
     assert [n for n, _ in payload["levels"]] == [1, 2]
 
 
+@pytest.mark.parametrize("flag, value", [("--n-max", "0"), ("--trials", "-3")])
+def test_cbnorm_refuses_no_level_and_negative_trials(tmp_path, capsys, flag, value):
+    # --n-max 0 used to exit 0 with "best": 0.0 and no levels
+    path = _write(tmp_path / "map.json", matrix_to_obj(np.eye(4)))
+    assert main(["cbnorm", "--map", path, "--p", "2", flag, value]) == 2
+    assert "input error: a sampled certificate needs n_max >= 1" in capsys.readouterr().err
+
+
 def test_folner_csv(capsys):
     code = main(["folner", "--group", "z", "--shifts", "1,-1,2", "--delta", "0.1",
                  "--format", "csv"])

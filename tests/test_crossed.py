@@ -17,7 +17,6 @@ from lpalg.crossed import (
     conditional_expectation,
     cyclic_coordinate_rotation,
     expectation_cb_certificate,
-    is_phased_permutation,
     random_cc_element,
     reduced_norm,
     trivial_action,
@@ -39,17 +38,21 @@ def _shift(n):
 # ---------------------------------------------------------------------------
 
 def test_is_phased_permutation_accepts_signed_shift():
-    assert is_phased_permutation(_shift(4))
-    assert is_phased_permutation(1j * _shift(4))
-    assert is_phased_permutation(np.diag([1.0, -1.0, 1j]))
+    # the phased-permutation check is the one implementers pass; a generator passes it too
+    for u in (_shift(4), 1j * _shift(4), np.diag([1.0, -1.0, 1j])):
+        assert np.array_equal(IsometricAction(ZWindow(0), generator=u).unitary(1), u)
 
 
 def test_is_phased_permutation_rejects_non_examples():
+    # a bad generator and a bad implementer are refused with one message
+    message = "^every implementer must be a square phased permutation$"
     half = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert not is_phased_permutation(half)
-    assert not is_phased_permutation(2.0 * _shift(3))
-    assert not is_phased_permutation(np.zeros((2, 2)))
-    assert not is_phased_permutation(np.zeros((0, 0)))
+    for u in (half, 2.0 * _shift(3), np.zeros((2, 2)), np.zeros((0, 0))):
+        for carrier in (ZWindow(0), cyclic_group(1)):
+            with pytest.raises(ValueError, match=message):
+                IsometricAction(carrier, generator=u)
+        with pytest.raises(ValueError, match=message):
+            IsometricAction(cyclic_group(1), unitaries=[u])
 
 
 def test_action_requires_exact_multiplicativity():
@@ -213,12 +216,22 @@ def test_z_power_table_is_the_binary_power_of_each_element_bit_for_bit():
     for d, reach in ((1, 1000), (3, 1000), (5, 700), (2, 1)):
         u = _random_phased(rng, d)
         act = IsometricAction(ZWindow(0), generator=u)
-        act.apply(reach // 3, np.eye(d))  # the table grows from a smaller radius
         window = np.arange(-reach, reach + 1)
         _assert_rows_are_binary_powers(u, window, *act._pair(window))
         # beyond the cap on the table, each element is its own binary power
         far = np.array([-(crossed._TABLE_ENTRIES // d), crossed._TABLE_ENTRIES // d + 3])
         _assert_rows_are_binary_powers(u, far, *act._pair(far))
+
+
+def test_a_z_action_assigns_nothing_after_construction():
+    act = IsometricAction(ZWindow(0), generator=np.exp(0.3j) * _shift(3))
+    before = dict(vars(act))
+    far = crossed._TABLE_ENTRIES // 3
+    for s in (1, -7, np.arange(-40, 41), np.array([-far, far]), 2):
+        act._pair(s)
+        act.apply(s, np.eye(3))
+    assert vars(act).keys() == before.keys()
+    assert all(vars(act)[name] is value for name, value in before.items())
 
 
 def test_cyclic_generator_whose_power_is_not_the_identity_is_refused():
@@ -263,6 +276,33 @@ def test_integrated_rotation_blocks():
     assert np.allclose(np.diag(m[0:3, 0:3]).real, [1.0, 2.0, 3.0], atol=1e-15)
     assert np.allclose(np.diag(m[3:6, 3:6]).real, [3.0, 1.0, 2.0], atol=1e-15)
     assert np.allclose(np.diag(m[6:9, 6:9]).real, [2.0, 3.0, 1.0], atol=1e-15)
+
+
+def _translations(group):
+    """lambda(s) for every element s of a finite group, as v(s) builds it."""
+    rep = CovariantRep(ConcreteAlgebra(1), trivial_action(group, 1), 2.0)
+    return [rep.translation(s) for s in group.elements()]
+
+
+def test_translation_is_the_shift():
+    # on Z/3 the translation by 1 sends basis vector t to t+1
+    lam = _translations(cyclic_group(3))[1]
+    expected = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
+    assert np.array_equal(lam.real, expected)
+    assert np.all(lam.imag == 0.0)
+
+
+def test_translation_multiplies():
+    for group in (cyclic_group(7), *_table_test_groups()):
+        lam = _translations(group)
+        for s, t in np.ndindex(group.order, group.order):
+            assert np.array_equal(lam[s] @ lam[t], lam[group.op(s, t)])
+
+
+def test_translation_adjoint_is_the_inverse_translation_exactly():
+    for group in (*(cyclic_group(n) for n in range(1, 9)), _table_test_groups()[0]):  # the last is Klein's
+        lam = _translations(group)
+        assert all(np.array_equal(lam[s].conj().T, lam[group.inv(s)]) for s in group.elements())
 
 
 def test_translation_on_window_is_truncated_shift():

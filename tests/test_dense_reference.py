@@ -275,30 +275,24 @@ def _pair_bits(pair):
 
 @pytest.mark.parametrize("label, action, units, exact", Z_CASES, ids=[c[0] for c in Z_CASES])
 def test_power_table_growth_keeps_every_bit(monkeypatch, label, action, units, exact):
-    gen_mat = units[1]
-    grown, _ = _z_case(gen_mat, 1)
-    fresh, dense = _z_case(gen_mat, 19)  # dense powers for |s| <= 40
-    for reach in (1, 7, 40):
-        grown.apply(np.arange(-reach, reach + 1), np.eye(3))
-    fresh.apply(40, np.eye(3))
-    monkeypatch.setattr(crossed, "_TABLE_ENTRIES", 3 * 21)  # |s| > 10 is not tabulated
-    untabled, _ = _z_case(gen_mat, 1)
+    # a call tabulates the powers up to its own reach; beyond the cap on a
+    # table each element is raised on its own, to the same bits
+    action, dense = _z_case(units[1], 19)  # dense powers for |s| <= 40
     rng = np.random.default_rng(5)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     grid = np.array([[-40, 3], [0, 39]])
     stack = rng.standard_normal((2, 2, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3))
-    for s in (-40, -7, -1, 0, 1, 6, 40, np.int64(-13), np.arange(-40, 41), grid):
-        want = _pair_bits(fresh._pair(s))
-        assert _pair_bits(grown._pair(s)) == want
-        assert _pair_bits(untabled._pair(s)) == want
-        assert np.array_equal(_bits(grown.apply(s, a)), _bits(fresh.apply(s, a)))
-        assert np.array_equal(_bits(untabled.apply(s, a)), _bits(fresh.apply(s, a)))
+    elements = (-40, -7, -1, 0, 1, 6, 40, np.int64(-13), np.arange(-40, 41), grid)
+    tabled = [(_pair_bits(action._pair(s)), _bits(action.apply(s, a))) for s in elements]
     for s in range(-40, 41):
-        assert np.array_equal(_bits(grown.unitary(s)), _bits(fresh.unitary(s)))
-        _assert_agrees(grown.unitary(s), dense[s], exact)
-        _assert_agrees(grown.apply(s, a), _dense_apply(dense, s, a), exact)
+        _assert_agrees(action.unitary(s), dense[s], exact)
+        _assert_agrees(action.apply(s, a), _dense_apply(dense, s, a), exact)
     want = np.stack([[_dense_apply(dense, s, m) for s, m in zip(row, ms)] for row, ms in zip(grid, stack)])
-    _assert_agrees(grown.apply(grid, stack), want, exact)
+    _assert_agrees(action.apply(grid, stack), want, exact)
+    monkeypatch.setattr(crossed, "_TABLE_ENTRIES", 3 * 21)  # |s| > 10 is not tabulated
+    for s, (pair, moved) in zip(elements, tabled):
+        assert _pair_bits(action._pair(s)) == pair
+        assert np.array_equal(_bits(action.apply(s, a)), moved)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for group carriers, translation operators and Folner sets."""
+"""Tests for group carriers and Folner sets."""
 
 import re
 
@@ -18,8 +18,6 @@ from lpalg.groups import (
     folner_search,
     group_from_descriptor,
     group_from_table,
-    lambda_adjoint_check,
-    regular_rep,
     translate_set,
 )
 from lpalg.suite import _table_test_groups
@@ -137,29 +135,6 @@ def test_a_window_radius_must_be_an_integer(radius):
     with pytest.raises(ValueError, match="^window radius must be an integer, got "):
         ZWindow(3).window(radius)
     assert ZWindow(np.int64(2)).window(np.int64(1)).tolist() == [-1, 0, 1]
-
-
-def test_regular_rep_is_the_shift():
-    # on Z/3 the translation by 1 sends basis vector t to t+1
-    lam = regular_rep(cyclic_group(3), 1)
-    expected = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
-    assert np.array_equal(lam.real, expected)
-    assert np.all(lam.imag == 0.0)
-
-
-def test_regular_rep_multiplies():
-    g = cyclic_group(7)
-    l2 = regular_rep(g, 2)
-    l3 = regular_rep(g, 3)
-    assert np.allclose(l2 @ l3, regular_rep(g, g.op(2, 3)), atol=1e-15)
-
-
-def test_lambda_adjoint_identity_small_groups():
-    for n in range(1, 9):
-        g = cyclic_group(n)
-        assert all(lambda_adjoint_check(g, s) for s in range(n))
-    klein = group_from_table(KLEIN_TABLE)
-    assert all(lambda_adjoint_check(klein, s) for s in range(4))
 
 
 # ---------------------------------------------------------------------------

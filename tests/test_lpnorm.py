@@ -72,6 +72,15 @@ def test_vector_pnorm_known_values():
     assert vector_pnorm(x, np.inf) == 4.0
 
 
+def test_vector_pnorm_refuses_what_no_float_holds():
+    # the first used to return inf with a RuntimeWarning, the second nan
+    with pytest.raises(NormOverflowError, match="exceeds the float range"):
+        vector_pnorm([1e308] * 4, 2)
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        vector_pnorm([np.nan, 1.0], 3)
+    assert vector_pnorm([1e308] * 4, np.inf) == 1e308
+
+
 def test_signs_of_subnormal_moduli_are_exact():
     # numpy divides by |y| through 1/|y|, which overflows at or below
     # 2^-1024; those entries are scaled first, so the signs are exactly
@@ -96,6 +105,24 @@ def test_estimate_short_circuits_to_exact():
         est = pnorm_estimate(a, p)
         assert est.method == "exact"
         assert est.value == pnorm_exact(a, p)
+
+
+def _gaussian_5x5():
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+
+
+@pytest.mark.parametrize("matrix, p, opts", [
+    (_gaussian_5x5(), 1.5, {"max_iters": 0}),  # used to return 0.0, converged
+    (np.abs(_gaussian_5x5()), 1.5, {"max_iters": 0}),  # the same, though its upper bound is 6.30
+    (_gaussian_5x5(), 2.0, {"restarts": 0}),  # refused at p = 1.5 only
+], ids=["complex max_iters 0", "positive max_iters 0", "p 2 restarts 0"])
+def test_an_estimate_with_no_iteration_is_refused(matrix, p, opts):
+    (name,) = opts
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got 0$"):
+        pnorm_estimate(matrix, p, **opts)
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got 0$"):
+        pnorm_estimate_stack([matrix], p, **opts)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
@@ -796,6 +823,16 @@ def test_exponent_rejects_a_bool(p):
         with pytest.raises(ValueError, match="^exponent must be a number, not a bool"):
             make(p)
     assert as_exponent(np.int64(1)).q == np.inf
+
+
+@pytest.mark.parametrize("p", ["1.5", b"1.5", "inf"], ids=["str", "bytes", "str inf"])
+def test_exponent_rejects_a_string(p):
+    # pnorm_estimate(a, "1.5") used to run at p = 1.5
+    for make in (PExponent, as_exponent):
+        with pytest.raises(ValueError, match="^exponent must be a number, not a (str|bytes)"):
+            make(p)
+    with pytest.raises(ValueError, match="^exponent must be a number"):
+        pnorm_estimate(A_HAND, p)
 
 
 def test_validate_matrix_rejects_bad_input():

@@ -99,3 +99,14 @@ def test_no_module_imports_another_modules_private_name(modname):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_groups_imports_nothing_from_lpalg_but_errors():
+    # the carriers know no norm: the translation operators are built in crossed
+    tree = ast.parse(Path(importlib.import_module("lpalg.groups").__file__).read_text())
+    imported = {
+        node.module.removeprefix("lpalg.")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("lpalg"))
+    }
+    assert imported == {"errors"}

@@ -104,6 +104,13 @@ def test_identity_map_levels_are_one():
     assert cb.best == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n_max, trials", [(0, 4), (-1, 4), (2, -3)])
+def test_a_sampled_certificate_needs_a_level_and_no_negative_trials(n_max, trials):
+    # n_max=0 used to give no levels and best 0.0, and trials=-3 ran as 0
+    with pytest.raises(ValueError, match="^a sampled certificate needs n_max >= 1 and trials >= 0"):
+        cb_norm_lower(LinearMap.identity(2), 1.5, n_max=n_max, trials=trials)
+
+
 def test_levels_are_monotone():
     def shrink(a):
         return 0.9 * np.asarray(a, dtype=complex)

@@ -105,6 +105,14 @@ def test_cx_leg_certificates_are_exactly_one():
         assert all(v == 1.0 for _, v in psi.levels)
 
 
+@pytest.mark.parametrize("certificate", [cx_phi_cb_certificate, cx_psi_cb_certificate])
+@pytest.mark.parametrize("n_max, trials", [(0, 8), (2, -3)])
+def test_a_field_certificate_needs_a_level_and_no_negative_trials(certificate, n_max, trials):
+    # n_max=0 used to give no levels, and trials=-3 ran as 0
+    with pytest.raises(ValueError, match="^a sampled certificate needs n_max >= 1 and trials >= 0"):
+        certificate(circle_partition(6, 3), 1.5, n_max=n_max, trials=trials)
+
+
 def test_partition_validation():
     good = circle_partition(8, 2)
     with pytest.raises(ValueError):

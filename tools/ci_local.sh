@@ -8,7 +8,7 @@
 #   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs and their gates
 #   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001 and a rotation model: cost and claims
-#   bash tools/ci_local.sh lines            the size of src/lpalg and the CLI's option count, printed and not gated
+#   bash tools/ci_local.sh lines            the size of src/lpalg, per module too, and the CLI's option count, printed and not gated
 #   bash tools/ci_local.sh imports          the import time of lpalg, printed and not gated
 #
 # Needs python3 with numpy (and pytest and hypothesis for the tests).
@@ -142,9 +142,9 @@ PY
 }
 
 # the two sizes of src/lpalg: every line (wc -l), and the code lines, those
-# holding a token that is not a comment, a docstring or layout; then the
-# options each subcommand of the command line accepts (--help aside), and
-# their total
+# holding a token that is not a comment, a docstring or layout, of each
+# module and in all; then the options each subcommand of the command line
+# accepts (--help aside), and their total
 lines() {
     echo "== size of src/lpalg"
     wc -l src/lpalg/*.py | tail -n 1
@@ -154,7 +154,7 @@ from pathlib import Path
 
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
           tokenize.ENCODING, tokenize.ENDMARKER}
-total = 0
+counts = {}
 for path in sorted(Path(sys.argv[1]).glob("*.py")):
     src = path.read_text()
     docs = set()
@@ -167,8 +167,9 @@ for path in sorted(Path(sys.argv[1]).glob("*.py")):
     for tok in tokenize.generate_tokens(io.StringIO(src).readline):
         if tok.type not in LAYOUT:
             code.update(set(range(tok.start[0], tok.end[0] + 1)) - docs)
-    total += len(code)
-print(f"{total} code lines (tokenizer count, without blank lines, comments and docstrings)")
+    counts[path.name] = len(code)
+print("code lines per module:", ", ".join(f"{name} {n}" for name, n in counts.items()))
+print(f"{sum(counts.values())} code lines (tokenizer count, without blank lines, comments and docstrings)")
 PY
     PYTHONPATH=src python3 - <<'PY'
 import argparse
