@@ -34,11 +34,13 @@ matrix A in C^{m x n} is an operator l^p(n) -> l^p(m) and
   on a (B, m, n) stack of matrices at once, each from its own rng, with
   one batched matmul per half-step; a matrix leaves the stack once all its
   restarts have stagnated, and every result equals the one-matrix estimate
-  bit for bit.  On small matrices an iteration costs its numpy calls, not
-  its arithmetic, so the loop inlines the column helpers, works in place,
-  and divides by the moduli unmasked unless one of them is at or below
-  2^-1024 (then :func:`_signs` scales first); its values are those of the
-  helpers bit for bit.
+  bit for bit.  While a single matrix is left, as in every one-matrix
+  call, the same loop skips the stack's bookkeeping of slots, compaction
+  and per-member tests.  On small matrices an iteration costs its numpy
+  calls, not its arithmetic, so the loop inlines the column helpers, works
+  in place, and divides by the moduli unmasked unless one of them is at or
+  below 2^-1024 (then :func:`_signs` scales first); its values are those
+  of the helpers bit for bit.
 
 :func:`pnorm_oracle` maximizes ||A x||_p directly, by projected gradient
 ascent with a vectorized line search from random unit vectors plus the
@@ -812,8 +814,15 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
     Slot k of every state array holds matrix ``member[k]``; finished
     matrices are compacted out of the leading slots, so the live part of
     each array stays contiguous and the batched matmuls make the same BLAS
-    calls as one matrix at a time.  ``arr`` must be an array the caller
-    owns: it is scaled and compacted in place.
+    calls as one matrix at a time.  The views of the live slots (``live_*``)
+    are taken once and again only after a compaction, not per iteration.
+    While one member is live, a one-matrix call from its start or the last
+    member of a stack, its slot is 0 and there are no slots to keep: its
+    best value is one scalar test on ``argmax``, it stops when all its
+    restarts stagnate, and it is finished after the loop.  Both branches
+    make the same floating-point operations on the same operands, so an
+    estimate keeps its bits whether it ran alone or in a stack.  ``arr``
+    must be an array the caller owns: it is scaled and compacted in place.
 
     The loop is :func:`_dual_columns`, :func:`_normalized` and
     :func:`_pnorms_along` inlined: each iteration makes the same
@@ -861,38 +870,52 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
             results[b] = _finished(arr[k], best_val[k], best_witness[k], bool(stagnant[k, best_col[k]]),
                                    e[b], pe, "power-iteration", restarts)
 
+    live = count
+    live_arr, live_a_h, live_best, live_prev, live_stagnant = arr, a_h, best_val, prev_vals, stagnant
     for _ in range(max_iters):
-        live = len(member)
         # forward half-step: y = A x becomes sign(y) in place, |y| its column-scaled moduli
-        u, scaled, tops = _signs_and_scaled(arr[:live] @ x)
+        u, scaled, tops = _signs_and_scaled(live_arr @ x)
         vals = (scaled**p).sum(axis=1)
         vals **= 1.0 / p
         vals *= tops[:, 0, :]
-        top_vals = vals.max(axis=1)
-        gain = top_vals > best_val[:live]
-        if gain.any():
-            rows = np.flatnonzero(gain)
-            cols = vals[rows].argmax(axis=1)
-            best_val[rows] = top_vals[rows]
-            best_witness[rows] = x[rows, :, cols]
-            best_col[rows] = cols
-        stagnant[:live] |= np.abs(vals - prev_vals[:live]) <= tol * vals
-        prev_vals[:live] = vals
-        done = stagnant[:live].all(axis=1)
-        if done.any():
-            finish(np.flatnonzero(done))
-            keep = np.flatnonzero(~done)
-            if keep.size == 0:
+        if live == 1:  # one member: its slot is 0 and it is finished after the loop
+            col = vals[0].argmax()
+            if vals[0, col] > best_val[0]:
+                best_val[0] = vals[0, col]
+                best_witness[0] = x[0, :, col]
+                best_col[0] = col
+            live_stagnant |= np.abs(vals - live_prev) <= tol * vals
+            live_prev[...] = vals
+            if live_stagnant.all():
                 break
-            for state in (arr, a_h, best_val, best_witness, best_col, prev_vals, stagnant):
-                state[: keep.size] = state[keep]
-            member = member[keep]
-            x, u, scaled = x[keep], u[keep], scaled[keep]
-            live = keep.size
+        else:
+            top_vals = vals.max(axis=1)
+            gain = top_vals > live_best
+            if gain.any():
+                rows = np.flatnonzero(gain)
+                cols = vals[rows].argmax(axis=1)
+                best_val[rows] = top_vals[rows]
+                best_witness[rows] = x[rows, :, cols]
+                best_col[rows] = cols
+            live_stagnant |= np.abs(vals - live_prev) <= tol * vals
+            live_prev[...] = vals
+            done = live_stagnant.all(axis=1)
+            if done.all():
+                break
+            if done.any():
+                finish(np.flatnonzero(done))
+                keep = np.flatnonzero(~done)
+                for state in (arr, a_h, best_val, best_witness, best_col, prev_vals, stagnant):
+                    state[: keep.size] = state[keep]
+                member = member[keep]
+                x, u, scaled = x[keep], u[keep], scaled[keep]
+                live = keep.size
+                live_arr, live_a_h, live_best = arr[:live], a_h[:live], best_val[:live]
+                live_prev, live_stagnant = prev_vals[:live], stagnant[:live]
         # dual half-step: w = dualmap_q(A* dualmap_p(y)), then w / ||w||_p
         scaled **= p - 1.0
         u *= scaled
-        w, scaled, _ = _signs_and_scaled(a_h[:live] @ u)
+        w, scaled, _ = _signs_and_scaled(live_a_h @ u)
         scaled **= q - 1.0
         w *= scaled
         mags = np.abs(w)
@@ -909,10 +932,9 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
             w /= np.where(dead, 1.0, norms)[:, None, :]
             slot, col = np.nonzero(dead)
             w[slot, :, col] = x[slot, :, col]
-            stagnant[:live] |= dead
+            live_stagnant |= dead
         x = w
-    else:
-        finish(range(len(member)))
+    finish(range(live))
     return results
 
 

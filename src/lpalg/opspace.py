@@ -313,11 +313,16 @@ def cb_norm_lower(
     the order of a one-input-at-a-time ascent: per input a seed, then
     (noise, seed) per ascent step.  An input that is zero, or that amplified
     ``phi`` maps to zero, is skipped with no draws after its seed; such a
-    candidate gets the ratio 0 without estimates.  ``n_max`` must be at
-    least 1 and ``trials`` at least 0.
+    candidate gets the ratio 0 without estimates.  ``n_max`` and
+    ``restarts`` must be at least 1, ``trials`` and ``ascent_steps`` at
+    least 0; ``restarts`` is checked as given, before the two extra.
     """
     if n_max < 1 or trials < 0:
         raise ValueError(f"a sampled certificate needs n_max >= 1 and trials >= 0, got {n_max!r} and {trials!r}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
+    if ascent_steps < 0:
+        raise ValueError(f"ascent_steps must be a nonnegative integer, got {ascent_steps!r}")
     pe = as_exponent(p)
     gen = as_generator(rng)
     d = phi.domain_dim

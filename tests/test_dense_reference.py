@@ -590,6 +590,108 @@ def test_stacked_kernel_leaves_an_unscaled_array_stack_intact():
             _assert_estimate_bits(est, ker.value, ker.witness, ker.converged)
 
 
+# a stack of one takes the kernel's one-member branch from the first
+# iteration on; each case below is a stacked case above, one matrix at a time
+
+
+def _dead_start_matrix(rng, n):
+    # rows summing to zero exactly: the all-ones start is in the kernel
+    ints = rng.integers(-3, 4, size=(n, n - 1)).astype(float)
+    return np.concatenate([ints, -ints.sum(axis=1, keepdims=True)], axis=1)
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_one_member_kernel_matches_on_zero_matrices_columns_and_dead_starts(p):
+    rng = np.random.default_rng(50)
+    zero_cols = _gaussian_stack(rng, (8, 8))
+    zero_cols[:, ::2] = 0.0
+    one_col = _gaussian_stack(rng, (8, 8))
+    one_col[:, 1:] = 0.0
+    dead = _dead_start_matrix(rng, 8)
+    assert not (dead @ np.ones(8)).any()
+    for seed, a in enumerate([np.zeros((8, 8), dtype=complex), zero_cols, one_col, dead]):
+        _assert_kernel_matches([a], p, [seed], restarts=5, max_iters=200)
+    assert _ref_pnorm_estimate(dead, p, restarts=5, max_iters=200)[3] > 2  # the dead start did not end it
+
+
+def test_one_member_kernel_matches_with_moduli_below_2_to_the_minus_1024(monkeypatch):
+    # each matrix alone puts moduli below 2^-1024 into y = A x or A* u
+    rng = np.random.default_rng(46)
+    stack = _gaussian_stack(rng, (3, 5, 5))
+    stack[0] = np.diag([1.0, 1e-310, 1.0, 2.0, 1e-310j])
+    stack[1][2] *= 1e-310
+    stack[2][:, 3] *= 1e-310
+    tiny = []
+    signs = lpnorm._signs
+
+    def recording(y, mags):
+        tiny.append(bool(((mags > 0.0) & (mags <= 2.0**-1024)).any()))
+        return signs(y, mags)
+
+    monkeypatch.setattr(lpnorm, "_signs", recording)
+    for p in (1.5, 3.0):
+        for seed, a in enumerate(stack):
+            tiny.clear()
+            _assert_kernel_matches([a], p, [seed + 3], restarts=6, max_iters=60)
+            assert any(tiny)
+
+
+def test_one_member_kernel_scales_by_its_own_exponent():
+    rng = np.random.default_rng(44)
+    for seed, scale in enumerate([1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300]):
+        a = _gaussian_stack(rng, (6, 6)) * scale
+        kept = a.copy()
+        _assert_kernel_matches([a], 1.5, [seed], restarts=5, max_iters=60)
+        _assert_kernel_matches([a], 3.0, [seed], restarts=5, max_iters=60)
+        assert np.array_equal(_bits(a), _bits(kept))
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1)])
+def test_one_member_kernel_matches_on_a_row_and_a_column(shape):
+    a = _gaussian_stack(np.random.default_rng(41), shape)
+    _assert_kernel_matches([a], 3.0, [5], restarts=4, max_iters=50)
+
+
+def test_one_member_kernel_matches_at_an_iteration_cap():
+    rng = np.random.default_rng(43)
+    for seed, a in enumerate(_gaussian_stack(rng, (3, 10, 10))):
+        assert _ref_pnorm_estimate(a, 4.0, restarts=5, max_iters=200, rng=seed)[3] > 7
+        _assert_kernel_matches([a], 4.0, [seed], restarts=5, max_iters=7)
+        assert not pnorm_estimate(a, 4.0, restarts=5, max_iters=7, rng=seed).converged
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_stacked_kernel_matches_as_members_leave_one_by_one(p):
+    # the members stop at four different iterations, so the live stack
+    # shrinks 4, 3, 2, 1 and the last member ends in the one-member branch
+    rng = np.random.default_rng(49)
+    stack = _gaussian_stack(rng, (4, 8, 8))
+    stack[0] = np.diag(np.arange(1.0, 9.0))
+    stack[1] = np.outer(np.ones(8), np.arange(8.0))
+    stack[2] = np.eye(8)
+    stack[2, 0, 1] = 0.5
+    counts = [_ref_pnorm_estimate(a, p, restarts=5, max_iters=200, rng=seed)[3] for seed, a in enumerate(stack)]
+    assert len(set(counts)) == 4
+    _assert_kernel_matches(stack, p, list(range(4)), restarts=5, max_iters=200)
+
+
+def test_stacked_kernel_reads_the_right_slot_after_two_members_leave_at_once():
+    # the zero members leave together after one iteration, and the Gaussian
+    # in slot 2 moves to slot 0 and runs on alone; its estimate is the one
+    # of the matrix by itself, bit for bit
+    rng = np.random.default_rng(51)
+    stack = np.zeros((3, 7, 7), dtype=complex)
+    stack[2] = _gaussian_stack(rng, (7, 7))
+    counts = [_ref_pnorm_estimate(a, 3.0, restarts=5, max_iters=200, rng=seed)[3] for seed, a in enumerate(stack)]
+    assert counts[:2] == [2, 2] and counts[2] > 2
+    kernel = lpnorm._power_iteration(stack.copy(), lpnorm.as_exponent(3.0), 5, 200, 1e-10,
+                                     [np.random.default_rng(seed) for seed in range(3)])
+    alone = pnorm_estimate(stack[2], 3.0, restarts=5, max_iters=200, rng=2)
+    assert alone.method == "power-iteration"
+    _assert_estimate_bits(kernel[2], alone.value, alone.witness, alone.converged)
+    assert [est.value for est in kernel[:2]] == [0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # the stacked rounds of cb_norm_lower against the one-input-at-a-time ascent
 # ---------------------------------------------------------------------------

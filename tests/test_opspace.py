@@ -111,6 +111,24 @@ def test_a_sampled_certificate_needs_a_level_and_no_negative_trials(n_max, trial
         cb_norm_lower(LinearMap.identity(2), 1.5, n_max=n_max, trials=trials)
 
 
+@pytest.mark.parametrize("opts, message", [
+    ({"restarts": -1}, "restarts must be a positive integer, got -1$"),
+    ({"restarts": -2}, "restarts must be a positive integer, got -2$"),
+    ({"restarts": 0}, "restarts must be a positive integer, got 0$"),
+    ({"ascent_steps": -3}, "ascent_steps must be a nonnegative integer, got -3$"),
+], ids=["restarts=-1", "restarts=-2", "restarts=0", "ascent_steps=-3"])
+def test_the_ascent_refuses_the_restarts_and_steps_it_is_given(opts, message):
+    # restarts=-1 ran with one restart, -2 was refused as "got 0" (after
+    # the two extra restarts), and ascent_steps=-3 ran as 0
+    with pytest.raises(ValueError, match=f"^{message}"):
+        cb_norm_lower(LinearMap.identity(2), 1.5, n_max=1, trials=1, **opts)
+
+
+def test_one_restart_and_no_ascent_step_still_run():
+    cb = cb_norm_lower(LinearMap.identity(2), 1.5, n_max=2, trials=2, restarts=1, ascent_steps=0)
+    assert cb.levels == [(1, 1.0), (2, 1.0)]
+
+
 def test_levels_are_monotone():
     def shrink(a):
         return 0.9 * np.asarray(a, dtype=complex)

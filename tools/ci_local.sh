@@ -6,7 +6,7 @@
 #   bash tools/ci_local.sh                  all checks, in the order below
 #   bash tools/ci_local.sh tests            tier-1 tests
 #   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds
-#   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs and their gates
+#   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs, their gates and equal report digests
 #   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001 and a rotation model: cost and claims
 #   bash tools/ci_local.sh lines            the size of src/lpalg, per module too, and the CLI's option count, printed and not gated
 #   bash tools/ci_local.sh imports          the import time of lpalg, printed and not gated
@@ -62,6 +62,15 @@ smoke() {
     # function breaks only traced runs
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 | tee "$out/trace.out"
     gate "$out/trace.out" 'r.get("correct") is True and r.get("failed") == 0'
+    # tracing must not change a report: the tracer wraps pnorm_estimate and
+    # others, so a path that behaves otherwise under a wrapper fails here
+    python3 - "$workload" <<'PY'
+import json, sys
+digests = [json.load(open(f"perfbench/out/{sys.argv[1]}-seed1-trace{t}.json"))["reports_digest"] for t in (0, 1)]
+ok = digests[0] == digests[1]
+print(f"gate plain reports_digest {digests[0]} == traced {digests[1]}", "ok" if ok else "FAILED")
+sys.exit(0 if ok else 1)
+PY
     case $workload in
     witness_line)
         # the positive route closes every window form's bracket; only the
