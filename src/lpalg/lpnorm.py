@@ -37,10 +37,13 @@ matrix A in C^{m x n} is an operator l^p(n) -> l^p(m) and
   bit for bit.  While a single matrix is left, as in every one-matrix
   call, the same loop skips the stack's bookkeeping of slots, compaction
   and per-member tests.  On small matrices an iteration costs its numpy
-  calls, not its arithmetic, so the loop inlines the column helpers, works
-  in place, and divides by the moduli unmasked unless one of them is at or
-  below 2^-1024 (then :func:`_signs` scales first); its values are those
-  of the helpers bit for bit.
+  calls, not its arithmetic, so the loop inlines the column helpers and
+  works in place; and where the helpers divide a complex array by real
+  moduli or norms, it multiplies by (1/r, -0), which gives numpy's quotient
+  bit for bit unless a product underflows to 0, where numpy reports it and
+  the loop divides after all (and :func:`_signs` scales first where a
+  modulus is at or below 2^-1024); its values are those of the helpers bit
+  for bit.
 
 :func:`pnorm_oracle` maximizes ||A x||_p directly, by projected gradient
 ascent with a vectorized line search from random unit vectors plus the
@@ -65,6 +68,7 @@ import math
 import numpy as np
 
 from .errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
+from .groups import as_integer
 
 __all__ = [
     "PExponent",
@@ -213,9 +217,11 @@ def vector_pnorm(x, p) -> float:
 def _signs(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """sign(y) = y / |y| entrywise, with sign(0) = 0; ``mags`` is |y|.
 
-    numpy divides a complex array by a real one as y * (1/|y|), and 1/|y|
-    overflows for moduli at or below 2^-1024; those entries are scaled by
-    2^1022 (exactly) and divided by their own recomputed modulus.
+    numpy divides a complex array by a real one with Smith's formula, which
+    scales by 1/|y|, and 1/|y| overflows for moduli at or below 2^-1024;
+    those entries are scaled by 2^1022 (exactly) and divided by their own
+    recomputed modulus.  The restarted kernel's :func:`_divided` multiplies
+    by that same 1/|y| and takes over the scaled fallback from here.
     """
     normal = mags > 2.0**-1024
     out = np.divide(y, mags, out=np.zeros_like(y), where=normal)
@@ -259,15 +265,42 @@ def _normalized(x: np.ndarray, p: float, axis: int = 0) -> tuple[np.ndarray, np.
     return x / np.expand_dims(np.where(norms > 0.0, norms, 1.0), axis), norms
 
 
-def _signs_and_scaled(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _divided(y: np.ndarray, r: np.ndarray, inv: np.ndarray, out: np.ndarray, underflows: list) -> np.ndarray:
+    """y / r for complex y and real r > 2^-1024 that broadcast to ``out``,
+    with the bits of numpy's division, written into ``out``.
+
+    numpy divides y by r with Smith's formula against (r, +0): scl = 1/r and
+    ((y_r + y_i*0) scl, (y_i - y_r*0) scl).  The product y * (scl, -0) is
+    (y_r scl + y_i*0, y_i scl - y_r*0): where a product y_c scl is not 0,
+    adding a zero changes nothing, and where y_c is a zero the sums have
+    the same operands in either order, so the values and signed zeros
+    agree.  (With +0 the zeros' signs flip: y = (-0, 5) over r = 5 would
+    give (-0, 1), not numpy's (+0, 1).)  The two can differ only where a
+    nonzero y_c scl underflows to 0.  numpy reports every underflow to the
+    caller's ``np.errstate(under="call", call=...)``, whose call appends to
+    ``underflows``; then the division is made after all.  ``inv`` is a
+    complex buffer of r's shape whose imaginary parts are -0 and whose real
+    parts take 1/r.
+    """
+    np.reciprocal(r, out=inv.real)
+    underflows.clear()
+    np.multiply(y, inv, out=out)
+    if underflows:
+        np.divide(y, r, out=out)
+    return out
+
+
+def _signs_and_scaled(
+    y: np.ndarray, inv: np.ndarray, out: np.ndarray, underflows: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sign(y), |y| divided by its maxima along axis 1, and those maxima
-    (at least 5e-324), for a (B, m, r) array ``y`` that the caller gives
-    up: its signs are written into it unless some modulus lies at or below
-    2^-1024, where :func:`_signs` takes over."""
+    (at least 5e-324), for a (B, m, r) array ``y``: the signs are
+    :func:`_divided` into ``out`` with the buffer ``inv``, unless some
+    modulus lies at or below 2^-1024, where :func:`_signs` takes over."""
     mags = np.abs(y)
-    tops = mags.max(axis=1, keepdims=True, initial=5e-324)
-    if mags.min() > 2.0**-1024:  # the one division _signs would make, unmasked
-        np.divide(y, mags, out=y)
+    tops = np.maximum.reduce(mags, axis=1, keepdims=True, initial=5e-324)
+    if np.minimum.reduce(mags, axis=None) > 2.0**-1024:  # the one division _signs would make, unmasked
+        y = _divided(y, mags, inv, out, underflows)
     else:
         y = _signs(y, mags)
     mags /= tops
@@ -482,11 +515,15 @@ def pnorm_estimate(
 
     :param a: complex matrix, square or rectangular.
     :param p: exponent in [1, inf].
-    :param restarts: number of random starting vectors (at least 1).
-    :param max_iters: iteration cap per restart.
-    :param tol: relative stagnation threshold; on the positive route, the
-        relative width of the bracket that stops it.
+    :param restarts: number of random starting vectors, an integer of at
+        least 1.
+    :param max_iters: iteration cap per restart, an integer of at least 1.
+    :param tol: relative stagnation threshold, a finite number of at least
+        0; on the positive route, the relative width of the bracket that
+        stops it.
     :param rng: ``numpy.random.Generator``, seed int, or None (seed 0).
+    :raises ValueError: for any other ``restarts``, ``max_iters`` or
+        ``tol``, on every route and for every p.
     :raises NormOverflowError: when the norm exceeds the float range.
     """
     return _estimates(validate_matrix(a)[None].copy(), as_exponent(p), restarts, max_iters, tol, [rng])[0]
@@ -527,10 +564,15 @@ def _estimates(arr, pe, restarts, max_iters, tol, rngs) -> list[PNormEstimate]:
     and one whose leading 2 x 2 block has four nonzeros around an
     inconsistent phase cycle cannot be nonnegative up to phases, so a dense
     complex member costs one ``count_nonzero`` and four signs before it is
-    iterated.  ``restarts`` and ``max_iters`` must be at least 1 for every p."""
+    iterated.  Every route first checks that ``restarts`` and ``max_iters``
+    are integers (not bools) of at least 1 and that ``tol`` is a finite
+    number of at least 0, though the closed forms read none of them."""
     for name, value in (("restarts", restarts), ("max_iters", max_iters)):
-        if value < 1:
+        if as_integer(value, name) < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if isinstance(tol, (bool, np.bool_)) or not isinstance(tol, (int, float, np.integer, np.floating)) \
+            or not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if pe.has_exact_formula:
         out = []
         for mat in arr:
@@ -830,10 +872,19 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
     every estimate keeps its bits, but with far fewer numpy calls and
     temporaries, which are what an iteration on a small matrix costs.
 
-    * Per half-step, :func:`_signs_and_scaled` overwrites the product by its
-      signs with a plain ``y / |y|``, the division :func:`_signs` makes
-      under its mask, and falls back to :func:`_signs` when some modulus is
-      at or below 2^-1024 (zeros included).
+    * Per half-step, :func:`_signs_and_scaled` writes the signs of the
+      product into a buffer with :func:`_divided`, which gives ``y / |y|``,
+      the division :func:`_signs` makes under its mask, and falls back to
+      :func:`_signs` when some modulus is at or below 2^-1024 (zeros
+      included).  The normalization w / ||w||_p is :func:`_divided` into x.
+    * Where the helpers divide by r, :func:`_divided` multiplies by a
+      buffer (1/r, -0): the values and signed zeros of numpy's division
+      (Smith's formula), except where a nonzero product underflows to 0.
+      The loop runs under ``np.errstate(under="call")``, so numpy reports
+      each such underflow and the step divides there instead.  A reciprocal
+      and a multiply cost less than half of numpy's scalar Smith loop.
+    * Reductions call ``np.maximum.reduce`` and ``np.add.reduce``, the ufunc
+      methods behind ``max`` and ``sum``, without the method wrappers.
     * Column maxima are taken with ``initial=5e-324``, that is
       max(top, 5e-324), where the helpers used 1.0 for a zero top.  A zero
       column gives 0 either way: 0 / 5e-324 = 0 and 5e-324 * 0 = 0; a
@@ -846,7 +897,7 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
       smallest norm is 0.
     """
     p, q = pe.p, pe.q
-    count, _, n = arr.shape
+    count, m, n = arr.shape
     e = _scale_down(arr, pe)
 
     x = np.empty((count, n, restarts), dtype=complex)
@@ -863,6 +914,11 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
     prev_vals = np.full((count, restarts), -np.inf)
     stagnant = np.zeros((count, restarts), dtype=bool)
     results: list = [None] * count
+    # the buffers of _divided: (1/r, -0) for |y|, |A* u| and the norms of w,
+    # and the signs of y and of A* u; x takes w / ||w||_p
+    inv_m, inv_n, inv_1 = (np.full((count, k, restarts), complex(0.0, -0.0)) for k in (m, n, 1))
+    signs_m, signs_n = np.empty((count, m, restarts), dtype=complex), np.empty((count, n, restarts), dtype=complex)
+    underflows: list = []
 
     def finish(slots):
         for k in slots:
@@ -872,68 +928,72 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
 
     live = count
     live_arr, live_a_h, live_best, live_prev, live_stagnant = arr, a_h, best_val, prev_vals, stagnant
-    for _ in range(max_iters):
-        # forward half-step: y = A x becomes sign(y) in place, |y| its column-scaled moduli
-        u, scaled, tops = _signs_and_scaled(live_arr @ x)
-        vals = (scaled**p).sum(axis=1)
-        vals **= 1.0 / p
-        vals *= tops[:, 0, :]
-        if live == 1:  # one member: its slot is 0 and it is finished after the loop
-            col = vals[0].argmax()
-            if vals[0, col] > best_val[0]:
-                best_val[0] = vals[0, col]
-                best_witness[0] = x[0, :, col]
-                best_col[0] = col
-            live_stagnant |= np.abs(vals - live_prev) <= tol * vals
-            live_prev[...] = vals
-            if live_stagnant.all():
-                break
-        else:
-            top_vals = vals.max(axis=1)
-            gain = top_vals > live_best
-            if gain.any():
-                rows = np.flatnonzero(gain)
-                cols = vals[rows].argmax(axis=1)
-                best_val[rows] = top_vals[rows]
-                best_witness[rows] = x[rows, :, cols]
-                best_col[rows] = cols
-            live_stagnant |= np.abs(vals - live_prev) <= tol * vals
-            live_prev[...] = vals
-            done = live_stagnant.all(axis=1)
-            if done.all():
-                break
-            if done.any():
-                finish(np.flatnonzero(done))
-                keep = np.flatnonzero(~done)
-                for state in (arr, a_h, best_val, best_witness, best_col, prev_vals, stagnant):
-                    state[: keep.size] = state[keep]
-                member = member[keep]
-                x, u, scaled = x[keep], u[keep], scaled[keep]
-                live = keep.size
-                live_arr, live_a_h, live_best = arr[:live], a_h[:live], best_val[:live]
-                live_prev, live_stagnant = prev_vals[:live], stagnant[:live]
-        # dual half-step: w = dualmap_q(A* dualmap_p(y)), then w / ||w||_p
-        scaled **= p - 1.0
-        u *= scaled
-        w, scaled, _ = _signs_and_scaled(live_a_h @ u)
-        scaled **= q - 1.0
-        w *= scaled
-        mags = np.abs(w)
-        tops = mags.max(axis=1, keepdims=True, initial=5e-324)
-        mags /= tops
-        mags **= p
-        norms = mags.sum(axis=1)
-        norms **= 1.0 / p
-        norms *= tops[:, 0, :]
-        if norms.min() > 0.0:
-            w /= norms[:, None, :]
-        else:  # w is zero exactly where its norm is: keep that iterate, mark it stagnant
-            dead = norms == 0.0
-            w /= np.where(dead, 1.0, norms)[:, None, :]
-            slot, col = np.nonzero(dead)
-            w[slot, :, col] = x[slot, :, col]
-            live_stagnant |= dead
-        x = w
+    live_inv_m, live_inv_n, live_inv_1, live_signs_m, live_signs_n = inv_m, inv_n, inv_1, signs_m, signs_n
+    with np.errstate(under="call", call=lambda kind, flag: underflows.append(kind)):
+        for _ in range(max_iters):
+            # forward half-step: u = sign(y) for y = A x, |y| its column-scaled moduli
+            u, scaled, tops = _signs_and_scaled(live_arr @ x, live_inv_m, live_signs_m, underflows)
+            vals = np.add.reduce(scaled**p, axis=1)
+            vals **= 1.0 / p
+            vals *= tops[:, 0, :]
+            if live == 1:  # one member: its slot is 0 and it is finished after the loop
+                col = vals[0].argmax()
+                if vals[0, col] > best_val[0]:
+                    best_val[0] = vals[0, col]
+                    best_witness[0] = x[0, :, col]
+                    best_col[0] = col
+                live_stagnant |= np.abs(vals - live_prev) <= tol * vals
+                live_prev[...] = vals
+                if live_stagnant.all():
+                    break
+            else:
+                top_vals = np.maximum.reduce(vals, axis=1)
+                gain = top_vals > live_best
+                if gain.any():
+                    rows = np.flatnonzero(gain)
+                    cols = vals[rows].argmax(axis=1)
+                    best_val[rows] = top_vals[rows]
+                    best_witness[rows] = x[rows, :, cols]
+                    best_col[rows] = cols
+                live_stagnant |= np.abs(vals - live_prev) <= tol * vals
+                live_prev[...] = vals
+                done = live_stagnant.all(axis=1)
+                if done.all():
+                    break
+                if done.any():
+                    finish(np.flatnonzero(done))
+                    keep = np.flatnonzero(~done)
+                    for state in (arr, a_h, best_val, best_witness, best_col, prev_vals, stagnant):
+                        state[: keep.size] = state[keep]
+                    member = member[keep]
+                    x, u, scaled = x[keep], u[keep], scaled[keep]
+                    live = keep.size
+                    live_arr, live_a_h, live_best = arr[:live], a_h[:live], best_val[:live]
+                    live_prev, live_stagnant = prev_vals[:live], stagnant[:live]
+                    live_inv_m, live_inv_n, live_inv_1 = inv_m[:live], inv_n[:live], inv_1[:live]
+                    live_signs_m, live_signs_n = signs_m[:live], signs_n[:live]
+            # dual half-step: w = dualmap_q(A* dualmap_p(y)), then w / ||w||_p
+            scaled **= p - 1.0
+            u *= scaled
+            w, scaled, _ = _signs_and_scaled(live_a_h @ u, live_inv_n, live_signs_n, underflows)
+            scaled **= q - 1.0
+            w *= scaled
+            mags = np.abs(w)
+            tops = np.maximum.reduce(mags, axis=1, keepdims=True, initial=5e-324)
+            mags /= tops
+            mags **= p
+            norms = np.add.reduce(mags, axis=1)
+            norms **= 1.0 / p
+            norms *= tops[:, 0, :]
+            if np.minimum.reduce(norms, axis=None) > 0.0:
+                x = _divided(w, norms[:, None, :], live_inv_1, x, underflows)
+            else:  # w is zero exactly where its norm is: keep that iterate, mark it stagnant
+                dead = norms == 0.0
+                w /= np.where(dead, 1.0, norms)[:, None, :]
+                slot, col = np.nonzero(dead)
+                w[slot, :, col] = x[slot, :, col]
+                live_stagnant |= dead
+                x = w.copy()  # not signs_n: the next normalization reads w there and writes into x
     finish(range(live))
     return results
 

@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from .groups import as_integer
 from .lpnorm import as_exponent, as_generator, pnorm_estimate_stack
 
 __all__ = [
@@ -315,13 +316,14 @@ def cb_norm_lower(
     ``phi`` maps to zero, is skipped with no draws after its seed; such a
     candidate gets the ratio 0 without estimates.  ``n_max`` and
     ``restarts`` must be at least 1, ``trials`` and ``ascent_steps`` at
-    least 0; ``restarts`` is checked as given, before the two extra.
+    least 0, and ``restarts`` and ``ascent_steps`` integers; ``restarts`` is
+    checked as given, before the two extra.
     """
     if n_max < 1 or trials < 0:
         raise ValueError(f"a sampled certificate needs n_max >= 1 and trials >= 0, got {n_max!r} and {trials!r}")
-    if restarts < 1:
+    if as_integer(restarts, "restarts") < 1:
         raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
-    if ascent_steps < 0:
+    if as_integer(ascent_steps, "ascent_steps") < 0:
         raise ValueError(f"ascent_steps must be a nonnegative integer, got {ascent_steps!r}")
     pe = as_exponent(p)
     gen = as_generator(rng)

@@ -692,6 +692,52 @@ def test_stacked_kernel_reads_the_right_slot_after_two_members_leave_at_once():
     assert [est.value for est in kernel[:2]] == [0.0, 0.0]
 
 
+def _window_form(seed, radius=22, p=1.5):
+    """The integrated form of 0.7 (rank one) delta_0 + 0.3 (phased) delta_1
+    on the Z window of the given radius with the trivial action on C^2, of
+    dimension 2 (2 radius + 1); its phase cycles do not close."""
+    rng = np.random.default_rng(seed)
+    u = _gaussian_stack(rng, (2,))
+    v = _gaussian_stack(rng, (2,))
+    rank_one = np.outer(u / vector_pnorm(u, p), (v / vector_pnorm(v, p / (p - 1.0))).conj())
+    phased = np.zeros((2, 2), dtype=complex)
+    phased[rng.permutation(2), np.arange(2)] = np.exp(2j * np.pi * rng.random(2))
+    carrier = ZWindow(0)
+    rep = CovariantRep(ConcreteAlgebra(2), crossed.trivial_action(carrier, 2), p, window_radius=radius)
+    return rep.integrated(CcElement(carrier, {0: 0.7 * rank_one, 1: 0.3 * phased}, base_dim=2))
+
+
+def test_one_member_kernel_matches_on_the_unconverged_window_form():
+    # a form like the one witness_line leaves to the restarted kernel: every
+    # iteration takes the division-free step on 90 x 32 signs twice and on
+    # 32 norms once
+    form = _window_form(3)
+    assert form.shape == (90, 90)
+    est = pnorm_estimate(form, 1.5, rng=0)
+    assert (est.method, est.converged) == ("power-iteration", False)
+    assert _ref_pnorm_estimate(form, 1.5, rng=0)[3] == 100  # it runs to the cap
+    _assert_kernel_matches([form], 1.5, [0])
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_kernel_matches_on_real_matrices_with_zero_imaginary_parts(monkeypatch, p):
+    # on a real matrix the deterministic start stays real, so its column
+    # reaches the kernel's division-free step with imaginary parts exactly 0
+    rng = np.random.default_rng(52)
+    a = rng.standard_normal((7, 7))
+    zero_parts = []
+    divided = lpnorm._divided
+
+    def recording(y, *rest):
+        zero_parts.append(int((y.imag == 0.0).sum()))
+        return divided(y, *rest)
+
+    monkeypatch.setattr(lpnorm, "_divided", recording)
+    _assert_kernel_matches([a], p, [1])
+    _assert_kernel_matches(np.stack([a, -a.T, a[::-1]]), p, [1, 2, 3])
+    assert all(zero_parts)  # every division-free step saw some
+
+
 # ---------------------------------------------------------------------------
 # the stacked rounds of cb_norm_lower against the one-input-at-a-time ascent
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for matrix p-norm evaluation and estimation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -94,6 +95,65 @@ def test_signs_of_subnormal_moduli_are_exact():
         assert np.array_equal(_signs(y, np.abs(y)), _signs(normal, np.abs(normal)))
 
 
+_PARTS = [0.0, -0.0, 2.0**-1074, -(2.0**-1074), 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300]
+_MODULI = [2.0**-1023, 1e-300, 1.0, 1e300, 2.0**1023]
+
+
+def _uint_bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+def _divided_as_in_the_kernel(y, r):
+    """lpnorm._divided(y, r) with its buffers under the kernel's error
+    state, and the underflows numpy reported to it."""
+    underflows = []
+    inv = np.full(r.shape, complex(0.0, -0.0))
+    out = np.empty(np.broadcast_shapes(y.shape, r.shape), dtype=complex)
+    with np.errstate(under="call", call=lambda kind, flag: underflows.append(kind)):
+        got = lpnorm._divided(y, r, inv, out, underflows)
+    return got, underflows
+
+
+def test_the_kernels_division_free_step_has_the_bits_of_numpys_division():
+    # every pair of parts against every modulus: (1/r, -0) times y has the
+    # values and signed zeros of y / r unless numpy reports an underflow,
+    # and then the step divides; as one array, and as the (B, 1, r) norms of
+    # the dual normalization broadcast over columns
+    y = np.array([complex(a, b) for a in _PARTS for b in _PARTS])
+    with np.errstate(over="ignore"):
+        for r in _MODULI:
+            for k in range(y.size):
+                want = _uint_bits(np.divide(y[k : k + 1], r))
+                underflows = []
+                with np.errstate(under="call", call=lambda kind, flag: underflows.append(kind)):
+                    plain = _uint_bits(y[k : k + 1] * np.array([complex(1.0 / r, -0.0)]))
+                assert underflows or np.array_equal(plain, want), (y[k], r)
+                # 1/r >= 1 underflows nothing; 2^-1074 / r underflows for r = 1e300 and 2^1023
+                assert not underflows or r > 1.0
+            for stack, norms in [(y, np.full(y.shape, r)), (y.reshape(4, 25, 1) * np.ones(5), np.full((4, 1, 5), r))]:
+                got, underflows = _divided_as_in_the_kernel(stack, norms)
+                assert bool(underflows) == (r > 1.0)
+                assert np.array_equal(_uint_bits(got), _uint_bits(np.divide(stack, norms)))
+
+
+def test_signs_and_scaled_keeps_the_signed_zeros_where_a_part_underflows():
+    # moduli of 4 and 1e300 with a part of 2^-1074 or 1e-310: that part over
+    # the modulus rounds to 0, and its sign must be the one y / |y| gives
+    # (numpy 2.4's multiply gives the first two the imaginary part +0, its
+    # division -0)
+    tiny = 2.0**-1074
+    y = np.array([[complex(-4.0, -tiny), complex(-1e300, -1e-310), complex(-tiny, 4.0), complex(4.0, -tiny),
+                   complex(-tiny, -1e300), complex(-0.0, -4.0), 0.6 + 0.8j]]).T[None]
+    underflows = []
+    buffers = np.full(y.shape, complex(0.0, -0.0)), np.empty_like(y)
+    with np.errstate(under="call", call=lambda kind, flag: underflows.append(kind)):
+        signs, scaled, tops = lpnorm._signs_and_scaled(y.copy(), *buffers, underflows)
+    assert underflows
+    mags = np.abs(y)
+    assert np.array_equal(_uint_bits(signs), _uint_bits(_signs(y, mags)))
+    assert np.array_equal(scaled, mags / mags.max(axis=1, keepdims=True)) and tops[0, 0, 0] == 1e300
+
+
 # ---------------------------------------------------------------------------
 # the estimator
 # ---------------------------------------------------------------------------
@@ -123,6 +183,49 @@ def test_an_estimate_with_no_iteration_is_refused(matrix, p, opts):
         pnorm_estimate(matrix, p, **opts)
     with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got 0$"):
         pnorm_estimate_stack([matrix], p, **opts)
+
+
+_ROUTES = {  # a matrix and an exponent for each route of pnorm_estimate
+    "kernel": (_gaussian_5x5(), 1.5),
+    "closed form": (_gaussian_5x5(), 2.0),
+    "monomial": (np.eye(3), 1.5),
+    "positive": (np.abs(_gaussian_5x5()), 1.5),
+}
+_BAD_OPTIONS = {  # each was a bare TypeError or was accepted before it was checked
+    "restarts 2.5": ("restarts", 2.5),
+    "restarts True": ("restarts", True),
+    "restarts '3'": ("restarts", "3"),
+    "max_iters 1.5": ("max_iters", 1.5),
+    "max_iters float64 50": ("max_iters", np.float64(50.0)),
+    "tol -1": ("tol", -1.0),
+    "tol nan": ("tol", math.nan),
+    "tol inf": ("tol", math.inf),
+    "tol '1e-10'": ("tol", "1e-10"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize("case", sorted(_BAD_OPTIONS))
+def test_every_route_refuses_restarts_max_iters_and_tol_it_cannot_use(case, route):
+    name, value = _BAD_OPTIONS[case]
+    opts = {name: value}
+    message = f"tol must be a finite number >= 0, got {value!r}" if name == "tol" else \
+        f"{name} must be an integer, got {value!r}"
+    matrix, p = _ROUTES[route]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pnorm_estimate(matrix, p, **opts)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pnorm_estimate_stack([matrix, matrix], p, **opts)
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_numpy_integers_and_a_zero_tol_are_accepted(route):
+    matrix, p = _ROUTES[route]
+    want = pnorm_estimate(matrix, p, restarts=3, max_iters=50, tol=0.0)
+    got = pnorm_estimate(matrix, p, restarts=np.int64(3), max_iters=np.int32(50), tol=0)
+    assert (got.value, got.converged, got.method, got.restarts_used) == \
+        (want.value, want.converged, want.method, want.restarts_used)
+    assert np.array_equal(got.witness, want.witness)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])

@@ -116,10 +116,13 @@ def test_a_sampled_certificate_needs_a_level_and_no_negative_trials(n_max, trial
     ({"restarts": -2}, "restarts must be a positive integer, got -2$"),
     ({"restarts": 0}, "restarts must be a positive integer, got 0$"),
     ({"ascent_steps": -3}, "ascent_steps must be a nonnegative integer, got -3$"),
-], ids=["restarts=-1", "restarts=-2", "restarts=0", "ascent_steps=-3"])
+    ({"restarts": 2.5}, "restarts must be an integer, got 2.5$"),
+    ({"ascent_steps": 1.5}, "ascent_steps must be an integer, got 1.5$"),
+], ids=["restarts=-1", "restarts=-2", "restarts=0", "ascent_steps=-3", "restarts=2.5", "ascent_steps=1.5"])
 def test_the_ascent_refuses_the_restarts_and_steps_it_is_given(opts, message):
     # restarts=-1 ran with one restart, -2 was refused as "got 0" (after
-    # the two extra restarts), and ascent_steps=-3 ran as 0
+    # the two extra restarts), ascent_steps=-3 ran as 0, and restarts=2.5
+    # would be refused by the estimator as "got 4.5"
     with pytest.raises(ValueError, match=f"^{message}"):
         cb_norm_lower(LinearMap.identity(2), 1.5, n_max=1, trials=1, **opts)
 

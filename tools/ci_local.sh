@@ -5,7 +5,7 @@
 #
 #   bash tools/ci_local.sh                  all checks, in the order below
 #   bash tools/ci_local.sh tests            tier-1 tests
-#   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds
+#   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds, its md5 and numpy's build
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs, their gates and equal report digests
 #   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001 and a rotation model: cost and claims
 #   bash tools/ci_local.sh lines            the size of src/lpalg, per module too, and the CLI's option count, printed and not gated
@@ -38,9 +38,12 @@ tests() {
 }
 
 # exits 1 on any failed criterion; the md5 is logged, not pinned, because
-# BLAS bits can differ between hosts.  A second process with another hash
-# seed must write the same bytes: criterion 13 repeats its payload within
-# one process only
+# BLAS bits can differ between hosts, and so can numpy's complex loops, on
+# whose multiply the restarted kernel's division-free step relies: numpy's
+# version and its runtime summary (SIMD extensions, BLAS library) are
+# printed next to the md5, not gated, so a differing md5 can be traced.  A
+# second process with another hash seed must write the same bytes:
+# criterion 13 repeats its payload within one process only
 suite() {
     echo "== acceptance suite"
     for seed in 1 2; do
@@ -48,6 +51,12 @@ suite() {
             > "$out/suite$seed.json"
     done
     (cd "$out" && md5sum suite1.json suite2.json)
+    python3 -c '
+import numpy
+print("numpy", numpy.__version__)
+numpy.show_runtime()  # names the BLAS library in use only where threadpoolctl is installed
+blas = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+print("numpy was built against BLAS", blas.get("name"), blas.get("version"))'
     cmp "$out/suite1.json" "$out/suite2.json"
 }
 
