@@ -66,8 +66,11 @@ def _parse_action(text: str | None, carrier, dim: int):
         return trivial_action(carrier, dim)
     lowered = text.strip().lower()
     if lowered.startswith("rotation:"):
-        _, n, k = lowered.split(":")
-        return action_from_obj({"type": "rotation", "n": int(n), "k": int(k)})
+        try:
+            n, k = map(int, lowered.split(":")[1:])
+        except ValueError:
+            raise ValueError(f"--action {text!r} must read rotation:N:K with integers N and K") from None
+        return action_from_obj({"type": "rotation", "n": n, "k": k})
     return action_from_obj(load_json(text), carrier)
 
 

@@ -72,13 +72,21 @@ class ConcreteAlgebra:
     """The algebra of base_dim x base_dim matrices on l^p.  Read-only."""
 
     def __init__(self, base_dim: int):
-        base_dim = as_integer(base_dim, "base_dim")
-        if base_dim < 1:
-            raise ValueError("base_dim must be a positive integer")
-        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "base_dim", as_integer(base_dim, "base_dim", 1))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _elements(s) -> np.ndarray:
+    """Group elements s, a scalar or an array, as an int64 array.  They must
+    have an integer dtype: a float or a bool is refused, not truncated.  An
+    empty array holds no elements whatever its dtype (``np.asarray(())`` is
+    float64)."""
+    arr = np.asarray(s)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise ValueError(f"group elements must be integers, got {s!r}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _all_phased(stack: np.ndarray) -> bool:
@@ -207,7 +215,7 @@ class IsometricAction:
 
     def _pair(self, s) -> tuple[np.ndarray, np.ndarray]:
         """(perm, phase) of U_s for an element or an array of elements s."""
-        s = np.asarray(s, dtype=np.int64)
+        s = _elements(s)
         if not self.carrier.contains(s).all():
             raise KeyError(f"element {s} outside the carrier")
         if self.carrier.order is not None:
@@ -236,7 +244,7 @@ class IsometricAction:
 
     def unitary(self, s: int) -> np.ndarray:
         """The implementer U_s, built from its (perm, phase) pair."""
-        perm, phase = self._pair(int(s))
+        perm, phase = self._pair(as_integer(s, "group element"))
         u = np.zeros((self.base_dim, self.base_dim), dtype=complex)
         u[np.arange(self.base_dim), perm] = phase
         return u
@@ -260,7 +268,7 @@ class IsometricAction:
 
 def trivial_action(carrier, dim: int) -> IsometricAction:
     """Every group element acts as the identity on M_dim."""
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(as_integer(dim, "dim", 1), dtype=complex)
     if carrier.cyclic:
         return IsometricAction(carrier, generator=eye)
     return IsometricAction(carrier, unitaries=[eye] * carrier.order)
@@ -272,7 +280,7 @@ def cyclic_coordinate_rotation(n: int, k: int) -> IsometricAction:
     On diagonal matrices this is alpha_1(diag d)_j = d_{j+k mod n}, i.e. the
     pullback of the grid rotation j |-> j - k.
     """
-    n, k = as_integer(n, "rotation grid size n"), as_integer(k, "rotation step k")
+    n, k = as_integer(n, "rotation grid size n", 1), as_integer(k, "rotation step k")
     shift = np.zeros((n, n), dtype=complex)
     shift[(np.arange(n) - k) % n, np.arange(n)] = 1.0  # column i to row i - k
     return IsometricAction(cyclic_group(n), generator=shift)
@@ -292,7 +300,7 @@ class CcElement:
         if not carrier.contains(keys).all():
             raise ValueError(f"elements {keys[~carrier.contains(keys)].tolist()} lie outside the carrier")
         kept: dict[int, np.ndarray] = {}
-        dim = base_dim
+        dim = None if base_dim is None else as_integer(base_dim, "base_dim", 1)
         for key, mat in zip(keys.tolist(), coeffs.values()):
             arr = np.asarray(mat, dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -313,7 +321,7 @@ class CcElement:
         return tuple(sorted(self._coeffs))
 
     def coeff(self, s: int) -> np.ndarray:
-        return self._coeffs.get(int(s), np.zeros((self.base_dim, self.base_dim), dtype=complex))
+        return self._coeffs.get(as_integer(s, "group element"), np.zeros((self.base_dim, self.base_dim), dtype=complex))
 
     def items(self):
         return ((s, self._coeffs[s]) for s in self.support)
@@ -324,8 +332,8 @@ class CcElement:
         if mat is None:
             if base_dim is None:
                 raise ValueError("delta needs a matrix or a base_dim")
-            mat = np.eye(base_dim, dtype=complex)
-        return CcElement(carrier, {int(s): mat}, base_dim=base_dim)
+            mat = np.eye(as_integer(base_dim, "base_dim", 1), dtype=complex)
+        return CcElement(carrier, {s: mat}, base_dim=base_dim)
 
     def __add__(self, other: "CcElement") -> "CcElement":
         """The sum over the left operand's carrier; the carriers must be one group."""
@@ -356,6 +364,7 @@ def random_cc_element(
     max_shift: int = 2,
 ) -> CcElement:
     """A random finitely supported element, for tests and certificates."""
+    base_dim = as_integer(base_dim, "base_dim", 1)
     pool = carrier.window(max_shift)
     chosen = rng.choice(pool, size=min(n_terms, pool.size), replace=False)
     coeffs = {
@@ -421,7 +430,7 @@ class CovariantRep:
 
     def position_index(self, t):
         """Index of t among the positions, elementwise over integer arrays."""
-        index = np.asarray(t, dtype=np.int64) + self.window_radius
+        index = _elements(t) + self.window_radius
         outside = (index < 0) | (index >= len(self.positions))
         if outside.any():
             raise KeyError(np.asarray(t)[outside].tolist())
@@ -438,7 +447,7 @@ class CovariantRep:
 
     def _translate(self, shifts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index triples (k, i, j) with positions[i] = shifts[k] positions[j]."""
-        shifts = np.asarray(shifts, dtype=np.int64)
+        shifts = _elements(shifts)
         nt = len(self.positions)
         which, cols = np.indices((shifts.size, nt))
         rows = self.carrier.op(shifts[which], cols - self.window_radius) + self.window_radius
@@ -459,7 +468,7 @@ class CovariantRep:
 
     def translation(self, s: int) -> np.ndarray:
         """Translation by s on the position space alone (0/1 matrix)."""
-        _, rows, cols = self._translate([s])
+        _, rows, cols = self._translate([as_integer(s, "group element")])
         out = np.zeros((len(self.positions),) * 2, dtype=complex)
         out[rows, cols] = 1.0
         return out

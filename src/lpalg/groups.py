@@ -51,12 +51,15 @@ _FOLNER_MAX_SIZE = 100_000  # the longest interval a Z Folner search tries
 _ASSOC_BLOCK = 1 << 20  # triples per block of group_from_table's associativity check
 
 
-def as_integer(value, field: str) -> int:
+def as_integer(value, field: str, least: int | None = None) -> int:
     """``value`` as an int if it is a Python int (not a bool) or a numpy
-    integer; anything else raises a ValueError that names ``field``."""
-    if type(value) is int or isinstance(value, np.integer):
+    integer, and not below ``least`` when that is given; anything else (a
+    float, even an integral one, a bool, a string) raises a ValueError that
+    names ``field``.  This is the one rule by which lpalg reads a size, a
+    level, a count, a seed or a group element: nothing is truncated."""
+    if (type(value) is int or isinstance(value, np.integer)) and (least is None or value >= least):
         return int(value)
-    raise ValueError(f"{field} must be an integer, got {value!r}")
+    raise ValueError(f"{field} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
 
 
 class _Finite:
@@ -89,10 +92,7 @@ class CyclicGroup(_Finite):
     cyclic = True
 
     def __init__(self, order: int):
-        order = as_integer(order, "cyclic group order")
-        if order < 1:
-            raise ValueError("cyclic group order must be positive")
-        self.order = order
+        self.order = as_integer(order, "cyclic group order", 1)
 
     def op(self, s, t):
         return (s + t) % self.order
@@ -157,10 +157,7 @@ class ZWindow:
     cyclic = True
 
     def __init__(self, radius: int = 0):
-        radius = as_integer(radius, "window radius")
-        if radius < 0:
-            raise ValueError("window radius must be nonnegative")
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius", as_integer(radius, "window radius", 0))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -187,10 +184,8 @@ class ZWindow:
         return np.ones(np.shape(s), dtype=bool)
 
     def window(self, radius: int | None = None) -> np.ndarray:
-        """The interval {-r..r}, r the given radius or else the carrier's own."""
-        r = self.radius if radius is None else as_integer(radius, "window radius")
-        if r < 1:
-            raise ValueError("a Z representation needs a positive window radius")
+        """The interval {-r..r}, r >= 1 the given radius or else the carrier's own."""
+        r = as_integer(self.radius if radius is None else radius, "window radius", 1)
         return np.arange(-r, r + 1)
 
     def folner_members(self, shifts, delta: float) -> tuple:
@@ -343,9 +338,9 @@ def group_from_descriptor(desc: dict):
         raise ValueError(f"group descriptor must be an object with a 'type' key, got {desc!r}")
     kind = desc["type"]
     if kind == "cyclic":
-        return cyclic_group(as_integer(desc["n"], "n"))
+        return cyclic_group(as_integer(desc.get("n"), "n"))
     if kind == "table":
-        return group_from_table(desc["mult"])
+        return group_from_table(desc.get("mult"))
     if kind == "z_window":
-        return ZWindow(radius=as_integer(desc["radius"], "radius"))
+        return ZWindow(radius=as_integer(desc.get("radius"), "radius"))
     raise ValueError(f"unknown group descriptor type {kind!r}")

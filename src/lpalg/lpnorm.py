@@ -564,12 +564,11 @@ def _estimates(arr, pe, restarts, max_iters, tol, rngs) -> list[PNormEstimate]:
     and one whose leading 2 x 2 block has four nonzeros around an
     inconsistent phase cycle cannot be nonnegative up to phases, so a dense
     complex member costs one ``count_nonzero`` and four signs before it is
-    iterated.  Every route first checks that ``restarts`` and ``max_iters``
-    are integers (not bools) of at least 1 and that ``tol`` is a finite
-    number of at least 0, though the closed forms read none of them."""
-    for name, value in (("restarts", restarts), ("max_iters", max_iters)):
-        if as_integer(value, name) < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    iterated.  Every route first reads ``restarts`` and ``max_iters`` as
+    integers of at least 1 (:func:`lpalg.groups.as_integer`, so a float or
+    a bool is refused) and checks that ``tol`` is a finite number of at
+    least 0, though the closed forms read none of them."""
+    restarts, max_iters = as_integer(restarts, "restarts", 1), as_integer(max_iters, "max_iters", 1)
     if isinstance(tol, (bool, np.bool_)) or not isinstance(tol, (int, float, np.integer, np.floating)) \
             or not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -1032,8 +1031,7 @@ def pnorm_oracle(a, p, samples: int = 64, *, rng=None) -> float:
         raise DimensionGuardError(
             f"pnorm_oracle is capped at dimension {_ORACLE_DIM_CAP}, got shape {arr.shape}"
         )
-    if samples < 1:
-        raise ValueError("samples must be a positive integer")
+    samples = as_integer(samples, "samples", 1)
     gen = as_generator(rng)
 
     mags = np.abs(arr)

@@ -281,8 +281,7 @@ def lift_factorization(fact: Factorization, n: int, entries: dict) -> Factorizat
     blocks); the per-entry errors of the parent control them up to a factor
     n^2.
     """
-    if n < 1:
-        raise ValueError("amplification level must be a positive integer")
+    phi_n, psi_n = amplify(fact.phi, n), amplify(fact.psi, n)  # each reads n as a level >= 1
     d = fact.phi.domain_dim
     tests = {}
     for key, grid in entries.items():
@@ -290,8 +289,6 @@ def lift_factorization(fact: Factorization, n: int, entries: dict) -> Factorizat
         if grid.shape != (n, n, d, d):
             raise ValueError(f"entry grid {key!r} must have shape {(n, n, d, d)}")
         tests[key] = block_matrix(grid)
-    phi_n = amplify(fact.phi, n)
-    psi_n = amplify(fact.psi, n)
     return Factorization(
         phi=phi_n,
         psi=psi_n,
@@ -312,7 +309,7 @@ def corner_restrict(fact: Factorization, outer: int, *, test_elements: dict) -> 
     cb(phi o iota) <= cb(phi) and cb(rho o psi) <= cb(psi): the parent's
     certificates carry over.  Errors are measured on ``test_elements``.
     """
-    big = fact.phi.domain_dim
+    big, outer = fact.phi.domain_dim, as_integer(outer, "outer", 1)
     if big % outer != 0:
         raise ValueError("outer block count must divide the factorization's domain dimension")
     dim = big // outer
@@ -333,8 +330,10 @@ def corner_restrict(fact: Factorization, outer: int, *, test_elements: dict) -> 
 def truncate_map(window: int, n_keep: int, block_dim: int = 1) -> LinearMap:
     """(P_N (x) I) T (P_N (x) I) on a window of fiber ``block_dim``: the
     compression to the first n_keep positions, padded back with zeros."""
-    if not 1 <= n_keep <= window:
-        raise ValueError(f"can keep between 1 and {window} positions, asked for {n_keep}")
+    window, n_keep = as_integer(window, "window", 1), as_integer(n_keep, "n_keep", 1)
+    block_dim = as_integer(block_dim, "block_dim", 1)
+    if n_keep > window:
+        raise ValueError(f"can keep at most {window} positions, asked for {n_keep}")
     dim, keep = window * block_dim, np.arange(n_keep * block_dim)
     return embedding(keep, dim).compose(compression(keep, dim))
 
@@ -518,9 +517,7 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None) -> dict:
     ``partition_ok`` rests on structural upper bounds.  Nothing is drawn at random: ``rng`` is
     accepted for compatibility and not used.
     """
-    n, k = as_integer(n, "rotation grid size n"), as_integer(k, "rotation step k")
-    if n < 2:
-        raise ValueError("need a grid of at least two points")
+    n, k = as_integer(n, "rotation grid size n", 2), as_integer(k, "rotation step k")
     if math.gcd(k % n, n) != 1:
         raise ValueError(f"rotation step {k} must be coprime to the grid size {n}")
     pe = as_exponent(p)

@@ -68,8 +68,8 @@ class LinearMap:
     """
 
     def __init__(self, domain_dim, codomain_dim, *, apply_fn):
-        self.domain_dim = int(domain_dim)
-        self.codomain_dim = int(codomain_dim)
+        self.domain_dim = as_integer(domain_dim, "domain_dim", 0)
+        self.codomain_dim = as_integer(codomain_dim, "codomain_dim", 0)
         self._apply_fn = apply_fn
         self._matrix = None
 
@@ -129,8 +129,7 @@ def apply_amplified(phi: LinearMap, m: np.ndarray, n: int) -> np.ndarray:
 def amplify(phi: LinearMap, n: int) -> LinearMap:
     """The amplification id_{M_n} (x) phi: sum e_{i,j} (x) a_{i,j} maps to
     sum e_{i,j} (x) phi(a_{i,j})."""
-    if n < 1:
-        raise ValueError("amplification level must be a positive integer")
+    n = as_integer(n, "amplification level", 1)
     return LinearMap(
         n * phi.domain_dim,
         n * phi.codomain_dim,
@@ -314,17 +313,14 @@ def cb_norm_lower(
     the order of a one-input-at-a-time ascent: per input a seed, then
     (noise, seed) per ascent step.  An input that is zero, or that amplified
     ``phi`` maps to zero, is skipped with no draws after its seed; such a
-    candidate gets the ratio 0 without estimates.  ``n_max`` and
-    ``restarts`` must be at least 1, ``trials`` and ``ascent_steps`` at
-    least 0, and ``restarts`` and ``ascent_steps`` integers; ``restarts`` is
+    candidate gets the ratio 0 without estimates.  ``n_max``, ``trials``,
+    ``restarts`` and ``ascent_steps`` must be integers (a float or a bool is
+    refused, see :func:`lpalg.groups.as_integer`): ``n_max`` and
+    ``restarts`` at least 1, the other two at least 0.  ``restarts`` is
     checked as given, before the two extra.
     """
-    if n_max < 1 or trials < 0:
-        raise ValueError(f"a sampled certificate needs n_max >= 1 and trials >= 0, got {n_max!r} and {trials!r}")
-    if as_integer(restarts, "restarts") < 1:
-        raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
-    if as_integer(ascent_steps, "ascent_steps") < 0:
-        raise ValueError(f"ascent_steps must be a nonnegative integer, got {ascent_steps!r}")
+    n_max, trials = as_integer(n_max, "n_max", 1), as_integer(trials, "trials", 0)
+    restarts, ascent_steps = as_integer(restarts, "restarts", 1), as_integer(ascent_steps, "ascent_steps", 0)
     pe = as_exponent(p)
     gen = as_generator(rng)
     d = phi.domain_dim

@@ -136,12 +136,9 @@ def circle_partition(n_points: int = 64, n_arcs: int = 8) -> PartitionOfUnity:
     With spacing 1 the tents degenerate to coordinate indicators and the
     factorization becomes exact.
     """
-    n_points, n_arcs = as_integer(n_points, "n_points"), as_integer(n_arcs, "n_arcs")
-    if n_points < 2:
-        raise ValueError("need at least two grid points")
-    if n_arcs < 2:
-        raise ValueError(f"need at least two arcs, got {n_arcs}: one tent of half-width n_points "
-                         "never falls to zero on the circle, so it cannot sum to 1")
+    # one arc would be one tent of half-width n_points, which never falls to
+    # zero on the circle, so it cannot sum to 1: two arcs at least
+    n_points, n_arcs = as_integer(n_points, "n_points", 2), as_integer(n_arcs, "n_arcs", 2)
     if n_points % n_arcs != 0:
         raise ValueError("n_arcs must divide n_points so the centers sit on the grid")
     spacing = n_points // n_arcs
@@ -211,11 +208,11 @@ def _sampled_field_cb(first, apply, size: int, p, n_max: int, trials: int, rng) 
 
     Level k compares ||apply(field)|| with ||field|| on the structured field
     first(k) and on ``trials`` random (size, k, k) fields; each level keeps
-    the running maximum of the ratios.  ``n_max`` must be at least 1 and
-    ``trials`` at least 0.
+    the running maximum of the ratios.  ``n_max`` and ``trials`` must be
+    integers (a float or a bool is refused, see :func:`lpalg.groups.as_integer`),
+    ``n_max`` at least 1 and ``trials`` at least 0.
     """
-    if n_max < 1 or trials < 0:
-        raise ValueError(f"a sampled certificate needs n_max >= 1 and trials >= 0, got {n_max!r} and {trials!r}")
+    n_max, trials = as_integer(n_max, "n_max", 1), as_integer(trials, "trials", 0)
     pe = as_exponent(p)
     gen = as_generator(rng)
     levels = []

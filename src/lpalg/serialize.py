@@ -146,14 +146,18 @@ def matrix_to_obj(a) -> dict:
     }
 
 
+def _fields(obj, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``obj``; if one is missing,
+    a ValueError names it, ``what`` lacks it and every key expected."""
+    missing = [key for key in keys if not isinstance(obj, dict) or key not in obj]
+    if missing:
+        raise ValueError(f"malformed {what}: missing {missing[0]!r}, expected an object with the keys {keys}")
+    return [obj[key] for key in keys]
+
+
 def matrix_from_obj(obj) -> np.ndarray:
-    try:
-        rows, cols = as_integer(obj["rows"], "rows"), as_integer(obj["cols"], "cols")
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix object: missing {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
+    rows, cols, entries = _fields(obj, "matrix object", "rows", "cols", "entries")
+    rows, cols = as_integer(rows, "rows", 1), as_integer(cols, "cols", 1)
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
     flat = np.empty(rows * cols, dtype=complex)
@@ -193,20 +197,19 @@ def cc_element_to_obj(f: CcElement) -> dict:
 
 
 def cc_element_from_obj(obj) -> CcElement:
-    try:
-        carrier = group_from_descriptor(obj["group"])
-        raw = obj["coeffs"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed element object: missing {exc}") from exc
+    desc, raw = _fields(obj, "element object", "group", "coeffs")
+    if not isinstance(raw, list):
+        raise ValueError(f"malformed element object: 'coeffs' must be a list, got a {type(raw).__name__}")
     coeffs = {}
-    for item in raw:
-        s = as_integer(item["s"], "s")
+    for i, item in enumerate(raw):
+        s, mat = _fields(item, f"coefficient {i}", "s", "matrix")
+        s = as_integer(s, "s")
         if s in coeffs:
             raise ValueError(f"duplicate coefficient for group element {s}")
-        coeffs[s] = matrix_from_obj(item["matrix"])
+        coeffs[s] = matrix_from_obj(mat)
     if not coeffs:
         raise ValueError("an element file needs at least one coefficient")
-    return CcElement(carrier, coeffs)  # checks that the coefficients are square and of one size
+    return CcElement(group_from_descriptor(desc), coeffs)  # checks that the coefficients are square and of one size
 
 
 def action_from_obj(obj, carrier=None) -> IsometricAction:
@@ -214,13 +217,14 @@ def action_from_obj(obj, carrier=None) -> IsometricAction:
     carries its own group (rotations do)."""
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "rotation":
-        return cyclic_coordinate_rotation(as_integer(obj["n"], "n"), as_integer(obj["k"], "k"))
+        return cyclic_coordinate_rotation(*_fields(obj, "rotation action", "n", "k"))
     if kind not in ("trivial", "implementers", "z_generator"):
         raise ValueError(f"unknown action descriptor type {kind!r}")
     if carrier is None:
         raise ValueError(f"a {kind} action descriptor needs the group it acts for")
     if kind == "trivial":
-        return trivial_action(carrier, as_integer(obj["dim"], "dim"))
+        return trivial_action(carrier, *_fields(obj, "trivial action", "dim"))
     if kind == "implementers":
-        return IsometricAction(carrier, unitaries=[matrix_from_obj(m) for m in obj["matrices"]])
-    return IsometricAction(carrier, generator=matrix_from_obj(obj["matrix"]))
+        (mats,) = _fields(obj, "implementers action", "matrices")
+        return IsometricAction(carrier, unitaries=[matrix_from_obj(m) for m in mats])
+    return IsometricAction(carrier, generator=matrix_from_obj(*_fields(obj, "z_generator action", "matrix")))

@@ -29,6 +29,7 @@ from .crossed import (
 from .groups import (
     FolnerSet,
     ZWindow,
+    as_integer,
     cyclic_group,
     folner_intersection,
     folner_ratio,
@@ -64,7 +65,7 @@ _CERT_OPTS = {"trials": 4, "ascent_steps": 2, "restarts": 6, "max_iters": 60}
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(tag)])
+    return np.random.default_rng([seed, tag])
 
 
 def _random_matrix(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -499,6 +500,7 @@ CRITERIA = [
 
 
 def run_criterion(number: int, seed: int = 0) -> dict:
+    number, seed = as_integer(number, "criterion number", 1), as_integer(seed, "seed", 0)
     for num, label, fn in CRITERIA:
         if num == number:
             passed, details = fn(seed)
@@ -511,7 +513,7 @@ def run_suite(seed: int = 0, numbers=None) -> dict:
     selected = sorted(set(numbers)) if numbers is not None else [num for num, _, _ in CRITERIA]
     results = [run_criterion(num, seed) for num in selected]
     return {
-        "seed": int(seed),
+        "seed": as_integer(seed, "seed", 0),  # run_criterion reads it first, if it runs one
         "criteria": results,
         "passed": bool(all(r["passed"] for r in results)),
     }

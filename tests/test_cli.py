@@ -113,7 +113,8 @@ def test_cbnorm_refuses_no_level_and_negative_trials(tmp_path, capsys, flag, val
     # --n-max 0 used to exit 0 with "best": 0.0 and no levels
     path = _write(tmp_path / "map.json", matrix_to_obj(np.eye(4)))
     assert main(["cbnorm", "--map", path, "--p", "2", flag, value]) == 2
-    assert "input error: a sampled certificate needs n_max >= 1" in capsys.readouterr().err
+    name, least = flag[2:].replace("-", "_"), 1 if flag == "--n-max" else 0
+    assert f"input error: {name} must be an integer >= {least}, got {value}\n" in capsys.readouterr().err
 
 
 def test_folner_csv(capsys):
@@ -227,6 +228,46 @@ def test_crossed_refuses_a_non_integer_group_element(tmp_path, capsys):
     path = _write(tmp_path / "f.json", obj)
     assert main(["crossed", "--elements", path]) == 2
     assert "s must be an integer, got 1.7" in capsys.readouterr().err
+
+
+_DELTA_1 = {"group": {"type": "z_window", "radius": 1},
+            "coeffs": [{"s": 1, "matrix": {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}}]}
+
+
+@pytest.mark.parametrize("change, message", [
+    # used to print "input error: 'matrix'"
+    ({"coeffs": [{"s": 1}]},
+     "malformed coefficient 0: missing 'matrix', expected an object with the keys ('s', 'matrix')"),
+    # used to print "input error: string indices must be integers, not 'str'"
+    ({"coeffs": {"s": 1}}, "malformed element object: 'coeffs' must be a list, got a dict"),
+    ({"coeffs": [_DELTA_1["coeffs"][0], {"matrix": _DELTA_1["coeffs"][0]["matrix"]}]},
+     "malformed coefficient 1: missing 's', expected an object with the keys ('s', 'matrix')"),
+], ids=["no matrix", "coeffs an object", "no s"])
+def test_crossed_names_what_an_element_file_lacks(tmp_path, capsys, change, message):
+    path = _write(tmp_path / "f.json", {**_DELTA_1, **change})
+    assert main(["crossed", "--elements", path]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("action, message", [
+    # used to print "input error: not enough values to unpack (expected 3, got 2)"
+    ("rotation:3", "--action 'rotation:3' must read rotation:N:K with integers N and K"),
+    ("rotation:3:x", "--action 'rotation:3:x' must read rotation:N:K with integers N and K"),
+    # used to print "input error: 'dim'" and "input error: 'matrices'"
+    ({"type": "trivial"}, "malformed trivial action: missing 'dim', expected an object with the keys ('dim',)"),
+    ({"type": "implementers"},
+     "malformed implementers action: missing 'matrices', expected an object with the keys ('matrices',)"),
+    ({"type": "z_generator"},
+     "malformed z_generator action: missing 'matrix', expected an object with the keys ('matrix',)"),
+    ({"type": "rotation", "n": 3},
+     "malformed rotation action: missing 'k', expected an object with the keys ('n', 'k')"),
+], ids=["rotation without k", "rotation k not an integer", "trivial", "implementers", "z_generator", "rotation file"])
+def test_crossed_names_what_an_action_lacks(tmp_path, capsys, action, message):
+    element = _write(tmp_path / "f.json", _DELTA_1)
+    if isinstance(action, dict):
+        action = _write(tmp_path / "action.json", action)
+    assert main(["crossed", "--elements", element, "--action", action]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_witness_passes_on_window_element(element_file, capsys):

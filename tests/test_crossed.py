@@ -316,14 +316,14 @@ def test_translation_on_window_is_truncated_shift():
 def test_z_representation_of_radius_zero_is_refused():
     action = trivial_action(ZWindow(0), 1)
     for radius in (None, 0):
-        with pytest.raises(ValueError, match="positive window radius"):
+        with pytest.raises(ValueError, match="^window radius must be an integer >= 1, got 0$"):
             CovariantRep(ConcreteAlgebra(1), action, 2.0, window_radius=radius)
 
 
 def test_a_window_radius_that_is_not_an_integer_is_refused():
     # window_radius=1.7 used to run at radius 1
     action = trivial_action(ZWindow(0), 1)
-    with pytest.raises(ValueError, match="^window radius must be an integer, got 1.7"):
+    with pytest.raises(ValueError, match="^window radius must be an integer >= 1, got 1.7$"):
         CovariantRep(ConcreteAlgebra(1), action, 2.0, window_radius=1.7)
 
 
@@ -332,14 +332,15 @@ def test_a_window_radius_that_is_not_an_integer_is_refused():
     (4.5, 1, "rotation grid size n"),  # used to raise a TypeError that named nothing
 ])
 def test_a_rotation_takes_integer_arguments(n, k, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+    bound = " >= 1" if name == "rotation grid size n" else ""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer{bound}, got "):
         cyclic_coordinate_rotation(n, k)
     assert cyclic_coordinate_rotation(np.int64(5), np.int64(2)).carrier.order == 5
 
 
 @pytest.mark.parametrize("base_dim", [1.5, 2.0, True])
 def test_an_algebra_dimension_must_be_an_integer(base_dim):
-    with pytest.raises(ValueError, match="^base_dim must be an integer, got "):
+    with pytest.raises(ValueError, match="^base_dim must be an integer >= 1, got "):
         ConcreteAlgebra(base_dim)
     assert ConcreteAlgebra(np.int64(2)).base_dim == 2
 
@@ -404,6 +405,71 @@ def test_cc_element_group_elements_must_be_integers(key):
     with pytest.raises(ValueError, match="^group element must be an integer, got "):
         CcElement(ZWindow(0), {key: np.eye(1)})
     assert CcElement(ZWindow(0), {np.int64(1): np.eye(1)}).support == (1,)
+
+
+_ELEMENT = "^group element must be an integer, got "
+_ELEMENTS = "^group elements must be integers, got "
+
+
+@pytest.mark.parametrize("s", [1.5, True, np.float64(1.0), np.array(1.0)])
+def test_an_action_refuses_an_element_that_is_not_an_integer(s):
+    # apply(1.5, a) and apply(True, a) used to act as s = 1
+    action = cyclic_coordinate_rotation(4, 1)
+    with pytest.raises(ValueError, match=_ELEMENTS + re.escape(repr(s))):
+        action.apply(s, np.eye(4))
+    with pytest.raises(ValueError, match=_ELEMENTS + re.escape("array([0. , 1.5])")):
+        action.apply(np.array([0.0, 1.5]), np.eye(4))
+    assert np.array_equal(action.apply(np.int64(1), np.eye(4)), action.apply(np.array(1), np.eye(4)))
+
+
+@pytest.mark.parametrize("s", [1.7, True])
+def test_an_implementer_is_given_only_for_an_integer_element(s):
+    # unitary(1.7) used to return U_1
+    with pytest.raises(ValueError, match=_ELEMENT):
+        cyclic_coordinate_rotation(4, 1).unitary(s)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.9, True])
+def test_a_translation_is_taken_only_by_an_integer_element(s):
+    # translation(1.5) used to act as 1, and v(2.9) to equal v(2)
+    rep = CovariantRep(ConcreteAlgebra(1), trivial_action(ZWindow(3), 1), 2.0)
+    for build in (rep.translation, rep.v):
+        with pytest.raises(ValueError, match=_ELEMENT):
+            build(s)
+
+
+@pytest.mark.parametrize("positions", [[1.5], [True], np.array([0.0, 1.0])])
+def test_a_block_selector_takes_only_integer_positions(positions):
+    # block_selector([1.5]) used to select position 1
+    rep = CovariantRep(ConcreteAlgebra(2), trivial_action(ZWindow(3), 2), 2.0)
+    with pytest.raises(ValueError, match=_ELEMENTS + re.escape(repr(positions))):
+        rep.block_selector(positions)
+    assert rep.block_selector(np.array([1], dtype=np.uint8)).tolist() == [8, 9]
+    assert rep.block_selector([]).tolist() == []
+
+
+@pytest.mark.parametrize("s", [1.5, True])
+def test_a_coefficient_is_read_only_at_an_integer_element(s):
+    # coeff(1.5) used to read the coefficient at 1
+    f = CcElement(cyclic_group(3), {1: 2.0 * np.eye(2)})
+    with pytest.raises(ValueError, match=_ELEMENT):
+        f.coeff(s)
+
+
+@pytest.mark.parametrize("carrier, s", [(cyclic_group(3), 1.5), (ZWindow(0), True)])
+def test_a_single_term_element_is_built_only_at_an_integer_element(carrier, s):
+    # delta(Z/3, 1.5) and delta(Z, True) used to build delta_1
+    for mat, base_dim in ((None, 2), (np.eye(2), None)):
+        with pytest.raises(ValueError, match=_ELEMENT):
+            CcElement.delta(carrier, s, mat, base_dim=base_dim)
+
+
+def test_an_element_with_no_support_still_integrates_to_zero():
+    # its support is (), and np.asarray(()) is a float64 array
+    rep = CovariantRep(ConcreteAlgebra(2), trivial_action(ZWindow(2), 2), 1.5)
+    zero = CcElement(ZWindow(0), {0: np.zeros((2, 2)), 1: np.zeros((2, 2))})
+    assert zero.support == ()
+    assert np.array_equal(rep.integrated(zero), np.zeros((10, 10)))
 
 
 def test_cc_element_prunes_zero_coefficients():

@@ -1,17 +1,32 @@
-"""Tests for group carriers and Folner sets."""
+"""Tests for group carriers and Folner sets, and for the one rule by which
+lpalg reads an integer argument."""
 
+import ast
 import re
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import lpalg
+from lpalg import suite
+from lpalg.crossed import (
+    CcElement,
+    ConcreteAlgebra,
+    cyclic_coordinate_rotation,
+    random_cc_element,
+    trivial_action,
+)
 from lpalg.errors import CapacityError
 from lpalg.groups import (
     CyclicGroup,
     FolnerSet,
     ZWindow,
+    as_integer,
     cyclic_group,
     folner_intersection,
     folner_ratio,
@@ -20,6 +35,11 @@ from lpalg.groups import (
     group_from_table,
     translate_set,
 )
+from lpalg.lpnorm import pnorm_estimate, pnorm_oracle
+from lpalg.nuclearity import Factorization, corner_restrict, lift_factorization, rotation_demo, truncate_map
+from lpalg.opspace import LinearMap, amplify, cb_norm_lower, compression, compression_cb
+from lpalg.partition import circle_partition, cx_phi_cb_certificate, cx_psi_cb_certificate
+from lpalg.serialize import matrix_from_obj
 from lpalg.suite import _table_test_groups
 
 KLEIN_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
@@ -110,7 +130,7 @@ def test_z_arithmetic_on_arrays_matches_scalar_calls():
 
 def test_z_window_needs_a_positive_radius():
     for call in (ZWindow(0).window, lambda: ZWindow(3).window(0), lambda: ZWindow(3).window(-2)):
-        with pytest.raises(ValueError, match="positive window radius"):
+        with pytest.raises(ValueError, match="^window radius must be an integer >= 1, got "):
             call()
 
 
@@ -121,7 +141,7 @@ def test_z_window_needs_a_positive_radius():
     (CyclicGroup, 2.5),  # used to build a group of order 2.5
 ])
 def test_a_cyclic_group_order_must_be_an_integer(make, order):
-    with pytest.raises(ValueError, match="^cyclic group order must be an integer, got "):
+    with pytest.raises(ValueError, match="^cyclic group order must be an integer >= 1, got "):
         make(order)
     assert cyclic_group(np.int64(3)).order == 3
 
@@ -130,11 +150,150 @@ def test_a_cyclic_group_order_must_be_an_integer(make, order):
 def test_a_window_radius_must_be_an_integer(radius):
     # ZWindow(1.7) used to give the positions -1.7, -0.7, 0.3, ..., and
     # window(1.7) the radius-1 window
-    with pytest.raises(ValueError, match="^window radius must be an integer, got "):
+    with pytest.raises(ValueError, match="^window radius must be an integer >= 0, got "):
         ZWindow(radius)
-    with pytest.raises(ValueError, match="^window radius must be an integer, got "):
+    with pytest.raises(ValueError, match="^window radius must be an integer >= 1, got "):
         ZWindow(3).window(radius)
     assert ZWindow(np.int64(2)).window(np.int64(1)).tolist() == [-1, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# one rule for every integer argument
+# ---------------------------------------------------------------------------
+
+
+def test_as_integer_reads_ints_and_numpy_integers_and_refuses_the_rest():
+    assert as_integer(3, "x") == 3 and type(as_integer(np.uint8(3), "x", 3)) is int
+    for value in (3.0, True, "3", None, np.float64(3.0), np.array(3)):
+        with pytest.raises(ValueError, match=re.escape(f"x must be an integer, got {value!r}")):
+            as_integer(value, "x")
+    with pytest.raises(ValueError, match=re.escape(f"x must be an integer >= 4, got {np.int64(3)!r}")):
+        as_integer(np.int64(3), "x", 4)
+
+
+def _run_stub_criterion(number):
+    """run_criterion over one criterion that does nothing, numbered 1."""
+    with mock.patch.object(suite, "CRITERIA", [(1, "stub", lambda seed: (True, {}))]):
+        return suite.run_criterion(number)
+
+
+def _factorization():
+    """The exact factorization of M_2 through itself, both legs certified."""
+    ident = compression(np.arange(2), 2)
+    return Factorization(ident, ident, compression_cb(np.arange(2), 2), compression_cb(np.arange(2), 2))
+
+
+_CHEAP_CB = {"trials": 0, "ascent_steps": 0, "restarts": 1, "max_iters": 5}
+
+# (call with the argument set to v, the field it is named by, its least value)
+INTEGER_ARGUMENTS = {
+    "CyclicGroup order": (CyclicGroup, "cyclic group order", 1),
+    "ZWindow radius": (ZWindow, "window radius", 0),
+    "ZWindow.window radius": (lambda v: ZWindow(3).window(v), "window radius", 1),
+    "ConcreteAlgebra base_dim": (ConcreteAlgebra, "base_dim", 1),
+    "CcElement base_dim": (lambda v: CcElement(cyclic_group(3), {}, base_dim=v), "base_dim", 1),
+    "CcElement.delta base_dim": (lambda v: CcElement.delta(cyclic_group(3), 1, base_dim=v), "base_dim", 1),
+    "random_cc_element base_dim": (
+        lambda v: random_cc_element(np.random.default_rng(0), cyclic_group(3), v), "base_dim", 1),
+    "trivial_action dim": (lambda v: trivial_action(ZWindow(0), v), "dim", 1),
+    "cyclic_coordinate_rotation n": (lambda v: cyclic_coordinate_rotation(v, 1), "rotation grid size n", 1),
+    "pnorm_estimate restarts": (lambda v: pnorm_estimate(np.ones((2, 3)), 1.5, restarts=v), "restarts", 1),
+    "pnorm_estimate max_iters": (lambda v: pnorm_estimate(np.ones((2, 3)), 1.5, max_iters=v), "max_iters", 1),
+    "pnorm_oracle samples": (lambda v: pnorm_oracle(np.eye(2), 3.0, samples=v), "samples", 1),
+    "LinearMap domain_dim": (lambda v: LinearMap(v, 1, apply_fn=np.trace), "domain_dim", 0),
+    "LinearMap codomain_dim": (lambda v: LinearMap(1, v, apply_fn=np.trace), "codomain_dim", 0),
+    "amplify level": (lambda v: amplify(LinearMap.identity(2), v), "amplification level", 1),
+    "cb_norm_lower n_max": (
+        lambda v: cb_norm_lower(LinearMap.identity(1), 1.5, **{**_CHEAP_CB, "n_max": v}), "n_max", 1),
+    "cb_norm_lower trials": (
+        lambda v: cb_norm_lower(LinearMap.identity(1), 1.5, n_max=1, **{**_CHEAP_CB, "trials": v}), "trials", 0),
+    "cb_norm_lower restarts": (
+        lambda v: cb_norm_lower(LinearMap.identity(1), 1.5, n_max=1, **{**_CHEAP_CB, "restarts": v}), "restarts", 1),
+    "cb_norm_lower ascent_steps": (
+        lambda v: cb_norm_lower(LinearMap.identity(1), 1.5, n_max=1, **{**_CHEAP_CB, "ascent_steps": v}),
+        "ascent_steps", 0),
+    "lift_factorization n": (lambda v: lift_factorization(_factorization(), v, {}), "amplification level", 1),
+    "corner_restrict outer": (lambda v: corner_restrict(_factorization(), v, test_elements={}), "outer", 1),
+    "truncate_map window": (lambda v: truncate_map(v, 1, 2), "window", 1),
+    "truncate_map n_keep": (lambda v: truncate_map(4, v, 2), "n_keep", 1),
+    "truncate_map block_dim": (lambda v: truncate_map(4, 2, v), "block_dim", 1),
+    "rotation_demo n": (lambda v: rotation_demo(v, 1, 1.5, 0.3), "rotation grid size n", 2),
+    "circle_partition n_points": (lambda v: circle_partition(v, 2), "n_points", 2),
+    "circle_partition n_arcs": (lambda v: circle_partition(4, v), "n_arcs", 2),
+    "cx_phi_cb_certificate n_max": (
+        lambda v: cx_phi_cb_certificate(circle_partition(4, 2), 1.5, n_max=v, trials=0), "n_max", 1),
+    "cx_psi_cb_certificate trials": (
+        lambda v: cx_psi_cb_certificate(circle_partition(4, 2), 1.5, n_max=1, trials=v), "trials", 0),
+    "matrix_from_obj rows": (
+        lambda v: matrix_from_obj({"rows": v, "cols": 1, "entries": [[1.0, 0.0]]}), "rows", 1),
+    "matrix_from_obj cols": (
+        lambda v: matrix_from_obj({"rows": 1, "cols": v, "entries": [[1.0, 0.0]]}), "cols", 1),
+    "run_suite seed": (lambda v: suite.run_suite(v, numbers=[]), "seed", 0),
+    "run_criterion number": (_run_stub_criterion, "criterion number", 1),
+}
+
+
+@pytest.mark.parametrize("row", sorted(INTEGER_ARGUMENTS))
+def test_every_integer_argument_is_read_by_one_rule(row):
+    call, field, least = INTEGER_ARGUMENTS[row]
+    for value in (True, float(least), least - 1):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be an integer >= {least}, got {value!r}')}$"):
+            call(value)
+    call(least)
+    call(np.int64(least))
+
+
+def _own_parameters(func: ast.AST) -> set:
+    args = func.args
+    return {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a}
+
+
+def _casts_a_parameter(call: ast.Call, params: set) -> bool:
+    """int(p), or np.asarray/np.array(p) with an integer dtype, for a parameter p."""
+    name = ast.unparse(call.func)
+    if not call.args or not (isinstance(call.args[0], ast.Name) and call.args[0].id in params):
+        return False
+    if name == "int":
+        return True
+    dtypes = [*call.args[1:2], *(kw.value for kw in call.keywords if kw.arg == "dtype")]
+    return name in ("np.asarray", "np.array") and any(
+        re.fullmatch(r"int|(np|numpy)\.u?int(p|c|\d+)?|['\"]u?int\d*['\"]", ast.unparse(d)) for d in dtypes)
+
+
+def _functions(node, prefix: str):
+    """(qualified name, node) of every function under ``node``, methods and
+    nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        name = f"{prefix}.{child.name}" if named else prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield name, child
+        yield from _functions(child, name)
+
+
+def test_no_function_in_lpalg_casts_its_own_arguments_to_integers():
+    # groups.as_integer is the rule itself; serialize._plain converts report
+    # values, not arguments
+    exempt = {"groups.as_integer", "serialize._plain"}
+    found = [
+        name
+        for path in sorted(Path(lpalg.__file__).parent.glob("*.py"))
+        for name, func in _functions(ast.parse(path.read_text()), path.stem)
+        for call in ast.walk(func)
+        if name not in exempt and isinstance(call, ast.Call) and _casts_a_parameter(call, _own_parameters(func))
+    ]
+    assert found == []
+
+
+def test_a_deprecation_that_lpalg_triggers_fails_the_tests():
+    # pyproject.toml turns a DeprecationWarning or FutureWarning attributed to
+    # one of lpalg's modules into an error, and only those
+    for category in (DeprecationWarning, FutureWarning):
+        with pytest.raises(category, match="^probe$"):
+            warnings.warn_explicit("probe", category, "probe.py", 1, module="lpalg.probe")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.warn_explicit("probe", DeprecationWarning, "probe.py", 1, module="hypothesis.probe")
+    assert [w.category for w in seen] == [DeprecationWarning]
 
 
 # ---------------------------------------------------------------------------

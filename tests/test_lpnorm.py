@@ -179,9 +179,9 @@ def _gaussian_5x5():
 ], ids=["complex max_iters 0", "positive max_iters 0", "p 2 restarts 0"])
 def test_an_estimate_with_no_iteration_is_refused(matrix, p, opts):
     (name,) = opts
-    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got 0$"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got 0$"):
         pnorm_estimate(matrix, p, **opts)
-    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got 0$"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got 0$"):
         pnorm_estimate_stack([matrix], p, **opts)
 
 
@@ -210,7 +210,7 @@ def test_every_route_refuses_restarts_max_iters_and_tol_it_cannot_use(case, rout
     name, value = _BAD_OPTIONS[case]
     opts = {name: value}
     message = f"tol must be a finite number >= 0, got {value!r}" if name == "tol" else \
-        f"{name} must be an integer, got {value!r}"
+        f"{name} must be an integer >= 1, got {value!r}"
     matrix, p = _ROUTES[route]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         pnorm_estimate(matrix, p, **opts)

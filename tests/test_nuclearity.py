@@ -592,9 +592,11 @@ def test_truncate_keeps_leading_blocks():
     assert out.shape == (6, 6)
     assert np.array_equal(out[:4, :4], t[:4, :4])
     assert np.all(out[4:, :] == 0.0) and np.all(out[:, 4:] == 0.0)
-    for n_keep in (0, 5):  # refused when the map is built, before any apply
-        with pytest.raises(ValueError, match="can keep between 1 and 4"):
-            truncate_map(4, n_keep, 2)
+    # refused when the map is built, before any apply
+    with pytest.raises(ValueError, match="^n_keep must be an integer >= 1, got 0$"):
+        truncate_map(4, 0, 2)
+    with pytest.raises(ValueError, match="^can keep at most 4 positions, asked for 5$"):
+        truncate_map(4, 5, 2)
 
 
 def test_truncate_certificate_contractive():
@@ -896,5 +898,6 @@ def test_rotation_demo_rejects_non_coprime_angle():
     (True, 1, "rotation grid size n"),  # used to report "need a grid of at least two points"
 ])
 def test_rotation_demo_takes_integer_arguments(n, k, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+    bound = " >= 2" if name == "rotation grid size n" else ""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer{bound}, got "):
         rotation_demo(n, k, 1.5, 0.3)

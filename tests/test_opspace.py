@@ -107,17 +107,19 @@ def test_identity_map_levels_are_one():
 @pytest.mark.parametrize("n_max, trials", [(0, 4), (-1, 4), (2, -3)])
 def test_a_sampled_certificate_needs_a_level_and_no_negative_trials(n_max, trials):
     # n_max=0 used to give no levels and best 0.0, and trials=-3 ran as 0
-    with pytest.raises(ValueError, match="^a sampled certificate needs n_max >= 1 and trials >= 0"):
+    name, least, value = ("n_max", 1, n_max) if n_max < 1 else ("trials", 0, trials)
+    message = f"{name} must be an integer >= {least}, got {value}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         cb_norm_lower(LinearMap.identity(2), 1.5, n_max=n_max, trials=trials)
 
 
 @pytest.mark.parametrize("opts, message", [
-    ({"restarts": -1}, "restarts must be a positive integer, got -1$"),
-    ({"restarts": -2}, "restarts must be a positive integer, got -2$"),
-    ({"restarts": 0}, "restarts must be a positive integer, got 0$"),
-    ({"ascent_steps": -3}, "ascent_steps must be a nonnegative integer, got -3$"),
-    ({"restarts": 2.5}, "restarts must be an integer, got 2.5$"),
-    ({"ascent_steps": 1.5}, "ascent_steps must be an integer, got 1.5$"),
+    ({"restarts": -1}, "restarts must be an integer >= 1, got -1$"),
+    ({"restarts": -2}, "restarts must be an integer >= 1, got -2$"),
+    ({"restarts": 0}, "restarts must be an integer >= 1, got 0$"),
+    ({"ascent_steps": -3}, "ascent_steps must be an integer >= 0, got -3$"),
+    ({"restarts": 2.5}, "restarts must be an integer >= 1, got 2.5$"),
+    ({"ascent_steps": 1.5}, "ascent_steps must be an integer >= 0, got 1.5$"),
 ], ids=["restarts=-1", "restarts=-2", "restarts=0", "ascent_steps=-3", "restarts=2.5", "ascent_steps=1.5"])
 def test_the_ascent_refuses_the_restarts_and_steps_it_is_given(opts, message):
     # restarts=-1 ran with one restart, -2 was refused as "got 0" (after

@@ -109,7 +109,9 @@ def test_cx_leg_certificates_are_exactly_one():
 @pytest.mark.parametrize("n_max, trials", [(0, 8), (2, -3)])
 def test_a_field_certificate_needs_a_level_and_no_negative_trials(certificate, n_max, trials):
     # n_max=0 used to give no levels, and trials=-3 ran as 0
-    with pytest.raises(ValueError, match="^a sampled certificate needs n_max >= 1 and trials >= 0"):
+    name, least, value = ("n_max", 1, n_max) if n_max < 1 else ("trials", 0, trials)
+    message = f"{name} must be an integer >= {least}, got {value}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         certificate(circle_partition(6, 3), 1.5, n_max=n_max, trials=trials)
 
 
@@ -122,16 +124,16 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         circle_partition(8, 3)  # arcs must divide the grid
     for n_points in (2, 3, 8):  # one tent never falls to zero on the circle, so it cannot sum to 1
-        with pytest.raises(ValueError, match="need at least two arcs, got 1"):
+        with pytest.raises(ValueError, match="^n_arcs must be an integer >= 2, got 1$"):
             circle_partition(n_points, 1)
-    with pytest.raises(ValueError, match="need at least two grid points"):
+    with pytest.raises(ValueError, match="^n_points must be an integer >= 2, got 1$"):
         circle_partition(1, 2)
 
 
 @pytest.mark.parametrize("n_points, n_arcs, name", [(8, 2.0, "n_arcs"), (8.0, 4, "n_points")])
 def test_a_circle_partition_takes_integer_arguments(n_points, n_arcs, name):
     # both used to fail as "sample point must be an integer, got 0.0"
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 2, got "):
         circle_partition(n_points, n_arcs)
 
 

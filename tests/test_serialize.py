@@ -183,7 +183,7 @@ def test_matrix_obj_validation():
 @pytest.mark.parametrize("value", [1.0, 1.5, "1", True])
 def test_matrix_obj_sizes_must_be_integers(field, value):
     obj = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]], field: value}
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
         matrix_from_obj(obj)
     assert matrix_from_obj({**obj, field: np.int64(1)}).shape == (1, 1)
 
@@ -232,7 +232,11 @@ def test_cc_element_obj_elements_must_be_integers(value):
     ({"type": "trivial", "dim": True}, "dim"),
 ])
 def test_action_obj_sizes_must_be_integers(obj, field):
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+    # a rotation's n and k are read by cyclic_coordinate_rotation, a trivial
+    # action's dim by trivial_action
+    message = {"n": "rotation grid size n must be an integer >= 1", "k": "rotation step k must be an integer",
+               "dim": "dim must be an integer >= 1"}[field]
+    with pytest.raises(ValueError, match=f"^{message}, got "):
         action_from_obj(obj, carrier=cyclic_group(5))
     assert action_from_obj({**obj, field: np.int64(1)}, carrier=cyclic_group(5)).base_dim >= 1
 
