@@ -22,7 +22,7 @@ import numpy as np
 
 from .crossed import ConcreteAlgebra, CovariantRep, conditional_expectation, trivial_action
 from .errors import CapacityError, CertificateError, DimensionGuardError, UnsupportedExponentError
-from .groups import ZWindow, cyclic_group, folner_ratio, folner_search, group_from_descriptor
+from .groups import folner_ratio, folner_search, group_from_descriptor
 from .lpnorm import pnorm_estimate, pnorm_upper
 from .nuclearity import crossed_nuclearity_witness, rotation_demo, sum_upper
 from .opspace import cb_norm_lower, compression
@@ -50,13 +50,31 @@ def _parse_p(text: str) -> float:
         raise argparse.ArgumentTypeError(f"exponent must be a number or inf, got {text!r}") from None
 
 
+def _integers(option: str, text: str, fields: list, form: str, count: int | None = None) -> list[int]:
+    """The integers spelled by ``fields``, pieces of the text given to
+    ``option``, which must be ``count`` where that is given.  Every integer
+    a handler reads from option text is read here (the parser reads the
+    options typed ``int``): any other text raises a ValueError that names
+    the option and the ``form`` it must read."""
+    try:
+        if count is None or len(fields) == count:
+            return [int(field) for field in fields]
+    except ValueError:
+        pass
+    raise ValueError(f"{option} {text!r} must read {form}")
+
+
 def _parse_group(text: str):
-    """cyclic:N, z:RADIUS (or plain z), or a path to a group JSON file."""
+    """cyclic:N, z:RADIUS (or plain z), or a path to a group JSON file; N
+    and RADIUS are passed on as a descriptor, whose reader decides their
+    range as it does for a file."""
     kind, colon, arg = text.strip().lower().partition(":")
     if kind == "cyclic" and colon:
-        return cyclic_group(int(arg))
+        (n,) = _integers("--group", text, [arg], "cyclic:N with an integer N")
+        return group_from_descriptor({"type": "cyclic", "n": n})
     if kind == "z":
-        return ZWindow(int(arg) if colon else 0)
+        (radius,) = _integers("--group", text, [arg], "z or z:RADIUS with an integer RADIUS") if colon else (0,)
+        return group_from_descriptor({"type": "z_window", "radius": radius})
     return group_from_descriptor(load_json(text))
 
 
@@ -66,12 +84,14 @@ def _parse_action(text: str | None, carrier, dim: int):
         return trivial_action(carrier, dim)
     lowered = text.strip().lower()
     if lowered.startswith("rotation:"):
-        try:
-            n, k = map(int, lowered.split(":")[1:])
-        except ValueError:
-            raise ValueError(f"--action {text!r} must read rotation:N:K with integers N and K") from None
+        n, k = _integers("--action", text, lowered.split(":")[1:], "rotation:N:K with integers N and K", count=2)
         return action_from_obj({"type": "rotation", "n": n, "k": k})
     return action_from_obj(load_json(text), carrier)
+
+
+def _integer_list(option: str, text: str) -> list[int]:
+    """The integers of a comma-separated option, empty fields skipped."""
+    return _integers(option, text, [f for f in text.split(",") if f.strip() != ""], "comma-separated integers")
 
 
 def _csv_text(header: list, rows: list) -> str:
@@ -146,7 +166,7 @@ def _cmd_cbnorm(args) -> int:
 
 def _cmd_folner(args) -> int:
     carrier = _parse_group(args.group)
-    shifts = [int(s) for s in args.shifts.split(",") if s.strip() != ""]
+    shifts = _integer_list("--shifts", args.shifts)
     fset = folner_search(carrier, shifts, args.delta)
     ratios = {str(s): folner_ratio(fset, s) for s in shifts}
     payload = {
@@ -231,7 +251,7 @@ def _cmd_rotation(args) -> int:
 def _cmd_suite(args) -> int:
     numbers = None
     if args.criteria:
-        numbers = [int(c) for c in args.criteria.split(",") if c.strip() != ""]
+        numbers = _integer_list("--criteria", args.criteria)
     report = run_suite(seed=args.seed, numbers=numbers)
     for item in report["criteria"]:
         mark = "PASS" if item["passed"] else "FAIL"

@@ -109,7 +109,10 @@ def _compose_pairs(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The pair of U_a U_b, (d,) or (n, d): row i reaches perm_b[perm_a[i]] with phase_a[i] phase_b[perm_a[i]]."""
     (pa, ca), (pb, cb) = a, b
     idx = (pa,) if pa.ndim == 1 else (np.arange(len(pa))[:, None], pa)
-    return pb[idx], ca * cb[idx]
+    # np.multiply, not *: on 16,384 complex entries or more numpy's * may reuse a temporary
+    # operand as its output with the operands swapped, and its complex multiply does not
+    # round a*b and b*a alike, so a large stack would not keep the bits of a small one
+    return pb[idx], np.multiply(ca, cb[idx])
 
 
 def _doubled_table(u: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +131,8 @@ def _doubled_table(u: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
     while top < count:
         low = slice(0, min(top, count - top))
         high = slice(top, top + low.stop)
-        perm[high], phase[high] = pb[perm[low]], phase[low] * cb[perm[low]]
+        # np.multiply, not *, as in _compose_pairs
+        perm[high], phase[high] = pb[perm[low]], np.multiply(phase[low], cb[perm[low]])
         pb, cb = _compose_pairs((pb, cb), (pb, cb))  # U^(2^(h+1)) = U^(2^h) U^(2^h)
         top *= 2
     return perm, phase
@@ -260,7 +264,8 @@ class IsometricAction:
         a = np.asarray(a, dtype=complex)
         stack = (g[..., None, None] for g in np.indices(a.shape[:-2], sparse=True))
         moved = a[(*stack, perm[..., :, None], perm[..., None, :])]
-        return moved * (phase[..., :, None] * phase[..., None, :].conj())
+        # np.multiply, not *, as in _compose_pairs
+        return np.multiply(moved, phase[..., :, None] * phase[..., None, :].conj())
 
     def __repr__(self) -> str:
         return f"IsometricAction(dim={self.base_dim} on {self.carrier!r})"
@@ -365,7 +370,8 @@ def random_cc_element(
 ) -> CcElement:
     """A random finitely supported element, for tests and certificates."""
     base_dim = as_integer(base_dim, "base_dim", 1)
-    pool = carrier.window(max_shift)
+    n_terms = as_integer(n_terms, "n_terms", 0)
+    pool = carrier.window(as_integer(max_shift, "max_shift", 1))
     chosen = rng.choice(pool, size=min(n_terms, pool.size), replace=False)
     coeffs = {
         int(s): rng.standard_normal((base_dim, base_dim)) + 1j * rng.standard_normal((base_dim, base_dim))

@@ -32,18 +32,17 @@ matrix A in C^{m x n} is an operator l^p(n) -> l^p(m) and
   from many random starts, which returns the best certified lower bound
   together with the witness vector that attains it.  The iteration runs
   on a (B, m, n) stack of matrices at once, each from its own rng, with
-  one batched matmul per half-step; a matrix leaves the stack once all its
-  restarts have stagnated, and every result equals the one-matrix estimate
-  bit for bit.  While a single matrix is left, as in every one-matrix
-  call, the same loop skips the stack's bookkeeping of slots, compaction
-  and per-member tests.  On small matrices an iteration costs its numpy
-  calls, not its arithmetic, so the loop inlines the column helpers and
-  works in place; and where the helpers divide a complex array by real
-  moduli or norms, it multiplies by (1/r, -0), which gives numpy's quotient
-  bit for bit unless a product underflows to 0, where numpy reports it and
-  the loop divides after all (and :func:`_signs` scales first where a
-  modulus is at or below 2^-1024); its values are those of the helpers bit
-  for bit.
+  one batched matmul per half-step; a matrix takes no new best once all
+  its restarts have stagnated, and every result equals the one-matrix
+  estimate bit for bit.  In a one-matrix call the same loop skips the
+  stack's per-matrix flags and tests.  On small matrices an iteration
+  costs its numpy calls, not its arithmetic, so the loop inlines the
+  column helpers and works in place; and where the helpers divide a
+  complex array by real moduli or norms, it multiplies by (1/r, -0), which
+  gives numpy's quotient bit for bit unless a product underflows to 0,
+  where numpy reports it and the loop divides after all (and
+  :func:`_signs` scales first where a modulus is at or below 2^-1024); its
+  values are those of the helpers bit for bit.
 
 :func:`pnorm_oracle` maximizes ||A x||_p directly, by projected gradient
 ascent with a vectorized line search from random unit vectors plus the
@@ -546,7 +545,7 @@ def pnorm_estimate_stack(
     seed, or None for seed 0; ``rngs=None`` gives every matrix seed 0), so
     each result equals ``pnorm_estimate(stack[b], p, rng=rngs[b])`` bit for
     bit.  The matrices are iterated together, one batched matmul per
-    half-step, and a matrix leaves the stack once all its restarts have
+    half-step, and a matrix takes no new best once all its restarts have
     stagnated.
     """
     arr = _validated(np.array(stack, dtype=complex), 3, "(B, m, n) stack")
@@ -852,18 +851,23 @@ def _adjacency(nz: np.ndarray) -> tuple[list, list]:
 def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstimate]:
     """The dual power iteration on a stack, one generator per matrix.
 
-    Slot k of every state array holds matrix ``member[k]``; finished
-    matrices are compacted out of the leading slots, so the live part of
-    each array stays contiguous and the batched matmuls make the same BLAS
-    calls as one matrix at a time.  The views of the live slots (``live_*``)
-    are taken once and again only after a compaction, not per iteration.
-    While one member is live, a one-matrix call from its start or the last
-    member of a stack, its slot is 0 and there are no slots to keep: its
-    best value is one scalar test on ``argmax``, it stops when all its
-    restarts stagnate, and it is finished after the loop.  Both branches
-    make the same floating-point operations on the same operands, so an
-    estimate keeps its bits whether it ran alone or in a stack.  ``arr``
-    must be an array the caller owns: it is scaled and compacted in place.
+    Matrix k keeps slot k of every state array for the whole loop, so the
+    batched matmuls make the same BLAS calls as one matrix at a time.  A
+    matrix is finished once all its restarts have stagnated: from the next
+    iteration on it takes no new best, and the loop runs until every matrix
+    is finished or ``max_iters`` is reached; each estimate is then read off
+    its slot.  The flag ``done`` is taken at the stagnation test, before
+    the dead-column repair, which may mark the last restarts of a matrix
+    stagnant: such a matrix takes one more best, as a matrix would that
+    ran alone.  A finished matrix's later iterates reach no result, and
+    the paths they may send the whole stack down (the division of
+    :func:`_divided`, the scaled signs of :func:`_signs`, the dead-column
+    repair) give every other matrix the same bits.  With one matrix, the
+    best value is one scalar test on ``argmax``, and the loop stops when
+    all its restarts stagnate.  Both branches make the same floating-point
+    operations on the same operands, so an estimate keeps its bits whether
+    it ran alone or in a stack.  ``arr`` must be an array the caller owns:
+    it is scaled in place.
 
     The loop is :func:`_dual_columns`, :func:`_normalized` and
     :func:`_pnorms_along` inlined: each iteration makes the same
@@ -906,75 +910,52 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
     x = _normalized(x, p, axis=1)[0]
     a_h = arr.conj().transpose(0, 2, 1)
 
-    member = np.arange(count)
     best_val = np.full(count, -np.inf)
     best_witness = x[:, :, 0].copy()
     best_col = np.zeros(count, dtype=int)
     prev_vals = np.full((count, restarts), -np.inf)
     stagnant = np.zeros((count, restarts), dtype=bool)
-    results: list = [None] * count
+    done = np.zeros(count, dtype=bool)
     # the buffers of _divided: (1/r, -0) for |y|, |A* u| and the norms of w,
     # and the signs of y and of A* u; x takes w / ||w||_p
     inv_m, inv_n, inv_1 = (np.full((count, k, restarts), complex(0.0, -0.0)) for k in (m, n, 1))
     signs_m, signs_n = np.empty((count, m, restarts), dtype=complex), np.empty((count, n, restarts), dtype=complex)
     underflows: list = []
-
-    def finish(slots):
-        for k in slots:
-            b = int(member[k])
-            results[b] = _finished(arr[k], best_val[k], best_witness[k], bool(stagnant[k, best_col[k]]),
-                                   e[b], pe, "power-iteration", restarts)
-
-    live = count
-    live_arr, live_a_h, live_best, live_prev, live_stagnant = arr, a_h, best_val, prev_vals, stagnant
-    live_inv_m, live_inv_n, live_inv_1, live_signs_m, live_signs_n = inv_m, inv_n, inv_1, signs_m, signs_n
     with np.errstate(under="call", call=lambda kind, flag: underflows.append(kind)):
         for _ in range(max_iters):
             # forward half-step: u = sign(y) for y = A x, |y| its column-scaled moduli
-            u, scaled, tops = _signs_and_scaled(live_arr @ x, live_inv_m, live_signs_m, underflows)
+            u, scaled, tops = _signs_and_scaled(arr @ x, inv_m, signs_m, underflows)
             vals = np.add.reduce(scaled**p, axis=1)
             vals **= 1.0 / p
             vals *= tops[:, 0, :]
-            if live == 1:  # one member: its slot is 0 and it is finished after the loop
+            if count == 1:  # one matrix: its best value is one scalar test, and it has no flag to keep
                 col = vals[0].argmax()
                 if vals[0, col] > best_val[0]:
                     best_val[0] = vals[0, col]
                     best_witness[0] = x[0, :, col]
                     best_col[0] = col
-                live_stagnant |= np.abs(vals - live_prev) <= tol * vals
-                live_prev[...] = vals
-                if live_stagnant.all():
+                stagnant |= np.abs(vals - prev_vals) <= tol * vals
+                prev_vals[...] = vals
+                if stagnant.all():
                     break
             else:
                 top_vals = np.maximum.reduce(vals, axis=1)
-                gain = top_vals > live_best
+                gain = (top_vals > best_val) & ~done  # a finished matrix takes no new best
                 if gain.any():
                     rows = np.flatnonzero(gain)
                     cols = vals[rows].argmax(axis=1)
                     best_val[rows] = top_vals[rows]
                     best_witness[rows] = x[rows, :, cols]
                     best_col[rows] = cols
-                live_stagnant |= np.abs(vals - live_prev) <= tol * vals
-                live_prev[...] = vals
-                done = live_stagnant.all(axis=1)
+                stagnant |= np.abs(vals - prev_vals) <= tol * vals
+                prev_vals[...] = vals
+                done = stagnant.all(axis=1)  # not after the dead-column repair below
                 if done.all():
                     break
-                if done.any():
-                    finish(np.flatnonzero(done))
-                    keep = np.flatnonzero(~done)
-                    for state in (arr, a_h, best_val, best_witness, best_col, prev_vals, stagnant):
-                        state[: keep.size] = state[keep]
-                    member = member[keep]
-                    x, u, scaled = x[keep], u[keep], scaled[keep]
-                    live = keep.size
-                    live_arr, live_a_h, live_best = arr[:live], a_h[:live], best_val[:live]
-                    live_prev, live_stagnant = prev_vals[:live], stagnant[:live]
-                    live_inv_m, live_inv_n, live_inv_1 = inv_m[:live], inv_n[:live], inv_1[:live]
-                    live_signs_m, live_signs_n = signs_m[:live], signs_n[:live]
             # dual half-step: w = dualmap_q(A* dualmap_p(y)), then w / ||w||_p
             scaled **= p - 1.0
             u *= scaled
-            w, scaled, _ = _signs_and_scaled(live_a_h @ u, live_inv_n, live_signs_n, underflows)
+            w, scaled, _ = _signs_and_scaled(a_h @ u, inv_n, signs_n, underflows)
             scaled **= q - 1.0
             w *= scaled
             mags = np.abs(w)
@@ -985,16 +966,16 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
             norms **= 1.0 / p
             norms *= tops[:, 0, :]
             if np.minimum.reduce(norms, axis=None) > 0.0:
-                x = _divided(w, norms[:, None, :], live_inv_1, x, underflows)
+                x = _divided(w, norms[:, None, :], inv_1, x, underflows)
             else:  # w is zero exactly where its norm is: keep that iterate, mark it stagnant
                 dead = norms == 0.0
                 w /= np.where(dead, 1.0, norms)[:, None, :]
                 slot, col = np.nonzero(dead)
                 w[slot, :, col] = x[slot, :, col]
-                live_stagnant |= dead
+                stagnant |= dead
                 x = w.copy()  # not signs_n: the next normalization reads w there and writes into x
-    finish(range(live))
-    return results
+    return [_finished(arr[k], best_val[k], best_witness[k], bool(stagnant[k, best_col[k]]), e[k], pe,
+                      "power-iteration", restarts) for k in range(count)]
 
 
 def _finished(mat, best_val, best_witness, converged, e, pe, method, restarts) -> PNormEstimate:

@@ -230,6 +230,21 @@ def test_crossed_refuses_a_non_integer_group_element(tmp_path, capsys):
     assert "s must be an integer, got 1.7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # each used to print "input error: invalid literal for int() with base 10: ..."
+    (["folner", "--group", "cyclic:2.5", "--shifts", "1", "--delta", "0.1"],
+     "--group 'cyclic:2.5' must read cyclic:N with an integer N"),
+    (["folner", "--group", "z:1.5", "--shifts", "1", "--delta", "0.1"],
+     "--group 'z:1.5' must read z or z:RADIUS with an integer RADIUS"),
+    (["folner", "--group", "z", "--shifts", "1,1.5", "--delta", "0.1"],
+     "--shifts '1,1.5' must read comma-separated integers"),
+    (["suite", "--criteria", "1.5"], "--criteria '1.5' must read comma-separated integers"),
+], ids=["cyclic order", "z radius", "shifts", "criteria"])
+def test_option_text_that_spells_no_integer_is_named(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 _DELTA_1 = {"group": {"type": "z_window", "radius": 1},
             "coeffs": [{"s": 1, "matrix": {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}}]}
 

@@ -212,15 +212,31 @@ def test_cyclic_power_table_is_the_binary_power_of_each_element_bit_for_bit():
 
 
 def test_z_power_table_is_the_binary_power_of_each_element_bit_for_bit():
+    # the last block of the table at d = 16 and reach 2047, and 700 copies of
+    # each far element at d = 16, reach 16,384 complex entries, from which
+    # numpy may reuse a temporary operand of `*` as its output with the
+    # operands swapped, and its complex multiply does not round a*b and b*a
+    # alike
     rng = np.random.default_rng(31)
-    for d, reach in ((1, 1000), (3, 1000), (5, 700), (2, 1)):
+    for d, reach in ((1, 1000), (3, 1000), (5, 700), (2, 1), (16, 2047)):
         u = _random_phased(rng, d)
         act = IsometricAction(ZWindow(0), generator=u)
         window = np.arange(-reach, reach + 1)
         _assert_rows_are_binary_powers(u, window, *act._pair(window))
         # beyond the cap on the table, each element is its own binary power
-        far = np.array([-(crossed._TABLE_ENTRIES // d), crossed._TABLE_ENTRIES // d + 3])
+        far = np.repeat([-(crossed._TABLE_ENTRIES // d), crossed._TABLE_ENTRIES // d + 3], 700)
         _assert_rows_are_binary_powers(u, far, *act._pair(far))
+
+
+def test_apply_on_a_large_stack_keeps_the_bits_of_each_block():
+    # 4096 blocks of 2 x 2 reach the 16,384 entries from which numpy may
+    # swap the operands of a product with a temporary
+    rng = np.random.default_rng(54)
+    act = IsometricAction(ZWindow(0), generator=_random_phased(rng, 2))
+    elements = rng.integers(-50, 51, size=4096)
+    blocks = rng.standard_normal((4096, 2, 2)) + 1j * rng.standard_normal((4096, 2, 2))
+    want = np.stack([act.apply(s, a) for s, a in zip(elements, blocks)])
+    assert np.array_equal(act.apply(elements, blocks).view(float), want.view(float))
 
 
 def test_a_z_action_assigns_nothing_after_construction():

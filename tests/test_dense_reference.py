@@ -445,7 +445,7 @@ def _assert_kernel_matches(stack, p, seeds, **opts):
     opts = {"restarts": 32, "max_iters": 100, "tol": 1e-10, **opts}
     kernel = lpnorm._power_iteration(np.array(stack, dtype=complex), lpnorm.as_exponent(p), opts["restarts"],
                                      opts["max_iters"], opts["tol"], [np.random.default_rng(s) for s in seeds])
-    got = pnorm_estimate_stack(stack, p, rngs=seeds, **opts)
+    got = _assert_stack_matches_one_matrix_calls(stack, p, seeds, **opts)
     assert len(kernel) == len(got) == len(stack)
     for ker, est, a, seed in zip(kernel, got, stack, seeds):
         value, witness, converged, _ = _ref_pnorm_estimate(a, p, rng=np.random.default_rng(seed), **opts)
@@ -457,13 +457,42 @@ def _assert_kernel_matches(stack, p, seeds, **opts):
             _assert_positive_estimate(est, a, p, ker.value)
         else:
             _assert_estimate_bits(est, ker.value, ker.witness, ker.converged)
+
+
+def _assert_stack_matches_one_matrix_calls(stack, p, seeds, **opts):
+    """The stacked estimates, each equal to its matrix's one-matrix call in
+    value, witness bits, ``converged`` and ``method``."""
+    got = pnorm_estimate_stack(stack, p, rngs=seeds, **opts)
+    for est, a, seed in zip(got, stack, seeds):
         one = pnorm_estimate(a, p, rng=np.random.default_rng(seed), **opts)
         assert (one.value, one.converged, one.method) == (est.value, est.converged, est.method)
         assert np.array_equal(_bits(one.witness), _bits(est.witness))
+    return got
 
 
 def _gaussian_stack(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _stack_corpus(count):
+    """``count`` random stacks of 2 to 5 complex matrices up to 7 x 7 with
+    random p, seeds, ``tol`` (0 included), ``restarts`` (1 to 6) and
+    ``max_iters`` (1 to 79): (stack, p, seeds, opts).  Members may have zero
+    columns, a row scaled by 1e6 or be scaled by 1e-200 as a whole."""
+    rng = np.random.default_rng(49)
+    for _ in range(count):
+        b, m, n = rng.integers(2, 6), *rng.integers(1, 8, size=2)
+        stack = _gaussian_stack(rng, (b, m, n))
+        for a, kind in zip(stack, rng.integers(5, size=b)):
+            if kind == 1:
+                a[:, rng.random(n) < 0.4] = 0.0
+            elif kind == 2:
+                a *= 1e-200
+            elif kind == 3:
+                a[rng.integers(m)] *= 1e6
+        opts = {"restarts": int(rng.integers(1, 7)), "max_iters": int(rng.integers(1, 80)),
+                "tol": float(rng.choice([0.0, 1e-12, 1e-6, 1e-3]))}
+        yield stack, float(rng.choice([1.2, 1.5, 3.0, 4.0])), [int(s) for s in rng.integers(1000, size=b)], opts
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
@@ -502,6 +531,16 @@ def test_stacked_kernel_members_stop_at_different_iterations():
     assert len(counts) > 2
     _assert_kernel_matches(stack, 4.0, list(range(6)), restarts=5, max_iters=200)
     _assert_kernel_matches(stack, 4.0, list(range(6)), restarts=5, max_iters=7)
+    # a finished member takes no new best while the others run on: here the
+    # first finishes more than 20 iterations before the last
+    stack = _gaussian_stack(np.random.default_rng([50, 0]), (3, 6, 6))
+    stack[0] = np.diag([10.0, 1.0, 1.0, 1.0, 1.0, 1.0]) + 0.01 * stack[0]
+    opts = {"restarts": 4, "max_iters": 79, "tol": 1e-12}
+    counts = [_ref_pnorm_estimate(a, 3.0, rng=seed, **opts)[3] for seed, a in enumerate(stack)]
+    assert counts[0] + 20 <= counts[-1]
+    _assert_kernel_matches(stack, 3.0, list(range(3)), **opts)
+    for stack, p, seeds, opts in _stack_corpus(100):
+        _assert_stack_matches_one_matrix_calls(stack, p, seeds, **opts)
 
 
 def test_stacked_kernel_scales_each_member_by_its_own_exponent():

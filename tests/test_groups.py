@@ -195,6 +195,10 @@ INTEGER_ARGUMENTS = {
     "CcElement.delta base_dim": (lambda v: CcElement.delta(cyclic_group(3), 1, base_dim=v), "base_dim", 1),
     "random_cc_element base_dim": (
         lambda v: random_cc_element(np.random.default_rng(0), cyclic_group(3), v), "base_dim", 1),
+    "random_cc_element n_terms": (
+        lambda v: random_cc_element(np.random.default_rng(0), cyclic_group(3), 1, n_terms=v), "n_terms", 0),
+    "random_cc_element max_shift": (
+        lambda v: random_cc_element(np.random.default_rng(0), cyclic_group(3), 1, max_shift=v), "max_shift", 1),
     "trivial_action dim": (lambda v: trivial_action(ZWindow(0), v), "dim", 1),
     "cyclic_coordinate_rotation n": (lambda v: cyclic_coordinate_rotation(v, 1), "rotation grid size n", 1),
     "pnorm_estimate restarts": (lambda v: pnorm_estimate(np.ones((2, 3)), 1.5, restarts=v), "restarts", 1),

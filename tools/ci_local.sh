@@ -6,6 +6,7 @@
 #   bash tools/ci_local.sh                  all checks, in the order below
 #   bash tools/ci_local.sh tests            tier-1 tests
 #   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds, its md5 and numpy's build
+#   bash tools/ci_local.sh criteria         the wall time of each acceptance criterion, printed and not gated
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs, their gates and equal report digests
 #   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001 and a rotation model: cost and claims
 #   bash tools/ci_local.sh lines            the size of src/lpalg, per module too, and the CLI's option count, printed and not gated
@@ -58,6 +59,22 @@ numpy.show_runtime()  # names the BLAS library in use only where threadpoolctl i
 blas = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
 print("numpy was built against BLAS", blas.get("name"), blas.get("version"))'
     cmp "$out/suite1.json" "$out/suite2.json"
+}
+
+# each acceptance criterion at seed 0, one after another in one process,
+# with its wall time; printed and not gated, and no report is written.
+# Criterion 6 samples its levels as stacks of p-norm estimates, so it shows
+# what stacked calls cost
+criteria() {
+    echo "== wall time per acceptance criterion"
+    PYTHONPATH=src python3 - <<'PY'
+import time
+from lpalg.suite import CRITERIA, run_criterion
+for number, label, _ in CRITERIA:
+    start = time.perf_counter()
+    passed = run_criterion(number, 0)["passed"]
+    print(f"criterion {number:2d}: {time.perf_counter() - start:7.3f} s [{'PASS' if passed else 'FAIL'}] {label}")
+PY
 }
 
 smoke() {
@@ -218,6 +235,7 @@ print(f"import lpalg: {total:.1f} ms, of which numpy {numpy:.1f} ms and lpalg it
 case ${1:-all} in
 tests) tests ;;
 suite) suite ;;
+criteria) criteria ;;
 smoke) smoke "${2:?name a workload}" ;;
 scale) scale ;;
 lines) lines ;;
@@ -225,6 +243,7 @@ imports) imports ;;
 all)
     tests
     suite
+    criteria
     for workload in witness_line rotation_grid norm_stream; do smoke "$workload"; done
     scale
     lines
@@ -232,7 +251,7 @@ all)
     echo "== all checks passed"
     ;;
 *)
-    echo "usage: $0 [tests | suite | smoke WORKLOAD | scale | lines | imports]" >&2
+    echo "usage: $0 [tests | suite | criteria | smoke WORKLOAD | scale | lines | imports]" >&2
     exit 2
     ;;
 esac
