@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import as_integer, cyclic_group
+from .groups import Record, as_integer, cyclic_group
 from .lpnorm import PNormEstimate, as_exponent, pnorm_estimate, validate_matrix
 from .opspace import CbEstimate, block_matrix, cb_norm_lower, compression, embedding
 
@@ -68,14 +68,15 @@ _ACTION_TOL = 1e-12
 _TABLE_ENTRIES = 1 << 16  # cap on (2R + 1) * base_dim of a Z action's power table
 
 
-class ConcreteAlgebra:
-    """The algebra of base_dim x base_dim matrices on l^p.  Read-only."""
+class ConcreteAlgebra(Record):
+    """The algebra of base_dim x base_dim matrices on l^p.
+
+    Read-only (a :class:`lpalg.groups.Record`); two algebras are equal only
+    when they are the same object.
+    """
 
     def __init__(self, base_dim: int):
-        object.__setattr__(self, "base_dim", as_integer(base_dim, "base_dim", 1))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        self._set(base_dim=as_integer(base_dim, "base_dim", 1))
 
 
 def _elements(s) -> np.ndarray:

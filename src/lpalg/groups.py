@@ -24,6 +24,10 @@ one count |F and sF|.  Translation is injective, so |sF (sym diff) F| =
 that count.  :func:`folner_search` returns a set with all requested ratios
 below a threshold: the whole group when the carrier is finite, an initial
 interval {0..L-1} of minimal length L <= 100,000 for Z.
+
+The carriers and Folner sets are read-only records: :class:`Record` is the
+one rule by which lpalg keeps a record's fields fixed, compares and hashes
+it by value where it has a key, and prints it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "CyclicGroup",
     "FiniteGroup",
     "FolnerSet",
+    "Record",
     "ZWindow",
     "as_integer",
     "cyclic_group",
@@ -44,6 +49,7 @@ __all__ = [
     "folner_search",
     "group_from_descriptor",
     "group_from_table",
+    "is_number",
     "translate_set",
 ]
 
@@ -62,8 +68,55 @@ def as_integer(value, field: str, least: int | None = None) -> int:
     raise ValueError(f"{field} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
 
 
-class _Finite:
+def is_number(value) -> bool:
+    """Whether ``value`` is a Python int or float or a numpy integer or
+    floating scalar, and not a bool: the type test by which lpalg reads a
+    real argument such as a tolerance, an epsilon or a delta.  A string is
+    no number, even one that ``float`` parses.  Each caller tests the range
+    and names the argument itself."""
+    return type(value) is not bool and isinstance(value, (int, float, np.integer, np.floating))
+
+
+class Record:
+    """A read-only record, the one such rule in lpalg.
+
+    ``__init__`` sets the fields once, by ``_set``; assigning a field later
+    raises an AttributeError.  Two records are equal, and hash alike, when
+    they are of one class and the fields named by the class's ``_key`` are
+    equal; with no key a record equals only itself.  ``repr`` shows the
+    attributes named by ``_shown``, or is ``object``'s when there are none.
+    """
+
+    _key: tuple = ()
+    _shown: tuple = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():  # not by __dict__, which would slow every later read
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._key)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or bool(self._key) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values()) if self._key else object.__hash__(self)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})" if self._shown else object.__repr__(self)
+
+
+class _Finite(Record):
     """The answers every finite carrier shares."""
+
+    _shown = ("order",)
 
     def contains(self, s):
         s = np.asarray(s)
@@ -86,13 +139,17 @@ class _Finite:
 
 
 class CyclicGroup(_Finite):
-    """Z/n with elements 0..n-1 under addition mod n, computed, not tabulated."""
+    """Z/n with elements 0..n-1 under addition mod n, computed, not tabulated.
+
+    Read-only (a :class:`Record`); two groups are equal only when they are
+    the same object.
+    """
 
     identity = 0
     cyclic = True
 
     def __init__(self, order: int):
-        self.order = as_integer(order, "cyclic group order", 1)
+        self._set(order=as_integer(order, "cyclic group order", 1))
 
     def op(self, s, t):
         return (s + t) % self.order
@@ -103,25 +160,18 @@ class CyclicGroup(_Finite):
     def descriptor(self) -> dict:
         return {"type": "cyclic", "n": self.order}
 
-    def __repr__(self) -> str:
-        return f"CyclicGroup(order={self.order})"
-
 
 class FiniteGroup(_Finite):
     """A finite group given by its multiplication table over indices 0..n-1.
 
-    Read-only; two groups are equal only when they are the same object.
+    Read-only (a :class:`Record`); two groups are equal only when they are
+    the same object.
     """
 
     cyclic = False  # the indices need not be the powers of element 1
 
     def __init__(self, mult: np.ndarray, identity: int, inverse: np.ndarray):
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", inverse)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        self._set(mult=mult, identity=identity, inverse=inverse)
 
     @property
     def order(self) -> int:
@@ -140,11 +190,8 @@ class FiniteGroup(_Finite):
             return {"type": "cyclic", "n": self.order}
         return {"type": "table", "mult": self.mult.tolist()}
 
-    def __repr__(self) -> str:
-        return f"FiniteGroup(order={self.order})"
 
-
-class ZWindow:
+class ZWindow(Record):
     """The group Z, carried on the symmetric interval {-radius..radius}.
 
     The radius only matters when a representation space is built; group
@@ -155,23 +202,10 @@ class ZWindow:
     identity = 0
     order = None
     cyclic = True
+    _key = _shown = ("radius",)
 
     def __init__(self, radius: int = 0):
-        object.__setattr__(self, "radius", as_integer(radius, "window radius", 0))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.radius == other.radius
-
-    def __hash__(self):
-        return hash(self.radius)
-
-    def __repr__(self) -> str:
-        return f"ZWindow(radius={self.radius!r})"
+        self._set(radius=as_integer(radius, "window radius", 0))
 
     def op(self, s, t):
         return s + t
@@ -256,11 +290,13 @@ def cyclic_group(n: int) -> CyclicGroup:
     return CyclicGroup(n)
 
 
-class FolnerSet:
+class FolnerSet(Record):
     """A finite nonempty subset of a group carrier, kept sorted for determinism.
 
     Read-only; equal carriers and members make equal sets.
     """
+
+    _key = _shown = ("carrier", "members")
 
     def __init__(self, carrier, members: tuple):
         members = tuple(sorted(as_integer(m, "Folner set member") for m in members))
@@ -270,22 +306,7 @@ class FolnerSet:
             raise ValueError("Folner set members must be distinct")
         if not carrier.contains(np.array(members)).all():
             raise ValueError("Folner set members must be elements of the carrier")
-        object.__setattr__(self, "carrier", carrier)  # any group carrier
-        object.__setattr__(self, "members", members)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.carrier, self.members) == (other.carrier, other.members)
-
-    def __hash__(self):
-        return hash((self.carrier, self.members))
-
-    def __repr__(self) -> str:
-        return f"FolnerSet(carrier={self.carrier!r}, members={self.members!r})"
+        self._set(carrier=carrier, members=members)  # any group carrier
 
     @property
     def size(self) -> int:
@@ -324,9 +345,9 @@ def folner_search(carrier, shifts, delta: float) -> FolnerSet:
     Z the result is the initial interval {0..L-1} with L minimal; if no
     interval of length <= 100,000 works, a CapacityError is raised.  Each
     shift must be an integer element of the carrier, and delta a positive
-    number (NaN is refused too).
+    number (NaN, a bool and a string are refused too).
     """
-    if not delta > 0.0:
+    if not (is_number(delta) and delta > 0.0):
         raise ValueError(f"delta must be positive, got {delta!r}")
     shifts = tuple(_shift(carrier, s) for s in shifts)
     return FolnerSet(carrier, carrier.folner_members(shifts, delta))

@@ -67,7 +67,7 @@ import math
 import numpy as np
 
 from .errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
-from .groups import as_integer
+from .groups import Record, as_integer, is_number
 
 __all__ = [
     "PExponent",
@@ -88,7 +88,7 @@ _ORACLE_DIM_CAP = 6
 _ORACLE_ITERS = 200  # the most gradient rounds pnorm_oracle runs
 
 
-class PExponent:
+class PExponent(Record):
     """An exponent p in [1, inf] together with its conjugate q, 1/p + 1/q = 1.
 
     ``PExponent(1)`` has q = inf and ``PExponent(math.inf)`` has q = 1.  A
@@ -96,6 +96,9 @@ class PExponent:
     that ``float`` parses.  Read-only, and equal exponents are equal and
     hash alike.
     """
+
+    _key = ("p",)  # q is a function of p
+    _shown = ("p", "q")
 
     def __init__(self, p: float):
         if isinstance(p, (bool, np.bool_, str, bytes)):
@@ -109,19 +112,7 @@ class PExponent:
             q = 1.0
         else:
             q = value / (value - 1.0)
-        object.__setattr__(self, "p", value)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p  # q is a function of p
-
-    def __hash__(self):
-        return hash(self.p)
+        self._set(p=value, q=q)
 
     @property
     def is_one(self) -> bool:
@@ -138,9 +129,6 @@ class PExponent:
     @property
     def has_exact_formula(self) -> bool:
         return self.is_one or self.is_two or self.is_inf
-
-    def __repr__(self) -> str:
-        return f"PExponent(p={self.p}, q={self.q})"
 
 
 def as_exponent(p) -> PExponent:
@@ -566,10 +554,10 @@ def _estimates(arr, pe, restarts, max_iters, tol, rngs) -> list[PNormEstimate]:
     iterated.  Every route first reads ``restarts`` and ``max_iters`` as
     integers of at least 1 (:func:`lpalg.groups.as_integer`, so a float or
     a bool is refused) and checks that ``tol`` is a finite number of at
-    least 0, though the closed forms read none of them."""
+    least 0 (:func:`lpalg.groups.is_number`), though the closed forms read
+    none of them."""
     restarts, max_iters = as_integer(restarts, "restarts", 1), as_integer(max_iters, "max_iters", 1)
-    if isinstance(tol, (bool, np.bool_)) or not isinstance(tol, (int, float, np.integer, np.floating)) \
-            or not 0.0 <= tol < math.inf:
+    if not (is_number(tol) and 0.0 <= tol < math.inf):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if pe.has_exact_formula:
         out = []

@@ -60,6 +60,7 @@ from .groups import (
     as_integer,
     folner_intersection,
     folner_search,
+    is_number,
 )
 from .lpnorm import as_exponent, pnorm_estimate, pnorm_upper
 from .opspace import (
@@ -444,13 +445,15 @@ def crossed_nuclearity_witness(
     bounds only.  The report records per element the two lower-bound
     diagnostics, ``norm_upper`` and the budget, both certificates with their
     kind, and on Z the window radius.  ``rng`` is accepted for compatibility
-    and not used.  The elements, ``carrier`` and ``action`` must be over one
-    group (``same_group``) and the elements' coefficients of the action's
-    dimension; anything else is a ValueError.  Returns (Factorization, report).
+    and not used.  ``eps`` must be a positive number (``is_number``: a
+    bool or a string is refused), the elements, ``carrier`` and ``action``
+    over one group (``same_group``) and the elements' coefficients of the
+    action's dimension; anything else is a ValueError.  Returns
+    (Factorization, report).
     """
     if not fs:
         raise ValueError("need at least one finitely supported element to witness")
-    if not eps > 0.0:
+    if not (is_number(eps) and eps > 0.0):
         raise ValueError(f"epsilon must be positive, got {eps!r}")
     if not carrier.same_group(action.carrier):
         raise ValueError(f"the carrier {carrier!r} is not the action's group {action.carrier!r}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import as_integer
+from .groups import Record, as_integer
 from .lpnorm import as_exponent, as_generator, pnorm_estimate_stack
 from .opspace import CbEstimate
 
@@ -52,7 +52,7 @@ __all__ = [
 _SUM_TOL = 1e-12
 
 
-class PartitionOfUnity:
+class PartitionOfUnity(Record):
     """Nonnegative bump vectors over a finite grid that sum to one.
 
     points: one sample point index per bump, lying inside that bump's patch.
@@ -60,7 +60,7 @@ class PartitionOfUnity:
     cover:  boolean array of the same shape, row i the patch of bump i; the
             bump must vanish off its patch.
 
-    Read-only.
+    Read-only (a :class:`lpalg.groups.Record`).
     """
 
     def __init__(self, points: tuple, bumps: np.ndarray, cover: np.ndarray):
@@ -91,12 +91,7 @@ class PartitionOfUnity:
             raise ValueError(f"bump {i} is nonzero outside its patch at {np.flatnonzero(stray[i]).tolist()}")
         if lost[i]:
             raise ValueError(f"sample point {points[i]} of bump {i} is outside its patch")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "bumps", bumps)
-        object.__setattr__(self, "cover", cover)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        self._set(points=points, bumps=bumps, cover=cover)
 
     @property
     def n_points(self) -> int:

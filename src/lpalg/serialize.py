@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from .crossed import CcElement, IsometricAction, cyclic_coordinate_rotation, trivial_action
-from .groups import as_integer, group_from_descriptor
+from .groups import as_integer, group_from_descriptor, is_number
 from .opspace import LinearMap
 
 __all__ = [
@@ -156,14 +156,18 @@ def _fields(obj, what: str, *keys: str) -> list:
 
 
 def matrix_from_obj(obj) -> np.ndarray:
+    """The matrix ``matrix_to_obj`` writes.  Each entry must be a list of
+    two numbers, its real and imaginary parts: anything else, a bool, a
+    string (even a numeric one) or null among them, is refused with the
+    entry's index, and so is a part that is not finite."""
     rows, cols, entries = _fields(obj, "matrix object", "rows", "cols", "entries")
     rows, cols = as_integer(rows, "rows", 1), as_integer(cols, "cols", 1)
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(entries):
-        if len(pair) != 2:
-            raise ValueError(f"entry {i} is not a [re, im] pair")
+        if not (type(pair) is list and len(pair) == 2 and is_number(pair[0]) and is_number(pair[1])):
+            raise ValueError(f"entry {i} is not a [re, im] pair, got {pair!r}")
         flat[i] = complex(float(pair[0]), float(pair[1]))
     if not np.all(np.isfinite(flat.view(float))):
         raise ValueError("matrix entries must be finite")

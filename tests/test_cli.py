@@ -96,6 +96,13 @@ def test_pnorm_malformed_matrix_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_pnorm_names_a_matrix_entry_that_is_no_pair_of_numbers(tmp_path, capsys):
+    # the booleans were read as 1.0 and 0.0, and the command printed 1.0
+    bad = _write(tmp_path / "bad.json", {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [True, False]]})
+    assert main(["pnorm", "--matrix", bad, "--p", "3"]) == 2
+    assert capsys.readouterr().err == "input error: entry 1 is not a [re, im] pair, got [True, False]\n"
+
+
 def test_cbnorm_reports_levels(tmp_path, capsys):
     # symmetrization of a 2x2 matrix: coefficient matrix of a -> (a + a^T)/2
     sym = np.zeros((4, 4))

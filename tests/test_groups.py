@@ -423,10 +423,12 @@ def test_a_shift_must_be_an_integer_element_of_the_carrier(carrier, shift, named
     assert folner_ratio(fset, np.int64(1)) == folner_ratio(fset, 1)
 
 
-@pytest.mark.parametrize("delta", [float("nan"), 0.0, -0.1])
+# a bool was read as 1.0 (|F| = 3 on Z), and a string failed with a bare
+# TypeError comparing it with 0.0
+@pytest.mark.parametrize("delta", [float("nan"), 0.0, -0.1, True, "0.5"])
 def test_folner_search_refuses_a_nan_or_nonpositive_delta(delta):
     for carrier in (ZWindow(0), cyclic_group(4)):
-        with pytest.raises(ValueError, match="delta must be positive"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'delta must be positive, got {delta!r}')}$"):
             folner_search(carrier, [1], delta)
 
 

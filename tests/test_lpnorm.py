@@ -201,6 +201,7 @@ _BAD_OPTIONS = {  # each was a bare TypeError or was accepted before it was chec
     "tol nan": ("tol", math.nan),
     "tol inf": ("tol", math.inf),
     "tol '1e-10'": ("tol", "1e-10"),
+    "tol True": ("tol", True),
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for finite-stage factorizations through matrix algebras."""
 
 import math
+import re
 import sys
 from itertools import permutations
 
@@ -856,16 +857,19 @@ def test_witness_input_validation():
                                    cyclic_coordinate_rotation(4, 1), 2.0)
 
 
-@pytest.mark.parametrize("eps", [math.nan, 0.0])
+@pytest.mark.parametrize("eps", [math.nan, 0.0, True, "0.1"])
 def test_witness_refuses_a_nan_epsilon_like_a_nonpositive_one(eps):
     # unchecked, a NaN epsilon gives a report with "epsilon": "nan" on Z/4
-    # and fails converting NaN to an integer on Z; both are refused up front
+    # and fails converting NaN to an integer on Z; True passed as epsilon
+    # 1.0, and "0.1" failed with a bare TypeError; all are refused up front
     z4, zw = cyclic_group(4), ZWindow(0)
     cases = [(CcElement.delta(z4, 1, np.eye(4, dtype=complex)), cyclic_coordinate_rotation(4, 1)),
              (CcElement.delta(zw, 1, base_dim=1), trivial_action(zw, 1))]
     for f, action in cases:
-        with pytest.raises(ValueError, match="epsilon must be positive"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'epsilon must be positive, got {eps!r}')}$"):
             crossed_nuclearity_witness([f], eps, ConcreteAlgebra(f.base_dim), f.carrier, action, 1.5)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'epsilon must be positive, got {eps!r}')}$"):
+        rotation_demo(5, 2, 1.5, eps)
 
 
 Z0, Z4, Z6 = ZWindow(0), cyclic_group(4), cyclic_group(6)

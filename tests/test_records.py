@@ -1,6 +1,7 @@
 """The record types: how they are built, printed, compared and kept read-only,
 and that importing lpalg generates no code for them."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import lpalg
 from lpalg.crossed import ConcreteAlgebra
-from lpalg.groups import FiniteGroup, FolnerSet, ZWindow, cyclic_group, group_from_table
+from lpalg.groups import CyclicGroup, FiniteGroup, FolnerSet, Record, ZWindow, cyclic_group, group_from_table
 from lpalg.lpnorm import PExponent, PNormEstimate
 from lpalg.nuclearity import Factorization
 from lpalg.opspace import CbEstimate, _Walk, compression, compression_cb
@@ -81,6 +82,7 @@ def _read_only_fields():
         (KLEIN, "mult"),
         (KLEIN, "identity"),
         (KLEIN, "inverse"),
+        (cyclic_group(3), "order"),
         (FolnerSet(ZWindow(1), (0,)), "carrier"),
         (FolnerSet(ZWindow(1), (0,)), "members"),
         (ConcreteAlgebra(2), "base_dim"),
@@ -97,6 +99,38 @@ def test_assigning_a_field_of_a_read_only_record_raises(record, name):
     with pytest.raises(AttributeError):
         setattr(record, name, before)
     assert getattr(record, name) is before
+
+
+def _functions(node, prefix: str):
+    """(qualified name, node) of every function under ``node``, methods and
+    nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        name = f"{prefix}.{child.name}" if named else prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield name, child
+        yield from _functions(child, name)
+
+
+def _bypasses(node) -> int:
+    """The uses of ``object.__setattr__`` under ``node``."""
+    return sum(isinstance(n, ast.Attribute) and ast.unparse(n) == "object.__setattr__" for n in ast.walk(node))
+
+
+def test_only_record_keeps_fields_fixed_and_compares_them():
+    # groups.Record is the one place that refuses assignment, defines value
+    # equality and hashing, and sets fields past that refusal
+    defined, bypassing, bypasses = [], [], 0
+    for path in sorted(Path(lpalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = list(_functions(tree, path.stem))
+        defined += [name for name, func in functions if func.name in ("__setattr__", "__eq__", "__hash__")]
+        bypassing += [name for name, func in functions if _bypasses(func)]
+        bypasses += _bypasses(tree)
+    assert sorted(defined) == ["groups.Record.__eq__", "groups.Record.__hash__", "groups.Record.__setattr__"]
+    assert (bypassing, bypasses) == (["groups.Record._set"], 1)
+    for cls in (PExponent, ConcreteAlgebra, FiniteGroup, CyclicGroup, ZWindow, FolnerSet, PartitionOfUnity):
+        assert issubclass(cls, Record), cls
 
 
 def test_number_records_construct_by_position_keyword_and_default():

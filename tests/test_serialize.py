@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import re
 import sys
 import types
 from pathlib import Path
@@ -177,6 +178,20 @@ def test_matrix_obj_validation():
         matrix_from_obj({"rows": 0, "cols": 0, "entries": []})
     with pytest.raises(ValueError):
         matrix_from_obj({"rows": 1, "cols": 1, "entries": [["inf", 0.0]]})
+
+
+# booleans read as 1.0 and 0.0 and numeric strings as numbers; null and a
+# bare number failed with messages that did not name the entry
+@pytest.mark.parametrize("entries", [
+    [[True, False]], [["1.5", "0"]], [[" 2 ", "1e0"]], [[1, None]], [5], [[1.0]], [[1.0, 0.0, 0.0]],
+    [(1.0, 0.0)], [{"re": 1.0, "im": 0.0}],
+], ids=["bools", "strings", "padded strings", "null", "number", "one part", "three parts", "tuple", "object"])
+def test_matrix_obj_entries_must_be_pairs_of_numbers(entries):
+    obj = {"rows": 1, "cols": 2, "entries": [[0.5, -1], *entries]}
+    message = f"entry 1 is not a [re, im] pair, got {entries[0]!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        matrix_from_obj(obj)
+    assert matrix_from_obj({**obj, "entries": [[0.5, -1], [2, 1e0]]}).tolist() == [[0.5 - 1j, 2 + 1j]]
 
 
 @pytest.mark.parametrize("field", ["rows", "cols"])

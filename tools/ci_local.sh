@@ -178,8 +178,10 @@ PY
 
 # the two sizes of src/lpalg: every line (wc -l), and the code lines, those
 # holding a token that is not a comment, a docstring or layout, of each
-# module and in all; then the options each subcommand of the command line
-# accepts (--help aside), and their total
+# module and in all; the public names of each module (the entries of its
+# __all__) and their total, so that a name added or removed shows; then the
+# options each subcommand of the command line accepts (--help aside), and
+# their total
 lines() {
     echo "== size of src/lpalg"
     wc -l src/lpalg/*.py | tail -n 1
@@ -189,11 +191,15 @@ from pathlib import Path
 
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
           tokenize.ENCODING, tokenize.ENDMARKER}
-counts = {}
+counts, public = {}, {}
 for path in sorted(Path(sys.argv[1]).glob("*.py")):
     src = path.read_text()
+    tree = ast.parse(src)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            public[path.stem] = len(ast.literal_eval(node.value))
     docs = set()
-    for node in ast.walk(ast.parse(src)):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
             first = node.body[0]
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
@@ -205,6 +211,8 @@ for path in sorted(Path(sys.argv[1]).glob("*.py")):
     counts[path.name] = len(code)
 print("code lines per module:", ", ".join(f"{name} {n}" for name, n in counts.items()))
 print(f"{sum(counts.values())} code lines (tokenizer count, without blank lines, comments and docstrings)")
+print("public names per module:", ", ".join(f"{name} {n}" for name, n in public.items()),
+      f"({sum(public.values())} in all; no __all__ in", ", ".join(sorted({p.stem for p in Path(sys.argv[1]).glob('*.py')} - set(public))) + ")")
 PY
     PYTHONPATH=src python3 - <<'PY'
 import argparse
