@@ -34,15 +34,19 @@ matrix A in C^{m x n} is an operator l^p(n) -> l^p(m) and
   on a (B, m, n) stack of matrices at once, each from its own rng, with
   one batched matmul per half-step; a matrix takes no new best once all
   its restarts have stagnated, and every result equals the one-matrix
-  estimate bit for bit.  In a one-matrix call the same loop skips the
-  stack's per-matrix flags and tests.  On small matrices an iteration
-  costs its numpy calls, not its arithmetic, so the loop inlines the
-  column helpers and works in place; and where the helpers divide a
-  complex array by real moduli or norms, it multiplies by (1/r, -0), which
-  gives numpy's quotient bit for bit unless a product underflows to 0,
-  where numpy reports it and the loop divides after all (and
-  :func:`_signs` scales first where a modulus is at or below 2^-1024); its
-  values are those of the helpers bit for bit.
+  estimate bit for bit.  In a one-matrix call the same loop runs on 2-D
+  arrays and skips the stack's per-matrix flags and tests.  On small
+  matrices an iteration costs its numpy calls, not its arithmetic, so the
+  loop inlines the column helpers and writes every half-step into buffers
+  allocated once per call; and where the helpers divide a complex array by
+  real moduli or norms, it multiplies by (1/r, -0), which gives numpy's
+  quotient bit for bit unless a product underflows to 0.  The
+  floating-point flags numpy raises decide the rare paths without a scan:
+  the reciprocal 1/r overflows where 0 < r <= 2^-1024 (there
+  :func:`_signs` scales first) and divides by zero where r = 0 (a zero
+  modulus takes sign 0, a zero norm marks a dead column), and an
+  underflowed product makes the loop divide after all; its values are
+  those of the helpers bit for bit.
 
 :func:`pnorm_oracle` maximizes ||A x||_p directly, by projected gradient
 ascent with a vectorized line search from random unit vectors plus the
@@ -207,8 +211,9 @@ def _signs(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
     numpy divides a complex array by a real one with Smith's formula, which
     scales by 1/|y|, and 1/|y| overflows for moduli at or below 2^-1024;
     those entries are scaled by 2^1022 (exactly) and divided by their own
-    recomputed modulus.  The restarted kernel's :func:`_divided` multiplies
-    by that same 1/|y| and takes over the scaled fallback from here.
+    recomputed modulus.  The restarted kernel's :func:`_signs_and_scaled`
+    multiplies by that same 1/|y| and leaves the scaled entries to this
+    function.
     """
     normal = mags > 2.0**-1024
     out = np.divide(y, mags, out=np.zeros_like(y), where=normal)
@@ -252,46 +257,54 @@ def _normalized(x: np.ndarray, p: float, axis: int = 0) -> tuple[np.ndarray, np.
     return x / np.expand_dims(np.where(norms > 0.0, norms, 1.0), axis), norms
 
 
-def _divided(y: np.ndarray, r: np.ndarray, inv: np.ndarray, out: np.ndarray, underflows: list) -> np.ndarray:
-    """y / r for complex y and real r > 2^-1024 that broadcast to ``out``,
-    with the bits of numpy's division, written into ``out``.
-
-    numpy divides y by r with Smith's formula against (r, +0): scl = 1/r and
-    ((y_r + y_i*0) scl, (y_i - y_r*0) scl).  The product y * (scl, -0) is
-    (y_r scl + y_i*0, y_i scl - y_r*0): where a product y_c scl is not 0,
-    adding a zero changes nothing, and where y_c is a zero the sums have
-    the same operands in either order, so the values and signed zeros
-    agree.  (With +0 the zeros' signs flip: y = (-0, 5) over r = 5 would
-    give (-0, 1), not numpy's (+0, 1).)  The two can differ only where a
-    nonzero y_c scl underflows to 0.  numpy reports every underflow to the
-    caller's ``np.errstate(under="call", call=...)``, whose call appends to
-    ``underflows``; then the division is made after all.  ``inv`` is a
-    complex buffer of r's shape whose imaginary parts are -0 and whose real
-    parts take 1/r.
-    """
-    np.reciprocal(r, out=inv.real)
-    underflows.clear()
-    np.multiply(y, inv, out=out)
-    if underflows:
-        np.divide(y, r, out=out)
-    return out
-
-
 def _signs_and_scaled(
-    y: np.ndarray, inv: np.ndarray, out: np.ndarray, underflows: list
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sign(y), |y| divided by its maxima along axis 1, and those maxima
-    (at least 5e-324), for a (B, m, r) array ``y``: the signs are
-    :func:`_divided` into ``out`` with the buffer ``inv``, unless some
-    modulus lies at or below 2^-1024, where :func:`_signs` takes over."""
-    mags = np.abs(y)
-    tops = np.maximum.reduce(mags, axis=1, keepdims=True, initial=5e-324)
-    if np.minimum.reduce(mags, axis=None) > 2.0**-1024:  # the one division _signs would make, unmasked
-        y = _divided(y, mags, inv, out, underflows)
+    y: np.ndarray, mags: np.ndarray, tops: np.ndarray, inv: np.ndarray, inv_real: np.ndarray, out: np.ndarray,
+    flags: list,
+) -> np.ndarray:
+    """sign(y) of a (B, k, r) product ``y``, with |y| divided by its maxima
+    along axis -2 left in ``mags`` and those maxima (at least 5e-324) in
+    ``tops``; the signs are written into ``out`` unless :func:`_signs` takes
+    over.  ``inv`` is a complex buffer of y's shape whose imaginary parts
+    are -0 and whose real parts, the view ``inv_real``, take 1/|y|.
+
+    The restarted kernel runs under ``np.errstate(divide="call",
+    over="call", under="call", call=...)``, whose call appends the kind of
+    each floating-point flag numpy raises to ``flags``.  1/|y| overflows
+    exactly where 0 < |y| <= 2^-1024 (the next double, 2^-1024 (1 + 2^-50),
+    has the finite reciprocal 2^1024 (1 - 2^-50)) and divides by zero
+    exactly where |y| = 0: the first sends the step to :func:`_signs`, the
+    second gives those entries sign(0) = 0 after the multiply, through a
+    factor 0 in place of 1/0, so that no 0 * inf is formed.
+
+    Elsewhere y / |y| is y times (1/|y|, -0): numpy divides y by r with
+    Smith's formula against (r, +0), scl = 1/r and ((y_r + y_i*0) scl,
+    (y_i - y_r*0) scl), while the product is (y_r scl + y_i*0,
+    y_i scl - y_r*0): where a product y_c scl is not 0, adding a zero
+    changes nothing, and where y_c is a zero the sums have the same operands
+    in either order, so the values and signed zeros agree.  (With +0 the
+    zeros' signs flip: y = (-0, 5) over r = 5 would give (-0, 1), not
+    numpy's (+0, 1).)  The two can differ only where a nonzero y_c scl
+    underflows to 0, which numpy reports; then :func:`_signs` divides after
+    all.
+    """
+    np.absolute(y, out=mags)
+    np.maximum.reduce(mags, axis=-2, keepdims=True, initial=5e-324, out=tops)
+    flags.clear()
+    np.reciprocal(mags, out=inv_real)
+    if "overflow" in flags:  # some 0 < |y| <= 2^-1024
+        signs = _signs(y, mags)
     else:
-        y = _signs(y, mags)
+        zero = mags == 0.0 if "divide by zero" in flags else None
+        if zero is not None:
+            inv_real[zero] = 0.0
+        flags.clear()
+        signs = np.multiply(y, inv, out=out)
+        if flags:  # a nonzero product underflowed to 0
+            signs = _signs(y, mags)
+        elif zero is not None:
+            signs[zero] = 0.0
     mags /= tops
-    return y, mags, tops
+    return signs
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -848,44 +861,49 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
     the dead-column repair, which may mark the last restarts of a matrix
     stagnant: such a matrix takes one more best, as a matrix would that
     ran alone.  A finished matrix's later iterates reach no result, and
-    the paths they may send the whole stack down (the division of
-    :func:`_divided`, the scaled signs of :func:`_signs`, the dead-column
-    repair) give every other matrix the same bits.  With one matrix, the
-    best value is one scalar test on ``argmax``, and the loop stops when
-    all its restarts stagnate.  Both branches make the same floating-point
-    operations on the same operands, so an estimate keeps its bits whether
-    it ran alone or in a stack.  ``arr`` must be an array the caller owns:
-    it is scaled in place.
+    the paths they may send the whole stack down (the scaled signs of
+    :func:`_signs`, the division of the normalization, the dead-column
+    repair) give every other matrix the same bits.  A one-matrix call runs
+    the same loop on 2-D (k, r) arrays, since every reduction is along
+    axis -2; its best value is one scalar test on ``argmax``, and the loop
+    stops when all its restarts stagnate.  Both make the same
+    floating-point operations on the same operands, so an estimate keeps
+    its bits whether it ran alone or in a stack.  ``arr`` must be an array
+    the caller owns: it is scaled in place.
 
     The loop is :func:`_dual_columns`, :func:`_normalized` and
     :func:`_pnorms_along` inlined: each iteration makes the same
     floating-point operations on the same operands as those helpers, so
-    every estimate keeps its bits, but with far fewer numpy calls and
-    temporaries, which are what an iteration on a small matrix costs.
+    every estimate keeps its bits.  On small matrices an iteration costs
+    its numpy calls, not its arithmetic, so the loop makes as few as it can
+    and allocates nothing.
 
+    * Every array an iteration writes is allocated once per call: the
+      products (``np.matmul(..., out=)``), moduli, column maxima, powers,
+      norms, signs and the stagnation test's scratch; ``vals`` and
+      ``prev_vals`` swap.
     * Per half-step, :func:`_signs_and_scaled` writes the signs of the
-      product into a buffer with :func:`_divided`, which gives ``y / |y|``,
-      the division :func:`_signs` makes under its mask, and falls back to
-      :func:`_signs` when some modulus is at or below 2^-1024 (zeros
-      included).  The normalization w / ||w||_p is :func:`_divided` into x.
-    * Where the helpers divide by r, :func:`_divided` multiplies by a
-      buffer (1/r, -0): the values and signed zeros of numpy's division
-      (Smith's formula), except where a nonzero product underflows to 0.
-      The loop runs under ``np.errstate(under="call")``, so numpy reports
-      each such underflow and the step divides there instead.  A reciprocal
-      and a multiply cost less than half of numpy's scalar Smith loop.
-    * Reductions call ``np.maximum.reduce`` and ``np.add.reduce``, the ufunc
-      methods behind ``max`` and ``sum``, without the method wrappers.
+      product into a buffer by multiplying by (1/|y|, -0), with the bits of
+      ``y / |y|``; the normalization w / ||w||_p multiplies by
+      (1/||w||_p, -0) into x in the same way.
+    * The floating-point flags of those reciprocals, which numpy reports
+      to the loop's ``np.errstate(..., call=)``, decide the rare paths
+      instead of scans for the smallest modulus or norm: an overflow of
+      1/|y| (some 0 < |y| <= 2^-1024) sends a sign step to :func:`_signs`,
+      a division by zero (|y| = 0) gives sign 0 on the multiply's path,
+      and a division by zero on the norms marks a dead column of w, which
+      is zero exactly when its l^p norm is (a nonzero column's norm is at
+      least its top); there the step divides, keeps the old iterate and
+      marks it stagnant.  A product that underflows to 0, which numpy also
+      reports, makes the step divide after all.
     * Column maxima are taken with ``initial=5e-324``, that is
       max(top, 5e-324), where the helpers used 1.0 for a zero top.  A zero
       column gives 0 either way: 0 / 5e-324 = 0 and 5e-324 * 0 = 0; a
       nonzero top is at least 5e-324, the least positive double, and stays.
-    * Powers use ``**`` and ``**=``, which take numpy's fast paths for the
-      exponents 0.5 and 2 exactly as the helpers' ``**`` did.
-    * A column of the dual direction w is zero exactly when its l^p norm
-      is (a nonzero column's norm is at least its top), so the dead-column
-      repair (keep the old iterate, mark it stagnant) runs only when the
-      smallest norm is 0.
+    * In-place powers use ``**=``, which takes numpy's fast paths for the
+      exponents 0.5 and 2 exactly as the helpers' ``**`` did; the one power
+      into a buffer, ``np.power(..., p, out=)``, has none to take, since p
+      here is finite, above 1 and not 2.
     """
     p, q = pe.p, pe.q
     count, m, n = arr.shape
@@ -896,38 +914,52 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
         x[k] = gen.standard_normal((n, restarts)) + 1j * gen.standard_normal((n, restarts))
     x[:, :, 0] = 1.0  # one deterministic start alongside the random ones
     x = _normalized(x, p, axis=1)[0]
-    a_h = arr.conj().transpose(0, 2, 1)
-
     best_val = np.full(count, -np.inf)
     best_witness = x[:, :, 0].copy()
     best_col = np.zeros(count, dtype=int)
-    prev_vals = np.full((count, restarts), -np.inf)
-    stagnant = np.zeros((count, restarts), dtype=bool)
     done = np.zeros(count, dtype=bool)
-    # the buffers of _divided: (1/r, -0) for |y|, |A* u| and the norms of w,
-    # and the signs of y and of A* u; x takes w / ||w||_p
-    inv_m, inv_n, inv_1 = (np.full((count, k, restarts), complex(0.0, -0.0)) for k in (m, n, 1))
-    signs_m, signs_n = np.empty((count, m, restarts), dtype=complex), np.empty((count, n, restarts), dtype=complex)
-    underflows: list = []
-    with np.errstate(under="call", call=lambda kind, flag: underflows.append(kind)):
+    top_vals = np.empty(count)
+
+    a, a_h = arr, arr.conj().transpose(0, 2, 1)
+    if count == 1:  # one matrix runs on 2-D (k, r) arrays
+        a, a_h, x = a[0], a_h[0], x[0]
+    lead = x.shape[:-2]
+    vals, change, bound = (np.empty(lead + (restarts,)) for _ in range(3))
+    prev_vals = np.full(lead + (restarts,), -np.inf)
+    stagnant, still = np.zeros(lead + (restarts,), dtype=bool), np.empty(lead + (restarts,), dtype=bool)
+    # for y = A x (m rows), z = A* u (n rows) and the norms of w (one row):
+    # the product, its moduli, their column maxima, (1/r, -0) and the signs
+    y, z, signs_m, signs_n = (np.empty(lead + (k, restarts), dtype=complex) for k in (m, n, m, n))
+    mags_m, powers_m, mags_n = (np.empty(lead + (k, restarts)) for k in (m, m, n))
+    tops_m, tops_n, norms = (np.empty(lead + (1, restarts)) for _ in range(3))
+    inv_m, inv_n, inv_1 = (np.full(lead + (k, restarts), complex(0.0, -0.0)) for k in (m, n, 1))
+    inv_m_real, inv_n_real, inv_1_real = inv_m.real, inv_n.real, inv_1.real
+    tops_row = tops_m[..., 0, :]
+    flags: list = []
+    with np.errstate(divide="call", over="call", under="call", call=lambda kind, flag: flags.append(kind)):
         for _ in range(max_iters):
             # forward half-step: u = sign(y) for y = A x, |y| its column-scaled moduli
-            u, scaled, tops = _signs_and_scaled(arr @ x, inv_m, signs_m, underflows)
-            vals = np.add.reduce(scaled**p, axis=1)
+            np.matmul(a, x, out=y)
+            u = _signs_and_scaled(y, mags_m, tops_m, inv_m, inv_m_real, signs_m, flags)
+            np.power(mags_m, p, out=powers_m)
+            np.add.reduce(powers_m, axis=-2, out=vals)
             vals **= 1.0 / p
-            vals *= tops[:, 0, :]
+            vals *= tops_row
+            np.subtract(vals, prev_vals, out=change)
+            np.absolute(change, out=change)
+            np.multiply(vals, tol, out=bound)
+            np.less_equal(change, bound, out=still)
+            stagnant |= still
             if count == 1:  # one matrix: its best value is one scalar test, and it has no flag to keep
-                col = vals[0].argmax()
-                if vals[0, col] > best_val[0]:
-                    best_val[0] = vals[0, col]
-                    best_witness[0] = x[0, :, col]
+                col = vals.argmax()
+                if vals[col] > best_val[0]:
+                    best_val[0] = vals[col]
+                    best_witness[0] = x[:, col]
                     best_col[0] = col
-                stagnant |= np.abs(vals - prev_vals) <= tol * vals
-                prev_vals[...] = vals
-                if stagnant.all():
+                if np.logical_and.reduce(stagnant):
                     break
             else:
-                top_vals = np.maximum.reduce(vals, axis=1)
+                np.maximum.reduce(vals, axis=1, out=top_vals)
                 gain = (top_vals > best_val) & ~done  # a finished matrix takes no new best
                 if gain.any():
                     rows = np.flatnonzero(gain)
@@ -935,33 +967,33 @@ def _power_iteration(arr, pe, restarts, max_iters, tol, gens) -> list[PNormEstim
                     best_val[rows] = top_vals[rows]
                     best_witness[rows] = x[rows, :, cols]
                     best_col[rows] = cols
-                stagnant |= np.abs(vals - prev_vals) <= tol * vals
-                prev_vals[...] = vals
-                done = stagnant.all(axis=1)  # not after the dead-column repair below
-                if done.all():
+                np.logical_and.reduce(stagnant, axis=1, out=done)  # not after the dead-column repair below
+                if np.logical_and.reduce(done):
                     break
+            vals, prev_vals = prev_vals, vals
             # dual half-step: w = dualmap_q(A* dualmap_p(y)), then w / ||w||_p
-            scaled **= p - 1.0
-            u *= scaled
-            w, scaled, _ = _signs_and_scaled(a_h @ u, inv_n, signs_n, underflows)
-            scaled **= q - 1.0
-            w *= scaled
-            mags = np.abs(w)
-            tops = np.maximum.reduce(mags, axis=1, keepdims=True, initial=5e-324)
-            mags /= tops
-            mags **= p
-            norms = np.add.reduce(mags, axis=1)
+            mags_m **= p - 1.0
+            u *= mags_m
+            np.matmul(a_h, u, out=z)
+            w = _signs_and_scaled(z, mags_n, tops_n, inv_n, inv_n_real, signs_n, flags)
+            mags_n **= q - 1.0
+            w *= mags_n
+            np.absolute(w, out=mags_n)
+            np.maximum.reduce(mags_n, axis=-2, keepdims=True, initial=5e-324, out=tops_n)
+            mags_n /= tops_n
+            mags_n **= p
+            np.add.reduce(mags_n, axis=-2, keepdims=True, out=norms)
             norms **= 1.0 / p
-            norms *= tops[:, 0, :]
-            if np.minimum.reduce(norms, axis=None) > 0.0:
-                x = _divided(w, norms[:, None, :], inv_1, x, underflows)
-            else:  # w is zero exactly where its norm is: keep that iterate, mark it stagnant
+            norms *= tops_n
+            flags.clear()
+            np.reciprocal(norms, out=inv_1_real)
+            if not flags:
+                np.multiply(w, inv_1, out=x)
+            if flags:  # 1/0 at a dead column, or an underflowed product: divide where w is not dead
                 dead = norms == 0.0
-                w /= np.where(dead, 1.0, norms)[:, None, :]
-                slot, col = np.nonzero(dead)
-                w[slot, :, col] = x[slot, :, col]
-                stagnant |= dead
-                x = w.copy()  # not signs_n: the next normalization reads w there and writes into x
+                np.divide(w, norms, out=x, where=~dead)
+                stagnant |= dead[..., 0, :]
+    stagnant = stagnant.reshape(count, restarts)
     return [_finished(arr[k], best_val[k], best_witness[k], bool(stagnant[k, best_col[k]]), e[k], pe,
                       "power-iteration", restarts) for k in range(count)]
 

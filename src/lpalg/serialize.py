@@ -159,16 +159,23 @@ def matrix_from_obj(obj) -> np.ndarray:
     """The matrix ``matrix_to_obj`` writes.  Each entry must be a list of
     two numbers, its real and imaginary parts: anything else, a bool, a
     string (even a numeric one) or null among them, is refused with the
-    entry's index, and so is a part that is not finite."""
+    entry's index, and so is a part that is not finite, an integer too
+    large for a float included.  ``entries`` must be a list."""
     rows, cols, entries = _fields(obj, "matrix object", "rows", "cols", "entries")
     rows, cols = as_integer(rows, "rows", 1), as_integer(cols, "cols", 1)
+    if type(entries) is not list:
+        raise ValueError(f"entries must be a list of [re, im] pairs, got {type(entries).__name__}")
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(entries):
         if not (type(pair) is list and len(pair) == 2 and is_number(pair[0]) and is_number(pair[1])):
             raise ValueError(f"entry {i} is not a [re, im] pair, got {pair!r}")
-        flat[i] = complex(float(pair[0]), float(pair[1]))
+        try:
+            flat[i] = complex(float(pair[0]), float(pair[1]))
+        except OverflowError:  # a Python int beyond the float range; its digits are not echoed
+            raise ValueError(f"entry {i} has a part too large for a float; expected a [re, im] pair of "
+                             "finite numbers") from None
     if not np.all(np.isfinite(flat.view(float))):
         raise ValueError("matrix entries must be finite")
     return flat.reshape(rows, cols)

@@ -103,6 +103,21 @@ def test_pnorm_names_a_matrix_entry_that_is_no_pair_of_numbers(tmp_path, capsys)
     assert capsys.readouterr().err == "input error: entry 1 is not a [re, im] pair, got [True, False]\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"rows": 1, "cols": 1, "entries": [[1' + "0" * 400 + ', 0]]}',
+     "entry 0 has a part too large for a float; expected a [re, im] pair of finite numbers"),
+    ('{"rows": 1, "cols": 1, "entries": 5}', "entries must be a list of [re, im] pairs, got int"),
+], ids=["int beyond the float range", "entries a number"])
+def test_pnorm_refuses_a_matrix_part_beyond_the_float_range_and_entries_that_are_no_list(tmp_path, capsys, text,
+                                                                                          message):
+    # the first ended in an OverflowError traceback, the second printed
+    # "input error: object of type 'int' has no len()"
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["pnorm", "--matrix", str(bad), "--p", "3"]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_cbnorm_reports_levels(tmp_path, capsys):
     # symmetrization of a 2x2 matrix: coefficient matrix of a -> (a + a^T)/2
     sym = np.zeros((4, 4))

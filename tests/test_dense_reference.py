@@ -765,16 +765,73 @@ def test_kernel_matches_on_real_matrices_with_zero_imaginary_parts(monkeypatch, 
     rng = np.random.default_rng(52)
     a = rng.standard_normal((7, 7))
     zero_parts = []
-    divided = lpnorm._divided
+    signs_and_scaled = lpnorm._signs_and_scaled
 
     def recording(y, *rest):
         zero_parts.append(int((y.imag == 0.0).sum()))
-        return divided(y, *rest)
+        return signs_and_scaled(y, *rest)
 
-    monkeypatch.setattr(lpnorm, "_divided", recording)
+    monkeypatch.setattr(lpnorm, "_signs_and_scaled", recording)
     _assert_kernel_matches([a], p, [1])
     _assert_kernel_matches(np.stack([a, -a.T, a[::-1]]), p, [1, 2, 3])
-    assert all(zero_parts)  # every division-free step saw some
+    assert zero_parts and all(zero_parts)  # sign steps ran, and every one saw some
+
+
+def _boundary_matrix(modulus, half_step):
+    """An 8 x 8 matrix on which p = 3 and the one deterministic start
+    x = (1/2, ..., 1/2) (8^(1/3) = 2) put ``modulus`` exactly on entry 7 of
+    y = A x ("forward") or of z = A* u ("dual") at the first iteration.  Its
+    largest modulus is 1.5, so the kernel does not scale it, and y_0 = 4 is
+    the top of y, so in the dual case u_0 = 1 and z_7 = conj(a_07) u_0."""
+    a = np.zeros((8, 8), dtype=complex)
+    a[0, :6] = [1.5, 1.5, 1.5, 1.5, 1.0, 1.0]
+    a[1:7, :7] = 0.2 * _gaussian_stack(np.random.default_rng(53), (6, 7))
+    if half_step == "forward":
+        a[7, 7] = 2.0 * modulus
+    else:
+        a[7, :7] = 0.2
+        a[0, 7] = modulus
+    return a
+
+
+@pytest.mark.parametrize("modulus", [0.0, 5e-324, 2.0**-1024, 2.0**-1024 * (1.0 + 2.0**-50)])
+def test_kernel_matches_at_the_boundaries_of_its_flag_checks(monkeypatch, modulus):
+    # the moduli 0, 5e-324, 2^-1024 and the next double on the forward and
+    # the dual signs, each matrix alone and the two in a stack with a matrix
+    # whose deterministic start is dead (A 1 = 0, so its w has a zero column
+    # and a zero norm); a nonzero column of w has a norm of about 1 or more
+    # (the entry at its top has modulus about 1), so 0 is the one norm that
+    # reaches the norms' flag check.  The first iteration's two sign steps
+    # show the path each took: _signs exactly where 0 < |y| <= 2^-1024
+    taken, signs_calls = [], []
+    signs, signs_and_scaled = lpnorm._signs, lpnorm._signs_and_scaled
+
+    def recording_signs(y, mags):
+        signs_calls.append(1)
+        return signs(y, mags)
+
+    def recording(y, *rest):
+        before = len(signs_calls)
+        out = signs_and_scaled(y, *rest)
+        taken.append((bool((np.abs(y) == modulus).any()), len(signs_calls) > before,
+                      bool((y == 0.0).all(axis=-2).any())))
+        return out
+
+    monkeypatch.setattr(lpnorm, "_signs", recording_signs)
+    monkeypatch.setattr(lpnorm, "_signs_and_scaled", recording)
+    tiny = 0.0 < modulus <= 2.0**-1024
+    forward, dual = _boundary_matrix(modulus, "forward"), _boundary_matrix(modulus, "dual")
+    dead = _dead_start_matrix(np.random.default_rng(54), 8)
+    # (the modulus is in the product, _signs took it, a column of it is zero);
+    # the forward case's z_7 = conj(a_77) u_7 is 0, since u_7 = sign(y_7) (|y_7| / 4)^2 underflows
+    for stack, first_two in [([forward], [(True, tiny, False), (modulus == 0.0, False, False)]),
+                             ([dual], [(False, False, False), (True, tiny, False)]),
+                             ([forward, dual, dead], [(True, tiny, True), (True, tiny, True)])]:
+        for max_iters in (2, 60):
+            taken.clear()
+            _assert_kernel_matches(stack, 3.0, list(range(len(stack))), restarts=1, max_iters=max_iters)
+            assert taken[:2] == first_two
+        _assert_kernel_matches(stack, 3.0, list(range(len(stack))), restarts=4, max_iters=60)
 
 
 # ---------------------------------------------------------------------------

@@ -103,22 +103,25 @@ def _uint_bits(z):
     return np.ascontiguousarray(z).view(np.uint64)
 
 
-def _divided_as_in_the_kernel(y, r):
-    """lpnorm._divided(y, r) with its buffers under the kernel's error
-    state, and the underflows numpy reported to it."""
-    underflows = []
-    inv = np.full(r.shape, complex(0.0, -0.0))
-    out = np.empty(np.broadcast_shapes(y.shape, r.shape), dtype=complex)
-    with np.errstate(under="call", call=lambda kind, flag: underflows.append(kind)):
-        got = lpnorm._divided(y, r, inv, out, underflows)
-    return got, underflows
+def _signs_as_in_the_kernel(y):
+    """lpnorm._signs_and_scaled(y) with fresh buffers under the kernel's
+    error state: (signs, scaled moduli, column maxima, the kinds of the
+    flags numpy raised since the step last cleared them)."""
+    flags = []
+    mags, tops = np.empty(y.shape), np.empty(y.shape[:-2] + (1, y.shape[-1]))
+    inv = np.full(y.shape, complex(0.0, -0.0))
+    with np.errstate(divide="call", over="call", under="call", call=lambda kind, flag: flags.append(kind)):
+        signs = lpnorm._signs_and_scaled(y, mags, tops, inv, inv.real, np.empty_like(y), flags)
+    return signs, mags, tops, flags
 
 
 def test_the_kernels_division_free_step_has_the_bits_of_numpys_division():
     # every pair of parts against every modulus: (1/r, -0) times y has the
-    # values and signed zeros of y / r unless numpy reports an underflow,
-    # and then the step divides; as one array, and as the (B, 1, r) norms of
-    # the dual normalization broadcast over columns
+    # values and signed zeros of y / r unless numpy reports an underflow;
+    # then the kernel's sign step, on one entry or on a (4, 25, 5) stack of
+    # columns, has the bits of _signs, the division under its mask, whichever
+    # of its paths it takes (a multiply, a divide after an underflow, sign 0
+    # for a zero, _signs for a modulus at or below 2^-1024)
     y = np.array([complex(a, b) for a in _PARTS for b in _PARTS])
     with np.errstate(over="ignore"):
         for r in _MODULI:
@@ -130,10 +133,12 @@ def test_the_kernels_division_free_step_has_the_bits_of_numpys_division():
                 assert underflows or np.array_equal(plain, want), (y[k], r)
                 # 1/r >= 1 underflows nothing; 2^-1074 / r underflows for r = 1e300 and 2^1023
                 assert not underflows or r > 1.0
-            for stack, norms in [(y, np.full(y.shape, r)), (y.reshape(4, 25, 1) * np.ones(5), np.full((4, 1, 5), r))]:
-                got, underflows = _divided_as_in_the_kernel(stack, norms)
-                assert bool(underflows) == (r > 1.0)
-                assert np.array_equal(_uint_bits(got), _uint_bits(np.divide(stack, norms)))
+    for v in list(y.reshape(-1, 1, 1)) + [y.reshape(4, 25, 1) * np.ones(5)]:
+        signs, scaled, tops, _ = _signs_as_in_the_kernel(v)
+        mags = np.abs(v)
+        assert np.array_equal(_uint_bits(signs), _uint_bits(_signs(v, mags))), v.ravel()[:1]
+        assert np.array_equal(tops, np.maximum(mags.max(axis=-2, keepdims=True), 5e-324))
+        assert np.array_equal(scaled, mags / tops)
 
 
 def test_signs_and_scaled_keeps_the_signed_zeros_where_a_part_underflows():
@@ -144,14 +149,50 @@ def test_signs_and_scaled_keeps_the_signed_zeros_where_a_part_underflows():
     tiny = 2.0**-1074
     y = np.array([[complex(-4.0, -tiny), complex(-1e300, -1e-310), complex(-tiny, 4.0), complex(4.0, -tiny),
                    complex(-tiny, -1e300), complex(-0.0, -4.0), 0.6 + 0.8j]]).T[None]
-    underflows = []
-    buffers = np.full(y.shape, complex(0.0, -0.0)), np.empty_like(y)
-    with np.errstate(under="call", call=lambda kind, flag: underflows.append(kind)):
-        signs, scaled, tops = lpnorm._signs_and_scaled(y.copy(), *buffers, underflows)
-    assert underflows
+    signs, scaled, tops, flags = _signs_as_in_the_kernel(y.copy())
+    assert set(flags) == {"underflow"}
     mags = np.abs(y)
     assert np.array_equal(_uint_bits(signs), _uint_bits(_signs(y, mags)))
     assert np.array_equal(scaled, mags / mags.max(axis=1, keepdims=True)) and tops[0, 0, 0] == 1e300
+
+
+# the moduli at the kernel's flag checks: 1/0 divides by zero, 1/|y|
+# overflows for 5e-324 and 2^-1024, and 2^-1024 (1 + 2^-50), the next
+# double, has a finite reciprocal
+_BOUNDARY = [(0.0, ["divide by zero"]), (5e-324, ["overflow"]), (2.0**-1024, ["overflow"]),
+             (2.0**-1024 * (1.0 + 2.0**-50), [])]
+
+
+@pytest.mark.parametrize("modulus, raised", _BOUNDARY)
+def test_the_kernels_reciprocal_flags_mark_exactly_zero_and_the_moduli_at_or_below_2_to_the_minus_1024(
+    monkeypatch, modulus, raised
+):
+    # the modulus on a column of 1's, as one (5, 3) matrix and as a stack:
+    # the reciprocal raises exactly the expected flag, and only an overflow
+    # sends the sign step to _signs; a zero takes sign (+0, +0) on the
+    # multiply's path
+    calls = []
+    signs_of = lpnorm._signs
+
+    def recording(y, mags):
+        calls.append(y.shape)
+        return signs_of(y, mags)
+
+    monkeypatch.setattr(lpnorm, "_signs", recording)
+    for shape in [(5, 3), (2, 5, 3)]:
+        y = np.full(shape, complex(1.0, -1.0))
+        y[..., 2, 1] = complex(0.0 if modulus else -0.0, -modulus)
+        mags = np.abs(y)
+        flags = []
+        with np.errstate(divide="call", over="call", under="call", call=lambda kind, flag: flags.append(kind)):
+            np.reciprocal(mags)
+        assert flags == raised
+        calls.clear()
+        signs = _signs_as_in_the_kernel(y.copy())[0]
+        assert calls == ([shape] if raised == ["overflow"] else [])
+        assert np.array_equal(_uint_bits(signs), _uint_bits(signs_of(y, mags)))
+        assert _uint_bits(signs[..., 2, 1]).tolist() == _uint_bits(
+            np.full(shape[:-2], complex(0.0, -1.0) if modulus else 0j)).tolist()
 
 
 # ---------------------------------------------------------------------------

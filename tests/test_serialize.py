@@ -194,6 +194,21 @@ def test_matrix_obj_entries_must_be_pairs_of_numbers(entries):
     assert matrix_from_obj({**obj, "entries": [[0.5, -1], [2, 1e0]]}).tolist() == [[0.5 - 1j, 2 + 1j]]
 
 
+@pytest.mark.parametrize("entries, message", [
+    (5, "entries must be a list of [re, im] pairs, got int"),
+    ({"0": [1.0, 0.0]}, "entries must be a list of [re, im] pairs, got dict"),
+    ([[0.5, -1], [10**400, 0]], "entry 1 has a part too large for a float; expected a [re, im] pair of finite numbers"),
+    ([[0.5, -1], [0, -(10**5000)]],
+     "entry 1 has a part too large for a float; expected a [re, im] pair of finite numbers"),
+], ids=["number", "object", "huge int", "huge negative int with more digits than int repr allows"])
+def test_matrix_obj_names_entries_that_are_no_list_and_parts_beyond_the_float_range(entries, message):
+    # an int part too large for a float ended in an OverflowError, and a
+    # number in place of the list in "object of type 'int' has no len()"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        matrix_from_obj({"rows": 1, "cols": 2, "entries": entries})
+    assert matrix_from_obj({"rows": 1, "cols": 2, "entries": [[0.5, -1], [10**300, 0]]})[0, 1] == 1e300
+
+
 @pytest.mark.parametrize("field", ["rows", "cols"])
 @pytest.mark.parametrize("value", [1.0, 1.5, "1", True])
 def test_matrix_obj_sizes_must_be_integers(field, value):

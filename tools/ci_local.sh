@@ -81,12 +81,15 @@ smoke() {
     local workload=$1
     echo "== benchmark smoke runs: $workload"
     # a run that is correct may still have failed operations on a known
-    # fault; the smoke run also requires none to fail
-    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 | tee "$out/smoke.out"
+    # fault; the smoke run also requires none to fail.  Both runs turn
+    # RuntimeWarnings into errors, as the tests and the suite do, so a stray
+    # overflow or 0 * inf on the benchmark's path fails an operation here
+    python3 -W error::RuntimeWarning perfbench/run.py --workload "$workload" --seed 1 --seconds 1 | tee "$out/smoke.out"
     gate "$out/smoke.out" 'r.get("correct") is True and r.get("failed") == 0'
     # the tracer wraps lpalg functions by name, so a renamed or deleted
     # function breaks only traced runs
-    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 | tee "$out/trace.out"
+    python3 -W error::RuntimeWarning perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 \
+        | tee "$out/trace.out"
     gate "$out/trace.out" 'r.get("correct") is True and r.get("failed") == 0'
     # tracing must not change a report: the tracer wraps pnorm_estimate and
     # others, so a path that behaves otherwise under a wrapper fails here
