@@ -140,20 +140,19 @@ def _doubled_table(u: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _implementer_stack(unitaries, order: int) -> np.ndarray:
-    """The implementers as one (order, d, d) stack of finite phased permutations;
-    a generator is checked as the stack of its one matrix."""
-    mats = [np.asarray(u, dtype=complex) for u in unitaries]
+    """The implementers as one (order, d, d) stack of finite phased permutations,
+    d >= 1 the column count of the first; a generator is checked as the stack
+    of its one matrix.  A matrix of another shape, 0 x 0 included, is no such
+    permutation, and ``validate_matrix`` reads the entries of the rest."""
+    mats = list(unitaries)
     if len(mats) != order:
         raise ValueError(f"expected {order} implementers, got {len(mats)}")
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[0] != shape[1] or 0 in shape or any(u.shape != shape for u in mats):
-        raise ValueError("every implementer must be a square phased permutation")
-    stack = np.stack(mats)
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite")
-    if not _all_phased(stack):
-        raise ValueError("every implementer must be a square phased permutation")
-    return stack
+    d = np.shape(mats[0])[-1] if np.ndim(mats[0]) else 0
+    if d and all(np.shape(u) == (d, d) for u in mats):
+        stack = np.stack([validate_matrix(u, d, "implementer") for u in mats])
+        if _all_phased(stack):
+            return stack
+    raise ValueError("every implementer must be a square phased permutation")
 
 
 class IsometricAction:
@@ -259,10 +258,15 @@ class IsometricAction:
 
         s may be an array of elements and a a stack (..., d, d) of matrices;
         their leading shapes broadcast, and the whole stack moves with one
-        gather and one phase product.
+        gather and one phase product.  The trailing shape of a must be
+        (d, d), d the action's dimension, or a ValueError is raised; the
+        entries are only moved, so they are not checked (the readers that
+        pass coefficients have validated them).
         """
         perm, phase = self._pair(s)
         a = np.asarray(a, dtype=complex)
+        if a.shape[-2:] != (self.base_dim,) * 2:
+            raise ValueError(f"expected (..., {self.base_dim}, {self.base_dim}) matrices, got shape {a.shape}")
         stack = (g[..., None, None] for g in np.indices(a.shape[:-2], sparse=True))
         moved = a[(*stack, perm[..., :, None], perm[..., None, :])]
         # np.multiply, not *, as in _compose_pairs
@@ -298,24 +302,28 @@ class CcElement:
     The support is the set of nonzero coefficients: an all-zero coefficient
     is dropped on construction and any other kept, however small, so
     c * f has the support of f for every nonzero c that does not underflow.
+    Every coefficient is read by ``validate_matrix`` as a finite
+    base_dim x base_dim matrix, base_dim the first one's row count unless
+    it is given: a NaN or inf entry, an empty or non-square coefficient and
+    one of another size are each a ValueError.
     """
 
     def __init__(self, carrier, coeffs: dict, base_dim: int | None = None):
         self.carrier = carrier
         keys = np.array([as_integer(s, "group element") for s in coeffs], dtype=np.int64)
-        if not carrier.contains(keys).all():
-            raise ValueError(f"elements {keys[~carrier.contains(keys)].tolist()} lie outside the carrier")
+        inside = carrier.contains(keys)
+        # np.count_nonzero runs no ufunc reduction, here and on each
+        # coefficient below, as in lpnorm._validated
+        if np.count_nonzero(inside) != inside.size:
+            raise ValueError(f"elements {keys[~inside].tolist()} lie outside the carrier")
         kept: dict[int, np.ndarray] = {}
         dim = None if base_dim is None else as_integer(base_dim, "base_dim", 1)
         for key, mat in zip(keys.tolist(), coeffs.values()):
-            arr = np.asarray(mat, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"coefficient at {key} must be square, got {arr.shape}")
-            if dim is None:
-                dim = arr.shape[0]
-            if arr.shape != (dim, dim):
-                raise ValueError("all coefficients must share one base dimension")
-            if arr.any():
+            what = f"coefficient at {key}"
+            if dim is None:  # the first coefficient sets the base dimension
+                dim = validate_matrix(mat, what=what).shape[0]
+            arr = validate_matrix(mat, dim, what)
+            if np.count_nonzero(arr):
                 kept[key] = arr.copy()
         if dim is None:
             raise ValueError("cannot infer base dimension from an empty element; pass base_dim")
@@ -469,9 +477,11 @@ class CovariantRep:
         return out.reshape(nt * d, nt * d)
 
     def pi(self, a) -> np.ndarray:
-        """Block-diagonal matrix with blocks alpha_{t^{-1}}(a)."""
+        """Block-diagonal matrix with blocks alpha_{t^{-1}}(a); a is read by
+        ``validate_matrix`` as a finite base_dim x base_dim matrix."""
         diag = np.arange(len(self.positions))
-        return self._assemble(diag, diag, self.action.apply(self._inv_positions, validate_matrix(a)))
+        a = validate_matrix(a, self.base_dim, "base matrix")
+        return self._assemble(diag, diag, self.action.apply(self._inv_positions, a))
 
     def translation(self, s: int) -> np.ndarray:
         """Translation by s on the position space alone (0/1 matrix)."""

@@ -54,7 +54,7 @@ from .crossed import (
     cyclic_coordinate_rotation,
     twisted_convolve,
 )
-from .errors import CertificateError
+from .errors import CertificateError, NormOverflowError
 from .groups import (
     FolnerSet,
     as_integer,
@@ -62,7 +62,7 @@ from .groups import (
     folner_search,
     is_number,
 )
-from .lpnorm import as_exponent, pnorm_estimate, pnorm_upper
+from .lpnorm import as_exponent, pnorm_estimate, pnorm_upper, validate_matrix
 from .opspace import (
     CbEstimate,
     LinearMap,
@@ -148,7 +148,6 @@ def measure_roundtrip(phi: LinearMap, psi: LinearMap, elements: dict, p) -> dict
     pe = as_exponent(p)
     out = {}
     for key, x in elements.items():
-        x = np.asarray(x, dtype=complex)
         out[key] = pnorm_estimate(psi.apply(phi.apply(x)) - x, pe).value
     return out
 
@@ -185,10 +184,7 @@ def folner_psi(m, folner: FolnerSet, rep: CovariantRep) -> np.ndarray:
     """
     d = rep.base_dim
     k = folner.size
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (k * d, k * d):
-        raise ValueError(f"expected a {k * d}x{k * d} block matrix over F, got {m.shape}")
-    blocks = split_blocks(m, k, d)
+    blocks = split_blocks(validate_matrix(m, k * d, "block matrix over F"), k, d)
     rows, cols = np.nonzero(blocks.any(axis=(2, 3)))  # row-major: by row of F
     members = np.asarray(folner.members)
     s, t = members[rows], members[cols]
@@ -220,8 +216,15 @@ def sum_upper(terms) -> float:
     """Bound the exact sum of nonnegative terms, each within two roundings:
     with fsum's and the product's, 4 units of roundoff; 1 + 2^-50 is 8.
     Summing each coefficient's ``pnorm_upper`` gives ``norm_upper``, a proved
-    bound of the reduced norm on every window."""
-    return math.fsum(terms) * (1.0 + 2.0**-50)
+    bound of the reduced norm on every window.  A sum beyond the float range
+    raises :class:`NormOverflowError`."""
+    try:
+        value = math.fsum(terms) * (1.0 + 2.0**-50)
+    except OverflowError:  # fsum's partial sums left the float range
+        value = math.inf
+    if math.isinf(value):
+        raise NormOverflowError("the sum of the coefficients' norm bounds exceeds the float range")
+    return value
 
 
 def _roundtrip_bound(f: CcElement, ratios: dict, uppers: dict) -> float:
@@ -422,8 +425,10 @@ def crossed_nuclearity_witness(
     One pass, alike on finite groups and Z: M := max over f of the sum of
     ``pnorm_upper``(a_s) bounds every reduced norm on every window, one
     ``folner_search`` picks F with translate ratios below eps/(3M) for every
-    support shift, and one representation, of radius max|s| + |F| on Z,
-    holds every translate the round trip reaches.  Both Folner maps are
+    support shift (below inf when M = 0, every element zero), so scaling
+    the elements and eps by one power of 2 keeps F, and one representation,
+    of radius max|s| + |F| on Z, holds every translate the round trip
+    reaches.  Both Folner maps are
     certified by their form in closed form, and ``Factorization`` refuses
     any certificate that is not such a proof.  phi, built once, is the
     compression ``averaging_cb`` certifies at count 1.  By covariance
@@ -467,7 +472,8 @@ def crossed_nuclearity_witness(
     supports = sorted({s for f in fs for s in f.support})
     uppers = [{s: pnorm_upper(a, pe) for s, a in f.items()} for f in fs]
     norm_uppers = [sum_upper(u.values()) for u in uppers]
-    folner = folner_search(carrier, supports, eps / (3.0 * max(*norm_uppers, 1e-9)))
+    top = max(norm_uppers)  # 0.0 only when every element is zero: then any F will do
+    folner = folner_search(carrier, supports, eps / (3.0 * top) if top else math.inf)
     rep = CovariantRep(algebra, action, pe, window_radius=max(map(abs, supports), default=0) + folner.size)
 
     phi_cb, psi_cb = averaging_cb(1), averaging_cb(folner.size)

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .groups import as_integer
-from .lpnorm import as_exponent, as_generator, pnorm_estimate_stack
+from .lpnorm import as_exponent, as_generator, pnorm_estimate_stack, validate_matrix
 
 __all__ = [
     "CbEstimate",
@@ -86,12 +86,9 @@ class LinearMap:
         return self._matrix
 
     def apply(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (self.domain_dim, self.domain_dim):
-            raise ValueError(
-                f"input must be {self.domain_dim} x {self.domain_dim}, got {a.shape}"
-            )
-        out = np.asarray(self._apply_fn(a), dtype=complex)
+        """The image of a, read by ``validate_matrix`` as a finite
+        domain_dim x domain_dim matrix (0 x 0 on an empty domain)."""
+        out = np.asarray(self._apply_fn(validate_matrix(a, self.domain_dim, "input")), dtype=complex)
         if out.shape != (self.codomain_dim, self.codomain_dim):
             raise ValueError(
                 f"map produced shape {out.shape}, expected {(self.codomain_dim,) * 2}"
@@ -117,8 +114,9 @@ class LinearMap:
 
 
 def apply_amplified(phi: LinearMap, m: np.ndarray, n: int) -> np.ndarray:
-    """Apply id_{M_n} (x) phi blockwise, without building a dense coefficient."""
-    blocks = split_blocks(np.asarray(m, dtype=complex), n, phi.domain_dim)
+    """Apply id_{M_n} (x) phi blockwise, without building a dense coefficient;
+    m is read by ``validate_matrix`` as an (n d) x (n d) matrix, d phi's domain size."""
+    blocks = split_blocks(validate_matrix(m, n * phi.domain_dim, "block matrix"), n, phi.domain_dim)
     out = np.empty((n, n, phi.codomain_dim, phi.codomain_dim), dtype=complex)
     for i in range(n):
         for j in range(n):

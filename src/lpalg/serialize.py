@@ -33,6 +33,7 @@ import numpy as np
 
 from .crossed import CcElement, IsometricAction, cyclic_coordinate_rotation, trivial_action
 from .groups import as_integer, group_from_descriptor, is_number
+from .lpnorm import validate_matrix
 from .opspace import LinearMap
 
 __all__ = [
@@ -136,9 +137,9 @@ def load_json(path):
 
 
 def matrix_to_obj(a) -> dict:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError("only two-dimensional matrices are serialized")
+    """A matrix as ``matrix_from_obj`` reads it; ``a`` is read by
+    ``validate_matrix``, so an empty or non-finite matrix is refused."""
+    a = validate_matrix(a)
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
@@ -176,9 +177,7 @@ def matrix_from_obj(obj) -> np.ndarray:
         except OverflowError:  # a Python int beyond the float range; its digits are not echoed
             raise ValueError(f"entry {i} has a part too large for a float; expected a [re, im] pair of "
                              "finite numbers") from None
-    if not np.all(np.isfinite(flat.view(float))):
-        raise ValueError("matrix entries must be finite")
-    return flat.reshape(rows, cols)
+    return validate_matrix(flat.reshape(rows, cols))
 
 
 def linear_map_from_obj(obj) -> LinearMap:

@@ -393,7 +393,7 @@ def criterion_11(seed: int):
     d = 2
     shrink = 1.0 - 1e-3
     phi = LinearMap.identity(d)
-    psi = LinearMap(d, d, apply_fn=lambda x: shrink * np.asarray(x, dtype=complex))
+    psi = LinearMap(d, d, apply_fn=lambda x: shrink * x)
     cb = compression_cb(np.arange(d), d)
     cb2 = weighted_sum_cb([[shrink]])  # x -> shrink x is one fibre of weight shrink
     lift_ok = True
@@ -413,7 +413,7 @@ def criterion_11(seed: int):
 
     outer, dim = 3, 2
     big = outer * dim
-    psi_big = LinearMap(big, big, apply_fn=lambda x: shrink * np.asarray(x, dtype=complex))
+    psi_big = LinearMap(big, big, apply_fn=lambda x: shrink * x)
     parent_big = Factorization(
         LinearMap.identity(big),
         psi_big,

@@ -167,6 +167,17 @@ def test_witness_nan_epsilon_is_input_error(element_file, capsys):
     assert "epsilon must be positive" in capsys.readouterr().err
 
 
+def test_witness_whose_norm_bound_overflows_is_input_error(tmp_path, capsys):
+    # a bound beyond the float range is bad input (2), not a failed
+    # certificate (1), and is reported without a traceback
+    big = CcElement(ZWindow(1), {0: [[1e308]], 1: [[1e308]]})
+    path = _write(tmp_path / "big.json", cc_element_to_obj(big))
+    assert main(["witness", "--elements", path, "--epsilon", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: the sum of the coefficients' norm bounds exceeds the float range\n"
+
+
 def test_crossed_reports_norm_and_checks(element_file, capsys):
     assert main(["crossed", "--elements", element_file, "--p", "1.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

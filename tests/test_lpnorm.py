@@ -11,9 +11,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lpalg import lpnorm
-from lpalg.crossed import CcElement, ConcreteAlgebra, CovariantRep, IsometricAction, trivial_action
+from lpalg.crossed import (
+    CcElement,
+    ConcreteAlgebra,
+    CovariantRep,
+    IsometricAction,
+    cyclic_coordinate_rotation,
+    trivial_action,
+)
 from lpalg.errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
-from lpalg.groups import ZWindow
+from lpalg.groups import FolnerSet, ZWindow
 from lpalg.lpnorm import (
     PExponent,
     _signs,
@@ -27,6 +34,9 @@ from lpalg.lpnorm import (
     validate_matrix,
     vector_pnorm,
 )
+from lpalg.nuclearity import folner_psi
+from lpalg.opspace import LinearMap, apply_amplified
+from lpalg.serialize import matrix_to_obj
 
 REL_TOL = 1e-8
 ORACLE_REL_TOL = 1e-5
@@ -987,3 +997,52 @@ def test_validate_matrix_rejects_bad_input():
         validate_matrix(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         validate_matrix(np.zeros(3))
+
+
+def _matrix_readers():
+    """Each reader of a matrix argument, by name: the call that reads it, the
+    shape it requires (3 x 3, any square one or any at all), and whether it
+    reads the entries.  The action is the rotation of three coordinates."""
+    action = cyclic_coordinate_rotation(3, 1)
+    rep = CovariantRep(ConcreteAlgebra(3), action, 1.5)
+    return {
+        "pnorm_estimate": (lambda a: pnorm_estimate(a, 1.5), "any", True),
+        "pnorm_upper": (lambda a: pnorm_upper(a, 1.5), "any", True),
+        "matrix_to_obj": (matrix_to_obj, "any", True),
+        "pi": (rep.pi, "3 x 3", True),
+        # alpha_s only moves entries, so it checks the shape alone
+        "apply": (lambda a: action.apply(1, a), "3 x 3", False),
+        "CcElement": (lambda a: CcElement(action.carrier, {0: np.eye(3), 1: a}), "3 x 3", True),
+        "CcElement base_dim": (lambda a: CcElement(action.carrier, {1: a}, base_dim=3), "3 x 3", True),
+        "CcElement first": (lambda a: CcElement(action.carrier, {1: a}), "square", True),
+        "implementers": (lambda a: IsometricAction(action.carrier, unitaries=[np.eye(3), a, a]), "3 x 3", True),
+        "generator": (lambda a: IsometricAction(ZWindow(0), generator=a), "square", True),
+        "folner_psi": (lambda a: folner_psi(a, FolnerSet(action.carrier, (0,)), rep), "3 x 3", True),
+        "LinearMap.apply": (LinearMap.identity(3).apply, "3 x 3", True),
+        "apply_amplified": (lambda a: apply_amplified(LinearMap.identity(1), a, 3), "3 x 3", True),
+    }
+
+
+_BAD_MATRICES = {
+    "nan": [np.diag([1.0, np.nan, 1.0]), np.diag([1.0, 1.0, complex(0.0, np.nan)])],
+    "inf": [np.diag([1.0, np.inf, 1.0]), np.diag([1.0, 1.0, complex(0.0, -np.inf)])],
+    "wrong size": [np.eye(4), np.eye(2), np.eye(3)[:, :2]],
+    "1-D": [np.ones(3), np.ones(9)],
+    "empty": [np.zeros((0, 0)), np.zeros((3, 0))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_MATRICES))
+def test_every_matrix_reader_refuses_what_validate_matrix_refuses(kind):
+    # a matrix of the wrong size must not be read as its corner (pi,
+    # apply) nor fail with an IndexError, and a NaN or inf entry must not
+    # reach a coefficient or a file matrix_from_obj refuses
+    for name, (read, shape, entries) in _matrix_readers().items():
+        for bad in _BAD_MATRICES[kind]:
+            if kind in ("nan", "inf") and not entries:
+                continue
+            if kind == "wrong size" and (shape == "any" or shape == "square" and bad.shape[0] == bad.shape[1]):
+                continue
+            with pytest.raises(ValueError):
+                read(bad)
+                pytest.fail(f"{name} accepted a {kind} matrix of shape {bad.shape}")

@@ -846,6 +846,31 @@ def test_witness_sizes_folner_set_on_reported_norms():
         assert all(2 * abs(int(s)) / size < eps / (3.0 * m_bound) for s in report["folner"]["ratios"])
 
 
+def test_witness_scales_exactly_with_its_elements_and_epsilon():
+    # F depends on eps / M alone, so no floor on M may break the scaling
+    # (one at 1e-9 gave 2^-40 delta_1 21,991 members); an all-zero element
+    # has M = 0, and any F (here {0}) keeps its budget 0.0 below epsilon
+    zw = ZWindow(0)
+
+    def witness(k):
+        c = 2.0**k
+        fs = [CcElement(zw, {1: [[c]]}), CcElement(zw, {0: [[0.6 * c]], 1: [[0.4 * c]]})]
+        return crossed_nuclearity_witness(fs, 0.3 * c, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5)[1]
+
+    base = witness(0)
+    assert len(base["folner"]["members"]) == 21
+    for k in (-60, -40, -20, 0, 20, 60):
+        report = witness(k)
+        assert report["folner"] == base["folner"] and report["passed"]
+        for elem, ref in zip(report["elements"], base["elements"]):
+            for key in ("roundtrip_error", "bound", "reduced_norm", "norm_upper"):
+                assert elem[key] == ref[key] * 2.0**k, (k, key)
+    zero = CcElement(zw, {}, base_dim=1)
+    _, report = crossed_nuclearity_witness([zero], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5)
+    assert report["folner"]["members"] == [0] and report["passed"]
+    assert report["elements"][0]["norm_upper"] == report["elements"][0]["bound"] == 0.0
+
+
 def test_witness_input_validation():
     carrier = cyclic_group(4)
     with pytest.raises(ValueError):
