@@ -79,14 +79,27 @@ class ConcreteAlgebra(Record):
         self._set(base_dim=as_integer(base_dim, "base_dim", 1))
 
 
+def _element(s) -> int:
+    """One group element, read by ``as_integer``; |s| must be below 2^63, so
+    that int64 holds s and -s."""
+    s = as_integer(s, "group element")
+    if not -(2**63) < s < 2**63:
+        raise ValueError(f"group element must be an integer of modulus below 2^63, got {s}")
+    return s
+
+
 def _elements(s) -> np.ndarray:
     """Group elements s, a scalar or an array, as an int64 array.  They must
-    have an integer dtype: a float or a bool is refused, not truncated.  An
-    empty array holds no elements whatever its dtype (``np.asarray(())`` is
-    float64)."""
+    have an integer dtype: a float or a bool is refused, not truncated.  As
+    in :func:`_element`, |s| must be below 2^63: numpy reads 2^63 as a
+    uint64, which int64 would wrap to -2^63, whose modulus int64 does not
+    hold.  An empty array holds no elements whatever its dtype
+    (``np.asarray(())`` is float64)."""
     arr = np.asarray(s)
     if arr.dtype.kind not in "iu" and arr.size:
         raise ValueError(f"group elements must be integers, got {s!r}")
+    if arr.size and (arr.max() >= 2**63 if arr.dtype.kind == "u" else arr.min() == -(2**63)):
+        raise ValueError(f"group elements must be integers of modulus below 2^63, got {s!r}")
     return arr.astype(np.int64, copy=False)
 
 
@@ -248,7 +261,7 @@ class IsometricAction:
 
     def unitary(self, s: int) -> np.ndarray:
         """The implementer U_s, built from its (perm, phase) pair."""
-        perm, phase = self._pair(as_integer(s, "group element"))
+        perm, phase = self._pair(_element(s))
         u = np.zeros((self.base_dim, self.base_dim), dtype=complex)
         u[np.arange(self.base_dim), perm] = phase
         return u
@@ -310,7 +323,7 @@ class CcElement:
 
     def __init__(self, carrier, coeffs: dict, base_dim: int | None = None):
         self.carrier = carrier
-        keys = np.array([as_integer(s, "group element") for s in coeffs], dtype=np.int64)
+        keys = np.array([_element(s) for s in coeffs], dtype=np.int64)
         inside = carrier.contains(keys)
         # np.count_nonzero runs no ufunc reduction, here and on each
         # coefficient below, as in lpnorm._validated
@@ -335,7 +348,7 @@ class CcElement:
         return tuple(sorted(self._coeffs))
 
     def coeff(self, s: int) -> np.ndarray:
-        return self._coeffs.get(as_integer(s, "group element"), np.zeros((self.base_dim, self.base_dim), dtype=complex))
+        return self._coeffs.get(_element(s), np.zeros((self.base_dim, self.base_dim), dtype=complex))
 
     def items(self):
         return ((s, self._coeffs[s]) for s in self.support)
@@ -469,23 +482,15 @@ class CovariantRep:
         keep = (rows >= 0) & (rows < nt)
         return which[keep], rows[keep], cols[keep]
 
-    def _assemble(self, rows, cols, blocks) -> np.ndarray:
-        """The matrix with block (rows[k], cols[k]) equal to blocks[k], zero elsewhere."""
-        nt, d = len(self.positions), self.base_dim
-        out = np.zeros((nt, d, nt, d), dtype=complex)
-        out[rows, :, cols, :] = blocks
-        return out.reshape(nt * d, nt * d)
-
     def pi(self, a) -> np.ndarray:
-        """Block-diagonal matrix with blocks alpha_{t^{-1}}(a); a is read by
-        ``validate_matrix`` as a finite base_dim x base_dim matrix."""
-        diag = np.arange(len(self.positions))
-        a = validate_matrix(a, self.base_dim, "base matrix")
-        return self._assemble(diag, diag, self.action.apply(self._inv_positions, a))
+        """Block-diagonal matrix with blocks alpha_{t^{-1}}(a): the integrated
+        form of a delta_e, a read by :class:`CcElement` as a finite
+        base_dim x base_dim matrix."""
+        return self.integrated(CcElement.delta(self.carrier, self.carrier.identity, a, base_dim=self.base_dim))
 
     def translation(self, s: int) -> np.ndarray:
         """Translation by s on the position space alone (0/1 matrix)."""
-        _, rows, cols = self._translate([as_integer(s, "group element")])
+        _, rows, cols = self._translate([_element(s)])
         out = np.zeros((len(self.positions),) * 2, dtype=complex)
         out[rows, cols] = 1.0
         return out
@@ -504,9 +509,12 @@ class CovariantRep:
             raise ValueError("element dimension does not match the representation")
         if not f.carrier.same_group(self.carrier):
             raise ValueError(f"an element over {f.carrier!r} on a representation of {self.carrier!r}")
+        nt, d = len(self.positions), self.base_dim
         which, rows, cols = self._translate(f.support)
-        coeffs = np.array([f.coeff(s) for s in f.support]).reshape(-1, self.base_dim, self.base_dim)[which]
-        return self._assemble(rows, cols, self.action.apply(self._inv_positions[rows], coeffs))
+        coeffs = np.array([f.coeff(s) for s in f.support]).reshape(-1, d, d)[which]
+        out = np.zeros((nt, d, nt, d), dtype=complex)
+        out[rows, :, cols, :] = self.action.apply(self._inv_positions[rows], coeffs)
+        return out.reshape(nt * d, nt * d)
 
     def __repr__(self) -> str:
         return (

@@ -85,6 +85,7 @@ __all__ = [
     "pnorm_oracle",
     "pnorm_upper",
     "validate_matrix",
+    "validate_vector",
     "vector_pnorm",
 ]
 
@@ -179,6 +180,17 @@ def validate_matrix(a, dim: int | None = None, what: str = "2-D matrix") -> np.n
     return arr if dim == 0 else _validated(arr, 2, what)
 
 
+def validate_vector(x, size: int | None = None, what: str = "vector") -> np.ndarray:
+    """Return ``x`` as a complex, one-dimensional, finite, nonempty ndarray:
+    the one rule for a vector argument, as :func:`validate_matrix` is for a
+    matrix.  A ``size`` requires ``size`` entries; anything else is a
+    ValueError that names ``what`` was expected."""
+    arr = np.asarray(x, dtype=complex)
+    if size is not None and arr.shape != (size,):
+        raise ValueError(f"expected a {what} of {size} entries, got shape {arr.shape}")
+    return _validated(arr, 1, what)
+
+
 def _validated(a, ndim: int, what: str) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != ndim or 0 in arr.shape:
@@ -186,7 +198,7 @@ def _validated(a, ndim: int, what: str) -> np.ndarray:
     # np.count_nonzero runs no ufunc reduction: on a 12 x 12 matrix it takes
     # half the time of .all(), and every matrix argument passes here
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{'vector' if ndim == 1 else 'matrix'} entries must be finite")
     return arr
 
 
@@ -198,15 +210,11 @@ def adjoint(a) -> np.ndarray:
 def vector_pnorm(x, p) -> float:
     """l^p norm of a complex vector; p may be any value in [1, inf].
 
-    Non-finite entries are refused, and a norm beyond the float range
-    raises :class:`NormOverflowError`.
+    ``x`` is read by :func:`validate_vector`, and a norm beyond the float
+    range raises :class:`NormOverflowError`.
     """
     pe = as_exponent(p)
-    arr = np.asarray(x, dtype=complex).ravel()
-    if arr.size == 0:
-        raise ValueError("vector_pnorm of an empty vector")
-    if not np.isfinite(arr).all():
-        raise ValueError("vector entries must be finite")
+    arr = validate_vector(x)
     with np.errstate(over="ignore"):  # an overflowing norm is refused below
         value = float(_pnorms_along(arr, pe.p))
     if not math.isfinite(value):
@@ -218,18 +226,19 @@ def _signs(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """sign(y) = y / |y| entrywise, with sign(0) = 0; ``mags`` is |y|.
 
     numpy divides a complex array by a real one with Smith's formula, which
-    scales by 1/|y|, and 1/|y| overflows for moduli at or below 2^-1024;
-    those entries are scaled by 2^1022 (exactly) and divided by their own
-    recomputed modulus.  The restarted kernel's :func:`_signs_and_scaled`
-    multiplies by that same 1/|y| and leaves the scaled entries to this
-    function.
+    scales by 1/|y|, and 1/|y| overflows for moduli at or below 2^-1024 and
+    is subnormal, so rounded, for moduli above 2^1022; those entries are
+    scaled by 2^1022 or 2^-2 (exactly) and divided by their own recomputed
+    modulus.  The restarted kernel's :func:`_signs_and_scaled` multiplies by
+    that same 1/|y| and leaves the tiny entries to this function (its
+    products are scaled below 2^1022).
     """
-    normal = mags > 2.0**-1024
+    normal = (mags > 2.0**-1024) & (mags <= 2.0**1022)
     out = np.divide(y, mags, out=np.zeros_like(y), where=normal)
     if not normal.all():
-        tiny = ~normal & (mags > 0.0)
-        scaled = y[tiny] * 2.0**1022
-        out[tiny] = scaled / np.abs(scaled)
+        odd = ~normal & (mags > 0.0)
+        scaled = y[odd] * np.where(mags[odd] > 1.0, 0.25, 2.0**1022)
+        out[odd] = scaled / np.abs(scaled)
     return out
 
 

@@ -275,6 +275,12 @@ def _roundtrip(f: CcElement, ratios: dict, norm: float, uppers: dict, rep: Covar
 # ---------------------------------------------------------------------------
 
 
+def _derived(fact: Factorization, phi: LinearMap, psi: LinearMap, tests: dict) -> Factorization:
+    """The factorization (phi, psi) derived from ``fact`` by a lemma that
+    keeps its certificates, with the round trip measured on ``tests``."""
+    return Factorization(phi, psi, fact.phi_cb, fact.psi_cb, measure_roundtrip(phi, psi, tests, fact.p), fact.p)
+
+
 def lift_factorization(fact: Factorization, n: int, entries: dict) -> Factorization:
     """Amplify a factorization to n x n block matrices over its algebra.
 
@@ -293,14 +299,7 @@ def lift_factorization(fact: Factorization, n: int, entries: dict) -> Factorizat
         if grid.shape != (n, n, d, d):
             raise ValueError(f"entry grid {key!r} must have shape {(n, n, d, d)}")
         tests[key] = block_matrix(grid)
-    return Factorization(
-        phi=phi_n,
-        psi=psi_n,
-        phi_cb=fact.phi_cb,
-        psi_cb=fact.psi_cb,
-        roundtrip_errors=measure_roundtrip(phi_n, psi_n, tests, fact.p),
-        p=fact.p,
-    )
+    return _derived(fact, phi_n, psi_n, tests)
 
 
 def corner_restrict(fact: Factorization, outer: int, *, test_elements: dict) -> Factorization:
@@ -319,16 +318,7 @@ def corner_restrict(fact: Factorization, outer: int, *, test_elements: dict) -> 
     dim = big // outer
     iota = embedding(np.arange(dim), big)
     rho = compression(np.arange(dim), big)
-    phi2 = fact.phi.compose(iota)
-    psi2 = rho.compose(fact.psi)
-    return Factorization(
-        phi=phi2,
-        psi=psi2,
-        phi_cb=fact.phi_cb,
-        psi_cb=fact.psi_cb,
-        roundtrip_errors=measure_roundtrip(phi2, psi2, test_elements, fact.p),
-        p=fact.p,
-    )
+    return _derived(fact, fact.phi.compose(iota), rho.compose(fact.psi), test_elements)
 
 
 def truncate_map(window: int, n_keep: int, block_dim: int = 1) -> LinearMap:
@@ -425,10 +415,11 @@ def crossed_nuclearity_witness(
     One pass, alike on finite groups and Z: M := max over f of the sum of
     ``pnorm_upper``(a_s) bounds every reduced norm on every window, one
     ``folner_search`` picks F with translate ratios below eps/(3M) for every
-    support shift (below inf when M = 0, every element zero), so scaling
-    the elements and eps by one power of 2 keeps F, and one representation,
-    of radius max|s| + |F| on Z, holds every translate the round trip
-    reaches.  Both Folner maps are
+    support shift (below inf when M = 0, every element zero; M's power of
+    two is taken out before 3M is formed, so M may reach the top of the
+    float range), so scaling the elements and eps by one power of 2 keeps
+    F, and one representation, of radius max|s| + |F| on Z, holds every
+    translate the round trip reaches.  Both Folner maps are
     certified by their form in closed form, and ``Factorization`` refuses
     any certificate that is not such a proof.  phi, built once, is the
     compression ``averaging_cb`` certifies at count 1.  By covariance
@@ -473,7 +464,11 @@ def crossed_nuclearity_witness(
     uppers = [{s: pnorm_upper(a, pe) for s, a in f.items()} for f in fs]
     norm_uppers = [sum_upper(u.values()) for u in uppers]
     top = max(norm_uppers)  # 0.0 only when every element is zero: then any F will do
-    folner = folner_search(carrier, supports, eps / (3.0 * top) if top else math.inf)
+    # eps/(3M) with M's power of two taken out first where M >= 1, so that 3M
+    # cannot overflow, nor eps 2^-e where M is tiny: the quotient keeps its bits
+    e = max(math.frexp(top)[1], 0)
+    delta = math.ldexp(eps, -e) / (3.0 * math.ldexp(top, -e)) if top else math.inf
+    folner = folner_search(carrier, supports, delta)
     rep = CovariantRep(algebra, action, pe, window_radius=max(map(abs, supports), default=0) + folner.size)
 
     phi_cb, psi_cb = averaging_cb(1), averaging_cb(folner.size)

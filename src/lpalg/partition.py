@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import Record, as_integer
-from .lpnorm import as_exponent, as_generator, pnorm_estimate_stack
+from .lpnorm import as_exponent, as_generator, pnorm_estimate_stack, validate_vector
 from .opspace import CbEstimate
 
 __all__ = [
@@ -73,6 +73,8 @@ class PartitionOfUnity(Record):
         points = tuple(as_integer(y, "sample point") for y in points)
         if len(points) != bumps.shape[0]:
             raise ValueError("need exactly one sample point per bump")
+        if not np.isfinite(bumps).all():
+            raise ValueError("bumps must be finite")
         if bumps.min() < 0.0:
             raise ValueError("bumps must be nonnegative")
         colsums = bumps.sum(axis=0)
@@ -151,22 +153,21 @@ def circle_partition(n_points: int = 64, n_arcs: int = 8) -> PartitionOfUnity:
 
 
 def cx_point_eval_phi(f_values, points) -> np.ndarray:
-    """Evaluate a function vector at the sample points."""
-    f = np.asarray(f_values, dtype=complex).ravel()
-    idx = np.asarray(list(points), dtype=int)
-    if idx.size == 0:
+    """Evaluate a function vector, read by ``validate_vector``, at the
+    sample points, each read by ``as_integer`` as in :class:`PartitionOfUnity`."""
+    f = validate_vector(f_values, what="grid vector")
+    idx = [as_integer(y, "sample point") for y in points]
+    if not idx:
         raise ValueError("need at least one sample point")
-    if idx.min() < 0 or idx.max() >= f.size:
+    if not all(0 <= y < f.size for y in idx):
         raise ValueError("sample point index outside the grid")
-    return f[idx].copy()
+    return f[idx]
 
 
 def cx_partition_psi(d, partition: PartitionOfUnity) -> np.ndarray:
-    """Blend sampled values back over the grid: sum_i d_i sigma_i."""
-    d = np.asarray(d, dtype=complex).ravel()
-    if d.size != partition.n_bumps:
-        raise ValueError(f"expected {partition.n_bumps} sampled values, got {d.size}")
-    return d @ partition.bumps
+    """Blend sampled values back over the grid: sum_i d_i sigma_i, d read
+    by ``validate_vector``."""
+    return validate_vector(d, partition.n_bumps, "sample vector") @ partition.bumps
 
 
 def partition_roundtrip(partition: PartitionOfUnity, f_values) -> dict:
@@ -178,9 +179,7 @@ def partition_roundtrip(partition: PartitionOfUnity, f_values) -> dict:
     the error because the bump weights are a convex combination supported
     in the patches.
     """
-    f = np.asarray(f_values, dtype=complex).ravel()
-    if f.size != partition.n_points:
-        raise ValueError(f"expected {partition.n_points} grid values, got {f.size}")
+    f = validate_vector(f_values, partition.n_points, "grid vector")
     recon = cx_partition_psi(cx_point_eval_phi(f, partition.points), partition)
     error = float(np.abs(recon - f).max())
     moves = np.abs(f - f[list(partition.points)][:, None])  # row i: |f(x) - f(y_i)| over the grid

@@ -153,8 +153,7 @@ def criterion_3(seed: int):
 def _phased_actions(n: int):
     """Exact phased-permutation actions of Z/n on M_n (real and complex)."""
     actions = [cyclic_coordinate_rotation(n, 1)]
-    shift = np.zeros((n, n), dtype=complex)
-    shift[(np.arange(n) - 1) % n, np.arange(n)] = 1.0
+    shift = actions[0].unitary(1)
     if n % 4 == 0:
         gen_mat = 1j * shift  # (i S)^n = I exactly since i, -1, -i are exact
     else:
@@ -217,29 +216,22 @@ def criterion_5(seed: int):
 
 def criterion_6(seed: int):
     """Every factorization leg certifies contractive (or isometric) to level 3."""
-    opts = dict(_CERT_OPTS)
-    results = {}
 
+    def sampled(phi, p, tag):
+        return cb_norm_lower(phi, p, n_max=3, rng=_rng(seed, tag), **_CERT_OPTS).levels
+
+    results = {}
     rep4 = CovariantRep(ConcreteAlgebra(4), cyclic_coordinate_rotation(4, 1), 3.0)
     results["expectation"] = expectation_cb_certificate(
-        rep4, n_max=3, rng=_rng(seed, 61), **opts
+        rep4, n_max=3, rng=_rng(seed, 61), **_CERT_OPTS
     ).levels
 
     rep_f = CovariantRep(ConcreteAlgebra(2), trivial_action(cyclic_group(6), 2), 1.5)
     fol = FolnerSet(rep_f.carrier, (0, 1, 2))
-    results["folner_phi"] = cb_norm_lower(
-        folner_phi_map(fol, rep_f), rep_f.p, n_max=3, rng=_rng(seed, 62), **opts
-    ).levels
-    results["folner_psi"] = cb_norm_lower(
-        folner_psi_map(fol, rep_f), rep_f.p, n_max=3, rng=_rng(seed, 63), **opts
-    ).levels
-
-    results["truncate"] = cb_norm_lower(
-        truncate_map(4, 2, 2), 3.0, n_max=3, rng=_rng(seed, 64), **opts
-    ).levels
-    results["corner_rho"] = cb_norm_lower(
-        compression(np.arange(2), 4), 1.5, n_max=3, rng=_rng(seed, 65), **opts
-    ).levels
+    results["folner_phi"] = sampled(folner_phi_map(fol, rep_f), rep_f.p, 62)
+    results["folner_psi"] = sampled(folner_psi_map(fol, rep_f), rep_f.p, 63)
+    results["truncate"] = sampled(truncate_map(4, 2, 2), 3.0, 64)
+    results["corner_rho"] = sampled(compression(np.arange(2), 4), 1.5, 65)
 
     part = circle_partition(16, 4)
     results["cx_point_eval"] = cx_phi_cb_certificate(
@@ -250,9 +242,7 @@ def criterion_6(seed: int):
         "cx_partition_psi": cx_psi_cb_certificate(
             part, 1.5, n_max=3, trials=4, rng=_rng(seed, 67)
         ).levels,
-        "corner_iota": cb_norm_lower(
-            embedding(np.arange(2), 4), 3.0, n_max=3, rng=_rng(seed, 68), **opts
-        ).levels,
+        "corner_iota": sampled(embedding(np.arange(2), 4), 3.0, 68),
     }
 
     contractive_ok = all(v <= 1 + 1e-6 for levels in results.values() for _, v in levels)
@@ -300,48 +290,37 @@ def criterion_8(seed: int):
     measured through the dense phi/psi pipeline, which the witness never
     runs (it reads every defect off the ratios as an element)."""
 
-    def measured(fol, rep, form):
-        return measure_roundtrip(folner_phi_map(fol, rep), folner_psi_map(fol, rep), {"f": form}, rep.p)["f"]
+    def deviation(fol, rep, s, a):
+        """How far the measured round-trip error of a delta_s is from |1 - r_s| ||pi(a delta_s)||."""
+        form = rep.integrated(CcElement(rep.carrier, {s: a}))
+        rhs = abs(1.0 - folner_intersection(fol, s) / fol.size) * pnorm_estimate(form, rep.p).value
+        phi, psi = folner_phi_map(fol, rep), folner_psi_map(fol, rep)
+        return abs(measure_roundtrip(phi, psi, {"f": form}, rep.p)["f"] - rhs)
 
     gen = _rng(seed, 8)
-    worst = 0.0
-    cases = 0
+    deviations = []
     for p in (1.0, 1.5, 3.0):
         rep = CovariantRep(ConcreteAlgebra(12), cyclic_coordinate_rotation(12, 5), p)
         fol = FolnerSet(rep.carrier, tuple(range(6)))
-        for s in (1, 4):
-            a = _random_matrix(gen, 12)
-            f = CcElement(rep.carrier, {s: a})
-            form = rep.integrated(f)
-            ratio = folner_intersection(fol, s) / fol.size
-            rhs = abs(1.0 - ratio) * pnorm_estimate(form, p).value
-            worst = max(worst, abs(measured(fol, rep, form) - rhs))
-            cases += 1
-
+        deviations += [deviation(fol, rep, s, _random_matrix(gen, 12)) for s in (1, 4)]
         zw = ZWindow(10)
         repz = CovariantRep(ConcreteAlgebra(2), trivial_action(zw, 2), p)
-        folz = FolnerSet(zw, tuple(range(7)))
-        a = _random_matrix(gen, 2)
-        fz = CcElement(zw, {2: a})
-        form = repz.integrated(fz)
-        ratio = folner_intersection(folz, 2) / folz.size
-        rhs = abs(1.0 - ratio) * pnorm_estimate(form, p).value
-        worst = max(worst, abs(measured(folz, repz, form) - rhs))
-        cases += 1
-    return worst <= 1e-8, {"cases": cases, "max_equality_dev": worst}
+        deviations.append(deviation(FolnerSet(zw, tuple(range(7))), repz, 2, _random_matrix(gen, 2)))
+    worst = max(deviations)
+    return worst <= 1e-8, {"cases": len(deviations), "max_equality_dev": worst}
+
+
+def _line_witness() -> dict:
+    """The witness report for delta_1 on Z at epsilon 0.3 and p = 1.5."""
+    zw = ZWindow(1)
+    return crossed_nuclearity_witness(
+        [CcElement.delta(zw, 1, base_dim=1)], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5
+    )[1]
 
 
 def criterion_9(seed: int):
     """The end-to-end witness: 1/21 on the line, exactly zero on finite groups."""
-    zw = ZWindow(1)
-    _, zrep = crossed_nuclearity_witness(
-        [CcElement.delta(zw, 1, base_dim=1)],
-        0.3,
-        ConcreteAlgebra(1),
-        zw,
-        trivial_action(zw, 1),
-        1.5,
-    )
+    zrep = _line_witness()
     zerr = zrep["elements"][0]["roundtrip_error"]
     z_ok = (
         abs(zerr - 1.0 / 21.0) <= 1e-12
@@ -400,11 +379,8 @@ def criterion_11(seed: int):
     lift_rows = []
     for n in (1, 2, 3):
         grid = gen.standard_normal((n, n, d, d)) + 1j * gen.standard_normal((n, n, d, d))
-        entry_err = 0.0
-        for i in range(n):
-            for j in range(n):
-                e = measure_roundtrip(phi, psi, {"e": grid[i, j]}, 2.0)["e"]
-                entry_err = max(entry_err, e)
+        entries = {(i, j): grid[i, j] for i in range(n) for j in range(n)}
+        entry_err = max(measure_roundtrip(phi, psi, entries, 2.0).values())
         parent = Factorization(phi, psi, cb, cb2, roundtrip_errors={}, p=2.0)
         lifted = lift_factorization(parent, n, entries={"g": grid})
         err = lifted.roundtrip_errors["g"]
@@ -456,15 +432,7 @@ def criterion_13(seed: int):
     """Reports are a pure function of the seed, byte for byte."""
 
     def payload() -> str:
-        zw = ZWindow(1)
-        _, rep = crossed_nuclearity_witness(
-            [CcElement.delta(zw, 1, base_dim=1)],
-            0.3,
-            ConcreteAlgebra(1),
-            zw,
-            trivial_action(zw, 1),
-            1.5,
-        )
+        rep = _line_witness()
         a = _random_matrix(_rng(seed, 132), 4)
         est = pnorm_estimate(a, 1.5, rng=_rng(seed, 133))
         cb = cb_norm_lower(

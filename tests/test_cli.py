@@ -297,6 +297,15 @@ def test_crossed_names_what_an_element_file_lacks(tmp_path, capsys, change, mess
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["crossed"], ["witness", "--epsilon", "0.3"]])
+def test_an_element_file_with_an_element_beyond_int64_is_an_input_error(tmp_path, capsys, command):
+    # used to end in an OverflowError traceback with exit code 1
+    path = _write(tmp_path / "f.json", {**_DELTA_1, "coeffs": [{**_DELTA_1["coeffs"][0], "s": 2**63}]})
+    assert main([*command, "--elements", path]) == 2
+    assert capsys.readouterr().err == (
+        "input error: group element must be an integer of modulus below 2^63, got 9223372036854775808\n")
+
+
 @pytest.mark.parametrize("action, message", [
     # used to print "input error: not enough values to unpack (expected 3, got 2)"
     ("rotation:3", "--action 'rotation:3' must read rotation:N:K with integers N and K"),

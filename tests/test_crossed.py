@@ -472,6 +472,24 @@ def test_a_coefficient_is_read_only_at_an_integer_element(s):
         f.coeff(s)
 
 
+@pytest.mark.parametrize("s", [2**63, -(2**63), np.uint64(2**63), np.int64(-(2**63))])
+@pytest.mark.parametrize("reader", ["CcElement", "apply", "unitary", "translation"])
+def test_a_group_element_of_modulus_2_to_63_is_refused(reader, s):
+    # CcElement(Z, {2^63: I}) used to raise an OverflowError and accept -2^63;
+    # apply and unitary raised an IndexError, since 2^63 wrapped to -2^63,
+    # whose modulus int64 does not hold, and translation returned zero
+    action = trivial_action(ZWindow(2), 1)
+    rep = CovariantRep(ConcreteAlgebra(1), action, 2.0)
+    read = {
+        "CcElement": lambda: CcElement(action.carrier, {s: np.eye(1)}),
+        "apply": lambda: action.apply(s, np.eye(1)),
+        "unitary": lambda: action.unitary(s),
+        "translation": lambda: rep.translation(s),
+    }[reader]
+    with pytest.raises(ValueError, match=r"of modulus below 2\^63, got .*" + str(int(s))):
+        read()
+
+
 @pytest.mark.parametrize("carrier, s", [(cyclic_group(3), 1.5), (ZWindow(0), True)])
 def test_a_single_term_element_is_built_only_at_an_integer_element(carrier, s):
     # delta(Z/3, 1.5) and delta(Z, True) used to build delta_1

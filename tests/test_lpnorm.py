@@ -105,6 +105,20 @@ def test_signs_of_subnormal_moduli_are_exact():
         assert np.array_equal(_signs(y, np.abs(y)), _signs(normal, np.abs(normal)))
 
 
+def test_signs_of_moduli_above_2_to_1022_are_exact():
+    # 1/|y| is subnormal there, so numpy's division rounds it; those entries
+    # are scaled first too (the positive route takes the signs of a matrix
+    # unscaled, so 2^1023 delta_0 + ... lost a bit of its estimate)
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    y *= 1.9 / np.abs(y).max()
+    big = np.ldexp(y.real, 1022) + 1j * np.ldexp(y.imag, 1022)  # exact
+    assert (np.abs(big) > 2.0**1022).sum() == 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_signs(big, np.abs(big)), _signs(y, np.abs(y)))
+
+
 _PARTS = [0.0, -0.0, 2.0**-1074, -(2.0**-1074), 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300]
 _MODULI = [2.0**-1023, 1e-300, 1.0, 1e300, 2.0**1023]
 

@@ -859,7 +859,7 @@ def test_witness_scales_exactly_with_its_elements_and_epsilon():
 
     base = witness(0)
     assert len(base["folner"]["members"]) == 21
-    for k in (-60, -40, -20, 0, 20, 60):
+    for k in (-60, -40, -20, 0, 20, 60, 1022, 1023):
         report = witness(k)
         assert report["folner"] == base["folner"] and report["passed"]
         for elem, ref in zip(report["elements"], base["elements"]):

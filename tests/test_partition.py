@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from lpalg.lpnorm import vector_pnorm
 from lpalg.partition import (
     PartitionOfUnity,
     circle_function,
@@ -185,6 +186,34 @@ def test_partition_sample_points_must_be_integers():
         with pytest.raises(ValueError, match="^sample point must be an integer, got "):
             PartitionOfUnity(points, good.bumps, good.cover)
     assert PartitionOfUnity(np.array(good.points), good.bumps, good.cover).points == (0, 2, 4)
+
+
+_PART = circle_partition(8, 2)
+_NAN_GRID = np.where(np.arange(8) == 3, np.nan, 1.0)
+
+
+@pytest.mark.parametrize("read, message", [
+    # points used to be cast with dtype=int: [1.9, 2.5] read as [1, 2], and True and "3" as 1 and 3
+    (lambda: cx_point_eval_phi(np.arange(4.0), [1.9, 2.5]), "^sample point must be an integer, got 1.9$"),
+    (lambda: cx_point_eval_phi(np.arange(4.0), [True]), "^sample point must be an integer, got True$"),
+    (lambda: cx_point_eval_phi(np.arange(4.0), ["3"]), "^sample point must be an integer, got '3'$"),
+    # value vectors used to be raveled, so a 2-D array read as a vector, and a NaN gave NaN
+    (lambda: cx_point_eval_phi(np.ones((2, 2)), [0]), re.escape("expected a nonempty grid vector, got shape (2, 2)")),
+    (lambda: cx_point_eval_phi(_NAN_GRID, [0]), "^vector entries must be finite$"),
+    (lambda: cx_partition_psi(np.ones((1, 2)), _PART),
+     re.escape("expected a sample vector of 2 entries, got shape (1, 2)")),
+    (lambda: cx_partition_psi([1.0, np.inf], _PART), "^vector entries must be finite$"),
+    (lambda: partition_roundtrip(_PART, np.ones((2, 4))),
+     re.escape("expected a grid vector of 8 entries, got shape (2, 4)")),
+    (lambda: partition_roundtrip(_PART, _NAN_GRID), "^vector entries must be finite$"),
+    (lambda: vector_pnorm(np.ones((2, 2)), 2.0), re.escape("expected a nonempty vector, got shape (2, 2)")),
+    # NaN < 0 and NaN > tol are both false, so a NaN bump passed every check
+    (lambda: PartitionOfUnity((0,), [[1.0, np.nan]], np.ones((1, 2), dtype=bool)), "^bumps must be finite$"),
+], ids=["float points", "bool point", "string point", "2-D grid", "NaN grid", "2-D samples", "inf sample",
+        "2-D roundtrip grid", "NaN roundtrip grid", "2-D vector_pnorm", "NaN bump"])
+def test_partition_readers_refuse_what_the_rest_of_lpalg_refuses(read, message):
+    with pytest.raises(ValueError, match=message):
+        read()
 
 
 @pytest.mark.parametrize("cover", [

@@ -8,7 +8,7 @@
 #   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds, its md5 and numpy's build
 #   bash tools/ci_local.sh criteria         the wall time of each acceptance criterion, printed and not gated
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs, their gates and equal report digests
-#   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001, at scale 2^-40, and a rotation model: cost and claims
+#   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001, at scales 2^-40 and 2^1023, and a rotation model: cost and claims
 #   bash tools/ci_local.sh lines            the size of src/lpalg, per module too, and the CLI's option count, printed and not gated
 #   bash tools/ci_local.sh imports          the import time of lpalg, printed and not gated
 #
@@ -161,28 +161,33 @@ same = bool(report) and run.stdout == json.dumps(report, sort_keys=True, indent=
 print("gate witness report is the text json.dumps writes", "ok" if same else "FAILED")
 sys.exit(0 if ok and claims and same else 1)
 PY
-    # the witness scales exactly: 2^-40 delta_1 at epsilon 0.3 2^-40 must
-    # pick the 21 members of delta_1 at 0.3 and pass, its error exactly 2^-40
+    # the witness scales exactly: 2^-40 delta_1 at epsilon 0.3 2^-40, and
+    # 2^1023 delta_1 at 0.3 2^1023, at the top of the float range, must each
+    # pick the 21 members of delta_1 at 0.3 and pass, its error exactly 2^k
     # times that at scale 1, since F depends on epsilon / M alone
-    echo "== witness scale covariance: 2^-40 delta_1 on Z, epsilon 0.3 2^-40"
+    echo "== witness scale covariance: 2^k delta_1 on Z, epsilon 0.3 2^k, k = -40 and 1023"
     PYTHONPATH=src python3 - "$out" <<'PY'
 import json, subprocess, sys
 reports = {}
-for k in (0, -40):
+for k in (0, -40, 1023):
     c = 2.0**k
-    path = f"{sys.argv[1]}/delta1-scale{-k}.json"
+    path = f"{sys.argv[1]}/delta1-scale{k}.json"
     with open(path, "w") as fh:
         json.dump({"group": {"type": "z_window", "radius": 1},
                    "coeffs": [{"s": 1, "matrix": {"rows": 1, "cols": 1, "entries": [[c, 0.0]]}}]}, fh)
     run = subprocess.run([sys.executable, "-m", "lpalg", "witness", "--elements", path, "--epsilon", repr(0.3 * c)],
                          stdout=subprocess.PIPE, text=True)
     reports[k] = json.loads(run.stdout) if run.returncode == 0 else {}
-tiny, unit = reports[-40], reports[0]
-members = len(tiny.get("folner", {}).get("members", []))
-errors = [r["elements"][0]["roundtrip_error"] if r else None for r in (tiny, unit)]
-ok = members == 21 and tiny.get("passed") is True and unit and errors[0] == errors[1] * 2.0**-40
-print(f"gate |F| {members} == 21, passed {tiny.get('passed')} and error {errors[0]} == 2^-40 * {errors[1]}",
-      "ok" if ok else "FAILED")
+unit = reports[0]["elements"][0]["roundtrip_error"] if reports[0] else None
+ok = unit is not None
+for k in (-40, 1023):
+    report = reports[k]
+    members = len(report.get("folner", {}).get("members", []))
+    error = report["elements"][0]["roundtrip_error"] if report else None
+    good = members == 21 and report.get("passed") is True and unit is not None and error == unit * 2.0**k
+    print(f"gate 2^{k}: |F| {members} == 21, passed {report.get('passed')} and error {error} == 2^{k} * {unit}",
+          "ok" if good else "FAILED")
+    ok = ok and good
 sys.exit(0 if ok else 1)
 PY
     echo "== rotation model: n 12, k 5, p 3"
