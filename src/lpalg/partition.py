@@ -180,9 +180,9 @@ def partition_roundtrip(partition: PartitionOfUnity, f_values) -> dict:
     in the patches.
     """
     f = validate_vector(f_values, partition.n_points, "grid vector")
-    recon = cx_partition_psi(cx_point_eval_phi(f, partition.points), partition)
-    error = float(np.abs(recon - f).max())
-    moves = np.abs(f - f[list(partition.points)][:, None])  # row i: |f(x) - f(y_i)| over the grid
+    samples = cx_point_eval_phi(f, partition.points)
+    error = float(np.abs(cx_partition_psi(samples, partition) - f).max())
+    moves = np.abs(f - samples[:, None])  # row i: |f(x) - f(y_i)| over the grid
     return {"error": error, "bound": float(moves.max(where=partition.cover, initial=0.0))}
 
 
