@@ -39,15 +39,18 @@ the identity block (``CovariantRep.block_selector`` and
 ``opspace.compression``), embedded back by its adjoint:
 
     (P_e (x) I) (integrated f) (P_e (x) I) = P_e (x) f(e).
+
+``opspace.compression_cb`` of that selector certifies both maps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import CapacityError
 from .groups import Record, as_integer, cyclic_group
 from .lpnorm import PNormEstimate, as_exponent, pnorm_estimate, validate_matrix
-from .opspace import CbEstimate, block_matrix, cb_norm_lower, compression, embedding
+from .opspace import compression, embedding
 
 __all__ = [
     "CcElement",
@@ -57,7 +60,6 @@ __all__ = [
     "compress_identity_check",
     "conditional_expectation",
     "cyclic_coordinate_rotation",
-    "expectation_cb_certificate",
     "random_cc_element",
     "reduced_norm",
     "trivial_action",
@@ -66,6 +68,7 @@ __all__ = [
 
 _ACTION_TOL = 1e-12
 _TABLE_ENTRIES = 1 << 16  # cap on (2R + 1) * base_dim of a Z action's power table
+_DENSE_MAX_DIM = 1 << 12  # the largest dimension of a dense integrated form: 4096^2 complex entries, 256 MiB
 
 
 class ConcreteAlgebra(Record):
@@ -89,13 +92,18 @@ def _element(s) -> int:
 
 
 def _elements(s) -> np.ndarray:
-    """Group elements s, a scalar or an array, as an int64 array.  They must
-    have an integer dtype: a float or a bool is refused, not truncated.  As
-    in :func:`_element`, |s| must be below 2^63: numpy reads 2^63 as a
-    uint64, which int64 would wrap to -2^63, whose modulus int64 does not
-    hold.  An empty array holds no elements whatever its dtype
-    (``np.asarray(())`` is float64)."""
+    """Group elements s, a scalar or an array, as an int64 array.  As in
+    :func:`_element`, |s| must be below 2^63, and this is checked before
+    the dtype: numpy keeps an integer beyond int64 and uint64 as a Python
+    int in an object array, whose entries are each read by ``_element``,
+    and reads 2^63 as a uint64, which int64 would wrap to -2^63, whose
+    modulus int64 does not hold.  The elements must have an integer dtype:
+    a float or a bool is refused, not truncated.  An empty array holds no
+    elements whatever its dtype (``np.asarray(())`` is float64)."""
     arr = np.asarray(s)
+    if arr.dtype.kind == "O":
+        for v in arr.flat:
+            _element(v)
     if arr.dtype.kind not in "iu" and arr.size:
         raise ValueError(f"group elements must be integers, got {s!r}")
     if arr.size and (arr.max() >= 2**63 if arr.dtype.kind == "u" else arr.min() == -(2**63)):
@@ -503,12 +511,17 @@ class CovariantRep:
         """sum_t pi(f(t)) v(t), assembled with one gather over all blocks.
 
         Block (t, t') equals alpha_{t^{-1}}(f(t t'^{-1})); each pair of
-        positions receives exactly one coefficient.
+        positions receives exactly one coefficient.  A form of dimension
+        above _DENSE_MAX_DIM is refused with a CapacityError before it is
+        allocated.
         """
         if f.base_dim != self.base_dim:
             raise ValueError("element dimension does not match the representation")
         if not f.carrier.same_group(self.carrier):
             raise ValueError(f"an element over {f.carrier!r} on a representation of {self.carrier!r}")
+        if self.dimension > _DENSE_MAX_DIM:
+            raise CapacityError(f"a dense integrated form of dimension {self.dimension} exceeds "
+                                f"the largest, {_DENSE_MAX_DIM}")
         nt, d = len(self.positions), self.base_dim
         which, rows, cols = self._translate(f.support)
         coeffs = np.array([f.coeff(s) for s in f.support]).reshape(-1, d, d)[which]
@@ -551,38 +564,3 @@ def compress_identity_check(rep: CovariantRep, f: CcElement) -> dict:
     lhs = pad.apply(compression(sel, rep.dimension).apply(rep.integrated(f)))
     rhs = pad.apply(conditional_expectation(f))
     return {"lhs": lhs, "rhs": rhs, "max_abs_diff": float(np.abs(lhs - rhs).max())}
-
-
-def _crossed_sampler(rep: CovariantRep):
-    """Level sampler drawing amplified crossed-product elements, supported
-    on two shifts of modulus at most 2 (anywhere on a finite carrier)."""
-
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        forms = [
-            rep.integrated(random_cc_element(rng, rep.carrier, rep.base_dim, n_terms=2, max_shift=2))
-            for _ in range(n * n)
-        ]
-        return block_matrix(np.array(forms).reshape(n, n, rep.dimension, rep.dimension))
-
-    return draw
-
-
-def expectation_cb_certificate(
-    rep: CovariantRep,
-    n_max: int = 3,
-    trials: int = 8,
-    *,
-    rng=None,
-    **engine_opts,
-) -> CbEstimate:
-    """Certify that the spatial conditional expectation is p-completely
-    contractive on sampled crossed-product elements.
-
-    The map is X |-> (P_e (x) I) X (P_e (x) I), the embedding after the
-    compression to the identity block; inputs are amplified integrated
-    forms of random finitely supported elements.
-    """
-    sel = rep.block_selector([rep.identity_position])
-    phi = embedding(sel, rep.dimension).compose(compression(sel, rep.dimension))
-    sampler = _crossed_sampler(rep)
-    return cb_norm_lower(phi, rep.p, n_max=n_max, trials=trials, rng=rng, sampler=sampler, **engine_opts)

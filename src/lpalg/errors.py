@@ -14,7 +14,8 @@ class NormOverflowError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Raised when a search cannot meet its target within the permitted window size."""
+    """Raised when a search cannot meet its target within the permitted size, or when a
+    window or a dense form would exceed its cap."""
 
 
 class CertificateError(RuntimeError):

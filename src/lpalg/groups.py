@@ -13,7 +13,8 @@ is only its default window, so every ``ZWindow`` is Z).  The carriers are
 :class:`CyclicGroup`, Z/n by arithmetic mod n (:func:`cyclic_group`);
 :class:`FiniteGroup`, any finite group from a validated multiplication
 table (:func:`group_from_table`); and :class:`ZWindow`, Z itself, whose
-default window is the symmetric interval {-radius..radius}.  A finite carrier's
+default window is the symmetric interval {-radius..radius}, of radius at
+most 2^20 (a wider window is a CapacityError).  A finite carrier's
 elements, window and Folner set are the indices 0..order-1.  Translation
 operators on a window are built in :mod:`lpalg.crossed`
 (``CovariantRep.translation``).
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 _FOLNER_MAX_SIZE = 100_000  # the longest interval a Z Folner search tries
+_WINDOW_MAX_RADIUS = 1 << 20  # the widest Z window a representation is built on
 _ASSOC_BLOCK = 1 << 20  # triples per block of group_from_table's associativity check
 
 
@@ -218,8 +220,11 @@ class ZWindow(Record):
         return np.ones(np.shape(s), dtype=bool)
 
     def window(self, radius: int | None = None) -> np.ndarray:
-        """The interval {-r..r}, r >= 1 the given radius or else the carrier's own."""
+        """The interval {-r..r}, r >= 1 the given radius or else the carrier's
+        own; CapacityError if r exceeds _WINDOW_MAX_RADIUS."""
         r = as_integer(self.radius if radius is None else radius, "window radius", 1)
+        if r > _WINDOW_MAX_RADIUS:
+            raise CapacityError(f"a window of radius {r} exceeds the largest radius, {_WINDOW_MAX_RADIUS}")
         return np.arange(-r, r + 1)
 
     def folner_members(self, shifts, delta: float) -> tuple:
@@ -228,7 +233,8 @@ class ZWindow(Record):
         k = max((abs(int(s)) for s in shifts), default=0)
         if k == 0:
             return (0,)
-        length = max(1, int(np.ceil(2.0 * k / delta)) - 2)
+        # 2k / delta is inf at a subnormal delta; any start beyond the cap fails alike
+        length = max(1, int(np.ceil(min(2.0 * k / delta, _FOLNER_MAX_SIZE + 3.0))) - 2)
         while length <= _FOLNER_MAX_SIZE:
             if 2.0 * min(k, length) / length < delta:
                 return tuple(range(length))

@@ -24,7 +24,8 @@ corner stability, window truncation, and the triangle-inequality
 composition of two approximations.  Like phi, the corner maps and the
 truncation are built from ``opspace.compression`` and its adjoint
 ``opspace.embedding``.  A ``Factorization`` holds only proofs: every
-certificate must be structural and at most 1, with no tolerance, and each
+certificate must prove a contraction (``CbEstimate.proves_contraction``:
+structural and at most 1, with no tolerance), and each
 lemma derives its legs' bounds from the parent's by cb(A o B) <= cb(A) cb(B),
 so nothing in this module samples a cb norm (``opspace.cb_norm_lower`` stays
 the refuting cross-check of the suite and the tests).
@@ -54,7 +55,7 @@ from .crossed import (
     cyclic_coordinate_rotation,
     twisted_convolve,
 )
-from .errors import CertificateError, NormOverflowError
+from .errors import CapacityError, CertificateError, NormOverflowError
 from .groups import (
     FolnerSet,
     as_integer,
@@ -98,16 +99,8 @@ __all__ = [
 ]
 
 
-def _proved_contractive(*certs: CbEstimate) -> bool:
-    """Every certificate is a structural upper bound at or below 1 on at
-    least one level, with no tolerance: each structural level is exact or
-    rounded up.  A sampled lower bound at or below 1, or a certificate with
-    no levels, proves nothing."""
-    return all(cb.kind == "structural" and cb.levels and cb.best <= 1.0 for cb in certs)
-
-
 def _require_proved(name: str, cb: CbEstimate):
-    if not _proved_contractive(cb):
+    if not cb.proves_contraction:
         raise CertificateError(f"{name} certificate proves no contraction: {cb.kind} bound {cb.best:.9f}")
 
 
@@ -419,7 +412,12 @@ def crossed_nuclearity_witness(
     two is taken out before 3M is formed, so M may reach the top of the
     float range), so scaling the elements and eps by one power of 2 keeps
     F, and one representation, of radius max|s| + |F| on Z, holds every
-    translate the round trip reaches.  Both Folner maps are
+    translate the round trip reaches.  Where eps/(3M) underflows to 0 the
+    search is given the least positive float: F is sized by it alone and
+    ``passed`` reads only the budgets, so a larger delta can shrink F and
+    fail a budget but never pass one (on a finite group F = G and every
+    budget is 0.0); where no F can meet it, the CapacityError names eps
+    and M.  Both Folner maps are
     certified by their form in closed form, and ``Factorization`` refuses
     any certificate that is not such a proof.  phi, built once, is the
     compression ``averaging_cb`` certifies at count 1.  By covariance
@@ -468,7 +466,11 @@ def crossed_nuclearity_witness(
     # cannot overflow, nor eps 2^-e where M is tiny: the quotient keeps its bits
     e = max(math.frexp(top)[1], 0)
     delta = math.ldexp(eps, -e) / (3.0 * math.ldexp(top, -e)) if top else math.inf
-    folner = folner_search(carrier, supports, delta)
+    try:  # a delta that underflows to 0 is raised to the least positive float
+        folner = folner_search(carrier, supports, max(delta, math.nextafter(0.0, 1.0)))
+    except CapacityError as exc:
+        raise CapacityError(f"no Folner set meets the budget epsilon / (3 M) at epsilon {eps!r} "
+                            f"and M {top!r}: {exc}") from exc
     rep = CovariantRep(algebra, action, pe, window_radius=max(map(abs, supports), default=0) + folner.size)
 
     phi_cb, psi_cb = averaging_cb(1), averaging_cb(folner.size)
@@ -543,7 +545,7 @@ def rotation_demo(n: int, k: int, p, eps: float, *, rng=None) -> dict:
     rt = partition_roundtrip(part, circle_function("z", n))
     part_phi = compression_cb(np.asarray(part.points), part.n_points)
     part_psi = weighted_sum_cb(part.bumps)
-    partition_ok = rt["error"] <= rt["bound"] + 1e-12 and _proved_contractive(part_phi, part_psi)
+    partition_ok = rt["error"] <= rt["bound"] + 1e-12 and part_phi.proves_contraction and part_psi.proves_contraction
 
     passed = bool(witness_report["passed"] and commutation_dev <= 1e-12 and partition_ok)
     return {

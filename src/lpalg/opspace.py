@@ -148,6 +148,9 @@ class CbEstimate:
     * ``"structural"``: each level is a proved upper bound for the norm of
       id_{M_n} (x) phi, derived from the form of the map and exact or
       rounded up (see :func:`averaging_cb` and :func:`weighted_sum_cb`).
+
+    :attr:`proves_contraction` is the one rule by which lpalg reads a
+    certificate as a proof that its map is p-completely contractive.
     """
 
     def __init__(self, levels: list[tuple[int, float]] | None = None, kind: str = "sampled_lower"):
@@ -157,6 +160,14 @@ class CbEstimate:
     @property
     def best(self) -> float:
         return max((v for _, v in self.levels), default=0.0)
+
+    @property
+    def proves_contraction(self) -> bool:
+        """Whether this is a structural upper bound at or below 1 on at
+        least one level, with no tolerance: each structural level is exact
+        or rounded up.  A sampled lower bound at or below 1, or a
+        certificate with no levels, proves nothing."""
+        return self.kind == "structural" and bool(self.levels) and self.best <= 1.0
 
 
 def weighted_sum_cb(weights) -> CbEstimate:

@@ -5,6 +5,12 @@ Each test delegates to ``lpalg.suite.run_criterion`` so the command line
 tolerances.  Run with ``pytest -v -s`` to see the status lines.
 """
 
+import math
+
+import pytest
+
+from lpalg import suite
+from lpalg.opspace import CbEstimate
 from lpalg.suite import run_criterion
 
 SEED = 0
@@ -39,6 +45,43 @@ def test_criterion_05_identity_coefficient_compression():
 
 def test_criterion_06_contractivity_certificates_to_level_three():
     _check(6)
+
+
+def _raised(certify, level):
+    """``certify`` with its first structural level replaced by ``level``."""
+
+    def raised(*args):
+        return CbEstimate([(1, level), *certify(*args).levels[1:]], kind="structural")
+
+    return raised
+
+
+@pytest.mark.parametrize("certify, level", [
+    ("averaging_cb", math.nextafter(1.0, 2.0)),  # the Folner pair, one ulp above 1
+    ("compression_cb", math.nextafter(1.0, 2.0)),  # every coordinate cut and the corner embedding
+    ("weighted_sum_cb", math.nextafter(1.0, 0.0)),  # the blend, an isometry, one ulp below 1
+])
+def test_criterion_06_decides_on_the_structural_levels(monkeypatch, certify, level):
+    # the samples do not move, and none refutes: the decision rests on the proofs alone
+    monkeypatch.setattr(suite, certify, _raised(getattr(suite, certify), level))
+    res = run_criterion(6, seed=SEED)
+    assert not res["passed"]
+    sampled = [v for leg in res["details"].values() for _, v in leg["sampled"]]
+    assert all(1 - 1e-6 <= v <= 1 + 1e-6 for v in sampled)
+
+
+def test_criterion_06_samples_still_refute(monkeypatch):
+    # a sample above 1 + 1e-6 exposes a wrong proof, whatever the proofs say
+    certify = suite.cx_phi_cb_certificate
+
+    def refuting(*args, **kwargs):
+        est = certify(*args, **kwargs)
+        return CbEstimate([*est.levels[:-1], (est.levels[-1][0], 1 + 2e-6)])
+
+    monkeypatch.setattr(suite, "cx_phi_cb_certificate", refuting)
+    res = run_criterion(6, seed=SEED)
+    assert not res["passed"]
+    assert all(v == 1.0 for leg in res["details"].values() for _, v in leg["structural"])
 
 
 def test_criterion_07_folner_set_arithmetic_and_search():

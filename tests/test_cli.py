@@ -306,6 +306,30 @@ def test_an_element_file_with_an_element_beyond_int64_is_an_input_error(tmp_path
         "input error: group element must be an integer of modulus below 2^63, got 9223372036854775808\n")
 
 
+@pytest.mark.parametrize("s", [2**62, 2**40])
+def test_crossed_on_an_element_beyond_the_largest_window_is_an_input_error(tmp_path, capsys, s):
+    # at 2^62 the window overflowed to an empty one and CovariantRep ended in
+    # a bare IndexError with exit 1; at 2^40 it could not be allocated
+    path = _write(tmp_path / "f.json", {**_DELTA_1, "coeffs": [{**_DELTA_1["coeffs"][0], "s": s}]})
+    assert main(["crossed", "--elements", path]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: a window of radius {s + 2} exceeds the largest radius, 1048576\n")
+
+
+@pytest.mark.parametrize("argv, named", [
+    # a subnormal delta used to end in an OverflowError traceback with exit 1
+    (["folner", "--group", "z", "--shifts", "1", "--delta", "1e-320"], "below 1e-320"),
+    # epsilon / (3 M) underflows to 0.0: "input error: delta must be positive, got 0.0"
+    (["witness", "--epsilon", "1e-300"], "at epsilon 1e-300 and M 1.0000000000000033e+300"),
+], ids=["folner", "witness"])
+def test_a_folner_budget_at_the_bottom_of_the_float_range_is_an_input_error(tmp_path, capsys, argv, named):
+    path = _write(tmp_path / "f.json", {**_DELTA_1, "coeffs": [{"s": 1, "matrix": {
+        "rows": 1, "cols": 1, "entries": [[1e300, 0.0]]}}]})
+    assert main(argv + (["--elements", path] if argv[0] == "witness" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ") and named in captured.err
+
+
 @pytest.mark.parametrize("action, message", [
     # used to print "input error: not enough values to unpack (expected 3, got 2)"
     ("rotation:3", "--action 'rotation:3' must read rotation:N:K with integers N and K"),

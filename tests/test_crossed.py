@@ -16,12 +16,12 @@ from lpalg.crossed import (
     compress_identity_check,
     conditional_expectation,
     cyclic_coordinate_rotation,
-    expectation_cb_certificate,
     random_cc_element,
     reduced_norm,
     trivial_action,
     twisted_convolve,
 )
+from lpalg.errors import CapacityError
 from lpalg.groups import ZWindow, cyclic_group
 from lpalg.suite import _table_test_groups
 
@@ -472,12 +472,13 @@ def test_a_coefficient_is_read_only_at_an_integer_element(s):
         f.coeff(s)
 
 
-@pytest.mark.parametrize("s", [2**63, -(2**63), np.uint64(2**63), np.int64(-(2**63))])
+@pytest.mark.parametrize("s", [2**63, -(2**63), np.uint64(2**63), np.int64(-(2**63)), 2**64])
 @pytest.mark.parametrize("reader", ["CcElement", "apply", "unitary", "translation"])
 def test_a_group_element_of_modulus_2_to_63_is_refused(reader, s):
     # CcElement(Z, {2^63: I}) used to raise an OverflowError and accept -2^63;
     # apply and unitary raised an IndexError, since 2^63 wrapped to -2^63,
-    # whose modulus int64 does not hold, and translation returned zero
+    # whose modulus int64 does not hold, and translation returned zero;
+    # apply(2^64, a), an object array to numpy, was refused as no integer
     action = trivial_action(ZWindow(2), 1)
     rep = CovariantRep(ConcreteAlgebra(1), action, 2.0)
     read = {
@@ -586,6 +587,15 @@ def test_reduced_norm_two_point_mass():
         assert reduced_norm(f, rep).value == pytest.approx(2.0, abs=1e-12)
 
 
+def test_a_dense_form_above_the_cap_is_refused_before_it_is_allocated():
+    # 16,001 positions of 64 x 64 blocks: numpy could not allocate the
+    # 1,024,064 x 1,024,064 form, so the refusal comes first
+    zw = ZWindow(0)
+    rep = CovariantRep(ConcreteAlgebra(64), trivial_action(zw, 64), 2.0, window_radius=8000)
+    with pytest.raises(CapacityError, match="dimension 1024064 exceeds the largest, 4096"):
+        rep.integrated(CcElement.delta(zw, 0, base_dim=64))
+
+
 def test_conditional_expectation_reads_identity_coefficient():
     carrier = cyclic_group(4)
     rng = np.random.default_rng(3)
@@ -601,11 +611,3 @@ def test_compress_identity_is_exact():
         f = random_cc_element(rng, carrier, 2)
         out = compress_identity_check(rep, f)
         assert out["max_abs_diff"] <= 1e-12
-
-
-def test_expectation_certificate_is_contractive():
-    rep = CovariantRep(ConcreteAlgebra(2), trivial_action(cyclic_group(2), 2), 2.0)
-    cert = expectation_cb_certificate(rep, n_max=3, trials=4, ascent_steps=2,
-                                      restarts=6, max_iters=60,
-                                      rng=np.random.default_rng(1))
-    assert cert.levels == [(1, 1.0), (2, 1.0), (3, 1.0)]

@@ -400,9 +400,11 @@ def test_folner_search_finite_group_returns_everything():
 
 def test_folner_search_capacity_guard():
     # every interval that could meet delta = 1e-5 is longer than the cap of
-    # 100,000, so the search refuses before it tries one
-    with pytest.raises(CapacityError, match="100000"):
-        folner_search(ZWindow(10**6), [1], 1e-5)
+    # 100,000, so the search refuses before it tries one; at the subnormal
+    # 1e-320, 2 / delta is inf, whose int() was an OverflowError
+    for delta in (1e-5, 1e-320):
+        with pytest.raises(CapacityError, match=f"no interval of length <= 100000 .* below {delta!r}"):
+            folner_search(ZWindow(10**6), [1], delta)
 
 
 @pytest.mark.parametrize("carrier, shift, named", [
@@ -421,6 +423,14 @@ def test_a_shift_must_be_an_integer_element_of_the_carrier(carrier, shift, named
         with pytest.raises(ValueError, match=re.escape(named)):
             call()
     assert folner_ratio(fset, np.int64(1)) == folner_ratio(fset, 1)
+
+
+@pytest.mark.parametrize("radius", [2**62 + 2, 2**40])
+def test_a_window_beyond_the_largest_radius_is_a_capacity_error(radius):
+    # np.arange overflowed at 2^62 + 2 to an empty window, and at 2^40 could not be allocated
+    with pytest.raises(CapacityError, match=f"window of radius {radius} exceeds the largest radius, 1048576"):
+        ZWindow(0).window(radius)
+    assert ZWindow(0).window(3).tolist() == [-3, -2, -1, 0, 1, 2, 3]
 
 
 # a bool was read as 1.0 (|F| = 3 on Z), and a string failed with a bare

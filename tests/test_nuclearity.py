@@ -18,7 +18,7 @@ from lpalg.crossed import (
     random_cc_element,
     trivial_action,
 )
-from lpalg.errors import CertificateError
+from lpalg.errors import CapacityError, CertificateError
 from lpalg.groups import FolnerSet, ZWindow, cyclic_group, folner_intersection, group_from_table
 from lpalg.nuclearity import (
     Factorization,
@@ -481,15 +481,17 @@ def test_factorization_refuses_a_structural_level_one_ulp_above_one():
     # every structural level is exact or rounded up, so "<= 1" takes no tolerance
     ident = LinearMap.identity(2)
     above = _structural(math.nextafter(1.0, 2.0))
+    assert _structural(1.0).proves_contraction and not above.proves_contraction
     for phi_cb, psi_cb in ((above, _structural(1.0)), (_structural(1.0), above)):
         with pytest.raises(CertificateError, match="proves no contraction"):
             Factorization(phi=ident, psi=ident, phi_cb=phi_cb, psi_cb=psi_cb)
 
 
 def test_factorization_refuses_a_sampled_certificate_at_one():
-    # a sampled level is a lower bound: at exactly 1.0 it still proves nothing
+    # a sampled level is a lower bound: at exactly 1.0, or at 0.5, it still proves nothing
     ident = LinearMap.identity(2)
     sampled = CbEstimate(levels=[(1, 1.0)], kind="sampled_lower")
+    assert not sampled.proves_contraction and not CbEstimate(levels=[(1, 0.5)]).proves_contraction
     for phi_cb, psi_cb in ((sampled, _structural(1.0)), (_structural(1.0), sampled)):
         with pytest.raises(CertificateError, match="sampled_lower"):
             Factorization(phi=ident, psi=ident, phi_cb=phi_cb, psi_cb=psi_cb)
@@ -499,6 +501,7 @@ def test_factorization_refuses_a_certificate_with_no_levels():
     # a structural certificate with no levels bounds nothing
     ident = LinearMap.identity(2)
     empty = CbEstimate(levels=[], kind="structural")
+    assert not empty.proves_contraction
     for phi_cb, psi_cb in ((empty, _structural(1.0)), (_structural(1.0), empty)):
         with pytest.raises(CertificateError):
             Factorization(phi=ident, psi=ident, phi_cb=phi_cb, psi_cb=psi_cb)
@@ -869,6 +872,28 @@ def test_witness_scales_exactly_with_its_elements_and_epsilon():
     _, report = crossed_nuclearity_witness([zero], 0.3, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5)
     assert report["folner"]["members"] == [0] and report["passed"]
     assert report["elements"][0]["norm_upper"] == report["elements"][0]["bound"] == 0.0
+
+
+def test_witness_whose_budget_underflows_passes_on_a_finite_group():
+    # epsilon / (3 M) rounds to 0.0, which folner_search used to refuse; on
+    # Z/3 F = G, so every ratio is 1 and the budget is exactly 0.0 < epsilon
+    z3 = cyclic_group(3)
+    f = CcElement(z3, {1: [[1e300]]})
+    _, report = crossed_nuclearity_witness([f], 1e-300, ConcreteAlgebra(1), z3, trivial_action(z3, 1), 1.5)
+    assert report["passed"] and report["folner"]["members"] == [0, 1, 2]
+    assert report["elements"][0]["roundtrip_error"] == report["elements"][0]["bound"] == 0.0
+
+
+@pytest.mark.parametrize("c", [1e300, 1e10])
+def test_witness_whose_budget_no_window_meets_names_epsilon_and_m(c):
+    # at 1e300 epsilon / (3 M) underflowed to 0.0 and folner_search refused
+    # "delta must be positive, got 0.0"; at 1e10 it is subnormal, and the
+    # search's start 2 / delta overflowed to an OverflowError
+    zw = ZWindow(0)
+    f = CcElement(zw, {1: [[c]]})
+    m = nuclearity.sum_upper([lpnorm.pnorm_upper(np.array([[c]]), 1.5)])
+    with pytest.raises(CapacityError, match=re.escape(f"epsilon / (3 M) at epsilon 1e-300 and M {m!r}: no interval")):
+        crossed_nuclearity_witness([f], 1e-300, ConcreteAlgebra(1), zw, trivial_action(zw, 1), 1.5)
 
 
 def test_witness_input_validation():

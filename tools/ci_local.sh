@@ -8,7 +8,8 @@
 #   bash tools/ci_local.sh suite            the acceptance suite under two hash seeds, its md5 and numpy's build
 #   bash tools/ci_local.sh criteria         the wall time of each acceptance criterion, printed and not gated
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs, their gates and equal report digests
-#   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001, at scales 2^-40 and 2^1023, and a rotation model: cost and claims
+#   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001, at scales 2^-40 and 2^1023, Folner budgets at the
+#                                           bottom of the float range, and a rotation model: cost and claims
 #   bash tools/ci_local.sh lines            the size of src/lpalg, per module too, and the CLI's option count, printed and not gated
 #   bash tools/ci_local.sh imports          the import time of lpalg, printed and not gated
 #
@@ -189,6 +190,37 @@ for k in (-40, 1023):
           "ok" if good else "FAILED")
     ok = ok and good
 sys.exit(0 if ok else 1)
+PY
+    # a Folner budget at the bottom of the float range: 1e300 delta_1 at
+    # epsilon 1e-300, where epsilon / (3 M) underflows to 0, must pass on
+    # Z/3 (F = G, error and budget exactly 0.0) and be an input error that
+    # names epsilon on Z, where no window meets it; a subnormal delta is an
+    # input error of the Folner search alone
+    echo "== Folner budgets at the bottom of the float range"
+    PYTHONPATH=src python3 - "$out" <<'PY'
+import json, subprocess, sys
+def run(*argv):
+    return subprocess.run([sys.executable, "-m", "lpalg", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+paths = {}
+for name, group in (("z3", {"type": "cyclic", "n": 3}), ("z", {"type": "z_window", "radius": 1})):
+    paths[name] = f"{sys.argv[1]}/delta1-1e300-{name}.json"
+    with open(paths[name], "w") as fh:
+        json.dump({"group": group, "coeffs": [{"s": 1, "matrix": {"rows": 1, "cols": 1, "entries": [[1e300, 0.0]]}}]}, fh)
+finite = run("witness", "--elements", paths["z3"], "--epsilon", "1e-300")
+report = json.loads(finite.stdout) if finite.returncode == 0 else {}
+error = report["elements"][0]["roundtrip_error"] if report else None
+ok = finite.returncode == 0 and report.get("passed") is True and error == 0.0
+print(f"gate Z/3: exit {finite.returncode} == 0, passed {report.get('passed')} and error {error} == 0.0",
+      "ok" if ok else "FAILED")
+line = run("witness", "--elements", paths["z"], "--epsilon", "1e-300")
+good = line.returncode == 2 and line.stderr.startswith("input error: ") and "epsilon" in line.stderr
+print(f"gate Z: exit {line.returncode} == 2 with an input error that names epsilon [{line.stderr.strip()}]",
+      "ok" if good else "FAILED")
+ok = ok and good
+search = run("folner", "--group", "z", "--shifts", "1", "--delta", "1e-320")
+good = search.returncode == 2 and search.stderr.startswith("input error: ")
+print(f"gate folner at delta 1e-320: exit {search.returncode} == 2 [{search.stderr.strip()}]", "ok" if good else "FAILED")
+sys.exit(0 if ok and good else 1)
 PY
     echo "== rotation model: n 12, k 5, p 3"
     PYTHONPATH=src python3 -m lpalg rotation --n 12 --k 5 --p 3 > "$out/rotation.json"
