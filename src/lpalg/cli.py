@@ -7,7 +7,9 @@ projection.  A subcommand takes exactly the options its operation reads:
 derived from ``--seed``; ``folner``, ``witness`` and ``rotation`` draw none
 and take no ``--seed``.  Every command but ``folner`` and ``suite`` takes the
 exponent ``--p``.  Exit codes: 0 on success, 1 when a certificate or
-acceptance check fails, 2 on input errors.
+acceptance check fails, 2 on input errors, among them a size above one of
+lpalg's caps (a ``CapacityError``: a window, a cyclic group's order, the
+dense budget) and a Folner search that no permitted size meets.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .crossed import ConcreteAlgebra, CovariantRep, conditional_expectation, trivial_action
-from .errors import CapacityError, CertificateError, DimensionGuardError, UnsupportedExponentError
+from .errors import CapacityError, CertificateError
 from .groups import folner_ratio, folner_search, group_from_descriptor
 from .lpnorm import pnorm_estimate, pnorm_upper
 from .nuclearity import crossed_nuclearity_witness, rotation_demo, sum_upper
@@ -360,8 +362,9 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, TypeError,
-            UnsupportedExponentError, DimensionGuardError, CapacityError) as exc:
+    # the other types of lpalg.errors: UnsupportedExponentError and
+    # NormOverflowError are ValueErrors, and a size above a cap is a CapacityError
+    except (OSError, ValueError, KeyError, TypeError, CapacityError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,14 +41,22 @@ the identity block (``CovariantRep.block_selector`` and
     (P_e (x) I) (integrated f) (P_e (x) I) = P_e (x) f(e).
 
 ``opspace.compression_cb`` of that selector certifies both maps.
+
+Every dense builder checks its size against one budget of 2^24 entries
+(4096^2) by ``errors.require_capacity`` before it allocates: the
+integrated form, ``translation``, ``v``, a rotation's shift, a trivial
+action's identity and a Z/n generator's (order x d) pair table.  An
+element fits an action when it lies over the action's group with
+coefficients of the action's dimension; :func:`require_fit` is that one
+check, for convolution, integrated forms and the nuclearity witness.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError
-from .groups import Record, as_integer, cyclic_group
+from .errors import require_capacity
+from .groups import Record, as_element, as_elements, as_integer, cyclic_group
 from .lpnorm import PNormEstimate, as_exponent, pnorm_estimate, validate_matrix
 from .opspace import compression, embedding
 
@@ -62,13 +70,14 @@ __all__ = [
     "cyclic_coordinate_rotation",
     "random_cc_element",
     "reduced_norm",
+    "require_fit",
     "trivial_action",
     "twisted_convolve",
 ]
 
 _ACTION_TOL = 1e-12
 _TABLE_ENTRIES = 1 << 16  # cap on (2R + 1) * base_dim of a Z action's power table
-_DENSE_MAX_DIM = 1 << 12  # the largest dimension of a dense integrated form: 4096^2 complex entries, 256 MiB
+_DENSE_MAX_ENTRIES = 1 << 24  # the dense budget: 4096^2 entries, 256 MiB of complex ones
 
 
 class ConcreteAlgebra(Record):
@@ -80,35 +89,6 @@ class ConcreteAlgebra(Record):
 
     def __init__(self, base_dim: int):
         self._set(base_dim=as_integer(base_dim, "base_dim", 1))
-
-
-def _element(s) -> int:
-    """One group element, read by ``as_integer``; |s| must be below 2^63, so
-    that int64 holds s and -s."""
-    s = as_integer(s, "group element")
-    if not -(2**63) < s < 2**63:
-        raise ValueError(f"group element must be an integer of modulus below 2^63, got {s}")
-    return s
-
-
-def _elements(s) -> np.ndarray:
-    """Group elements s, a scalar or an array, as an int64 array.  As in
-    :func:`_element`, |s| must be below 2^63, and this is checked before
-    the dtype: numpy keeps an integer beyond int64 and uint64 as a Python
-    int in an object array, whose entries are each read by ``_element``,
-    and reads 2^63 as a uint64, which int64 would wrap to -2^63, whose
-    modulus int64 does not hold.  The elements must have an integer dtype:
-    a float or a bool is refused, not truncated.  An empty array holds no
-    elements whatever its dtype (``np.asarray(())`` is float64)."""
-    arr = np.asarray(s)
-    if arr.dtype.kind == "O":
-        for v in arr.flat:
-            _element(v)
-    if arr.dtype.kind not in "iu" and arr.size:
-        raise ValueError(f"group elements must be integers, got {s!r}")
-    if arr.size and (arr.max() >= 2**63 if arr.dtype.kind == "u" else arr.min() == -(2**63)):
-        raise ValueError(f"group elements must be integers of modulus below 2^63, got {s!r}")
-    return arr.astype(np.int64, copy=False)
 
 
 def _all_phased(stack: np.ndarray) -> bool:
@@ -192,7 +172,8 @@ class IsometricAction:
       U^{-1} being the conjugate transpose.  It is validated as a stack of
       one implementer, so a bad generator is refused with the implementers'
       message.  Each pair is the binary power for its s alone, bit for bit.
-      On Z/n the n pairs are stored, and the one check that U^n is I
+      On Z/n the n pairs are stored, n d entries within the dense budget
+      (a CapacityError beyond it), and the one check that U^n is I
       (phases within 1e-12) proves every relation U_s U_t = U_{s+t mod n}.
       On Z each call tabulates the pairs for |t| <= R, R the largest |s|
       it asks for, and keeps nothing, so an action assigns no attribute
@@ -231,6 +212,7 @@ class IsometricAction:
             self.base_dim = u.shape[0]
             self._generator, self._inverse = _phased_pair(u), _phased_pair(u.conj().T)
             if carrier.order is not None:
+                require_capacity(carrier.order * self.base_dim, _DENSE_MAX_ENTRIES, "Z/n pair table entry count")
                 self._perm, self._phase = _doubled_table(self._generator, carrier.order)
                 perm, phase = _compose_pairs((self._perm[-1], self._phase[-1]), self._generator)
                 if (perm != np.arange(self.base_dim)).any() or np.abs(phase - 1.0).max() > _ACTION_TOL:
@@ -240,7 +222,7 @@ class IsometricAction:
 
     def _pair(self, s) -> tuple[np.ndarray, np.ndarray]:
         """(perm, phase) of U_s for an element or an array of elements s."""
-        s = _elements(s)
+        s = as_elements(s)
         if not self.carrier.contains(s).all():
             raise KeyError(f"element {s} outside the carrier")
         if self.carrier.order is not None:
@@ -269,7 +251,7 @@ class IsometricAction:
 
     def unitary(self, s: int) -> np.ndarray:
         """The implementer U_s, built from its (perm, phase) pair."""
-        perm, phase = self._pair(_element(s))
+        perm, phase = self._pair(as_element(s))
         u = np.zeros((self.base_dim, self.base_dim), dtype=complex)
         u[np.arange(self.base_dim), perm] = phase
         return u
@@ -298,8 +280,11 @@ class IsometricAction:
 
 
 def trivial_action(carrier, dim: int) -> IsometricAction:
-    """Every group element acts as the identity on M_dim."""
-    eye = np.eye(as_integer(dim, "dim", 1), dtype=complex)
+    """Every group element acts as the identity on M_dim; a dim^2 above the
+    dense budget is a CapacityError."""
+    dim = as_integer(dim, "dim", 1)
+    require_capacity(dim * dim, _DENSE_MAX_ENTRIES, "trivial action identity entry count")
+    eye = np.eye(dim, dtype=complex)
     if carrier.cyclic:
         return IsometricAction(carrier, generator=eye)
     return IsometricAction(carrier, unitaries=[eye] * carrier.order)
@@ -309,9 +294,11 @@ def cyclic_coordinate_rotation(n: int, k: int) -> IsometricAction:
     """Z/n acting on M_n by rotating coordinates k steps per generator.
 
     On diagonal matrices this is alpha_1(diag d)_j = d_{j+k mod n}, i.e. the
-    pullback of the grid rotation j |-> j - k.
+    pullback of the grid rotation j |-> j - k.  An n^2 above the dense
+    budget is a CapacityError.
     """
     n, k = as_integer(n, "rotation grid size n", 1), as_integer(k, "rotation step k")
+    require_capacity(n * n, _DENSE_MAX_ENTRIES, "rotation shift entry count")
     shift = np.zeros((n, n), dtype=complex)
     shift[(np.arange(n) - k) % n, np.arange(n)] = 1.0  # column i to row i - k
     return IsometricAction(cyclic_group(n), generator=shift)
@@ -331,7 +318,7 @@ class CcElement:
 
     def __init__(self, carrier, coeffs: dict, base_dim: int | None = None):
         self.carrier = carrier
-        keys = np.array([_element(s) for s in coeffs], dtype=np.int64)
+        keys = np.array([as_element(s) for s in coeffs], dtype=np.int64)
         inside = carrier.contains(keys)
         # np.count_nonzero runs no ufunc reduction, here and on each
         # coefficient below, as in lpnorm._validated
@@ -356,7 +343,7 @@ class CcElement:
         return tuple(sorted(self._coeffs))
 
     def coeff(self, s: int) -> np.ndarray:
-        return self._coeffs.get(_element(s), np.zeros((self.base_dim, self.base_dim), dtype=complex))
+        return self._coeffs.get(as_element(s), np.zeros((self.base_dim, self.base_dim), dtype=complex))
 
     def items(self):
         return ((s, self._coeffs[s]) for s in self.support)
@@ -410,13 +397,24 @@ def random_cc_element(
     return CcElement(carrier, coeffs, base_dim=base_dim)
 
 
+def require_fit(action: IsometricAction, *elements: CcElement, carrier=None) -> None:
+    """The one rule by which elements fit an action: each lies over the
+    action's group (``same_group``) with coefficients of the action's
+    dimension, and ``carrier``, where one is given, is that group.  The first that
+    does not, the carrier or f0, f1, ... in the order given, is named in a
+    ValueError ``... does not fit the action on d x d matrices of G``."""
+    bad = [] if carrier is None or carrier.same_group(action.carrier) else [f"the carrier {carrier!r}"]
+    bad += [f"f{i}, of {f.base_dim} x {f.base_dim} coefficients over {f.carrier!r}," for i, f in enumerate(elements)
+            if f.base_dim != action.base_dim or not f.carrier.same_group(action.carrier)]
+    if bad:
+        raise ValueError(f"{bad[0]} does not fit the action on {action.base_dim} x {action.base_dim} matrices "
+                         f"of {action.carrier!r}")
+
+
 def twisted_convolve(f: CcElement, g: CcElement, action: IsometricAction) -> CcElement:
-    """(f * g)(t) = sum_s f(s) alpha_s(g(s^{-1} t))."""
-    if f.base_dim != g.base_dim or f.base_dim != action.base_dim:
-        raise ValueError("element and action dimensions must agree")
-    for h in (f, g):
-        if not h.carrier.same_group(action.carrier):
-            raise ValueError(f"an element over {h.carrier!r} under an action of {action.carrier!r}")
+    """(f * g)(t) = sum_s f(s) alpha_s(g(s^{-1} t)), for f and g that fit
+    the action (:func:`require_fit`)."""
+    require_fit(action, f, g)
     carrier = action.carrier
     out: dict[int, np.ndarray] = {}
     for s, fs in f.items():
@@ -466,7 +464,7 @@ class CovariantRep:
 
     def position_index(self, t):
         """Index of t among the positions, elementwise over integer arrays."""
-        index = _elements(t) + self.window_radius
+        index = as_elements(t) + self.window_radius
         outside = (index < 0) | (index >= len(self.positions))
         if outside.any():
             raise KeyError(np.asarray(t)[outside].tolist())
@@ -483,7 +481,7 @@ class CovariantRep:
 
     def _translate(self, shifts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index triples (k, i, j) with positions[i] = shifts[k] positions[j]."""
-        shifts = _elements(shifts)
+        shifts = as_elements(shifts)
         nt = len(self.positions)
         which, cols = np.indices((shifts.size, nt))
         rows = self.carrier.op(shifts[which], cols - self.window_radius) + self.window_radius
@@ -497,31 +495,30 @@ class CovariantRep:
         return self.integrated(CcElement.delta(self.carrier, self.carrier.identity, a, base_dim=self.base_dim))
 
     def translation(self, s: int) -> np.ndarray:
-        """Translation by s on the position space alone (0/1 matrix)."""
-        _, rows, cols = self._translate([_element(s)])
+        """Translation by s on the position space alone (0/1 matrix); a
+        matrix above the dense budget is a CapacityError."""
+        require_capacity(len(self.positions) ** 2, _DENSE_MAX_ENTRIES, "translation entry count")
+        _, rows, cols = self._translate([as_element(s)])
         out = np.zeros((len(self.positions),) * 2, dtype=complex)
         out[rows, cols] = 1.0
         return out
 
     def v(self, s: int) -> np.ndarray:
-        """v(s) = translation(s) (x) identity on the fiber."""
+        """v(s) = translation(s) (x) identity on the fiber; a matrix above
+        the dense budget is a CapacityError."""
+        require_capacity(self.dimension**2, _DENSE_MAX_ENTRIES, "v(s) entry count")
         return np.kron(self.translation(s), np.eye(self.base_dim, dtype=complex))
 
     def integrated(self, f: CcElement) -> np.ndarray:
         """sum_t pi(f(t)) v(t), assembled with one gather over all blocks.
 
         Block (t, t') equals alpha_{t^{-1}}(f(t t'^{-1})); each pair of
-        positions receives exactly one coefficient.  A form of dimension
-        above _DENSE_MAX_DIM is refused with a CapacityError before it is
-        allocated.
+        positions receives exactly one coefficient.  f must fit the action
+        (:func:`require_fit`), and a form above the dense budget is refused
+        with a CapacityError before it is allocated.
         """
-        if f.base_dim != self.base_dim:
-            raise ValueError("element dimension does not match the representation")
-        if not f.carrier.same_group(self.carrier):
-            raise ValueError(f"an element over {f.carrier!r} on a representation of {self.carrier!r}")
-        if self.dimension > _DENSE_MAX_DIM:
-            raise CapacityError(f"a dense integrated form of dimension {self.dimension} exceeds "
-                                f"the largest, {_DENSE_MAX_DIM}")
+        require_fit(self.action, f)
+        require_capacity(self.dimension**2, _DENSE_MAX_ENTRIES, "integrated form entry count")
         nt, d = len(self.positions), self.base_dim
         which, rows, cols = self._translate(f.support)
         coeffs = np.array([f.coeff(s) for s in f.support]).reshape(-1, d, d)[which]

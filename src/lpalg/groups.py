@@ -14,8 +14,12 @@ is only its default window, so every ``ZWindow`` is Z).  The carriers are
 :class:`FiniteGroup`, any finite group from a validated multiplication
 table (:func:`group_from_table`); and :class:`ZWindow`, Z itself, whose
 default window is the symmetric interval {-radius..radius}, of radius at
-most 2^20 (a wider window is a CapacityError).  A finite carrier's
-elements, window and Folner set are the indices 0..order-1.  Translation
+most 2^20.  A finite carrier's elements, window and Folner set are the
+indices 0..order-1, so a cyclic group's order is at most the widest Z
+window's 2^21 + 1 positions: finite and Z windows share one bound, and a
+size beyond it is a CapacityError (``errors.require_capacity``).  A group
+element is read by :func:`as_element`, an array of them by
+:func:`as_elements`: an integer of modulus below 2^63.  Translation
 operators on a window are built in :mod:`lpalg.crossed`
 (``CovariantRep.translation``).
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, require_capacity
 
 __all__ = [
     "CyclicGroup",
@@ -43,6 +47,8 @@ __all__ = [
     "FolnerSet",
     "Record",
     "ZWindow",
+    "as_element",
+    "as_elements",
     "as_integer",
     "cyclic_group",
     "folner_intersection",
@@ -68,6 +74,35 @@ def as_integer(value, field: str, least: int | None = None) -> int:
     if (type(value) is int or isinstance(value, np.integer)) and (least is None or value >= least):
         return int(value)
     raise ValueError(f"{field} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+
+
+def as_element(s) -> int:
+    """One group element, read by ``as_integer``; |s| must be below 2^63, so
+    that int64 holds s and -s."""
+    s = as_integer(s, "group element")
+    if not -(2**63) < s < 2**63:
+        raise ValueError(f"group element must be an integer of modulus below 2^63, got {s}")
+    return s
+
+
+def as_elements(s) -> np.ndarray:
+    """Group elements s, a scalar or an array, as an int64 array.  As in
+    :func:`as_element`, |s| must be below 2^63, and this is checked before
+    the dtype: numpy keeps an integer beyond int64 and uint64 as a Python
+    int in an object array, whose entries are each read by ``as_element``,
+    and reads 2^63 as a uint64, which int64 would wrap to -2^63, whose
+    modulus int64 does not hold.  The elements must have an integer dtype:
+    a float or a bool is refused, not truncated.  An empty array holds no
+    elements whatever its dtype (``np.asarray(())`` is float64)."""
+    arr = np.asarray(s)
+    if arr.dtype.kind == "O":
+        for v in arr.flat:
+            as_element(v)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise ValueError(f"group elements must be integers, got {s!r}")
+    if arr.size and (arr.max() >= 2**63 if arr.dtype.kind == "u" else arr.min() == -(2**63)):
+        raise ValueError(f"group elements must be integers of modulus below 2^63, got {s!r}")
+    return arr.astype(np.int64, copy=False)
 
 
 def is_number(value) -> bool:
@@ -143,15 +178,18 @@ class _Finite(Record):
 class CyclicGroup(_Finite):
     """Z/n with elements 0..n-1 under addition mod n, computed, not tabulated.
 
-    Read-only (a :class:`Record`); two groups are equal only when they are
-    the same object.
+    Its window is the whole group, so n is at most the widest Z window's
+    2^21 + 1 positions; a larger n is a CapacityError.  Read-only (a
+    :class:`Record`); two groups are equal only when they are the same
+    object.
     """
 
     identity = 0
     cyclic = True
 
     def __init__(self, order: int):
-        self._set(order=as_integer(order, "cyclic group order", 1))
+        order = as_integer(order, "cyclic group order", 1)
+        self._set(order=require_capacity(order, 2 * _WINDOW_MAX_RADIUS + 1, "cyclic group order"))
 
     def op(self, s, t):
         return (s + t) % self.order
@@ -223,8 +261,7 @@ class ZWindow(Record):
         """The interval {-r..r}, r >= 1 the given radius or else the carrier's
         own; CapacityError if r exceeds _WINDOW_MAX_RADIUS."""
         r = as_integer(self.radius if radius is None else radius, "window radius", 1)
-        if r > _WINDOW_MAX_RADIUS:
-            raise CapacityError(f"a window of radius {r} exceeds the largest radius, {_WINDOW_MAX_RADIUS}")
+        require_capacity(r, _WINDOW_MAX_RADIUS, "window radius")
         return np.arange(-r, r + 1)
 
     def folner_members(self, shifts, delta: float) -> tuple:
@@ -305,7 +342,7 @@ class FolnerSet(Record):
     _key = _shown = ("carrier", "members")
 
     def __init__(self, carrier, members: tuple):
-        members = tuple(sorted(as_integer(m, "Folner set member") for m in members))
+        members = tuple(sorted(as_element(m) for m in members))
         if not members:
             raise ValueError("a Folner set must be nonempty")
         if len(set(members)) != len(members):
@@ -320,9 +357,9 @@ class FolnerSet(Record):
 
 
 def _shift(carrier, s) -> int:
-    """``s`` as an int if it is an integer element of ``carrier``; anything
-    else raises a ValueError that names it."""
-    s = as_integer(s, "a shift")
+    """``s`` read by :func:`as_element` if it is an element of ``carrier``;
+    anything else raises a ValueError that names it."""
+    s = as_element(s)
     if not carrier.contains(s):
         raise ValueError(f"shift {s} is not an element of {carrier!r}")
     return s

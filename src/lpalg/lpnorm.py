@@ -70,7 +70,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
+from .errors import NormOverflowError, UnsupportedExponentError, require_capacity
 from .groups import Record, as_integer, is_number
 
 __all__ = [
@@ -1031,7 +1031,8 @@ def _finished(mat, best_val, best_witness, converged, e, pe, method, restarts) -
 
 
 def pnorm_oracle(a, p, samples: int = 64, *, rng=None) -> float:
-    """Brute-force lower bound for ||A||_{p->p} on matrices of dimension <= 6.
+    """Brute-force lower bound for ||A||_{p->p} on matrices of dimension <= 6;
+    a larger dimension is a CapacityError.
 
     Candidate unit vectors are random complex starts, the standard basis
     vectors (these exhaust the extreme points of the unit l^1 ball up to
@@ -1046,10 +1047,7 @@ def pnorm_oracle(a, p, samples: int = 64, *, rng=None) -> float:
     pe = as_exponent(p)
     arr = validate_matrix(a)
     m, n = arr.shape
-    if max(m, n) > _ORACLE_DIM_CAP:
-        raise DimensionGuardError(
-            f"pnorm_oracle is capped at dimension {_ORACLE_DIM_CAP}, got shape {arr.shape}"
-        )
+    require_capacity(max(m, n), _ORACLE_DIM_CAP, "oracle matrix dimension")
     samples = as_integer(samples, "samples", 1)
     gen = as_generator(rng)
 

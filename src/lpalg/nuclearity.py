@@ -53,6 +53,7 @@ from .crossed import (
     ConcreteAlgebra,
     CovariantRep,
     cyclic_coordinate_rotation,
+    require_fit,
     twisted_convolve,
 )
 from .errors import CapacityError, CertificateError, NormOverflowError
@@ -440,23 +441,15 @@ def crossed_nuclearity_witness(
     diagnostics, ``norm_upper`` and the budget, both certificates with their
     kind, and on Z the window radius.  ``rng`` is accepted for compatibility
     and not used.  ``eps`` must be a positive number (``is_number``: a
-    bool or a string is refused), the elements, ``carrier`` and ``action``
-    over one group (``same_group``) and the elements' coefficients of the
-    action's dimension; anything else is a ValueError.  Returns
+    bool or a string is refused), and ``carrier`` and the elements must fit
+    the action (``crossed.require_fit``); anything else is a ValueError.  Returns
     (Factorization, report).
     """
     if not fs:
         raise ValueError("need at least one finitely supported element to witness")
     if not (is_number(eps) and eps > 0.0):
         raise ValueError(f"epsilon must be positive, got {eps!r}")
-    if not carrier.same_group(action.carrier):
-        raise ValueError(f"the carrier {carrier!r} is not the action's group {action.carrier!r}")
-    for i, f in enumerate(fs):
-        if not f.carrier.same_group(carrier):
-            raise ValueError(f"element f{i} lies over {f.carrier!r}, not over the carrier {carrier!r}")
-        if f.base_dim != action.base_dim:
-            raise ValueError(f"element f{i} has {f.base_dim} x {f.base_dim} coefficients, "
-                             f"but the action is on {action.base_dim} x {action.base_dim} matrices")
+    require_fit(action, *fs, carrier=carrier)
     pe = as_exponent(p)
     supports = sorted({s for f in fs for s in f.support})
     uppers = [{s: pnorm_upper(a, pe) for s, a in f.items()} for f in fs]

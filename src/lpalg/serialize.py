@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from .crossed import CcElement, IsometricAction, cyclic_coordinate_rotation, trivial_action
-from .groups import as_integer, group_from_descriptor, is_number
+from .groups import as_element, as_integer, group_from_descriptor, is_number
 from .lpnorm import validate_matrix
 from .opspace import LinearMap
 
@@ -213,7 +213,7 @@ def cc_element_from_obj(obj) -> CcElement:
     coeffs = {}
     for i, item in enumerate(raw):
         s, mat = _fields(item, f"coefficient {i}", "s", "matrix")
-        s = as_integer(s, "s")
+        s = as_element(s)
         if s in coeffs:
             raise ValueError(f"duplicate coefficient for group element {s}")
         coeffs[s] = matrix_from_obj(mat)

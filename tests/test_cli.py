@@ -260,7 +260,7 @@ def test_crossed_refuses_a_non_integer_group_element(tmp_path, capsys):
     obj["coeffs"][0]["s"] = 1.7  # once truncated to s = 1, with exit 0
     path = _write(tmp_path / "f.json", obj)
     assert main(["crossed", "--elements", path]) == 2
-    assert "s must be an integer, got 1.7" in capsys.readouterr().err
+    assert "group element must be an integer, got 1.7" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -313,7 +313,26 @@ def test_crossed_on_an_element_beyond_the_largest_window_is_an_input_error(tmp_p
     path = _write(tmp_path / "f.json", {**_DELTA_1, "coeffs": [{**_DELTA_1["coeffs"][0], "s": s}]})
     assert main(["crossed", "--elements", path]) == 2
     assert capsys.readouterr().err == (
-        f"input error: a window of radius {s + 2} exceeds the largest radius, 1048576\n")
+        f"input error: window radius {s + 2} exceeds the largest, 1048576\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["crossed", "--elements"], ["witness", "--epsilon", "0.3", "--elements"],
+    ["folner", "--group", f"cyclic:{2**40}", "--shifts", "1", "--delta", "0.1"],
+], ids=["crossed", "witness", "folner"])
+def test_a_cyclic_group_beyond_the_largest_window_is_an_input_error(tmp_path, capsys, argv):
+    # each used to end in a MemoryError traceback with exit 1: numpy was asked
+    # for the 8 TiB pair table of Z/2^40, and the Folner search for its 2^40 members
+    path = _write(tmp_path / "f.json", {**_DELTA_1, "group": {"type": "cyclic", "n": 2**40}})
+    assert main(argv + [path] * (argv[-1] == "--elements")) == 2
+    assert capsys.readouterr().err == f"input error: cyclic group order {2**40} exceeds the largest, 2097153\n"
+
+
+def test_a_rotation_above_the_dense_budget_is_an_input_error(capsys):
+    # used to end in a MemoryError traceback with exit 1: numpy was asked for
+    # the 596 GiB shift of a 200,000-point grid
+    assert main(["rotation", "--n", "200000", "--k", "1"]) == 2
+    assert capsys.readouterr().err == f"input error: rotation shift entry count {200000**2} exceeds the largest, 16777216\n"
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -22,7 +22,7 @@ from lpalg.crossed import (
     twisted_convolve,
 )
 from lpalg.errors import CapacityError
-from lpalg.groups import ZWindow, cyclic_group
+from lpalg.groups import FolnerSet, ZWindow, cyclic_group, folner_ratio
 from lpalg.suite import _table_test_groups
 
 COVARIANCE_TOL = 1e-13
@@ -389,12 +389,13 @@ def test_integrated_and_convolution_refuse_an_element_of_another_group():
     # over Z as delta_3, and convolved elements over Z/6 with Z/4's table
     rotation = cyclic_coordinate_rotation(4, 1)
     over_z = CcElement.delta(ZWindow(1), 7, base_dim=4)
-    with pytest.raises(ValueError, match=re.escape("over ZWindow(radius=1) on a representation of CyclicGroup(order=4)")):
+    with pytest.raises(ValueError, match=re.escape("f0, of 4 x 4 coefficients over ZWindow(radius=1), "
+                                                   "does not fit the action on 4 x 4 matrices of CyclicGroup(order=4)")):
         CovariantRep(ConcreteAlgebra(4), rotation, 2.0).integrated(over_z)
     over_z6 = CcElement.delta(cyclic_group(6), 5, base_dim=4)
     over_z4 = CcElement.delta(rotation.carrier, 1, base_dim=4)
     for f, g in ((over_z6, over_z4), (over_z4, over_z6), (over_z, over_z4)):
-        with pytest.raises(ValueError, match=re.escape(f"under an action of {rotation.carrier!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"does not fit the action on 4 x 4 matrices of {rotation.carrier!r}")):
             twisted_convolve(f, g, rotation)
     # Z windows of any radius carry one group
     assert twisted_convolve(over_z, over_z, trivial_action(ZWindow(3), 4)).support == (14,)
@@ -473,12 +474,14 @@ def test_a_coefficient_is_read_only_at_an_integer_element(s):
 
 
 @pytest.mark.parametrize("s", [2**63, -(2**63), np.uint64(2**63), np.int64(-(2**63)), 2**64])
-@pytest.mark.parametrize("reader", ["CcElement", "apply", "unitary", "translation"])
+@pytest.mark.parametrize("reader", ["CcElement", "apply", "unitary", "translation", "FolnerSet", "folner_ratio"])
 def test_a_group_element_of_modulus_2_to_63_is_refused(reader, s):
     # CcElement(Z, {2^63: I}) used to raise an OverflowError and accept -2^63;
     # apply and unitary raised an IndexError, since 2^63 wrapped to -2^63,
     # whose modulus int64 does not hold, and translation returned zero;
-    # apply(2^64, a), an object array to numpy, was refused as no integer
+    # apply(2^64, a), an object array to numpy, was refused as no integer.
+    # A Folner set accepted the member 2^63, and folner_ratio by the shift
+    # 2^63 raised a bare OverflowError
     action = trivial_action(ZWindow(2), 1)
     rep = CovariantRep(ConcreteAlgebra(1), action, 2.0)
     read = {
@@ -486,6 +489,8 @@ def test_a_group_element_of_modulus_2_to_63_is_refused(reader, s):
         "apply": lambda: action.apply(s, np.eye(1)),
         "unitary": lambda: action.unitary(s),
         "translation": lambda: rep.translation(s),
+        "FolnerSet": lambda: FolnerSet(ZWindow(0), (s,)),
+        "folner_ratio": lambda: folner_ratio(FolnerSet(ZWindow(0), (0, 1)), s),
     }[reader]
     with pytest.raises(ValueError, match=r"of modulus below 2\^63, got .*" + str(int(s))):
         read()
@@ -592,8 +597,30 @@ def test_a_dense_form_above_the_cap_is_refused_before_it_is_allocated():
     # 1,024,064 x 1,024,064 form, so the refusal comes first
     zw = ZWindow(0)
     rep = CovariantRep(ConcreteAlgebra(64), trivial_action(zw, 64), 2.0, window_radius=8000)
-    with pytest.raises(CapacityError, match="dimension 1024064 exceeds the largest, 4096"):
+    with pytest.raises(CapacityError, match=f"^integrated form entry count {1024064**2} exceeds the largest, 16777216$"):
         rep.integrated(CcElement.delta(zw, 0, base_dim=64))
+
+
+def test_a_translation_or_v_above_the_dense_budget_is_refused_before_it_is_allocated():
+    # numpy could allocate neither: the translation on 524,289 positions
+    # (4 TiB), from which v was built, and v on 4,001 positions of 64 x 64
+    # blocks (1 TB), whose translation alone fits the budget
+    wide = CovariantRep(ConcreteAlgebra(1), trivial_action(ZWindow(0), 1), 2.0, window_radius=2**18)
+    for build, what in ((wide.translation, "translation"), (wide.v, r"v\(s\)")):
+        with pytest.raises(CapacityError, match=f"^{what} entry count {524289**2} exceeds the largest, 16777216$"):
+            build(0)
+    deep = CovariantRep(ConcreteAlgebra(64), trivial_action(ZWindow(0), 64), 2.0, window_radius=2000)
+    with pytest.raises(CapacityError, match=rf"^v\(s\) entry count {(4001 * 64)**2} exceeds the largest, 16777216$"):
+        deep.v(0)
+
+
+def test_a_z_n_pair_table_above_the_dense_budget_is_refused_before_it_is_allocated():
+    # 2^21 pairs of 64 entries: the table asked numpy for 3 GiB, although the
+    # identity and Z/2^21 itself are within their caps
+    with pytest.raises(CapacityError, match=f"^Z/n pair table entry count {2**27} exceeds the largest, 16777216$"):
+        trivial_action(cyclic_group(2**21), 64)
+    with pytest.raises(CapacityError, match=f"^trivial action identity entry count {2**40} exceeds the largest, "):
+        trivial_action(ZWindow(0), 2**20)  # 16 TiB
 
 
 def test_conditional_expectation_reads_identity_coefficient():

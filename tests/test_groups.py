@@ -425,10 +425,18 @@ def test_a_shift_must_be_an_integer_element_of_the_carrier(carrier, shift, named
     assert folner_ratio(fset, np.int64(1)) == folner_ratio(fset, 1)
 
 
+def test_a_cyclic_group_beyond_the_largest_window_is_a_capacity_error():
+    # its window and its Folner set are the whole group: Z/2^40 was accepted,
+    # and its window, Folner set and pair table could not be allocated
+    with pytest.raises(CapacityError, match=f"^cyclic group order {2**40} exceeds the largest, 2097153$"):
+        group_from_descriptor({"type": "cyclic", "n": 2**40})
+    assert cyclic_group(2**21 + 1).order == ZWindow(2**20).window().size
+
+
 @pytest.mark.parametrize("radius", [2**62 + 2, 2**40])
 def test_a_window_beyond_the_largest_radius_is_a_capacity_error(radius):
     # np.arange overflowed at 2^62 + 2 to an empty window, and at 2^40 could not be allocated
-    with pytest.raises(CapacityError, match=f"window of radius {radius} exceeds the largest radius, 1048576"):
+    with pytest.raises(CapacityError, match=f"^window radius {radius} exceeds the largest, 1048576$"):
         ZWindow(0).window(radius)
     assert ZWindow(0).window(3).tolist() == [-3, -2, -1, 0, 1, 2, 3]
 
@@ -466,7 +474,7 @@ def test_descriptor_round_trip_integers():
 @pytest.mark.parametrize("members", [(0.5, 1.7), (0, 2.0), (True,), ("1",)])
 def test_folner_set_members_must_be_integers(members):
     # a member is never truncated or parsed: (0.5, 1.7) used to become (0, 1)
-    with pytest.raises(ValueError, match="Folner set member must be an integer"):
+    with pytest.raises(ValueError, match="group element must be an integer"):
         FolnerSet(ZWindow(5), members)
 
 

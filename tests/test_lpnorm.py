@@ -19,7 +19,7 @@ from lpalg.crossed import (
     cyclic_coordinate_rotation,
     trivial_action,
 )
-from lpalg.errors import DimensionGuardError, NormOverflowError, UnsupportedExponentError
+from lpalg.errors import CapacityError, NormOverflowError, UnsupportedExponentError
 from lpalg.groups import FolnerSet, ZWindow
 from lpalg.lpnorm import (
     PExponent,
@@ -381,7 +381,7 @@ def test_estimate_matches_oracle_on_small_matrices():
 
 
 def test_oracle_guards_large_matrices():
-    with pytest.raises(DimensionGuardError):
+    with pytest.raises(CapacityError, match="^oracle matrix dimension 7 exceeds the largest, 6$"):
         pnorm_oracle(np.eye(7), 1.5)
 
 

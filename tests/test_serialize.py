@@ -251,7 +251,7 @@ def test_cc_element_obj_elements_must_be_integers(value):
     # s = 1.7 used to run as s = 1
     obj = cc_element_to_obj(CcElement.delta(ZWindow(1), 1, np.eye(1, dtype=complex)))
     obj["coeffs"][0]["s"] = value
-    with pytest.raises(ValueError, match="^s must be an integer, got "):
+    with pytest.raises(ValueError, match="^group element must be an integer, got "):
         cc_element_from_obj(obj)
 
 

@@ -9,7 +9,8 @@
 #   bash tools/ci_local.sh criteria         the wall time of each acceptance criterion, printed and not gated
 #   bash tools/ci_local.sh smoke WORKLOAD   plain and traced benchmark smoke runs, their gates and equal report digests
 #   bash tools/ci_local.sh scale            the Z witness at epsilon 0.001, at scales 2^-40 and 2^1023, Folner budgets at the
-#                                           bottom of the float range, and a rotation model: cost and claims
+#                                           bottom of the float range, and a rotation model: cost and claims; and crossed
+#                                           and folner on Z/2^40 and rotation at n 200000, input errors under a 2 GB limit
 #   bash tools/ci_local.sh lines            the size of src/lpalg, per module too, and the CLI's option count, printed and not gated
 #   bash tools/ci_local.sh imports          the import time of lpalg, printed and not gated
 #
@@ -238,6 +239,29 @@ same = text == json.dumps(report, sort_keys=True, indent=2) + "\n"
 print("gate rotation report is the text json.dumps writes", "ok" if same else "FAILED")
 sys.exit(0 if ok and same else 1)
 PY
+    # a size above a cap is an input error, refused before anything of its
+    # size is allocated: an element file and a Folner search over Z/2^40,
+    # above the cyclic order cap, and a rotation at n 200000, whose shift is
+    # above the dense budget, each exit 2 under a 2 GB address-space limit,
+    # where allocating what they ask for would end in a MemoryError
+    echo "== sizes above a cap under a 2 GB address-space limit"
+    echo '{"group": {"type": "cyclic", "n": 1099511627776}, "coeffs": [{"s": 1, "matrix": {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}}]}' \
+        > "$out/cyclic40.json"
+    local argv status err refused=0
+    for argv in "crossed --elements $out/cyclic40.json" "folner --group cyclic:1099511627776 --shifts 1 --delta 0.1" \
+        "rotation --n 200000 --k 1"; do
+        status=0
+        # $argv unquoted: each string is split into one command line
+        (ulimit -v 2000000 && PYTHONPATH=src exec python3 -m lpalg $argv > /dev/null 2> "$out/refused.err") || status=$?
+        err=$(cat "$out/refused.err")
+        if [[ $status == 2 && $err == "input error: "* ]]; then
+            echo "gate lpalg $argv: exit $status == 2 with an input error [$err] ok"
+        else
+            echo "gate lpalg $argv: exit $status == 2 with an input error [$err] FAILED"
+            refused=1
+        fi
+    done
+    [[ $refused == 0 ]]
 }
 
 # the two sizes of src/lpalg: every line (wc -l), and the code lines, those
